@@ -8,6 +8,7 @@ closed form.
 
 from .combin import (
     binomial,
+    distance_matrix,
     enumerate_patterns,
     pattern_distance,
     pattern_rank,
@@ -24,7 +25,6 @@ from .gram import (
 from .johnson import (
     Eigenmatrices,
     SchemeBasis,
-    adjacency_matrix,
     dual_hahn_polynomial,
     eigenmatrices,
     hahn_polynomial,

@@ -46,6 +46,13 @@ def _parse_range(spec: str) -> list[int]:
     return list(range(parts[0], parts[1] + 1, parts[2]))
 
 
+def _describe(exc: Exception) -> str:
+    """Error text; arithmetic failures (e.g. float overflow at large k) are named as such."""
+    if isinstance(exc, ArithmeticError):
+        return f"value not representable ({type(exc).__name__}: {exc})"
+    return str(exc)
+
+
 def _fail_params(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_BAD_PARAMS)
@@ -65,13 +72,15 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     """Distinct Gram eigenvalues with multiplicities, plus the trace check."""
     try:
         inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
-    except ValueError as exc:
-        _fail_params(str(exc))
-    spec = closed_form_spectrum(inst)
+        spec = closed_form_spectrum(inst)
+    except (ValueError, ArithmeticError) as exc:
+        _fail_params(_describe(exc))
     click.echo("j,eigenvalue,multiplicity")
     for e in spec.entries:
         value = str(e.value) if exact else _fmt(e.value)
         click.echo(f"{e.j},{value},{e.multiplicity}")
+    if 2 * k > n:
+        click.echo(f"# k > n/2: evaluated at n-k = {n - k} (complement symmetry)")
     trace = sum(Fraction(e.value) * e.multiplicity for e in spec.entries)
     status = "ok" if trace == inst.N else f"MISMATCH {float(trace)}"
     click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {status}")
@@ -87,8 +96,8 @@ def _single_value_command(name: str, compute):
         try:
             inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
             value = compute(inst)
-        except ValueError as exc:
-            _fail_params(str(exc))
+        except (ValueError, ArithmeticError) as exc:
+            _fail_params(_describe(exc))
         click.echo(_fmt(value))
 
     cmd.__doc__ = compute.__doc__

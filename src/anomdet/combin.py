@@ -1,10 +1,13 @@
-"""Exact integer/rational primitives: binomials, k-subset patterns,
-rising factorials and terminating hypergeometric series.
+"""Exact integer/rational primitives: binomials, k-subset patterns and
+their distance matrix, rising factorials and terminating hypergeometric
+series.
 
-Everything here is pure and exact (ints and Fractions); floats never
-enter.  Anomaly patterns are sorted tuples of 1-based positions, kept in
-lexicographic order throughout the package so that matrix rows have a
-deterministic meaning.
+Everything here is pure and exact: results are ints, Fractions or
+integer arrays.  Anomaly patterns are sorted tuples of 1-based positions,
+kept in lexicographic order throughout the package so that matrix rows
+have a deterministic meaning; distance_matrix gives all pairwise subset
+distances in that order, the one object every explicit N x N matrix of
+the package is indexed by.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Rational = int | Fraction
 
@@ -23,6 +28,8 @@ __all__ = [
     "pattern_rank",
     "pattern_unrank",
     "pattern_distance",
+    "pattern_indicator",
+    "distance_matrix",
     "pochhammer_rising",
     "hypergeometric_terminating",
 ]
@@ -94,6 +101,26 @@ def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:
     if len(r) != len(s):
         raise ValueError(f"patterns have different cardinalities: {len(r)} vs {len(s)}")
     return len(r) - len(set(r) & set(s))
+
+
+def pattern_indicator(n: int, k: int) -> np.ndarray:
+    """C(n, k) x n 0/1 matrix X: row a marks the positions of the a-th pattern."""
+    pats = enumerate_patterns(n, k)
+    X = np.zeros((len(pats), n), dtype=np.uint8)
+    cols = np.array(pats, dtype=np.intp).reshape(len(pats), k) - 1
+    X[np.arange(len(pats))[:, None], cols] = 1
+    return X
+
+
+def distance_matrix(n: int, k: int) -> np.ndarray:
+    """All subset distances at once: D = k - X X^T in lexicographic pattern order.
+
+    D[a, b] equals pattern_distance of the a-th and b-th patterns.  The
+    overlap counts X X^T are at most n, so the float64 (BLAS) product is
+    exact; D is returned in the smallest unsigned integer type holding k.
+    """
+    X = pattern_indicator(n, k).astype(np.float64)
+    return (k - X @ X.T).astype(np.min_scalar_type(k))
 
 
 def pochhammer_rising(a: Rational, m: int) -> Fraction:

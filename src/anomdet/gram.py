@@ -1,9 +1,9 @@
 """Gram matrix of the anomaly hypotheses and its spectrum.
 
 The Gram matrix has entries (c^2)^d with d the subset distance between
-the two anomaly patterns.  Its k+1 distinct eigenvalues come in closed
-form as terminating 2F1 sums; a dense eigendecomposition of the explicit
-matrix serves as the independent oracle.  The exact-rational pathway is
+the two anomaly patterns.  Its min(k, n-k)+1 distinct eigenvalues come in
+closed form as terminating 2F1 sums; a dense eigendecomposition of the
+explicit matrix serves as the independent oracle.  The exact-rational pathway is
 taken whenever the instance overlap is given as a Fraction.
 """
 
@@ -15,12 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import (
-    binomial,
-    enumerate_patterns,
-    hypergeometric_terminating,
-    pattern_distance,
-)
+from .combin import binomial, distance_matrix, hypergeometric_terminating
 
 __all__ = [
     "ProblemInstance",
@@ -78,7 +73,7 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The k+1 distinct Gram eigenvalues, largest (j=0) first."""
+    """The min(k, n-k)+1 distinct Gram eigenvalues, largest (j=0) first."""
 
     instance: ProblemInstance
     entries: tuple[SpectrumEntry, ...]
@@ -94,26 +89,21 @@ class Spectrum:
 def gram_matrix(instance: ProblemInstance, size_cap: int = SIZE_CAP_DEFAULT):
     """Explicit N x N Gram matrix in lexicographic pattern order.
 
-    Returns a float ndarray, or a nested list of Fractions when the
-    instance overlap is exact.
+    Entry [a, b] is (c^2)^d for the subset distance d of patterns a and b:
+    the k+1 distinct powers are computed once and indexed by the distance
+    matrix.  Returns a float ndarray, or a nested list of Fractions when
+    the instance overlap is exact.
     """
     N = instance.N
     if N > size_cap:
         raise ValueError(f"Gram size {N} exceeds cap {size_cap}")
-    pats = enumerate_patterns(instance.n, instance.k)
+    D = distance_matrix(instance.n, instance.k)
     z = instance.c2
     if instance.exact:
         z = Fraction(z)
-        G = [[Fraction(0)] * N for _ in range(N)]
-        for a in range(N):
-            for b in range(N):
-                G[a][b] = z ** pattern_distance(pats[a], pats[b])
-        return G
-    G = np.empty((N, N))
-    for a in range(N):
-        for b in range(a, N):
-            G[a, b] = G[b, a] = z ** pattern_distance(pats[a], pats[b])
-    return G
+        powers = np.array([z**d for d in range(instance.k + 1)], dtype=object)
+        return powers[D].tolist()
+    return np.array([z**d for d in range(instance.k + 1)])[D]
 
 
 def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
@@ -121,12 +111,16 @@ def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
 
 
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
-    """The k+1 distinct eigenvalues lambda_j with multiplicities m_j.
+    """The distinct eigenvalues lambda_j with multiplicities m_j.
 
     lambda_j = (1-c^2)^j 2F1(j-k, -n+k+j; 1; c^2),
     m_j = C(n, j) - C(n, j-1).
+
+    Complementing both patterns preserves their subset distance, so the
+    Gram matrices of k and n-k anomalies coincide; the formula is
+    evaluated at min(k, n-k), where it holds, giving min(k, n-k)+1 entries.
     """
-    n, k = instance.n, instance.k
+    n, k = instance.n, min(instance.k, instance.n - instance.k)
     z = Fraction(instance.c2)  # exact even for float input (binary rational)
     entries = []
     for j in range(k + 1):

@@ -22,12 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import (
-    binomial,
-    enumerate_patterns,
-    hypergeometric_terminating,
-    pattern_distance,
-)
+from .combin import binomial, distance_matrix, hypergeometric_terminating
 
 __all__ = [
     "SchemeBasis",
@@ -35,7 +30,6 @@ __all__ = [
     "SchemeClosureError",
     "valency",
     "multiplicity",
-    "adjacency_matrix",
     "scheme_basis",
     "hahn_polynomial",
     "dual_hahn_polynomial",
@@ -83,30 +77,11 @@ def multiplicity(n: int, j: int) -> int:
     return binomial(n, j) - binomial(n, j - 1)
 
 
-def adjacency_matrix(n: int, k: int, i: int) -> np.ndarray:
-    """N x N 0/1 matrix connecting patterns at subset distance i."""
-    if not 0 <= i <= k <= n:
-        raise ValueError(f"adjacency_matrix: need 0 <= i <= k <= n, got {(n, k, i)}")
-    pats = enumerate_patterns(n, k)
-    N = len(pats)
-    A = np.zeros((N, N), dtype=np.uint8)
-    for a in range(N):
-        for b in range(a, N):
-            if pattern_distance(pats[a], pats[b]) == i:
-                A[a, b] = A[b, a] = 1
-    return A
-
-
 def scheme_basis(n: int, k: int) -> SchemeBasis:
-    """All adjacency matrices A_0..A_k in one pass over pattern pairs."""
-    pats = enumerate_patterns(n, k)
-    N = len(pats)
-    mats = [np.zeros((N, N), dtype=np.uint8) for _ in range(k + 1)]
-    for a in range(N):
-        for b in range(a, N):
-            d = pattern_distance(pats[a], pats[b])
-            mats[d][a, b] = mats[d][b, a] = 1
-    return SchemeBasis(n=n, k=k, adjacency=tuple(mats))
+    """All adjacency matrices A_0..A_k, read off the distance matrix as D == i."""
+    D = distance_matrix(n, k)
+    adjacency = tuple((D == i).astype(np.uint8) for i in range(k + 1))
+    return SchemeBasis(n=n, k=k, adjacency=adjacency)
 
 
 def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
@@ -147,59 +122,69 @@ def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     return Eigenmatrices(n=n, k=k, P=P, Q=Q)
 
 
+def _projector_coefficients(n: int, k: int, j: int) -> list[Fraction]:
+    """The k+1 exact entries q_j(i) / N of E_j, one per subset distance i."""
+    if not 0 <= j <= k:
+        raise ValueError(f"scheme_projector: index {j} out of range [0, {k}]")
+    N = binomial(n, k)
+    m_j = multiplicity(n, j)
+    return [Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(k + 1)]
+
+
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
-    """Float projector E_j = (1/N) sum_i q_j(i) A_i onto the j-th eigenspace."""
-    return np.array(scheme_projector_exact(n, k, j), dtype=float)
+    """Float projector E_j = (1/N) sum_i q_j(i) A_i onto the j-th eigenspace.
+
+    Each of the k+1 exact coefficients is rounded once, so the result
+    equals the exact projector converted to float.
+    """
+    D = distance_matrix(n, k)
+    return np.array([float(c) for c in _projector_coefficients(n, k, j)])[D]
 
 
 def scheme_projector_exact(n: int, k: int, j: int) -> list[list[Fraction]]:
     """E_j with exact rational entries (rank and trace both equal m_j)."""
-    if not 0 <= j <= k:
-        raise ValueError(f"scheme_projector: index {j} out of range [0, {k}]")
-    basis = scheme_basis(n, k)
-    N = basis.size
-    m_j = multiplicity(n, j)
-    coeffs = [Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(k + 1)]
-    E = [[Fraction(0)] * N for _ in range(N)]
-    for i, A in enumerate(basis.adjacency):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        rows, cols = np.nonzero(A)
-        for a, b in zip(rows.tolist(), cols.tolist()):
-            E[a][b] += c
-    return E
+    D = distance_matrix(n, k)
+    return np.array(_projector_coefficients(n, k, j), dtype=object)[D].tolist()
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:
     """Intersection numbers p_ij^l with A_i A_j = sum_l p_ij^l A_l.
 
     Returns {(i, j): [p_ij^0, ..., p_ij^k]}.  Raises SchemeClosureError
-    if any product leaves the span or any coefficient is not a
-    non-negative integer (both signal a construction bug).
+    if the A_l overlap, if any product leaves the span or if any
+    coefficient is not a non-negative integer (all signal a construction
+    bug).
     """
     k = basis.k
-    mats = [A.astype(np.int64) for A in basis.adjacency]
-    # A_l have disjoint supports covering all entries, so p_ij^l can be
-    # read off any entry where A_l is 1 and then checked globally.
+    # 0/1 entries and counts <= N < 2^53: float64 (BLAS) products are exact
+    mats = np.array(basis.adjacency, dtype=np.float64)
+    cover = mats.sum(axis=0)
+    if (cover > 1).any():
+        raise SchemeClosureError(
+            f"adjacency matrices overlap for (n, k) = ({basis.n}, {basis.k})"
+        )
+    # A_l have disjoint supports, so p_ij^l can be read off one entry where
+    # A_l is 1 and then checked globally; sum_l p_ij^l A_l is the
+    # coefficient vector indexed by each entry's class label.  Entries in
+    # no class get the extra label k+1, whose coefficient is 0.
+    labels = np.where(cover == 1, mats.argmax(axis=0), k + 1)
+    reps = [int(A.argmax()) if A.any() else None for A in basis.adjacency]
     numbers: dict[tuple[int, int], list[int]] = {}
     for i in range(k + 1):
         for j in range(k + 1):
-            prod = mats[i] @ mats[j]
+            prod = (mats[i] @ mats[j]).astype(np.int64)
             coeffs = []
-            recon = np.zeros_like(prod)
-            for l in range(k + 1):
-                rows, cols = np.nonzero(basis.adjacency[l])
-                if rows.size == 0:  # empty distance class (k near n)
+            for l, rep in enumerate(reps):
+                if rep is None:  # empty distance class (k near n)
                     coeffs.append(0)
                     continue
-                val = int(prod[rows[0], cols[0]])
+                val = int(prod.flat[rep])
                 if val < 0:
                     raise SchemeClosureError(
                         f"negative intersection number p_{i}{j}^{l} = {val}"
                     )
                 coeffs.append(val)
-                recon += val * mats[l]
+            recon = np.array(coeffs + [0])[labels]
             if not np.array_equal(prod, recon):
                 raise SchemeClosureError(
                     f"A_{i} A_{j} is not in the span of the scheme for "

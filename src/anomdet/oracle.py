@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .combin import binomial, enumerate_patterns, normalize_pattern
+from .combin import binomial, enumerate_patterns, normalize_pattern, pattern_indicator
 from .gram import ProblemInstance, matrix_sqrt
 
 __all__ = [
@@ -36,32 +36,41 @@ DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
 
 
-def hypothesis_state(instance: ProblemInstance, pattern) -> np.ndarray:
-    """Explicit 2^n state vector for one anomaly pattern.
+def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndarray:
+    """One 2^n tensor-product state per row of a 0/1 (patterns x n) indicator.
 
     Qubit embedding: reference |0>, anomaly c|0> + sqrt(1-c^2)|1>; only
     the overlap c matters for the known-states problem, so qubits
-    suffice for any d.
+    suffice for any d.  Position by position, every row is multiplied
+    out with the factor its indicator picks, which is np.kron applied to
+    all rows at once.
     """
     n = instance.n
     if n > STATE_QUBITS_CAP:
         raise ValueError(f"hypothesis_state: n={n} exceeds cap {STATE_QUBITS_CAP}")
+    c = float(instance.c)
+    factors = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1 - c * c))]])
+    states = np.ones((indicator.shape[0], 1))
+    for pos in range(n):
+        factor = factors[indicator[:, pos]]  # phi1 at anomalies, phi0 elsewhere
+        states = (states[:, :, None] * factor[:, None, :]).reshape(len(states), -1)
+    return states
+
+
+def hypothesis_state(instance: ProblemInstance, pattern) -> np.ndarray:
+    """Explicit 2^n state vector for one anomaly pattern (see _product_states)."""
+    n = instance.n
     pat = normalize_pattern(pattern, n)
     if len(pat) != instance.k:
         raise ValueError(f"pattern {pat} has wrong cardinality for k={instance.k}")
-    c = float(instance.c)
-    phi0 = np.array([1.0, 0.0])
-    phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-    state = np.array([1.0])
-    for pos in range(1, n + 1):
-        state = np.kron(state, phi1 if pos in pat else phi0)
-    return state
+    indicator = np.zeros((1, n), dtype=np.uint8)
+    indicator[0, [pos - 1 for pos in pat]] = 1
+    return _product_states(instance, indicator)[0]
 
 
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     """Stack of all C(n,k) hypothesis vectors in lexicographic pattern order."""
-    pats = enumerate_patterns(instance.n, instance.k)
-    return np.array([hypothesis_state(instance, p) for p in pats])
+    return _product_states(instance, pattern_indicator(instance.n, instance.k))
 
 
 @dataclass(frozen=True)

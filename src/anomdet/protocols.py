@@ -17,7 +17,7 @@ import numpy as np
 
 from .combin import binomial
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
-from .johnson import multiplicity, scheme_projector_exact
+from .johnson import multiplicity, scheme_projector, scheme_projector_exact
 
 __all__ = [
     "ProtocolResult",
@@ -127,8 +127,12 @@ def explicit_success_k123(instance: ProblemInstance) -> ProtocolResult:
 
 
 def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
-    """Optimal zero-error success probability (1-c^2)^k = lambda_min(G)."""
-    value = float((1 - Fraction(instance.c2)) ** instance.k)
+    """Optimal zero-error success probability (1-c^2)^min(k, n-k) = lambda_min(G).
+
+    The Gram matrices of k and n-k anomalies coincide (complement symmetry).
+    """
+    k = min(instance.k, instance.n - instance.k)
+    value = float((1 - Fraction(instance.c2)) ** k)
     return ProtocolResult(value=value, method="closed-form", instance=instance)
 
 
@@ -162,7 +166,7 @@ def verify_unambiguous_certificates(
     m_k = multiplicity(n, k)
     E_k = scheme_projector_exact(n, k, k)
     diag_ok = all(E_k[a][a] * N == m_k for a in range(N))  # diag(Y) = 1 exactly
-    Y = np.array(E_k, dtype=float) * (N / m_k)
+    Y = scheme_projector(n, k, k) * (N / m_k)
     y_min = direct_spectrum(Y)[-1]
     dual_value = float(np.tensordot(G, Y) / N)
     dual_feasible = bool(diag_ok and y_min >= -tol)

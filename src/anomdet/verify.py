@@ -75,8 +75,7 @@ def scheme_checks(max_n: int) -> list[CheckResult]:
             )
             out.append(_check("hahn-duality", tag, float(dual_err), 0.0))
 
-            projs = [np.array(johnson.scheme_projector_exact(n, k, j), dtype=float)
-                     for j in range(k + 1)]
+            projs = [johnson.scheme_projector(n, k, j) for j in range(k + 1)]
             res = float(np.abs(np.sum(projs, axis=0) - np.eye(N)).max())
             for j, E in enumerate(projs):
                 res = max(res, float(np.abs(E @ E - E).max()))

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line.  Tolerances are fixed here and nowhere else."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -181,15 +182,17 @@ def test_criterion_8_scheme_algebra():
             projs = [scheme_projector_exact(n, k, j) for j in range(k + 1)]
             for j, E in enumerate(projs):
                 ok &= sum(E[a][a] for a in range(N)) == multiplicity(n, j)
-            # idempotency/orthogonality/completeness, exact
-            for j, E in enumerate(projs):
-                Em = np.array(E, dtype=object)
-                ok &= (Em @ Em == Em).all()
-            total = np.sum([np.array(E, dtype=object) for E in projs], axis=0)
-            ident = np.array(
-                [[Fraction(int(a == b)) for b in range(N)] for a in range(N)], dtype=object
-            )
-            ok &= (total == ident).all()
+            # idempotency and completeness, exact, on F_j = L E_j with L the
+            # lcm of all entry denominators: E_j E_j = E_j <=> F_j F_j = L F_j
+            # and sum_j E_j = I <=> sum_j F_j = L I, in Python-int arithmetic
+            L = math.lcm(*(x.denominator for E in projs for row in E for x in row))
+            scaled = [[[x * L for x in row] for row in E] for E in projs]
+            ok &= all(x.denominator == 1 for F in scaled for row in F for x in row)
+            ints = [np.array([[int(x) for x in row] for row in F], dtype=object) for F in scaled]
+            for F in ints:
+                ok &= (F @ F == L * F).all()
+            ident = np.array([[L * int(a == b) for b in range(N)] for a in range(N)], dtype=object)
+            ok &= (np.sum(ints, axis=0) == ident).all()
     _report("scheme algebra exact", bool(ok))
 
 

@@ -37,6 +37,14 @@ class TestSpectrumCommand:
         assert result.exit_code == 0
         assert all(float(r[1]) == 1.0 for r in _rows(result.output))
 
+    def test_k_above_half_by_complement(self, runner):
+        result = runner.invoke(main, ["spectrum", "--n", "6", "--k", "4", "--c", "1/2", "--exact"])
+        assert result.exit_code == 0
+        rows = _rows(result.output)
+        assert rows == [["0", "27/8", "1"], ["1", "21/16", "5"], ["2", "9/16", "9"]]
+        assert all(int(r[2]) >= 0 for r in rows)
+        assert "complement symmetry" in result.output and "ok" in result.output
+
     def test_invalid_parameters_exit_2(self, runner):
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1.5"]).exit_code == 2
@@ -52,6 +60,24 @@ class TestSingleValueCommands:
         result = runner.invoke(main, ["unambiguous", "--n", "6", "--k", "2", "--c", "0.5"])
         assert result.exit_code == 0
         assert float(result.output) == pytest.approx(9 / 16)
+
+    def test_unambiguous_k_above_half(self, runner):
+        result = runner.invoke(main, ["unambiguous", "--n", "6", "--k", "4", "--c", "0.5"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "0.5625"  # (1 - c^2)^(n-k)
+
+    def test_minerr_all_anomalous(self, runner):
+        result = runner.invoke(main, ["minerr", "--n", "5", "--k", "5", "--c", "0.5"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "1"
+
+    @pytest.mark.parametrize("command", ["minerr", "spectrum"])
+    def test_overflow_exit_2_without_traceback(self, runner, command):
+        result = runner.invoke(main, [command, "--n", "5000", "--k", "210", "--c", "0.8"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "OverflowError" in result.output
 
     def test_universal(self, runner):
         result = runner.invoke(main, ["universal", "--n", "4", "--k", "1", "--d", "2", "--exact"])

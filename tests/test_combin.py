@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anomdet.combin import (
     binomial,
+    distance_matrix,
     enumerate_patterns,
     hypergeometric_terminating,
     pattern_distance,
+    pattern_indicator,
     pattern_rank,
     pattern_unrank,
     pochhammer_rising,
@@ -104,6 +107,30 @@ class TestPatternDistance:
         for i in range(k + 1):
             count = sum(1 for s in pats if pattern_distance(fixed, s) == i)
             assert count == binomial(k, i) * binomial(n - k, i)
+
+
+ALL_NK = [(n, k) for n in range(9) for k in range(n + 1)]
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("n,k", ALL_NK)
+    def test_matches_pattern_distance(self, n, k):
+        pats = enumerate_patterns(n, k)
+        D = distance_matrix(n, k)
+        reference = [[pattern_distance(r, s) for s in pats] for r in pats]
+        assert D.shape == (len(pats), len(pats))
+        assert np.issubdtype(D.dtype, np.integer)
+        assert D.tolist() == reference
+
+    @pytest.mark.parametrize("n,k", ALL_NK)
+    def test_indicator_rows_mark_patterns(self, n, k):
+        X = pattern_indicator(n, k)
+        rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
+        assert rows == enumerate_patterns(n, k)
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            distance_matrix(3, 4)
 
 
 class TestPochhammer:

@@ -10,7 +10,7 @@ from anomdet.gram import (
     gram_matrix,
     matrix_sqrt,
 )
-from anomdet.combin import binomial, enumerate_patterns
+from anomdet.combin import binomial, enumerate_patterns, pattern_distance
 from anomdet.johnson import scheme_projector
 
 C_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -51,6 +51,26 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(ProblemInstance(30, 15, 0.5), size_cap=100)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_float_matches_per_pair_loop_bitwise(self, n):
+        for k in range(n + 1):
+            pats = enumerate_patterns(n, k)
+            for c in (0.0, 0.3, 0.7, 1.0):
+                z = c * c
+                loop = np.array([[z ** pattern_distance(r, s) for s in pats] for r in pats])
+                G = gram_matrix(ProblemInstance(n, k, c))
+                assert G.dtype == np.float64 and np.array_equal(G, loop)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_matches_per_pair_loop(self, n):
+        for k in range(n + 1):
+            pats = enumerate_patterns(n, k)
+            c = Fraction(2, 3)
+            loop = [[(c * c) ** pattern_distance(r, s) for s in pats] for r in pats]
+            G = gram_matrix(ProblemInstance(n, k, c))
+            assert G == loop
+            assert all(isinstance(x, Fraction) for row in G for x in row)
+
 
 class TestClosedFormSpectrum:
     def test_single_anomaly(self):
@@ -88,6 +108,19 @@ class TestClosedFormSpectrum:
             G = gram_matrix(inst)
             row_sum = sum(G[0])
             assert closed_form_spectrum(inst).entries[0].value == row_sum
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (7, 5), (8, 8), (5, 5), (9, 6)])
+    def test_complement_symmetry(self, n, k):
+        # G(n, k) = G(n, n-k): complementing both patterns keeps their distance
+        c = Fraction(1, 2)
+        spec = closed_form_spectrum(ProblemInstance(n, k, c))
+        mirror = closed_form_spectrum(ProblemInstance(n, n - k, c))
+        pairs = [(e.value, e.multiplicity) for e in spec.entries]
+        assert pairs == [(e.value, e.multiplicity) for e in mirror.entries]
+        assert all(m > 0 for _, m in pairs)
+        assert sum(m for _, m in pairs) == binomial(n, k)
+        dense = direct_spectrum(gram_matrix(ProblemInstance(n, k, c)))
+        assert np.abs(spec.as_multiset() - dense).max() < 1e-12
 
     def test_strictly_decreasing(self):
         spec = closed_form_spectrum(ProblemInstance(9, 4, 0.6))

@@ -6,7 +6,6 @@ import pytest
 from anomdet.gram import direct_spectrum
 from anomdet.johnson import (
     SchemeClosureError,
-    adjacency_matrix,
     dual_hahn_polynomial,
     eigenmatrices,
     hahn_polynomial,
@@ -24,10 +23,10 @@ GRID = [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
 
 class TestAdjacency:
     def test_distance_zero_is_identity(self):
-        assert np.array_equal(adjacency_matrix(5, 2, 0), np.eye(10, dtype=np.uint8))
+        assert np.array_equal(scheme_basis(5, 2).adjacency[0], np.eye(10, dtype=np.uint8))
 
     def test_row_sums_are_valencies(self):
-        A = adjacency_matrix(5, 2, 1)
+        A = scheme_basis(5, 2).adjacency[1]
         assert (A.sum(axis=1) == 6).all()  # C(2,1) C(3,1)
 
     @pytest.mark.parametrize("n,k", GRID)
@@ -40,10 +39,6 @@ class TestAdjacency:
             if i >= 1:
                 assert np.diagonal(A).sum() == 0
             assert (A.sum(axis=1) == valency(n, k, i)).all()
-
-    def test_bad_distance_rejected(self):
-        with pytest.raises(ValueError):
-            adjacency_matrix(5, 2, 3)
 
 
 class TestHahnPolynomials:
@@ -169,6 +164,18 @@ class TestSchemeProjectors:
         with pytest.raises(ValueError):
             scheme_projector(5, 2, 3)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_float_is_exact_converted(self, n):
+        for k in range(n + 1):
+            for j in range(k + 1):
+                try:
+                    exact = scheme_projector_exact(n, k, j)
+                except ValueError:  # Hahn series undefined (k > n/2)
+                    with pytest.raises(ValueError):
+                        scheme_projector(n, k, j)
+                    continue
+                assert np.array_equal(scheme_projector(n, k, j), np.array(exact, dtype=float))
+
 
 class TestBoseMesnerClosure:
     @pytest.mark.parametrize("n,k", GRID)
@@ -192,3 +199,19 @@ class TestBoseMesnerClosure:
         tampered = type(basis)(n=4, k=2, adjacency=(basis.adjacency[0], broken, basis.adjacency[2]))
         with pytest.raises(SchemeClosureError):
             verify_bose_mesner_closure(tampered)
+
+    def test_overlapping_basis_fails(self):
+        basis = scheme_basis(4, 2)
+        doubled = basis.adjacency[1] | basis.adjacency[2]
+        tampered = type(basis)(n=4, k=2, adjacency=(basis.adjacency[0], basis.adjacency[1], doubled))
+        with pytest.raises(SchemeClosureError):
+            verify_bose_mesner_closure(tampered)
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (6, 5), (4, 4)])
+    def test_empty_distance_classes(self, n, k):
+        # k > n/2: distance classes beyond n-k are empty
+        numbers = verify_bose_mesner_closure(scheme_basis(n, k))
+        for i in range(k + 1):
+            for j in range(k + 1):
+                if max(i, j) > n - k:
+                    assert numbers[(i, j)] == [0] * (k + 1)

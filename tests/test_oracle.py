@@ -51,6 +51,24 @@ class TestHypothesisStates:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hypothesis_state(ProblemInstance(15, 2, 0.5), (1, 2))
+        with pytest.raises(ValueError):
+            all_hypothesis_states(ProblemInstance(15, 2, 0.5))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_kron_fold_bitwise(self, n):
+        for k in range(n + 1):
+            for c in (0.0, 0.37, 0.8, 1.0):
+                inst = ProblemInstance(n, k, c)
+                phi0 = np.array([1.0, 0.0])
+                phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
+                folds = []
+                for pat in enumerate_patterns(n, k):
+                    state = np.array([1.0])
+                    for pos in range(1, n + 1):
+                        state = np.kron(state, phi1 if pos in pat else phi0)
+                    folds.append(state)
+                    assert np.array_equal(hypothesis_state(inst, pat), state)
+                assert np.array_equal(all_hypothesis_states(inst), np.array(folds))
 
 
 class TestSrmOracle:
