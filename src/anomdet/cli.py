@@ -8,6 +8,7 @@ that sweep output is byte-stable.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .verify import run_scope
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
+TRACE_RTOL = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -81,9 +83,20 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
         click.echo(f"{e.j},{value},{e.multiplicity}")
     if 2 * k > n:
         click.echo(f"# k > n/2: evaluated at n-k = {n - k} (complement symmetry)")
-    trace = sum(Fraction(e.value) * e.multiplicity for e in spec.entries)
-    status = "ok" if trace == inst.N else f"MISMATCH {float(trace)}"
-    click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {status}")
+    click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}")
+
+
+def _trace_status(spec, exact: bool) -> str:
+    """'ok' or 'MISMATCH ...' for tr G = N: exact equality on Fractions,
+    a relative residual |sum (m_j/N) lambda_j - 1| within TRACE_RTOL on floats."""
+    N = spec.instance.N
+    if exact:
+        trace = sum(e.value * e.multiplicity for e in spec.entries)
+        return "ok" if trace == N else f"MISMATCH {float(trace)}"
+    # m_j/N first: N and m_j may exceed the float range while the eigenvalues do not
+    residual = abs(math.fsum(e.multiplicity / N * e.value for e in spec.entries) - 1)
+    status = "ok" if residual <= TRACE_RTOL else "MISMATCH"
+    return f"{status} (relative residual {residual:.3g}, tolerance {TRACE_RTOL:g})"
 
 
 def _single_value_command(name: str, compute):

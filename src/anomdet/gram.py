@@ -3,13 +3,21 @@
 The Gram matrix has entries (c^2)^d with d the subset distance between
 the two anomaly patterns.  Its min(k, n-k)+1 distinct eigenvalues come in
 closed form as terminating 2F1 sums; a dense eigendecomposition of the
-explicit matrix serves as the independent oracle.  The exact-rational pathway is
-taken whenever the instance overlap is given as a Fraction.
+explicit matrix serves as the independent oracle.  The sums are evaluated
+on one of two paths:
+
+* exact: a Fraction (or int) overlap gives exact rational eigenvalues,
+  summed term by term;
+* log-domain float: a float overlap gives float eigenvalues, summed in
+  log space from the term ratio.  Every term is positive, so this is
+  stable; it costs O(k) per eigenvalue and never builds big rationals.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,25 +118,83 @@ def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
     return (1 - z) ** j * hypergeometric_terminating([j - k, -n + k + j], [1], z)
 
 
+def _log_eigenvalues(n: int, k: int, z: float) -> Iterator[float]:
+    """log lambda_j for j = 0..k in turn, for a float z = c^2 and k <= n/2.
+
+    lambda_j = (1-z)^j sum_m t_m with t_m = C(k-j, m) C(n-k-j, m) z^m > 0,
+    so log t_m is a cumulative sum of the log term ratios
+    t_{m+1}/t_m = (k-j-m)(n-k-j-m) z / (m+1)^2, and the sum is a
+    logsumexp.  With i = j + m the ratio's log splits as u[i] + v[m], so
+    row j is u[j:] + v[:k-j]; every temporary is one row of length <= k.
+    The values are generated lazily: lambda_0, the largest, comes first.
+    """
+    if z == 0.0:  # orthogonal hypotheses: G = I
+        yield from [0.0] * (k + 1)
+        return
+    if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0
+        yield math.log(binomial(n, k))
+        yield from [-math.inf] * k
+        return
+    i = np.arange(k, dtype=np.float64)
+    u = np.log((k - i) * (n - k - i))
+    v = math.log(z) - 2 * np.log1p(i)
+    log_1mz = math.log1p(-z)
+    row = np.empty(k)
+    for j in range(k + 1):
+        terms = row[: k - j]  # log t_1 .. log t_{k-j}; log t_0 = 0
+        np.add(u[j:], v[: k - j], out=terms)
+        np.add.accumulate(terms, out=terms)
+        peak = max(0.0, float(terms.max())) if len(terms) else 0.0
+        np.subtract(terms, peak, out=terms)
+        total = math.exp(-peak) + float(np.exp(terms, out=terms).sum())
+        yield j * log_1mz + peak + math.log(total)
+
+
+def _multiplicities(n: int, k: int) -> Iterator[int]:
+    """m_j = C(n, j) - C(n, j-1) for j = 0..k, from one running binomial."""
+    below, binom = 0, 1
+    for j in range(k + 1):
+        yield binom - below
+        below, binom = binom, binom * (n - j) // (j + 1)
+
+
+def _log_spectrum(instance: ProblemInstance) -> Iterator[tuple[int, float]]:
+    """(m_j, log lambda_j) for j = 0..min(k, n-k), on the log-domain float path.
+
+    Any overlap is taken as the float c^2 (an exact one is rounded), so
+    each log is finite or -inf even where lambda_j or m_j lies beyond the
+    float range.
+    """
+    n, k = instance.n, min(instance.k, instance.n - instance.k)
+    return zip(_multiplicities(n, k), _log_eigenvalues(n, k, float(instance.c2)))
+
+
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     """The distinct eigenvalues lambda_j with multiplicities m_j.
 
     lambda_j = (1-c^2)^j 2F1(j-k, -n+k+j; 1; c^2),
     m_j = C(n, j) - C(n, j-1).
 
+    Two paths: a Fraction or int overlap gives exact Fraction eigenvalues
+    (term-by-term rational sums); a float overlap gives float eigenvalues
+    summed in log space (_log_eigenvalues), within ~1e-12 relative of the
+    exact values.  On the float path OverflowError is raised as soon as
+    lambda_0, the largest, turns out to exceed the float range.
+
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
     evaluated at min(k, n-k), where it holds, giving min(k, n-k)+1 entries.
     """
     n, k = instance.n, min(instance.k, instance.n - instance.k)
-    z = Fraction(instance.c2)  # exact even for float input (binary rational)
-    entries = []
-    for j in range(k + 1):
-        lam = _eigenvalue(j, n, k, z)
-        val: Overlap = lam if instance.exact else float(lam)
-        entries.append(
-            SpectrumEntry(j=j, value=val, multiplicity=binomial(n, j) - binomial(n, j - 1))
-        )
+    if instance.exact:
+        z = Fraction(instance.c2)
+        values: Iterator[Overlap] = (_eigenvalue(j, n, k, z) for j in range(k + 1))
+    else:
+        values = map(math.exp, _log_eigenvalues(n, k, float(instance.c2)))
+    entries = (
+        SpectrumEntry(j=j, value=value, multiplicity=m)
+        for j, (value, m) in enumerate(zip(values, _multiplicities(n, k)))
+    )
     return Spectrum(instance=instance, entries=tuple(entries))
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combin import binomial
-from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
+from .gram import ProblemInstance, _log_spectrum, direct_spectrum, gram_matrix
 from .johnson import multiplicity, scheme_projector, scheme_projector_exact
 
 __all__ = [
@@ -56,11 +56,16 @@ class CertificateReport:
 
 
 def min_error_success(instance: ProblemInstance) -> ProtocolResult:
-    """Optimal minimum-error success probability (sum_j (m_j/N) sqrt(lambda_j))^2."""
-    spec = closed_form_spectrum(instance)
-    N = instance.N
-    total = sum(
-        e.multiplicity / N * math.sqrt(float(e.value)) for e in spec.entries
+    """Optimal minimum-error success probability (sum_j (m_j/N) sqrt(lambda_j))^2.
+
+    Each term is formed in logs, exp(log m_j - log N + log(lambda_j)/2),
+    so N and lambda_j may lie beyond the float range while the value,
+    which is at most 1, does not.
+    """
+    log_N = math.log(instance.N)
+    total = math.fsum(
+        math.exp(math.log(m) - log_N + log_value / 2)
+        for m, log_value in _log_spectrum(instance)
     )
     return ProtocolResult(value=total * total, method="closed-form", instance=instance)
 

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -45,6 +48,15 @@ class TestSpectrumCommand:
         assert all(int(r[2]) >= 0 for r in rows)
         assert "complement symmetry" in result.output and "ok" in result.output
 
+    @pytest.mark.parametrize("c", ["0.1", "0.3", "0.5", "0.7", "0.9"])
+    def test_float_trace_check(self, runner, c):
+        # a relative residual against a tolerance, not an exact comparison of rounded floats
+        result = runner.invoke(main, ["spectrum", "--n", "10", "--k", "3", "--c", c])
+        assert result.exit_code == 0
+        trace = result.output.strip().splitlines()[-1]
+        assert trace.startswith("# trace check: sum m_j*lambda_j = N = 120: ok (relative residual ")
+        assert "tolerance 1e-12" in trace and "MISMATCH" not in result.output
+
     def test_invalid_parameters_exit_2(self, runner):
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1.5"]).exit_code == 2
@@ -71,13 +83,29 @@ class TestSingleValueCommands:
         assert result.exit_code == 0
         assert result.output.strip() == "1"
 
-    @pytest.mark.parametrize("command", ["minerr", "spectrum"])
+    @pytest.mark.parametrize("command", ["spectrum"])
     def test_overflow_exit_2_without_traceback(self, runner, command):
+        # lambda_0 itself exceeds the float range, so the table cannot be printed
         result = runner.invoke(main, [command, "--n", "5000", "--k", "210", "--c", "0.8"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "OverflowError" in result.output
+
+    @pytest.mark.parametrize("n,k,c", [(5000, 210, "0.8"), (20000, 300, "0.5")])
+    def test_minerr_beyond_float_range(self, runner, n, k, c):
+        # N and lambda_0 exceed the float range; the probability does not
+        result = runner.invoke(main, ["minerr", "--n", str(n), "--k", str(k), "--c", c])
+        assert result.exit_code == 0
+        with mpmath.workdps(50):
+            z = mpmath.mpf(float(c)) ** 2
+            amplitude = mpmath.fsum(
+                (math.comb(n, j) - (math.comb(n, j - 1) if j else 0))
+                * mpmath.sqrt((1 - z) ** j * mpmath.hyp2f1(j - k, j - n + k, 1, z))
+                for j in range(k + 1)
+            ) / math.comb(n, k)
+            reference = float(amplitude**2)
+        assert float(result.output) == pytest.approx(reference, rel=1e-10)
 
     def test_universal(self, runner):
         result = runner.invoke(main, ["universal", "--n", "4", "--k", "1", "--d", "2", "--exact"])

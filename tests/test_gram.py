@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from anomdet.gram import (
     ProblemInstance,
+    _eigenvalue,
+    _log_eigenvalues,
     closed_form_spectrum,
     direct_spectrum,
     gram_matrix,
@@ -142,6 +146,72 @@ class TestClosedFormSpectrum:
         for e in closed_form_spectrum(inst).entries:
             recon += float(e.value) * scheme_projector(6, 2, e.j)
         assert np.abs(G - recon).max() < 1e-10
+
+
+def _mp_log_eigenvalue(j: int, n: int, k: int, c: float):
+    """log lambda_j at 50 digits, from mpmath's own 2F1, for the binary value of c."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(c) ** 2
+        return j * mpmath.log1p(-z) + mpmath.log(mpmath.hyp2f1(j - k, j - n + k, 1, z))
+
+
+class TestLogDomainFloatPath:
+    """The float-overlap spectrum, summed in log space, against the exact paths."""
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (12, 5), (97, 17), (1000, 40), (100_000, 40)])
+    @pytest.mark.parametrize("c", [0.05, 0.5, 0.93])
+    def test_matches_fraction_path(self, n, k, c):
+        spec = closed_form_spectrum(ProblemInstance(n, k, c))
+        z = Fraction(c * c)
+        for e in spec.entries:
+            exact = float(_eigenvalue(e.j, n, k, z))
+            assert e.value == pytest.approx(exact, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize(
+        "n,k,c",
+        [(100, 50, 0.6), (1000, 200, 0.3), (10_000, 110, 0.9), (10_000, 300, 0.1),
+         (100_000, 500, 0.05), (100_000, 500, 0.7), (5000, 210, 0.8), (20_000, 300, 0.5),
+         (2000, 500, 0.999)],
+    )
+    def test_matches_mpmath(self, n, k, c):
+        logs = list(_log_eigenvalues(n, k, c * c))
+        for j in sorted({0, 1, k // 3, k // 2, k - 1, k}):
+            reference = _mp_log_eigenvalue(j, n, k, c)
+            assert abs(mpmath.expm1(logs[j] - reference)) <= 1e-11
+        # the spectrum overflows exactly when the true lambda_0 does
+        overflows = _mp_log_eigenvalue(0, n, k, c) > mpmath.log(np.finfo(float).max)
+        if overflows:
+            with pytest.raises(OverflowError):
+                closed_form_spectrum(ProblemInstance(n, k, c))
+        else:
+            values = [e.value for e in closed_form_spectrum(ProblemInstance(n, k, c)).entries]
+            assert all(math.isfinite(v) for v in values)
+
+    def test_fraction_path_overflows_alike(self):
+        inst = ProblemInstance(5000, 210, 0.8)
+        with pytest.raises(OverflowError):
+            float(_eigenvalue(0, 5000, 210, Fraction(inst.c2)))
+        with pytest.raises(OverflowError):
+            closed_form_spectrum(inst)
+
+    def test_identical_hypotheses(self):
+        # c = 1: G is all ones, lambda_0 = N, every other eigenvalue 0 (no 0 * -inf)
+        values = [e.value for e in closed_form_spectrum(ProblemInstance(9, 4, 1.0)).entries]
+        assert values[0] == pytest.approx(126, rel=1e-15)
+        assert values[1:] == [0.0] * 4
+
+    def test_no_anomalies(self):
+        (entry,) = closed_form_spectrum(ProblemInstance(7, 0, 0.5)).entries
+        assert (entry.value, entry.multiplicity) == (1.0, 1)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (9, 9)])
+    def test_k_at_least_half(self, n, k):
+        spec = closed_form_spectrum(ProblemInstance(n, k, 0.45))
+        exact = closed_form_spectrum(ProblemInstance(n, k, Fraction(0.45)))
+        assert len(spec.entries) == min(k, n - k) + 1
+        for e, x in zip(spec.entries, exact.entries):
+            assert e.multiplicity == x.multiplicity
+            assert e.value == pytest.approx(float(x.value), rel=1e-13)
 
 
 class TestDirectSpectrum:
