@@ -143,11 +143,8 @@ def universal(n: int, k: int, d: int, exact: bool) -> None:
 @click.option("--c-grid", type=str, default="0.5", help="comma-separated overlaps (known-states protocols)")
 @click.option("--d", type=int, default=2, help="local dimension (universal/average)")
 @click.option("--out", "out_path", type=str, default="-", help="output CSV path, - for stdout")
-@click.option("--seed", type=int, default=0)
-def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int,
-          out_path: str, seed: int) -> None:
+def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: str) -> None:
     """Emit success-probability curves (plus asymptote rows) as CSV."""
-    del seed  # all sweep values are deterministic; kept for interface stability
     try:
         ns = _parse_range(n_range)
         cs = [float(v) for v in c_grid.split(",") if v]
@@ -208,10 +205,8 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int,
 @click.option("--scope", type=click.Choice(["all", "scheme", "gram", "detection", "universal"]),
               default="all")
 @click.option("--max-n", type=int, default=8)
-@click.option("--seed", type=int, default=0)
-def verify(scope: str, max_n: int, seed: int) -> None:
+def verify(scope: str, max_n: int) -> None:
     """Run the oracle-equivalence suites; one PASS/FAIL line per check."""
-    del seed  # checks are deterministic; kept for interface stability
     if max_n < 2:
         _fail_params(f"--max-n must be >= 2, got {max_n}")
     results = run_scope(scope, max_n)

@@ -12,6 +12,7 @@ the package is indexed by.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -103,12 +104,18 @@ def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:
     return len(r) - len(set(r) & set(s))
 
 
+@functools.lru_cache(maxsize=32)
 def pattern_indicator(n: int, k: int) -> np.ndarray:
-    """C(n, k) x n 0/1 matrix X: row a marks the positions of the a-th pattern."""
+    """C(n, k) x n 0/1 matrix X: row a marks the positions of the a-th pattern.
+
+    Built once per (n, k) and shared, so the array is read-only; copy it
+    to modify it.
+    """
     pats = enumerate_patterns(n, k)
     X = np.zeros((len(pats), n), dtype=np.uint8)
     cols = np.array(pats, dtype=np.intp).reshape(len(pats), k) - 1
     X[np.arange(len(pats))[:, None], cols] = 1
+    X.flags.writeable = False
     return X
 
 

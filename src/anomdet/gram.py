@@ -6,8 +6,8 @@ closed form as terminating 2F1 sums; a dense eigendecomposition of the
 explicit matrix serves as the independent oracle.  The sums are evaluated
 on one of two paths:
 
-* exact: a Fraction (or int) overlap gives exact rational eigenvalues,
-  summed term by term;
+* exact: a Fraction (or int) overlap z = p/q gives exact rational
+  eigenvalues, summed in Python ints with one Fraction per eigenvalue;
 * log-domain float: a float overlap gives float eigenvalues, summed in
   log space from the term ratio.  Every term is positive, so this is
   stable; it costs O(k) per eigenvalue and never builds big rationals.
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix, hypergeometric_terminating
+from .combin import binomial, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -115,7 +115,19 @@ def gram_matrix(instance: ProblemInstance, size_cap: int = SIZE_CAP_DEFAULT):
 
 
 def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
-    return (1 - z) ** j * hypergeometric_terminating([j - k, -n + k + j], [1], z)
+    """Exact lambda_j for k <= n/2, summed in integers from z = p/q.
+
+    lambda_j = (1-z)^j sum_m C(k-j, m) C(n-k-j, m) z^m
+             = (q-p)^j sum_m C(k-j, m) C(n-k-j, m) p^m q^(k-j-m) / q^k,
+    which equals (1-z)^j 2F1(j-k, k+j-n; 1; z) with one Fraction at the end.
+    """
+    p, q = z.numerator, z.denominator
+    a, b = k - j, n - k - j
+    total, p_m = 0, 1
+    for m in range(min(a, b) + 1):
+        total += math.comb(a, m) * math.comb(b, m) * p_m * q ** (a - m)
+        p_m *= p
+    return Fraction((q - p) ** j * total, q**k)
 
 
 def _log_eigenvalues(n: int, k: int, z: float) -> Iterator[float]:
@@ -176,7 +188,7 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     m_j = C(n, j) - C(n, j-1).
 
     Two paths: a Fraction or int overlap gives exact Fraction eigenvalues
-    (term-by-term rational sums); a float overlap gives float eigenvalues
+    (integer sums, _eigenvalue); a float overlap gives float eigenvalues
     summed in log space (_log_eigenvalues), within ~1e-12 relative of the
     exact values.  On the float path OverflowError is raised as soon as
     lambda_0, the largest, turns out to exceed the float range.
@@ -203,21 +215,27 @@ def direct_spectrum(matrix) -> np.ndarray:
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"direct_spectrum: expected a square matrix, got {M.shape}")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
+    # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|)
+    if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise ValueError("direct_spectrum: matrix is not symmetric")
     return np.sort(np.linalg.eigvalsh(M))[::-1]
 
 
-def matrix_sqrt(G, clamp: float = 1e-10) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+def _psd_eigh(G, clamp: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clamped to >= 0) and eigenvectors of a symmetric PSD matrix.
 
-    Eigenvalues in [-clamp, 0) are clamped to zero (rank collapse near
-    c = 1); materially negative eigenvalues are rejected.
+    Eigenvalues in [-clamp * scale, 0) are clamped to zero (rank collapse
+    near c = 1); materially negative eigenvalues are rejected.
     """
     M = np.array(G, dtype=float)
     scale = max(1.0, np.abs(M).max())
     vals, vecs = np.linalg.eigh((M + M.T) / 2)
     if vals.min() < -clamp * scale:
-        raise ValueError(f"matrix_sqrt: matrix is not PSD (min eigenvalue {vals.min()})")
-    vals = np.clip(vals, 0.0, None)
+        raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min()})")
+    return np.clip(vals, 0.0, None), vecs
+
+
+def matrix_sqrt(G, clamp: float = 1e-10) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition (see _psd_eigh)."""
+    vals, vecs = _psd_eigh(G, clamp)
     return (vecs * np.sqrt(vals)) @ vecs.T

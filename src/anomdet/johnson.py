@@ -13,10 +13,14 @@ Index conventions used throughout:
     parameter set that simultaneously reproduces the known degree-1
     closed form 1 - n x / (k(n-k)) and the adjacency spectra, and it is
     validated against a dense eigensolver in the tests.
+  * The coefficients of E_j depend on (n, k, j) only, never on an
+    overlap; they are computed once and shared by the float and exact
+    projectors and by the unambiguous certificates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,13 +126,19 @@ def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     return Eigenmatrices(n=n, k=k, P=P, Q=Q)
 
 
-def _projector_coefficients(n: int, k: int, j: int) -> list[Fraction]:
-    """The k+1 exact entries q_j(i) / N of E_j, one per subset distance i."""
+@functools.lru_cache(maxsize=1024)
+def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
+    """The k+1 exact entries q_j(i) / N of E_j, one per subset distance i.
+
+    They depend on (n, k, j) only, so each tuple is computed once and
+    shared.  Exceptions are not cached: an index with no Hahn series
+    (j > n-k when k > n/2) raises ValueError on every call.
+    """
     if not 0 <= j <= k:
         raise ValueError(f"scheme_projector: index {j} out of range [0, {k}]")
     N = binomial(n, k)
     m_j = multiplicity(n, j)
-    return [Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(k + 1)]
+    return tuple(Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(k + 1))
 
 
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:

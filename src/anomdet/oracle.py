@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .combin import binomial, enumerate_patterns, normalize_pattern, pattern_indicator
-from .gram import ProblemInstance, matrix_sqrt
+from .gram import ProblemInstance, _psd_eigh
 
 __all__ = [
     "SrmResult",
@@ -83,23 +83,24 @@ class SrmResult:
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
     """Square-root-measurement success probability from explicit states.
 
-    Builds the Gram matrix from inner products, takes its matrix square
-    root S and returns (1/N) sum_r S_rr^2.  The measurement vectors (the
-    POVM is |m_r><m_r|) are returned for completeness checks; they
-    resolve the identity on the span of the states.
+    Builds the Gram matrix G = U diag(w) U^T from inner products; its
+    square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
+    (1/N) sum_r S_rr^2 is the success probability.  The measurement
+    vectors (the POVM is |m_r><m_r|) are returned for completeness
+    checks; they resolve the identity on the span of the states.  All
+    of it comes from the one eigendecomposition of G.
     """
     V = np.array(states, dtype=float)
     N = V.shape[0]
     if N > 5000:
         raise ValueError(f"srm_success_oracle: too many states ({N})")
-    G = V @ V.T
-    S = matrix_sqrt(G)
+    w, U = _psd_eigh(V @ V.T)
+    root = np.sqrt(w)  # eigenvalues of S
     # |m_r> = sum_s (S^+)_{sr} |Psi_s>, so that <m_r|Psi_s> = S_rs
-    vals, vecs = np.linalg.eigh(S)
-    inv = np.where(vals > SUPPORT_THRESHOLD, 1.0 / np.where(vals > SUPPORT_THRESHOLD, vals, 1.0), 0.0)
-    S_pinv = (vecs * inv) @ vecs.T
-    m_vectors = S_pinv @ V
-    diag = np.diag(S).copy()
+    support = root > SUPPORT_THRESHOLD
+    inv = np.where(support, 1.0 / np.where(support, root, 1.0), 0.0)
+    m_vectors = ((U * inv) @ U.T) @ V
+    diag = (U * U) @ root
     return SrmResult(
         success=float(np.sum(diag**2) / N),
         diagonal=diag,

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial
+from .combin import binomial, distance_matrix
 from .gram import ProblemInstance, _log_spectrum, direct_spectrum, gram_matrix
-from .johnson import multiplicity, scheme_projector, scheme_projector_exact
+from .johnson import _projector_coefficients, multiplicity
 
 __all__ = [
     "ProtocolResult",
@@ -146,13 +146,16 @@ def verify_unambiguous_certificates(
 ) -> CertificateReport:
     """Check the primal/dual optimality certificates of the zero-error value.
 
-    Primal: the ansatz with all conditional probabilities equal to
-    lambda_min is feasible iff G - lambda_min * I is PSD.  Dual: the
-    witness Y = (N/m_k) E_k built from the minimal-eigenspace projector
-    has unit diagonal (exact), is PSD, and gives tr(G Y)/N = lambda_min.
+    With m = min(k, n-k) (complement symmetry, as in unambiguous_success):
+    primal: the ansatz with all conditional probabilities equal to
+    lambda_min = (1-c^2)^m is feasible iff G - lambda_min * I is PSD.
+    Dual: the witness Y = (N/m_m) E_m built from the minimal-eigenspace
+    projector has unit diagonal (checked exactly on the projector's
+    rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
     Endpoints c = 0 and c = 1 are handled analytically.
     """
     n, k = instance.n, instance.k
+    m = min(k, n - k)
     N = instance.N
     c = float(instance.c)
     if c == 0.0:
@@ -161,17 +164,19 @@ def verify_unambiguous_certificates(
         # identical hypotheses: zero-error value collapses to 0
         return CertificateReport(True, True, 0.0, 0.0, 0.0)
 
-    lam_min = float((1 - Fraction(instance.c2)) ** k)
+    lam_min = float((1 - Fraction(instance.c2)) ** m)
     G = np.array(gram_matrix(instance), dtype=float)
     scale = max(1.0, np.abs(G).max())
 
     shifted_min = direct_spectrum(G - lam_min * np.eye(N))[-1]
     primal_feasible = bool(shifted_min >= -tol * scale)
 
-    m_k = multiplicity(n, k)
-    E_k = scheme_projector_exact(n, k, k)
-    diag_ok = all(E_k[a][a] * N == m_k for a in range(N))  # diag(Y) = 1 exactly
-    Y = scheme_projector(n, k, k) * (N / m_k)
+    m_m = multiplicity(n, m)
+    coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
+    D = distance_matrix(n, k)
+    # diag(Y) = 1 exactly, read at each distance that occurs on the diagonal of D
+    diag_ok = all(coeffs[d] * N == m_m for d in np.unique(np.diagonal(D)))
+    Y = np.array([float(x) for x in coeffs])[D] * (N / m_m)
     y_min = direct_spectrum(Y)[-1]
     dual_value = float(np.tensordot(G, Y) / N)
     dual_feasible = bool(diag_ok and y_min >= -tol)

@@ -128,6 +128,13 @@ class TestDistanceMatrix:
         rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
         assert rows == enumerate_patterns(n, k)
 
+    def test_indicator_is_read_only(self):
+        X = pattern_indicator(5, 2)
+        with pytest.raises(ValueError):
+            X[0, 0] = 1
+        assert pattern_indicator(5, 2) is X  # built once per (n, k)
+        assert distance_matrix(5, 2).flags.writeable
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)

@@ -14,7 +14,12 @@ from anomdet.gram import (
     gram_matrix,
     matrix_sqrt,
 )
-from anomdet.combin import binomial, enumerate_patterns, pattern_distance
+from anomdet.combin import (
+    binomial,
+    enumerate_patterns,
+    hypergeometric_terminating,
+    pattern_distance,
+)
 from anomdet.johnson import scheme_projector
 
 C_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -148,6 +153,25 @@ class TestClosedFormSpectrum:
         assert np.abs(G - recon).max() < 1e-10
 
 
+class TestExactEigenvalue:
+    """The integer-sum exact eigenvalue against the terminating 2F1 it replaces."""
+
+    @pytest.mark.parametrize(
+        "z", [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 49),
+              Fraction(121, 144)],
+    )
+    def test_equals_hypergeometric_sum(self, z):
+        for n in range(1, 15):
+            for k in range(n // 2 + 1):
+                for j in range(k + 1):
+                    reference = (1 - z) ** j * hypergeometric_terminating(
+                        [j - k, k + j - n], [1], z
+                    )
+                    value = _eigenvalue(j, n, k, z)
+                    assert isinstance(value, Fraction)
+                    assert value == reference, (n, k, j, z)
+
+
 def _mp_log_eigenvalue(j: int, n: int, k: int, c: float):
     """log lambda_j at 50 digits, from mpmath's own 2F1, for the binary value of c."""
     with mpmath.workdps(50):
@@ -226,6 +250,14 @@ class TestDirectSpectrum:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             direct_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetry_tolerance_has_no_relative_term(self):
+        # max|M - M^T| = 5e-6 exceeds 1e-12 * max(1, max|M|); a default
+        # rtol=1e-5 would have accepted it
+        with pytest.raises(ValueError):
+            direct_spectrum(np.array([[1.0, 1.0], [1.0 + 5e-6, 1.0]]))
+        ev = direct_spectrum(np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))
+        assert np.abs(ev - [2.0, 0.0]).max() < 1e-12
 
 
 class TestMatrixSqrt:

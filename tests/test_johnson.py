@@ -164,6 +164,12 @@ class TestSchemeProjectors:
         with pytest.raises(ValueError):
             scheme_projector(5, 2, 3)
 
+    def test_undefined_index_raises_on_every_call(self):
+        # k > n/2: no Hahn series for j > n-k; a failed call is not cached
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                scheme_projector_exact(5, 3, 3)
+
     @pytest.mark.parametrize("n", range(9))
     def test_float_is_exact_converted(self, n):
         for k in range(n + 1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomdet.combin import binomial, enumerate_patterns
-from anomdet.gram import ProblemInstance, gram_matrix
+from anomdet.gram import ProblemInstance, gram_matrix, matrix_sqrt
 from anomdet.oracle import (
     all_hypothesis_states,
     holevo_check,
@@ -97,6 +97,12 @@ class TestSrmOracle:
         completeness = M.T @ M  # sum_r |m_r><m_r| in the ambient space
         # must act as identity on the span of the states
         assert np.abs(completeness @ V.T - V.T).max() < 1e-9
+
+    @pytest.mark.parametrize("c", [0.3, 0.8, 1.0])
+    def test_diagonal_is_that_of_the_gram_square_root(self, c):
+        V = all_hypothesis_states(ProblemInstance(6, 3, c))
+        result = srm_success_oracle(V)
+        assert np.abs(result.diagonal - np.diag(matrix_sqrt(V @ V.T))).max() < 1e-12
 
     def test_conditional_success_is_hypothesis_independent(self):
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anomdet import protocols
 from anomdet.gram import ProblemInstance, direct_spectrum, gram_matrix
 from anomdet.protocols import (
     AsymptoticRegimeWarning,
@@ -153,3 +154,25 @@ class TestCertificates:
         # verifier; a passing report implies the identity held exactly
         report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         assert report.dual_feasible
+
+    def test_diagonal_check_is_not_vacuous(self, monkeypatch):
+        true_coefficients = protocols._projector_coefficients
+
+        def wrong_at_distance_zero(n, k, j):
+            coeffs = true_coefficients(n, k, j)
+            return (coeffs[0] + Fraction(1, 10**9),) + coeffs[1:]
+
+        monkeypatch.setattr(protocols, "_projector_coefficients", wrong_at_distance_zero)
+        report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
+        assert report.primal_feasible and not report.dual_feasible
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
+    def test_whole_domain(self, c):
+        # k > n/2 included: the witness is built at m = min(k, n-k)
+        for n in range(1, 10):
+            for k in range(n + 1):
+                inst = ProblemInstance(n, k, c)
+                report = verify_unambiguous_certificates(inst)
+                assert report.optimal, (n, k)
+                assert report.gap <= 1e-10, (n, k)
+                assert report.primal_value == unambiguous_success(inst).value, (n, k)
