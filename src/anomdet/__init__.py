@@ -11,8 +11,6 @@ from .combin import (
     distance_matrix,
     enumerate_patterns,
     pattern_distance,
-    pattern_rank,
-    pattern_unrank,
 )
 from .gram import (
     ProblemInstance,
@@ -25,7 +23,6 @@ from .gram import (
 from .johnson import (
     Eigenmatrices,
     SchemeBasis,
-    dual_hahn_polynomial,
     eigenmatrices,
     hahn_polynomial,
     scheme_basis,
@@ -53,7 +50,6 @@ from .universal import (
 from .oracle import (
     holevo_check,
     hypothesis_state,
-    sample_measurement,
     srm_success_oracle,
     symmetric_projector,
     universal_hypothesis,

@@ -17,7 +17,7 @@ import click
 from .gram import ProblemInstance, closed_form_spectrum
 from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
 from .universal import UniversalInstance, universal_asymptote, universal_success
-from .verify import run_scope
+from .verify import SCOPES, run_scope
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_PARAMS = 2
@@ -202,11 +202,10 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
 
 
 @main.command()
-@click.option("--scope", type=click.Choice(["all", "scheme", "gram", "detection", "universal"]),
-              default="all")
+@click.option("--scope", type=click.Choice(["all", *SCOPES]), default="all")
 @click.option("--max-n", type=int, default=8)
 def verify(scope: str, max_n: int) -> None:
-    """Run the oracle-equivalence suites; one PASS/FAIL line per check."""
+    """Run the check registry; one PASS/FAIL line per check instance."""
     if max_n < 2:
         _fail_params(f"--max-n must be >= 2, got {max_n}")
     results = run_scope(scope, max_n)

@@ -26,8 +26,6 @@ __all__ = [
     "binomial",
     "enumerate_patterns",
     "normalize_pattern",
-    "pattern_rank",
-    "pattern_unrank",
     "pattern_distance",
     "pattern_indicator",
     "distance_matrix",
@@ -64,37 +62,6 @@ def enumerate_patterns(n: int, k: int) -> list[tuple[int, ...]]:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"enumerate_patterns: need 0 <= k <= n, got n={n}, k={k}")
     return list(combinations(range(1, n + 1), k))
-
-
-def pattern_rank(pattern: Sequence[int], n: int) -> int:
-    """Index of a pattern in lexicographic order (combinatorial number system)."""
-    pat = normalize_pattern(pattern, n)
-    k = len(pat)
-    rank = 0
-    prev = 0
-    for idx, p in enumerate(pat):
-        for v in range(prev + 1, p):
-            rank += binomial(n - v, k - idx - 1)
-        prev = p
-    return rank
-
-
-def pattern_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Inverse of pattern_rank: the rank-th k-subset of {1..n} in lex order."""
-    if not 0 <= rank < binomial(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    out = []
-    v = 1
-    remaining = k
-    while remaining > 0:
-        block = binomial(n - v, remaining - 1)
-        if rank < block:
-            out.append(v)
-            remaining -= 1
-        else:
-            rank -= block
-        v += 1
-    return tuple(out)
 
 
 def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:

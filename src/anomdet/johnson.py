@@ -2,8 +2,8 @@
 
 Adjacency matrices of the generalized Johnson graphs on k-subsets of
 {1..n} (indexed by subset distance), the Bose-Mesner algebra they span,
-Hahn and dual Hahn polynomial values, the eigenmatrices P and Q, and the
-orthogonal projector basis E_j.
+Hahn polynomial values, the eigenmatrices P and Q, and the orthogonal
+projector basis E_j.
 
 Index conventions used throughout:
   * A_i connects patterns at subset distance i (so A_0 is the identity).
@@ -36,7 +36,6 @@ __all__ = [
     "multiplicity",
     "scheme_basis",
     "hahn_polynomial",
-    "dual_hahn_polynomial",
     "eigenmatrices",
     "scheme_projector",
     "scheme_projector_exact",
@@ -96,17 +95,6 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     if not 0 <= j <= k:
         raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {k}]")
     return hypergeometric_terminating([-j, j - n - 1, -x], [-n + k, -k], 1)
-
-
-def dual_hahn_polynomial(i: int, x: int, n: int, k: int) -> Fraction:
-    """Dual Hahn polynomial value R_i at the grid point x.
-
-    3F2(-i, -x, x-n-1; -n+k, -k; 1); degree 1 is 1 - x(n-x+1)/(k(n-k)).
-    Duality R_i(x=j) = Q_j(x=i) holds exactly.
-    """
-    if not 0 <= i <= k:
-        raise ValueError(f"dual_hahn_polynomial: degree {i} out of range [0, {k}]")
-    return hypergeometric_terminating([-i, -x, x - n - 1], [-n + k, -k], 1)
 
 
 def eigenmatrices(n: int, k: int) -> Eigenmatrices:

@@ -28,12 +28,12 @@ __all__ = [
     "universal_hypothesis",
     "universal_success_oracle",
     "holevo_check",
-    "sample_measurement",
 ]
 
 STATE_QUBITS_CAP = 14
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
+HOLEVO_TOL = 1e-9
 
 
 def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndarray:
@@ -162,25 +162,33 @@ def universal_hypothesis(pattern, n: int, k: int, d: int) -> np.ndarray:
     return rho / norm
 
 
-def universal_success_oracle(n: int, k: int, d: int) -> float:
-    """Square-root measurement on the explicit averaged hypotheses.
+def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
+    """rho^(-1/2) on the support of rho (eigenvalues >= SUPPORT_THRESHOLD), 0 off it.
 
-    Builds rho = sum_sigma rho_sigma, its pseudo-inverse square root on
-    the support, and averages tr(rho_sigma Pi_sigma).
+    Raises ValueError when an eigenvalue falls in the dead zone between
+    numerical zero and the threshold, where the support is ambiguous.
     """
-    pats = enumerate_patterns(n, k)
-    hyps = [universal_hypothesis(p, n, k, d) for p in pats]
-    rho = np.sum(hyps, axis=0)
     vals, vecs = np.linalg.eigh(rho)
     ambiguous = np.sum((vals > 1e-12) & (vals < SUPPORT_THRESHOLD))
     if ambiguous:
         raise ValueError(
-            f"universal_success_oracle: {ambiguous} eigenvalues in the "
+            f"{ambiguous} eigenvalues of rho in the "
             "support-detection dead zone [1e-12, 1e-10]"
         )
     support = vals >= SUPPORT_THRESHOLD
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)
-    R = (vecs * inv_sqrt) @ vecs.T  # rho^{-1/2} on the support
+    return (vecs * inv_sqrt) @ vecs.T
+
+
+def universal_success_oracle(n: int, k: int, d: int) -> float:
+    """Square-root measurement on the explicit averaged hypotheses.
+
+    Builds rho = sum_sigma rho_sigma, its pseudo-inverse square root R on
+    the support, and averages tr(rho_sigma Pi_sigma), Pi_sigma = R rho_sigma R.
+    """
+    pats = enumerate_patterns(n, k)
+    hyps = [universal_hypothesis(p, n, k, d) for p in pats]
+    R = _support_inverse_sqrt(np.sum(hyps, axis=0))
     total = 0.0
     for h in hyps:
         pi = R @ h @ R
@@ -194,23 +202,13 @@ class HolevoReport:
     worst_violation: float  # most negative eigenvalue of Y - rho_sigma
 
 
-def holevo_check(Y: np.ndarray, hypotheses, tol: float = 1e-9) -> HolevoReport:
-    """Check the optimality conditions Y - rho_sigma >= 0 for all hypotheses."""
+def holevo_check(Y: np.ndarray, hypotheses) -> HolevoReport:
+    """Check the optimality conditions Y - rho_sigma >= 0 for all hypotheses
+    (feasible when no eigenvalue of Y - rho_sigma is below -HOLEVO_TOL)."""
     worst = 0.0
     for h in hypotheses:
         if Y.shape != h.shape:
             raise ValueError(f"dimension mismatch: {Y.shape} vs {h.shape}")
         low = float(np.linalg.eigvalsh(Y - h)[0])
         worst = min(worst, low)
-    return HolevoReport(feasible=worst >= -tol, worst_violation=worst)
-
-
-def sample_measurement(probabilities, seed: int, shots: int) -> np.ndarray:
-    """Multinomial outcome histogram, deterministic for a given seed."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.min() < 0:
-        raise ValueError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p / p.sum())
+    return HolevoReport(feasible=worst >= -HOLEVO_TOL, worst_violation=worst)

@@ -30,6 +30,8 @@ __all__ = [
     "verify_unambiguous_certificates",
 ]
 
+CERTIFICATE_TOL = 1e-10
+
 
 class AsymptoticRegimeWarning(UserWarning):
     """The large-n expansion was evaluated outside its k/n << 1 regime."""
@@ -141,9 +143,7 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=value, method="closed-form", instance=instance)
 
 
-def verify_unambiguous_certificates(
-    instance: ProblemInstance, tol: float = 1e-10
-) -> CertificateReport:
+def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
     """Check the primal/dual optimality certificates of the zero-error value.
 
     With m = min(k, n-k) (complement symmetry, as in unambiguous_success):
@@ -152,7 +152,9 @@ def verify_unambiguous_certificates(
     Dual: the witness Y = (N/m_m) E_m built from the minimal-eigenspace
     projector has unit diagonal (checked exactly on the projector's
     rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
-    Endpoints c = 0 and c = 1 are handled analytically.
+    Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL (scaled by
+    max |G| for the primal).  Endpoints c = 0 and c = 1 are handled
+    analytically.
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -169,7 +171,7 @@ def verify_unambiguous_certificates(
     scale = max(1.0, np.abs(G).max())
 
     shifted_min = direct_spectrum(G - lam_min * np.eye(N))[-1]
-    primal_feasible = bool(shifted_min >= -tol * scale)
+    primal_feasible = bool(shifted_min >= -CERTIFICATE_TOL * scale)
 
     m_m = multiplicity(n, m)
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
@@ -179,7 +181,7 @@ def verify_unambiguous_certificates(
     Y = np.array([float(x) for x in coeffs])[D] * (N / m_m)
     y_min = direct_spectrum(Y)[-1]
     dual_value = float(np.tensordot(G, Y) / N)
-    dual_feasible = bool(diag_ok and y_min >= -tol)
+    dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
     return CertificateReport(
         primal_feasible=primal_feasible,

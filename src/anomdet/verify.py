@@ -1,30 +1,48 @@
-"""Oracle-equivalence check suites behind the `verify` CLI command.
+"""The check registry behind both `anomdet verify` and the acceptance gate.
 
-Each suite returns a list of CheckResult; a check compares an analytic
-value against an independently computed one and records the residual.
+CHECKS is the one table of oracle-equivalence checks.  Each Check names
+a family of instances, `grid(max_n)`, and a residual for one instance;
+an instance passes when its residual is at most the check's tolerance
+(0 for the exact checks).  A residual compares an analytic value
+against an independently computed one.  `anomdet verify` prints one
+line per instance; tests/test_acceptance.py runs the same checks, one
+named subset per release criterion, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import johnson
+from .combin import binomial, enumerate_patterns
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
-from .oracle import all_hypothesis_states, srm_success_oracle, universal_success_oracle
+from .oracle import (
+    HOLEVO_TOL,
+    _support_inverse_sqrt,
+    all_hypothesis_states,
+    holevo_check,
+    srm_success_oracle,
+    universal_hypothesis,
+    universal_success_oracle,
+)
 from .protocols import (
     explicit_success_k123,
+    min_error_asymptotic,
     min_error_success,
     unambiguous_success,
     verify_unambiguous_certificates,
 )
 from .universal import UniversalInstance, average_known_success, universal_success
 
-__all__ = ["CheckResult", "run_scope", "SCOPES"]
+__all__ = ["Check", "CheckResult", "CHECKS", "SCOPES", "run_scope"]
 
-C_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+C_GRID = (0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9)
+REFERENCE_OVERLAPS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
 
 @dataclass(frozen=True)
@@ -39,151 +57,294 @@ class CheckResult:
         return f"{status} {self.name} {self.instance} {self.residual:.3e}"
 
 
-def _check(name: str, instance: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(name=name, instance=instance, residual=float(residual),
-                       passed=bool(residual <= tol))
+@dataclass(frozen=True)
+class Check:
+    """One registry row.  `grid(max_n)` yields instances as keyword
+    arguments of `residual`; an instance passes when its residual is at
+    most `tolerance`."""
+
+    name: str
+    scope: str
+    tolerance: float
+    grid: Callable[[int], Iterator[dict]]
+    residual: Callable[..., float]
+
+    def run(self, max_n: int) -> list[CheckResult]:
+        out = []
+        for inst in self.grid(max_n):
+            residual = float(self.residual(**inst))
+            tag = ",".join(f"{key}={value}" for key, value in inst.items())
+            out.append(CheckResult(self.name, tag, residual, residual <= self.tolerance))
+        return out
 
 
-def scheme_checks(max_n: int) -> list[CheckResult]:
-    """Bose-Mesner closure, projector algebra, P.Q = N.I, Hahn duality."""
-    out = []
-    for n in range(2, max_n + 1):
+# --- grids ---------------------------------------------------------------
+
+def _scheme_grid(max_n: int, n_cap: int | None = None) -> Iterator[dict]:
+    """2 <= n <= max_n (and <= n_cap), 1 <= k <= min(4, n//2)."""
+    for n in range(2, min(max_n, n_cap or max_n) + 1):
         for k in range(1, min(4, n // 2) + 1):
-            tag = f"n={n},k={k}"
-            basis = johnson.scheme_basis(n, k)
-            try:
-                johnson.verify_bose_mesner_closure(basis)
-                out.append(_check("bose-mesner-closure", tag, 0.0, 0.0))
-            except johnson.SchemeClosureError:
-                out.append(_check("bose-mesner-closure", tag, 1.0, 0.0))
-
-            em = johnson.eigenmatrices(n, k)
-            N = basis.size
-            pq_err = max(
-                abs(sum(em.P[j][i] * em.Q[i][jp] for i in range(k + 1))
-                    - (N if j == jp else 0))
-                for j in range(k + 1)
-                for jp in range(k + 1)
-            )
-            out.append(_check("eigenmatrix-PQ-identity", tag, float(pq_err), 0.0))
-
-            dual_err = max(
-                abs(johnson.dual_hahn_polynomial(i, j, n, k)
-                    - johnson.hahn_polynomial(j, i, n, k))
-                for i in range(k + 1)
-                for j in range(k + 1)
-            )
-            out.append(_check("hahn-duality", tag, float(dual_err), 0.0))
-
-            projs = [johnson.scheme_projector(n, k, j) for j in range(k + 1)]
-            res = float(np.abs(np.sum(projs, axis=0) - np.eye(N)).max())
-            for j, E in enumerate(projs):
-                res = max(res, float(np.abs(E @ E - E).max()))
-            out.append(_check("projector-algebra", tag, res, 1e-10))
-
-            # adjacency spectra match the eigenmatrix rows
-            for i in range(k + 1):
-                ev = direct_spectrum(basis.adjacency[i].astype(float))
-                pv = []
-                for j in range(k + 1):
-                    pv += [float(em.P[j][i])] * johnson.multiplicity(n, j)
-                pv = np.sort(np.array(pv))[::-1]
-                out.append(_check("adjacency-spectrum", f"{tag},i={i}",
-                                  float(np.abs(ev - pv).max()), 1e-9))
-    return out
+            yield {"n": n, "k": k}
 
 
-def gram_checks(max_n: int) -> list[CheckResult]:
-    """Closed-form spectrum vs dense eigendecomposition, reconstruction, SRM trace."""
-    out = []
-    for n in range(2, max_n + 1):
-        for k in range(1, min(4, n // 2) + 1):
+def _adjacency_grid(max_n: int) -> Iterator[dict]:
+    for inst in _scheme_grid(max_n):
+        for i in range(inst["k"] + 1):
+            yield {**inst, "i": i}
+
+
+def _overlap_grid(max_n: int) -> Iterator[dict]:
+    for inst in _scheme_grid(max_n):
+        for c in C_GRID:
+            yield {**inst, "c": c}
+
+
+def _explicit_grid(max_n: int) -> Iterator[dict]:
+    """k = 1, 2, 3 from the smallest n each explicit form accepts up to max(60, max_n)."""
+    for k in (1, 2, 3):
+        for n in range(max(2 * k - 1, k + 1), max(60, max_n) + 1):
             for c in C_GRID:
-                inst = ProblemInstance(n=n, k=k, c=c)
-                tag = f"n={n},k={k},c={c}"
-                spec = closed_form_spectrum(inst)
-                G = gram_matrix(inst)
-                res = float(np.abs(spec.as_multiset() - direct_spectrum(G)).max())
-                out.append(_check("spectrum-equivalence", tag, res, 1e-9))
-
-            # spectral reconstruction G = sum_j lambda_j E_j at one overlap
-            inst = ProblemInstance(n=n, k=k, c=0.5)
-            G = gram_matrix(inst)
-            spec = closed_form_spectrum(inst)
-            recon = np.zeros_like(G)
-            for e in spec.entries:
-                recon += float(e.value) * johnson.scheme_projector(n, k, e.j)
-            out.append(_check("spectral-reconstruction", f"n={n},k={k},c=0.5",
-                              float(np.abs(G - recon).max()), 1e-10))
-    return out
+                yield {"n": n, "k": k, "c": c}
 
 
-def detection_checks(max_n: int) -> list[CheckResult]:
-    """Minimum-error and unambiguous values vs the state-level oracle."""
-    out = []
-    for n in range(2, max_n + 1):
-        for k in range(1, min(3, n // 2) + 1):
-            for c in C_GRID:
-                inst = ProblemInstance(n=n, k=k, c=c)
-                tag = f"n={n},k={k},c={c}"
-                closed = min_error_success(inst).value
-                oracle = srm_success_oracle(all_hypothesis_states(inst)).success
-                out.append(_check("min-error-vs-srm-oracle", tag,
-                                  abs(closed - oracle), 1e-10))
-                out.append(_check("explicit-k123-vs-spectral", tag,
-                                  abs(explicit_success_k123(inst).value - closed),
-                                  1e-12))
-                ua = unambiguous_success(inst).value
-                lam_min = float(direct_spectrum(gram_matrix(inst))[-1])
-                out.append(_check("unambiguous-vs-min-eigenvalue", tag,
-                                  abs(ua - lam_min), 1e-10))
-                report = verify_unambiguous_certificates(inst)
-                cert_res = report.gap if report.optimal else 1.0
-                out.append(_check("unambiguous-certificates", tag, cert_res, 1e-10))
-    return out
+def _reference_grid(max_n: int) -> Iterator[dict]:
+    """Exact overlaps, n <= 20, k <= 5."""
+    for n in range(2, 21):
+        for k in range(1, min(5, n // 2) + 1):
+            for c in REFERENCE_OVERLAPS:
+                yield {"n": n, "k": k, "c": c}
 
 
-def universal_checks(max_n: int) -> list[CheckResult]:
-    """Closed-form universal value vs the density-matrix oracle; averages."""
-    out = []
+def _universal_grid(max_n: int) -> Iterator[dict]:
+    """Qubits at n <= min(max_n, 6); qutrits at n <= 4, k <= 2 (density matrices of d^n)."""
     for n in range(2, min(max_n, 6) + 1):
         for k in range(1, n // 2 + 1):
-            tag = f"n={n},k={k},d=2"
-            closed = float(universal_success(UniversalInstance(n=n, k=k, d=2)))
-            oracle = universal_success_oracle(n, k, 2)
-            out.append(_check("universal-vs-density-oracle", tag,
-                              abs(closed - oracle), 1e-8))
+            yield {"n": n, "k": k, "d": 2}
     for n in (2, 3, 4):
         for k in range(1, min(2, n // 2) + 1):
-            tag = f"n={n},k={k},d=3"
-            closed = float(universal_success(UniversalInstance(n=n, k=k, d=3)))
-            oracle = universal_success_oracle(n, k, 3)
-            out.append(_check("universal-vs-density-oracle", tag,
-                              abs(closed - oracle), 1e-8))
-    for d in (2, 3, 4):
-        for k in range(5):
-            tag = f"k={k},d={d}"
-            avg = average_known_success(k, d)
-            expected = float(Fraction(d - 1, d - 1 + k))
-            out.append(_check("average-overlap-quadrature", tag,
-                              abs(avg - expected), 1e-8))
-    return out
+            yield {"n": n, "k": k, "d": 3}
 
 
-SCOPES = {
-    "scheme": scheme_checks,
-    "gram": gram_checks,
-    "detection": detection_checks,
-    "universal": universal_checks,
-}
+def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
+    return lambda max_n: iter(instances)
+
+
+# --- residuals: Johnson scheme -------------------------------------------
+
+def _bose_mesner_closure(n: int, k: int) -> float:
+    """0 if A_i A_j stays in the span with non-negative integer coefficients."""
+    try:
+        numbers = johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+    except johnson.SchemeClosureError:
+        return 1.0
+    ok = all(isinstance(v, int) and v >= 0 for coeffs in numbers.values() for v in coeffs)
+    return 0.0 if ok else 1.0
+
+
+def _pq_identity(n: int, k: int) -> float:
+    """P Q = N I, exactly."""
+    em = johnson.eigenmatrices(n, k)
+    N = binomial(n, k)
+    return float(max(
+        abs(sum(em.P[j][i] * em.Q[i][jp] for i in range(k + 1)) - (N if j == jp else 0))
+        for j in range(k + 1)
+        for jp in range(k + 1)
+    ))
+
+
+def _johnson_eigenvalue(n: int, k: int) -> float:
+    """P[j][1] against the Johnson-graph eigenvalue (k-j)(n-k-j) - j."""
+    P = johnson.eigenmatrices(n, k).P
+    return float(max(abs(P[j][1] - ((k - j) * (n - k - j) - j)) for j in range(k + 1)))
+
+
+def _eigenvalue_recurrence(n: int, k: int) -> float:
+    """P[j][1] P[j][i] = sum_l p_1i^l P[j][l] (A_1 A_i on the j-th eigenspace).
+
+    The intersection numbers are counted from the adjacency matrices, so
+    this is independent of the 3F2 sums behind P (Delsarte 1973).
+    """
+    P = johnson.eigenmatrices(n, k).P
+    p = johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+    return float(max(
+        abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in range(k + 1)))
+        for j in range(k + 1)
+        for i in range(k + 1)
+    ))
+
+
+def _projector_algebra(n: int, k: int) -> float:
+    """Float E_j: E_j E_j = E_j and sum_j E_j = I."""
+    projs = [johnson.scheme_projector(n, k, j) for j in range(k + 1)]
+    res = float(np.abs(np.sum(projs, axis=0) - np.eye(len(projs[0]))).max())
+    return max(res, *(float(np.abs(E @ E - E).max()) for E in projs))
+
+
+def _projector_algebra_exact(n: int, k: int) -> float:
+    """Exact E_j: idempotency, completeness and tr E_j = m_j.
+
+    On F_j = L E_j with L the lcm of all entry denominators, in Python
+    ints: F_j F_j = L F_j, sum_j F_j = L I and tr F_j = L m_j.
+    """
+    projs = [johnson.scheme_projector_exact(n, k, j) for j in range(k + 1)]
+    L = math.lcm(*(x.denominator for E in projs for row in E for x in row))
+    ints = [np.array([[x.numerator * (L // x.denominator) for x in row] for row in E],
+                     dtype=object) for E in projs]
+    N = len(ints[0])
+    res = int(np.abs(np.sum(ints, axis=0) - L * np.eye(N, dtype=object)).max())
+    for j, F in enumerate(ints):
+        res = max(res, int(np.abs(F @ F - L * F).max()),
+                  abs(int(np.trace(F)) - L * johnson.multiplicity(n, j)))
+    return float(res)
+
+
+def _adjacency_spectrum(n: int, k: int, i: int) -> float:
+    """Dense spectrum of A_i against column i of P with multiplicities m_j."""
+    P = johnson.eigenmatrices(n, k).P
+    dense = direct_spectrum(johnson.scheme_basis(n, k).adjacency[i].astype(float))
+    expected = np.repeat([float(P[j][i]) for j in range(k + 1)],
+                         [johnson.multiplicity(n, j) for j in range(k + 1)])
+    return float(np.abs(dense - np.sort(expected)[::-1]).max())
+
+
+# --- residuals: Gram spectrum --------------------------------------------
+
+def _spectrum_equivalence(n: int, k: int, c: float) -> float:
+    inst = ProblemInstance(n, k, c)
+    closed = closed_form_spectrum(inst).as_multiset()
+    return float(np.abs(closed - direct_spectrum(gram_matrix(inst))).max())
+
+
+def _spectral_reconstruction(n: int, k: int, c: float) -> float:
+    """G = sum_j lambda_j E_j."""
+    inst = ProblemInstance(n, k, c)
+    G = gram_matrix(inst)
+    recon = sum(float(e.value) * johnson.scheme_projector(n, k, e.j)
+                for e in closed_form_spectrum(inst).entries)
+    return float(np.abs(G - recon).max())
+
+
+def _reference_spectrum(n: int, k: int, c: Fraction) -> float:
+    """Exact rows j = 0, k-1, k and their multiplicities against textbook forms."""
+    z = c * c
+    entries = closed_form_spectrum(ProblemInstance(n, k, c)).entries
+    if [e.j for e in entries] != list(range(k + 1)):
+        return 1.0
+    expected = {
+        0: sum(z**i * binomial(k, i) * binomial(n - k, i) for i in range(k + 1)),
+        k - 1: (1 - z) ** (k - 1) * (1 + z * (n + 1 - 2 * k)),
+        k: (1 - z) ** k,
+    }
+    return float(max(
+        abs(entries[j].value - value)
+        + abs(entries[j].multiplicity - (binomial(n, j) - binomial(n, j - 1)))
+        for j, value in expected.items()
+    ))
+
+
+# --- residuals: detection --------------------------------------------------
+
+def _min_error_vs_srm(n: int, k: int, c: float) -> float:
+    inst = ProblemInstance(n, k, c)
+    oracle = srm_success_oracle(all_hypothesis_states(inst)).success
+    return abs(min_error_success(inst).value - oracle)
+
+
+def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
+    inst = ProblemInstance(n, k, c)
+    return abs(explicit_success_k123(inst).value - min_error_success(inst).value)
+
+
+def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
+    """Zero-error value against the smallest eigenvalue of V V^T from explicit states."""
+    inst = ProblemInstance(n, k, c)
+    V = all_hypothesis_states(inst)
+    return abs(unambiguous_success(inst).value - float(direct_spectrum(V @ V.T)[-1]))
+
+
+def _unambiguous_certificates(n: int, k: int, c: float) -> float:
+    report = verify_unambiguous_certificates(ProblemInstance(n, k, c))
+    return report.gap if report.optimal else 1.0
+
+
+def _asymptotic_ratio(n: int, k: int, c: float) -> float:
+    """|r(n)/r(4n) - 4|, r = |exact - two-term expansion|; an O(1/n) remainder gives 4."""
+    r = [abs(min_error_success(inst).value - min_error_asymptotic(inst).value)
+         for inst in (ProblemInstance(n, k, c), ProblemInstance(4 * n, k, c))]
+    return abs(r[0] / r[1] - 4)
+
+
+# --- residuals: universal protocol ---------------------------------------
+
+def _universal_vs_density(n: int, k: int, d: int) -> float:
+    closed = float(universal_success(UniversalInstance(n, k, d)))
+    return abs(closed - universal_success_oracle(n, k, d))
+
+
+def _holevo_certificate(n: int, k: int, d: int) -> float:
+    """Most negative eigenvalue of Y - rho_sigma for the SRM-induced witness
+    Y = sym(sum_sigma R rho_sigma R rho_sigma), R = rho^(-1/2) on the support."""
+    hyps = [universal_hypothesis(p, n, k, d) for p in enumerate_patterns(n, k)]
+    R = _support_inverse_sqrt(np.sum(hyps, axis=0))
+    Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
+    return max(0.0, -holevo_check((Y + Y.T) / 2, hyps).worst_violation)
+
+
+def _universal_two_systems(n: int, k: int, d: int) -> float:
+    """Two preparations, one anomalous: exactly 1/2 for every d."""
+    return float(abs(universal_success(UniversalInstance(n, k, d)) - Fraction(1, 2)))
+
+
+def _universal_asymptote_gap(n: int, k: int, d: int) -> float:
+    return abs(float(universal_success(UniversalInstance(n, k, d))) - (d - 1) / (d - 1 + k))
+
+
+def _average_quadrature(k: int, d: int) -> float:
+    return abs(average_known_success(k, d) - float(Fraction(d - 1, d - 1 + k)))
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("bose-mesner-closure", "scheme", 0.0, _scheme_grid, _bose_mesner_closure),
+    Check("eigenmatrix-PQ-identity", "scheme", 0.0, _scheme_grid, _pq_identity),
+    Check("johnson-eigenvalue", "scheme", 0.0, _scheme_grid, _johnson_eigenvalue),
+    Check("eigenvalue-recurrence", "scheme", 0.0, _scheme_grid, _eigenvalue_recurrence),
+    Check("projector-algebra", "scheme", 1e-10, _scheme_grid, _projector_algebra),
+    Check("projector-algebra-exact", "scheme", 0.0,
+          lambda max_n: _scheme_grid(max_n, n_cap=8), _projector_algebra_exact),
+    Check("adjacency-spectrum", "scheme", 1e-9, _adjacency_grid, _adjacency_spectrum),
+    Check("spectrum-equivalence", "gram", 1e-9, _overlap_grid, _spectrum_equivalence),
+    Check("spectral-reconstruction", "gram", 1e-10,
+          lambda max_n: ({**inst, "c": 0.5} for inst in _scheme_grid(max_n)),
+          _spectral_reconstruction),
+    Check("reference-spectrum", "gram", 0.0, _reference_grid, _reference_spectrum),
+    Check("min-error-vs-srm-oracle", "detection", 1e-10, _overlap_grid, _min_error_vs_srm),
+    Check("explicit-k123-vs-spectral", "detection", 1e-12, _explicit_grid,
+          _explicit_vs_spectral),
+    Check("unambiguous-vs-min-eigenvalue", "detection", 1e-10, _overlap_grid,
+          _unambiguous_vs_min_eigenvalue),
+    Check("unambiguous-certificates", "detection", 1e-10, _overlap_grid,
+          _unambiguous_certificates),
+    Check("asymptotic-residual-ratio", "detection", 1.0,
+          _fixed({"n": 100, "k": 2, "c": 0.5}, {"n": 400, "k": 2, "c": 0.5}),
+          _asymptotic_ratio),
+    Check("universal-vs-density-oracle", "universal", 1e-8, _universal_grid,
+          _universal_vs_density),
+    Check("universal-holevo-certificate", "universal", HOLEVO_TOL, _universal_grid,
+          _holevo_certificate),
+    Check("universal-two-systems", "universal", 0.0,
+          _fixed(*({"n": 2, "k": 1, "d": d} for d in (2, 3, 4))), _universal_two_systems),
+    Check("universal-asymptote-gap", "universal", 0.01,
+          _fixed(*({"n": 500, "k": k, "d": 2} for k in (1, 2, 3))), _universal_asymptote_gap),
+    Check("average-overlap-quadrature", "universal", 1e-8,
+          _fixed(*({"k": k, "d": d} for d in (2, 3, 4) for k in range(5))),
+          _average_quadrature),
+)
+
+SCOPES = tuple(dict.fromkeys(check.scope for check in CHECKS))
 
 
 def run_scope(scope: str, max_n: int) -> list[CheckResult]:
-    if scope == "all":
-        results = []
-        for fn in SCOPES.values():
-            results.extend(fn(max_n))
-        return results
-    if scope not in SCOPES:
+    """Every instance of every check in `scope` ("all" for the whole registry)."""
+    if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected all|{'|'.join(SCOPES)}")
-    return SCOPES[scope](max_n)
+    return [r for check in CHECKS if scope in ("all", check.scope) for r in check.run(max_n)]

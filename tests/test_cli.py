@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from anomdet.cli import main
-from anomdet.verify import CheckResult
+from anomdet.verify import SCOPES, CheckResult, run_scope
 
 
 @pytest.fixture
@@ -186,6 +186,17 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--scope", "gram"])
         assert result.exit_code == 1
         assert "FAIL forced" in result.output
+
+    def test_output_is_the_registry(self, runner):
+        result = runner.invoke(main, ["verify", "--scope", "all", "--max-n", "9"])
+        assert result.exit_code == 0
+        lines = [l for l in result.output.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert lines == [r.line() for r in run_scope("all", 9)]
+
+    def test_help_lists_registry_scopes(self, runner):
+        result = runner.invoke(main, ["verify", "--help"])
+        assert f"[{'|'.join(['all', *SCOPES])}]" in result.output
+        assert set(SCOPES) == {"scheme", "gram", "detection", "universal"}
 
     def test_bad_max_n_exit_2(self, runner):
         assert runner.invoke(main, ["verify", "--max-n", "1"]).exit_code == 2

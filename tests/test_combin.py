@@ -12,8 +12,6 @@ from anomdet.combin import (
     hypergeometric_terminating,
     pattern_distance,
     pattern_indicator,
-    pattern_rank,
-    pattern_unrank,
     pochhammer_rising,
 )
 
@@ -57,23 +55,6 @@ class TestPatterns:
     def test_enumerate_rejects_bad_k(self):
         with pytest.raises(ValueError):
             enumerate_patterns(3, 4)
-
-    def test_rank_matches_enumeration_order(self):
-        for n, k in [(6, 2), (7, 3), (5, 5)]:
-            for idx, pat in enumerate(enumerate_patterns(n, k)):
-                assert pattern_rank(pat, n) == idx
-                assert pattern_unrank(idx, n, k) == pat
-
-    @given(st.data())
-    def test_rank_unrank_roundtrip(self, data):
-        n = data.draw(st.integers(1, 12))
-        k = data.draw(st.integers(0, n))
-        rank = data.draw(st.integers(0, binomial(n, k) - 1))
-        assert pattern_rank(pattern_unrank(rank, n, k), n) == rank
-
-    def test_unrank_out_of_range(self):
-        with pytest.raises(ValueError):
-            pattern_unrank(6, 4, 2)
 
 
 class TestPatternDistance:

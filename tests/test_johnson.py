@@ -6,7 +6,6 @@ import pytest
 from anomdet.gram import direct_spectrum
 from anomdet.johnson import (
     SchemeClosureError,
-    dual_hahn_polynomial,
     eigenmatrices,
     hahn_polynomial,
     multiplicity,
@@ -60,36 +59,6 @@ class TestHahnPolynomials:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             hahn_polynomial(3, 0, 5, 2)
-
-
-class TestDualHahnPolynomials:
-    def test_degree_zero(self):
-        for x in range(4):
-            assert dual_hahn_polynomial(0, x, 9, 3) == 1
-
-    def test_degree_one_closed_form(self):
-        for n, k in GRID:
-            for x in range(k + 1):
-                assert dual_hahn_polynomial(1, x, n, k) == 1 - Fraction(
-                    x * (n - x + 1), k * (n - k)
-                )
-
-    def test_value_at_zero(self):
-        for n, k in GRID:
-            for i in range(k + 1):
-                assert dual_hahn_polynomial(i, 0, n, k) == 1
-
-    def test_duality_exact(self):
-        for n, k in GRID:
-            for i in range(k + 1):
-                for j in range(k + 1):
-                    assert dual_hahn_polynomial(i, j, n, k) == hahn_polynomial(
-                        j, i, n, k
-                    )
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            dual_hahn_polynomial(4, 0, 7, 3)
 
 
 class TestEigenmatrices:

@@ -9,7 +9,6 @@ from anomdet.oracle import (
     all_hypothesis_states,
     holevo_check,
     hypothesis_state,
-    sample_measurement,
     srm_success_oracle,
     symmetric_projector,
     universal_hypothesis,
@@ -103,6 +102,15 @@ class TestSrmOracle:
         V = all_hypothesis_states(ProblemInstance(6, 3, c))
         result = srm_success_oracle(V)
         assert np.abs(result.diagonal - np.diag(matrix_sqrt(V @ V.T))).max() < 1e-12
+
+    def test_born_rule_conditional_success(self):
+        V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+        result = srm_success_oracle(V)
+        # outcome distribution of the POVM when hypothesis 0 is true
+        probs = (result.measurement_vectors @ V[0]) ** 2
+        assert abs(probs.sum() - 1) < 1e-12
+        assert abs(probs[0] - result.diagonal[0] ** 2) < 1e-12
+        assert abs(probs[0] - 0.947662716995912) < 1e-10
 
     def test_conditional_success_is_hypothesis_independent(self):
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))
@@ -199,45 +207,3 @@ class TestHolevoCheck:
         with pytest.raises(ValueError):
             holevo_check(np.eye(4), [np.eye(8) / 8])
 
-
-class TestSampleMeasurement:
-    def test_degenerate(self):
-        counts = sample_measurement([1.0, 0.0, 0.0], seed=7, shots=1000)
-        assert list(counts) == [1000, 0, 0]
-
-    def test_deterministic_given_seed(self):
-        p = [0.2, 0.3, 0.5]
-        a = sample_measurement(p, seed=123, shots=10_000)
-        b = sample_measurement(p, seed=123, shots=10_000)
-        assert np.array_equal(a, b)
-
-    def test_uniform_within_binomial_bound(self):
-        N, shots = 8, 1_000_000
-        counts = sample_measurement([1 / N] * N, seed=42, shots=shots)
-        sigma = math.sqrt(shots * (1 / N) * (1 - 1 / N))
-        assert np.abs(counts - shots / N).max() < 5 * sigma
-
-    def test_born_rule_success_frequency(self):
-        inst = ProblemInstance(4, 2, 0.5)
-        V = all_hypothesis_states(inst)
-        result = srm_success_oracle(V)
-        # outcome distribution when hypothesis 0 is true
-        probs = (result.measurement_vectors @ V[0]) ** 2
-        probs = np.clip(probs, 0, None)
-        probs /= probs.sum()
-        shots = 1_000_000
-        counts = sample_measurement(probs, seed=2024, shots=shots)
-        success = counts[0] / shots
-        p0 = float(probs[0])
-        sigma = math.sqrt(p0 * (1 - p0) / shots)
-        # conditional success equals the average success here (constant diagonal)
-        assert abs(p0 - 0.947662716995912) < 1e-10
-        assert abs(success - p0) < 3 * sigma + 1e-9
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError):
-            sample_measurement([1.2, -0.2], seed=1, shots=10)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            sample_measurement([0.5, 0.4], seed=1, shots=10)
