@@ -18,7 +18,6 @@ from .gram import (
     closed_form_spectrum,
     direct_spectrum,
     gram_matrix,
-    matrix_sqrt,
 )
 from .johnson import (
     Eigenmatrices,
@@ -39,11 +38,9 @@ from .protocols import (
     verify_unambiguous_certificates,
 )
 from .universal import (
-    IrrepDims,
     UniversalInstance,
     average_known_success,
     average_min_error_curve,
-    irrep_dimensions,
     universal_asymptote,
     universal_success,
 )

@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import click
 
 from .gram import ProblemInstance, closed_form_spectrum
+from .oracle import STATE_QUBITS_CAP
 from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
-from .universal import UniversalInstance, universal_asymptote, universal_success
+from .universal import (
+    UniversalInstance,
+    average_min_error_curve,
+    universal_asymptote,
+    universal_success,
+)
 from .verify import SCOPES, run_scope
 
 EXIT_VERIFY_FAIL = 1
@@ -165,7 +172,6 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
                     if protocol == "minerr":
                         rows.append(f"{n},{k},{_fmt(c)},minerr,"
                                     f"{_fmt(min_error_success(inst).value)}")
-                        import warnings
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")
                             asym = min_error_asymptotic(inst).value
@@ -181,7 +187,6 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
                 rows.append(f"{n},{k},{d},universal_asymptote,"
                             f"{_fmt(universal_asymptote(k, d))}")
             else:  # average of the known-states curve over the overlap measure
-                from .universal import average_min_error_curve
                 value = average_min_error_curve(n, k, d)
                 rows.append(f"{n},{k},{d},average,{_fmt(value)}")
                 rows.append(f"{n},{k},{d},average_asymptote,"
@@ -205,9 +210,10 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
 @click.option("--scope", type=click.Choice(["all", *SCOPES]), default="all")
 @click.option("--max-n", type=int, default=8)
 def verify(scope: str, max_n: int) -> None:
-    """Run the check registry; one PASS/FAIL line per check instance."""
-    if max_n < 2:
-        _fail_params(f"--max-n must be >= 2, got {max_n}")
+    """Run the check registry; one PASS/FAIL/ERROR line per check instance."""
+    if not 2 <= max_n <= STATE_QUBITS_CAP:
+        _fail_params(f"--max-n must be in [2, {STATE_QUBITS_CAP}] "
+                     f"(the explicit-state oracles' qubit cap), got {max_n}")
     results = run_scope(scope, max_n)
     failures = 0
     for r in results:

@@ -1,6 +1,5 @@
 """Exact integer/rational primitives: binomials, k-subset patterns and
-their distance matrix, rising factorials and terminating hypergeometric
-series.
+their distance matrix, and terminating hypergeometric series.
 
 Everything here is pure and exact: results are ints, Fractions or
 integer arrays.  Anomaly patterns are sorted tuples of 1-based positions,
@@ -29,7 +28,6 @@ __all__ = [
     "pattern_distance",
     "pattern_indicator",
     "distance_matrix",
-    "pochhammer_rising",
     "hypergeometric_terminating",
 ]
 
@@ -95,21 +93,6 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     """
     X = pattern_indicator(n, k).astype(np.float64)
     return (k - X @ X.T).astype(np.min_scalar_type(k))
-
-
-def pochhammer_rising(a: Rational, m: int) -> Fraction:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1), with (a)_0 = 1.
-
-    This is the standard m-factor product; it hits zero (and truncates
-    hypergeometric series) when a is a non-positive integer and m > -a.
-    """
-    if m < 0:
-        raise ValueError(f"pochhammer_rising: m must be >= 0, got {m}")
-    prod = Fraction(1)
-    a = Fraction(a)
-    for t in range(m):
-        prod *= a + t
-    return prod
 
 
 def _termination_index(numerators: Sequence[Rational]) -> int:

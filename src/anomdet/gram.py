@@ -32,10 +32,10 @@ __all__ = [
     "gram_matrix",
     "closed_form_spectrum",
     "direct_spectrum",
-    "matrix_sqrt",
 ]
 
-SIZE_CAP_DEFAULT = 5000
+GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which gram_matrix builds the N x N matrix
+PSD_CLAMP = 1e-10  # relative size of negative eigenvalues _psd_eigh clamps to zero
 
 Overlap = float | Fraction
 
@@ -94,7 +94,7 @@ class Spectrum:
         return np.sort(np.array(vals))[::-1]
 
 
-def gram_matrix(instance: ProblemInstance, size_cap: int = SIZE_CAP_DEFAULT):
+def gram_matrix(instance: ProblemInstance):
     """Explicit N x N Gram matrix in lexicographic pattern order.
 
     Entry [a, b] is (c^2)^d for the subset distance d of patterns a and b:
@@ -103,8 +103,8 @@ def gram_matrix(instance: ProblemInstance, size_cap: int = SIZE_CAP_DEFAULT):
     the instance overlap is exact.
     """
     N = instance.N
-    if N > size_cap:
-        raise ValueError(f"Gram size {N} exceeds cap {size_cap}")
+    if N > GRAM_SIZE_CAP:
+        raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     D = distance_matrix(instance.n, instance.k)
     z = instance.c2
     if instance.exact:
@@ -221,21 +221,15 @@ def direct_spectrum(matrix) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(M))[::-1]
 
 
-def _psd_eigh(G, clamp: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(G) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (clamped to >= 0) and eigenvectors of a symmetric PSD matrix.
 
-    Eigenvalues in [-clamp * scale, 0) are clamped to zero (rank collapse
-    near c = 1); materially negative eigenvalues are rejected.
+    Eigenvalues in [-PSD_CLAMP * scale, 0) are clamped to zero (rank
+    collapse near c = 1); materially negative eigenvalues are rejected.
     """
     M = np.array(G, dtype=float)
     scale = max(1.0, np.abs(M).max())
     vals, vecs = np.linalg.eigh((M + M.T) / 2)
-    if vals.min() < -clamp * scale:
+    if vals.min() < -PSD_CLAMP * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min()})")
     return np.clip(vals, 0.0, None), vecs
-
-
-def matrix_sqrt(G, clamp: float = 1e-10) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (see _psd_eigh)."""
-    vals, vecs = _psd_eigh(G, clamp)
-    return (vecs * np.sqrt(vals)) @ vecs.T

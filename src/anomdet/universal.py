@@ -4,8 +4,11 @@ anomalous states are unknown.
 The closed form is a sum over bipartitions (n-l, l), l = 0..k, of ratios
 of unitary-group and symmetric-group irrep dimensions, evaluated in
 exact rational arithmetic.  The averages over the overlap distribution
-use Gauss-Legendre quadrature on u = c^2, which is exact for the
-polynomial integrands appearing here.
+use QUADRATURE_POINTS-point Gauss-Legendre quadrature on u = c^2.  It is
+exact for the polynomial integrand of average_known_success, but not for
+that of average_min_error_curve, whose sqrt(1-u) factors are not smooth
+at u = 1: with 64 points that average is about 2e-7 off at
+(n, k, d) = (10, 1, 2).
 """
 
 from __future__ import annotations
@@ -22,18 +25,13 @@ from .protocols import min_error_success
 
 __all__ = [
     "UniversalInstance",
-    "IrrepDims",
-    "QuadratureError",
-    "irrep_dimensions",
     "universal_success",
     "universal_asymptote",
     "average_known_success",
     "average_min_error_curve",
 ]
 
-
-class QuadratureError(Exception):
-    """Numerical quadrature failed to reproduce the known closed form."""
+QUADRATURE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -52,31 +50,6 @@ class UniversalInstance:
             raise ValueError(f"k must be in [0, n], got k={self.k}")
         if self.d < 2:
             raise ValueError(f"local dimension d must be >= 2, got {self.d}")
-
-
-@dataclass(frozen=True)
-class IrrepDims:
-    s: int  # unitary-group irrep dimension
-    m: int  # symmetric-group irrep dimension
-
-
-def irrep_dimensions(lambda1: int, lambda2: int, d: int) -> IrrepDims:
-    """Irrep dimensions for the bipartition (lambda1, lambda2) of n = l1 + l2.
-
-    s = (l1-l2+1)/(l1+1) C(l1+d-1, d-1) C(l2+d-2, d-2),
-    m = C(n, l2) - C(n, l2-1).
-    """
-    if lambda2 < 0 or lambda1 < lambda2:
-        raise ValueError(f"invalid bipartition ({lambda1}, {lambda2})")
-    if d < 2:
-        raise ValueError(f"local dimension d must be >= 2, got {d}")
-    n = lambda1 + lambda2
-    s = Fraction(lambda1 - lambda2 + 1, lambda1 + 1) * binomial(
-        lambda1 + d - 1, d - 1
-    ) * binomial(lambda2 + d - 2, d - 2)
-    assert s.denominator == 1
-    m = binomial(n, lambda2) - binomial(n, lambda2 - 1)
-    return IrrepDims(s=int(s), m=m)
 
 
 def universal_success(instance: UniversalInstance) -> Fraction:
@@ -109,39 +82,28 @@ def universal_asymptote(k: int, d: int) -> Fraction:
     return Fraction(d - 1, d - 1 + k)
 
 
-def _overlap_quadrature(points: int):
+def _overlap_quadrature():
     """Gauss-Legendre nodes/weights for u = c^2 on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
     return (x + 1) / 2, w / 2
 
 
-def average_known_success(k: int, d: int, quadrature_points: int = 64) -> float:
+def average_known_success(k: int, d: int) -> float:
     """Average of (1-c^2)^k over the overlap measure (d-1)(1-c^2)^(d-2) dc^2.
 
-    Computed by quadrature and checked against the Beta-integral closed
-    form (d-1)/(d-1+k); a residual above 1e-8 raises QuadratureError.
+    Computed by quadrature; the Beta-integral closed form is
+    universal_asymptote(k, d) = (d-1)/(d-1+k), and the
+    average-overlap-quadrature check compares the two.
     """
-    if quadrature_points < 16:
-        raise ValueError("quadrature_points must be >= 16")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    u, w = _overlap_quadrature(quadrature_points)
-    value = float(np.sum(w * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))
-    expected = float(universal_asymptote(k, d))
-    if abs(value - expected) > 1e-8:
-        raise QuadratureError(
-            f"quadrature {value} deviates from closed form {expected}"
-        )
-    return value
+    u, w = _overlap_quadrature()
+    return float(np.sum(w * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))
 
 
-def average_min_error_curve(
-    n: int, k: int, d: int, quadrature_points: int = 64
-) -> float:
+def average_min_error_curve(n: int, k: int, d: int) -> float:
     """Known-states minimum-error success averaged over the overlap measure."""
-    if quadrature_points < 16:
-        raise ValueError("quadrature_points must be >= 16")
-    u, w = _overlap_quadrature(quadrature_points)
+    u, w = _overlap_quadrature()
     density = (d - 1) * (1 - u) ** (d - 2)
     vals = np.array(
         [

@@ -8,11 +8,12 @@ CLI, which imports the registry, so it cannot be a registry check.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from anomdet import verify
+from anomdet import johnson, verify
 from anomdet.cli import main as cli_main
 
 GATE_MAX_N = 9
@@ -103,6 +104,24 @@ def test_planted_error_fails_cli_and_gate(monkeypatch):
     assert failed and all(line.startswith("FAIL spectrum-equivalence ") for line in failed)
     with pytest.raises(AssertionError, match="criterion 1 failed"):
         run_criterion(1)
+
+
+def test_perturbed_projector_coefficient_fails_exact_row(monkeypatch):
+    """One wrong coefficient of E_1 at (n, k) = (6, 2) fails projector-algebra-exact."""
+    true_coefficients = johnson._projector_coefficients
+
+    def perturbed(n, k, j):
+        coeffs = true_coefficients(n, k, j)
+        if (n, k, j) == (6, 2, 1):
+            return (coeffs[0] + Fraction(1, coeffs[0].denominator), *coeffs[1:])
+        return coeffs
+
+    monkeypatch.setattr(johnson, "_projector_coefficients", perturbed)
+    assert verify._projector_algebra_exact(6, 2) > 0
+    assert verify._projector_algebra_exact(6, 3) == 0
+    with pytest.raises(AssertionError,
+                       match="criterion 8 failed.*'FAIL projector-algebra-exact n=6,k=2 "):
+        run_criterion(8)
 
 
 def test_criterion_9_figure_reproduction():

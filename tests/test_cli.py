@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import mpmath
 import pytest
 from click.testing import CliRunner
 
+from anomdet import verify
 from anomdet.cli import main
 from anomdet.verify import SCOPES, CheckResult, run_scope
 
@@ -198,5 +200,37 @@ class TestVerifyCommand:
         assert f"[{'|'.join(['all', *SCOPES])}]" in result.output
         assert set(SCOPES) == {"scheme", "gram", "detection", "universal"}
 
-    def test_bad_max_n_exit_2(self, runner):
-        assert runner.invoke(main, ["verify", "--max-n", "1"]).exit_code == 2
+    def test_bad_max_n_exit_2(self, runner, monkeypatch):
+        import anomdet.cli as cli_mod
+
+        def unreachable(scope, max_n):
+            raise AssertionError("registry run for a rejected --max-n")
+
+        monkeypatch.setattr(cli_mod, "run_scope", unreachable)
+        # 15 exceeds the explicit-state oracles' qubit cap (oracle.STATE_QUBITS_CAP)
+        for max_n in ("1", "15"):
+            result = runner.invoke(main, ["verify", "--max-n", max_n])
+            assert result.exit_code == 2
+            assert "--max-n must be in [2, 14]" in result.output
+
+    def test_raising_residual_is_an_error_line(self, runner, monkeypatch):
+        target = next(check for check in verify.CHECKS if check.name == "spectrum-equivalence")
+
+        def raises(**inst):
+            raise ArithmeticError("planted")
+
+        planted = dataclasses.replace(target, residual=raises)
+        monkeypatch.setattr(
+            verify, "CHECKS", tuple(planted if c is target else c for c in verify.CHECKS)
+        )
+        result = runner.invoke(main, ["verify", "--scope", "gram", "--max-n", "4"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = [l for l in result.output.splitlines() if not l.startswith("#")]
+        errors = [l for l in lines if l.startswith("ERROR")]
+        assert errors and all(
+            l.startswith("ERROR spectrum-equivalence n=") and l.endswith(" ArithmeticError: planted")
+            for l in errors
+        )
+        assert all(l.startswith("PASS") for l in lines if l not in errors)
+        assert f"# {len(lines) - len(errors)}/{len(lines)} checks passed" in result.output

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from anomdet.combin import (
     hypergeometric_terminating,
     pattern_distance,
     pattern_indicator,
-    pochhammer_rising,
 )
 
 
@@ -119,23 +117,6 @@ class TestDistanceMatrix:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer_rising(Fraction(3, 7), 0) == 1
-
-    def test_factorial(self):
-        for m in range(8):
-            assert pochhammer_rising(1, m) == math.factorial(m)
-
-    def test_hits_zero(self):
-        assert pochhammer_rising(-2, 3) == 0
-        assert pochhammer_rising(-2, 2) == 2
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer_rising(1, -1)
 
 
 class TestHypergeometric:

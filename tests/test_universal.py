@@ -6,47 +6,9 @@ from anomdet.universal import (
     UniversalInstance,
     average_known_success,
     average_min_error_curve,
-    irrep_dimensions,
     universal_asymptote,
     universal_success,
 )
-from anomdet.combin import binomial
-
-
-class TestIrrepDimensions:
-    def test_symmetric_partition(self):
-        for n in (1, 4, 9):
-            for d in (2, 3, 5):
-                dims = irrep_dimensions(n, 0, d)
-                assert dims.s == binomial(n + d - 1, d - 1)
-                assert dims.m == 1
-
-    def test_qubit_dimension(self):
-        # for d = 2 the unitary-group irrep dimension is n - 2*l2 + 1
-        for n in (4, 7):
-            for l2 in range(n // 2 + 1):
-                assert irrep_dimensions(n - l2, l2, 2).s == n - 2 * l2 + 1
-
-    def test_invalid_bipartition(self):
-        with pytest.raises(ValueError):
-            irrep_dimensions(2, 3, 2)
-        with pytest.raises(ValueError):
-            irrep_dimensions(3, 1, 1)
-
-    @pytest.mark.parametrize("d,max_n", [(2, 12), (3, 8)])
-    def test_dimension_count(self, d, max_n):
-        # the bipartition blocks tile the full n-party space for two
-        # distinguishable local states
-        for n in range(1, max_n + 1):
-            total = sum(
-                dims.s * dims.m
-                for l2 in range(n // 2 + 1)
-                for dims in [irrep_dimensions(n - l2, l2, d)]
-            )
-            if d == 2:
-                assert total == 2**n
-            else:
-                assert total <= d**n  # 2-row bipartitions only cover part for d > 2
 
 
 class TestUniversalSuccess:
@@ -119,10 +81,6 @@ class TestAverageKnownSuccess:
             for k in range(5):
                 expected = (d - 1) / (d - 1 + k)
                 assert average_known_success(k, d) == pytest.approx(expected, abs=1e-8)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            average_known_success(1, 2, quadrature_points=8)
 
 
 class TestAverageMinErrorCurve:
