@@ -48,7 +48,6 @@ from .oracle import (
     holevo_check,
     hypothesis_state,
     srm_success_oracle,
-    symmetric_projector,
     universal_hypothesis,
     universal_success_oracle,
 )

@@ -2,20 +2,20 @@
 
 Nothing in this module uses the closed forms: hypothesis states are
 built as literal tensor products, measurements as literal square-root
-measurements, and symmetric projectors by averaging permutation
-operators.  This keeps the oracle independent of the spectral machinery
-it is used to check.
+measurements, and the universal hypotheses from the occupation-number
+(Dicke) basis of the symmetric subspaces, with no irrep dimension.
+This keeps the oracle independent of the spectral machinery it is used
+to check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .combin import binomial, enumerate_patterns, normalize_pattern, pattern_indicator
+from .combin import enumerate_patterns, normalize_pattern, pattern_indicator
 from .gram import ProblemInstance, _psd_eigh
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "hypothesis_state",
     "all_hypothesis_states",
     "srm_success_oracle",
-    "symmetric_projector",
     "universal_hypothesis",
     "universal_success_oracle",
     "holevo_check",
@@ -108,43 +107,13 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     )
 
 
-def symmetric_projector(m: int, d: int) -> np.ndarray:
-    """Projector onto the fully symmetric subspace of m d-level parties.
+def _isometry(pattern, n: int, k: int, d: int) -> np.ndarray:
+    """d^n x r isometry B_S with one nonzero, 1/sqrt(|class of x|), per row x.
 
-    Built as (1/m!) sum over all m! permutation operators; trace is
-    C(m+d-1, d-1).
-    """
-    if d**m > DENSITY_DIM_CAP:
-        raise ValueError(f"symmetric_projector: d^m = {d**m} exceeds cap {DENSITY_DIM_CAP}")
-    if math.factorial(m) > 50000:
-        raise ValueError(f"symmetric_projector: {m}! permutation operators is too many")
-    dim = d**m
-    ident = np.eye(dim).reshape([d] * (2 * m))
-    acc = np.zeros_like(ident)
-    for sigma in permutations(range(m)):
-        # permutation operator: sigma applied to the row legs of the identity
-        acc += ident.transpose(list(sigma) + list(range(m, 2 * m)))
-    return acc.reshape(dim, dim) / math.factorial(m)
-
-
-def _permute_legs(matrix: np.ndarray, perm: list[int], n: int, d: int) -> np.ndarray:
-    """Conjugate a d^n x d^n matrix by the permutation that sends leg i to perm[i]."""
-    dim = d**n
-    tensor = matrix.reshape([d] * (2 * n))
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    axes = inv + [n + i for i in inv]
-    return tensor.transpose(axes).reshape(dim, dim)
-
-
-def universal_hypothesis(pattern, n: int, k: int, d: int) -> np.ndarray:
-    """Averaged density matrix for the hypothesis with anomalies at `pattern`.
-
-    The symmetric projector on the n-k reference parties tensor the
-    symmetric projector on the k anomalous parties, legs rearranged so
-    the anomalous parties sit at the pattern positions, normalized to
-    unit trace.
+    A string x in [d]^n (position 1 most significant, as in np.kron) is
+    labelled by its letter counts on the reference and on the pattern
+    positions, i.e. by x with each group sorted.  The columns are the Dicke
+    states of Sym^(n-k) (x) Sym^k, legs in place (Harrow, arXiv:1308.6595).
     """
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_hypothesis: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
@@ -153,13 +122,21 @@ def universal_hypothesis(pattern, n: int, k: int, d: int) -> np.ndarray:
     pat = normalize_pattern(pattern, n)
     if len(pat) != k:
         raise ValueError(f"pattern {pat} has wrong cardinality for k={k}")
-    base = np.kron(symmetric_projector(n - k, d), symmetric_projector(k, d))
-    # base legs: first n-k reference, last k anomalous; send them to their slots
-    reference = [pos for pos in range(1, n + 1) if pos not in pat]
-    perm = [pos - 1 for pos in reference] + [pos - 1 for pos in pat]
-    rho = _permute_legs(base, perm, n, d)
-    norm = binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1)
-    return rho / norm
+    inside = np.isin(np.arange(1, n + 1), pat)
+    digits = np.indices((d,) * n).reshape(n, -1).T
+    canonical = np.hstack([np.sort(digits[:, ~inside], axis=1), np.sort(digits[:, inside], axis=1)])
+    code = canonical @ d ** np.arange(n - 1, -1, -1)  # < d^n: no overflow
+    _, label, count = np.unique(code, return_inverse=True, return_counts=True)
+    B = np.zeros((d**n, len(count)))
+    B[np.arange(d**n), label] = 1 / np.sqrt(count[label])
+    return B
+
+
+def universal_hypothesis(pattern, n: int, k: int, d: int) -> np.ndarray:
+    """Averaged density matrix rho_S = B_S B_S^T / r for the hypothesis with
+    anomalies at `pattern` (see _isometry); r = rank = number of labels."""
+    B = _isometry(pattern, n, k, d)
+    return B @ B.T / B.shape[1]
 
 
 def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
@@ -180,20 +157,20 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * inv_sqrt) @ vecs.T
 
 
-def universal_success_oracle(n: int, k: int, d: int) -> float:
-    """Square-root measurement on the explicit averaged hypotheses.
+def _universal_srm(n: int, k: int, d: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Isometries B_S of all hypotheses (lexicographic pattern order) and
+    R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r."""
+    isometries = [_isometry(p, n, k, d) for p in enumerate_patterns(n, k)]
+    stacked = np.hstack(isometries)
+    return isometries, _support_inverse_sqrt(stacked @ stacked.T / isometries[0].shape[1])
 
-    Builds rho = sum_sigma rho_sigma, its pseudo-inverse square root R on
-    the support, and averages tr(rho_sigma Pi_sigma), Pi_sigma = R rho_sigma R.
-    """
-    pats = enumerate_patterns(n, k)
-    hyps = [universal_hypothesis(p, n, k, d) for p in pats]
-    R = _support_inverse_sqrt(np.sum(hyps, axis=0))
-    total = 0.0
-    for h in hyps:
-        pi = R @ h @ R
-        total += float(np.tensordot(h, pi))
-    return total / len(hyps)
+
+def universal_success_oracle(n: int, k: int, d: int) -> float:
+    """Square-root measurement on the explicit averaged hypotheses: the mean
+    of tr(rho_S R rho_S R) = ||B_S^T R B_S||_F^2 / r^2, R = rho^(-1/2)."""
+    isometries, R = _universal_srm(n, k, d)
+    r = isometries[0].shape[1]
+    return sum(float(np.sum((B.T @ R @ B) ** 2)) for B in isometries) / (len(isometries) * r * r)
 
 
 @dataclass(frozen=True)

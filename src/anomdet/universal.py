@@ -103,6 +103,8 @@ def average_known_success(k: int, d: int) -> float:
 
 def average_min_error_curve(n: int, k: int, d: int) -> float:
     """Known-states minimum-error success averaged over the overlap measure."""
+    if d < 2 or k < 0:
+        raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
     u, w = _overlap_quadrature()
     density = (d - 1) * (1 - u) ** (d - 2)
     vals = np.array(

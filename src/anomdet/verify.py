@@ -21,15 +21,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import johnson
-from .combin import binomial, distance_matrix, enumerate_patterns
+from .combin import binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
-    _support_inverse_sqrt,
+    _universal_srm,
     all_hypothesis_states,
     holevo_check,
     srm_success_oracle,
-    universal_hypothesis,
     universal_success_oracle,
 )
 from .protocols import (
@@ -126,11 +125,11 @@ def _reference_grid(max_n: int) -> Iterator[dict]:
 
 
 def _universal_grid(max_n: int) -> Iterator[dict]:
-    """Qubits at n <= min(max_n, 6); qutrits at n <= 4, k <= 2 (density matrices of d^n)."""
-    for n in range(2, min(max_n, 6) + 1):
+    """Qubits at n <= min(max_n, 7); qutrits at n <= min(max_n, 5), k <= 2 (d^n-wide matrices)."""
+    for n in range(2, min(max_n, 7) + 1):
         for k in range(1, n // 2 + 1):
             yield {"n": n, "k": k, "d": 2}
-    for n in (2, 3, 4):
+    for n in range(2, min(max_n, 5) + 1):
         for k in range(1, min(2, n // 2) + 1):
             yield {"n": n, "k": k, "d": 3}
 
@@ -301,8 +300,8 @@ def _universal_vs_density(n: int, k: int, d: int) -> float:
 def _holevo_certificate(n: int, k: int, d: int) -> float:
     """Most negative eigenvalue of Y - rho_sigma for the SRM-induced witness
     Y = sym(sum_sigma R rho_sigma R rho_sigma), R = rho^(-1/2) on the support."""
-    hyps = [universal_hypothesis(p, n, k, d) for p in enumerate_patterns(n, k)]
-    R = _support_inverse_sqrt(np.sum(hyps, axis=0))
+    isometries, R = _universal_srm(n, k, d)
+    hyps = [B @ B.T / B.shape[1] for B in isometries]
     Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
     return max(0.0, -holevo_check((Y + Y.T) / 2, hyps).worst_violation)
 

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from anomdet.combin import binomial, enumerate_patterns
 from anomdet.gram import ProblemInstance, gram_matrix
 from anomdet.oracle import (
+    _universal_srm,
     all_hypothesis_states,
     holevo_check,
     hypothesis_state,
     srm_success_oracle,
-    symmetric_projector,
     universal_hypothesis,
     universal_success_oracle,
 )
@@ -120,23 +121,6 @@ class TestSrmOracle:
         assert d.max() - d.min() < 1e-10
 
 
-class TestSymmetricProjector:
-    def test_single_party(self):
-        for d in (2, 3, 4):
-            assert np.array_equal(symmetric_projector(1, d), np.eye(d))
-
-    @pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
-    def test_idempotent_with_symmetric_trace(self, m, d):
-        P = symmetric_projector(m, d)
-        assert np.abs(P @ P - P).max() < 1e-10
-        assert np.trace(P) == pytest.approx(binomial(m + d - 1, d - 1), abs=1e-10)
-        assert np.abs(P - P.T).max() < 1e-12
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            symmetric_projector(13, 2)
-
-
 class TestUniversalHypothesis:
     def test_unit_trace_and_psd(self):
         for n, k, d in [(4, 1, 2), (4, 2, 2), (5, 2, 2), (4, 2, 3)]:
@@ -160,6 +144,22 @@ class TestUniversalHypothesis:
         with pytest.raises(ValueError):
             universal_hypothesis((1, 2), 3, 2, 2)
 
+    @pytest.mark.parametrize("n,k,d", [(4, 1, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
+    def test_is_the_projector_onto_sym_tensor_sym(self, n, k, d):
+        # P = r rho_S: an orthogonal projector of rank r fixing r independent
+        # phi^(n-k) (x) psi^k (psi at the pattern) is the one onto Sym (x) Sym
+        r = binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1)
+        rng = np.random.default_rng(2024)
+        for pat in enumerate_patterns(n, k):
+            P = r * universal_hypothesis(pat, n, k, d)
+            assert np.abs(P - P.T).max() < 1e-12
+            assert np.abs(P @ P - P).max() < 1e-12
+            assert np.linalg.matrix_rank(P) == r
+            V = np.array([reduce(np.kron, [psi if pos in pat else phi for pos in range(1, n + 1)])
+                          for phi, psi in rng.normal(size=(r, 2, d))]).T
+            assert np.linalg.matrix_rank(V) == r
+            assert np.abs(P @ V - V).max() < 1e-10 * np.abs(V).max()
+
 
 class TestUniversalOracle:
     def test_two_systems(self):
@@ -176,13 +176,11 @@ class TestUniversalOracle:
 
 class TestHolevoCheck:
     def _setup(self, n=4, k=1, d=2):
-        hyps = [universal_hypothesis(p, n, k, d) for p in enumerate_patterns(n, k)]
-        rho = np.sum(hyps, axis=0)
-        vals, vecs = np.linalg.eigh(rho)
-        support = (vals >= 1e-10).astype(float)
-        proj = (vecs * support) @ vecs.T
+        isometries, R = _universal_srm(n, k, d)
+        hyps = [B @ B.T / B.shape[1] for B in isometries]
+        proj = R @ np.sum(hyps, axis=0) @ R  # projector onto the support of rho
         c_k = 1 / (binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1))
-        return hyps, rho, proj, c_k
+        return hyps, R, proj, c_k
 
     def test_uniform_witness_feasible(self):
         hyps, _, proj, c_k = self._setup()
@@ -196,11 +194,7 @@ class TestHolevoCheck:
         assert report.worst_violation < -1e-3
 
     def test_srm_induced_witness_feasible(self):
-        hyps, rho, _, _ = self._setup()
-        vals, vecs = np.linalg.eigh(rho)
-        support = vals >= 1e-10
-        inv = np.where(support, 1 / np.sqrt(np.where(support, vals, 1)), 0)
-        R = (vecs * inv) @ vecs.T
+        hyps, R, _, _ = self._setup()
         Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
         report = holevo_check((Y + Y.T) / 2, hyps)
         assert report.feasible

@@ -97,5 +97,10 @@ class TestAverageMinErrorCurve:
         avg = average_min_error_curve(4, 1, 2)
         assert avg > 7 / 16
 
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_rejects_dimension_below_two(self, d):
+        with pytest.raises(ValueError, match="need d >= 2"):
+            average_min_error_curve(5, 1, d)
+
     def test_approaches_half_for_single_anomaly(self):
         assert average_min_error_curve(400, 1, 2) == pytest.approx(0.5, abs=0.06)
