@@ -215,8 +215,11 @@ def direct_spectrum(matrix) -> np.ndarray:
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"direct_spectrum: expected a square matrix, got {M.shape}")
+    size = float(np.abs(M).max())  # non-finite exactly when some entry is
+    if not math.isfinite(size):
+        raise ValueError("direct_spectrum: matrix has NaN or infinite entries")
     # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|)
-    if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
+    if np.abs(M - M.T).max() > 1e-12 * max(1.0, size):
         raise ValueError("direct_spectrum: matrix is not symmetric")
     return np.sort(np.linalg.eigvalsh(M))[::-1]
 
@@ -225,10 +228,14 @@ def _psd_eigh(G) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (clamped to >= 0) and eigenvectors of a symmetric PSD matrix.
 
     Eigenvalues in [-PSD_CLAMP * scale, 0) are clamped to zero (rank
-    collapse near c = 1); materially negative eigenvalues are rejected.
+    collapse near c = 1); materially negative eigenvalues and NaN or
+    infinite entries are rejected.
     """
     M = np.array(G, dtype=float)
-    scale = max(1.0, np.abs(M).max())
+    size = float(np.abs(M).max())  # non-finite exactly when some entry is
+    if not math.isfinite(size):
+        raise ValueError("matrix has NaN or infinite entries")
+    scale = max(1.0, size)
     vals, vecs = np.linalg.eigh((M + M.T) / 2)
     if vals.min() < -PSD_CLAMP * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min()})")

@@ -11,12 +11,13 @@ to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .combin import enumerate_patterns, normalize_pattern, pattern_indicator
-from .gram import ProblemInstance, _psd_eigh
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh
 
 __all__ = [
     "SrmResult",
@@ -41,18 +42,25 @@ def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndar
     Qubit embedding: reference |0>, anomaly c|0> + sqrt(1-c^2)|1>; only
     the overlap c matters for the known-states problem, so qubits
     suffice for any d.  Position by position, every row is multiplied
-    out with the factor its indicator picks, which is np.kron applied to
-    all rows at once.
+    out with the factor its indicator picks: column b of the new
+    (rows, 2^pos, 2) array is the old stack times entry b of each row's
+    factor, written by one np.multiply per column.  These are the
+    products of the np.kron left fold, in the same order, so the result
+    is bit-identical to it.
     """
     n = instance.n
     if n > STATE_QUBITS_CAP:
         raise ValueError(f"hypothesis_state: n={n} exceeds cap {STATE_QUBITS_CAP}")
     c = float(instance.c)
     factors = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1 - c * c))]])
-    states = np.ones((indicator.shape[0], 1))
+    rows = indicator.shape[0]
+    states = np.ones((rows, 1))
     for pos in range(n):
         factor = factors[indicator[:, pos]]  # phi1 at anomalies, phi0 elsewhere
-        states = (states[:, :, None] * factor[:, None, :]).reshape(len(states), -1)
+        new = np.empty((rows, states.shape[1], 2))
+        for b in range(2):
+            np.multiply(states, factor[:, b : b + 1], out=new[:, :, b])
+        states = new.reshape(rows, -1)
     return states
 
 
@@ -74,9 +82,25 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SrmResult:
+    """Square-root measurement on a stack of states V (one state per row).
+
+    `success` and `diagonal` come from the eigendecomposition G = U diag(w) U^T
+    of the Gram matrix G = V V^T.  The measurement vectors are computed on
+    first access, from the stored U, inverse square roots and states.
+    """
+
     success: float
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
-    measurement_vectors: np.ndarray  # rows are the POVM vectors |m_r> in the ambient space
+    eigenvectors: np.ndarray = field(repr=False)  # U
+    inverse_roots: np.ndarray = field(repr=False)  # 1/sqrt(w) on the support, 0 off it
+    states: np.ndarray = field(repr=False)  # V
+
+    @cached_property
+    def measurement_vectors(self) -> np.ndarray:
+        """Rows are the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s> in the
+        ambient space, S = sqrt(G), so that <m_r|Psi_s> = S_rs."""
+        U = self.eigenvectors
+        return ((U * self.inverse_roots) @ U.T) @ self.states
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -85,25 +109,33 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     Builds the Gram matrix G = U diag(w) U^T from inner products; its
     square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
     (1/N) sum_r S_rr^2 is the success probability.  The measurement
-    vectors (the POVM is |m_r><m_r|) are returned for completeness
+    vectors (the POVM is |m_r><m_r|) are available for completeness
     checks; they resolve the identity on the span of the states.  All
     of it comes from the one eigendecomposition of G.
     """
     V = np.array(states, dtype=float)
+    if V.ndim != 2:
+        raise ValueError(
+            f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"
+        )
     N = V.shape[0]
-    if N > 5000:
-        raise ValueError(f"srm_success_oracle: too many states ({N})")
+    if N == 0:
+        raise ValueError("srm_success_oracle: the stack holds no states")
+    if N > GRAM_SIZE_CAP:
+        raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
+    if not np.isfinite(V).all():
+        raise ValueError("srm_success_oracle: states have NaN or infinite entries")
     w, U = _psd_eigh(V @ V.T)
     root = np.sqrt(w)  # eigenvalues of S
-    # |m_r> = sum_s (S^+)_{sr} |Psi_s>, so that <m_r|Psi_s> = S_rs
     support = root > SUPPORT_THRESHOLD
     inv = np.where(support, 1.0 / np.where(support, root, 1.0), 0.0)
-    m_vectors = ((U * inv) @ U.T) @ V
     diag = (U * U) @ root
     return SrmResult(
         success=float(np.sum(diag**2) / N),
         diagonal=diag,
-        measurement_vectors=m_vectors,
+        eigenvectors=U,
+        inverse_roots=inv,
+        states=V,
     )
 
 

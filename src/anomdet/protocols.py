@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,6 +144,26 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=value, method="closed-form", instance=instance)
 
 
+def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...], D: np.ndarray) -> np.ndarray:
+    """Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance."""
+    scale = binomial(n, k) / multiplicity(n, min(k, n - k))
+    return np.array([float(x) for x in coeffs])[D] * scale
+
+
+@lru_cache(maxsize=256)
+def _dual_witness_checks(n: int, k: int, coeffs: tuple[Fraction, ...]) -> tuple[bool, float]:
+    """(diag(Y) = 1 exactly, lambda_min(Y)) for the witness of _dual_witness.
+
+    Neither depends on the overlap, so each (n, k, coefficients) key is
+    checked once; the entry holds two scalars, not Y.
+    """
+    N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
+    D = distance_matrix(n, k)
+    # diag(Y) = 1 exactly, read at each distance that occurs on the diagonal of D
+    diag_ok = all(coeffs[d] * N == m_m for d in np.unique(np.diagonal(D)))
+    return diag_ok, float(direct_spectrum(_dual_witness(n, k, coeffs, D))[-1])
+
+
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
     """Check the primal/dual optimality certificates of the zero-error value.
 
@@ -154,7 +175,9 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
     Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL (scaled by
     max |G| for the primal).  Endpoints c = 0 and c = 1 are handled
-    analytically.
+    analytically.  Y does not depend on c: its diagonal test and minimum
+    eigenvalue run once per (n, k) (_dual_witness_checks), and Y itself
+    is rebuilt for tr(G Y).
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -173,14 +196,9 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     shifted_min = direct_spectrum(G - lam_min * np.eye(N))[-1]
     primal_feasible = bool(shifted_min >= -CERTIFICATE_TOL * scale)
 
-    m_m = multiplicity(n, m)
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
-    D = distance_matrix(n, k)
-    # diag(Y) = 1 exactly, read at each distance that occurs on the diagonal of D
-    diag_ok = all(coeffs[d] * N == m_m for d in np.unique(np.diagonal(D)))
-    Y = np.array([float(x) for x in coeffs])[D] * (N / m_m)
-    y_min = direct_spectrum(Y)[-1]
-    dual_value = float(np.tensordot(G, Y) / N)
+    diag_ok, y_min = _dual_witness_checks(n, k, coeffs)
+    dual_value = float(np.tensordot(G, _dual_witness(n, k, coeffs, distance_matrix(n, k))) / N)
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
     return CertificateReport(

@@ -239,6 +239,13 @@ class TestLogDomainFloatPath:
 
 
 class TestDirectSpectrum:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            direct_spectrum(np.array([[bad]]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            direct_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_identity(self):
         assert np.allclose(direct_spectrum(np.eye(7)), np.ones(7))
 
@@ -264,3 +271,9 @@ class TestPsdEigh:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             _psd_eigh(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes "min eigenvalue < -tol" as False; it must not get through
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _psd_eigh(np.array([[1.0, 0.0], [0.0, bad]]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anomdet.combin import binomial, enumerate_patterns
-from anomdet.gram import ProblemInstance, gram_matrix
+from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
     _universal_srm,
     all_hypothesis_states,
@@ -70,6 +70,19 @@ class TestHypothesisStates:
                     assert np.array_equal(hypothesis_state(inst, pat), state)
                 assert np.array_equal(all_hypothesis_states(inst), np.array(folds))
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_kron_fold_bitwise_at_large_n(self, n):
+        for k in range(5):
+            for c in (0.37, 1.0):
+                phi0 = np.array([1.0, 0.0])
+                phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
+                folds = [
+                    reduce(np.kron, [phi1 if pos in pat else phi0 for pos in range(1, n + 1)])
+                    for pat in enumerate_patterns(n, k)
+                ]
+                states = all_hypothesis_states(ProblemInstance(n, k, c))
+                assert np.array_equal(states, np.array(folds)), (k, c)
+
 
 class TestSrmOracle:
     def test_two_state_discrimination(self):
@@ -114,6 +127,41 @@ class TestSrmOracle:
         assert abs(probs.sum() - 1) < 1e-12
         assert abs(probs[0] - result.diagonal[0] ** 2) < 1e-12
         assert abs(probs[0] - 0.947662716995912) < 1e-10
+
+    def test_measurement_vectors_on_first_access(self):
+        V = all_hypothesis_states(ProblemInstance(5, 2, 0.5))
+        result = srm_success_oracle(V)
+        assert "measurement_vectors" not in vars(result)
+        M = result.measurement_vectors
+        assert result.measurement_vectors is M
+        assert np.abs(np.diag(M @ V.T) - result.diagonal).max() < 1e-12  # <m_r|Psi_r> = S_rr
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_states(self, bad):
+        V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+        V[2, 3] = bad
+        with pytest.raises(ValueError, match="states have NaN or infinite"):
+            srm_success_oracle(V)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_rejects_gram_that_overflows(self):
+        # finite states whose inner products overflow to inf
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            srm_success_oracle(np.full((2, 2), 1e200))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4), ()])
+    def test_rejects_stack_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D stack"):
+            srm_success_oracle(np.ones(shape))
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="no states"):
+            srm_success_oracle(np.ones((0, 4)))
+
+    def test_size_cap(self):
+        srm_success_oracle(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="exceed cap"):
+            srm_success_oracle(np.ones((GRAM_SIZE_CAP + 1, 1)))
 
     def test_conditional_success_is_hypothesis_independent(self):
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))

@@ -166,6 +166,47 @@ class TestCertificates:
         report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         assert report.primal_feasible and not report.dual_feasible
 
+    def test_dual_witness_checked_once_per_nk(self):
+        protocols._dual_witness_checks.cache_clear()
+        first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
+        second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
+        info = protocols._dual_witness_checks.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first.optimal and second.optimal
+        assert second.primal_value == pytest.approx(0.64**3, rel=1e-14)
+        assert second.gap <= 1e-10
+
+    def test_dual_witness_cache_entry_holds_scalars(self):
+        coeffs = protocols._projector_coefficients(8, 3, 3)
+        diag_ok, y_min = protocols._dual_witness_checks(8, 3, coeffs)
+        assert type(diag_ok) is bool and type(y_min) is float
+        assert diag_ok and abs(y_min) <= 1e-10
+
+    def test_endpoints_stay_analytic_with_a_warm_cache(self):
+        verify_unambiguous_certificates(ProblemInstance(5, 2, 0.5))
+        before = protocols._dual_witness_checks.cache_info()
+        zero = verify_unambiguous_certificates(ProblemInstance(5, 2, 0.0))
+        one = verify_unambiguous_certificates(ProblemInstance(5, 2, 1.0))
+        assert zero == protocols.CertificateReport(True, True, 1.0, 1.0, 0.0)
+        assert one == protocols.CertificateReport(True, True, 0.0, 0.0, 0.0)
+        assert protocols._dual_witness_checks.cache_info() == before
+
+    @pytest.mark.parametrize("distance", [0, 3])
+    def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, distance):
+        # distance 0 breaks diag(Y) = 1, distance 3 makes Y indefinite
+        inst = ProblemInstance(7, 3, 0.5)
+        assert verify_unambiguous_certificates(inst).dual_feasible
+        true_coefficients = protocols._projector_coefficients
+
+        def perturbed(n, k, j):
+            coeffs = list(true_coefficients(n, k, j))
+            coeffs[distance] += Fraction(1, 1000)
+            return tuple(coeffs)
+
+        monkeypatch.setattr(protocols, "_projector_coefficients", perturbed)
+        report = verify_unambiguous_certificates(inst)
+        assert report.primal_feasible and not report.dual_feasible
+
     @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
     def test_whole_domain(self, c):
         # k > n/2 included: the witness is built at m = min(k, n-k)
