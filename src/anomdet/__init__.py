@@ -46,9 +46,7 @@ from .universal import (
 )
 from .oracle import (
     holevo_check,
-    hypothesis_state,
     srm_success_oracle,
-    universal_hypothesis,
     universal_success_oracle,
 )
 

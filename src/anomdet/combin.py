@@ -15,7 +15,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ Rational = int | Fraction
 __all__ = [
     "binomial",
     "enumerate_patterns",
-    "normalize_pattern",
     "pattern_distance",
     "pattern_indicator",
     "distance_matrix",
@@ -43,16 +42,6 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def normalize_pattern(positions: Iterable[int], n: int) -> tuple[int, ...]:
-    """Validate and canonicalize a pattern: sorted, distinct, within [1, n]."""
-    pat = tuple(sorted(positions))
-    if len(set(pat)) != len(pat):
-        raise ValueError(f"pattern has repeated positions: {pat}")
-    if pat and (pat[0] < 1 or pat[-1] > n):
-        raise ValueError(f"pattern {pat} out of range [1, {n}]")
-    return pat
 
 
 def enumerate_patterns(n: int, k: int) -> list[tuple[int, ...]]:

@@ -210,14 +210,26 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     return Spectrum(instance=instance, entries=tuple(entries))
 
 
-def direct_spectrum(matrix) -> np.ndarray:
-    """Dense symmetric eigendecomposition oracle; eigenvalues descending."""
+def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
+    """The matrix as a float array, and its largest absolute entry.
+
+    Raises ValueError, naming `caller`, unless the matrix is square,
+    non-empty and finite.
+    """
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"direct_spectrum: expected a square matrix, got {M.shape}")
+        raise ValueError(f"{caller}: expected a square matrix, got shape {M.shape}")
+    if M.size == 0:
+        raise ValueError(f"{caller}: matrix is empty, shape {M.shape}")
     size = float(np.abs(M).max())  # non-finite exactly when some entry is
     if not math.isfinite(size):
-        raise ValueError("direct_spectrum: matrix has NaN or infinite entries")
+        raise ValueError(f"{caller}: matrix has NaN or infinite entries")
+    return M, size
+
+
+def direct_spectrum(matrix) -> np.ndarray:
+    """Dense symmetric eigendecomposition oracle; eigenvalues descending."""
+    M, size = _finite_square(matrix, "direct_spectrum")
     # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|)
     if np.abs(M - M.T).max() > 1e-12 * max(1.0, size):
         raise ValueError("direct_spectrum: matrix is not symmetric")
@@ -228,13 +240,10 @@ def _psd_eigh(G) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (clamped to >= 0) and eigenvectors of a symmetric PSD matrix.
 
     Eigenvalues in [-PSD_CLAMP * scale, 0) are clamped to zero (rank
-    collapse near c = 1); materially negative eigenvalues and NaN or
-    infinite entries are rejected.
+    collapse near c = 1); materially negative eigenvalues, NaN or
+    infinite entries and empty or non-square input are rejected.
     """
-    M = np.array(G, dtype=float)
-    size = float(np.abs(M).max())  # non-finite exactly when some entry is
-    if not math.isfinite(size):
-        raise ValueError("matrix has NaN or infinite entries")
+    M, size = _finite_square(G, "_psd_eigh")
     scale = max(1.0, size)
     vals, vecs = np.linalg.eigh((M + M.T) / 2)
     if vals.min() < -PSD_CLAMP * scale:

@@ -55,10 +55,6 @@ class SchemeBasis:
     k: int
     adjacency: tuple[np.ndarray, ...]  # A_0..A_k, each N x N of 0/1
 
-    @property
-    def size(self) -> int:
-        return binomial(self.n, self.k)
-
 
 @dataclass(frozen=True)
 class Eigenmatrices:

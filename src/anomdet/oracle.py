@@ -16,16 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .combin import enumerate_patterns, normalize_pattern, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh
+from .combin import enumerate_patterns, pattern_indicator
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh, direct_spectrum
 
 __all__ = [
     "SrmResult",
     "HolevoReport",
-    "hypothesis_state",
     "all_hypothesis_states",
     "srm_success_oracle",
-    "universal_hypothesis",
     "universal_success_oracle",
     "holevo_check",
 ]
@@ -50,7 +48,7 @@ def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndar
     """
     n = instance.n
     if n > STATE_QUBITS_CAP:
-        raise ValueError(f"hypothesis_state: n={n} exceeds cap {STATE_QUBITS_CAP}")
+        raise ValueError(f"all_hypothesis_states: n={n} exceeds cap {STATE_QUBITS_CAP}")
     c = float(instance.c)
     factors = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1 - c * c))]])
     rows = indicator.shape[0]
@@ -62,17 +60,6 @@ def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndar
             np.multiply(states, factor[:, b : b + 1], out=new[:, :, b])
         states = new.reshape(rows, -1)
     return states
-
-
-def hypothesis_state(instance: ProblemInstance, pattern) -> np.ndarray:
-    """Explicit 2^n state vector for one anomaly pattern (see _product_states)."""
-    n = instance.n
-    pat = normalize_pattern(pattern, n)
-    if len(pat) != instance.k:
-        raise ValueError(f"pattern {pat} has wrong cardinality for k={instance.k}")
-    indicator = np.zeros((1, n), dtype=np.uint8)
-    indicator[0, [pos - 1 for pos in pat]] = 1
-    return _product_states(instance, indicator)[0]
 
 
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
@@ -139,22 +126,17 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     )
 
 
-def _isometry(pattern, n: int, k: int, d: int) -> np.ndarray:
+def _isometry(pattern, n: int, d: int) -> np.ndarray:
     """d^n x r isometry B_S with one nonzero, 1/sqrt(|class of x|), per row x.
 
-    A string x in [d]^n (position 1 most significant, as in np.kron) is
-    labelled by its letter counts on the reference and on the pattern
-    positions, i.e. by x with each group sorted.  The columns are the Dicke
-    states of Sym^(n-k) (x) Sym^k, legs in place (Harrow, arXiv:1308.6595).
+    `pattern` holds the 1-based anomaly positions, as enumerate_patterns
+    gives them.  A string x in [d]^n (position 1 most significant, as in
+    np.kron) is labelled by its letter counts on the reference and on the
+    pattern positions, i.e. by x with each group sorted.  The columns are
+    the Dicke states of Sym^(n-k) (x) Sym^k, legs in place (Harrow,
+    arXiv:1308.6595), and rho_S = B_S B_S^T / r is the averaged hypothesis.
     """
-    if d**n > DENSITY_DIM_CAP:
-        raise ValueError(f"universal_hypothesis: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
-    if n < 2 * k:
-        raise ValueError(f"universal_hypothesis: requires n >= 2k, got n={n}, k={k}")
-    pat = normalize_pattern(pattern, n)
-    if len(pat) != k:
-        raise ValueError(f"pattern {pat} has wrong cardinality for k={k}")
-    inside = np.isin(np.arange(1, n + 1), pat)
+    inside = np.isin(np.arange(1, n + 1), pattern)
     digits = np.indices((d,) * n).reshape(n, -1).T
     canonical = np.hstack([np.sort(digits[:, ~inside], axis=1), np.sort(digits[:, inside], axis=1)])
     code = canonical @ d ** np.arange(n - 1, -1, -1)  # < d^n: no overflow
@@ -162,13 +144,6 @@ def _isometry(pattern, n: int, k: int, d: int) -> np.ndarray:
     B = np.zeros((d**n, len(count)))
     B[np.arange(d**n), label] = 1 / np.sqrt(count[label])
     return B
-
-
-def universal_hypothesis(pattern, n: int, k: int, d: int) -> np.ndarray:
-    """Averaged density matrix rho_S = B_S B_S^T / r for the hypothesis with
-    anomalies at `pattern` (see _isometry); r = rank = number of labels."""
-    B = _isometry(pattern, n, k, d)
-    return B @ B.T / B.shape[1]
 
 
 def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
@@ -192,7 +167,11 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
 def _universal_srm(n: int, k: int, d: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Isometries B_S of all hypotheses (lexicographic pattern order) and
     R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r."""
-    isometries = [_isometry(p, n, k, d) for p in enumerate_patterns(n, k)]
+    if d**n > DENSITY_DIM_CAP:
+        raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
+    if n < 2 * k:
+        raise ValueError(f"universal_success_oracle: requires n >= 2k, got n={n}, k={k}")
+    isometries = [_isometry(p, n, d) for p in enumerate_patterns(n, k)]
     stacked = np.hstack(isometries)
     return isometries, _support_inverse_sqrt(stacked @ stacked.T / isometries[0].shape[1])
 
@@ -213,11 +192,14 @@ class HolevoReport:
 
 def holevo_check(Y: np.ndarray, hypotheses) -> HolevoReport:
     """Check the optimality conditions Y - rho_sigma >= 0 for all hypotheses
-    (feasible when no eigenvalue of Y - rho_sigma is below -HOLEVO_TOL)."""
+    (feasible when no eigenvalue of Y - rho_sigma is below -HOLEVO_TOL).
+
+    Each smallest eigenvalue comes from direct_spectrum, which rejects a
+    NaN or infinite entry instead of letting it compare as no violation.
+    """
     worst = 0.0
     for h in hypotheses:
         if Y.shape != h.shape:
             raise ValueError(f"dimension mismatch: {Y.shape} vs {h.shape}")
-        low = float(np.linalg.eigvalsh(Y - h)[0])
-        worst = min(worst, low)
+        worst = min(worst, float(direct_spectrum(Y - h)[-1]))
     return HolevoReport(feasible=worst >= -HOLEVO_TOL, worst_violation=worst)

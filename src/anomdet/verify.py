@@ -141,13 +141,13 @@ def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
 # --- residuals: Johnson scheme -------------------------------------------
 
 def _bose_mesner_closure(n: int, k: int) -> float:
-    """0 if A_i A_j stays in the span with non-negative integer coefficients."""
+    """0 if A_i A_j stays in the span with non-negative integer coefficients
+    (verify_bose_mesner_closure raises SchemeClosureError otherwise)."""
     try:
-        numbers = johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+        johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
     except johnson.SchemeClosureError:
         return 1.0
-    ok = all(isinstance(v, int) and v >= 0 for coeffs in numbers.values() for v in coeffs)
-    return 0.0 if ok else 1.0
+    return 0.0
 
 
 def _pq_identity(n: int, k: int) -> float:

@@ -5,6 +5,11 @@ Criteria 1-8 each run a named subset of the check registry
 instance; `anomdet verify` runs the same registry, and every grid and
 tolerance lives there.  Criterion 9 reproduces the figures through the
 CLI, which imports the registry, so it cannot be a registry check.
+
+A registry row is the one copy of an oracle-equivalence check; no unit
+test re-runs a row on part of its grid.  Unit tests cover what no row
+does: error paths, k > n/2, frozen exact values, bitwise identities and
+non-vacuity plants (a deliberately wrong input that a check must fail).
 """
 
 import dataclasses

@@ -246,6 +246,15 @@ class TestDirectSpectrum:
         with pytest.raises(ValueError, match="NaN or infinite"):
             direct_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"direct_spectrum: matrix is empty, shape \(0, 0\)"):
+            direct_spectrum(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (4,)], ids=["2x3", "0x3", "1-d"])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="direct_spectrum: expected a square matrix"):
+            direct_spectrum(np.ones(shape))
+
     def test_identity(self):
         assert np.allclose(direct_spectrum(np.eye(7)), np.ones(7))
 
@@ -277,3 +286,12 @@ class TestPsdEigh:
         # NaN passes "min eigenvalue < -tol" as False; it must not get through
         with pytest.raises(ValueError, match="NaN or infinite"):
             _psd_eigh(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"_psd_eigh: matrix is empty, shape \(0, 0\)"):
+            _psd_eigh(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (4,)], ids=["2x3", "0x3", "1-d"])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="_psd_eigh: expected a square matrix"):
+            _psd_eigh(np.ones(shape))

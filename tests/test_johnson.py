@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anomdet.gram import direct_spectrum
 from anomdet.johnson import (
     SchemeClosureError,
     eigenmatrices,
@@ -72,36 +71,11 @@ class TestEigenmatrices:
         em = eigenmatrices(n, k)
         assert list(em.Q[0]) == [multiplicity(n, j) for j in range(k + 1)]
 
-    @pytest.mark.parametrize("n,k", GRID)
-    def test_pq_is_n_identity(self, n, k):
-        em = eigenmatrices(n, k)
-        N = binomial(n, k)
-        for j in range(k + 1):
-            for jp in range(k + 1):
-                entry = sum(em.P[j][i] * em.Q[i][jp] for i in range(k + 1))
-                assert entry == (N if j == jp else 0)
-
     def test_dimension_sums(self):
         for n, k in GRID:
             N = binomial(n, k)
             assert sum(multiplicity(n, j) for j in range(k + 1)) == N
             assert sum(valency(n, k, i) for i in range(k + 1)) == N
-
-    @pytest.mark.parametrize("n,k", GRID)
-    def test_adjacency_spectra_match_eigenmatrix(self, n, k):
-        basis = scheme_basis(n, k)
-        em = eigenmatrices(n, k)
-        for i in range(k + 1):
-            ev = direct_spectrum(basis.adjacency[i].astype(float))
-            expected = np.sort(
-                np.concatenate(
-                    [
-                        np.full(multiplicity(n, j), float(em.P[j][i]))
-                        for j in range(k + 1)
-                    ]
-                )
-            )[::-1]
-            assert np.abs(ev - expected).max() < 1e-9
 
 
 class TestSchemeProjectors:

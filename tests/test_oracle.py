@@ -7,27 +7,29 @@ import pytest
 from anomdet.combin import binomial, enumerate_patterns
 from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
+    _isometry,
     _universal_srm,
     all_hypothesis_states,
     holevo_check,
-    hypothesis_state,
     srm_success_oracle,
-    universal_hypothesis,
     universal_success_oracle,
 )
-from anomdet.protocols import min_error_success
-from anomdet.universal import UniversalInstance, universal_success
+
+
+def _rho(pattern, n, d):
+    """Averaged hypothesis rho_S = B_S B_S^T / r, as the universal oracle builds it."""
+    B = _isometry(pattern, n, d)
+    return B @ B.T / B.shape[1]
 
 
 class TestHypothesisStates:
     def test_single_system(self):
-        state = hypothesis_state(ProblemInstance(1, 1, 0.6), (1,))
-        assert np.allclose(state, [0.6, 0.8])
+        states = all_hypothesis_states(ProblemInstance(1, 1, 0.6))
+        assert np.allclose(states, [[0.6, 0.8]])
 
     def test_unit_norm(self):
-        inst = ProblemInstance(6, 2, 0.37)
-        for pat in enumerate_patterns(6, 2):
-            assert abs(np.linalg.norm(hypothesis_state(inst, pat)) - 1) < 1e-12
+        states = all_hypothesis_states(ProblemInstance(6, 2, 0.37))
+        assert np.abs(np.linalg.norm(states, axis=1) - 1).max() < 1e-12
 
     def test_identical_at_full_overlap(self):
         inst = ProblemInstance(4, 2, 1.0)
@@ -43,15 +45,14 @@ class TestHypothesisStates:
                 assert np.abs(V @ V.T - G).max() < 1e-12
 
     def test_distance_two_overlap(self):
-        inst = ProblemInstance(4, 2, 0.5)
-        a = hypothesis_state(inst, (3, 4))
-        b = hypothesis_state(inst, (1, 2))
+        states = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+        pats = enumerate_patterns(4, 2)
+        a = states[pats.index((3, 4))]
+        b = states[pats.index((1, 2))]
         assert abs(float(a @ b) - 0.5**4) < 1e-14
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            hypothesis_state(ProblemInstance(15, 2, 0.5), (1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all_hypothesis_states: n=15 exceeds cap"):
             all_hypothesis_states(ProblemInstance(15, 2, 0.5))
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -67,7 +68,6 @@ class TestHypothesisStates:
                     for pos in range(1, n + 1):
                         state = np.kron(state, phi1 if pos in pat else phi0)
                     folds.append(state)
-                    assert np.array_equal(hypothesis_state(inst, pat), state)
                 assert np.array_equal(all_hypothesis_states(inst), np.array(folds))
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -94,13 +94,6 @@ class TestSrmOracle:
             assert result.success == pytest.approx(
                 (1 + math.sqrt(1 - c**4)) / 2, abs=1e-12
             )
-
-    def test_matches_closed_form(self):
-        for n, k in [(4, 2), (5, 2), (6, 3)]:
-            for c in (0.25, 0.5, 0.75):
-                inst = ProblemInstance(n, k, c)
-                oracle_val = srm_success_oracle(all_hypothesis_states(inst)).success
-                assert abs(oracle_val - min_error_success(inst).value) < 1e-10
 
     def test_povm_completeness_on_span(self):
         inst = ProblemInstance(5, 2, 0.5)
@@ -173,24 +166,24 @@ class TestUniversalHypothesis:
     def test_unit_trace_and_psd(self):
         for n, k, d in [(4, 1, 2), (4, 2, 2), (5, 2, 2), (4, 2, 3)]:
             for pat in enumerate_patterns(n, k):
-                rho = universal_hypothesis(pat, n, k, d)
+                rho = _rho(pat, n, d)
                 assert np.trace(rho) == pytest.approx(1.0, abs=1e-10)
                 assert np.linalg.eigvalsh(rho)[0] > -1e-10
 
     def test_two_systems_maximally_mixed(self):
         for pat in [(1,), (2,)]:
-            rho = universal_hypothesis(pat, 2, 1, 2)
+            rho = _rho(pat, 2, 2)
             assert np.abs(rho - np.eye(4) / 4).max() < 1e-12
 
     def test_rank_is_product_of_symmetric_dimensions(self):
         n, k, d = 5, 2, 2
-        rho = universal_hypothesis((2, 4), n, k, d)
+        rho = _rho((2, 4), n, d)
         rank = int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
         assert rank == binomial(k + d - 1, d - 1) * binomial(n - k + d - 1, d - 1)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            universal_hypothesis((1, 2), 3, 2, 2)
+        with pytest.raises(ValueError, match="universal_success_oracle: requires n >= 2k"):
+            universal_success_oracle(3, 2, 2)
 
     @pytest.mark.parametrize("n,k,d", [(4, 1, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
     def test_is_the_projector_onto_sym_tensor_sym(self, n, k, d):
@@ -199,7 +192,9 @@ class TestUniversalHypothesis:
         r = binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1)
         rng = np.random.default_rng(2024)
         for pat in enumerate_patterns(n, k):
-            P = r * universal_hypothesis(pat, n, k, d)
+            B = _isometry(pat, n, d)
+            assert B.shape[1] == r
+            P = B @ B.T
             assert np.abs(P - P.T).max() < 1e-12
             assert np.abs(P @ P - P).max() < 1e-12
             assert np.linalg.matrix_rank(P) == r
@@ -216,11 +211,6 @@ class TestUniversalOracle:
     def test_four_systems_one_anomaly(self):
         assert universal_success_oracle(4, 1, 2) == pytest.approx(7 / 16, abs=1e-10)
 
-    @pytest.mark.parametrize("n,k,d", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
-    def test_matches_closed_form(self, n, k, d):
-        closed = float(universal_success(UniversalInstance(n, k, d)))
-        assert abs(universal_success_oracle(n, k, d) - closed) < 1e-8
-
 
 class TestHolevoCheck:
     def _setup(self, n=4, k=1, d=2):
@@ -228,24 +218,24 @@ class TestHolevoCheck:
         hyps = [B @ B.T / B.shape[1] for B in isometries]
         proj = R @ np.sum(hyps, axis=0) @ R  # projector onto the support of rho
         c_k = 1 / (binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1))
-        return hyps, R, proj, c_k
+        return hyps, proj, c_k
 
     def test_uniform_witness_feasible(self):
-        hyps, _, proj, c_k = self._setup()
+        hyps, proj, c_k = self._setup()
         report = holevo_check(c_k * proj, hyps)
         assert report.feasible
 
     def test_zero_witness_infeasible(self):
-        hyps, _, _, _ = self._setup()
+        hyps, _, _ = self._setup()
         report = holevo_check(np.zeros_like(hyps[0]), hyps)
         assert not report.feasible
         assert report.worst_violation < -1e-3
 
-    def test_srm_induced_witness_feasible(self):
-        hyps, R, _, _ = self._setup()
-        Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
-        report = holevo_check((Y + Y.T) / 2, hyps)
-        assert report.feasible
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_witness(self, bad):
+        # a NaN eigenvalue compares as no violation; it must not pass as feasible
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            holevo_check(np.full((2, 2), bad), [np.eye(2) / 2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
