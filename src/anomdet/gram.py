@@ -10,7 +10,7 @@ on one of two paths:
   eigenvalues, summed in Python ints with one Fraction per eigenvalue;
 * log-domain float: a float overlap gives float eigenvalues, summed in
   log space from the term ratio.  Every term is positive, so this is
-  stable; it costs O(k) per eigenvalue and never builds big rationals.
+  stable; the rows go through numpy in blocks and no big rational is built.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which gram_matrix builds the N x N matrix
 PSD_CLAMP = 1e-10  # relative size of negative eigenvalues _psd_eigh clamps to zero
+LOG_ROW_BLOCK = 2**16  # array elements _log_eigenvalues fills at once: memory O(k), not O(k^2)
 
 Overlap = float | Fraction
 
@@ -130,36 +131,34 @@ def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
     return Fraction((q - p) ** j * total, q**k)
 
 
-def _log_eigenvalues(n: int, k: int, z: float) -> Iterator[float]:
-    """log lambda_j for j = 0..k in turn, for a float z = c^2 and k <= n/2.
+def _log_eigenvalues(n: int, k: int, z: float, rows: int | None = None) -> np.ndarray:
+    """log lambda_j for j = 0..rows-1 (default all k+1), for a float z = c^2, k <= n/2.
 
-    lambda_j = (1-z)^j sum_m t_m with t_m = C(k-j, m) C(n-k-j, m) z^m > 0,
-    so log t_m is a cumulative sum of the log term ratios
-    t_{m+1}/t_m = (k-j-m)(n-k-j-m) z / (m+1)^2, and the sum is a
-    logsumexp.  With i = j + m the ratio's log splits as u[i] + v[m], so
-    row j is u[j:] + v[:k-j]; every temporary is one row of length <= k.
-    The values are generated lazily: lambda_0, the largest, comes first.
+    lambda_j = (1-z)^j sum_m t_m, t_m = C(k-j, m) C(n-k-j, m) z^m > 0, is a
+    logsumexp of log t_m, the cumulative sums of log(t_{m+1}/t_m) = u[j+m] +
+    v[m] with u[i] = log((k-i)(n-k-i)), v[m] = log z - 2 log(m+1).  Row j of a
+    (rows, k) array holds these, u padded with -inf so terms past k-j vanish;
+    rows go LOG_ROW_BLOCK elements at a time, each block cut to its first row.
     """
+    rows = k + 1 if rows is None else rows
     if z == 0.0:  # orthogonal hypotheses: G = I
-        yield from [0.0] * (k + 1)
-        return
+        return np.zeros(rows)
     if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0
-        yield math.log(binomial(n, k))
-        yield from [-math.inf] * k
-        return
-    i = np.arange(k, dtype=np.float64)
-    u = np.log((k - i) * (n - k - i))
-    v = math.log(z) - 2 * np.log1p(i)
-    log_1mz = math.log1p(-z)
-    row = np.empty(k)
-    for j in range(k + 1):
-        terms = row[: k - j]  # log t_1 .. log t_{k-j}; log t_0 = 0
-        np.add(u[j:], v[: k - j], out=terms)
-        np.add.accumulate(terms, out=terms)
-        peak = max(0.0, float(terms.max())) if len(terms) else 0.0
-        np.subtract(terms, peak, out=terms)
-        total = math.exp(-peak) + float(np.exp(terms, out=terms).sum())
-        yield j * log_1mz + peak + math.log(total)
+        return np.array([math.log(binomial(n, k))] + [-math.inf] * (rows - 1))
+    m = np.arange(k, dtype=np.float64)
+    u = np.concatenate([np.log((k - m) * (n - k - m)), np.full(k, -np.inf)])
+    v = math.log(z) - 2 * np.log1p(m)
+    windows = np.ndarray((rows, k), buffer=u, strides=(u.itemsize, u.itemsize))  # row j: u[j:j+k]
+    peak, total = np.empty(rows), np.empty(rows)
+    block = max(1, LOG_ROW_BLOCK // max(k, 1))
+    for first in range(0, rows, block):
+        rows_j, width = slice(first, first + block), k - first  # later rows end sooner
+        terms = windows[rows_j, :width] + v[:width]
+        np.cumsum(terms, axis=1, out=terms)  # log t_1 .. log t_k of each row; log t_0 = 0
+        peak[rows_j] = terms.max(axis=1, initial=0.0)
+        terms -= peak[rows_j, None]
+        total[rows_j] = np.exp(-peak[rows_j]) + np.exp(terms, out=terms).sum(axis=1)
+    return np.arange(rows) * math.log1p(-z) + peak + np.log(total)
 
 
 def _multiplicities(n: int, k: int) -> Iterator[int]:
@@ -190,8 +189,8 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     Two paths: a Fraction or int overlap gives exact Fraction eigenvalues
     (integer sums, _eigenvalue); a float overlap gives float eigenvalues
     summed in log space (_log_eigenvalues), within ~1e-12 relative of the
-    exact values.  On the float path OverflowError is raised as soon as
-    lambda_0, the largest, turns out to exceed the float range.
+    exact values.  On the float path OverflowError is raised when lambda_0
+    does; as lambda_0 <= N, row 0 is evaluated alone first when N overflows.
 
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
@@ -202,6 +201,8 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
         z = Fraction(instance.c2)
         values: Iterator[Overlap] = (_eigenvalue(j, n, k, z) for j in range(k + 1))
     else:
+        if instance.N > float(np.finfo(float).max):  # exact int-float comparison
+            math.exp(_log_eigenvalues(n, k, float(instance.c2), rows=1)[0])  # may overflow
         values = map(math.exp, _log_eigenvalues(n, k, float(instance.c2)))
     entries = (
         SpectrumEntry(j=j, value=value, multiplicity=m)

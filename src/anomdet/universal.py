@@ -58,19 +58,18 @@ def universal_success(instance: UniversalInstance) -> Fraction:
     Sum over bipartitions (n-l, l), l = 0..k, of
       (n-2l+1)^2/(n-l+1)^2 * C(n-l+d-1,d-1)/C(n-k+d-1,d-1)
                            * C(n,l)/C(n,k) * C(l+d-2,d-2)/C(k+d-1,d-1).
+    Summed as integers over L = lcm((n-l+1)^2), the binomials stepped in l.
     """
     n, k, d = instance.n, instance.k, instance.d
     if n < 2 * k:
         raise ValueError(f"universal_success: requires n >= 2k, got n={n}, k={k}")
-    total = Fraction(0)
+    L = math.lcm(*range(n - k + 1, n + 2)) ** 2
+    numerator, sym, rest = 0, binomial(n + d - 1, d - 1), 1  # C(n-l+d-1,d-1), C(n,l) C(l+d-2,d-2)
     for l in range(k + 1):
-        total += (
-            Fraction(n - 2 * l + 1, n - l + 1) ** 2
-            * Fraction(binomial(n - l + d - 1, d - 1), binomial(n - k + d - 1, d - 1))
-            * Fraction(binomial(n, l), binomial(n, k))
-            * Fraction(binomial(l + d - 2, d - 2), binomial(k + d - 1, d - 1))
-        )
-    return total
+        numerator += (n - 2 * l + 1) ** 2 * (L // (n - l + 1) ** 2) * sym * rest
+        sym, rest = sym * (n - l) // (n - l + d - 1), rest * (n - l) * (l + d - 1) // (l + 1) ** 2
+    return Fraction(numerator, L * binomial(n - k + d - 1, d - 1) * binomial(n, k)
+                    * binomial(k + d - 1, d - 1))
 
 
 def universal_asymptote(k: int, d: int) -> Fraction:

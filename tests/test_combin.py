@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from anomdet.combin import (
     binomial,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from anomdet.gram import (
+    LOG_ROW_BLOCK,
     ProblemInstance,
     _eigenvalue,
     _log_eigenvalues,
@@ -21,6 +23,7 @@ from anomdet.combin import (
     pattern_distance,
 )
 from anomdet.johnson import scheme_projector
+from anomdet.protocols import min_error_success
 
 C_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -217,6 +220,47 @@ class TestLogDomainFloatPath:
             float(_eigenvalue(0, 5000, 210, Fraction(inst.c2)))
         with pytest.raises(OverflowError):
             closed_form_spectrum(inst)
+
+    @pytest.mark.parametrize("n,k", [(7, 0), (7, 1), (40, 2), (1000, 3), (300, 120)])
+    def test_every_row_matches_fraction_path(self, n, k):
+        # rows j >= 1 end in the -inf padding; the last row (no ratios) and
+        # small z (every log t_m < 0) take their peak from initial=0.0
+        for z in (0.0, 0.0025, 0.49, 0.9801, 1.0):
+            logs = _log_eigenvalues(n, k, z)
+            assert logs.shape == (k + 1,)
+            for j, log_value in enumerate(logs):
+                exact = float(_eigenvalue(j, n, k, Fraction(z)))
+                assert math.exp(log_value) == pytest.approx(exact, rel=1e-12, abs=0), (z, j)
+            assert _log_eigenvalues(n, k, z, rows=1) == pytest.approx(logs[:1], rel=1e-15)
+
+    def test_row_blocks_match_fraction_path(self):
+        # k = 300 fills its rows in more than one block, the later blocks
+        # with fewer columns; check the first row and every row from 200 on
+        n, k, z = 700, 300, 0.49
+        assert LOG_ROW_BLOCK // k < k + 1
+        logs = _log_eigenvalues(n, k, z)
+        for j in [0, *range(200, k + 1)]:
+            exact = float(_eigenvalue(j, n, k, Fraction(z)))
+            assert math.exp(logs[j]) == pytest.approx(exact, rel=1e-12, abs=0), j
+
+    def test_memory_stays_linear_in_k(self):
+        # the row blocks keep the peak far below one (k+1) x k float array
+        k = 3000
+        tracemalloc.start()
+        try:
+            value = min_error_success(ProblemInstance(3 * k, k, 0.5)).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < value <= 1
+        assert peak < (k + 1) * k * 8 // 16
+
+    def test_overflow_fails_fast_but_min_error_stays_finite(self):
+        inst = ProblemInstance(5000, 210, 0.8)
+        with pytest.raises(OverflowError):
+            closed_form_spectrum(inst)
+        value = min_error_success(inst).value
+        assert math.isfinite(value) and 0 <= value <= 1
 
     def test_identical_hypotheses(self):
         # c = 1: G is all ones, lambda_0 = N, every other eigenvalue 0 (no 0 * -inf)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,17 @@ from anomdet.universal import (
 )
 
 
+def _term_by_term(n: int, k: int, d: int) -> Fraction:
+    """The universal_success docstring's sum, one Fraction per factor."""
+    return sum(
+        Fraction(n - 2 * l + 1, n - l + 1) ** 2
+        * Fraction(math.comb(n - l + d - 1, d - 1), math.comb(n - k + d - 1, d - 1))
+        * Fraction(math.comb(n, l), math.comb(n, k))
+        * Fraction(math.comb(l + d - 2, d - 2), math.comb(k + d - 1, d - 1))
+        for l in range(k + 1)
+    )
+
+
 class TestUniversalSuccess:
     def test_no_anomalies(self):
         assert universal_success(UniversalInstance(5, 0, 2)) == 1
@@ -22,6 +34,23 @@ class TestUniversalSuccess:
     def test_rejects_too_many_anomalies(self):
         with pytest.raises(ValueError):
             universal_success(UniversalInstance(3, 2, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_equals_term_by_term_sum(self, d):
+        for n in range(1, 31):
+            for k in range(n + 1):
+                instance = UniversalInstance(n, k, d)
+                if n < 2 * k:
+                    with pytest.raises(ValueError, match="requires n >= 2k"):
+                        universal_success(instance)
+                    continue
+                value = universal_success(instance)
+                assert isinstance(value, Fraction)
+                assert value == _term_by_term(n, k, d), (n, k)
+
+    @pytest.mark.parametrize("n,k,d", [(10_000, 200, 5), (10_000, 110, 4)])
+    def test_equals_term_by_term_sum_large(self, n, k, d):
+        assert universal_success(UniversalInstance(n, k, d)) == _term_by_term(n, k, d)
 
     def test_increases_with_n(self):
         # a shallow dip sits right after n = 2k; the curve is monotone
