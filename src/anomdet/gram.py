@@ -103,6 +103,11 @@ def gram_matrix(instance: ProblemInstance):
     matrix.  Returns a float ndarray, or a nested list of Fractions when
     the instance overlap is exact.
     """
+    return _gram_and_distances(instance)[0]
+
+
+def _gram_and_distances(instance: ProblemInstance):
+    """gram_matrix(instance) and the distance matrix it is indexed by."""
     N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
@@ -111,8 +116,8 @@ def gram_matrix(instance: ProblemInstance):
     if instance.exact:
         z = Fraction(z)
         powers = np.array([z**d for d in range(instance.k + 1)], dtype=object)
-        return powers[D].tolist()
-    return np.array([z**d for d in range(instance.k + 1)])[D]
+        return powers[D].tolist(), D
+    return np.array([z**d for d in range(instance.k + 1)])[D], D
 
 
 def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:

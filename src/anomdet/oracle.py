@@ -1,9 +1,9 @@
 """Brute-force verification from explicit states and density matrices.
 
 Nothing in this module uses the closed forms: hypothesis states are
-built as literal tensor products, measurements as literal square-root
-measurements, and the universal hypotheses from the occupation-number
-(Dicke) basis of the symmetric subspaces, with no irrep dimension.
+literal tensor products (built on their support), measurements literal
+square-root measurements, and the universal hypotheses come from the
+occupation-number (Dicke) basis of the symmetric subspaces.
 This keeps the oracle independent of the spectral machinery it is used
 to check.
 """
@@ -11,8 +11,7 @@ to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,26 +38,26 @@ def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndar
 
     Qubit embedding: reference |0>, anomaly c|0> + sqrt(1-c^2)|1>; only
     the overlap c matters for the known-states problem, so qubits
-    suffice for any d.  Position by position, every row is multiplied
-    out with the factor its indicator picks: column b of the new
-    (rows, 2^pos, 2) array is the old stack times entry b of each row's
-    factor, written by one np.multiply per column.  These are the
-    products of the np.kron left fold, in the same order, so the result
-    is bit-identical to it.
+    suffice for any d.  A row is nonzero only on the 2^k strings that are
+    0 off its k = instance.k anomaly positions p_i: phi1 is folded over
+    those alone, in increasing order, next to the column indices
+    sum_i b_i 2^(n-1-p_i), and scattered into zeros.  The skipped factors
+    |0> = (1, 0) are exactly 1.0 or 0.0, so the result is bit-identical
+    to the np.kron left fold.
     """
-    n = instance.n
+    n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
         raise ValueError(f"all_hypothesis_states: n={n} exceeds cap {STATE_QUBITS_CAP}")
     c = float(instance.c)
-    factors = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1 - c * c))]])
+    phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
     rows = indicator.shape[0]
-    states = np.ones((rows, 1))
-    for pos in range(n):
-        factor = factors[indicator[:, pos]]  # phi1 at anomalies, phi0 elsewhere
-        new = np.empty((rows, states.shape[1], 2))
-        for b in range(2):
-            np.multiply(states, factor[:, b : b + 1], out=new[:, :, b])
-        states = new.reshape(rows, -1)
+    weights = 2 ** (n - 1 - np.nonzero(indicator)[1].reshape(rows, k))  # 2^(n-1-p_i)
+    core, cols = np.ones(1), np.zeros((rows, 1), dtype=weights.dtype)
+    for i in range(k):
+        core = np.multiply.outer(core, phi1).ravel()
+        cols = (cols[:, :, None] + weights[:, i, None, None] * np.arange(2)).reshape(rows, -1)
+    states = np.zeros((rows, 2**n))
+    states[np.arange(rows)[:, None], cols] = core
     return states
 
 
@@ -69,38 +68,29 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SrmResult:
-    """Square-root measurement on a stack of states V (one state per row).
-
-    `success` and `diagonal` come from the eigendecomposition G = U diag(w) U^T
-    of the Gram matrix G = V V^T.  The measurement vectors are computed on
-    first access, from the stored U, inverse square roots and states.
-    """
+    """Square-root measurement on a stack of states V (one state per row)."""
 
     success: float
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
-    eigenvectors: np.ndarray = field(repr=False)  # U
-    inverse_roots: np.ndarray = field(repr=False)  # 1/sqrt(w) on the support, 0 off it
-    states: np.ndarray = field(repr=False)  # V
 
-    @cached_property
-    def measurement_vectors(self) -> np.ndarray:
-        """Rows are the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s> in the
-        ambient space, S = sqrt(G), so that <m_r|Psi_s> = S_rs."""
-        U = self.eigenvectors
-        return ((U * self.inverse_roots) @ U.T) @ self.states
+
+def _gram_of_states(V: np.ndarray) -> np.ndarray:
+    """V V^T from the columns of V that are not all zero (386 of 1024 for the
+    states at (n, k) = (10, 4)); the dropped columns add only exact zeros."""
+    W = V[:, V.any(axis=0)]
+    return W @ W.T
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
     """Square-root-measurement success probability from explicit states.
 
-    Builds the Gram matrix G = U diag(w) U^T from inner products; its
-    square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
-    (1/N) sum_r S_rr^2 is the success probability.  The measurement
-    vectors (the POVM is |m_r><m_r|) are available for completeness
-    checks; they resolve the identity on the span of the states.  All
-    of it comes from the one eigendecomposition of G.
+    Builds the Gram matrix G = U diag(w) U^T from inner products (on the
+    columns that are not all zero, _gram_of_states); its square root
+    S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
+    (1/N) sum_r S_rr^2 is the success probability.  S_rr = <m_r|Psi_r>
+    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.
     """
-    V = np.array(states, dtype=float)
+    V = np.asarray(states, dtype=float)
     if V.ndim != 2:
         raise ValueError(
             f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"
@@ -112,18 +102,9 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
     if not np.isfinite(V).all():
         raise ValueError("srm_success_oracle: states have NaN or infinite entries")
-    w, U = _psd_eigh(V @ V.T)
-    root = np.sqrt(w)  # eigenvalues of S
-    support = root > SUPPORT_THRESHOLD
-    inv = np.where(support, 1.0 / np.where(support, root, 1.0), 0.0)
-    diag = (U * U) @ root
-    return SrmResult(
-        success=float(np.sum(diag**2) / N),
-        diagonal=diag,
-        eigenvectors=U,
-        inverse_roots=inv,
-        states=V,
-    )
+    w, U = _psd_eigh(_gram_of_states(V))
+    diag = (U * U) @ np.sqrt(w)  # eigenvalues of S are sqrt(w)
+    return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combin import binomial, distance_matrix
-from .gram import ProblemInstance, _log_spectrum, direct_spectrum, gram_matrix
+from .gram import ProblemInstance, _gram_and_distances, _log_spectrum, direct_spectrum
 from .johnson import _projector_coefficients, multiplicity
 
 __all__ = [
@@ -174,10 +174,14 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     projector has unit diagonal (checked exactly on the projector's
     rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
     Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL (scaled by
-    max |G| for the primal).  Endpoints c = 0 and c = 1 are handled
-    analytically.  Y does not depend on c: its diagonal test and minimum
-    eigenvalue run once per (n, k) (_dual_witness_checks), and Y itself
-    is rebuilt for tr(G Y).
+    scale = max |G| for the primal), so the primal test is whether Cholesky
+    factorises G - (lambda_min - CERTIFICATE_TOL * scale) I.  Its rounding
+    error, like that of an eigenvalue test, is about eps * ||G||_2 <= eps * N
+    (a row sum bounds ||G||_2), far below that margin; the worst-case bound
+    is N times larger.  Endpoints c = 0 and c = 1 are handled analytically.
+    Y does not depend on c: its diagonal test and minimum eigenvalue run
+    once per (n, k) (_dual_witness_checks), and Y itself is rebuilt for
+    tr(G Y) on the distance matrix that G is indexed by.
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -190,16 +194,21 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
         return CertificateReport(True, True, 0.0, 0.0, 0.0)
 
     lam_min = float((1 - Fraction(instance.c2)) ** m)
-    G = np.array(gram_matrix(instance), dtype=float)
+    G, D = _gram_and_distances(instance)
+    G = np.asarray(G, dtype=float)  # a fresh array, shifted in place below
     scale = max(1.0, np.abs(G).max())
-
-    shifted_min = direct_spectrum(G - lam_min * np.eye(N))[-1]
-    primal_feasible = bool(shifted_min >= -CERTIFICATE_TOL * scale)
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
     diag_ok, y_min = _dual_witness_checks(n, k, coeffs)
-    dual_value = float(np.tensordot(G, _dual_witness(n, k, coeffs, distance_matrix(n, k))) / N)
+    dual_value = float(np.tensordot(G, _dual_witness(n, k, coeffs, D)) / N)
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
+
+    G.flat[:: N + 1] -= lam_min - CERTIFICATE_TOL * scale
+    try:
+        np.linalg.cholesky(G)
+        primal_feasible = True
+    except np.linalg.LinAlgError:
+        primal_feasible = False
 
     return CertificateReport(
         primal_feasible=primal_feasible,

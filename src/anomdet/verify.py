@@ -25,6 +25,7 @@ from .combin import binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
+    _gram_of_states,
     _universal_srm,
     all_hypothesis_states,
     holevo_check,
@@ -275,7 +276,7 @@ def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states."""
     inst = ProblemInstance(n, k, c)
     V = all_hypothesis_states(inst)
-    return abs(unambiguous_success(inst).value - float(direct_spectrum(V @ V.T)[-1]))
+    return abs(unambiguous_success(inst).value - float(direct_spectrum(_gram_of_states(V))[-1]))
 
 
 def _unambiguous_certificates(n: int, k: int, c: float) -> float:

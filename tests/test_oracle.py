@@ -70,9 +70,10 @@ class TestHypothesisStates:
                     folds.append(state)
                 assert np.array_equal(all_hypothesis_states(inst), np.array(folds))
 
-    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("n", [9, 10, 12])
     def test_matches_kron_fold_bitwise_at_large_n(self, n):
-        for k in range(5):
+        # n = 12 reaches column weights 2^11 and a support of 2^12 at k = n
+        for k in (0, 1, 2, n - 1, n) if n == 12 else range(5):
             for c in (0.37, 1.0):
                 phi0 = np.array([1.0, 0.0])
                 phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
@@ -82,6 +83,15 @@ class TestHypothesisStates:
                 ]
                 states = all_hypothesis_states(ProblemInstance(n, k, c))
                 assert np.array_equal(states, np.array(folds)), (k, c)
+
+
+def _measurement_vectors(V):
+    """Rows are the SRM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>, S = sqrt(V V^T),
+    from an eigendecomposition of V V^T independent of the oracle's."""
+    vals, U = np.linalg.eigh(V @ V.T)
+    root = np.sqrt(np.clip(vals, 0.0, None))
+    inv = np.where(root > 1e-10, 1.0 / np.where(root > 1e-10, root, 1.0), 0.0)
+    return ((U * inv) @ U.T) @ V
 
 
 class TestSrmOracle:
@@ -99,7 +109,8 @@ class TestSrmOracle:
         inst = ProblemInstance(5, 2, 0.5)
         V = all_hypothesis_states(inst)
         result = srm_success_oracle(V)
-        M = result.measurement_vectors
+        M = _measurement_vectors(V)
+        assert np.abs(np.diag(M @ V.T) - result.diagonal).max() < 1e-12  # <m_r|Psi_r> = S_rr
         completeness = M.T @ M  # sum_r |m_r><m_r| in the ambient space
         # must act as identity on the span of the states
         assert np.abs(completeness @ V.T - V.T).max() < 1e-9
@@ -115,19 +126,22 @@ class TestSrmOracle:
     def test_born_rule_conditional_success(self):
         V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
         result = srm_success_oracle(V)
+        M = _measurement_vectors(V)
+        assert np.abs(np.diag(M @ V.T) - result.diagonal).max() < 1e-12  # <m_r|Psi_r> = S_rr
         # outcome distribution of the POVM when hypothesis 0 is true
-        probs = (result.measurement_vectors @ V[0]) ** 2
+        probs = (M @ V[0]) ** 2
         assert abs(probs.sum() - 1) < 1e-12
         assert abs(probs[0] - result.diagonal[0] ** 2) < 1e-12
         assert abs(probs[0] - 0.947662716995912) < 1e-10
 
-    def test_measurement_vectors_on_first_access(self):
-        V = all_hypothesis_states(ProblemInstance(5, 2, 0.5))
-        result = srm_success_oracle(V)
-        assert "measurement_vectors" not in vars(result)
-        M = result.measurement_vectors
-        assert result.measurement_vectors is M
-        assert np.abs(np.diag(M @ V.T) - result.diagonal).max() < 1e-12  # <m_r|Psi_r> = S_rr
+    @pytest.mark.parametrize("n, k, c", [(6, 2, 0.6), (8, 3, 0.3), (10, 4, 0.9)])
+    def test_all_zero_columns_do_not_change_the_result(self, n, k, c):
+        V = all_hypothesis_states(ProblemInstance(n, k, c))
+        live = [j for j in range(V.shape[1]) if np.any(V[:, j] != 0.0)]
+        assert len(live) < V.shape[1]
+        full, pruned = srm_success_oracle(V), srm_success_oracle(V[:, live])
+        assert abs(full.success - pruned.success) <= 1e-14
+        assert np.abs(full.diagonal - pruned.diagonal).max() <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_states(self, bad):

@@ -135,6 +135,35 @@ class TestCertificates:
         report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         assert report.primal_feasible and not report.dual_feasible
 
+    def test_primal_certificate_can_fail(self, monkeypatch):
+        # lambda_min(G) 1e-6 below (1-c^2)^m: the ansatz is infeasible, Y is untouched
+        true_gram = protocols._gram_and_distances
+
+        def lowered(instance):
+            G, D = true_gram(instance)
+            return G - 1e-6 * np.eye(len(G)), D
+
+        monkeypatch.setattr(protocols, "_gram_and_distances", lowered)
+        report = verify_unambiguous_certificates(ProblemInstance(7, 3, 0.5))
+        assert not report.primal_feasible and report.dual_feasible
+
+    def test_cholesky_verdict_equals_eigenvalue_verdict(self, monkeypatch):
+        # G + shift * tol * I; the eigenvalue test flips at shift = -1 (scale = max|G| = 1)
+        inst = ProblemInstance(7, 3, 0.5)
+        G, D = protocols._gram_and_distances(inst)
+        lam_min, tol, eye = 0.75**3, protocols.CERTIFICATE_TOL, np.eye(len(G))
+        verdicts = []
+        for shift in (-10, -2, -0.5, 0, 0.5, 10):
+            shifted = G + shift * tol * eye
+            monkeypatch.setattr(
+                protocols, "_gram_and_distances", lambda _, M=shifted: (M.copy(), D)
+            )
+            by_eigenvalue = bool(direct_spectrum(shifted - lam_min * eye)[-1] >= -tol)
+            report = verify_unambiguous_certificates(inst)
+            assert report.primal_feasible == by_eigenvalue, shift
+            verdicts.append(report.primal_feasible)
+        assert verdicts == [False, False, True, True, True, True]
+
     def test_dual_witness_checked_once_per_nk(self):
         protocols._dual_witness_checks.cache_clear()
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
