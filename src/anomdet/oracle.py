@@ -74,18 +74,17 @@ class SrmResult:
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
 
 
-def _gram_of_states(V: np.ndarray) -> np.ndarray:
-    """V V^T from the columns of V that are not all zero (386 of 1024 for the
-    states at (n, k) = (10, 4)); the dropped columns add only exact zeros."""
-    W = V[:, V.any(axis=0)]
-    return W @ W.T
+def _nonzero_columns(V: np.ndarray) -> np.ndarray:
+    """The columns W of V not all zero (386 of 1024 at (n, k) = (10, 4)), NaN or inf
+    ones included; W W^T = V V^T, as the dropped columns add only exact zeros."""
+    return V[:, V.any(axis=0)]
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
     """Square-root-measurement success probability from explicit states.
 
     Builds the Gram matrix G = U diag(w) U^T from inner products (on the
-    columns that are not all zero, _gram_of_states); its square root
+    columns that are not all zero, _nonzero_columns); its square root
     S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
     (1/N) sum_r S_rr^2 is the success probability.  S_rr = <m_r|Psi_r>
     for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.
@@ -100,9 +99,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError("srm_success_oracle: the stack holds no states")
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
-    if not np.isfinite(V).all():
+    W = _nonzero_columns(V)
+    if not np.isfinite(W).all():
         raise ValueError("srm_success_oracle: states have NaN or infinite entries")
-    w, U = _psd_eigh(_gram_of_states(V))
+    w, U = _psd_eigh(W @ W.T)
     diag = (U * U) @ np.sqrt(w)  # eigenvalues of S are sqrt(w)
     return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)
 

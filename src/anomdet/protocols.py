@@ -138,10 +138,11 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     """Optimal zero-error success probability (1-c^2)^min(k, n-k) = lambda_min(G).
 
     The Gram matrices of k and n-k anomalies coincide (complement symmetry).
+    With c^2 = p/q the value is the correctly rounded int quotient (q-p)^m / q^m.
     """
     k = min(instance.k, instance.n - instance.k)
-    value = float((1 - Fraction(instance.c2)) ** k)
-    return ProtocolResult(value=value, method="closed-form", instance=instance)
+    p, q = Fraction(instance.c2).as_integer_ratio()
+    return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
 def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...], D: np.ndarray) -> np.ndarray:
@@ -193,7 +194,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
         # identical hypotheses: zero-error value collapses to 0
         return CertificateReport(True, True, 0.0, 0.0, 0.0)
 
-    lam_min = float((1 - Fraction(instance.c2)) ** m)
+    lam_min = unambiguous_success(instance).value
     G, D = _gram_and_distances(instance)
     G = np.asarray(G, dtype=float)  # a fresh array, shifted in place below
     scale = max(1.0, np.abs(G).max())

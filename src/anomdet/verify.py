@@ -17,6 +17,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .combin import binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
-    _gram_of_states,
+    _nonzero_columns,
     _universal_srm,
     all_hypothesis_states,
     holevo_check,
@@ -141,11 +142,17 @@ def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
 
 # --- residuals: Johnson scheme -------------------------------------------
 
+@lru_cache(maxsize=128)
+def _intersection_numbers(n: int, k: int) -> dict[tuple[int, int], list[int]]:
+    """verify_bose_mesner_closure(scheme_basis(n, k)), once per (n, k) for two rows."""
+    return johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+
+
 def _bose_mesner_closure(n: int, k: int) -> float:
     """0 if A_i A_j stays in the span with non-negative integer coefficients
     (verify_bose_mesner_closure raises SchemeClosureError otherwise)."""
     try:
-        johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+        _intersection_numbers(n, k)
     except johnson.SchemeClosureError:
         return 1.0
     return 0.0
@@ -175,7 +182,7 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
     this is independent of the 3F2 sums behind P (Delsarte 1973).
     """
     P = johnson.eigenmatrices(n, k).P
-    p = johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
+    p = _intersection_numbers(n, k)
     return float(max(
         abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in range(k + 1)))
         for j in range(k + 1)
@@ -275,8 +282,8 @@ def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
 def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states."""
     inst = ProblemInstance(n, k, c)
-    V = all_hypothesis_states(inst)
-    return abs(unambiguous_success(inst).value - float(direct_spectrum(_gram_of_states(V))[-1]))
+    W = _nonzero_columns(all_hypothesis_states(inst))
+    return abs(unambiguous_success(inst).value - float(direct_spectrum(W @ W.T)[-1]))
 
 
 def _unambiguous_certificates(n: int, k: int, c: float) -> float:

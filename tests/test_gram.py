@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from anomdet.gram import (
-    LOG_ROW_BLOCK,
     ProblemInstance,
     _eigenvalue,
     _log_eigenvalues,
@@ -214,6 +213,24 @@ class TestLogDomainFloatPath:
             values = [e.value for e in closed_form_spectrum(ProblemInstance(n, k, c)).entries]
             assert all(math.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize("c", [0.001, 0.01])
+    def test_small_overlap_matches_mpmath(self, c):
+        # x - 1 = 2z/(1-z) is 2e-6 and 2e-4: a recurrence on the ratios
+        # P_d/P_{d-1} themselves forms (s+2) s x - b^2 and cancels there
+        n, k = 100_000, 500
+        logs = _log_eigenvalues(n, k, c * c)
+        for j in sorted({0, 1, k // 3, k // 2, k - 1, k}):
+            reference = _mp_log_eigenvalue(j, n, k, c)
+            assert abs(mpmath.expm1(logs[j] - reference)) <= 1e-13, j
+
+    @pytest.mark.parametrize(
+        "c,expected", [(0.01, 0.5200140459223979), (0.05, 3.269104897041254e-14)]
+    )
+    def test_min_error_at_large_k(self, c, expected):
+        # 20001 eigenvalues; the values are those of the earlier O(k^2) log-domain sum
+        value = min_error_success(ProblemInstance(60_000, 20_000, c)).value
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_fraction_path_overflows_alike(self):
         inst = ProblemInstance(5000, 210, 0.8)
         with pytest.raises(OverflowError):
@@ -223,28 +240,26 @@ class TestLogDomainFloatPath:
 
     @pytest.mark.parametrize("n,k", [(7, 0), (7, 1), (40, 2), (1000, 3), (300, 120)])
     def test_every_row_matches_fraction_path(self, n, k):
-        # rows j >= 1 end in the -inf padding; the last row (no ratios) and
-        # small z (every log t_m < 0) take their peak from initial=0.0
+        # k = 0 runs no recurrence step; z = 0 keeps every ratio at 1 (x = 1),
+        # z = 1 takes the all-ones branch
         for z in (0.0, 0.0025, 0.49, 0.9801, 1.0):
             logs = _log_eigenvalues(n, k, z)
             assert logs.shape == (k + 1,)
             for j, log_value in enumerate(logs):
                 exact = float(_eigenvalue(j, n, k, Fraction(z)))
                 assert math.exp(log_value) == pytest.approx(exact, rel=1e-12, abs=0), (z, j)
-            assert _log_eigenvalues(n, k, z, rows=1) == pytest.approx(logs[:1], rel=1e-15)
 
     def test_row_blocks_match_fraction_path(self):
-        # k = 300 fills its rows in more than one block, the later blocks
-        # with fewer columns; check the first row and every row from 200 on
+        # a long recurrence (300 steps): the first row sums every ratio,
+        # the rows from 200 on the first 100 or fewer
         n, k, z = 700, 300, 0.49
-        assert LOG_ROW_BLOCK // k < k + 1
         logs = _log_eigenvalues(n, k, z)
         for j in [0, *range(200, k + 1)]:
             exact = float(_eigenvalue(j, n, k, Fraction(z)))
             assert math.exp(logs[j]) == pytest.approx(exact, rel=1e-12, abs=0), j
 
     def test_memory_stays_linear_in_k(self):
-        # the row blocks keep the peak far below one (k+1) x k float array
+        # the recurrence keeps the peak far below one (k+1) x k float array
         k = 3000
         tracemalloc.start()
         try:

@@ -150,6 +150,17 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="states have NaN or infinite"):
             srm_success_oracle(V)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_in_a_zero_column(self, bad):
+        # the finiteness check runs on the nonzero columns only; the bad
+        # entry makes its otherwise all-zero column one of them
+        V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
+        dead = np.flatnonzero(~V.any(axis=0))
+        assert dead.size
+        V[3, dead[0]] = bad
+        with pytest.raises(ValueError, match="states have NaN or infinite"):
+            srm_success_oracle(V)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_rejects_gram_that_overflows(self):
         # finite states whose inner products overflow to inf

@@ -111,6 +111,20 @@ class TestUnambiguous:
                 lam_min = direct_spectrum(gram_matrix(inst))[-1]
                 assert abs(unambiguous_success(inst).value - lam_min) < 1e-10
 
+    @pytest.mark.parametrize(
+        "c", [*(i / 37 for i in range(38)), 1e-3, 0.999, 1, Fraction(1, 3), Fraction(5, 7),
+              Fraction(99, 100), Fraction(2**60 - 1, 2**60)],
+    )
+    def test_bit_identical_to_fraction_power(self, c):
+        # (q-p)^m / q^m for c^2 = p/q is one correctly rounded int quotient,
+        # as is the float of the Fraction power it replaces
+        for n, k in [(1, 0), (2, 1), (9, 4), (9, 7), (100, 37), (1000, 500), (1200, 700)]:
+            inst = ProblemInstance(n, k, c)
+            expected = float((1 - Fraction(inst.c2)) ** min(k, n - k))
+            assert unambiguous_success(inst).value == expected, (n, k)
+            if n <= 9 and 0 < float(c) < 1:  # the endpoints are analytic there
+                assert verify_unambiguous_certificates(inst).primal_value == expected, (n, k)
+
 
 class TestCertificates:
     def test_near_orthogonal(self):
