@@ -6,7 +6,7 @@ integer arrays.  Anomaly patterns are sorted tuples of 1-based positions,
 kept in lexicographic order throughout the package so that matrix rows
 have a deterministic meaning; distance_matrix gives all pairwise subset
 distances in that order, the one object every explicit N x N matrix of
-the package is indexed by.
+the package is indexed by (through one shared, read-only copy).
 """
 
 from __future__ import annotations
@@ -82,6 +82,20 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     """
     X = pattern_indicator(n, k).astype(np.float64)
     return (k - X @ X.T).astype(np.min_scalar_type(k))
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_distances(n: int, k: int) -> np.ndarray:
+    """distance_matrix(n, k), built once and shared by the package's N x N builders.
+
+    Every caller repeats one (n, k) (a Gram matrix and its certificate, the
+    k+1 projectors of one scheme), so the cache keeps a single uint8
+    matrix (25 MB at the Gram size cap, N = 5000).  The array is
+    read-only; copy it, or call distance_matrix, to modify it.
+    """
+    D = distance_matrix(n, k)
+    D.flags.writeable = False
+    return D
 
 
 def _termination_index(numerators: Sequence[Rational]) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix
+from .combin import _shared_distances, binomial
 
 __all__ = [
     "ProblemInstance",
@@ -94,29 +94,27 @@ class Spectrum:
         return np.sort(np.array(vals))[::-1]
 
 
-def gram_matrix(instance: ProblemInstance):
+def gram_matrix(instance: ProblemInstance) -> np.ndarray:
     """Explicit N x N Gram matrix in lexicographic pattern order.
 
     Entry [a, b] is (c^2)^d for the subset distance d of patterns a and b:
     the k+1 distinct powers are computed once and indexed by the distance
-    matrix.  Returns a float ndarray, or a nested list of Fractions when
-    the instance overlap is exact.
+    matrix.  Returns a float ndarray, or an object ndarray of Fractions
+    when the instance overlap is exact.
     """
     return _gram_and_distances(instance)[0]
 
 
-def _gram_and_distances(instance: ProblemInstance):
-    """gram_matrix(instance) and the distance matrix it is indexed by."""
+def _gram_and_distances(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """gram_matrix(instance) and the (shared, read-only) distance matrix it is indexed by."""
     N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
-    D = distance_matrix(instance.n, instance.k)
-    z = instance.c2
-    if instance.exact:
-        z = Fraction(z)
-        powers = np.array([z**d for d in range(instance.k + 1)], dtype=object)
-        return powers[D].tolist(), D
-    return np.array([z**d for d in range(instance.k + 1)])[D], D
+    D = _shared_distances(instance.n, instance.k)
+    z = Fraction(instance.c2) if instance.exact else instance.c2
+    dtype = object if instance.exact else float
+    powers = np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
+    return powers[D], D
 
 
 def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
@@ -164,17 +162,6 @@ def _multiplicities(n: int, k: int) -> Iterator[int]:
     for j in range(k + 1):
         yield binom - below
         below, binom = binom, binom * (n - j) // (j + 1)
-
-
-def _log_spectrum(instance: ProblemInstance) -> Iterator[tuple[int, float]]:
-    """(m_j, log lambda_j) for j = 0..min(k, n-k), on the log-domain float path.
-
-    Any overlap is taken as the float c^2 (an exact one is rounded), so
-    each log is finite or -inf even where lambda_j or m_j lies beyond the
-    float range.
-    """
-    n, k = instance.n, min(instance.k, instance.n - instance.k)
-    return zip(_multiplicities(n, k), _log_eigenvalues(n, k, float(instance.c2)))
 
 
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix, hypergeometric_terminating
+from .combin import _shared_distances, binomial, hypergeometric_terminating
 
 __all__ = [
     "SchemeBasis",
@@ -78,7 +78,7 @@ def multiplicity(n: int, j: int) -> int:
 
 def scheme_basis(n: int, k: int) -> SchemeBasis:
     """All adjacency matrices A_0..A_k, read off the distance matrix as D == i."""
-    D = distance_matrix(n, k)
+    D = _shared_distances(n, k)
     adjacency = tuple((D == i).astype(np.uint8) for i in range(k + 1))
     return SchemeBasis(n=n, k=k, adjacency=adjacency)
 
@@ -131,14 +131,17 @@ def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
     Each of the k+1 exact coefficients is rounded once, so the result
     equals the exact projector converted to float.
     """
-    D = distance_matrix(n, k)
+    D = _shared_distances(n, k)
     return np.array([float(c) for c in _projector_coefficients(n, k, j)])[D]
 
 
-def scheme_projector_exact(n: int, k: int, j: int) -> list[list[Fraction]]:
-    """E_j with exact rational entries (rank and trace both equal m_j)."""
-    D = distance_matrix(n, k)
-    return np.array(_projector_coefficients(n, k, j), dtype=object)[D].tolist()
+def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
+    """E_j as an object ndarray of Fractions (rank and trace both equal m_j).
+
+    The object-dtype form of scheme_projector: the k+1 exact coefficients
+    indexed by the distance matrix.
+    """
+    return np.array(_projector_coefficients(n, k, j), dtype=object)[_shared_distances(n, k)]
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anomdet.combin import (
+    _shared_distances,
     binomial,
     distance_matrix,
     enumerate_patterns,
@@ -113,9 +114,22 @@ class TestDistanceMatrix:
         assert pattern_indicator(5, 2) is X  # built once per (n, k)
         assert distance_matrix(5, 2).flags.writeable
 
+    def test_shared_copy_is_read_only(self):
+        D = _shared_distances(6, 3)
+        assert not D.flags.writeable
+        assert _shared_distances(6, 3) is D  # one build for repeated (n, k)
+        with pytest.raises(ValueError):
+            D[0, 0] = 1
+        fresh = distance_matrix(6, 3)
+        assert np.array_equal(fresh, D) and fresh.flags.writeable
+        fresh[0, 0] = 1  # the public function's copy stays the caller's
+        assert _shared_distances(6, 3)[0, 0] == 0
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
+        with pytest.raises(ValueError):
+            _shared_distances(3, 4)
 
 
 class TestHypergeometric:

@@ -123,7 +123,8 @@ class TestSchemeProjectors:
                     with pytest.raises(ValueError):
                         scheme_projector(n, k, j)
                     continue
-                assert np.array_equal(scheme_projector(n, k, j), np.array(exact, dtype=float))
+                assert exact.dtype == object and all(type(x) is Fraction for x in exact.flat)
+                assert np.array_equal(scheme_projector(n, k, j), exact.astype(float))
 
 
 class TestBoseMesnerClosure:

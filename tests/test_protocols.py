@@ -118,11 +118,14 @@ class TestUnambiguous:
     def test_bit_identical_to_fraction_power(self, c):
         # (q-p)^m / q^m for c^2 = p/q is one correctly rounded int quotient,
         # as is the float of the Fraction power it replaces
-        for n, k in [(1, 0), (2, 1), (9, 4), (9, 7), (100, 37), (1000, 500), (1200, 700)]:
+        # (2, 0), (2, 2) and (4, 2) take the certificate's analytic branch at
+        # c = 1 and, for (4, 2), its dense one at c = 1 - 2^-60 (float(c) == 1.0)
+        for n, k in [(1, 0), (2, 0), (2, 1), (2, 2), (4, 2), (9, 4), (9, 7), (100, 37),
+                     (1000, 500), (1200, 700)]:
             inst = ProblemInstance(n, k, c)
             expected = float((1 - Fraction(inst.c2)) ** min(k, n - k))
             assert unambiguous_success(inst).value == expected, (n, k)
-            if n <= 9 and 0 < float(c) < 1:  # the endpoints are analytic there
+            if n <= 9:
                 assert verify_unambiguous_certificates(inst).primal_value == expected, (n, k)
 
 
