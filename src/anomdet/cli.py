@@ -85,9 +85,8 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
     click.echo("j,eigenvalue,multiplicity")
-    for e in spec.entries:
-        value = str(e.value) if exact else _fmt(e.value)
-        click.echo(f"{e.j},{value},{e.multiplicity}")
+    for j, (value, m) in enumerate(zip(spec.values.tolist(), spec.multiplicities)):
+        click.echo(f"{j},{value if exact else _fmt(value)},{m}")
     if 2 * k > n:
         click.echo(f"# k > n/2: evaluated at n-k = {n - k} (complement symmetry)")
     click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}")
@@ -96,12 +95,12 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
 def _trace_status(spec, exact: bool) -> str:
     """'ok' or 'MISMATCH ...' for tr G = N: exact equality on Fractions,
     a relative residual |sum (m_j/N) lambda_j - 1| within TRACE_RTOL on floats."""
-    N = spec.instance.N
+    N, pairs = spec.instance.N, zip(spec.values.tolist(), spec.multiplicities)
     if exact:
-        trace = sum(e.value * e.multiplicity for e in spec.entries)
+        trace = sum(value * m for value, m in pairs)
         return "ok" if trace == N else f"MISMATCH {float(trace)}"
     # m_j/N first: N and m_j may exceed the float range while the eigenvalues do not
-    residual = abs(math.fsum(e.multiplicity / N * e.value for e in spec.entries) - 1)
+    residual = abs(math.fsum(m / N * value for value, m in pairs) - 1)
     status = "ok" if residual <= TRACE_RTOL else "MISMATCH"
     return f"{status} (relative residual {residual:.3g}, tolerance {TRACE_RTOL:g})"
 

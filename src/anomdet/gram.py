@@ -7,17 +7,20 @@ explicit matrix serves as the independent oracle.  The eigenvalues are
 evaluated on one of two paths:
 
 * exact: a Fraction (or int) overlap z = p/q gives exact rational
-  eigenvalues, summed in Python ints with one Fraction per eigenvalue;
+  eigenvalues, summed in Python ints (each term stepped from the last by
+  small-integer factors) with one Fraction per eigenvalue;
 * log-domain float: a float overlap gives float eigenvalues from one O(k)
   three-term Jacobi recurrence.  Every term in it is positive, so it is
   stable, and no big rational is built.
+
+A Spectrum holds the k+1 eigenvalues as one array and their exact
+multiplicities as one tuple; no object is built per eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +72,8 @@ class ProblemInstance:
 
     @property
     def exact(self) -> bool:
+        if isinstance(self.c, float):  # the common case, before the slower ABC check
+            return False
         return isinstance(self.c, (Fraction, numbers.Integral))
 
 
@@ -79,19 +84,29 @@ class SpectrumEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The min(k, n-k)+1 distinct Gram eigenvalues, largest (j=0) first."""
+    """The min(k, n-k)+1 distinct Gram eigenvalues, largest (j=0) first.
+
+    values[j] is lambda_j: a float64 ndarray, or an object ndarray of
+    Fractions when the instance overlap is exact (as gram_matrix returns).
+    multiplicities[j] is m_j as an exact int.  Spectra compare by identity
+    (eq=False): an ndarray field has no truth value.
+    """
 
     instance: ProblemInstance
-    entries: tuple[SpectrumEntry, ...]
+    values: np.ndarray
+    multiplicities: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[SpectrumEntry, ...]:
+        """(j, lambda_j, m_j) per eigenvalue, built from the arrays on each access."""
+        return tuple(SpectrumEntry(j, value, m) for j, (value, m)
+                     in enumerate(zip(self.values.tolist(), self.multiplicities)))
 
     def as_multiset(self) -> np.ndarray:
         """All N eigenvalues with repetition, descending."""
-        vals = []
-        for e in self.entries:
-            vals.extend([float(e.value)] * e.multiplicity)
-        return np.sort(np.array(vals))[::-1]
+        return np.sort(np.repeat(self.values.astype(float), self.multiplicities))[::-1]
 
 
 def gram_matrix(instance: ProblemInstance) -> np.ndarray:
@@ -105,14 +120,21 @@ def gram_matrix(instance: ProblemInstance) -> np.ndarray:
     return _gram_and_distances(instance)[0]
 
 
-def _gram_and_distances(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """gram_matrix(instance) and the (shared, read-only) distance matrix it is indexed by."""
+def _gram_and_distances(
+    instance: ProblemInstance, floats: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """gram_matrix(instance) and the (shared, read-only) distance matrix it is indexed by.
+
+    floats=True gives float64 entries for an exact overlap too: each of the
+    k+1 exact powers rounded once, the same array as converting the object
+    matrix entry by entry.
+    """
     N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     D = _shared_distances(instance.n, instance.k)
     z = Fraction(instance.c2) if instance.exact else instance.c2
-    dtype = object if instance.exact else float
+    dtype = object if instance.exact and not floats else float
     powers = np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
     return powers[D], D
 
@@ -123,14 +145,34 @@ def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
     lambda_j = (1-z)^j sum_m C(k-j, m) C(n-k-j, m) z^m
              = (q-p)^j sum_m C(k-j, m) C(n-k-j, m) p^m q^(k-j-m) / q^k,
     which equals (1-z)^j 2F1(j-k, k+j-n; 1; z) with one Fraction at the end.
+    Each integer term is the last one times (a-m)(b-m) p / ((m+1)^2 q),
+    a division that is exact because both terms are integers.
     """
     p, q = z.numerator, z.denominator
     a, b = k - j, n - k - j
-    total, p_m = 0, 1
+    total, term = 0, q**a
     for m in range(min(a, b) + 1):
-        total += math.comb(a, m) * math.comb(b, m) * p_m * q ** (a - m)
-        p_m *= p
+        total += term
+        term = term * ((a - m) * (b - m) * p) // ((m + 1) ** 2 * q)
     return Fraction((q - p) ** j * total, q**k)
+
+
+def _log_binomial_ratios(n: int, k: int) -> list[float]:
+    """log(C(n, j) / C(n, k)) for j = 0..k, k <= n/2, without a big int.
+
+    A Kahan-compensated running sum of log(C(n, j-1) / C(n, j)) =
+    log(j / (n-j+1)) downward from j = k; every term has the same sign, so
+    the sum keeps the terms' relative accuracy.  Entry 0 is -log C(n, k).
+    """
+    log = math.log
+    ratios = [0.0] * (k + 1)
+    total = comp = 0.0
+    for j in range(k, 0, -1):
+        y = log(j / (n - j + 1)) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = ratios[j - 1] = t
+    return ratios
 
 
 def _log_eigenvalues(n: int, k: int, z: float) -> np.ndarray:
@@ -142,26 +184,29 @@ def _log_eigenvalues(n: int, k: int, z: float) -> np.ndarray:
     s = 2d + b.  P_d(1) = 1 makes every term positive, so nothing cancels, and
     log lambda_j = k log(1-z) + sum_{d<=k-j} log(1+q_d).  Int quotients keep any n finite.
     """
-    if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0
-        return np.array([math.log(binomial(n, k))] + [-math.inf] * k)
+    if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0; log N without N
+        return np.array([0.0 - _log_binomial_ratios(n, k)[0]] + [-math.inf] * k)  # +0.0 at k = 0
+    log1p = math.log1p
     b, half_w = n - 2 * k, z / (1 - z)  # half_w = (x-1)/2
     logs = [0.0] * (k + 1)  # logs[k-d] = log P_d(x)
     q, total, comp = (b + 2) * half_w, 0.0, 0.0
     for d in range(1, k + 1):
-        y = math.log1p(q) - comp  # Kahan-compensated running sum
-        total, comp = total + y, ((total + y) - total) - y
-        logs[k - d] = total
+        y = log1p(q) - comp  # Kahan-compensated running sum
+        t = total + y
+        comp = (t - total) - y
+        total = logs[k - d] = t
         s, e = 2 * d + b, (d + 1) * (d + b + 1)
         q = (s + 1) * (s + 2) / e * half_w + d * (d + b) * (s + 2) / (s * e) * (q / (1 + q))
-    return np.array(logs) + k * math.log1p(-z)
+    return np.array(logs) + k * log1p(-z)
 
 
-def _multiplicities(n: int, k: int) -> Iterator[int]:
+def _multiplicities(n: int, k: int) -> tuple[int, ...]:
     """m_j = C(n, j) - C(n, j-1) for j = 0..k, from one running binomial."""
-    below, binom = 0, 1
+    mults, below, binom = [], 0, 1
     for j in range(k + 1):
-        yield binom - below
+        mults.append(binom - below)
         below, binom = binom, binom * (n - j) // (j + 1)
+    return tuple(mults)
 
 
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
@@ -184,14 +229,14 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     n, k = instance.n, min(instance.k, instance.n - instance.k)
     if instance.exact:
         z = Fraction(instance.c2)
-        values: Iterator[Overlap] = (_eigenvalue(j, n, k, z) for j in range(k + 1))
+        values = np.array([_eigenvalue(j, n, k, z) for j in range(k + 1)], dtype=object)
     else:
-        values = map(math.exp, _log_eigenvalues(n, k, float(instance.c2)).tolist())
-    entries = (
-        SpectrumEntry(j=j, value=value, multiplicity=m)
-        for j, (value, m) in enumerate(zip(values, _multiplicities(n, k)))
-    )
-    return Spectrum(instance=instance, entries=tuple(entries))
+        logs = _log_eigenvalues(n, k, float(instance.c2))
+        # lambda_0 is the largest: math.exp raises OverflowError exactly when
+        # it is beyond the float range, and otherwise np.exp cannot overflow
+        math.exp(logs[0])
+        values = np.exp(logs)
+    return Spectrum(instance=instance, values=values, multiplicities=_multiplicities(n, k))
 
 
 def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:

@@ -17,7 +17,13 @@ from functools import lru_cache
 import numpy as np
 
 from .combin import _shared_distances, binomial
-from .gram import ProblemInstance, _gram_and_distances, _log_eigenvalues, direct_spectrum
+from .gram import (
+    ProblemInstance,
+    _gram_and_distances,
+    _log_binomial_ratios,
+    _log_eigenvalues,
+    direct_spectrum,
+)
 from .johnson import _projector_coefficients, multiplicity
 
 __all__ = [
@@ -73,14 +79,11 @@ def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     """
     n, k = instance.n, min(instance.k, instance.n - instance.k)
     log_values = _log_eigenvalues(n, k, float(instance.c2)).tolist()
-    terms, log_ratio, comp = [], 0.0, 0.0  # log_ratio = log(C(n, j) / C(n, K)), K = k
-    for j in range(k, -1, -1):
-        log_weight = log_ratio + math.log((n - 2 * j + 1) / (n - j + 1))
-        terms.append(math.exp(log_weight + log_values[j] / 2))
-        if j:  # C(n, j-1) / C(n, j) = j / (n-j+1)
-            y = math.log(j / (n - j + 1)) - comp
-            log_ratio, comp = log_ratio + y, ((log_ratio + y) - log_ratio) - y
-    total = math.fsum(terms)
+    log, exp = math.log, math.exp
+    total = math.fsum(
+        exp(log_ratio + log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)
+        for j, (log_ratio, log_value) in enumerate(zip(_log_binomial_ratios(n, k), log_values))
+    )
     return ProtocolResult(value=total * total, method="closed-form", instance=instance)
 
 
@@ -152,7 +155,7 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     With c^2 = p/q the value is the correctly rounded int quotient (q-p)^m / q^m.
     """
     k = min(instance.k, instance.n - instance.k)
-    p, q = Fraction(instance.c2).as_integer_ratio()
+    p, q = instance.c2.as_integer_ratio()
     return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
@@ -192,7 +195,8 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     (a row sum bounds ||G||_2), far below that margin; the worst-case bound
     is N times larger.  Where G is the identity (c^2 = 0), all ones
     (c^2 = 1) or 1 x 1 (m = 0), lambda_min is attained exactly and both
-    certificates are analytic; the branch reads the exact c^2.
+    certificates are analytic; the branch reads the exact c^2.  For an
+    exact overlap G is a float matrix too: its k+1 exact powers rounded once.
     Y does not depend on c: its diagonal test and minimum eigenvalue run
     once per (n, k) (_dual_witness_checks), and Y itself is rebuilt for
     tr(G Y) on the distance matrix that G is indexed by.
@@ -204,8 +208,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
-    G, D = _gram_and_distances(instance)
-    G = np.asarray(G, dtype=float)  # a fresh array, shifted in place below
+    G, D = _gram_and_distances(instance, floats=True)  # a fresh array, shifted in place below
     scale = max(1.0, np.abs(G).max())
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance

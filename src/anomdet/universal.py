@@ -3,7 +3,7 @@ anomalous states are unknown.
 
 The closed form is a sum over bipartitions (n-l, l), l = 0..k, of ratios
 of unitary-group and symmetric-group irrep dimensions, evaluated in
-exact rational arithmetic.  The averages over the overlap distribution
+exact integer arithmetic by Horner's rule.  The averages over the overlap distribution
 use QUADRATURE_POINTS-point Gauss-Legendre quadrature on u = c^2.  It is
 exact for the polynomial integrand of average_known_success, but not for
 that of average_min_error_curve, whose sqrt(1-u) factors are not smooth
@@ -58,18 +58,22 @@ def universal_success(instance: UniversalInstance) -> Fraction:
     Sum over bipartitions (n-l, l), l = 0..k, of
       (n-2l+1)^2/(n-l+1)^2 * C(n-l+d-1,d-1)/C(n-k+d-1,d-1)
                            * C(n,l)/C(n,k) * C(l+d-2,d-2)/C(k+d-1,d-1).
-    Summed as integers over L = lcm((n-l+1)^2), the binomials stepped in l.
+    With c_l = (n-2l+1)^2/(n-l+1)^2 and T_l = C(n-l+d-1,d-1) C(n,l) C(l+d-2,d-2),
+    the sum is T_0 H_0 / (C(n-k+d-1,d-1) C(n,k) C(k+d-1,d-1)) by Horner's rule:
+    H_k = c_k, H_l = c_l + (T_{l+1}/T_l) H_{l+1}, where T_{l+1}/T_l =
+    (n-l)^2 (l+d-1) / ((n-l+d-1)(l+1)^2).  H is kept as U/V in integers, so
+    every product is a big integer times a small one; one Fraction at the end.
     """
     n, k, d = instance.n, instance.k, instance.d
     if n < 2 * k:
         raise ValueError(f"universal_success: requires n >= 2k, got n={n}, k={k}")
-    L = math.lcm(*range(n - k + 1, n + 2)) ** 2
-    numerator, sym, rest = 0, binomial(n + d - 1, d - 1), 1  # C(n-l+d-1,d-1), C(n,l) C(l+d-2,d-2)
-    for l in range(k + 1):
-        numerator += (n - 2 * l + 1) ** 2 * (L // (n - l + 1) ** 2) * sym * rest
-        sym, rest = sym * (n - l) // (n - l + d - 1), rest * (n - l) * (l + d - 1) // (l + 1) ** 2
-    return Fraction(numerator, L * binomial(n - k + d - 1, d - 1) * binomial(n, k)
-                    * binomial(k + d - 1, d - 1))
+    U, V = (n - 2 * k + 1) ** 2, (n - k + 1) ** 2  # H_k = c_k
+    for l in range(k - 1, -1, -1):
+        a, b = (n - 2 * l + 1) ** 2, (n - l + 1) ** 2  # c_l = a/b
+        up, down = (n - l) ** 2 * (l + d - 1), (n - l + d - 1) * (l + 1) ** 2  # T_{l+1}/T_l
+        U, V = a * down * V + b * up * U, b * down * V
+    return Fraction(binomial(n + d - 1, d - 1) * U, V * binomial(n - k + d - 1, d - 1)
+                    * binomial(n, k) * binomial(k + d - 1, d - 1))
 
 
 def universal_asymptote(k: int, d: int) -> Fraction:

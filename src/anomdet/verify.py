@@ -243,16 +243,16 @@ def _spectral_reconstruction(n: int, k: int, c: float) -> float:
     """G = sum_j lambda_j E_j."""
     inst = ProblemInstance(n, k, c)
     G = gram_matrix(inst)
-    recon = sum(float(e.value) * johnson.scheme_projector(n, k, e.j)
-                for e in closed_form_spectrum(inst).entries)
+    recon = sum(value * johnson.scheme_projector(n, k, j)
+                for j, value in enumerate(closed_form_spectrum(inst).values.tolist()))
     return float(np.abs(G - recon).max())
 
 
 def _reference_spectrum(n: int, k: int, c: Fraction) -> float:
     """Exact rows j = 0, k-1, k and their multiplicities against textbook forms."""
     z = c * c
-    entries = closed_form_spectrum(ProblemInstance(n, k, c)).entries
-    if [e.j for e in entries] != list(range(k + 1)):
+    spec = closed_form_spectrum(ProblemInstance(n, k, c))
+    if len(spec.values) != k + 1:
         return 1.0
     expected = {
         0: sum(z**i * binomial(k, i) * binomial(n - k, i) for i in range(k + 1)),
@@ -260,8 +260,8 @@ def _reference_spectrum(n: int, k: int, c: Fraction) -> float:
         k: (1 - z) ** k,
     }
     return float(max(
-        abs(entries[j].value - value)
-        + abs(entries[j].multiplicity - (binomial(n, j) - binomial(n, j - 1)))
+        abs(spec.values[j] - value)
+        + abs(spec.multiplicities[j] - (binomial(n, j) - binomial(n, j - 1)))
         for j, value in expected.items()
     ))
 

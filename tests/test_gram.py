@@ -89,7 +89,7 @@ class TestClosedFormSpectrum:
         for n in (2, 5, 11):
             z = Fraction(1, 4)
             spec = closed_form_spectrum(ProblemInstance(n, 1, Fraction(1, 2)))
-            assert [(e.value, e.multiplicity) for e in spec.entries] == [
+            assert list(zip(spec.values, spec.multiplicities)) == [
                 (1 + (n - 1) * z, 1),
                 (1 - z, n - 1),
             ]
@@ -98,7 +98,7 @@ class TestClosedFormSpectrum:
         # dense eigendecomposition of the explicit 6x6 Gram gives
         # (33/16, 15/16, 9/16) with multiplicities (1, 3, 2)
         spec = closed_form_spectrum(ProblemInstance(4, 2, Fraction(1, 2)))
-        assert [(e.value, e.multiplicity) for e in spec.entries] == [
+        assert list(zip(spec.values, spec.multiplicities)) == [
             (Fraction(33, 16), 1),
             (Fraction(15, 16), 3),
             (Fraction(9, 16), 2),
@@ -106,19 +106,19 @@ class TestClosedFormSpectrum:
 
     def test_zero_overlap(self):
         spec = closed_form_spectrum(ProblemInstance(7, 3, 0.0))
-        assert all(e.value == 1.0 for e in spec.entries)
+        assert spec.values.tolist() == [1.0] * 4
 
     def test_trace_identity(self):
         for n, k in [(6, 2), (8, 3), (9, 4)]:
             spec = closed_form_spectrum(ProblemInstance(n, k, Fraction(2, 7)))
-            assert sum(e.value * e.multiplicity for e in spec.entries) == binomial(n, k)
+            assert sum(v * m for v, m in zip(spec.values, spec.multiplicities)) == binomial(n, k)
 
     def test_perron_is_row_sum(self):
         for n, k in [(5, 2), (7, 3)]:
             inst = ProblemInstance(n, k, Fraction(3, 5))
             G = gram_matrix(inst)
             row_sum = sum(G[0])
-            assert closed_form_spectrum(inst).entries[0].value == row_sum
+            assert closed_form_spectrum(inst).values[0] == row_sum
 
     @pytest.mark.parametrize("n,k", [(6, 4), (7, 5), (8, 8), (5, 5), (9, 6)])
     def test_complement_symmetry(self, n, k):
@@ -126,8 +126,8 @@ class TestClosedFormSpectrum:
         c = Fraction(1, 2)
         spec = closed_form_spectrum(ProblemInstance(n, k, c))
         mirror = closed_form_spectrum(ProblemInstance(n, n - k, c))
-        pairs = [(e.value, e.multiplicity) for e in spec.entries]
-        assert pairs == [(e.value, e.multiplicity) for e in mirror.entries]
+        pairs = list(zip(spec.values, spec.multiplicities))
+        assert pairs == list(zip(mirror.values, mirror.multiplicities))
         assert all(m > 0 for _, m in pairs)
         assert sum(m for _, m in pairs) == binomial(n, k)
         dense = direct_spectrum(gram_matrix(ProblemInstance(n, k, c)))
@@ -135,8 +135,7 @@ class TestClosedFormSpectrum:
 
     def test_strictly_decreasing(self):
         spec = closed_form_spectrum(ProblemInstance(9, 4, 0.6))
-        vals = [e.value for e in spec.entries]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert (np.diff(spec.values) < 0).all()
 
     @pytest.mark.parametrize("c", C_GRID)
     @pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (9, 4), (8, 2)])
@@ -146,12 +145,28 @@ class TestClosedFormSpectrum:
         dense = direct_spectrum(gram_matrix(inst))
         assert np.abs(closed - dense).max() < 1e-9
 
+    @pytest.mark.parametrize("c", [0.45, Fraction(2, 3)])
+    def test_arrays_match_entries_view(self, c):
+        spec = closed_form_spectrum(ProblemInstance(9, 4, c))
+        assert spec.values.dtype == (object if isinstance(c, Fraction) else np.float64)
+        assert [(e.j, e.value, e.multiplicity) for e in spec.entries] == list(
+            zip(range(5), spec.values.tolist(), spec.multiplicities))
+        assert all(type(e.value) is type(c) for e in spec.entries)
+
+    @pytest.mark.parametrize("n,k", [(9, 4), (9, 6), (60, 30), (10_000, 200)])
+    def test_multiplicities_are_exact_ints_summing_to_N(self, n, k):
+        for c in (0.1, Fraction(1, 3)):
+            multiplicities = closed_form_spectrum(ProblemInstance(n, k, c)).multiplicities
+            assert len(multiplicities) == min(k, n - k) + 1
+            assert all(type(m) is int and m > 0 for m in multiplicities)
+            assert sum(multiplicities) == binomial(n, k)
+
     def test_spectral_reconstruction(self):
         inst = ProblemInstance(6, 2, 0.4)
         G = gram_matrix(inst)
         recon = np.zeros_like(G)
-        for e in closed_form_spectrum(inst).entries:
-            recon += float(e.value) * scheme_projector(6, 2, e.j)
+        for j, value in enumerate(closed_form_spectrum(inst).values):
+            recon += value * scheme_projector(6, 2, j)
         assert np.abs(G - recon).max() < 1e-10
 
 
@@ -163,15 +178,13 @@ class TestExactEigenvalue:
               Fraction(121, 144)],
     )
     def test_equals_hypergeometric_sum(self, z):
-        for n in range(1, 15):
-            for k in range(n // 2 + 1):
-                for j in range(k + 1):
-                    reference = (1 - z) ** j * hypergeometric_terminating(
-                        [j - k, k + j - n], [1], z
-                    )
-                    value = _eigenvalue(j, n, k, z)
-                    assert isinstance(value, Fraction)
-                    assert value == reference, (n, k, j, z)
+        cases = [(n, k) for n in range(1, 15) for k in range(n // 2 + 1)] + [(500, 10)]
+        for n, k in cases:
+            for j in range(k + 1):
+                reference = (1 - z) ** j * hypergeometric_terminating([j - k, k + j - n], [1], z)
+                value = _eigenvalue(j, n, k, z)
+                assert isinstance(value, Fraction)
+                assert value == reference, (n, k, j, z)
 
 
 def _mp_log_eigenvalue(j: int, n: int, k: int, c: float):
@@ -189,9 +202,9 @@ class TestLogDomainFloatPath:
     def test_matches_fraction_path(self, n, k, c):
         spec = closed_form_spectrum(ProblemInstance(n, k, c))
         z = Fraction(c * c)
-        for e in spec.entries:
-            exact = float(_eigenvalue(e.j, n, k, z))
-            assert e.value == pytest.approx(exact, rel=1e-11, abs=0)
+        for j, value in enumerate(spec.values):
+            exact = float(_eigenvalue(j, n, k, z))
+            assert value == pytest.approx(exact, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize(
         "n,k,c",
@@ -210,8 +223,7 @@ class TestLogDomainFloatPath:
             with pytest.raises(OverflowError):
                 closed_form_spectrum(ProblemInstance(n, k, c))
         else:
-            values = [e.value for e in closed_form_spectrum(ProblemInstance(n, k, c)).entries]
-            assert all(math.isfinite(v) for v in values)
+            assert np.isfinite(closed_form_spectrum(ProblemInstance(n, k, c)).values).all()
 
     @pytest.mark.parametrize("c", [0.001, 0.01])
     def test_small_overlap_matches_mpmath(self, c):
@@ -270,6 +282,40 @@ class TestLogDomainFloatPath:
         assert 0 < value <= 1
         assert peak < (k + 1) * k * 8 // 16
 
+    def test_overflow_boundary(self):
+        # the true lambda_0 is e^709.1 at k = 185 (below 1.8e308) and e^712.0 at k = 186
+        limit = mpmath.log(np.finfo(float).max)
+        assert _mp_log_eigenvalue(0, 5000, 185, 0.8) < limit < _mp_log_eigenvalue(0, 5000, 186, 0.8)
+        values = closed_form_spectrum(ProblemInstance(5000, 185, 0.8)).values
+        assert np.isfinite(values).all() and values[0] > 1e307
+        with pytest.raises(OverflowError):
+            closed_form_spectrum(ProblemInstance(5000, 186, 0.8))
+
+    def test_overflow_boundary_between_adjacent_overlaps(self):
+        # at the last float c below the overflow, np.exp of the whole array
+        # neither overflows nor warns (warnings are errors in this suite)
+        def overflows(c):
+            try:
+                closed_form_spectrum(ProblemInstance(5000, 185, c))
+            except OverflowError:
+                return True
+            return False
+
+        lo, hi = 0.8, 0.81
+        assert not overflows(lo) and overflows(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+        values = closed_form_spectrum(ProblemInstance(5000, 185, lo)).values
+        assert np.isfinite(values).all() and values[0] > np.finfo(float).max / 2
+
+    def test_log_binomial_at_identical_hypotheses(self):
+        # z = 1: lambda_0 = C(n, k), its log summed from log ratios without the big int
+        for n in (*range(1, 40), 64, 101, 257, 1000, 3001, 10_000, 33_333, 60_000):
+            for k in sorted({0, min(1, n // 2), n // 20, n // 7, n // 3, n // 2}):
+                expected = math.log(math.comb(n, k))
+                assert abs(_log_eigenvalues(n, k, 1.0)[0] - expected) <= 1e-15 * expected, (n, k)
+
     def test_overflow_fails_fast_but_min_error_stays_finite(self):
         inst = ProblemInstance(5000, 210, 0.8)
         with pytest.raises(OverflowError):
@@ -279,22 +325,22 @@ class TestLogDomainFloatPath:
 
     def test_identical_hypotheses(self):
         # c = 1: G is all ones, lambda_0 = N, every other eigenvalue 0 (no 0 * -inf)
-        values = [e.value for e in closed_form_spectrum(ProblemInstance(9, 4, 1.0)).entries]
+        values = closed_form_spectrum(ProblemInstance(9, 4, 1.0)).values.tolist()
         assert values[0] == pytest.approx(126, rel=1e-15)
         assert values[1:] == [0.0] * 4
 
     def test_no_anomalies(self):
-        (entry,) = closed_form_spectrum(ProblemInstance(7, 0, 0.5)).entries
-        assert (entry.value, entry.multiplicity) == (1.0, 1)
+        spec = closed_form_spectrum(ProblemInstance(7, 0, 0.5))
+        assert (spec.values.tolist(), spec.multiplicities) == ([1.0], (1,))
 
     @pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (9, 9)])
     def test_k_at_least_half(self, n, k):
         spec = closed_form_spectrum(ProblemInstance(n, k, 0.45))
         exact = closed_form_spectrum(ProblemInstance(n, k, Fraction(0.45)))
-        assert len(spec.entries) == min(k, n - k) + 1
-        for e, x in zip(spec.entries, exact.entries):
-            assert e.multiplicity == x.multiplicity
-            assert e.value == pytest.approx(float(x.value), rel=1e-13)
+        assert len(spec.values) == min(k, n - k) + 1
+        assert spec.multiplicities == exact.multiplicities
+        for value, x in zip(spec.values, exact.values):
+            assert value == pytest.approx(float(x), rel=1e-13)
 
 
 class TestDirectSpectrum:

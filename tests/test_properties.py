@@ -37,12 +37,11 @@ def instances(draw):
 @given(instances())
 def test_spectrum_matches_dense_oracle(inst):
     spec = closed_form_spectrum(inst)
-    mults = [e.multiplicity for e in spec.entries]
-    assert all(m >= 0 for m in mults)
-    assert sum(mults) == inst.N == binomial(inst.n, inst.k)
+    assert all(m >= 0 for m in spec.multiplicities)
+    assert sum(spec.multiplicities) == inst.N == binomial(inst.n, inst.k)
     dense = direct_spectrum(gram_matrix(inst))
     closed = spec.as_multiset()
-    assert np.abs(closed - dense).max() <= 1e-9 * max(1.0, float(spec.entries[0].value))
+    assert np.abs(closed - dense).max() <= 1e-9 * max(1.0, float(spec.values[0]))
 
 
 def _srm_oracle_error_bound(inst: ProblemInstance, value: float) -> float:
@@ -55,11 +54,11 @@ def _srm_oracle_error_bound(inst: ProblemInstance, value: float) -> float:
     at the noise floor, which G has at and near c = 1.
     """
     spec = closed_form_spectrum(inst)
-    lams = [float(e.value) for e in spec.entries]
+    lams = spec.values.astype(float).tolist()
     delta = inst.N * np.finfo(float).eps * lams[0]
     shift = sum(
-        e.multiplicity / inst.N * min(math.sqrt(delta), delta / (2 * math.sqrt(lam)) if lam else math.inf)
-        for e, lam in zip(spec.entries, lams)
+        m / inst.N * min(math.sqrt(delta), delta / (2 * math.sqrt(lam)) if lam else math.inf)
+        for m, lam in zip(spec.multiplicities, lams)
     )
     return 2 * math.sqrt(value) * shift + shift * shift
 

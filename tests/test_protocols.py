@@ -156,8 +156,8 @@ class TestCertificates:
         # lambda_min(G) 1e-6 below (1-c^2)^m: the ansatz is infeasible, Y is untouched
         true_gram = protocols._gram_and_distances
 
-        def lowered(instance):
-            G, D = true_gram(instance)
+        def lowered(instance, floats=False):
+            G, D = true_gram(instance, floats)
             return G - 1e-6 * np.eye(len(G)), D
 
         monkeypatch.setattr(protocols, "_gram_and_distances", lowered)
@@ -173,7 +173,7 @@ class TestCertificates:
         for shift in (-10, -2, -0.5, 0, 0.5, 10):
             shifted = G + shift * tol * eye
             monkeypatch.setattr(
-                protocols, "_gram_and_distances", lambda _, M=shifted: (M.copy(), D)
+                protocols, "_gram_and_distances", lambda _, floats=False, M=shifted: (M.copy(), D)
             )
             by_eigenvalue = bool(direct_spectrum(shifted - lam_min * eye)[-1] >= -tol)
             report = verify_unambiguous_certificates(inst)
@@ -221,6 +221,24 @@ class TestCertificates:
         monkeypatch.setattr(protocols, "_projector_coefficients", perturbed)
         report = verify_unambiguous_certificates(inst)
         assert report.primal_feasible and not report.dual_feasible
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)])
+    def test_exact_overlap_equals_object_matrix_conversion(self, monkeypatch, c):
+        # reference: the object Gram of exact powers converted to float entry by entry
+        exact_gram = protocols._gram_and_distances
+
+        def converted(instance, floats=False):
+            G, D = exact_gram(instance)
+            return np.asarray(G, dtype=float), D
+
+        for n, k in [(6, 2), (8, 3), (10, 4), (9, 5)]:
+            inst = ProblemInstance(n, k, c)
+            G = exact_gram(inst, floats=True)[0]
+            assert G.dtype == np.float64 and np.array_equal(G, converted(inst)[0])
+            report = verify_unambiguous_certificates(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocols, "_gram_and_distances", converted)
+                assert verify_unambiguous_certificates(inst) == report, (n, k)
 
     @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
     def test_whole_domain(self, c):

@@ -23,6 +23,17 @@ def _term_by_term(n: int, k: int, d: int) -> Fraction:
     )
 
 
+def _common_denominator_sum(n: int, k: int, d: int) -> Fraction:
+    """The same sum as integers over L = lcm((n-l+1)^2), the binomials stepped in l."""
+    L = math.lcm(*range(n - k + 1, n + 2)) ** 2
+    numerator, sym, rest = 0, math.comb(n + d - 1, d - 1), 1  # C(n-l+d-1,d-1), C(n,l) C(l+d-2,d-2)
+    for l in range(k + 1):
+        numerator += (n - 2 * l + 1) ** 2 * (L // (n - l + 1) ** 2) * sym * rest
+        sym, rest = sym * (n - l) // (n - l + d - 1), rest * (n - l) * (l + d - 1) // (l + 1) ** 2
+    return Fraction(numerator, L * math.comb(n - k + d - 1, d - 1) * math.comb(n, k)
+                    * math.comb(k + d - 1, d - 1))
+
+
 class TestUniversalSuccess:
     def test_no_anomalies(self):
         assert universal_success(UniversalInstance(5, 0, 2)) == 1
@@ -51,6 +62,13 @@ class TestUniversalSuccess:
     @pytest.mark.parametrize("n,k,d", [(10_000, 200, 5), (10_000, 110, 4)])
     def test_equals_term_by_term_sum_large(self, n, k, d):
         assert universal_success(UniversalInstance(n, k, d)) == _term_by_term(n, k, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equals_common_denominator_sum(self, d):
+        for k in (0, 1, 2, 3, 7, 20, 50, 110, 200):
+            for n in sorted({2 * k, 2 * k + 1, 3 * k + 2, 10_000} - {0}):
+                assert universal_success(UniversalInstance(n, k, d)) == _common_denominator_sum(
+                    n, k, d), (n, k)
 
     def test_increases_with_n(self):
         # a shallow dip sits right after n = 2k; the curve is monotone
