@@ -43,11 +43,25 @@ PSD_CLAMP = 1e-10  # relative size of negative eigenvalues _psd_eigh clamps to z
 Overlap = float | Fraction
 
 
+def _count(value, field: str) -> int:
+    """value as a Python int, for an int or numpy integer n, k or d.
+
+    Raises ValueError naming `field` for anything else: a float such as
+    5.0, a Fraction, or a bool (True is an int to Python, but never a
+    count here).
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r} ({type(value).__name__})")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
 
-    Pass c as a Fraction to get exact rational Gram entries and spectrum.
+    n and k must be integers (int or numpy integer, stored as int; not
+    bool).  Pass c as a Fraction to get exact rational Gram entries and
+    spectrum.
     """
 
     n: int
@@ -55,6 +69,10 @@ class ProblemInstance:
     c: Overlap
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:  # the common case skips the slower ABC check
+            object.__setattr__(self, "n", _count(self.n, "n"))
+        if type(self.k) is not int:
+            object.__setattr__(self, "k", _count(self.k, "k"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
@@ -105,7 +123,14 @@ class Spectrum:
                      in enumerate(zip(self.values.tolist(), self.multiplicities)))
 
     def as_multiset(self) -> np.ndarray:
-        """All N eigenvalues with repetition, descending."""
+        """All N eigenvalues with repetition, descending.
+
+        Raises ValueError, before allocating, when N exceeds GRAM_SIZE_CAP,
+        the largest N of an explicit Gram matrix to compare it with.
+        """
+        N = sum(self.multiplicities)
+        if N > GRAM_SIZE_CAP:
+            raise ValueError(f"as_multiset: N = {N} eigenvalues exceed cap {GRAM_SIZE_CAP}")
         return np.sort(np.repeat(self.values.astype(float), self.multiplicities))[::-1]
 
 
@@ -125,18 +150,22 @@ def _gram_and_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """gram_matrix(instance) and the (shared, read-only) distance matrix it is indexed by.
 
-    floats=True gives float64 entries for an exact overlap too: each of the
-    k+1 exact powers rounded once, the same array as converting the object
-    matrix entry by entry.
+    floats=True gives float64 entries for an exact overlap too (_gram_powers).
     """
     N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     D = _shared_distances(instance.n, instance.k)
+    return _gram_powers(instance, floats)[D], D
+
+
+def _gram_powers(instance: ProblemInstance, floats: bool = False) -> np.ndarray:
+    """The k+1 distinct Gram entries (c^2)^d, d = 0..k: Fractions for an exact
+    overlap, unless floats=True, which rounds each exact power once (the same
+    values as converting the Fraction entries one by one)."""
     z = Fraction(instance.c2) if instance.exact else instance.c2
     dtype = object if instance.exact and not floats else float
-    powers = np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
-    return powers[D], D
+    return np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
 
 
 def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
@@ -240,17 +269,20 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
 
 
 def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
-    """The matrix as a float array, and its largest absolute entry.
+    """The matrix as a float array (not copied when it already is one), and its
+    largest absolute entry.
 
     Raises ValueError, naming `caller`, unless the matrix is square,
     non-empty and finite.
     """
-    M = np.array(matrix, dtype=float)
+    M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{caller}: expected a square matrix, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{caller}: matrix is empty, shape {M.shape}")
-    size = float(np.abs(M).max())  # non-finite exactly when some entry is
+    # both reductions propagate NaN and carry +-inf, so size is non-finite
+    # exactly when some entry is
+    size = float(max(M.max(), -M.min()))
     if not math.isfinite(size):
         raise ValueError(f"{caller}: matrix has NaN or infinite entries")
     return M, size
@@ -259,10 +291,11 @@ def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
 def direct_spectrum(matrix) -> np.ndarray:
     """Dense symmetric eigendecomposition oracle; eigenvalues descending."""
     M, size = _finite_square(matrix, "direct_spectrum")
-    # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|)
-    if np.abs(M - M.T).max() > 1e-12 * max(1.0, size):
+    # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|); M - M^T is
+    # antisymmetric (a - b = -(b - a) exactly), so its largest entry is its largest |entry|
+    if (M - M.T).max() > 1e-12 * max(1.0, size):
         raise ValueError("direct_spectrum: matrix is not symmetric")
-    return np.sort(np.linalg.eigvalsh(M))[::-1]
+    return np.linalg.eigvalsh(M)[::-1]  # LAPACK returns them ascending
 
 
 def _psd_eigh(G) -> tuple[np.ndarray, np.ndarray]:

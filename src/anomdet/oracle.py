@@ -1,15 +1,18 @@
 """Brute-force verification from explicit states and density matrices.
 
 Nothing in this module uses the closed forms: hypothesis states are
-literal tensor products (built on their support), measurements literal
-square-root measurements, and the universal hypotheses come from the
-occupation-number (Dicke) basis of the symmetric subspaces.
+literal tensor products, written in the weight-<=k sector (the
+computational-basis strings with at most k ones, where every state with
+k anomalies lives) and built on their 2^k-string support; measurements
+are literal square-root measurements; and the universal hypotheses come
+from the occupation-number (Dicke) basis of the symmetric subspaces.
 This keeps the oracle independent of the spectral machinery it is used
 to check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,43 +30,68 @@ __all__ = [
     "holevo_check",
 ]
 
+# Largest n for the explicit-state oracles.  The sector stack is narrow
+# (1001 x 1471 at (14, 4)), so the cap no longer guards a 2^n row width; it
+# bounds the run time of `anomdet verify`, whose --max-n stops here.
 STATE_QUBITS_CAP = 14
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
 HOLEVO_TOL = 1e-9
 
 
-def _product_states(instance: ProblemInstance, indicator: np.ndarray) -> np.ndarray:
-    """One 2^n tensor-product state per row of a 0/1 (patterns x n) indicator.
+@functools.lru_cache(maxsize=32)
+def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int]:
+    """Where the 2^k support entries of the C(n, k) hypothesis states go.
+
+    Returns (index, M): M = sum_{j<=k} C(n, j) strings of weight <= k, and
+    index, a read-only C(n, k) x 2^k array of flat positions in the
+    C(n, k) x M sector stack.  Row a lists the strings that are 0 off the
+    a-th pattern's positions p_1 < ... < p_k, as sum_i b_i 2^(n-1-p_i)
+    over b in {0, 1}^k with b_1 most significant (the order of the np.kron
+    fold); each string is replaced by its rank among all strings of
+    weight <= k, in ascending integer order.  Every such string lies under
+    some pattern, so the ranks run over 0..M-1.  The layout depends on
+    (n, k) only, so it is built once and shared.
+    """
+    X = pattern_indicator(n, k)
+    rows = X.shape[0]
+    weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
+    strings = np.zeros((rows, 1), dtype=weights.dtype)
+    for i in range(k):
+        strings = (strings[:, :, None] + weights[:, i, None, None] * np.arange(2)).reshape(rows, -1)
+    sector, rank = np.unique(strings, return_inverse=True)
+    index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+    index.flags.writeable = False
+    return index, sector.size
+
+
+def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
+    """The C(n,k) hypothesis vectors (lexicographic pattern order) in the weight-<=k sector.
 
     Qubit embedding: reference |0>, anomaly c|0> + sqrt(1-c^2)|1>; only
-    the overlap c matters for the known-states problem, so qubits
-    suffice for any d.  A row is nonzero only on the 2^k strings that are
-    0 off its k = instance.k anomaly positions p_i: phi1 is folded over
-    those alone, in increasing order, next to the column indices
-    sum_i b_i 2^(n-1-p_i), and scattered into zeros.  The skipped factors
-    |0> = (1, 0) are exactly 1.0 or 0.0, so the result is bit-identical
-    to the np.kron left fold.
+    the overlap c matters for the known-states problem, so qubits suffice
+    for any d.  Returns an N x M array, M = sum_{j<=k} C(n, j): column j
+    holds the amplitude of the j-th computational-basis string of weight
+    <= k in ascending integer order, position 1 the most significant bit.
+    No state has weight outside that sector: row a is nonzero only on the
+    2^k strings that are 0 off its anomaly positions.  There phi1 is
+    folded k times in increasing position order and scattered by
+    _sector_layout.  The skipped factors |0> = (1, 0) are exactly 1.0 or
+    0.0, so every column is bit-identical to the same column of the np.kron
+    left fold; at c = 0 or 1 some sector columns are all zero.
     """
     n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
         raise ValueError(f"all_hypothesis_states: n={n} exceeds cap {STATE_QUBITS_CAP}")
+    index, width = _sector_layout(n, k)
     c = float(instance.c)
     phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-    rows = indicator.shape[0]
-    weights = 2 ** (n - 1 - np.nonzero(indicator)[1].reshape(rows, k))  # 2^(n-1-p_i)
-    core, cols = np.ones(1), np.zeros((rows, 1), dtype=weights.dtype)
-    for i in range(k):
+    core = np.ones(1)
+    for _ in range(k):
         core = np.multiply.outer(core, phi1).ravel()
-        cols = (cols[:, :, None] + weights[:, i, None, None] * np.arange(2)).reshape(rows, -1)
-    states = np.zeros((rows, 2**n))
-    states[np.arange(rows)[:, None], cols] = core
+    states = np.zeros((index.shape[0], width))
+    states.ravel()[index] = core
     return states
-
-
-def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
-    """Stack of all C(n,k) hypothesis vectors in lexicographic pattern order."""
-    return _product_states(instance, pattern_indicator(instance.n, instance.k))
 
 
 @dataclass(frozen=True)
@@ -74,20 +102,15 @@ class SrmResult:
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
 
 
-def _nonzero_columns(V: np.ndarray) -> np.ndarray:
-    """The columns W of V not all zero (386 of 1024 at (n, k) = (10, 4)), NaN or inf
-    ones included; W W^T = V V^T, as the dropped columns add only exact zeros."""
-    return V[:, V.any(axis=0)]
-
-
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
     """Square-root-measurement success probability from explicit states.
 
-    Builds the Gram matrix G = U diag(w) U^T from inner products (on the
-    columns that are not all zero, _nonzero_columns); its square root
-    S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
+    Builds the Gram matrix G = U diag(w) U^T from inner products; its
+    square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
     (1/N) sum_r S_rr^2 is the success probability.  S_rr = <m_r|Psi_r>
-    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.
+    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Any embedding
+    of the states gives the same value: columns that are zero in every
+    state add only exact zeros to G.
     """
     V = np.asarray(states, dtype=float)
     if V.ndim != 2:
@@ -99,10 +122,9 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError("srm_success_oracle: the stack holds no states")
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
-    W = _nonzero_columns(V)
-    if not np.isfinite(W).all():
+    if not np.isfinite(V).all():
         raise ValueError("srm_success_oracle: states have NaN or infinite entries")
-    w, U = _psd_eigh(W @ W.T)
+    w, U = _psd_eigh(V @ V.T)
     diag = (U * U) @ np.sqrt(w)  # eigenvalues of S are sqrt(w)
     return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)
 

@@ -20,6 +20,7 @@ from .combin import _shared_distances, binomial
 from .gram import (
     ProblemInstance,
     _gram_and_distances,
+    _gram_powers,
     _log_binomial_ratios,
     _log_eigenvalues,
     direct_spectrum,
@@ -166,17 +167,24 @@ def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...], D: np.ndarray) -
 
 
 @lru_cache(maxsize=256)
-def _dual_witness_checks(n: int, k: int, coeffs: tuple[Fraction, ...]) -> tuple[bool, float]:
-    """(diag(Y) = 1 exactly, lambda_min(Y)) for the witness of _dual_witness.
+def _dual_witness_checks(
+    n: int, k: int, coeffs: tuple[Fraction, ...]
+) -> tuple[bool, float, tuple[float, ...]]:
+    """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness of _dual_witness.
 
-    Neither depends on the overlap, so each (n, k, coefficients) key is
-    checked once; the entry holds two scalars, not Y.
+    The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
+    y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
+    the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
+    None of these depends on the overlap, so each (n, k, coefficients) key
+    is checked once; the entry holds two scalars and k+1 weights, not Y.
     """
     N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
     D = _shared_distances(n, k)
     # diag(Y) = 1 exactly, read at each distance that occurs on the diagonal of D
     diag_ok = all(coeffs[d] * N == m_m for d in np.unique(np.diagonal(D)))
-    return diag_ok, float(direct_spectrum(_dual_witness(n, k, coeffs, D))[-1])
+    counts = np.bincount(D.ravel(), minlength=k + 1).tolist()
+    weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
+    return diag_ok, float(direct_spectrum(_dual_witness(n, k, coeffs, D))[-1]), weights
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -189,34 +197,34 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     projector has unit diagonal (checked exactly on the projector's
     rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
     Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL (scaled by
-    scale = max |G| for the primal), so the primal test is whether Cholesky
-    factorises G - (lambda_min - CERTIFICATE_TOL * scale) I.  Its rounding
-    error, like that of an eigenvalue test, is about eps * ||G||_2 <= eps * N
-    (a row sum bounds ||G||_2), far below that margin; the worst-case bound
-    is N times larger.  Where G is the identity (c^2 = 0), all ones
-    (c^2 = 1) or 1 x 1 (m = 0), lambda_min is attained exactly and both
-    certificates are analytic; the branch reads the exact c^2.  For an
-    exact overlap G is a float matrix too: its k+1 exact powers rounded once.
-    Y does not depend on c: its diagonal test and minimum eigenvalue run
-    once per (n, k) (_dual_witness_checks), and Y itself is rebuilt for
-    tr(G Y) on the distance matrix that G is indexed by.
+    max |G| for the primal, which is exactly 1: every entry is a power
+    (c^2)^d <= 1, and the diagonal is (c^2)^0 = 1), so the primal test is
+    whether Cholesky factorises G - (lambda_min - CERTIFICATE_TOL) I.  Its
+    rounding error, like that of an eigenvalue test, is about
+    eps * ||G||_2 <= eps * N (a row sum bounds ||G||_2), far below that
+    margin; the worst-case bound is N times larger.  Where G is the
+    identity (c^2 = 0), all ones (c^2 = 1) or 1 x 1 (m = 0), lambda_min is
+    attained exactly and both certificates are analytic; the branch reads
+    the exact c^2.  For an exact overlap G is a float matrix too: its k+1
+    exact powers rounded once.  Y does not depend on c: its diagonal test,
+    its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
+    the powers (c^2)^d run once per (n, k) (_dual_witness_checks).
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
-    N = instance.N
     lam_min = unambiguous_success(instance).value
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
-    G, D = _gram_and_distances(instance, floats=True)  # a fresh array, shifted in place below
-    scale = max(1.0, np.abs(G).max())
+    G = _gram_and_distances(instance, floats=True)[0]  # a fresh array, shifted in place below
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
-    diag_ok, y_min = _dual_witness_checks(n, k, coeffs)
-    dual_value = float(np.tensordot(G, _dual_witness(n, k, coeffs, D)) / N)
+    diag_ok, y_min, weights = _dual_witness_checks(n, k, coeffs)
+    powers = _gram_powers(instance, floats=True).tolist()
+    dual_value = math.fsum(w * p for w, p in zip(weights, powers))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
-    G.flat[:: N + 1] -= lam_min - CERTIFICATE_TOL * scale
+    G.flat[:: len(G) + 1] -= lam_min - CERTIFICATE_TOL
     try:
         np.linalg.cholesky(G)
         primal_feasible = True

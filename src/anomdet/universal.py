@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combin import binomial
-from .gram import ProblemInstance
+from .gram import ProblemInstance, _count
 from .protocols import min_error_success
 
 __all__ = [
@@ -37,13 +37,17 @@ QUADRATURE_POINTS = 64
 @dataclass(frozen=True)
 class UniversalInstance:
     """An unknown-states detection task: n preparations, k anomalies,
-    local dimension d."""
+    local dimension d.  Each must be an integer (int or numpy integer,
+    stored as int; not bool)."""
 
     n: int
     k: int
     d: int
 
     def __post_init__(self) -> None:
+        if not type(self.n) is type(self.k) is type(self.d) is int:  # skips the ABC checks
+            for field in ("n", "k", "d"):
+                object.__setattr__(self, field, _count(getattr(self, field), field))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:

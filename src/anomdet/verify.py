@@ -26,7 +26,6 @@ from .combin import _shared_distances, binomial
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
-    _nonzero_columns,
     _universal_srm,
     all_hypothesis_states,
     holevo_check,
@@ -282,8 +281,8 @@ def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
 def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states."""
     inst = ProblemInstance(n, k, c)
-    W = _nonzero_columns(all_hypothesis_states(inst))
-    return abs(unambiguous_success(inst).value - float(direct_spectrum(W @ W.T)[-1]))
+    V = all_hypothesis_states(inst)
+    return abs(unambiguous_success(inst).value - float(direct_spectrum(V @ V.T)[-1]))
 
 
 def _unambiguous_certificates(n: int, k: int, c: float) -> float:

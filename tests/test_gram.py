@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from anomdet.gram import (
+    GRAM_SIZE_CAP,
     ProblemInstance,
+    _finite_square,
     _eigenvalue,
     _log_eigenvalues,
     closed_form_spectrum,
@@ -39,6 +41,27 @@ class TestProblemInstance:
     def test_exact_flag(self):
         assert ProblemInstance(4, 2, Fraction(1, 2)).exact
         assert not ProblemInstance(4, 2, 0.5).exact
+
+    @pytest.mark.parametrize("field, args", [
+        ("k", (10, 2.5, 0.5)),
+        ("n", (5.0, 2, 0.5)),
+        ("k", (5, 2.0, 0.5)),
+        ("n", (Fraction(5), 2, 0.5)),
+        ("n", (True, 1, 0.5)),
+        ("k", (4, False, 0.5)),
+        ("k", (4, np.bool_(True), 0.5)),
+        ("n", ("5", 2, 0.5)),
+    ])
+    def test_rejects_non_integral_counts(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ProblemInstance(*args)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, int])
+    def test_accepts_numpy_integers_as_ints(self, integer):
+        inst = ProblemInstance(integer(5), integer(2), 0.5)
+        assert type(inst.n) is int and type(inst.k) is int
+        assert inst == ProblemInstance(5, 2, 0.5)
+        assert min_error_success(inst).value == min_error_success(ProblemInstance(5, 2, 0.5)).value
 
 
 class TestGramMatrix:
@@ -152,6 +175,19 @@ class TestClosedFormSpectrum:
         assert [(e.j, e.value, e.multiplicity) for e in spec.entries] == list(
             zip(range(5), spec.values.tolist(), spec.multiplicities))
         assert all(type(e.value) is type(c) for e in spec.entries)
+
+    @pytest.mark.parametrize("n, k", [(60, 30), (2000, 40), (100, 3)])
+    def test_multiset_size_cap(self, n, k):
+        # N = C(n, k) far beyond memory (60, 30), beyond a C long (2000, 40), or
+        # just above the cap (C(100, 3) = 161700): a ValueError naming N
+        spec = closed_form_spectrum(ProblemInstance(n, k, 0.5))
+        with pytest.raises(ValueError, match=f"as_multiset: N = {binomial(n, k)} eigenvalues "
+                                             f"exceed cap {GRAM_SIZE_CAP}"):
+            spec.as_multiset()
+
+    def test_multiset_at_the_verify_cap(self):
+        values = closed_form_spectrum(ProblemInstance(14, 4, 0.5)).as_multiset()
+        assert values.shape == (1001,) and np.all(np.diff(values) <= 0)
 
     @pytest.mark.parametrize("n,k", [(9, 4), (9, 6), (60, 30), (10_000, 200)])
     def test_multiplicities_are_exact_ints_summing_to_N(self, n, k):
@@ -379,6 +415,26 @@ class TestDirectSpectrum:
             direct_spectrum(np.array([[1.0, 1.0], [1.0 + 5e-6, 1.0]]))
         ev = direct_spectrum(np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))
         assert np.abs(ev - [2.0, 0.0]).max() < 1e-12
+
+
+class TestFiniteSquare:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        # -inf among positive entries: caught by -min, not by max
+        M = np.full((3, 3), 0.5)
+        M[where] = bad
+        with pytest.raises(ValueError, match="caller: matrix has NaN or infinite entries"):
+            _finite_square(M, "caller")
+
+    def test_no_copy_of_a_float_array(self):
+        M = np.array([[1.0, -3.0], [2.0, 0.5]])
+        same, size = _finite_square(M, "caller")
+        assert same is M and size == 3.0
+
+    def test_converts_other_input(self):
+        M, size = _finite_square([[Fraction(1, 2), 1], [1, Fraction(-5, 2)]], "caller")
+        assert M.dtype == np.float64 and size == 2.5
 
 
 class TestPsdEigh:

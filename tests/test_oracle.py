@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from anomdet import oracle
 from anomdet.combin import binomial, enumerate_patterns
 from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
@@ -14,6 +15,26 @@ from anomdet.oracle import (
     srm_success_oracle,
     universal_success_oracle,
 )
+
+
+def _kron_folds(n, k, c):
+    """The hypothesis states as literal np.kron folds over all n positions (2^n wide)."""
+    phi0 = np.array([1.0, 0.0])
+    phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
+    return np.array([reduce(np.kron, [phi1 if pos in pat else phi0 for pos in range(1, n + 1)])
+                     for pat in enumerate_patterns(n, k)])
+
+
+def _sector(n, k):
+    """Mask of the 2^n strings of weight <= k."""
+    return np.array([bin(x).count("1") <= k for x in range(2**n)])
+
+
+def _pad_with_zero_columns(V):
+    """V with all-zero columns put in front of, between and after its columns."""
+    padded = np.zeros((V.shape[0], 3 * V.shape[1] + 1))
+    padded[:, 1::3] = V
+    return padded
 
 
 def _rho(pattern, n, d):
@@ -68,21 +89,47 @@ class TestHypothesisStates:
                     for pos in range(1, n + 1):
                         state = np.kron(state, phi1 if pos in pat else phi0)
                     folds.append(state)
-                assert np.array_equal(all_hypothesis_states(inst), np.array(folds))
+                folds, sector = np.array(folds), _sector(n, k)
+                assert not folds[:, ~sector].any()
+                assert np.array_equal(all_hypothesis_states(inst), folds[:, sector])
 
     @pytest.mark.parametrize("n", [9, 10, 12])
     def test_matches_kron_fold_bitwise_at_large_n(self, n):
         # n = 12 reaches column weights 2^11 and a support of 2^12 at k = n
         for k in (0, 1, 2, n - 1, n) if n == 12 else range(5):
             for c in (0.37, 1.0):
-                phi0 = np.array([1.0, 0.0])
-                phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-                folds = [
-                    reduce(np.kron, [phi1 if pos in pat else phi0 for pos in range(1, n + 1)])
-                    for pat in enumerate_patterns(n, k)
-                ]
+                folds, sector = _kron_folds(n, k, c), _sector(n, k)
+                assert not folds[:, ~sector].any(), (k, c)
                 states = all_hypothesis_states(ProblemInstance(n, k, c))
-                assert np.array_equal(states, np.array(folds)), (k, c)
+                assert np.array_equal(states, folds[:, sector]), (k, c)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (4, 2), (5, 1), (6, 3), (7, 2)])
+    def test_column_order(self, n, k):
+        # column j is the j-th string of weight <= k in ascending order,
+        # position 1 the most significant bit
+        c, s = 0.6, 0.8
+        strings = [x for x in range(2**n) if bin(x).count("1") <= k]
+        states = all_hypothesis_states(ProblemInstance(n, k, c))
+        assert states.shape == (binomial(n, k), len(strings))
+        assert len(strings) == sum(binomial(n, j) for j in range(k + 1))
+        for row, pat in zip(states, enumerate_patterns(n, k)):
+            for amplitude, x in zip(row, strings):
+                ones = {p for p in range(1, n + 1) if x >> (n - p) & 1}
+                expected = c ** (k - len(ones)) * s ** len(ones) if ones <= set(pat) else 0.0
+                assert amplitude == pytest.approx(expected, rel=1e-15, abs=0.0), (pat, x)
+
+    def test_sector_layout_read_only_and_built_once(self):
+        oracle._sector_layout.cache_clear()
+        first = all_hypothesis_states(ProblemInstance(7, 3, 0.3))
+        second = all_hypothesis_states(ProblemInstance(7, 3, 0.6))
+        info = oracle._sector_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        index, width = oracle._sector_layout(7, 3)
+        assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
+        assert first.flags.writeable  # each call returns a fresh stack
 
 
 def _measurement_vectors(V):
@@ -137,11 +184,22 @@ class TestSrmOracle:
     @pytest.mark.parametrize("n, k, c", [(6, 2, 0.6), (8, 3, 0.3), (10, 4, 0.9)])
     def test_all_zero_columns_do_not_change_the_result(self, n, k, c):
         V = all_hypothesis_states(ProblemInstance(n, k, c))
-        live = [j for j in range(V.shape[1]) if np.any(V[:, j] != 0.0)]
-        assert len(live) < V.shape[1]
-        full, pruned = srm_success_oracle(V), srm_success_oracle(V[:, live])
-        assert abs(full.success - pruned.success) <= 1e-14
-        assert np.abs(full.diagonal - pruned.diagonal).max() <= 1e-14
+        # zero columns add exact zeros to the Gram, but its nonzero terms are
+        # summed in another order: G moves by a few ulps, and the diagonal of
+        # its square root by up to about 1/(2 sqrt(lambda_min)) times that
+        padded = _pad_with_zero_columns(V)
+        assert padded.shape[1] > V.shape[1]
+        full, sector = srm_success_oracle(padded), srm_success_oracle(V)
+        assert abs(full.success - sector.success) <= 1e-14
+        assert np.abs(full.diagonal - sector.diagonal).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, k, c", [(1, 1, 0.6), (6, 2, 0.6), (8, 3, 0.3), (8, 4, 0.75),
+                                         (10, 4, 0.9), (12, 3, 0.5)])
+    def test_kron_fold_and_sector_stack_agree(self, n, k, c):
+        full = srm_success_oracle(_kron_folds(n, k, c))
+        sector = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
+        assert abs(full.success - sector.success) <= 1e-14  # rounding as above
+        assert np.abs(full.diagonal - sector.diagonal).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_states(self, bad):
@@ -152,14 +210,14 @@ class TestSrmOracle:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry_in_a_zero_column(self, bad):
-        # the finiteness check runs on the nonzero columns only; the bad
-        # entry makes its otherwise all-zero column one of them
+        # the whole stack is checked, columns that are otherwise all zero too
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
-        dead = np.flatnonzero(~V.any(axis=0))
+        padded = _pad_with_zero_columns(V)
+        dead = np.flatnonzero(~padded.any(axis=0))
         assert dead.size
-        V[3, dead[0]] = bad
+        padded[3, dead[0]] = bad
         with pytest.raises(ValueError, match="states have NaN or infinite"):
-            srm_success_oracle(V)
+            srm_success_oracle(padded)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_rejects_gram_that_overflows(self):

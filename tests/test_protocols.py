@@ -193,9 +193,29 @@ class TestCertificates:
 
     def test_dual_witness_cache_entry_holds_scalars(self):
         coeffs = protocols._projector_coefficients(8, 3, 3)
-        diag_ok, y_min = protocols._dual_witness_checks(8, 3, coeffs)
+        diag_ok, y_min, weights = protocols._dual_witness_checks(8, 3, coeffs)
         assert type(diag_ok) is bool and type(y_min) is float
         assert diag_ok and abs(y_min) <= 1e-10
+        assert type(weights) is tuple and len(weights) == 4
+        assert all(type(w) is float for w in weights)
+        # tr(G Y)/N at c^2 = 0 (G = I) is the unit diagonal of Y; at c^2 = 1
+        # (G = J) it is 1^T Y 1 / N = 0, as Y is orthogonal to the all-ones vector
+        assert weights[0] == 1.0 and abs(math.fsum(weights)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
+    def test_dual_value_equals_dense_trace(self, c):
+        # reference: tr(G Y)/N from the N x N witness, as one tensordot
+        for n in range(1, 10):
+            for k in range(n + 1):
+                if min(k, n - k) == 0:
+                    continue  # analytic branch: no witness is built
+                inst = ProblemInstance(n, k, c)
+                G, D = protocols._gram_and_distances(inst, floats=True)
+                coeffs = protocols._projector_coefficients(n, k, min(k, n - k))
+                Y = protocols._dual_witness(n, k, coeffs, D)
+                reference = float(np.tensordot(G, Y) / inst.N)
+                report = verify_unambiguous_certificates(inst)
+                assert abs(report.dual_value - reference) <= 1e-14, (n, k)
 
     def test_endpoints_stay_analytic_with_a_warm_cache(self):
         verify_unambiguous_certificates(ProblemInstance(5, 2, 0.5))

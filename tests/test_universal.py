@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from anomdet.universal import (
@@ -32,6 +33,25 @@ def _common_denominator_sum(n: int, k: int, d: int) -> Fraction:
         sym, rest = sym * (n - l) // (n - l + d - 1), rest * (n - l) * (l + d - 1) // (l + 1) ** 2
     return Fraction(numerator, L * math.comb(n - k + d - 1, d - 1) * math.comb(n, k)
                     * math.comb(k + d - 1, d - 1))
+
+
+class TestUniversalInstance:
+    @pytest.mark.parametrize("field, args", [
+        ("n", (6.0, 2, 2)),
+        ("k", (6, 2.5, 2)),
+        ("d", (6, 2, 2.0)),
+        ("d", (6, 2, True)),
+        ("d", (6, 2, Fraction(3))),
+    ])
+    def test_rejects_non_integral_values(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            UniversalInstance(*args)
+
+    def test_accepts_numpy_integers_as_ints(self):
+        inst = UniversalInstance(np.int64(6), np.int32(2), np.uint8(3))
+        assert inst == UniversalInstance(6, 2, 3)
+        assert all(type(v) is int for v in (inst.n, inst.k, inst.d))
+        assert universal_success(inst) == universal_success(UniversalInstance(6, 2, 3))
 
 
 class TestUniversalSuccess:
