@@ -147,8 +147,9 @@ def gram_matrix(instance: ProblemInstance) -> np.ndarray:
 
 def _gram_and_distances(
     instance: ProblemInstance, floats: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """gram_matrix(instance) and the (shared, read-only) distance matrix it is indexed by.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gram_matrix(instance), the (shared, read-only) distance matrix it is
+    indexed by, and the k+1 powers (c^2)^d it is indexed from.
 
     floats=True gives float64 entries for an exact overlap too (_gram_powers).
     """
@@ -156,7 +157,8 @@ def _gram_and_distances(
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     D = _shared_distances(instance.n, instance.k)
-    return _gram_powers(instance, floats)[D], D
+    powers = _gram_powers(instance, floats)
+    return powers[D], D, powers
 
 
 def _gram_powers(instance: ProblemInstance, floats: bool = False) -> np.ndarray:

@@ -108,9 +108,13 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     Builds the Gram matrix G = U diag(w) U^T from inner products; its
     square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
     (1/N) sum_r S_rr^2 is the success probability.  S_rr = <m_r|Psi_r>
-    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Any embedding
-    of the states gives the same value: columns that are zero in every
-    state add only exact zeros to G.
+    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Columns that
+    are zero in every state (in a sector stack, only at c = 0 or 1) are
+    dropped before G is formed: they would add only exact zeros, but a
+    longer inner dimension regroups BLAS's partial sums, moving G by an
+    ulp and the diagonal of its square root by far more.  So any embedding
+    of the states (the sector stack, the 2^n fold, extra padding) gives
+    the same bits.
     """
     V = np.asarray(states, dtype=float)
     if V.ndim != 2:
@@ -124,6 +128,9 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
     if not np.isfinite(V).all():
         raise ValueError("srm_success_oracle: states have NaN or infinite entries")
+    live = V.any(axis=0)
+    if not live.all():
+        V = V[:, live]
     w, U = _psd_eigh(V @ V.T)
     diag = (U * U) @ np.sqrt(w)  # eigenvalues of S are sqrt(w)
     return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)

@@ -20,7 +20,6 @@ from .combin import _shared_distances, binomial
 from .gram import (
     ProblemInstance,
     _gram_and_distances,
-    _gram_powers,
     _log_binomial_ratios,
     _log_eigenvalues,
     direct_spectrum,
@@ -216,12 +215,11 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
-    G = _gram_and_distances(instance, floats=True)[0]  # a fresh array, shifted in place below
+    G, _, powers = _gram_and_distances(instance, floats=True)  # G is fresh, shifted in place below
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
     diag_ok, y_min, weights = _dual_witness_checks(n, k, coeffs)
-    powers = _gram_powers(instance, floats=True).tolist()
-    dual_value = math.fsum(w * p for w, p in zip(weights, powers))
+    dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
     G.flat[:: len(G) + 1] -= lam_min - CERTIFICATE_TOL

@@ -157,8 +157,8 @@ class TestCertificates:
         true_gram = protocols._gram_and_distances
 
         def lowered(instance, floats=False):
-            G, D = true_gram(instance, floats)
-            return G - 1e-6 * np.eye(len(G)), D
+            G, D, powers = true_gram(instance, floats)
+            return G - 1e-6 * np.eye(len(G)), D, powers
 
         monkeypatch.setattr(protocols, "_gram_and_distances", lowered)
         report = verify_unambiguous_certificates(ProblemInstance(7, 3, 0.5))
@@ -167,13 +167,15 @@ class TestCertificates:
     def test_cholesky_verdict_equals_eigenvalue_verdict(self, monkeypatch):
         # G + shift * tol * I; the eigenvalue test flips at shift = -1 (scale = max|G| = 1)
         inst = ProblemInstance(7, 3, 0.5)
-        G, D = protocols._gram_and_distances(inst)
+        G, D, powers = protocols._gram_and_distances(inst)
         lam_min, tol, eye = 0.75**3, protocols.CERTIFICATE_TOL, np.eye(len(G))
         verdicts = []
         for shift in (-10, -2, -0.5, 0, 0.5, 10):
             shifted = G + shift * tol * eye
             monkeypatch.setattr(
-                protocols, "_gram_and_distances", lambda _, floats=False, M=shifted: (M.copy(), D)
+                protocols,
+                "_gram_and_distances",
+                lambda _, floats=False, M=shifted: (M.copy(), D, powers),
             )
             by_eigenvalue = bool(direct_spectrum(shifted - lam_min * eye)[-1] >= -tol)
             report = verify_unambiguous_certificates(inst)
@@ -210,7 +212,7 @@ class TestCertificates:
                 if min(k, n - k) == 0:
                     continue  # analytic branch: no witness is built
                 inst = ProblemInstance(n, k, c)
-                G, D = protocols._gram_and_distances(inst, floats=True)
+                G, D, _ = protocols._gram_and_distances(inst, floats=True)
                 coeffs = protocols._projector_coefficients(n, k, min(k, n - k))
                 Y = protocols._dual_witness(n, k, coeffs, D)
                 reference = float(np.tensordot(G, Y) / inst.N)
@@ -248,8 +250,8 @@ class TestCertificates:
         exact_gram = protocols._gram_and_distances
 
         def converted(instance, floats=False):
-            G, D = exact_gram(instance)
-            return np.asarray(G, dtype=float), D
+            G, D, powers = exact_gram(instance)
+            return np.asarray(G, dtype=float), D, np.asarray(powers, dtype=float)
 
         for n, k in [(6, 2), (8, 3), (10, 4), (9, 5)]:
             inst = ProblemInstance(n, k, c)
