@@ -190,8 +190,8 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
                 rows.append(f"{n},{k},{d},average,{_fmt(value)}")
                 rows.append(f"{n},{k},{d},average_asymptote,"
                             f"{_fmt(universal_asymptote(k, d))}")
-    except ValueError as exc:
-        _fail_params(str(exc))
+    except (ValueError, ArithmeticError) as exc:
+        _fail_params(_describe(exc))
 
     text = "\n".join(rows) + "\n"
     if out_path == "-":

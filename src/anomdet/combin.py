@@ -1,10 +1,10 @@
-"""Exact integer/rational primitives: binomials, k-subset patterns and
-their distance matrix, and terminating hypergeometric series.
+"""Exact integer primitives: binomials, k-subset patterns and their
+distance matrix.
 
-Everything here is pure and exact: results are ints, Fractions or
-integer arrays.  Anomaly patterns are sorted tuples of 1-based positions,
-kept in lexicographic order throughout the package so that matrix rows
-have a deterministic meaning; distance_matrix gives all pairwise subset
+Everything here is pure and exact: results are ints or integer arrays.
+Anomaly patterns are sorted tuples of 1-based positions, kept in
+lexicographic order throughout the package so that matrix rows have a
+deterministic meaning; distance_matrix gives all pairwise subset
 distances in that order, the one object every explicit N x N matrix of
 the package is indexed by (through one shared, read-only copy).
 """
@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-
-Rational = int | Fraction
 
 __all__ = [
     "binomial",
@@ -27,7 +24,6 @@ __all__ = [
     "pattern_distance",
     "pattern_indicator",
     "distance_matrix",
-    "hypergeometric_terminating",
 ]
 
 
@@ -96,54 +92,3 @@ def _shared_distances(n: int, k: int) -> np.ndarray:
     D = distance_matrix(n, k)
     D.flags.writeable = False
     return D
-
-
-def _termination_index(numerators: Sequence[Rational]) -> int:
-    cutoffs = [
-        int(-a)
-        for a in (Fraction(a) for a in numerators)
-        if a <= 0 and a.denominator == 1
-    ]
-    if not cutoffs:
-        raise ValueError(
-            "hypergeometric_terminating: no non-positive-integer numerator "
-            "parameter, series does not terminate"
-        )
-    return min(cutoffs)
-
-
-def hypergeometric_terminating(
-    numerators: Sequence[Rational],
-    denominators: Sequence[Rational],
-    z: Rational,
-) -> Fraction:
-    """Exact pFq(a_1..a_p; b_1..b_q; z) for a terminating series.
-
-    Some numerator parameter must be a non-positive integer -m; the sum
-    then runs over 0..m.  Denominator parameters that would produce a
-    zero Pochhammer factor before the cut-off are rejected.
-    """
-    cutoff = _termination_index(numerators)
-    for b in (Fraction(b) for b in denominators):
-        if b <= 0 and b.denominator == 1 and -int(b) < cutoff:
-            raise ValueError(
-                f"hypergeometric_terminating: denominator parameter {b} "
-                f"vanishes before termination at m={cutoff}"
-            )
-    z = Fraction(z)
-    total = Fraction(0)
-    term = Fraction(1)
-    nums = [Fraction(a) for a in numerators]
-    dens = [Fraction(b) for b in denominators]
-    for m in range(cutoff + 1):
-        total += term
-        if m == cutoff:
-            break
-        # ratio of term m+1 to term m
-        for a in nums:
-            term *= a + m
-        for b in dens:
-            term /= b + m
-        term *= z
-        term /= m + 1
-    return total

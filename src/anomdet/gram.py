@@ -60,8 +60,9 @@ class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
 
     n and k must be integers (int or numpy integer, stored as int; not
-    bool).  Pass c as a Fraction to get exact rational Gram entries and
-    spectrum.
+    bool).  c is a number in [0, 1].  Pass c as a Fraction to get exact
+    rational Gram entries and spectrum; the ints 0 and 1 are exact too.  A
+    bool c is rejected, as True would silently become the overlap 1.
     """
 
     n: int
@@ -77,6 +78,8 @@ class ProblemInstance:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"k must be in [0, n], got k={self.k}, n={self.n}")
+        if type(self.c) is not float and isinstance(self.c, (bool, np.bool_)):
+            raise ValueError(f"overlap c must not be a bool, got {self.c!r}")
         if not 0 <= self.c <= 1:
             raise ValueError(f"overlap c must be in [0, 1], got {self.c}")
 

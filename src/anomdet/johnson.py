@@ -12,7 +12,12 @@ Index conventions used throughout:
   * Hahn polynomials carry parameters (-n+k-1, -k-1, k): this is the
     parameter set that simultaneously reproduces the known degree-1
     closed form 1 - n x / (k(n-k)) and the adjacency spectra, and it is
-    validated against a dense eigensolver in the tests.
+    validated against a dense eigensolver in the tests.  Each value is
+    its terminating 3F2 summed by Horner's rule in integers, with one
+    Fraction at the end.
+  * The closure check forms A_i A_j for i <= j only: the A_i are
+    symmetric, so a product in their span is symmetric too and the
+    algebra is commutative (Delsarte 1973).
   * The coefficients of E_j depend on (n, k, j) only, never on an
     overlap; they are computed once and shared by the float and exact
     projectors and by the unambiguous certificates.
@@ -26,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import _shared_distances, binomial, hypergeometric_terminating
+from .combin import _shared_distances, binomial
 
 __all__ = [
     "SchemeBasis",
@@ -86,11 +91,29 @@ def scheme_basis(n: int, k: int) -> SchemeBasis:
 def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     """Hahn polynomial value Q_j(x) for the scheme on k-subsets of {1..n}.
 
-    3F2(-j, j-n-1, -x; -n+k, -k; 1); degree 1 is 1 - n x / (k(n-k)).
+    3F2(-j, j-n-1, -x; -n+k, -k; 1); degree 1 is 1 - n x / (k(n-k)).  The
+    series stops at m = min(j, x, n+1-j), and term m+1 is term m times
+    -(j-m)(x-m)(n+1-j-m) / ((n-k-m)(k-m)(m+1)).  Horner's rule from the top
+    term keeps the partial sum as U/V in integers; one Fraction at the end.
+    A series that reaches past m = n-k, where (-n+k)_m vanishes, has no
+    value (j > n-k when k > n/2) and raises ValueError.
     """
     if not 0 <= j <= k:
         raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {k}]")
-    return hypergeometric_terminating([-j, j - n - 1, -x], [-n + k, -k], 1)
+    if not 0 <= x <= k:
+        raise ValueError(f"hahn_polynomial: distance {x} out of range [0, {k}]")
+    cutoff = min(j, x, n + 1 - j)
+    if cutoff > n - k:
+        raise ValueError(
+            f"hahn_polynomial: Q_{j}({x}) undefined for (n, k) = ({n}, {k}): "
+            f"the series reaches m = {cutoff} > n - k"
+        )
+    U = V = 1  # H_cutoff = 1, H_m = 1 + (a/b) H_{m+1}, the sum is H_0
+    for m in range(cutoff - 1, -1, -1):
+        a = -(j - m) * (x - m) * (n + 1 - j - m)
+        b = (n - k - m) * (k - m) * (m + 1)
+        U, V = b * V + a * U, b * V
+    return Fraction(U, V)
 
 
 def eigenmatrices(n: int, k: int) -> Eigenmatrices:
@@ -147,12 +170,20 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:
     """Intersection numbers p_ij^l with A_i A_j = sum_l p_ij^l A_l.
 
-    Returns {(i, j): [p_ij^0, ..., p_ij^k]}.  Raises SchemeClosureError
-    if the A_l overlap, if any product leaves the span or if any
-    coefficient is not a non-negative integer (all signal a construction
-    bug).
+    Returns {(i, j): [p_ij^0, ..., p_ij^k]} for every ordered pair.  Raises
+    SchemeClosureError if an A_l is not symmetric, if the A_l overlap, if
+    any product leaves the span or if any coefficient is not a
+    non-negative integer (all signal a construction bug).  Only the
+    products with i <= j are formed: one in the span of the symmetric A_l
+    is symmetric, so A_j A_i = (A_i A_j)^T = A_i A_j and the algebra
+    commutes.
     """
     k = basis.k
+    for l, A in enumerate(basis.adjacency):
+        if not np.array_equal(A, A.T):
+            raise SchemeClosureError(
+                f"A_{l} is not symmetric for (n, k) = ({basis.n}, {basis.k})"
+            )
     # 0/1 entries and counts <= N < 2^53: float64 (BLAS) products are exact
     mats = np.array(basis.adjacency, dtype=np.float64)
     cover = mats.sum(axis=0)
@@ -168,7 +199,7 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
     reps = [int(A.argmax()) if A.any() else None for A in basis.adjacency]
     numbers: dict[tuple[int, int], list[int]] = {}
     for i in range(k + 1):
-        for j in range(k + 1):
+        for j in range(i, k + 1):
             prod = (mats[i] @ mats[j]).astype(np.int64)
             coeffs = []
             for l, rep in enumerate(reps):
@@ -188,8 +219,5 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
                     f"(n, k) = ({basis.n}, {basis.k})"
                 )
             numbers[(i, j)] = coeffs
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            if numbers[(i, j)] != numbers[(j, i)]:
-                raise SchemeClosureError(f"A_{i} and A_{j} do not commute")
+            numbers[(j, i)] = list(coeffs)  # a copy: a caller may edit one entry
     return numbers

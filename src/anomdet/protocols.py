@@ -91,7 +91,8 @@ def min_error_asymptotic(instance: ProblemInstance) -> ProtocolResult:
     """Two leading terms of the large-n expansion of the minimum-error value.
 
     (1-c^2)^k + 2 k c (1-c^2)^(k-1/2) / sqrt(n).  Not clamped to [0, 1];
-    warns when k/n > 0.1.
+    warns when k/n > 0.1.  At k = 0 the second term is 0 and the value is
+    exactly 1, also at c = 1, where (1-c^2)^(-1/2) is undefined.
     """
     n, k = instance.n, instance.k
     if k >= n:
@@ -104,7 +105,9 @@ def min_error_asymptotic(instance: ProblemInstance) -> ProtocolResult:
         )
     c = float(instance.c)
     q = 1 - c * c
-    value = q**k + 2 * k * c * q ** (k - 0.5) / math.sqrt(n)
+    value = q**k
+    if k:
+        value += 2 * k * c * q ** (k - 0.5) / math.sqrt(n)
     return ProtocolResult(value=value, method="asymptotic", instance=instance)
 
 

@@ -178,7 +178,8 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
     """P[j][1] P[j][i] = sum_l p_1i^l P[j][l] (A_1 A_i on the j-th eigenspace).
 
     The intersection numbers are counted from the adjacency matrices, so
-    this is independent of the 3F2 sums behind P (Delsarte 1973).
+    this is independent of the Hahn values behind P, each its 3F2 summed in
+    integers (Delsarte 1973).
     """
     P = johnson.eigenmatrices(n, k).P
     p = _intersection_numbers(n, k)

@@ -133,6 +133,27 @@ class TestSweepCommand:
         values = [float(r[4]) for r in rows if r[3] == "minerr"]
         assert all(a > b for a, b in zip(values, values[1:]))  # decreasing in n
 
+    def test_minerr_without_anomalies_at_identical_states(self, runner):
+        args = ["sweep", "--protocol", "minerr", "--n-range", "2:5", "--k", "0",
+                "--c-grid", "0.5,1"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0
+        rows = _rows(result.output)
+        assert len(rows) == 4 * 2 * 3  # n, c, (minerr, asymptote, limit)
+        assert all(float(r[4]) == 1.0 for r in rows)
+
+    def test_arithmetic_error_exit_2(self, runner, monkeypatch):
+        import anomdet.cli as cli_mod
+
+        def overflows(inst):
+            raise OverflowError("planted")
+
+        monkeypatch.setattr(cli_mod, "min_error_success", overflows)
+        args = ["sweep", "--protocol", "minerr", "--n-range", "4:6", "--k", "1"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert "value not representable (OverflowError: planted)" in result.output
+
     def test_byte_stability(self, runner, tmp_path):
         args = ["sweep", "--protocol", "universal", "--n-range", "2:30:4", "--k", "1", "--d", "2"]
         first = runner.invoke(main, args)

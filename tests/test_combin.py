@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from anomdet.combin import (
     binomial,
     distance_matrix,
     enumerate_patterns,
-    hypergeometric_terminating,
     pattern_distance,
     pattern_indicator,
 )
@@ -131,37 +128,3 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             _shared_distances(3, 4)
 
-
-class TestHypergeometric:
-    def test_zero_numerator_parameter(self):
-        assert hypergeometric_terminating([0, Fraction(5, 3)], [1], Fraction(1, 7)) == 1
-
-    def test_two_term_expansion(self):
-        # 2F1(-1, -(n-1); 1; z) = 1 + (n-1) z
-        for n in (2, 5, 9):
-            z = Fraction(1, 3)
-            assert hypergeometric_terminating([-1, -(n - 1)], [1], z) == 1 + (n - 1) * z
-
-    def test_perron_eigenvalue_sum(self):
-        # 2F1(-k, -(n-k); 1; z) = sum_i C(k,i) C(n-k,i) z^i
-        from anomdet.combin import binomial
-
-        for n, k in [(6, 2), (9, 4), (10, 3)]:
-            z = Fraction(2, 5)
-            expected = sum(
-                binomial(k, i) * binomial(n - k, i) * z**i for i in range(k + 1)
-            )
-            assert hypergeometric_terminating([-k, -(n - k)], [1], z) == expected
-
-    def test_non_terminating_rejected(self):
-        with pytest.raises(ValueError):
-            hypergeometric_terminating([Fraction(1, 2), 2], [1], Fraction(1, 2))
-
-    def test_denominator_zero_before_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            hypergeometric_terminating([-5], [-2], 1)
-
-    def test_denominator_zero_at_or_after_cutoff_ok(self):
-        # (-5)_m never vanishes for m <= 3
-        hypergeometric_terminating([-3], [-5], Fraction(1, 2))
-        hypergeometric_terminating([-3], [-3], Fraction(1, 2))

@@ -45,7 +45,8 @@ class TestHahnPolynomials:
             assert hahn_polynomial(0, x, 9, 3) == 1
 
     def test_degree_one_closed_form(self):
-        for n, k in GRID:
+        # k > n/2 too: degree 1 stops at m = 1 <= n-k, also for a distance x > n-k
+        for n, k in GRID + [(5, 3), (5, 4), (7, 5), (6, 5)]:
             for x in range(k + 1):
                 assert hahn_polynomial(1, x, n, k) == 1 - Fraction(n * x, k * (n - k))
 
@@ -56,8 +57,12 @@ class TestHahnPolynomials:
                 assert hahn_polynomial(j, 0, n, k) == 1
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            hahn_polynomial(3, 0, 5, 2)
+        # (j, x, n, k): degree past k; a series past m = n-k (k > n/2); x outside [0, k]
+        for args in [(3, 0, 5, 2), (-1, 0, 5, 2), (3, 3, 5, 3), (2, 2, 5, 4), (4, 4, 6, 4),
+                     (1, -1, 5, 2), (1, 3, 5, 2), (0, 3, 5, 2)]:
+            with pytest.raises(ValueError):
+                hahn_polynomial(*args)
+
 
 
 class TestEigenmatrices:
@@ -140,6 +145,9 @@ class TestBoseMesnerClosure:
             assert numbers[(i, i)][0] == valency(n, k, i)
         for coeffs in numbers.values():
             assert all(isinstance(v, int) and v >= 0 for v in coeffs)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                assert numbers[(i, j)] == numbers[(j, i)]  # the algebra commutes
 
     def test_tampered_basis_fails(self):
         basis = scheme_basis(4, 2)
@@ -148,6 +156,16 @@ class TestBoseMesnerClosure:
         broken[1, 0] ^= 1
         tampered = type(basis)(n=4, k=2, adjacency=(basis.adjacency[0], broken, basis.adjacency[2]))
         with pytest.raises(SchemeClosureError):
+            verify_bose_mesner_closure(tampered)
+
+    def test_non_symmetric_basis_fails(self):
+        # still a partition of J, but A_1 takes one entry (0, b) of A_2 and not (b, 0)
+        basis = scheme_basis(4, 2)
+        A1, A2 = basis.adjacency[1].copy(), basis.adjacency[2].copy()
+        b = int(np.flatnonzero(A2[0])[0])
+        A1[0, b], A2[0, b] = 1, 0
+        tampered = type(basis)(n=4, k=2, adjacency=(basis.adjacency[0], A1, A2))
+        with pytest.raises(SchemeClosureError, match="A_1 is not symmetric"):
             verify_bose_mesner_closure(tampered)
 
     def test_overlapping_basis_fails(self):

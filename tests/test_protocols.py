@@ -50,10 +50,10 @@ class TestMinError:
 
 
 class TestAsymptotic:
-    def test_leading_terms(self):
-        # the flat dashed lines at c = 1/2: (3/4)^k
-        assert (1 - 0.25) ** 2 == pytest.approx(0.5625)
-        assert (1 - 0.25) ** 3 == pytest.approx(0.421875)
+    def test_k0_value_is_one(self):
+        # the second term vanishes, also at c = 1, where (1-c^2)^(-1/2) is undefined
+        for c in (0.0, 0.5, 1.0, Fraction(1)):
+            assert min_error_asymptotic(ProblemInstance(4, 0, c)).value == 1.0
 
     def test_k1_formula(self):
         n, c = 64, 0.3
