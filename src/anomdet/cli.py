@@ -36,13 +36,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_overlap(c: str, exact: bool):
-    value = Fraction(c) if exact else float(c)
-    if not 0 <= value <= 1:
-        raise ValueError(f"overlap c must be in [0, 1], got {c}")
-    return value
-
-
 def _parse_range(spec: str) -> list[int]:
     try:
         parts = [int(p) for p in spec.split(":")]
@@ -80,7 +73,7 @@ def main() -> None:
 def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     """Distinct Gram eigenvalues with multiplicities, plus the trace check."""
     try:
-        inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
+        inst = ProblemInstance(n=n, k=k, c=Fraction(c) if exact else float(c))
         spec = closed_form_spectrum(inst)
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
@@ -113,7 +106,7 @@ def _single_value_command(name: str, compute):
     @click.option("--exact", is_flag=True)
     def cmd(n: int, k: int, c: str, exact: bool) -> None:
         try:
-            inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
+            inst = ProblemInstance(n=n, k=k, c=Fraction(c) if exact else float(c))
             value = compute(inst)
         except (ValueError, ArithmeticError) as exc:
             _fail_params(_describe(exc))

@@ -6,7 +6,7 @@ Anomaly patterns are sorted tuples of 1-based positions, kept in
 lexicographic order throughout the package so that matrix rows have a
 deterministic meaning; distance_matrix gives all pairwise subset
 distances in that order, the one object every explicit N x N matrix of
-the package is indexed by (through one shared, read-only copy).
+the package is indexed by (one cached, read-only array).
 """
 
 from __future__ import annotations
@@ -69,26 +69,19 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
     return X
 
 
+@functools.lru_cache(maxsize=1)
 def distance_matrix(n: int, k: int) -> np.ndarray:
     """All subset distances at once: D = k - X X^T in lexicographic pattern order.
 
     D[a, b] equals pattern_distance of the a-th and b-th patterns.  The
     overlap counts X X^T are at most n, so the float64 (BLAS) product is
-    exact; D is returned in the smallest unsigned integer type holding k.
+    exact; D is in the smallest unsigned integer type holding k.  Every
+    N x N builder of the package repeats one (n, k) (a Gram matrix and its
+    certificate, the k+1 projectors of one scheme), so the cache keeps a
+    single matrix (25 MB at the Gram size cap, N = 5000), shared and
+    read-only: copy it to modify it.
     """
     X = pattern_indicator(n, k).astype(np.float64)
-    return (k - X @ X.T).astype(np.min_scalar_type(k))
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_distances(n: int, k: int) -> np.ndarray:
-    """distance_matrix(n, k), built once and shared by the package's N x N builders.
-
-    Every caller repeats one (n, k) (a Gram matrix and its certificate, the
-    k+1 projectors of one scheme), so the cache keeps a single uint8
-    matrix (25 MB at the Gram size cap, N = 5000).  The array is
-    read-only; copy it, or call distance_matrix, to modify it.
-    """
-    D = distance_matrix(n, k)
+    D = (k - X @ X.T).astype(np.min_scalar_type(k))
     D.flags.writeable = False
     return D

@@ -3,12 +3,13 @@
 The Gram matrix has entries (c^2)^d with d the subset distance between
 the two anomaly patterns.  Its min(k, n-k)+1 distinct eigenvalues come in
 closed form as terminating 2F1 sums; a dense eigendecomposition of the
-explicit matrix serves as the independent oracle.  The eigenvalues are
-evaluated on one of two paths:
+explicit matrix serves as the independent oracle.  ProblemInstance stores
+c and c^2 once, as Fractions or as floats, and every consumer reads that
+type.  The eigenvalues are evaluated on one of two paths:
 
-* exact: a Fraction (or int) overlap z = p/q gives exact rational
-  eigenvalues, summed in Python ints (each term stepped from the last by
-  small-integer factors) with one Fraction per eigenvalue;
+* exact: a Fraction overlap z = p/q (an int is stored as one) gives exact
+  rational eigenvalues, summed in Python ints (each term stepped from the
+  last by small-integer factors) with one Fraction per eigenvalue;
 * log-domain float: a float overlap gives float eigenvalues from one O(k)
   three-term Jacobi recurrence.  Every term in it is positive, so it is
   stable, and no big rational is built.
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .combin import _shared_distances, binomial
+from .combin import binomial, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -55,19 +57,38 @@ def _count(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r} ({type(value).__name__})")
 
 
+def _overlap(c) -> Overlap:
+    """c as a Fraction if rational (int, numpy integer), else as a float if real
+    (numpy float, Decimal); a 0-d array is read as its scalar.
+
+    Raises ValueError naming c for a bool (True is no overlap) or a non-real
+    c (str, None, complex).
+    """
+    if isinstance(c, np.ndarray) and c.ndim == 0:
+        c = c.item()
+    if isinstance(c, (bool, np.bool_)):
+        raise ValueError(f"overlap c must not be a bool, got {c!r}")
+    if isinstance(c, numbers.Rational):  # Fraction(np.int64(1)) would keep numpy ints inside
+        return Fraction(int(c.numerator), int(c.denominator))
+    if isinstance(c, (numbers.Real, Decimal)):
+        return float(c)
+    raise ValueError(f"overlap c must be a real number, got {c!r} ({type(c).__name__})")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
 
     n and k must be integers (int or numpy integer, stored as int; not
-    bool).  c is a number in [0, 1].  Pass c as a Fraction to get exact
-    rational Gram entries and spectrum; the ints 0 and 1 are exact too.  A
-    bool c is rejected, as True would silently become the overlap 1.
+    bool).  c is a real number in [0, 1], stored as a Fraction (exact Gram
+    entries and spectrum; from an int or numpy integer too) or a float, as is
+    c2 = c * c: every consumer reads its arithmetic off the stored type.
     """
 
     n: int
     k: int
     c: Overlap
+    c2: Overlap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.n) is not int:  # the common case skips the slower ABC check
@@ -78,24 +99,19 @@ class ProblemInstance:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"k must be in [0, n], got k={self.k}, n={self.n}")
-        if type(self.c) is not float and isinstance(self.c, (bool, np.bool_)):
-            raise ValueError(f"overlap c must not be a bool, got {self.c!r}")
+        if type(self.c) is not float and type(self.c) is not Fraction:
+            object.__setattr__(self, "c", _overlap(self.c))
         if not 0 <= self.c <= 1:
             raise ValueError(f"overlap c must be in [0, 1], got {self.c}")
+        object.__setattr__(self, "c2", self.c * self.c)
 
     @property
     def N(self) -> int:
         return binomial(self.n, self.k)
 
     @property
-    def c2(self) -> Overlap:
-        return self.c * self.c
-
-    @property
     def exact(self) -> bool:
-        if isinstance(self.c, float):  # the common case, before the slower ABC check
-            return False
-        return isinstance(self.c, (Fraction, numbers.Integral))
+        return type(self.c) is Fraction
 
 
 @dataclass(frozen=True)
@@ -145,31 +161,20 @@ def gram_matrix(instance: ProblemInstance) -> np.ndarray:
     matrix.  Returns a float ndarray, or an object ndarray of Fractions
     when the instance overlap is exact.
     """
-    return _gram_and_distances(instance)[0]
+    return _gram_powers(instance)[distance_matrix(instance.n, instance.k)]
 
 
-def _gram_and_distances(
-    instance: ProblemInstance, floats: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gram_matrix(instance), the (shared, read-only) distance matrix it is
-    indexed by, and the k+1 powers (c^2)^d it is indexed from.
+def _gram_powers(instance: ProblemInstance) -> np.ndarray:
+    """The k+1 distinct Gram entries (c^2)^d, d = 0..k: floats, or Fractions
+    for an exact overlap.
 
-    floats=True gives float64 entries for an exact overlap too (_gram_powers).
+    Raises ValueError when N exceeds GRAM_SIZE_CAP, the largest N for which
+    an N x N matrix is built from them.
     """
     N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
-    D = _shared_distances(instance.n, instance.k)
-    powers = _gram_powers(instance, floats)
-    return powers[D], D, powers
-
-
-def _gram_powers(instance: ProblemInstance, floats: bool = False) -> np.ndarray:
-    """The k+1 distinct Gram entries (c^2)^d, d = 0..k: Fractions for an exact
-    overlap, unless floats=True, which rounds each exact power once (the same
-    values as converting the Fraction entries one by one)."""
-    z = Fraction(instance.c2) if instance.exact else instance.c2
-    dtype = object if instance.exact and not floats else float
+    z, dtype = instance.c2, object if instance.exact else float
     return np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
 
 
@@ -249,7 +254,7 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     lambda_j = (1-c^2)^j 2F1(j-k, -n+k+j; 1; c^2),
     m_j = C(n, j) - C(n, j-1).
 
-    Two paths: a Fraction or int overlap gives exact Fraction eigenvalues
+    Two paths: an exact (Fraction) overlap gives exact Fraction eigenvalues
     (integer sums, _eigenvalue); a float overlap gives float eigenvalues
     from one O(k) recurrence in log space (_log_eigenvalues), within 1e-11
     relative of the exact values (7e-12 at n = 2000, k = 500, c = 0.999,
@@ -262,10 +267,10 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     """
     n, k = instance.n, min(instance.k, instance.n - instance.k)
     if instance.exact:
-        z = Fraction(instance.c2)
+        z = instance.c2
         values = np.array([_eigenvalue(j, n, k, z) for j in range(k + 1)], dtype=object)
     else:
-        logs = _log_eigenvalues(n, k, float(instance.c2))
+        logs = _log_eigenvalues(n, k, instance.c2)
         # lambda_0 is the largest: math.exp raises OverflowError exactly when
         # it is beyond the float range, and otherwise np.exp cannot overflow
         math.exp(logs[0])
@@ -273,14 +278,23 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     return Spectrum(instance=instance, values=values, multiplicities=_multiplicities(n, k))
 
 
+def _real_array(values, caller: str) -> np.ndarray:
+    """values as a float array (not copied when it already is one); ValueError
+    naming `caller` for complex input, whose imaginary parts it would drop."""
+    A = np.asarray(values)
+    if np.iscomplexobj(A):
+        raise ValueError(f"{caller}: complex entries are not supported, got dtype {A.dtype}")
+    return A.astype(float, copy=False)
+
+
 def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
     """The matrix as a float array (not copied when it already is one), and its
     largest absolute entry.
 
-    Raises ValueError, naming `caller`, unless the matrix is square,
+    Raises ValueError, naming `caller`, unless the matrix is real, square,
     non-empty and finite.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = _real_array(matrix, caller)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{caller}: expected a square matrix, got shape {M.shape}")
     if M.size == 0:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import _shared_distances, binomial
+from .combin import binomial, distance_matrix
 
 __all__ = [
     "SchemeBasis",
@@ -83,7 +83,7 @@ def multiplicity(n: int, j: int) -> int:
 
 def scheme_basis(n: int, k: int) -> SchemeBasis:
     """All adjacency matrices A_0..A_k, read off the distance matrix as D == i."""
-    D = _shared_distances(n, k)
+    D = distance_matrix(n, k)
     adjacency = tuple((D == i).astype(np.uint8) for i in range(k + 1))
     return SchemeBasis(n=n, k=k, adjacency=adjacency)
 
@@ -154,7 +154,7 @@ def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
     Each of the k+1 exact coefficients is rounded once, so the result
     equals the exact projector converted to float.
     """
-    D = _shared_distances(n, k)
+    D = distance_matrix(n, k)
     return np.array([float(c) for c in _projector_coefficients(n, k, j)])[D]
 
 
@@ -164,7 +164,7 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     The object-dtype form of scheme_projector: the k+1 exact coefficients
     indexed by the distance matrix.
     """
-    return np.array(_projector_coefficients(n, k, j), dtype=object)[_shared_distances(n, k)]
+    return np.array(_projector_coefficients(n, k, j), dtype=object)[distance_matrix(n, k)]
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:

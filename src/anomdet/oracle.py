@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh, direct_spectrum
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh, _real_array, direct_spectrum
 
 __all__ = [
     "SrmResult",
@@ -114,9 +114,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     longer inner dimension regroups BLAS's partial sums, moving G by an
     ulp and the diagonal of its square root by far more.  So any embedding
     of the states (the sector stack, the 2^n fold, extra padding) gives
-    the same bits.
+    the same bits.  Complex states raise ValueError instead of losing their
+    imaginary parts.
     """
-    V = np.asarray(states, dtype=float)
+    V = _real_array(states, "srm_success_oracle")
     if V.ndim != 2:
         raise ValueError(
             f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"

@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combin import _shared_distances, binomial
+from .combin import binomial, distance_matrix
 from .gram import (
     ProblemInstance,
-    _gram_and_distances,
+    _gram_powers,
     _log_binomial_ratios,
     _log_eigenvalues,
     direct_spectrum,
@@ -162,18 +162,14 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
-def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...], D: np.ndarray) -> np.ndarray:
-    """Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance."""
-    scale = binomial(n, k) / multiplicity(n, min(k, n - k))
-    return np.array([float(x) for x in coeffs])[D] * scale
-
-
 @lru_cache(maxsize=256)
 def _dual_witness_checks(
     n: int, k: int, coeffs: tuple[Fraction, ...]
 ) -> tuple[bool, float, tuple[float, ...]]:
-    """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness of _dual_witness.
+    """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness
+    Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance.
 
+    D's diagonal is 0, so diag(Y) = 1 is the exact test N coeffs[0] = m_m.
     The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
     y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
@@ -181,12 +177,11 @@ def _dual_witness_checks(
     is checked once; the entry holds two scalars and k+1 weights, not Y.
     """
     N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
-    D = _shared_distances(n, k)
-    # diag(Y) = 1 exactly, read at each distance that occurs on the diagonal of D
-    diag_ok = all(coeffs[d] * N == m_m for d in np.unique(np.diagonal(D)))
+    D = distance_matrix(n, k)
     counts = np.bincount(D.ravel(), minlength=k + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
-    return diag_ok, float(direct_spectrum(_dual_witness(n, k, coeffs, D))[-1]), weights
+    Y = np.array([float(x) for x in coeffs])[D] * (N / m_m)
+    return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -218,7 +213,8 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
-    G, _, powers = _gram_and_distances(instance, floats=True)  # G is fresh, shifted in place below
+    powers = _gram_powers(instance).astype(float)  # each exact power rounded once
+    G = powers[distance_matrix(n, k)]  # a fresh array, shifted in place below
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
     diag_ok, y_min, weights = _dual_witness_checks(n, k, coeffs)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import _shared_distances, binomial
+from .combin import binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
@@ -213,7 +213,7 @@ def _projector_algebra_exact(n: int, k: int) -> float:
     top = max(abs(v) for row in scaled for v in row)
     if max(N * top * top, L * top) >= 2**53:
         raise ValueError(f"integer projectors exceed float64 exactness at n={n}, k={k}")
-    D = _shared_distances(n, k)
+    D = distance_matrix(n, k)
     F = [np.array(row, dtype=np.float64)[D] for row in scaled]
     res = float(np.abs(np.sum(F, axis=0) - L * np.eye(N)).max())
     for j, Fj in enumerate(F):

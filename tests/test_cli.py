@@ -63,6 +63,16 @@ class TestSpectrumCommand:
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1.5"]).exit_code == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "minerr", "unambiguous"])
+    @pytest.mark.parametrize("c, exact", [("1.5", False), ("-0.25", False), ("nan", False),
+                                          ("3/2", True)])
+    def test_overlap_out_of_range_exit_2(self, runner, command, c, exact):
+        # the range check is ProblemInstance's, the one every caller gets
+        args = [command, "--n", "4", "--k", "2", "--c", c] + ["--exact"] * exact
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: overlap c must be in [0, 1], got ")
+
 
 class TestSingleValueCommands:
     def test_minerr(self, runner):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anomdet.combin import (
-    _shared_distances,
     binomial,
     distance_matrix,
     enumerate_patterns,
@@ -109,22 +108,21 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             X[0, 0] = 1
         assert pattern_indicator(5, 2) is X  # built once per (n, k)
-        assert distance_matrix(5, 2).flags.writeable
 
     def test_shared_copy_is_read_only(self):
-        D = _shared_distances(6, 3)
+        D = distance_matrix(6, 3)
         assert not D.flags.writeable
-        assert _shared_distances(6, 3) is D  # one build for repeated (n, k)
+        assert distance_matrix(6, 3) is D  # one build for repeated (n, k)
         with pytest.raises(ValueError):
             D[0, 0] = 1
-        fresh = distance_matrix(6, 3)
-        assert np.array_equal(fresh, D) and fresh.flags.writeable
-        fresh[0, 0] = 1  # the public function's copy stays the caller's
-        assert _shared_distances(6, 3)[0, 0] == 0
+        assert distance_matrix(6, 3)[0, 0] == 0
+        copy = D.copy()  # a copy is the caller's to modify
+        copy[0, 0] = 1
+        assert distance_matrix(6, 3)[0, 0] == 0
+        assert distance_matrix(5, 2) is not D  # the cache holds the last (n, k) only
+        assert distance_matrix(6, 3) is not D and np.array_equal(distance_matrix(6, 3), D)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
-        with pytest.raises(ValueError):
-            _shared_distances(3, 4)
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -45,6 +46,37 @@ class TestProblemInstance:
         assert ProblemInstance(4, 2, 0).exact and ProblemInstance(4, 2, 1).exact
         assert not ProblemInstance(4, 2, 0.5).exact
 
+    @pytest.mark.parametrize("c", [0, 1, np.int64(1), np.uint8(0), np.int32(1), np.array(1)])
+    def test_integer_overlap_is_stored_as_fraction(self, c):
+        inst = ProblemInstance(4, 2, c)
+        assert type(inst.c) is Fraction and inst.c == c and type(inst.c.numerator) is int
+        assert type(inst.c2) is Fraction and inst.c2 == inst.c * inst.c
+        assert inst.exact and inst == ProblemInstance(4, 2, int(c))
+
+    @pytest.mark.parametrize("c, value", [
+        (np.float64(0.3), 0.3),
+        (np.float32(0.5), 0.5),
+        (Decimal("0.25"), 0.25),
+        (np.array(0.75), 0.75),
+    ])
+    def test_other_real_overlap_is_stored_as_float(self, c, value):
+        inst = ProblemInstance(4, 2, c)
+        assert type(inst.c) is float and inst.c == value
+        assert type(inst.c2) is float and inst.c2 == value * value
+        assert not inst.exact
+
+    @pytest.mark.parametrize("c", ["0.5", b"1", None, 0.5j, complex(1, 0), np.complex128(0.5),
+                                   np.array("0.5"), [0.5]])
+    def test_rejects_non_real_overlap(self, c):
+        with pytest.raises(ValueError, match="^overlap c must be a real number, got "):
+            ProblemInstance(4, 2, c)
+
+    @pytest.mark.parametrize("c", [1.5, -0.1, math.nan, math.inf, Fraction(3, 2), 2,
+                                   Decimal("1.5")])
+    def test_rejects_overlap_outside_unit_interval(self, c):
+        with pytest.raises(ValueError, match=r"^overlap c must be in \[0, 1\]"):
+            ProblemInstance(4, 2, c)
+
     @pytest.mark.parametrize("field, args", [
         ("k", (10, 2.5, 0.5)),
         ("n", (5.0, 2, 0.5)),
@@ -85,7 +117,7 @@ class TestGramMatrix:
         assert all(G[i][i] == 1 for i in range(6))
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^Gram size {binomial(30, 15)} exceeds cap"):
             gram_matrix(ProblemInstance(30, 15, 0.5))
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -437,6 +469,13 @@ class TestFiniteSquare:
     def test_converts_other_input(self):
         M, size = _finite_square([[Fraction(1, 2), 1], [1, Fraction(-5, 2)]], "caller")
         assert M.dtype == np.float64 and size == 2.5
+
+    def test_rejects_complex(self):
+        # a float conversion would drop the imaginary parts: spectrum {0, 2}, not {1, 1}
+        with pytest.raises(ValueError, match="^direct_spectrum: complex entries"):
+            direct_spectrum([[1, 1j], [-1j, 1]])
+        with pytest.raises(ValueError, match="^_psd_eigh: complex entries"):
+            _psd_eigh(np.array([[1, 1j], [-1j, 1]]))
 
 
 class TestPsdEigh:

@@ -236,6 +236,11 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="exceed cap"):
             srm_success_oracle(np.ones((GRAM_SIZE_CAP + 1, 1)))
 
+    def test_rejects_complex_states(self):
+        # dropping the imaginary part would give 0.417; the SRM value is 0.854
+        with pytest.raises(ValueError, match="^srm_success_oracle: complex entries"):
+            srm_success_oracle([[1, 0], [1 / math.sqrt(2), 1j / math.sqrt(2)]])
+
     def test_conditional_success_is_hypothesis_independent(self):
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))
         d = result.diagonal
@@ -316,6 +321,10 @@ class TestHolevoCheck:
         # a NaN eigenvalue compares as no violation; it must not pass as feasible
         with pytest.raises(ValueError, match="NaN or infinite"):
             holevo_check(np.full((2, 2), bad), [np.eye(2) / 2])
+
+    def test_rejects_complex_witness(self):
+        with pytest.raises(ValueError, match="complex entries"):
+            holevo_check(np.array([[1, 1j], [-1j, 1]]), [np.eye(2) / 2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,20 +2,29 @@
 
 Overlaps are drawn from {0, 1} (ints, on the exact path), floats in
 [0, 1] (the log-domain float path, its c = 0 and c = 1 special cases
-included) and Fractions p/q with q <= 12 (the exact path).
+included) and Fractions p/q with q <= 12 (the exact path).  The overlap
+domain test draws c of every numeric type, in range or not, and of
+types that are not numbers at all.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomdet.combin import binomial
 from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from anomdet.oracle import all_hypothesis_states, srm_success_oracle
-from anomdet.protocols import min_error_success
+from anomdet.protocols import (
+    explicit_success_k123,
+    min_error_success,
+    unambiguous_success,
+    verify_unambiguous_certificates,
+)
 
 overlaps = st.one_of(
     st.sampled_from([0, 1, 0.0, 1.0]),
@@ -69,3 +78,50 @@ def test_min_error_matches_srm_oracle(inst):
     value = min_error_success(inst).value
     oracle_value = srm_success_oracle(all_hypothesis_states(inst)).success
     assert abs(value - oracle_value) <= 1e-10 + _srm_oracle_error_bound(inst, value)
+
+
+any_overlap = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(
+        lambda t: st.integers(min_value=0, max_value=3).map(t)),
+    st.floats(min_value=-0.5, max_value=1.5),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(min_value=0.0, max_value=1.0, width=32).map(np.float32),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.decimals(min_value=-1, max_value=2, places=3),
+    st.sampled_from([Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")]),
+    st.sampled_from([True, np.bool_(False), None, "0.5", b"1", 0.5j, np.complex128(0.25), [0.5]]),
+)
+
+VALUE_FUNCTIONS = {
+    "min_error_success": lambda inst: min_error_success(inst).value,
+    "explicit_success_k123": lambda inst: explicit_success_k123(inst).value,
+    "unambiguous_success": lambda inst: unambiguous_success(inst).value,
+    "certificate_primal_value": lambda inst: verify_unambiguous_certificates(inst).primal_value,
+}
+
+
+def _trace_holds(inst: ProblemInstance) -> bool:
+    """tr G = N from the closed-form spectrum: exact on Fractions, relative 1e-12 on floats."""
+    spec = closed_form_spectrum(inst)
+    pairs = list(zip(spec.values.tolist(), spec.multiplicities))
+    if inst.exact:
+        return sum(value * m for value, m in pairs) == inst.N
+    return abs(math.fsum(m / inst.N * value for value, m in pairs) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("name", VALUE_FUNCTIONS)
+@settings(max_examples=150)
+@given(n=st.integers(min_value=1, max_value=8), data=st.data(), c=any_overlap)
+def test_every_overlap_gets_a_value_or_a_clear_error(name, n, data, c):
+    # the overlap half of the domain contract: each public value function on
+    # any c returns a finite value in [0, 1] or raises ValueError/ArithmeticError
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    try:
+        inst = ProblemInstance(n, k, c)
+        assert _trace_holds(inst)
+        value = VALUE_FUNCTIONS[name](inst)
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc)
+        return
+    assert type(value) is float and 0 <= value <= 1, value

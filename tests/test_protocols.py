@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from anomdet import protocols
+from anomdet.combin import distance_matrix
 from anomdet.gram import ProblemInstance, direct_spectrum, gram_matrix
+from anomdet.johnson import multiplicity
 from anomdet.protocols import (
     AsymptoticRegimeWarning,
     explicit_success_k123,
@@ -141,6 +143,17 @@ class TestCertificates:
         one = verify_unambiguous_certificates(ProblemInstance(5, 2, 1.0))
         assert one.optimal and one.primal_value == 0.0 and one.gap == 0.0
 
+    @pytest.mark.parametrize("c", [np.int64(1), np.int64(0), np.uint8(1)])
+    def test_numpy_integer_overlap_matches_int(self, c):
+        # a numpy integer c is the exact overlap of the equal int, not a float
+        inst, reference = ProblemInstance(4, 2, c), ProblemInstance(4, 2, int(c))
+        assert verify_unambiguous_certificates(inst) == verify_unambiguous_certificates(reference)
+        assert unambiguous_success(inst) == unambiguous_success(reference)
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError, match=r"^Gram size 155117520 exceeds cap"):
+            verify_unambiguous_certificates(ProblemInstance(30, 15, 0.5))
+
     def test_diagonal_check_is_not_vacuous(self, monkeypatch):
         true_coefficients = protocols._projector_coefficients
 
@@ -153,30 +166,33 @@ class TestCertificates:
         assert report.primal_feasible and not report.dual_feasible
 
     def test_primal_certificate_can_fail(self, monkeypatch):
-        # lambda_min(G) 1e-6 below (1-c^2)^m: the ansatz is infeasible, Y is untouched
-        true_gram = protocols._gram_and_distances
+        # lambda_min(G) 1e-6 below (1-c^2)^m: the ansatz is infeasible, Y is untouched.
+        # Distance 0 occurs on the diagonal of D only, so lowering the power
+        # (c^2)^0 by 1e-6 makes G - 1e-6 I
+        true_powers = protocols._gram_powers
 
-        def lowered(instance, floats=False):
-            G, D, powers = true_gram(instance, floats)
-            return G - 1e-6 * np.eye(len(G)), D, powers
+        def lowered(instance):
+            powers = true_powers(instance)
+            powers[0] -= 1e-6
+            return powers
 
-        monkeypatch.setattr(protocols, "_gram_and_distances", lowered)
+        monkeypatch.setattr(protocols, "_gram_powers", lowered)
         report = verify_unambiguous_certificates(ProblemInstance(7, 3, 0.5))
         assert not report.primal_feasible and report.dual_feasible
 
     def test_cholesky_verdict_equals_eigenvalue_verdict(self, monkeypatch):
-        # G + shift * tol * I; the eigenvalue test flips at shift = -1 (scale = max|G| = 1)
+        # G + shift * tol * I, planted as (c^2)^0 + shift * tol (distance 0 is
+        # the diagonal); the eigenvalue test flips at shift = -1 (scale = max|G| = 1)
         inst = ProblemInstance(7, 3, 0.5)
-        G, D, powers = protocols._gram_and_distances(inst)
+        G, powers = gram_matrix(inst), protocols._gram_powers(inst)
         lam_min, tol, eye = 0.75**3, protocols.CERTIFICATE_TOL, np.eye(len(G))
         verdicts = []
         for shift in (-10, -2, -0.5, 0, 0.5, 10):
             shifted = G + shift * tol * eye
-            monkeypatch.setattr(
-                protocols,
-                "_gram_and_distances",
-                lambda _, floats=False, M=shifted: (M.copy(), D, powers),
-            )
+            planted = powers.copy()
+            planted[0] += shift * tol
+            assert np.array_equal(planted[distance_matrix(7, 3)], shifted)
+            monkeypatch.setattr(protocols, "_gram_powers", lambda _, p=planted: p)
             by_eigenvalue = bool(direct_spectrum(shifted - lam_min * eye)[-1] >= -tol)
             report = verify_unambiguous_certificates(inst)
             assert report.primal_feasible == by_eigenvalue, shift
@@ -206,15 +222,17 @@ class TestCertificates:
 
     @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
     def test_dual_value_equals_dense_trace(self, c):
-        # reference: tr(G Y)/N from the N x N witness, as one tensordot
+        # reference: tr(G Y)/N from the N x N witness Y = (N/m_m) E_m, as one tensordot
         for n in range(1, 10):
             for k in range(n + 1):
-                if min(k, n - k) == 0:
+                m = min(k, n - k)
+                if m == 0:
                     continue  # analytic branch: no witness is built
                 inst = ProblemInstance(n, k, c)
-                G, D, _ = protocols._gram_and_distances(inst, floats=True)
-                coeffs = protocols._projector_coefficients(n, k, min(k, n - k))
-                Y = protocols._dual_witness(n, k, coeffs, D)
+                G = np.asarray(gram_matrix(inst), dtype=float)
+                coeffs = protocols._projector_coefficients(n, k, m)
+                Y = np.array([float(x) for x in coeffs])[distance_matrix(n, k)]
+                Y *= inst.N / multiplicity(n, m)
                 reference = float(np.tensordot(G, Y) / inst.N)
                 report = verify_unambiguous_certificates(inst)
                 assert abs(report.dual_value - reference) <= 1e-14, (n, k)
@@ -247,19 +265,19 @@ class TestCertificates:
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)])
     def test_exact_overlap_equals_object_matrix_conversion(self, monkeypatch, c):
         # reference: the object Gram of exact powers converted to float entry by entry
-        exact_gram = protocols._gram_and_distances
+        exact_powers = protocols._gram_powers
 
-        def converted(instance, floats=False):
-            G, D, powers = exact_gram(instance)
-            return np.asarray(G, dtype=float), D, np.asarray(powers, dtype=float)
+        def converted(instance):
+            return np.array([float(p) for p in exact_powers(instance)])
 
         for n, k in [(6, 2), (8, 3), (10, 4), (9, 5)]:
             inst = ProblemInstance(n, k, c)
-            G = exact_gram(inst, floats=True)[0]
-            assert G.dtype == np.float64 and np.array_equal(G, converted(inst)[0])
+            G = exact_powers(inst).astype(float)[distance_matrix(n, k)]  # the certificate's G
+            assert G.dtype == np.float64
+            assert np.array_equal(G, np.asarray(gram_matrix(inst), dtype=float))
             report = verify_unambiguous_certificates(inst)
             with monkeypatch.context() as patch:
-                patch.setattr(protocols, "_gram_and_distances", converted)
+                patch.setattr(protocols, "_gram_powers", converted)
                 assert verify_unambiguous_certificates(inst) == report, (n, k)
 
     @pytest.mark.parametrize("c", [0.3, 0.5, Fraction(1, 3)])
