@@ -48,6 +48,18 @@ def _parse_range(spec: str) -> list[int]:
     return list(range(parts[0], parts[1] + 1, parts[2]))
 
 
+def _parse_overlap(text: str, exact: bool) -> Fraction | float:
+    """An overlap argument as a Fraction (--exact) or a float.
+
+    Raises ValueError naming the text when it is neither, a zero
+    denominator (1/0) included.
+    """
+    try:
+        return Fraction(text) if exact else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid overlap c {text!r}") from None
+
+
 def _describe(exc: Exception) -> str:
     """Error text; arithmetic failures (e.g. float overflow at large k) are named as such."""
     if isinstance(exc, ArithmeticError):
@@ -73,7 +85,7 @@ def main() -> None:
 def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     """Distinct Gram eigenvalues with multiplicities, plus the trace check."""
     try:
-        inst = ProblemInstance(n=n, k=k, c=Fraction(c) if exact else float(c))
+        inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
         spec = closed_form_spectrum(inst)
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
@@ -106,7 +118,7 @@ def _single_value_command(name: str, compute):
     @click.option("--exact", is_flag=True)
     def cmd(n: int, k: int, c: str, exact: bool) -> None:
         try:
-            inst = ProblemInstance(n=n, k=k, c=Fraction(c) if exact else float(c))
+            inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
             value = compute(inst)
         except (ValueError, ArithmeticError) as exc:
             _fail_params(_describe(exc))
@@ -146,7 +158,7 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
     """Emit success-probability curves (plus asymptote rows) as CSV."""
     try:
         ns = _parse_range(n_range)
-        cs = [float(v) for v in c_grid.split(",") if v]
+        cs = [_parse_overlap(v, exact=False) for v in c_grid.split(",") if v]
         if k < 0 or d < 2 or not cs:
             raise ValueError("need k >= 0, d >= 2 and a non-empty c grid")
         for c in cs:

@@ -6,7 +6,7 @@ Anomaly patterns are sorted tuples of 1-based positions, kept in
 lexicographic order throughout the package so that matrix rows have a
 deterministic meaning; distance_matrix gives all pairwise subset
 distances in that order, the one object every explicit N x N matrix of
-the package is indexed by (one cached, read-only array).
+the package is gathered from (cached per (n, k), read-only).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ __all__ = [
     "pattern_indicator",
     "distance_matrix",
 ]
+
+GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
 
 
 def binomial(n: int, r: int) -> int:
@@ -69,19 +71,34 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
     return X
 
 
-@functools.lru_cache(maxsize=1)
+_distances: dict[tuple[int, int], np.ndarray] = {}  # (n, k) -> D, least recently used first
+
+
 def distance_matrix(n: int, k: int) -> np.ndarray:
     """All subset distances at once: D = k - X X^T in lexicographic pattern order.
 
     D[a, b] equals pattern_distance of the a-th and b-th patterns.  The
     overlap counts X X^T are at most n, so the float64 (BLAS) product is
-    exact; D is in the smallest unsigned integer type holding k.  Every
-    N x N builder of the package repeats one (n, k) (a Gram matrix and its
-    certificate, the k+1 projectors of one scheme), so the cache keeps a
-    single matrix (25 MB at the Gram size cap, N = 5000), shared and
-    read-only: copy it to modify it.
+    exact; D is in the smallest unsigned integer type holding k.  Each
+    (n, k) is built once and shared, read-only (copy it to modify it):
+    the cache keeps the 32 most recently used matrices, fewer when they
+    would hold more than GRAM_SIZE_CAP^2 bytes (one D at the Gram size
+    cap, N = 5000), but always the one just returned.
     """
+    key = (n, k)
+    D = _distances.pop(key, None)
+    if D is not None:
+        _distances[key] = D  # now the most recently used
+        return D
     X = pattern_indicator(n, k).astype(np.float64)
     D = (k - X @ X.T).astype(np.min_scalar_type(k))
     D.flags.writeable = False
+    _distances[key] = D
+    # snapshots and pop with a default: threads sharing the cache can neither
+    # raise here nor get a wrong matrix, at worst build one twice
+    for old in list(_distances)[:-1]:
+        held = sum(M.nbytes for M in list(_distances.values()))
+        if len(_distances) <= 32 and held <= GRAM_SIZE_CAP**2:
+            break
+        _distances.pop(old, None)
     return D

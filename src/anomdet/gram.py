@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix
+from .combin import GRAM_SIZE_CAP, binomial, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -38,9 +38,6 @@ __all__ = [
     "closed_form_spectrum",
     "direct_spectrum",
 ]
-
-GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which gram_matrix builds the N x N matrix
-PSD_CLAMP = 1e-10  # relative size of negative eigenvalues _psd_eigh clamps to zero
 
 Overlap = float | Fraction
 
@@ -99,11 +96,19 @@ class ProblemInstance:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"k must be in [0, n], got k={self.k}, n={self.n}")
-        if type(self.c) is not float and type(self.c) is not Fraction:
-            object.__setattr__(self, "c", _overlap(self.c))
-        if not 0 <= self.c <= 1:
-            raise ValueError(f"overlap c must be in [0, 1], got {self.c}")
-        object.__setattr__(self, "c2", self.c * self.c)
+        c = self.c
+        if type(c) is not float and type(c) is not Fraction:
+            c = _overlap(c)
+            object.__setattr__(self, "c", c)
+        if type(c) is Fraction:  # range and square on the int numerator and denominator q > 0
+            p, q = c.numerator, c.denominator
+            if not 0 <= p <= q:
+                raise ValueError(f"overlap c must be in [0, 1], got {c}")
+            object.__setattr__(self, "c2", Fraction(p * p, q * q))
+        else:
+            if not 0 <= c <= 1:
+                raise ValueError(f"overlap c must be in [0, 1], got {c}")
+            object.__setattr__(self, "c2", c * c)
 
     @property
     def N(self) -> int:
@@ -157,11 +162,11 @@ def gram_matrix(instance: ProblemInstance) -> np.ndarray:
     """Explicit N x N Gram matrix in lexicographic pattern order.
 
     Entry [a, b] is (c^2)^d for the subset distance d of patterns a and b:
-    the k+1 distinct powers are computed once and indexed by the distance
+    the k+1 distinct powers are computed once and gathered by the distance
     matrix.  Returns a float ndarray, or an object ndarray of Fractions
     when the instance overlap is exact.
     """
-    return _gram_powers(instance)[distance_matrix(instance.n, instance.k)]
+    return _gram_powers(instance).take(distance_matrix(instance.n, instance.k))
 
 
 def _gram_powers(instance: ProblemInstance) -> np.ndarray:
@@ -281,6 +286,8 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
 def _real_array(values, caller: str) -> np.ndarray:
     """values as a float array (not copied when it already is one); ValueError
     naming `caller` for complex input, whose imaginary parts it would drop."""
+    if type(values) is np.ndarray and values.dtype.type is np.float64:
+        return values
     A = np.asarray(values)
     if np.iscomplexobj(A):
         raise ValueError(f"{caller}: complex entries are not supported, got dtype {A.dtype}")
@@ -316,17 +323,3 @@ def direct_spectrum(matrix) -> np.ndarray:
         raise ValueError("direct_spectrum: matrix is not symmetric")
     return np.linalg.eigvalsh(M)[::-1]  # LAPACK returns them ascending
 
-
-def _psd_eigh(G) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (clamped to >= 0) and eigenvectors of a symmetric PSD matrix.
-
-    Eigenvalues in [-PSD_CLAMP * scale, 0) are clamped to zero (rank
-    collapse near c = 1); materially negative eigenvalues, NaN or
-    infinite entries and empty or non-square input are rejected.
-    """
-    M, size = _finite_square(G, "_psd_eigh")
-    scale = max(1.0, size)
-    vals, vecs = np.linalg.eigh((M + M.T) / 2)
-    if vals.min() < -PSD_CLAMP * scale:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min()})")
-    return np.clip(vals, 0.0, None), vecs

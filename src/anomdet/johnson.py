@@ -154,17 +154,17 @@ def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
     Each of the k+1 exact coefficients is rounded once, so the result
     equals the exact projector converted to float.
     """
-    D = distance_matrix(n, k)
-    return np.array([float(c) for c in _projector_coefficients(n, k, j)])[D]
+    coeffs = np.array([float(c) for c in _projector_coefficients(n, k, j)])
+    return coeffs.take(distance_matrix(n, k))
 
 
 def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     """E_j as an object ndarray of Fractions (rank and trace both equal m_j).
 
     The object-dtype form of scheme_projector: the k+1 exact coefficients
-    indexed by the distance matrix.
+    gathered by the distance matrix.
     """
-    return np.array(_projector_coefficients(n, k, j), dtype=object)[distance_matrix(n, k)]
+    return np.array(_projector_coefficients(n, k, j), dtype=object).take(distance_matrix(n, k))
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:

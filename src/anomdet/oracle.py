@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _psd_eigh, _real_array, direct_spectrum
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 
 __all__ = [
     "SrmResult",
@@ -36,6 +36,7 @@ __all__ = [
 STATE_QUBITS_CAP = 14
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
+PSD_CLAMP = 1e-10  # relative size of negative Gram eigenvalues the SRM oracle clamps to zero
 HOLEVO_TOL = 1e-9
 
 
@@ -115,7 +116,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     ulp and the diagonal of its square root by far more.  So any embedding
     of the states (the sector stack, the 2^n fold, extra padding) gives
     the same bits.  Complex states raise ValueError instead of losing their
-    imaginary parts.
+    imaginary parts.  Eigenvalues of G in [-PSD_CLAMP * scale, 0), scale =
+    max(1, max |G|), are clamped to zero (rank collapse near c = 1); a Gram
+    with NaN or infinite entries (overflow) or a materially negative
+    eigenvalue raises ValueError.
     """
     V = _real_array(states, "srm_success_oracle")
     if V.ndim != 2:
@@ -132,8 +136,15 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     live = V.any(axis=0)
     if not live.all():
         V = V[:, live]
-    w, U = _psd_eigh(V @ V.T)
-    diag = (U * U) @ np.sqrt(w)  # eigenvalues of S are sqrt(w)
+    G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
+    # both reductions propagate NaN and carry +-inf
+    size = float(max(G.max(), -G.min()))
+    if not math.isfinite(size):
+        raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
+    w, U = np.linalg.eigh(G)  # ascending
+    if w[0] < -PSD_CLAMP * max(1.0, size):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")
+    diag = (U * U) @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
     return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)
 
 

@@ -180,7 +180,7 @@ def _dual_witness_checks(
     D = distance_matrix(n, k)
     counts = np.bincount(D.ravel(), minlength=k + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
-    Y = np.array([float(x) for x in coeffs])[D] * (N / m_m)
+    Y = np.array([float(x) for x in coeffs]).take(D) * (N / m_m)
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
 
 
@@ -213,17 +213,18 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
-    powers = _gram_powers(instance).astype(float)  # each exact power rounded once
-    G = powers[distance_matrix(n, k)]  # a fresh array, shifted in place below
+    powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
     diag_ok, y_min, weights = _dual_witness_checks(n, k, coeffs)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
-    G.flat[:: len(G) + 1] -= lam_min - CERTIFICATE_TOL
+    # distance 0 occurs on the diagonal of D only, so lowering (c^2)^0 gathers
+    # G - (lambda_min - CERTIFICATE_TOL) I directly
+    powers[0] -= lam_min - CERTIFICATE_TOL
     try:
-        np.linalg.cholesky(G)
+        np.linalg.cholesky(powers.take(distance_matrix(n, k)))
         primal_feasible = True
     except np.linalg.LinAlgError:
         primal_feasible = False

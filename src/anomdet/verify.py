@@ -214,7 +214,7 @@ def _projector_algebra_exact(n: int, k: int) -> float:
     if max(N * top * top, L * top) >= 2**53:
         raise ValueError(f"integer projectors exceed float64 exactness at n={n}, k={k}")
     D = distance_matrix(n, k)
-    F = [np.array(row, dtype=np.float64)[D] for row in scaled]
+    F = [np.array(row, dtype=np.float64).take(D) for row in scaled]
     res = float(np.abs(np.sum(F, axis=0) - L * np.eye(N)).max())
     for j, Fj in enumerate(F):
         res = max(res, float(np.abs(Fj @ Fj - L * Fj).max()),

@@ -4,6 +4,8 @@ import math
 import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomdet import verify
 from anomdet.cli import main
@@ -72,6 +74,16 @@ class TestSpectrumCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert result.output.startswith("error: overlap c must be in [0, 1], got ")
+
+    @pytest.mark.parametrize("command", ["spectrum", "minerr", "unambiguous"])
+    @pytest.mark.parametrize("c, exact", [("1/0", True), ("1/0", False), ("abc", False),
+                                          ("abc", True)])
+    def test_unparseable_overlap_exit_2(self, runner, command, c, exact):
+        # a zero denominator is a malformed overlap, not a value out of the float range
+        args = [command, "--n", "4", "--k", "2", "--c", c] + ["--exact"] * exact
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == f"error: invalid overlap c '{c}'\n"
 
 
 class TestSingleValueCommands:
@@ -245,3 +257,65 @@ class TestVerifyCommand:
         )
         assert all(l.startswith("PASS") for l in lines if l not in errors)
         assert f"# {len(lines) - len(errors)}/{len(lines)} checks passed" in result.output
+
+
+# argv fuzzing: every outcome is a result (0), a parameter error (2) or an I/O
+# error (3), printed without a traceback.  Each argv holds valid values except
+# at most one option, drawn from values of every kind, so that a bad value
+# reaches the deepest check it can.
+_ANY_COUNT = st.one_of(st.integers(-3, 60), st.sampled_from(["", "x", "2.5", "1/2", "-0", "1e3"]))
+_ANY_OVERLAP = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.fractions(0, 1, max_denominator=40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(min_value=-2, max_value=2, max_denominator=40).map(str),
+    st.sampled_from(["1/0", "-1/2", "3/2", "0/5", "abc", "", "0.5.5", "1/2/3", "nan", "-inf",
+                     "1e999", "0x1p-1", " 0.5 "]),
+    st.text(alphabet="0123456789./-+eEinfa x", max_size=6),
+)
+_ANY_GRID = st.lists(_ANY_OVERLAP.filter(lambda t: "," not in t), max_size=3).map(",".join)
+_ANY_DIMENSION = st.one_of(st.integers(-2, 8), st.sampled_from(["", "x", "2.5", "3/1"]))
+_ANY_RANGE = st.one_of(
+    st.builds(lambda a, span, step: f"{a}:{a + span}:{step}",
+              st.integers(-2, 58), st.integers(-1, 2), st.integers(-1, 2)),
+    st.sampled_from(["", "5", "x:y", "1:2:3:4", "4:6"]),
+)
+_ANY = {"--n": _ANY_COUNT, "--k": _ANY_COUNT, "--c": _ANY_OVERLAP, "--d": _ANY_DIMENSION,
+        "--n-range": _ANY_RANGE, "--c-grid": _ANY_GRID}
+_ODD = {"spectrum": ["--n", "--k", "--c"], "minerr": ["--n", "--k", "--c"],
+        "unambiguous": ["--n", "--k", "--c"], "universal": ["--n", "--k", "--d"],
+        "sweep": ["--n-range", "--k", "--c-grid", "--d"]}
+
+
+@st.composite
+def _argv(draw, command, odd):
+    exact = command != "sweep" and draw(st.booleans())
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(0, min(n, 4)))
+    c = draw(st.fractions(0, 1, max_denominator=40) if exact else st.floats(0, 1))
+    options = {"--n": n, "--k": k, "--c": c, "--d": draw(st.integers(2, 5))}
+    if command == "sweep":
+        a = draw(st.integers(max(2 * k, 1), 58))
+        options = {"--protocol": draw(st.sampled_from(["minerr", "unambiguous", "universal",
+                                                       "average"])),
+                   "--n-range": f"{a}:{a + draw(st.integers(0, 2))}", "--k": k,
+                   "--c-grid": ",".join(repr(draw(st.floats(0, 1))) for _ in range(2)),
+                   "--d": options["--d"]}
+    elif command == "universal":
+        del options["--c"]
+    else:
+        del options["--d"]
+    if odd is not None:
+        options[odd] = draw(_ANY[odd])
+    return [command, *(str(part) for item in options.items() for part in item)] + ["--exact"] * exact
+
+
+@pytest.mark.parametrize("command, odd", [(command, odd) for command, names in _ODD.items()
+                                          for odd in [None, *names]])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_random_argv_exits_cleanly(command, odd, data):
+    argv = data.draw(_argv(command, odd))
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code in (0, 2, 3), (argv, result.output)
+    assert "Traceback" not in result.output

@@ -1,6 +1,11 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from anomdet import combin
 from anomdet.combin import (
     binomial,
     distance_matrix,
@@ -85,6 +90,15 @@ class TestPatternDistance:
 
 
 ALL_NK = [(n, k) for n in range(9) for k in range(n + 1)]
+# the (n, k) grid of `anomdet verify --max-n 10`: 24 cells
+VERIFY_GRID_10 = [(n, k) for n in range(2, 11) for k in range(1, min(4, n // 2) + 1)]
+
+
+@pytest.fixture
+def empty_distance_cache():
+    combin._distances.clear()
+    yield combin._distances
+    combin._distances.clear()
 
 
 class TestDistanceMatrix:
@@ -109,20 +123,82 @@ class TestDistanceMatrix:
             X[0, 0] = 1
         assert pattern_indicator(5, 2) is X  # built once per (n, k)
 
-    def test_shared_copy_is_read_only(self):
+    def test_shared_copy_is_read_only(self, empty_distance_cache):
+        assert len(VERIFY_GRID_10) == 24
+        built = {nk: distance_matrix(*nk) for nk in VERIFY_GRID_10}
+        rng = random.Random(0)
+        for _ in range(5):  # one build per cell, whatever the order of the cells
+            cells = VERIFY_GRID_10[:]
+            rng.shuffle(cells)
+            assert all(distance_matrix(*nk) is built[nk] for nk in cells)
         D = distance_matrix(6, 3)
         assert not D.flags.writeable
-        assert distance_matrix(6, 3) is D  # one build for repeated (n, k)
         with pytest.raises(ValueError):
             D[0, 0] = 1
-        assert distance_matrix(6, 3)[0, 0] == 0
         copy = D.copy()  # a copy is the caller's to modify
         copy[0, 0] = 1
         assert distance_matrix(6, 3)[0, 0] == 0
-        assert distance_matrix(5, 2) is not D  # the cache holds the last (n, k) only
-        assert distance_matrix(6, 3) is not D and np.array_equal(distance_matrix(6, 3), D)
+
+    def test_least_recently_used_evicted_past_32(self, empty_distance_cache):
+        cells = [(n, k) for n in range(1, 12) for k in range(n + 1)][:33]
+        built = [distance_matrix(*nk) for nk in cells[:32]]
+        assert distance_matrix(*cells[0]) is built[0]  # now the most recently used
+        distance_matrix(*cells[32])
+        assert len(empty_distance_cache) == 32 and cells[1] not in empty_distance_cache
+        assert distance_matrix(*cells[0]) is built[0]
+        rebuilt = distance_matrix(*cells[1])
+        assert rebuilt is not built[1] and np.array_equal(rebuilt, built[1])
+        assert cells[2] not in empty_distance_cache  # the next least recently used
+
+    def test_least_recently_used_evicted_past_byte_bound(self, empty_distance_cache, monkeypatch):
+        # C(6, 3)^2 = 400 bytes, C(5, 2)^2 = 100 bytes, C(4, 2)^2 = 36 bytes
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 23)  # a 529-byte bound
+        large, small = distance_matrix(6, 3), distance_matrix(4, 2)
+        assert list(empty_distance_cache) == [(6, 3), (4, 2)]
+        assert distance_matrix(6, 3) is large  # 436 bytes; (4, 2) is now the least recently used
+        distance_matrix(5, 2)  # 536 bytes: (4, 2) goes
+        assert list(empty_distance_cache) == [(6, 3), (5, 2)]
+        assert distance_matrix(4, 2) is not small  # 536 bytes again: (6, 3) goes
+        assert list(empty_distance_cache) == [(5, 2), (4, 2)]
+
+    def test_newest_entry_always_kept(self, empty_distance_cache, monkeypatch):
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 1)  # every D is over the byte bound
+        D = distance_matrix(6, 3)
+        assert list(empty_distance_cache) == [(6, 3)]
+        assert distance_matrix(6, 3) is D
+        E = distance_matrix(5, 2)
+        assert list(empty_distance_cache) == [(5, 2)] and distance_matrix(5, 2) is E
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
+
+    def test_threads_sharing_the_cache(self, empty_distance_cache):
+        # 40 cells through a 32-entry cache from 4 threads: constant eviction
+        cells = [(n, k) for n in range(1, 10) for k in range(n + 1)][:40]
+        reference = {nk: distance_matrix(*nk).copy() for nk in cells}
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    nk = rng.choice(cells)
+                    if not np.array_equal(distance_matrix(*nk), reference[nk]):
+                        errors.append(nk)
+            except Exception as exc:  # collected for the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(empty_distance_cache) <= 32
 

@@ -11,15 +11,17 @@ from anomdet.gram import (
     GRAM_SIZE_CAP,
     ProblemInstance,
     _finite_square,
+    _gram_powers,
+    _real_array,
     _eigenvalue,
     _log_eigenvalues,
     closed_form_spectrum,
     direct_spectrum,
-    _psd_eigh,
     gram_matrix,
 )
 from anomdet.combin import (
     binomial,
+    distance_matrix,
     enumerate_patterns,
     pattern_distance,
 )
@@ -77,6 +79,19 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match=r"^overlap c must be in \[0, 1\]"):
             ProblemInstance(4, 2, c)
 
+    @pytest.mark.parametrize("c", [Fraction(-1, 3), Fraction(4, 3), Fraction(-1),
+                                   Fraction(10**30 + 1, 10**30)])
+    def test_fraction_range_message(self, c):
+        with pytest.raises(ValueError, match=f"^overlap c must be in \\[0, 1\\], got {c}$"):
+            ProblemInstance(4, 2, c)
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(1, 3),
+                                   Fraction(10**30 - 1, 10**30)])
+    def test_fraction_square_equals_product(self, c):
+        inst = ProblemInstance(4, 2, c)
+        assert inst.c is c and type(inst.c2) is Fraction and inst.c2 == c * c
+        assert (inst.c2.numerator, inst.c2.denominator) == ((c * c).numerator, (c * c).denominator)
+
     @pytest.mark.parametrize("field, args", [
         ("k", (10, 2.5, 0.5)),
         ("n", (5.0, 2, 0.5)),
@@ -119,6 +134,21 @@ class TestGramMatrix:
     def test_size_cap(self):
         with pytest.raises(ValueError, match=f"^Gram size {binomial(30, 15)} exceeds cap"):
             gram_matrix(ProblemInstance(30, 15, 0.5))
+
+    @pytest.mark.parametrize("c", [0.3, 0.7, Fraction(1, 3), Fraction(5, 7)])
+    def test_gather_equals_fancy_index(self, c):
+        # one take from D: the same dtype, layout and bits as values[D]
+        for n in range(1, 10):
+            for k in range(n + 1):
+                inst = ProblemInstance(n, k, c)
+                G, reference = gram_matrix(inst), _gram_powers(inst)[distance_matrix(n, k)]
+                assert G.dtype == reference.dtype and G.flags.c_contiguous and G.flags.writeable
+                if inst.exact:
+                    same = ([(x.numerator, x.denominator) for x in G.ravel()]
+                            == [(x.numerator, x.denominator) for x in reference.ravel()])
+                else:
+                    same = G.tobytes() == reference.tobytes()
+                assert same, (n, k)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_float_matches_per_pair_loop_bitwise(self, n):
@@ -474,26 +504,9 @@ class TestFiniteSquare:
         # a float conversion would drop the imaginary parts: spectrum {0, 2}, not {1, 1}
         with pytest.raises(ValueError, match="^direct_spectrum: complex entries"):
             direct_spectrum([[1, 1j], [-1j, 1]])
-        with pytest.raises(ValueError, match="^_psd_eigh: complex entries"):
-            _psd_eigh(np.array([[1, 1j], [-1j, 1]]))
 
-
-class TestPsdEigh:
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            _psd_eigh(np.diag([1.0, -0.5]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        # NaN passes "min eigenvalue < -tol" as False; it must not get through
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            _psd_eigh(np.array([[1.0, 0.0], [0.0, bad]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match=r"_psd_eigh: matrix is empty, shape \(0, 0\)"):
-            _psd_eigh(np.zeros((0, 0)))
-
-    @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (4,)], ids=["2x3", "0x3", "1-d"])
-    def test_rejects_non_square(self, shape):
-        with pytest.raises(ValueError, match="_psd_eigh: expected a square matrix"):
-            _psd_eigh(np.ones(shape))
+    def test_real_array_returns_a_float64_array_as_is(self):
+        M = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+        assert _real_array(M, "caller") is M
+        converted = _real_array(np.float32([1.5]), "caller")
+        assert converted.dtype == np.float64 and converted.tolist() == [1.5]

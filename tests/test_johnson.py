@@ -5,6 +5,7 @@ import pytest
 
 from anomdet.johnson import (
     SchemeClosureError,
+    _projector_coefficients,
     eigenmatrices,
     hahn_polynomial,
     multiplicity,
@@ -14,7 +15,7 @@ from anomdet.johnson import (
     valency,
     verify_bose_mesner_closure,
 )
-from anomdet.combin import binomial
+from anomdet.combin import binomial, distance_matrix
 
 GRID = [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
 
@@ -130,6 +131,21 @@ class TestSchemeProjectors:
                     continue
                 assert exact.dtype == object and all(type(x) is Fraction for x in exact.flat)
                 assert np.array_equal(scheme_projector(n, k, j), exact.astype(float))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_gather_equals_fancy_index(self, n):
+        # one take from D: the same dtype and bits as values[D]
+        for k in range(n + 1):
+            D = distance_matrix(n, k)
+            for j in range(min(k, n - k) + 1):
+                coeffs = _projector_coefficients(n, k, j)
+                reference = np.array([float(x) for x in coeffs])[D]
+                E = scheme_projector(n, k, j)
+                assert E.dtype == np.float64 and E.tobytes() == reference.tobytes(), (n, k, j)
+                exact = scheme_projector_exact(n, k, j)
+                reference = np.array(coeffs, dtype=object)[D]
+                assert exact.dtype == object and exact.shape == reference.shape
+                assert all(a is b for a, b in zip(exact.flat, reference.flat)), (n, k, j)
 
 
 class TestBoseMesnerClosure:

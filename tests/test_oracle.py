@@ -222,6 +222,60 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="NaN or infinite"):
             srm_success_oracle(np.full((2, 2), 1e200))
 
+    @pytest.mark.parametrize("states, entry", [
+        ([[1e200, 0.0], [1e200, 0.0]], math.inf),
+        ([[1e200, 0.0], [-1e200, 0.0]], -math.inf),
+    ], ids=["inf", "-inf"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_rejects_non_finite_gram(self, states, entry):
+        V = np.array(states)
+        assert (V @ V.T == entry).any()
+        with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
+            srm_success_oracle(V)
+
+    def test_rejects_nan_gram(self, monkeypatch):
+        # BLAS accumulates each entry with fused multiply-adds, so overflowing finite
+        # states give +-inf, not inf - inf; a NaN Gram is planted through V @ V^T
+        class NanGram(np.ndarray):
+            def __matmul__(self, other):
+                return np.array([[1.0, math.nan], [math.nan, 1.0]])
+
+        monkeypatch.setattr(oracle, "_real_array", lambda states, caller: np.eye(2).view(NanGram))
+        with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
+            srm_success_oracle(np.eye(2))
+
+    @pytest.mark.parametrize("planted, rejected", [(-2e-10, True), (-0.5e-10, False)])
+    def test_rejects_indefinite_gram(self, monkeypatch, planted, rejected):
+        # the smallest eigenvalue lowered to `planted`; max |G| = 1, so the clamp
+        # threshold is -PSD_CLAMP = -1e-10
+        eigh = np.linalg.eigh
+
+        def lowered(G):
+            w, U = eigh(G)
+            w[0] = planted
+            return w, U
+
+        V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+        monkeypatch.setattr(oracle.np.linalg, "eigh", lowered)
+        if rejected:
+            with pytest.raises(ValueError, match=r"^matrix is not PSD \(min eigenvalue -2e-10\)"):
+                srm_success_oracle(V)
+        else:
+            assert 0 < srm_success_oracle(V).success <= 1
+
+    @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
+                                         (10, 4, 0.0), (10, 5, 0.8)])
+    def test_fortran_ordered_stack_gives_the_same_bits(self, n, k, c):
+        # G = V V^T is exactly symmetric in either layout, and eigh reads one triangle
+        V = all_hypothesis_states(ProblemInstance(n, k, c))
+        F = np.asfortranarray(V)
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        for stack in (V, F):
+            G = stack @ stack.T
+            assert np.array_equal(G, G.T)
+        a, b = srm_success_oracle(V), srm_success_oracle(F)
+        assert a.success == b.success and a.diagonal.tobytes() == b.diagonal.tobytes()
+
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 4), ()])
     def test_rejects_stack_that_is_not_2d(self, shape):
         with pytest.raises(ValueError, match="2-D stack"):

@@ -131,7 +131,55 @@ class TestUnambiguous:
                 assert verify_unambiguous_certificates(inst).primal_value == expected, (n, k)
 
 
+def _flat_diagonal_report(inst):
+    """The certificate report with its primal test written as a gathered G whose
+    diagonal is lowered in place by lambda_min - CERTIFICATE_TOL."""
+    n, k = inst.n, inst.k
+    m = min(k, n - k)
+    lam_min = unambiguous_success(inst).value
+    if m == 0 or inst.c2 in (0, 1):
+        return protocols.CertificateReport(True, True, lam_min, lam_min, 0.0)
+    powers = protocols._gram_powers(inst).astype(float)
+    G = powers[distance_matrix(n, k)]
+    G.flat[:: len(G) + 1] -= lam_min - protocols.CERTIFICATE_TOL
+    try:
+        np.linalg.cholesky(G)
+        primal = True
+    except np.linalg.LinAlgError:
+        primal = False
+    coeffs = protocols._projector_coefficients(n, k, m)
+    diag_ok, y_min, weights = protocols._dual_witness_checks(n, k, coeffs)
+    dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
+    return protocols.CertificateReport(
+        primal, bool(diag_ok and y_min >= -protocols.CERTIFICATE_TOL),
+        lam_min, dual_value, abs(lam_min - dual_value))
+
+
 class TestCertificates:
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.9, Fraction(1, 3), Fraction(5, 7)])
+    def test_equals_flat_diagonal_shift(self, c):
+        for n in range(1, 10):
+            for k in range(n + 1):
+                inst = ProblemInstance(n, k, c)
+                assert verify_unambiguous_certificates(inst) == _flat_diagonal_report(inst), (n, k)
+
+    def test_equals_flat_diagonal_shift_at_the_boundary(self, monkeypatch):
+        # (c^2)^0 moved by a few CERTIFICATE_TOL either way: both verdicts occur
+        true_powers = protocols._gram_powers
+        inst = ProblemInstance(7, 3, 0.5)
+        verdicts = set()
+        for shift in (-3, -1.5, -1, -0.5, 0, 0.5):
+            def planted(instance, shift=shift):
+                powers = true_powers(instance)
+                powers[0] += shift * protocols.CERTIFICATE_TOL
+                return powers
+
+            monkeypatch.setattr(protocols, "_gram_powers", planted)
+            report = verify_unambiguous_certificates(inst)
+            assert report == _flat_diagonal_report(inst), shift
+            verdicts.add(report.primal_feasible)
+        assert verdicts == {True, False}
+
     def test_near_orthogonal(self):
         report = verify_unambiguous_certificates(ProblemInstance(5, 2, 0.01))
         assert report.optimal
