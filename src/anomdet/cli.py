@@ -9,6 +9,7 @@ that sweep output is byte-stable.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -30,6 +31,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 TRACE_RTOL = 1e-12
+EXACT_EXPONENT_CAP = 4300  # Python's default digit limit for an int parsed from text
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)  # an exact overlap's exponent
 
 
 def _fmt(x: float) -> str:
@@ -52,10 +55,20 @@ def _parse_overlap(text: str, exact: bool) -> Fraction | float:
     """An overlap argument as a Fraction (--exact) or a float.
 
     Raises ValueError naming the text when it is neither, a zero
-    denominator (1/0) included.
+    denominator (1/0) included.  Fraction('1e999999999') would build
+    10**999999999 before the range check could reject it, so an exact
+    overlap whose exponent exceeds EXACT_EXPONENT_CAP in magnitude is
+    refused unbuilt.
     """
     try:
-        return Fraction(text) if exact else float(text)
+        if not exact:
+            return float(text)
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(EXACT_EXPONENT_CAP)) or int(digits or 0) > EXACT_EXPONENT_CAP:
+                raise ValueError
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"invalid overlap c {text!r}") from None
 

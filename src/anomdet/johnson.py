@@ -171,53 +171,71 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
     """Intersection numbers p_ij^l with A_i A_j = sum_l p_ij^l A_l.
 
     Returns {(i, j): [p_ij^0, ..., p_ij^k]} for every ordered pair.  Raises
-    SchemeClosureError if an A_l is not symmetric, if the A_l overlap, if
-    any product leaves the span or if any coefficient is not a
-    non-negative integer (all signal a construction bug).  Only the
-    products with i <= j are formed: one in the span of the symmetric A_l
-    is symmetric, so A_j A_i = (A_i A_j)^T = A_i A_j and the algebra
-    commutes.
+    SchemeClosureError if an A_l is not symmetric, if A_0 is not the
+    identity, if the A_l overlap or leave a pair uncovered, if an A_l has
+    unequal row sums, if any product leaves the span or if any coefficient
+    is not a non-negative integer (all signal a construction bug).
+
+    Only the products A_i A_j with 1 <= i <= j <= k-1 are formed.  One in
+    the span of the symmetric A_l is symmetric, so A_j A_i = (A_i A_j)^T =
+    A_i A_j and the algebra commutes.  A_0 = I gives p_0j^l = [j == l].
+    The classes partition J, and A_i J = v_i J with v_i the row sum of A_i,
+    so A_i A_k = v_i J - sum_{j<k} A_i A_j: p_ik^l = v_i - sum_{j<k} p_ij^l.
+    A class l that is empty (l > n-k when k > n/2) has p_ij^l = 0 for
+    every pair.  The products are float32: every partial sum is a count of
+    at most N, and N < 2^24 for any N x N matrix that fits in memory, so
+    they are exact.
     """
-    k = basis.k
-    for l, A in enumerate(basis.adjacency):
+    n, k = basis.n, basis.k
+    where = f"(n, k) = ({n}, {k})"
+    adjacency = basis.adjacency
+    N = len(adjacency[0])
+    for l, A in enumerate(adjacency):
         if not np.array_equal(A, A.T):
-            raise SchemeClosureError(
-                f"A_{l} is not symmetric for (n, k) = ({basis.n}, {basis.k})"
-            )
-    # 0/1 entries and counts <= N < 2^53: float64 (BLAS) products are exact
-    mats = np.array(basis.adjacency, dtype=np.float64)
-    cover = mats.sum(axis=0)
+            raise SchemeClosureError(f"A_{l} is not symmetric for {where}")
+    if not np.array_equal(adjacency[0], np.eye(N, dtype=np.uint8)):
+        raise SchemeClosureError(f"A_0 is not the identity for {where}")
+    cover = np.sum(adjacency, axis=0, dtype=np.int16)  # how many classes hold each entry
     if (cover > 1).any():
-        raise SchemeClosureError(
-            f"adjacency matrices overlap for (n, k) = ({basis.n}, {basis.k})"
-        )
-    # A_l have disjoint supports, so p_ij^l can be read off one entry where
-    # A_l is 1 and then checked globally; sum_l p_ij^l A_l is the
-    # coefficient vector indexed by each entry's class label.  Entries in
-    # no class get the extra label k+1, whose coefficient is 0.
-    labels = np.where(cover == 1, mats.argmax(axis=0), k + 1)
-    reps = [int(A.argmax()) if A.any() else None for A in basis.adjacency]
-    numbers: dict[tuple[int, int], list[int]] = {}
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            prod = (mats[i] @ mats[j]).astype(np.int64)
-            coeffs = []
-            for l, rep in enumerate(reps):
-                if rep is None:  # empty distance class (k near n)
-                    coeffs.append(0)
-                    continue
-                val = int(prod.flat[rep])
-                if val < 0:
-                    raise SchemeClosureError(
-                        f"negative intersection number p_{i}{j}^{l} = {val}"
-                    )
-                coeffs.append(val)
-            recon = np.array(coeffs + [0])[labels]
-            if not np.array_equal(prod, recon):
+        raise SchemeClosureError(f"adjacency matrices overlap for {where}")
+    if (cover < 1).any():
+        raise SchemeClosureError(f"adjacency matrices leave a pair uncovered for {where}")
+    valencies = []
+    for l, A in enumerate(adjacency):
+        rows = A.sum(axis=1, dtype=np.int64)
+        if (rows != rows[0]).any():
+            raise SchemeClosureError(f"A_{l} has unequal row sums for {where}")
+        valencies.append(int(rows[0]))
+    # The A_l partition J, so sum_l p_ij^l A_l is the coefficient vector
+    # indexed by each entry's class label, and p_ij^l can be read off one
+    # entry where A_l is 1 and then checked globally.
+    labels = np.zeros((N, N), dtype=np.intp)
+    for l, A in enumerate(adjacency[1:], start=1):
+        labels[A != 0] = l
+    reps = [int(A.argmax()) if v else None for A, v in zip(adjacency, valencies)]
+    numbers = {(0, j): [int(l == j and rep is not None) for l, rep in enumerate(reps)]
+               for j in range(k + 1)}
+    mats = [A.astype(np.float32) for A in adjacency[1:k]]  # A_1..A_{k-1}
+    for i in range(1, k):
+        for j in range(i, k):
+            prod = mats[i - 1] @ mats[j - 1]
+            coeffs = [0 if rep is None else int(prod.flat[rep]) for rep in reps]
+            if not np.array_equal(prod, np.array(coeffs, dtype=np.float32).take(labels)):
                 raise SchemeClosureError(
-                    f"A_{i} A_{j} is not in the span of the scheme for "
-                    f"(n, k) = ({basis.n}, {basis.k})"
+                    f"A_{i} A_{j} is not in the span of the scheme for {where}"
                 )
             numbers[(i, j)] = coeffs
-            numbers[(j, i)] = list(coeffs)  # a copy: a caller may edit one entry
-    return numbers
+    for i in range(1, k + 1):  # A_i A_k = v_i J - sum_{j<k} A_i A_j, for i = k last
+        row = [numbers[min(i, j), max(i, j)] for j in range(k)]
+        numbers[(i, k)] = [0 if rep is None else valencies[i] - sum(p[l] for p in row)
+                           for l, rep in enumerate(reps)]
+    out: dict[tuple[int, int], list[int]] = {}
+    for i in range(k + 1):
+        for j in range(i, k + 1):
+            coeffs = numbers[(i, j)]
+            for l, val in enumerate(coeffs):
+                if val < 0:
+                    raise SchemeClosureError(f"negative intersection number p_{i}{j}^{l} = {val}")
+            out[(i, j)] = coeffs
+            out[(j, i)] = list(coeffs)  # a copy: a caller may edit one entry
+    return out

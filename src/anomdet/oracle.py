@@ -101,6 +101,7 @@ class SrmResult:
 
     success: float
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
+    eigenvalues: np.ndarray  # Gram eigenvalues, ascending, as eigh returns them (not clamped)
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -119,9 +120,15 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     imaginary parts.  Eigenvalues of G in [-PSD_CLAMP * scale, 0), scale =
     max(1, max |G|), are clamped to zero (rank collapse near c = 1); a Gram
     with NaN or infinite entries (overflow) or a materially negative
-    eigenvalue raises ValueError.
+    eigenvalue raises ValueError.  The result also carries w as eigh
+    returns it, before the clamp, so w[0] is the smallest eigenvalue of G.
+
+    The function lets go of the stack once G is formed, so a stack passed
+    as a temporary (srm_success_oracle(all_hypothesis_states(...))) is
+    freed before the eigensolve, and U o U is formed in U's own storage.
     """
     V = _real_array(states, "srm_success_oracle")
+    del states  # from here only V refers to the stack, so `del V` below can free it
     if V.ndim != 2:
         raise ValueError(
             f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"
@@ -137,6 +144,7 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     if not live.all():
         V = V[:, live]
     G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
+    del V
     # both reductions propagate NaN and carry +-inf
     size = float(max(G.max(), -G.min()))
     if not math.isfinite(size):
@@ -144,8 +152,9 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     w, U = np.linalg.eigh(G)  # ascending
     if w[0] < -PSD_CLAMP * max(1.0, size):
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")
-    diag = (U * U) @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
-    return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag)
+    U *= U
+    diag = U @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
+    return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag, eigenvalues=w)
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

@@ -77,13 +77,23 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("command", ["spectrum", "minerr", "unambiguous"])
     @pytest.mark.parametrize("c, exact", [("1/0", True), ("1/0", False), ("abc", False),
-                                          ("abc", True)])
+                                          ("abc", True), ("1e999999999", True),
+                                          ("1e-999999999", True)])
     def test_unparseable_overlap_exit_2(self, runner, command, c, exact):
-        # a zero denominator is a malformed overlap, not a value out of the float range
+        # a zero denominator is a malformed overlap, not a value out of the float range;
+        # an exact exponent beyond EXACT_EXPONENT_CAP is refused before Fraction builds 10**e
         args = [command, "--n", "4", "--k", "2", "--c", c] + ["--exact"] * exact
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert result.output == f"error: invalid overlap c '{c}'\n"
+
+    @pytest.mark.parametrize("c, code", [("1e-4300", 0), ("1E-0_4_300", 0), ("1e-4301", 2),
+                                         ("1e+0_4_301", 2)])
+    def test_exact_exponent_cap(self, runner, c, code):
+        result = runner.invoke(main, ["minerr", "--n", "4", "--k", "2", "--c", c, "--exact"])
+        assert result.exit_code == code
+        if code:
+            assert result.output == f"error: invalid overlap c '{c}'\n"
 
 
 class TestSingleValueCommands:

@@ -191,6 +191,52 @@ class TestBoseMesnerClosure:
         with pytest.raises(SchemeClosureError):
             verify_bose_mesner_closure(tampered)
 
+    def test_identity_class_must_be_the_identity(self):
+        # A_1 takes the diagonal entry (0, 0) from A_0: both stay symmetric and cover J
+        basis = scheme_basis(4, 2)
+        A0, A1 = basis.adjacency[0].copy(), basis.adjacency[1].copy()
+        A0[0, 0], A1[0, 0] = 0, 1
+        tampered = type(basis)(n=4, k=2, adjacency=(A0, A1, basis.adjacency[2]))
+        with pytest.raises(SchemeClosureError, match="A_0 is not the identity"):
+            verify_bose_mesner_closure(tampered)
+
+    def test_uncovered_pair_fails(self):
+        basis = scheme_basis(5, 2)
+        A2 = basis.adjacency[2].copy()
+        b = int(np.flatnonzero(A2[0])[0])
+        A2[0, b] = A2[b, 0] = 0
+        tampered = type(basis)(n=5, k=2, adjacency=(*basis.adjacency[:2], A2))
+        with pytest.raises(SchemeClosureError, match="leave a pair uncovered"):
+            verify_bose_mesner_closure(tampered)
+
+    def test_unequal_row_sums_fail(self):
+        # the pair (0, b) moves from A_1 to A_2 on both sides: still a symmetric partition of J
+        basis = scheme_basis(5, 2)
+        A1, A2 = basis.adjacency[1].copy(), basis.adjacency[2].copy()
+        b = int(np.flatnonzero(A1[0])[0])
+        A1[0, b] = A1[b, 0] = 0
+        A2[0, b] = A2[b, 0] = 1
+        tampered = type(basis)(n=5, k=2, adjacency=(basis.adjacency[0], A1, A2))
+        with pytest.raises(SchemeClosureError, match="A_1 has unequal row sums"):
+            verify_bose_mesner_closure(tampered)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_intersection_numbers_match_a_count(self, n):
+        # p_ij^l = #{z : d(x, z) = i, d(z, y) = j} for any x, y at distance l; 0 for an empty class
+        for k in range(n + 1):
+            D = distance_matrix(n, k)
+            numbers = verify_bose_mesner_closure(scheme_basis(n, k))
+            for l in range(k + 1):
+                pairs = np.argwhere(D == l)
+                for i in range(k + 1):
+                    for j in range(k + 1):
+                        if pairs.size:
+                            x, y = pairs[0]
+                            count = int(np.sum((D[x] == i) & (D[:, y] == j)))
+                        else:
+                            count = 0
+                        assert numbers[(i, j)][l] == count, (n, k, i, j, l)
+
     @pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (6, 5), (4, 4)])
     def test_empty_distance_classes(self, n, k):
         # k > n/2: distance classes beyond n-k are empty

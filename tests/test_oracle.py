@@ -1,4 +1,5 @@
 import math
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -299,6 +300,56 @@ class TestSrmOracle:
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))
         d = result.diagonal
         assert d.max() - d.min() < 1e-10
+
+    @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 3, 0.3), (8, 3, 0.9), (10, 4, 0.53),
+                                         (9, 4, 0.999), (8, 3, 1.0), (6, 2, 0.0)])
+    def test_eigenvalues_are_those_of_the_gram(self, n, k, c):
+        V = all_hypothesis_states(ProblemInstance(n, k, c))
+        w = srm_success_oracle(V).eigenvalues
+        reference = np.linalg.eigvalsh(V @ V.T)
+        assert w.shape == (V.shape[0],) and (np.diff(w) >= 0).all()
+        assert np.abs(w - reference).max() <= 1e-12 * max(1.0, reference[-1])
+
+    def test_eigenvalues_are_not_clamped(self, monkeypatch):
+        # a smallest eigenvalue planted inside the clamp, [-PSD_CLAMP, 0), is
+        # reported as it is, while the square root uses 0 in its place
+        eigh = np.linalg.eigh
+        planted = -0.5 * oracle.PSD_CLAMP
+        factors = []
+
+        def lowered(G):
+            w, U = eigh(G)
+            w[0] = planted
+            factors.append((w.copy(), U.copy()))
+            return w, U
+
+        V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
+        monkeypatch.setattr(oracle.np.linalg, "eigh", lowered)
+        result = srm_success_oracle(V)
+        (w, U), = factors
+        assert result.eigenvalues[0] == planted
+        assert result.eigenvalues.tobytes() == w.tobytes()
+        diagonal = (U * U) @ np.sqrt(np.maximum(w, 0.0))
+        assert result.diagonal.tobytes() == diagonal.tobytes()
+        assert result.success == float(np.sum(diagonal**2) / V.shape[0])
+
+    def test_stack_passed_as_a_temporary_is_freed_before_eigh(self, monkeypatch):
+        eigh = np.linalg.eigh
+        stacks, alive = [], []
+
+        def recording(G):
+            alive.append(stacks[0]() is not None)
+            return eigh(G)
+
+        def temporary():
+            V = all_hypothesis_states(ProblemInstance(8, 3, 0.5))
+            stacks.append(weakref.ref(V))
+            return V
+
+        monkeypatch.setattr(oracle.np.linalg, "eigh", recording)
+        result = srm_success_oracle(temporary())
+        assert alive == [False] and stacks[0]() is None
+        assert result.success == srm_success_oracle(temporary()).success
 
 
 class TestUniversalHypothesis:

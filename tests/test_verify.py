@@ -1,0 +1,40 @@
+"""The detection rows share one SRM oracle call per (n, k, c)."""
+
+from collections import Counter
+
+from anomdet import verify
+from anomdet.oracle import STATE_QUBITS_CAP
+
+DETECTION_ROWS = ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue")
+
+
+def test_detection_rows_build_and_factor_once_per_instance(monkeypatch):
+    built, factored = Counter(), []
+    states, srm = verify.all_hypothesis_states, verify.srm_success_oracle
+
+    def counting_states(inst):
+        built[(inst.n, inst.k, inst.c)] += 1
+        return states(inst)
+
+    def counting_srm(V):
+        factored.append(V.shape)
+        return srm(V)
+
+    monkeypatch.setattr(verify, "all_hypothesis_states", counting_states)
+    monkeypatch.setattr(verify, "srm_success_oracle", counting_srm)
+    verify._srm.cache_clear()
+    try:
+        rows = [check for check in verify.CHECKS if check.name in DETECTION_ROWS]
+        results = [r for check in rows for r in check.run(9)]
+    finally:
+        verify._srm.cache_clear()
+    grid = {(inst["n"], inst["k"], inst["c"]) for inst in verify._overlap_grid(9)}
+    assert len(rows) == 2 and len(results) == 2 * len(grid)
+    assert all(r.passed for r in results)
+    assert built == Counter(grid) and len(factored) == len(grid)
+
+
+def test_srm_cache_holds_the_overlap_grid_at_the_cap():
+    # every instance of `verify --max-n 14` keeps its entry until the second row reads it
+    grid = {tuple(inst.values()) for inst in verify._overlap_grid(STATE_QUBITS_CAP)}
+    assert verify._srm.cache_info().maxsize == len(grid)
