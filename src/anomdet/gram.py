@@ -72,6 +72,24 @@ def _overlap(c) -> Overlap:
     raise ValueError(f"overlap c must be a real number, got {c!r} ({type(c).__name__})")
 
 
+EXACT_TEXT_BITS = 192  # numerator and denominator up to 58 digits print in full
+
+
+def _short_fraction(c: Fraction) -> str:
+    """c in full when its numerator and denominator have at most
+    EXACT_TEXT_BITS bits, else its sign and decimal order, 'about -10^4299'.
+
+    The order is round((bits(p) - bits(q)) log10 2), within one of log10|c|,
+    read off the int bit lengths: no big int is converted to str, which
+    beyond 4300 digits raises ValueError.
+    """
+    p, q = c.numerator, c.denominator
+    if max(abs(p).bit_length(), q.bit_length()) <= EXACT_TEXT_BITS:
+        return str(c)
+    order = round((abs(p).bit_length() - q.bit_length()) * math.log10(2))
+    return f"about {'-' if p < 0 else ''}10^{order}"
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
@@ -80,6 +98,7 @@ class ProblemInstance:
     bool).  c is a real number in [0, 1], stored as a Fraction (exact Gram
     entries and spectrum; from an int or numpy integer too) or a float, as is
     c2 = c * c: every consumer reads its arithmetic off the stored type.
+    An exact c outside [0, 1] is named in the error by _short_fraction.
     """
 
     n: int
@@ -103,7 +122,7 @@ class ProblemInstance:
         if type(c) is Fraction:  # range and square on the int numerator and denominator q > 0
             p, q = c.numerator, c.denominator
             if not 0 <= p <= q:
-                raise ValueError(f"overlap c must be in [0, 1], got {c}")
+                raise ValueError(f"overlap c must be in [0, 1], got {_short_fraction(c)}")
             object.__setattr__(self, "c2", Fraction(p * p, q * q))
         else:
             if not 0 <= c <= 1:
@@ -176,7 +195,7 @@ def _gram_powers(instance: ProblemInstance) -> np.ndarray:
     Raises ValueError when N exceeds GRAM_SIZE_CAP, the largest N for which
     an N x N matrix is built from them.
     """
-    N = instance.N
+    N = math.comb(instance.n, instance.k)  # ProblemInstance holds 0 <= k <= n: no binomial() checks
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     z, dtype = instance.c2, object if instance.exact else float
@@ -308,7 +327,7 @@ def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
         raise ValueError(f"{caller}: matrix is empty, shape {M.shape}")
     # both reductions propagate NaN and carry +-inf, so size is non-finite
     # exactly when some entry is
-    size = float(max(M.max(), -M.min()))
+    size = float(max(np.maximum.reduce(M, axis=None), -np.minimum.reduce(M, axis=None)))
     if not math.isfinite(size):
         raise ValueError(f"{caller}: matrix has NaN or infinite entries")
     return M, size
@@ -319,7 +338,7 @@ def direct_spectrum(matrix) -> np.ndarray:
     M, size = _finite_square(matrix, "direct_spectrum")
     # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|); M - M^T is
     # antisymmetric (a - b = -(b - a) exactly), so its largest entry is its largest |entry|
-    if (M - M.T).max() > 1e-12 * max(1.0, size):
+    if np.maximum.reduce(M - M.T, axis=None) > 1e-12 * max(1.0, size):
         raise ValueError("direct_spectrum: matrix is not symmetric")
     return np.linalg.eigvalsh(M)[::-1]  # LAPACK returns them ascending
 

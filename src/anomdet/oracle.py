@@ -66,6 +66,17 @@ def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int]:
     return index, sector.size
 
 
+@functools.lru_cache(maxsize=STATE_QUBITS_CAP + 1)
+def _support_bits(k: int) -> np.ndarray:
+    """k x 2^k read-only index array: column b holds the bits b_1..b_k of b,
+    b_1 most significant, so phi1.take(bits)[i, b] is the i-th factor of the
+    b-th support entry.  It depends on k only, so it is built once and shared.
+    """
+    bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     """The C(n,k) hypothesis vectors (lexicographic pattern order) in the weight-<=k sector.
 
@@ -75,11 +86,14 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     holds the amplitude of the j-th computational-basis string of weight
     <= k in ascending integer order, position 1 the most significant bit.
     No state has weight outside that sector: row a is nonzero only on the
-    2^k strings that are 0 off its anomaly positions.  There phi1 is
-    folded k times in increasing position order and scattered by
-    _sector_layout.  The skipped factors |0> = (1, 0) are exactly 1.0 or
-    0.0, so every column is bit-identical to the same column of the np.kron
-    left fold; at c = 0 or 1 some sector columns are all zero.
+    2^k strings that are 0 off its anomaly positions.  There the entry of
+    b in {0, 1}^k is the product phi1[b_1] * ... * phi1[b_k], formed left
+    to right in increasing position order by one multiply reduction over
+    the rows of phi1.take(_support_bits(k)) (k = 0 reduces nothing and
+    gives 1.0), and scattered by _sector_layout.  The skipped factors
+    |0> = (1, 0) are exactly 1.0 or 0.0 and the products run in the fold's
+    order, so every column is bit-identical to the same column of the
+    np.kron left fold; at c = 0 or 1 some sector columns are all zero.
     """
     n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
@@ -87,9 +101,7 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     index, width = _sector_layout(n, k)
     c = float(instance.c)
     phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-    core = np.ones(1)
-    for _ in range(k):
-        core = np.multiply.outer(core, phi1).ravel()
+    core = np.multiply.reduce(phi1.take(_support_bits(k)), axis=0)
     states = np.zeros((index.shape[0], width))
     states.ravel()[index] = core
     return states
@@ -138,15 +150,15 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError("srm_success_oracle: the stack holds no states")
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
-    if not np.isfinite(V).all():
+    if not np.logical_and.reduce(np.isfinite(V), axis=None):
         raise ValueError("srm_success_oracle: states have NaN or infinite entries")
-    live = V.any(axis=0)
-    if not live.all():
+    live = np.logical_or.reduce(V, axis=0)
+    if not np.logical_and.reduce(live):
         V = V[:, live]
     G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
     del V
     # both reductions propagate NaN and carry +-inf
-    size = float(max(G.max(), -G.min()))
+    size = float(max(np.maximum.reduce(G, axis=None), -np.minimum.reduce(G, axis=None)))
     if not math.isfinite(size):
         raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
     w, U = np.linalg.eigh(G)  # ascending
@@ -154,7 +166,7 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")
     U *= U
     diag = U @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
-    return SrmResult(success=float(np.sum(diag**2) / N), diagonal=diag, eigenvalues=w)
+    return SrmResult(success=float(np.add.reduce(diag**2) / N), diagonal=diag, eigenvalues=w)
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

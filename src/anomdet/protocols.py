@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 CERTIFICATE_TOL = 1e-10
+WITNESS_CACHE_SIZE = 256  # (n, k) whose dual witness checks are kept
 
 
 class AsymptoticRegimeWarning(UserWarning):
@@ -162,7 +163,7 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _dual_witness_checks(
     n: int, k: int, coeffs: tuple[Fraction, ...]
 ) -> tuple[bool, float, tuple[float, ...]]:
@@ -175,6 +176,8 @@ def _dual_witness_checks(
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
     None of these depends on the overlap, so each (n, k, coefficients) key
     is checked once; the entry holds two scalars and k+1 weights, not Y.
+    A warm (n, k) is served by _dual_witness without reaching this cache,
+    whose key hashes k+1 Fractions on every lookup.
     """
     N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
     D = distance_matrix(n, k)
@@ -182,6 +185,32 @@ def _dual_witness_checks(
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
     Y = np.array([float(x) for x in coeffs]).take(D) * (N / m_m)
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
+
+
+_witness_by_nk: dict[tuple[int, int], tuple[tuple[Fraction, ...], tuple]] = {}
+
+
+def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...]) -> tuple[bool, float, tuple]:
+    """_dual_witness_checks(n, k, coeffs), served from the last coefficients
+    checked at (n, k) when they equal coeffs.
+
+    _projector_coefficients returns the same tuple object on every call, so
+    the tuple comparison finds each item identical and hashes or compares
+    no Fraction.  Other coefficients (a changed projector) are checked
+    afresh and replace the entry.  At most WITNESS_CACHE_SIZE (n, k) are
+    held, as in _dual_witness_checks; the first one stored goes first.
+    """
+    key = (n, k)
+    entry = _witness_by_nk.get(key)
+    if entry is not None and entry[0] == coeffs:
+        return entry[1]
+    checks = _dual_witness_checks(n, k, coeffs)
+    _witness_by_nk[key] = (coeffs, checks)
+    # a snapshot and pop with a default, as in combin.distance_matrix: threads
+    # sharing the cache can neither raise here nor get a wrong entry
+    for old in list(_witness_by_nk)[:-WITNESS_CACHE_SIZE]:
+        _witness_by_nk.pop(old, None)
+    return checks
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -205,7 +234,9 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     the exact c^2.  For an exact overlap G is a float matrix too: its k+1
     exact powers rounded once.  Y does not depend on c: its diagonal test,
     its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
-    the powers (c^2)^d run once per (n, k) (_dual_witness_checks).
+    the powers (c^2)^d run once per (n, k) (_dual_witness_checks).  A
+    later call at that (n, k) finds them by comparing its coefficient
+    tuple with the one checked (_dual_witness), which hashes no Fraction.
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -216,7 +247,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
-    diag_ok, y_min, weights = _dual_witness_checks(n, k, coeffs)
+    diag_ok, y_min, weights = _dual_witness(n, k, coeffs)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 

@@ -87,6 +87,15 @@ class TestSpectrumCommand:
         assert result.exit_code == 2
         assert result.output == f"error: invalid overlap c '{c}'\n"
 
+    @pytest.mark.parametrize("c", ["1e4299", "1e4300"])
+    def test_huge_exact_overlap_range_message_is_short(self, runner, c):
+        # the exact overlap is rendered by sign and decimal order, never as its
+        # 4300 digits, and str() of a 4301-digit int is never attempted
+        result = runner.invoke(main, ["minerr", "--n", "4", "--k", "2", "--c", c, "--exact"])
+        assert result.exit_code == 2
+        assert result.output == f"error: overlap c must be in [0, 1], got about 10^{c[2:]}\n"
+        assert "[0, 1]" in result.output and len(result.output) < 200
+
     @pytest.mark.parametrize("c, code", [("1e-4300", 0), ("1E-0_4_300", 0), ("1e-4301", 2),
                                          ("1e+0_4_301", 2)])
     def test_exact_exponent_cap(self, runner, c, code):

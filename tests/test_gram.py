@@ -85,6 +85,16 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match=f"^overlap c must be in \\[0, 1\\], got {c}$"):
             ProblemInstance(4, 2, c)
 
+    @pytest.mark.parametrize("c, shown", [(Fraction(10**5000), "about 10^5000"),
+                                          (Fraction(-1, 10**5000), "about -10^-5000"),
+                                          (Fraction(10**5000 + 1, 10**5000), "about 10^0")])
+    def test_huge_fraction_range_message_is_short(self, c, shown):
+        with pytest.raises(ValueError) as info:
+            ProblemInstance(4, 2, c)
+        message = str(info.value)
+        assert message == f"overlap c must be in [0, 1], got {shown}"
+        assert "[0, 1]" in message and len(message) < 200
+
     @pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(1, 3),
                                    Fraction(10**30 - 1, 10**30)])
     def test_fraction_square_equals_product(self, c):
@@ -444,6 +454,14 @@ class TestLogDomainFloatPath:
 
 
 class TestDirectSpectrum:
+    @pytest.mark.parametrize("c", [0.0, 0.37, 0.9, 1.0])
+    def test_bit_identical_to_eigvalsh(self, c):
+        for n in range(2, 11):
+            for k in range(1, min(4, n // 2) + 1):
+                G = gram_matrix(ProblemInstance(n, k, c))
+                reference = np.linalg.eigvalsh(G)[::-1]
+                assert direct_spectrum(G).tobytes() == reference.tobytes(), (n, k)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="NaN or infinite"):

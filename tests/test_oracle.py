@@ -96,8 +96,9 @@ class TestHypothesisStates:
 
     @pytest.mark.parametrize("n", [9, 10, 12])
     def test_matches_kron_fold_bitwise_at_large_n(self, n):
-        # n = 12 reaches column weights 2^11 and a support of 2^12 at k = n
-        for k in (0, 1, 2, n - 1, n) if n == 12 else range(5):
+        # n = 12 reaches column weights 2^11, the widest stack (C(12, 6) rows)
+        # at k = 6 and a support of 2^12 at k = n
+        for k in (0, 1, 2, 6, n - 1, n) if n == 12 else range(5):
             for c in (0.37, 1.0):
                 folds, sector = _kron_folds(n, k, c), _sector(n, k)
                 assert not folds[:, ~sector].any(), (k, c)
@@ -300,6 +301,19 @@ class TestSrmOracle:
         result = srm_success_oracle(all_hypothesis_states(ProblemInstance(6, 2, 0.6)))
         d = result.diagonal
         assert d.max() - d.min() < 1e-10
+
+    @pytest.mark.parametrize("c", [0.0, 0.37, 0.9, 1.0])
+    def test_bit_identical_to_plain_reference(self, c):
+        # the plain steps: eigh of V V^T, diagonal (U o U) sqrt(max(w, 0)), mean square
+        for n in range(2, 11):
+            for k in range(1, min(4, n // 2) + 1):
+                V = all_hypothesis_states(ProblemInstance(n, k, c))
+                w, U = np.linalg.eigh(V @ V.T)
+                d = (U * U) @ np.sqrt(np.maximum(w, 0.0))
+                result = srm_success_oracle(V)
+                assert result.success == np.sum(d**2) / V.shape[0], (n, k)
+                assert result.diagonal.tobytes() == d.tobytes(), (n, k)
+                assert result.eigenvalues.tobytes() == w.tobytes(), (n, k)
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 3, 0.3), (8, 3, 0.9), (10, 4, 0.53),
                                          (9, 4, 0.999), (8, 3, 1.0), (6, 2, 0.0)])

@@ -248,14 +248,48 @@ class TestCertificates:
         assert verdicts == [False, False, True, True, True, True]
 
     def test_dual_witness_checked_once_per_nk(self):
+        # one build (one miss of the keyed cache); the second overlap is served
+        # by the (n, k) entry and does not reach the keyed cache
         protocols._dual_witness_checks.cache_clear()
+        protocols._witness_by_nk.clear()
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
         info = protocols._dual_witness_checks.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert list(protocols._witness_by_nk) == [(9, 3)]
+        assert protocols._witness_by_nk[9, 3][0] is protocols._projector_coefficients(9, 3, 3)
         assert first.optimal and second.optimal
         assert second.primal_value == pytest.approx(0.64**3, rel=1e-14)
         assert second.gap <= 1e-10
+
+    def test_warm_certificate_hashes_no_fraction(self, monkeypatch):
+        # a warm (n, k) is matched on the coefficient tuple itself, not by a
+        # lookup keyed on k+1 Fractions
+        inst = ProblemInstance(9, 4, 0.5)
+        cold = verify_unambiguous_certificates(inst)
+        hashes = []
+        true_hash = Fraction.__hash__
+
+        def counted(self):
+            hashes.append(self)
+            return true_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert verify_unambiguous_certificates(inst) == cold
+        assert verify_unambiguous_certificates(ProblemInstance(9, 4, 0.7)).optimal
+        assert hashes == []
+
+    def test_dual_witness_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(protocols, "_witness_by_nk", {})
+        monkeypatch.setattr(protocols, "_dual_witness_checks", lambda n, k, coeffs: (n, k))
+        size = protocols.WITNESS_CACHE_SIZE
+        for n in range(size + 10):
+            assert protocols._dual_witness(n, 1, ()) == (n, 1)
+        assert list(protocols._witness_by_nk) == [(n, 1) for n in range(10, size + 10)]
+        # new coefficients at a held (n, k) replace its entry in place
+        assert protocols._dual_witness(20, 1, (Fraction(1),)) == (20, 1)
+        assert len(protocols._witness_by_nk) == size
+        assert protocols._witness_by_nk[20, 1][0] == (Fraction(1),)
 
     def test_dual_witness_cache_entry_holds_scalars(self):
         coeffs = protocols._projector_coefficients(8, 3, 3)
