@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import GRAM_SIZE_CAP, binomial, distance_matrix
+from .combin import GRAM_SIZE_CAP, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -131,7 +131,7 @@ class ProblemInstance:
 
     @property
     def N(self) -> int:
-        return binomial(self.n, self.k)
+        return math.comb(self.n, self.k)  # __post_init__ holds 0 <= k <= n
 
     @property
     def exact(self) -> bool:
@@ -195,7 +195,7 @@ def _gram_powers(instance: ProblemInstance) -> np.ndarray:
     Raises ValueError when N exceeds GRAM_SIZE_CAP, the largest N for which
     an N x N matrix is built from them.
     """
-    N = math.comb(instance.n, instance.k)  # ProblemInstance holds 0 <= k <= n: no binomial() checks
+    N = instance.N
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     z, dtype = instance.c2, object if instance.exact else float

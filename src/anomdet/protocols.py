@@ -12,7 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,7 +162,6 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _dual_witness_checks(
     n: int, k: int, coeffs: tuple[Fraction, ...]
 ) -> tuple[bool, float, tuple[float, ...]]:
@@ -174,10 +172,8 @@ def _dual_witness_checks(
     The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
     y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
-    None of these depends on the overlap, so each (n, k, coefficients) key
-    is checked once; the entry holds two scalars and k+1 weights, not Y.
-    A warm (n, k) is served by _dual_witness without reaching this cache,
-    whose key hashes k+1 Fractions on every lookup.
+    None of these depends on the overlap, so _dual_witness keeps the result
+    per (n, k): two scalars and k+1 weights, not Y.
     """
     N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
     D = distance_matrix(n, k)
@@ -198,7 +194,7 @@ def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...]) -> tuple[bool, f
     the tuple comparison finds each item identical and hashes or compares
     no Fraction.  Other coefficients (a changed projector) are checked
     afresh and replace the entry.  At most WITNESS_CACHE_SIZE (n, k) are
-    held, as in _dual_witness_checks; the first one stored goes first.
+    held; the first one stored goes first.
     """
     key = (n, k)
     entry = _witness_by_nk.get(key)

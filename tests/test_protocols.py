@@ -247,15 +247,20 @@ class TestCertificates:
             verdicts.append(report.primal_feasible)
         assert verdicts == [False, False, True, True, True, True]
 
-    def test_dual_witness_checked_once_per_nk(self):
-        # one build (one miss of the keyed cache); the second overlap is served
-        # by the (n, k) entry and does not reach the keyed cache
-        protocols._dual_witness_checks.cache_clear()
-        protocols._witness_by_nk.clear()
+    def test_dual_witness_checked_once_per_nk(self, monkeypatch):
+        # one build; the second overlap is served by the (n, k) entry
+        builds = []
+        true_checks = protocols._dual_witness_checks
+
+        def counted(n, k, coeffs):
+            builds.append((n, k))
+            return true_checks(n, k, coeffs)
+
+        monkeypatch.setattr(protocols, "_witness_by_nk", {})
+        monkeypatch.setattr(protocols, "_dual_witness_checks", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
-        info = protocols._dual_witness_checks.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert builds == [(9, 3)]
         assert list(protocols._witness_by_nk) == [(9, 3)]
         assert protocols._witness_by_nk[9, 3][0] is protocols._projector_coefficients(9, 3, 3)
         assert first.optimal and second.optimal
@@ -319,14 +324,22 @@ class TestCertificates:
                 report = verify_unambiguous_certificates(inst)
                 assert abs(report.dual_value - reference) <= 1e-14, (n, k)
 
-    def test_endpoints_stay_analytic_with_a_warm_cache(self):
+    def test_endpoints_stay_analytic_with_a_warm_cache(self, monkeypatch):
+        # with (5, 2) warm, the endpoints must still neither read the witness
+        # nor build the Gram powers
         verify_unambiguous_certificates(ProblemInstance(5, 2, 0.5))
-        before = protocols._dual_witness_checks.cache_info()
+        before = dict(protocols._witness_by_nk)
+
+        def numeric(*args):
+            raise AssertionError("endpoint left the analytic branch")
+
+        monkeypatch.setattr(protocols, "_dual_witness", numeric)
+        monkeypatch.setattr(protocols, "_gram_powers", numeric)
         zero = verify_unambiguous_certificates(ProblemInstance(5, 2, 0.0))
         one = verify_unambiguous_certificates(ProblemInstance(5, 2, 1.0))
         assert zero == protocols.CertificateReport(True, True, 1.0, 1.0, 0.0)
         assert one == protocols.CertificateReport(True, True, 0.0, 0.0, 0.0)
-        assert protocols._dual_witness_checks.cache_info() == before
+        assert protocols._witness_by_nk == before
 
     @pytest.mark.parametrize("distance", [0, 3])
     def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, distance):
