@@ -6,12 +6,12 @@ Anomaly patterns are sorted tuples of 1-based positions, kept in
 lexicographic order throughout the package so that matrix rows have a
 deterministic meaning; distance_matrix gives all pairwise subset
 distances in that order, the one object every explicit N x N matrix of
-the package is gathered from (cached per (n, k), read-only).
+the package is gathered from (cached per (n, k), read-only), and so the
+one place that refuses a pattern-indexed N x N object with N > GRAM_SIZE_CAP.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations
 from typing import Sequence
@@ -56,18 +56,17 @@ def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:
     return len(r) - len(set(r) & set(s))
 
 
-@functools.lru_cache(maxsize=32)
 def pattern_indicator(n: int, k: int) -> np.ndarray:
     """C(n, k) x n 0/1 matrix X: row a marks the positions of the a-th pattern.
 
-    Built once per (n, k) and shared, so the array is read-only; copy it
-    to modify it.
+    A fresh array on each call, the caller's to modify: the package calls it
+    only when distance_matrix or the oracle's sector layout builds its
+    cached (n, k) structure.
     """
     pats = enumerate_patterns(n, k)
     X = np.zeros((len(pats), n), dtype=np.uint8)
     cols = np.array(pats, dtype=np.intp).reshape(len(pats), k) - 1
     X[np.arange(len(pats))[:, None], cols] = 1
-    X.flags.writeable = False
     return X
 
 
@@ -83,13 +82,18 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     (n, k) is built once and shared, read-only (copy it to modify it):
     the cache keeps the 32 most recently used matrices, fewer when they
     would hold more than GRAM_SIZE_CAP^2 bytes (one D at the Gram size
-    cap, N = 5000), but always the one just returned.
+    cap, N = 5000), but always the one just returned.  A miss with
+    N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern is
+    enumerated, so no N x N object is built beyond the cap.
     """
     key = (n, k)
     D = _distances.pop(key, None)
     if D is not None:
         _distances[key] = D  # now the most recently used
         return D
+    N = binomial(n, k)
+    if N > GRAM_SIZE_CAP:
+        raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     X = pattern_indicator(n, k).astype(np.float64)
     D = (k - X @ X.T).astype(np.min_scalar_type(k))
     D.flags.writeable = False

@@ -183,21 +183,16 @@ def gram_matrix(instance: ProblemInstance) -> np.ndarray:
     Entry [a, b] is (c^2)^d for the subset distance d of patterns a and b:
     the k+1 distinct powers are computed once and gathered by the distance
     matrix.  Returns a float ndarray, or an object ndarray of Fractions
-    when the instance overlap is exact.
+    when the instance overlap is exact.  distance_matrix refuses N above
+    GRAM_SIZE_CAP, so no power is formed for a refused N.
     """
-    return _gram_powers(instance).take(distance_matrix(instance.n, instance.k))
+    D = distance_matrix(instance.n, instance.k)
+    return _gram_powers(instance).take(D)
 
 
 def _gram_powers(instance: ProblemInstance) -> np.ndarray:
     """The k+1 distinct Gram entries (c^2)^d, d = 0..k: floats, or Fractions
-    for an exact overlap.
-
-    Raises ValueError when N exceeds GRAM_SIZE_CAP, the largest N for which
-    an N x N matrix is built from them.
-    """
-    N = instance.N
-    if N > GRAM_SIZE_CAP:
-        raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
+    for an exact overlap."""
     z, dtype = instance.c2, object if instance.exact else float
     return np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _finite_square, _real_array, direct_spectrum
+from .universal import UniversalInstance
 
 __all__ = [
     "SrmResult",
@@ -41,40 +42,28 @@ HOLEVO_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=32)
-def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int]:
+def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Where the 2^k support entries of the C(n, k) hypothesis states go.
 
-    Returns (index, M): M = sum_{j<=k} C(n, j) strings of weight <= k, and
-    index, a read-only C(n, k) x 2^k array of flat positions in the
-    C(n, k) x M sector stack.  Row a lists the strings that are 0 off the
-    a-th pattern's positions p_1 < ... < p_k, as sum_i b_i 2^(n-1-p_i)
-    over b in {0, 1}^k with b_1 most significant (the order of the np.kron
-    fold); each string is replaced by its rank among all strings of
-    weight <= k, in ascending integer order.  Every such string lies under
-    some pattern, so the ranks run over 0..M-1.  The layout depends on
-    (n, k) only, so it is built once and shared.
+    Returns (index, M, bits), all read-only.  bits is the k x 2^k table whose
+    column b holds the bits b_1..b_k of b, b_1 most significant (the order of
+    the np.kron fold).  M = sum_{j<=k} C(n, j) strings of weight <= k, and
+    index is a C(n, k) x 2^k array of flat positions in the C(n, k) x M
+    sector stack.  Row a lists the strings that are 0 off the a-th pattern's
+    positions p_1 < ... < p_k, weights @ bits with weights[a, i] = 2^(n-1-p_i);
+    each string is replaced by its rank among all strings of weight <= k, in
+    ascending integer order.  Every such string lies under some pattern, so
+    the ranks run over 0..M-1.  The layout depends on (n, k) only, so it is
+    built once and shared.
     """
     X = pattern_indicator(n, k)
     rows = X.shape[0]
     weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
-    strings = np.zeros((rows, 1), dtype=weights.dtype)
-    for i in range(k):
-        strings = (strings[:, :, None] + weights[:, i, None, None] * np.arange(2)).reshape(rows, -1)
-    sector, rank = np.unique(strings, return_inverse=True)
-    index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
-    index.flags.writeable = False
-    return index, sector.size
-
-
-@functools.lru_cache(maxsize=STATE_QUBITS_CAP + 1)
-def _support_bits(k: int) -> np.ndarray:
-    """k x 2^k read-only index array: column b holds the bits b_1..b_k of b,
-    b_1 most significant, so phi1.take(bits)[i, b] is the i-th factor of the
-    b-th support entry.  It depends on k only, so it is built once and shared.
-    """
     bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
-    bits.flags.writeable = False
-    return bits
+    sector, rank = np.unique(weights @ bits, return_inverse=True)
+    index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+    index.flags.writeable = bits.flags.writeable = False
+    return index, sector.size, bits
 
 
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
@@ -89,8 +78,8 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     2^k strings that are 0 off its anomaly positions.  There the entry of
     b in {0, 1}^k is the product phi1[b_1] * ... * phi1[b_k], formed left
     to right in increasing position order by one multiply reduction over
-    the rows of phi1.take(_support_bits(k)) (k = 0 reduces nothing and
-    gives 1.0), and scattered by _sector_layout.  The skipped factors
+    the rows of phi1.take(bits) (k = 0 reduces nothing and gives 1.0), and
+    scattered by index, both from _sector_layout.  The skipped factors
     |0> = (1, 0) are exactly 1.0 or 0.0 and the products run in the fold's
     order, so every column is bit-identical to the same column of the
     np.kron left fold; at c = 0 or 1 some sector columns are all zero.
@@ -98,10 +87,10 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
         raise ValueError(f"all_hypothesis_states: n={n} exceeds cap {STATE_QUBITS_CAP}")
-    index, width = _sector_layout(n, k)
+    index, width, bits = _sector_layout(n, k)
     c = float(instance.c)
     phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-    core = np.multiply.reduce(phi1.take(_support_bits(k)), axis=0)
+    core = np.multiply.reduce(phi1.take(bits), axis=0)
     states = np.zeros((index.shape[0], width))
     states.ravel()[index] = core
     return states
@@ -157,10 +146,7 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         V = V[:, live]
     G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
     del V
-    # both reductions propagate NaN and carry +-inf
-    size = float(max(np.maximum.reduce(G, axis=None), -np.minimum.reduce(G, axis=None)))
-    if not math.isfinite(size):
-        raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
+    _, size = _finite_square(G, "srm_success_oracle")
     w, U = np.linalg.eigh(G)  # ascending
     if w[0] < -PSD_CLAMP * max(1.0, size):
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")
@@ -209,7 +195,10 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
 
 def _universal_srm(n: int, k: int, d: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Isometries B_S of all hypotheses (lexicographic pattern order) and
-    R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r."""
+    R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r.  The counts
+    are validated as UniversalInstance validates them."""
+    instance = UniversalInstance(n, k, d)
+    n, k, d = instance.n, instance.k, instance.d
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
     if n < 2 * k:

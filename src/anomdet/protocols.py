@@ -240,6 +240,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
 
+    D = distance_matrix(n, k)  # refuses N > GRAM_SIZE_CAP before any power is formed
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
@@ -251,7 +252,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     # G - (lambda_min - CERTIFICATE_TOL) I directly
     powers[0] -= lam_min - CERTIFICATE_TOL
     try:
-        np.linalg.cholesky(powers.take(distance_matrix(n, k)))
+        np.linalg.cholesky(powers.take(D))
         primal_feasible = True
     except np.linalg.LinAlgError:
         primal_feasible = False

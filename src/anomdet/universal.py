@@ -82,6 +82,7 @@ def universal_success(instance: UniversalInstance) -> Fraction:
 
 def universal_asymptote(k: int, d: int) -> Fraction:
     """Large-n limit (d-1)/(d-1+k) of the universal success probability."""
+    k, d = _count(k, "k"), _count(d, "d")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if d < 2:
@@ -102,6 +103,7 @@ def average_known_success(k: int, d: int) -> float:
     universal_asymptote(k, d) = (d-1)/(d-1+k), and the
     average-overlap-quadrature check compares the two.
     """
+    k, d = _count(k, "k"), _count(d, "d")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
     u, w = _overlap_quadrature()
@@ -110,6 +112,7 @@ def average_known_success(k: int, d: int) -> float:
 
 def average_min_error_curve(n: int, k: int, d: int) -> float:
     """Known-states minimum-error success averaged over the overlap measure."""
+    n, k, d = _count(n, "n"), _count(k, "k"), _count(d, "d")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
     u, w = _overlap_quadrature()

@@ -1,11 +1,12 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from anomdet import combin
+from anomdet import combin, gram, johnson, oracle, protocols
 from anomdet.combin import (
     binomial,
     distance_matrix,
@@ -117,11 +118,22 @@ class TestDistanceMatrix:
         rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
         assert rows == enumerate_patterns(n, k)
 
-    def test_indicator_is_read_only(self):
+    def test_indicator_is_a_fresh_array(self, empty_distance_cache):
+        # a write into one result reaches neither the cached (n, k) structures
+        # built from the indicator nor those built after the write
+        oracle._sector_layout.cache_clear()
+        index, _, bits = oracle._sector_layout(5, 2)
+        expected = [distance_matrix(5, 2).copy(), index.copy(), bits.copy()]
         X = pattern_indicator(5, 2)
-        with pytest.raises(ValueError):
-            X[0, 0] = 1
-        assert pattern_indicator(5, 2) is X  # built once per (n, k)
+        assert X.flags.writeable and pattern_indicator(5, 2) is not X
+        X[:] = 1 - X
+        assert pattern_indicator(5, 2).sum() == 10 * 2
+        cached = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
+        empty_distance_cache.clear()
+        oracle._sector_layout.cache_clear()
+        rebuilt = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
+        for arrays in (cached, rebuilt):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, expected))
 
     def test_shared_copy_is_read_only(self, empty_distance_cache):
         assert len(VERIFY_GRID_10) == 24
@@ -162,16 +174,39 @@ class TestDistanceMatrix:
         assert list(empty_distance_cache) == [(5, 2), (4, 2)]
 
     def test_newest_entry_always_kept(self, empty_distance_cache, monkeypatch):
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 1)  # every D is over the byte bound
-        D = distance_matrix(6, 3)
-        assert list(empty_distance_cache) == [(6, 3)]
-        assert distance_matrix(6, 3) is D
-        E = distance_matrix(5, 2)
-        assert list(empty_distance_cache) == [(5, 2)] and distance_matrix(5, 2) is E
+        # a 90 000-byte bound; each uint16 D below is about twice that
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 300)
+        D = distance_matrix(300, 299)
+        assert D.nbytes == 180_000
+        assert list(empty_distance_cache) == [(300, 299)]
+        assert distance_matrix(300, 299) is D
+        E = distance_matrix(299, 298)
+        assert list(empty_distance_cache) == [(299, 298)] and distance_matrix(299, 298) is E
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: johnson.scheme_basis(30, 15),
+        lambda: johnson.scheme_projector(30, 15, 3),
+        lambda: johnson.scheme_projector_exact(30, 15, 3),
+        lambda: gram.gram_matrix(gram.ProblemInstance(30, 15, 0.5)),
+        lambda: gram.gram_matrix(gram.ProblemInstance(30, 15, Fraction(1, 2))),
+        lambda: protocols.verify_unambiguous_certificates(gram.ProblemInstance(30, 15, 0.5)),
+    ], ids=["scheme_basis", "scheme_projector", "scheme_projector_exact", "gram_matrix",
+            "gram_matrix_exact", "verify_unambiguous_certificates"])
+    def test_size_cap_refuses_before_any_build(self, build, monkeypatch):
+        # N = C(30, 15) = 155117520: the refusal comes before any pattern or power
+        def unreachable(*args):
+            raise AssertionError("built past the size cap")
+
+        monkeypatch.setattr(combin, "enumerate_patterns", unreachable)
+        monkeypatch.setattr(gram, "_gram_powers", unreachable)
+        monkeypatch.setattr(protocols, "_gram_powers", unreachable)
+        message = f"^Gram size 155117520 exceeds cap {combin.GRAM_SIZE_CAP}$"
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_threads_sharing_the_cache(self, empty_distance_cache):
         # 40 cells through a 32-entry cache from 4 threads: constant eviction

@@ -126,11 +126,13 @@ class TestHypothesisStates:
         second = all_hypothesis_states(ProblemInstance(7, 3, 0.6))
         info = oracle._sector_layout.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        index, width = oracle._sector_layout(7, 3)
+        index, width, bits = oracle._sector_layout(7, 3)
         assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
-        assert not index.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            index[0, 0] = 0
+        assert bits.shape == (3, 8)
+        for table in (index, bits):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
         assert first.flags.writeable  # each call returns a fresh stack
 
 
@@ -388,6 +390,11 @@ class TestUniversalHypothesis:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="universal_success_oracle: requires n >= 2k"):
             universal_success_oracle(3, 2, 2)
+
+    def test_rejects_dimension_below_two(self):
+        # universal_success refuses d = 1 too, through UniversalInstance
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            universal_success_oracle(3, 1, 1)
 
     @pytest.mark.parametrize("n,k,d", [(4, 1, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
     def test_is_the_projector_onto_sym_tensor_sym(self, n, k, d):

@@ -47,6 +47,17 @@ class TestUniversalInstance:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             UniversalInstance(*args)
 
+    @pytest.mark.parametrize("call, args, message", [
+        (average_known_success, (1.5, 2), "^k must be an integer"),
+        (average_known_success, (True, 2), "^k must be an integer"),
+        (average_known_success, (1, 2.5), "^d must be an integer"),
+        (average_min_error_curve, (10, 1, 2.5), "^d must be an integer"),
+        (universal_asymptote, (1.5, 2), "^k must be an integer"),
+    ])
+    def test_entry_points_read_counts_as_the_instance_does(self, call, args, message):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+
     def test_accepts_numpy_integers_as_ints(self):
         inst = UniversalInstance(np.int64(6), np.int32(2), np.uint8(3))
         assert inst == UniversalInstance(6, 2, 3)
