@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
+NK_CACHE_SIZE = 64  # entries per (n, k) cache; verify --max-n 14 walks 40 (n, k) per row
 
 
 def binomial(n: int, r: int) -> int:
@@ -80,9 +81,9 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     overlap counts X X^T are at most n, so the float64 (BLAS) product is
     exact; D is in the smallest unsigned integer type holding k.  Each
     (n, k) is built once and shared, read-only (copy it to modify it):
-    the cache keeps the 32 most recently used matrices, fewer when they
-    would hold more than GRAM_SIZE_CAP^2 bytes (one D at the Gram size
-    cap, N = 5000), but always the one just returned.  A miss with
+    the cache keeps the NK_CACHE_SIZE most recently used matrices, fewer
+    when they would hold more than GRAM_SIZE_CAP^2 bytes (one D at the
+    Gram size cap, N = 5000), but always the one just returned.  A miss with
     N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern is
     enumerated, so no N x N object is built beyond the cap.
     """
@@ -102,7 +103,7 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     # raise here nor get a wrong matrix, at worst build one twice
     for old in list(_distances)[:-1]:
         held = sum(M.nbytes for M in list(_distances.values()))
-        if len(_distances) <= 32 and held <= GRAM_SIZE_CAP**2:
+        if len(_distances) <= NK_CACHE_SIZE and held <= GRAM_SIZE_CAP**2:
             break
         _distances.pop(old, None)
     return D

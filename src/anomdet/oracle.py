@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import enumerate_patterns, pattern_indicator
+from .combin import NK_CACHE_SIZE, enumerate_patterns, pattern_indicator
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _finite_square, _real_array, direct_spectrum
 from .universal import UniversalInstance
 
@@ -37,11 +37,13 @@ __all__ = [
 STATE_QUBITS_CAP = 14
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
-PSD_CLAMP = 1e-10  # relative size of negative Gram eigenvalues the SRM oracle clamps to zero
+# SRM oracle: relative size of negative Gram eigenvalues clamped to zero, and
+# how far a state's squared norm may be off 1
+PSD_CLAMP = 1e-10
 HOLEVO_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=NK_CACHE_SIZE)
 def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Where the 2^k support entries of the C(n, k) hypothesis states go.
 
@@ -106,7 +108,8 @@ class SrmResult:
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
-    """Square-root-measurement success probability from explicit states.
+    """Square-root-measurement success probability from explicit
+    unit-norm states, uniform prior.
 
     Builds the Gram matrix G = U diag(w) U^T from inner products; its
     square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
@@ -120,9 +123,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     the same bits.  Complex states raise ValueError instead of losing their
     imaginary parts.  Eigenvalues of G in [-PSD_CLAMP * scale, 0), scale =
     max(1, max |G|), are clamped to zero (rank collapse near c = 1); a Gram
-    with NaN or infinite entries (overflow) or a materially negative
-    eigenvalue raises ValueError.  The result also carries w as eigh
-    returns it, before the clamp, so w[0] is the smallest eigenvalue of G.
+    with NaN or infinite entries (overflow), a diagonal entry (a squared
+    norm) off 1 by more than PSD_CLAMP or a materially negative eigenvalue
+    raises ValueError.  The result also carries w as eigh returns it,
+    before the clamp, so w[0] is the smallest eigenvalue of G.
 
     The function lets go of the stack once G is formed, so a stack passed
     as a temporary (srm_success_oracle(all_hypothesis_states(...))) is
@@ -147,6 +151,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
     del V
     _, size = _finite_square(G, "srm_success_oracle")
+    off = np.flatnonzero(np.abs(G.diagonal() - 1.0) > PSD_CLAMP)
+    if off.size:
+        r = off[0]
+        raise ValueError(f"srm_success_oracle: row {r} has squared norm {G[r, r]}, not 1")
     w, U = np.linalg.eigh(G)  # ascending
     if w[0] < -PSD_CLAMP * max(1.0, size):
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")

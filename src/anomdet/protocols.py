@@ -8,6 +8,7 @@ optimality certificates for the latter.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, binomial, distance_matrix
 from .gram import (
     ProblemInstance,
     _gram_powers,
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 CERTIFICATE_TOL = 1e-10
-WITNESS_CACHE_SIZE = 256  # (n, k) whose dual witness checks are kept
 
 
 class AsymptoticRegimeWarning(UserWarning):
@@ -183,30 +183,11 @@ def _dual_witness_checks(
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
 
 
-_witness_by_nk: dict[tuple[int, int], tuple[tuple[Fraction, ...], tuple]] = {}
-
-
-def _dual_witness(n: int, k: int, coeffs: tuple[Fraction, ...]) -> tuple[bool, float, tuple]:
-    """_dual_witness_checks(n, k, coeffs), served from the last coefficients
-    checked at (n, k) when they equal coeffs.
-
-    _projector_coefficients returns the same tuple object on every call, so
-    the tuple comparison finds each item identical and hashes or compares
-    no Fraction.  Other coefficients (a changed projector) are checked
-    afresh and replace the entry.  At most WITNESS_CACHE_SIZE (n, k) are
-    held; the first one stored goes first.
-    """
-    key = (n, k)
-    entry = _witness_by_nk.get(key)
-    if entry is not None and entry[0] == coeffs:
-        return entry[1]
-    checks = _dual_witness_checks(n, k, coeffs)
-    _witness_by_nk[key] = (coeffs, checks)
-    # a snapshot and pop with a default, as in combin.distance_matrix: threads
-    # sharing the cache can neither raise here nor get a wrong entry
-    for old in list(_witness_by_nk)[:-WITNESS_CACHE_SIZE]:
-        _witness_by_nk.pop(old, None)
-    return checks
+@functools.lru_cache(maxsize=NK_CACHE_SIZE)
+def _dual_witness(n: int, k: int) -> tuple[tuple[Fraction, ...], tuple]:
+    """(coeffs, _dual_witness_checks(n, k, coeffs)) for E_m, m = min(k, n-k)."""
+    coeffs = _projector_coefficients(n, k, min(k, n - k))
+    return coeffs, _dual_witness_checks(n, k, coeffs)
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -230,9 +211,11 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     the exact c^2.  For an exact overlap G is a float matrix too: its k+1
     exact powers rounded once.  Y does not depend on c: its diagonal test,
     its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
-    the powers (c^2)^d run once per (n, k) (_dual_witness_checks).  A
-    later call at that (n, k) finds them by comparing its coefficient
-    tuple with the one checked (_dual_witness), which hashes no Fraction.
+    the powers (c^2)^d run once per (n, k): _dual_witness keeps them, with
+    the coefficient tuple they were built from, for the NK_CACHE_SIZE most
+    recently used (n, k).  They are used when that tuple is the one
+    _projector_coefficients returns now (the same object, so no Fraction is
+    hashed or compared); other coefficients are checked afresh, not stored.
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -244,7 +227,8 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
     coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
-    diag_ok, y_min, weights = _dual_witness(n, k, coeffs)
+    checked, checks = _dual_witness(n, k)
+    diag_ok, y_min, weights = checks if checked == coeffs else _dual_witness_checks(n, k, coeffs)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     HOLEVO_TOL,
@@ -143,7 +143,7 @@ def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
 
 # --- residuals: Johnson scheme -------------------------------------------
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=NK_CACHE_SIZE)
 def _intersection_numbers(n: int, k: int) -> dict[tuple[int, int], list[int]]:
     """verify_bose_mesner_closure(scheme_basis(n, k)), once per (n, k) for two rows."""
     return johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))

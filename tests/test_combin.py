@@ -8,6 +8,7 @@ import pytest
 
 from anomdet import combin, gram, johnson, oracle, protocols
 from anomdet.combin import (
+    NK_CACHE_SIZE,
     binomial,
     distance_matrix,
     enumerate_patterns,
@@ -151,12 +152,14 @@ class TestDistanceMatrix:
         copy[0, 0] = 1
         assert distance_matrix(6, 3)[0, 0] == 0
 
-    def test_least_recently_used_evicted_past_32(self, empty_distance_cache):
-        cells = [(n, k) for n in range(1, 12) for k in range(n + 1)][:33]
-        built = [distance_matrix(*nk) for nk in cells[:32]]
+    def test_least_recently_used_evicted_past_the_bound(self, empty_distance_cache):
+        size = NK_CACHE_SIZE
+        cells = [(n, k) for n in range(1, 12) for k in range(n + 1)][:size + 1]
+        assert len(cells) == size + 1
+        built = [distance_matrix(*nk) for nk in cells[:size]]
         assert distance_matrix(*cells[0]) is built[0]  # now the most recently used
-        distance_matrix(*cells[32])
-        assert len(empty_distance_cache) == 32 and cells[1] not in empty_distance_cache
+        distance_matrix(*cells[size])
+        assert len(empty_distance_cache) == size and cells[1] not in empty_distance_cache
         assert distance_matrix(*cells[0]) is built[0]
         rebuilt = distance_matrix(*cells[1])
         assert rebuilt is not built[1] and np.array_equal(rebuilt, built[1])
@@ -209,8 +212,10 @@ class TestDistanceMatrix:
             build()
 
     def test_threads_sharing_the_cache(self, empty_distance_cache):
-        # 40 cells through a 32-entry cache from 4 threads: constant eviction
-        cells = [(n, k) for n in range(1, 10) for k in range(n + 1)][:40]
+        # 5/4 as many cells as the cache holds, from 4 threads: constant eviction
+        size = NK_CACHE_SIZE
+        cells = [(n, k) for n in range(1, 13) for k in range(n + 1)][:size + size // 4]
+        assert len(cells) == size + size // 4
         reference = {nk: distance_matrix(*nk).copy() for nk in cells}
         errors = []
 
@@ -235,5 +240,5 @@ class TestDistanceMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(empty_distance_cache) <= 32
+        assert errors == [] and len(empty_distance_cache) <= size
 

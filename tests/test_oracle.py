@@ -294,6 +294,17 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="exceed cap"):
             srm_success_oracle(np.ones((GRAM_SIZE_CAP + 1, 1)))
 
+    @pytest.mark.parametrize("states, row, norm", [
+        (2 * np.eye(2), 0, 4.0),
+        (np.zeros((2, 3)), 0, 0.0),
+        ([[1, 0], [0, 0]], 1, 0.0),
+    ], ids=["doubled", "zero", "one-zero-row"])
+    def test_rejects_states_that_are_not_unit_vectors(self, states, row, norm):
+        # the success formula assumes unit-norm states; these gave 4.0, 0.0 and 0.5
+        message = f"^srm_success_oracle: row {row} has squared norm {norm}, not 1$"
+        with pytest.raises(ValueError, match=message):
+            srm_success_oracle(states)
+
     def test_rejects_complex_states(self):
         # dropping the imaginary part would give 0.417; the SRM value is 0.854
         with pytest.raises(ValueError, match="^srm_success_oracle: complex entries"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anomdet import protocols
-from anomdet.combin import distance_matrix
+from anomdet.combin import NK_CACHE_SIZE, distance_matrix
 from anomdet.gram import ProblemInstance, direct_spectrum, gram_matrix
 from anomdet.johnson import multiplicity
 from anomdet.protocols import (
@@ -256,13 +256,14 @@ class TestCertificates:
             builds.append((n, k))
             return true_checks(n, k, coeffs)
 
-        monkeypatch.setattr(protocols, "_witness_by_nk", {})
+        protocols._dual_witness.cache_clear()
         monkeypatch.setattr(protocols, "_dual_witness_checks", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
         assert builds == [(9, 3)]
-        assert list(protocols._witness_by_nk) == [(9, 3)]
-        assert protocols._witness_by_nk[9, 3][0] is protocols._projector_coefficients(9, 3, 3)
+        info = protocols._dual_witness.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert protocols._dual_witness(9, 3)[0] is protocols._projector_coefficients(9, 3, 3)
         assert first.optimal and second.optimal
         assert second.primal_value == pytest.approx(0.64**3, rel=1e-14)
         assert second.gap <= 1e-10
@@ -285,16 +286,22 @@ class TestCertificates:
         assert hashes == []
 
     def test_dual_witness_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(protocols, "_witness_by_nk", {})
+        size = NK_CACHE_SIZE
+        assert protocols._dual_witness.cache_info().maxsize == size
+        monkeypatch.setattr(protocols, "_projector_coefficients", lambda n, k, j: (n, k, j))
         monkeypatch.setattr(protocols, "_dual_witness_checks", lambda n, k, coeffs: (n, k))
-        size = protocols.WITNESS_CACHE_SIZE
-        for n in range(size + 10):
-            assert protocols._dual_witness(n, 1, ()) == (n, 1)
-        assert list(protocols._witness_by_nk) == [(n, 1) for n in range(10, size + 10)]
-        # new coefficients at a held (n, k) replace its entry in place
-        assert protocols._dual_witness(20, 1, (Fraction(1),)) == (20, 1)
-        assert len(protocols._witness_by_nk) == size
-        assert protocols._witness_by_nk[20, 1][0] == (Fraction(1),)
+        protocols._dual_witness.cache_clear()
+        try:
+            for n in range(2, size + 12):
+                assert protocols._dual_witness(n, 1) == ((n, 1, 1), (n, 1))
+            info = protocols._dual_witness.cache_info()
+            assert (info.misses, info.currsize) == (size + 10, size)
+            protocols._dual_witness(size + 11, 1)  # the most recently used is held
+            protocols._dual_witness(2, 1)  # the least recently used was evicted
+            info = protocols._dual_witness.cache_info()
+            assert (info.hits, info.misses) == (1, size + 11)
+        finally:
+            protocols._dual_witness.cache_clear()  # no stand-in entry outlives the test
 
     def test_dual_witness_cache_entry_holds_scalars(self):
         coeffs = protocols._projector_coefficients(8, 3, 3)
@@ -328,7 +335,8 @@ class TestCertificates:
         # with (5, 2) warm, the endpoints must still neither read the witness
         # nor build the Gram powers
         verify_unambiguous_certificates(ProblemInstance(5, 2, 0.5))
-        before = dict(protocols._witness_by_nk)
+        cache = protocols._dual_witness
+        before = cache.cache_info()
 
         def numeric(*args):
             raise AssertionError("endpoint left the analytic branch")
@@ -339,7 +347,7 @@ class TestCertificates:
         one = verify_unambiguous_certificates(ProblemInstance(5, 2, 1.0))
         assert zero == protocols.CertificateReport(True, True, 1.0, 1.0, 0.0)
         assert one == protocols.CertificateReport(True, True, 0.0, 0.0, 0.0)
-        assert protocols._witness_by_nk == before
+        assert cache.cache_info() == before
 
     @pytest.mark.parametrize("distance", [0, 3])
     def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, distance):

@@ -1,8 +1,10 @@
-"""The detection rows share one SRM oracle call per (n, k, c)."""
+"""The detection rows share one SRM oracle call per (n, k, c), and the (n, k)
+caches hold the grid that verify walks."""
 
 from collections import Counter
 
-from anomdet import verify
+from anomdet import combin, oracle, verify
+from anomdet.combin import NK_CACHE_SIZE
 from anomdet.oracle import STATE_QUBITS_CAP
 
 DETECTION_ROWS = ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue")
@@ -38,3 +40,26 @@ def test_srm_cache_holds_the_overlap_grid_at_the_cap():
     # every instance of `verify --max-n 14` keeps its entry until the second row reads it
     grid = {tuple(inst.values()) for inst in verify._overlap_grid(STATE_QUBITS_CAP)}
     assert verify._srm.cache_info().maxsize == len(grid)
+
+
+def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
+    # every row of `verify --max-n 14` walks these cells; a second pass over
+    # them builds neither a distance matrix nor a sector layout again
+    cells = [(inst["n"], inst["k"]) for inst in verify._scheme_grid(STATE_QUBITS_CAP)]
+    assert len(set(cells)) == len(cells) <= NK_CACHE_SIZE
+    calls = Counter()
+    indicator = combin.pattern_indicator
+
+    def counting(n, k):
+        calls[n, k] += 1
+        return indicator(n, k)
+
+    monkeypatch.setattr(combin, "pattern_indicator", counting)
+    monkeypatch.setattr(oracle, "pattern_indicator", counting)
+    combin._distances.clear()
+    oracle._sector_layout.cache_clear()
+    for _ in range(2):
+        for n, k in cells:
+            combin.distance_matrix(n, k)
+            oracle._sector_layout(n, k)
+    assert calls == Counter({nk: 2 for nk in cells})  # one per cell per builder
