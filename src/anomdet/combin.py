@@ -71,7 +71,40 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
     return X
 
 
-_distances: dict[tuple[int, int], np.ndarray] = {}  # (n, k) -> D, least recently used first
+class _LruCache(dict):
+    """Read-only arrays by key, least recently used first, bounded as every
+    cached N x N object of the package is: at most NK_CACHE_SIZE entries
+    holding at most GRAM_SIZE_CAP^2 bytes between them (one uint8 D at the
+    Gram size cap), fewer entries when they would hold more, but always the
+    one stored last.  Threads may share one: recall and keep snapshot the
+    entries and pop with a default, so they can neither raise nor return a
+    wrong array, at worst build one twice.
+    """
+
+    @staticmethod
+    def admits(nbytes: int) -> bool:
+        """Whether a value of nbytes fits the byte bound on its own."""
+        return nbytes <= GRAM_SIZE_CAP**2
+
+    def recall(self, key):
+        """The array stored under key, now the most recently used, or None."""
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def keep(self, key, value: np.ndarray) -> None:
+        """Store value as the most recently used, then evict the least
+        recently used entries until the bounds hold or only value is left."""
+        self[key] = value
+        for old in list(self)[:-1]:
+            held = sum(M.nbytes for M in list(self.values()))
+            if len(self) <= NK_CACHE_SIZE and self.admits(held):
+                break
+            self.pop(old, None)
+
+
+_distances = _LruCache()  # (n, k) -> D
 
 
 def distance_matrix(n: int, k: int) -> np.ndarray:
@@ -80,17 +113,13 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     D[a, b] equals pattern_distance of the a-th and b-th patterns.  The
     overlap counts X X^T are at most n, so the float64 (BLAS) product is
     exact; D is in the smallest unsigned integer type holding k.  Each
-    (n, k) is built once and shared, read-only (copy it to modify it):
-    the cache keeps the NK_CACHE_SIZE most recently used matrices, fewer
-    when they would hold more than GRAM_SIZE_CAP^2 bytes (one D at the
-    Gram size cap, N = 5000), but always the one just returned.  A miss with
-    N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern is
-    enumerated, so no N x N object is built beyond the cap.
+    (n, k) is built once and shared, read-only (copy it to modify it), in
+    an _LruCache.  A miss with N = C(n, k) > GRAM_SIZE_CAP raises
+    ValueError before any pattern is enumerated, so no N x N object is
+    built beyond the cap.
     """
-    key = (n, k)
-    D = _distances.pop(key, None)
+    D = _distances.recall((n, k))
     if D is not None:
-        _distances[key] = D  # now the most recently used
         return D
     N = binomial(n, k)
     if N > GRAM_SIZE_CAP:
@@ -98,12 +127,5 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     X = pattern_indicator(n, k).astype(np.float64)
     D = (k - X @ X.T).astype(np.min_scalar_type(k))
     D.flags.writeable = False
-    _distances[key] = D
-    # snapshots and pop with a default: threads sharing the cache can neither
-    # raise here nor get a wrong matrix, at worst build one twice
-    for old in list(_distances)[:-1]:
-        held = sum(M.nbytes for M in list(_distances.values()))
-        if len(_distances) <= NK_CACHE_SIZE and held <= GRAM_SIZE_CAP**2:
-            break
-        _distances.pop(old, None)
+    _distances.keep((n, k), D)
     return D

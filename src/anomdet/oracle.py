@@ -6,19 +6,23 @@ computational-basis strings with at most k ones, where every state with
 k anomalies lives) and built on their 2^k-string support; measurements
 are literal square-root measurements; and the universal hypotheses come
 from the occupation-number (Dicke) basis of the symmetric subspaces.
-This keeps the oracle independent of the spectral machinery it is used
-to check.
+The square root of a Gram matrix is taken in the eigenbasis of the
+stack's own support pattern, read off the states and certified against
+each Gram, or else from a dense eigh of the Gram: no closed form, Hahn
+value or scheme object enters.  This keeps the oracle independent of the
+spectral machinery it is used to check.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, enumerate_patterns, pattern_indicator
+from .combin import NK_CACHE_SIZE, _LruCache, enumerate_patterns, pattern_indicator
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _finite_square, _real_array, direct_spectrum
 from .universal import UniversalInstance
 
@@ -40,6 +44,7 @@ SUPPORT_THRESHOLD = 1e-10
 # SRM oracle: relative size of negative Gram eigenvalues clamped to zero, and
 # how far a state's squared norm may be off 1
 PSD_CLAMP = 1e-10
+UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
 HOLEVO_TOL = 1e-9
 
 
@@ -104,7 +109,55 @@ class SrmResult:
 
     success: float
     diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
-    eigenvalues: np.ndarray  # Gram eigenvalues, ascending, as eigh returns them (not clamped)
+    eigenvalues: np.ndarray  # Gram eigenvalues, ascending, before the clamp
+
+
+_bases = _LruCache()  # (shape, digest of the support pattern) -> eigenvectors of P P^T
+
+
+def _support_basis(support: np.ndarray) -> np.ndarray:
+    """Eigenvectors of P P^T, P the 0/1 matrix of `support`, built once per pattern.
+
+    P P^T counts the strings two states share, so its entries are integers
+    below 2^53 and the product is exact; the basis depends on the pattern
+    only, never on which stack first had it.  Every basis is kept, also
+    one that failed to diagonalise a Gram, so no pattern is factored twice
+    while its entry lasts.
+    """
+    key = (support.shape, hashlib.sha256(np.packbits(support)).digest())
+    U = _bases.recall(key)
+    if U is None:
+        P = support.astype(np.float64)
+        U = np.linalg.eigh(P @ P.T)[1]
+        U.flags.writeable = False
+        _bases.keep(key, U)
+    return U
+
+
+def _gram_eigh(G: np.ndarray, support: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, U) with G = U diag(w) U^T up to eigh's backward error; w in U's order.
+
+    With a support pattern, U is its _support_basis and w = diag B, B =
+    U^T G U, accepted when ||offdiag B||_F <= 3 N u ||G|| (u = 2^-53, ||G||
+    <= ||G||_F <= N for unit-norm states): N u ||G|| bounds eigh's own
+    backward error (Demmel 1997, section 5.2), and the same again for the
+    rounding of each of the two products forming B.  Then U diagonalises a
+    G + E no farther from G than eigh's factors do.  For hypothesis states
+    with 0 < c < 1, P P^T = 2^(k-D) and G = (c^2)^D are functions of the
+    subset distance D, in the commutative Bose-Mesner algebra of the
+    Johnson scheme, so U passes wherever P P^T's eigenvalues tell the
+    scheme's eigenspaces apart (at c = 0 or 1, G = P P^T).  Otherwise, or
+    without a pattern, this is eigh(G).
+    """
+    if support is not None:
+        U = _support_basis(support)
+        B = U.T @ (G @ U)
+        w = B.diagonal().copy()
+        np.fill_diagonal(B, 0.0)
+        N = G.shape[0]
+        if np.linalg.norm(B) <= 3 * N * UNIT_ROUNDOFF * N:
+            return w, U
+    return np.linalg.eigh(G)
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -120,17 +173,27 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     longer inner dimension regroups BLAS's partial sums, moving G by an
     ulp and the diagonal of its square root by far more.  So any embedding
     of the states (the sector stack, the 2^n fold, extra padding) gives
-    the same bits.  Complex states raise ValueError instead of losing their
-    imaginary parts.  Eigenvalues of G in [-PSD_CLAMP * scale, 0), scale =
-    max(1, max |G|), are clamped to zero (rank collapse near c = 1); a Gram
-    with NaN or infinite entries (overflow), a diagonal entry (a squared
-    norm) off 1 by more than PSD_CLAMP or a materially negative eigenvalue
-    raises ValueError.  The result also carries w as eigh returns it,
-    before the clamp, so w[0] is the smallest eigenvalue of G.
+    the same bits.
 
-    The function lets go of the stack once G is formed, so a stack passed
-    as a temporary (srm_success_oracle(all_hypothesis_states(...))) is
-    freed before the eigensolve, and U o U is formed in U's own storage.
+    U and w come from _gram_eigh: the eigenbasis of the stack's support
+    pattern P = (V != 0), factored once per pattern and certified for each
+    G, with w the Rayleigh quotients diag(U^T G U); or eigh(G) when that
+    basis fails its bound or would not fit the cache's byte bound alone.
+    The result depends on the stack only, not on what the cache holds.
+
+    Complex states raise ValueError instead of losing their imaginary
+    parts.  Eigenvalues of G in [-PSD_CLAMP, 0) are clamped to zero (rank
+    collapse near c = 1; |G_ab| <= 1 + PSD_CLAMP for unit-norm states, so
+    no scale enters); a Gram with NaN or infinite entries (overflow), a
+    diagonal entry (a squared norm) off 1 by more than PSD_CLAMP or a
+    materially negative eigenvalue raises ValueError.  The result also
+    carries w sorted ascending, before the clamp, so w[0] is the smallest
+    eigenvalue of G.
+
+    The function lets go of the stack once G and its support pattern are
+    formed, so a stack passed as a temporary
+    (srm_success_oracle(all_hypothesis_states(...))) is freed before any
+    eigensolve.
     """
     V = _real_array(states, "srm_success_oracle")
     del states  # from here only V refers to the stack, so `del V` below can free it
@@ -149,18 +212,19 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     if not np.logical_and.reduce(live):
         V = V[:, live]
     G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
+    support = V != 0 if _bases.admits(N * N * G.itemsize) else None
     del V
-    _, size = _finite_square(G, "srm_success_oracle")
+    _finite_square(G, "srm_success_oracle")
     off = np.flatnonzero(np.abs(G.diagonal() - 1.0) > PSD_CLAMP)
     if off.size:
         r = off[0]
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {G[r, r]}, not 1")
-    w, U = np.linalg.eigh(G)  # ascending
-    if w[0] < -PSD_CLAMP * max(1.0, size):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]})")
-    U *= U
-    diag = U @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
-    return SrmResult(success=float(np.add.reduce(diag**2) / N), diagonal=diag, eigenvalues=w)
+    w, U = _gram_eigh(G, support)
+    if w.min() < -PSD_CLAMP:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w.min()})")
+    diag = (U * U) @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
+    return SrmResult(success=float(np.add.reduce(diag**2) / N), diagonal=diag,
+                     eigenvalues=np.sort(w))
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

@@ -275,7 +275,9 @@ def _srm(n: int, k: int, c: float) -> SrmResult:
     """srm_success_oracle on the explicit states, once per (n, k, c) for two rows.
 
     The cache holds the whole overlap grid at the qubit cap, so the second
-    detection row reads every result the first one computed.
+    detection row reads every result the first one computed.  The oracle
+    itself factors one support basis per (n, k) (one more each at c = 0
+    and 1, where whole columns vanish) and certifies it for each c.
     """
     return srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
 
@@ -292,9 +294,12 @@ def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
 def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states.
 
-    The eigenvalue is the raw w[0] of the SRM oracle's eigh of the same Gram
-    (before its clamp), shared through _srm, so the states are built and
-    the Gram factored once per (n, k, c) for both detection rows.
+    The eigenvalue is the raw w[0] of the SRM oracle's factorisation of the
+    same Gram (before its clamp): the smallest Rayleigh quotient in the
+    certified basis of the stack's support pattern, or eigh's smallest
+    eigenvalue if that basis fails.  It is shared through _srm, so the
+    states are built and the Gram factored once per (n, k, c) for both
+    detection rows.
     """
     value = unambiguous_success(ProblemInstance(n, k, c)).value
     return abs(value - float(_srm(n, k, c).eigenvalues[0]))

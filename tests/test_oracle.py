@@ -5,8 +5,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from anomdet import oracle
-from anomdet.combin import binomial, enumerate_patterns
+from anomdet import combin, oracle
+from anomdet.combin import NK_CACHE_SIZE, binomial, enumerate_patterns
 from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
     _isometry,
@@ -136,6 +136,34 @@ class TestHypothesisStates:
         assert first.flags.writeable  # each call returns a fresh stack
 
 
+def _generic_stack(seed, N, M):
+    """N >= 3 random unit rows of width M: a dense support pattern, and a Gram
+    that its basis (the eigenvectors of M J) does not diagonalise.  (Two
+    unit rows have a Gram a I + b J, which that basis does diagonalise.)"""
+    W = np.random.default_rng(seed).normal(size=(N, M))
+    return W / np.linalg.norm(W, axis=1, keepdims=True)
+
+
+def _eigh_steps(V):
+    """success, diagonal and eigenvalues from a plain eigh of V V^T."""
+    w, U = np.linalg.eigh(V @ V.T)
+    d = (U * U) @ np.sqrt(np.maximum(w, 0.0))
+    return np.sum(d**2) / V.shape[0], d, w
+
+
+def _assert_same_bits(result, success, diagonal, eigenvalues):
+    assert result.success == success
+    assert result.diagonal.tobytes() == diagonal.tobytes()
+    assert result.eigenvalues.tobytes() == eigenvalues.tobytes()
+
+
+@pytest.fixture
+def empty_basis_cache():
+    oracle._bases.clear()
+    yield oracle._bases
+    oracle._bases.clear()
+
+
 def _measurement_vectors(V):
     """Rows are the SRM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>, S = sqrt(V V^T),
     from an eigendecomposition of V V^T independent of the oracle's."""
@@ -170,6 +198,11 @@ class TestSrmOracle:
     def test_diagonal_is_that_of_the_gram_square_root(self, c):
         V = all_hypothesis_states(ProblemInstance(6, 3, c))
         result = srm_success_oracle(V)
+        if c == 1.0:
+            # G = J and S = J / sqrt(N) exactly; eigh's square root of the
+            # N - 1 zero eigenvalues is 1.3e-8 off it here
+            assert np.abs(result.diagonal - 1 / math.sqrt(V.shape[0])).max() < 1e-14
+            return
         vals, vecs = np.linalg.eigh(V @ V.T)
         sqrt_gram = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         assert np.abs(result.diagonal - np.diag(sqrt_gram)).max() < 1e-12
@@ -250,22 +283,26 @@ class TestSrmOracle:
 
     @pytest.mark.parametrize("planted, rejected", [(-2e-10, True), (-0.5e-10, False)])
     def test_rejects_indefinite_gram(self, monkeypatch, planted, rejected):
-        # the smallest eigenvalue lowered to `planted`; max |G| = 1, so the clamp
+        # the largest eigenvalue lowered to `planted`, so that the smallest is
+        # not w[0], on the support-basis path and on the eigh path; the clamp
         # threshold is -PSD_CLAMP = -1e-10
-        eigh = np.linalg.eigh
+        gram_eigh, writeable = oracle._gram_eigh, []
 
-        def lowered(G):
-            w, U = eigh(G)
-            w[0] = planted
+        def lowered(G, support):
+            w, U = gram_eigh(G, support)
+            w[np.argmax(w)] = planted
+            writeable.append(U.flags.writeable)  # eigh's own factors, not the cached basis
             return w, U
 
-        V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
-        monkeypatch.setattr(oracle.np.linalg, "eigh", lowered)
-        if rejected:
-            with pytest.raises(ValueError, match=r"^matrix is not PSD \(min eigenvalue -2e-10\)"):
-                srm_success_oracle(V)
-        else:
-            assert 0 < srm_success_oracle(V).success <= 1
+        monkeypatch.setattr(oracle, "_gram_eigh", lowered)
+        message = r"^matrix is not PSD \(min eigenvalue -2e-10\)"
+        for V in all_hypothesis_states(ProblemInstance(4, 2, 0.5)), _generic_stack(0, 6, 11):
+            if rejected:
+                with pytest.raises(ValueError, match=message):
+                    srm_success_oracle(V)
+            else:
+                assert 0 < srm_success_oracle(V).success <= 1
+        assert writeable == [False, True]
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
@@ -317,16 +354,21 @@ class TestSrmOracle:
 
     @pytest.mark.parametrize("c", [0.0, 0.37, 0.9, 1.0])
     def test_bit_identical_to_plain_reference(self, c):
-        # the plain steps: eigh of V V^T, diagonal (U o U) sqrt(max(w, 0)), mean square
+        # hypothesis states, the plain steps: drop the all-zero columns, U from
+        # eigh of P P^T (P the support pattern), w = diag(U^T G U), diagonal
+        # (U o U) sqrt(max(w, 0)), mean square, w sorted; a stack without the
+        # symmetry: eigh of V V^T
         for n in range(2, 11):
             for k in range(1, min(4, n // 2) + 1):
                 V = all_hypothesis_states(ProblemInstance(n, k, c))
-                w, U = np.linalg.eigh(V @ V.T)
+                live = V[:, V.any(axis=0)]
+                P = (live != 0).astype(float)
+                U = np.linalg.eigh(P @ P.T)[1]
+                w = np.diag(U.T @ (live @ live.T @ U))
                 d = (U * U) @ np.sqrt(np.maximum(w, 0.0))
-                result = srm_success_oracle(V)
-                assert result.success == np.sum(d**2) / V.shape[0], (n, k)
-                assert result.diagonal.tobytes() == d.tobytes(), (n, k)
-                assert result.eigenvalues.tobytes() == w.tobytes(), (n, k)
+                _assert_same_bits(srm_success_oracle(V), np.sum(d**2) / V.shape[0], d, np.sort(w))
+                W = _generic_stack(n * k, V.shape[0] + 2, V.shape[1])
+                _assert_same_bits(srm_success_oracle(W), *_eigh_steps(W))
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 3, 0.3), (8, 3, 0.9), (10, 4, 0.53),
                                          (9, 4, 0.999), (8, 3, 1.0), (6, 2, 0.0)])
@@ -338,45 +380,137 @@ class TestSrmOracle:
         assert np.abs(w - reference).max() <= 1e-12 * max(1.0, reference[-1])
 
     def test_eigenvalues_are_not_clamped(self, monkeypatch):
-        # a smallest eigenvalue planted inside the clamp, [-PSD_CLAMP, 0), is
-        # reported as it is, while the square root uses 0 in its place
-        eigh = np.linalg.eigh
+        # an eigenvalue planted inside the clamp, [-PSD_CLAMP, 0), in the place
+        # of the largest is reported first as it is, while the square root uses
+        # 0 in its place; on the support-basis path and on the eigh path
+        gram_eigh = oracle._gram_eigh
         planted = -0.5 * oracle.PSD_CLAMP
         factors = []
 
-        def lowered(G):
-            w, U = eigh(G)
-            w[0] = planted
-            factors.append((w.copy(), U.copy()))
+        def lowered(G, support):
+            w, U = gram_eigh(G, support)
+            w[np.argmax(w)] = planted
+            factors.append((w.copy(), U.copy(), U.flags.writeable))
             return w, U
 
-        V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
-        monkeypatch.setattr(oracle.np.linalg, "eigh", lowered)
-        result = srm_success_oracle(V)
-        (w, U), = factors
-        assert result.eigenvalues[0] == planted
-        assert result.eigenvalues.tobytes() == w.tobytes()
-        diagonal = (U * U) @ np.sqrt(np.maximum(w, 0.0))
-        assert result.diagonal.tobytes() == diagonal.tobytes()
-        assert result.success == float(np.sum(diagonal**2) / V.shape[0])
+        monkeypatch.setattr(oracle, "_gram_eigh", lowered)
+        for V in all_hypothesis_states(ProblemInstance(6, 2, 0.5)), _generic_stack(1, 15, 20):
+            result = srm_success_oracle(V)
+            w, U, _ = factors[-1]
+            assert result.eigenvalues[0] == planted
+            assert result.eigenvalues.tobytes() == np.sort(w).tobytes()
+            diagonal = (U * U) @ np.sqrt(np.maximum(w, 0.0))
+            assert result.diagonal.tobytes() == diagonal.tobytes()
+            assert result.success == float(np.sum(diagonal**2) / V.shape[0])
+        assert [writeable for _, _, writeable in factors] == [False, True]
 
+    @pytest.mark.usefixtures("empty_basis_cache")
     def test_stack_passed_as_a_temporary_is_freed_before_eigh(self, monkeypatch):
-        eigh = np.linalg.eigh
-        stacks, alive = [], []
+        # on the support-basis path, with the basis factored on a cold cache,
+        # and on the eigh path, which also factors its (dense) pattern first
+        eigh, gram_eigh = np.linalg.eigh, oracle._gram_eigh
+        stacks, alive, writeable = [], [], []
 
-        def recording(G):
-            alive.append(stacks[0]() is not None)
-            return eigh(G)
+        def recording_eigh(M):
+            alive.append(stacks[-1]() is not None)
+            return eigh(M)
 
-        def temporary():
-            V = all_hypothesis_states(ProblemInstance(8, 3, 0.5))
+        def recording(G, support):
+            alive.append(stacks[-1]() is not None)
+            w, U = gram_eigh(G, support)
+            writeable.append(U.flags.writeable)
+            return w, U
+
+        def temporary(build):
+            V = build()
             stacks.append(weakref.ref(V))
             return V
 
+        monkeypatch.setattr(oracle.np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(oracle, "_gram_eigh", recording)
+        builds = (lambda: all_hypothesis_states(ProblemInstance(8, 3, 0.5)),
+                  lambda: _generic_stack(2, 56, 93))
+        for build, calls in zip(builds, (2, 3)):  # _gram_eigh, eigh(P P^T)[, eigh(G)]
+            alive.clear()
+            result = srm_success_oracle(temporary(build))
+            assert alive == [False] * calls and stacks[-1]() is None
+            assert result.success == srm_success_oracle(temporary(build)).success
+        assert writeable == [False, False, True, True]
+
+    @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
+                                         (10, 4, 0.0), (10, 5, 0.8)])
+    def test_cold_and_warm_cache_give_the_same_bits(self, empty_basis_cache, n, k, c):
+        V = all_hypothesis_states(ProblemInstance(n, k, c))
+        stacks = (V, np.asfortranarray(V), _pad_with_zero_columns(V))
+        results = []
+        for stack in stacks:
+            empty_basis_cache.clear()
+            results += [srm_success_oracle(stack), srm_success_oracle(stack)]  # cold, warm
+        results += [srm_success_oracle(stack) for stack in stacks]  # warmed by the last layout
+        assert len(empty_basis_cache) == 1  # one pattern for all three layouts
+        first = results[0]
+        for result in results:
+            _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
+
+    def test_rotated_basis_fails_the_bound(self, empty_basis_cache):
+        # a cached basis turned by 1e-6 between the top eigenvector and one of
+        # the bottom eigenspace: still orthogonal, but B's off-diagonal gains
+        # about 1e-6 * (w_top - w_bottom), far above 3 N^2 u = 7.5e-14
+        V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
+        srm_success_oracle(V)
+        (key, U), = empty_basis_cache.items()
+        i, j, theta = 0, U.shape[1] - 1, 1e-6
+        rotated = U.copy()
+        rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
+        rotated[:, j] = math.sin(theta) * U[:, i] + math.cos(theta) * U[:, j]
+        assert np.abs(rotated.T @ rotated - np.eye(len(U))).max() < 1e-14
+        G = V @ V.T
+        B = rotated.T @ G @ rotated
+        assert abs(B[i, j]) > 1e-7 > 1e6 * 3 * len(U) ** 2 * oracle.UNIT_ROUNDOFF
+        rotated.flags.writeable = False
+        empty_basis_cache[key] = rotated
+        _assert_same_bits(srm_success_oracle(V), *_eigh_steps(V))
+        assert empty_basis_cache[key] is rotated  # kept, not factored again
+
+    def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
+        eigh, factored = np.linalg.eigh, []
+
+        def recording(M):
+            factored.append(M.copy())
+            return eigh(M)
+
+        stacks = [_generic_stack(seed, 12, 30) for seed in range(3)]  # one dense 12 x 30 pattern
+        expected = [_eigh_steps(W) for W in stacks]
         monkeypatch.setattr(oracle.np.linalg, "eigh", recording)
-        result = srm_success_oracle(temporary())
-        assert alive == [False] and stacks[0]() is None
-        assert result.success == srm_success_oracle(temporary()).success
+        for W, steps in zip(stacks, expected):
+            _assert_same_bits(srm_success_oracle(W), *steps)
+        # the first call factors P P^T = 30 J, and every call its own Gram
+        assert len(factored) == 4 and np.array_equal(factored[0], np.full((12, 12), 30.0))
+        assert len(empty_basis_cache) == 1
+
+    def test_basis_cache_keeps_its_bounds(self, empty_basis_cache, monkeypatch):
+        # the entry bound and LRU order: one 1 x m pattern per stack
+        stacks = [np.full((1, m), 1 / math.sqrt(m)) for m in range(1, NK_CACHE_SIZE + 2)]
+        for V in stacks[:-1]:
+            srm_success_oracle(V)
+        keys = list(empty_basis_cache)
+        assert len(keys) == NK_CACHE_SIZE
+        srm_success_oracle(stacks[0])  # now the most recently used
+        srm_success_oracle(stacks[-1])
+        assert len(empty_basis_cache) == NK_CACHE_SIZE
+        assert keys[0] in empty_basis_cache and keys[1] not in empty_basis_cache
+        # the byte bound: a basis of N states holds 8 N^2 bytes; k = 1 gives N = n
+        empty_basis_cache.clear()
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
+        states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 8)}
+        for n in (3, 4, 5, 3):  # 72 + 128 + 200 bytes fit; (3, 1) is used again
+            srm_success_oracle(states[n])
+        assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
+        srm_success_oracle(states[6])  # 288 more bytes: (4, 1) and (5, 1) go
+        assert [key[0][0] for key in empty_basis_cache] == [3, 6]
+        # a basis over the bound on its own (512 bytes) is not built: plain eigh
+        _assert_same_bits(srm_success_oracle(states[8]), *_eigh_steps(states[8]))
+        assert [key[0][0] for key in empty_basis_cache] == [3, 6]
 
 
 class TestUniversalHypothesis:
