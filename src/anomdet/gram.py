@@ -20,6 +20,7 @@ multiplicities as one tuple; no object is built per eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -99,6 +100,7 @@ class ProblemInstance:
     entries and spectrum; from an int or numpy integer too) or a float, as is
     c2 = c * c: every consumer reads its arithmetic off the stored type.
     An exact c outside [0, 1] is named in the error by _short_fraction.
+    The float log spectrum is computed once per instance, on first use.
     """
 
     n: int
@@ -136,6 +138,14 @@ class ProblemInstance:
     @property
     def exact(self) -> bool:
         return type(self.c) is Fraction
+
+    @functools.cached_property
+    def log_eigenvalues(self) -> np.ndarray:
+        """log lambda_j, j = 0..min(k, n-k), at the float c^2 (read-only); the
+        float path of closed_form_spectrum and min_error_success both read it."""
+        logs = _log_eigenvalues(self.n, min(self.k, self.n - self.k), float(self.c2))
+        logs.flags.writeable = False
+        return logs
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
 
     Two paths: an exact (Fraction) overlap gives exact Fraction eigenvalues
     (integer sums, _eigenvalue); a float overlap gives float eigenvalues
-    from one O(k) recurrence in log space (_log_eigenvalues), within 1e-11
+    from one O(k) recurrence in log space (instance.log_eigenvalues), within 1e-11
     relative of the exact values (7e-12 at n = 2000, k = 500, c = 0.999,
     from the rounding of c^2; at most 5e-13 elsewhere up to n = 10^5).
     On the float path OverflowError is raised exactly when lambda_0 does.
@@ -289,7 +299,7 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
         z = instance.c2
         values = np.array([_eigenvalue(j, n, k, z) for j in range(k + 1)], dtype=object)
     else:
-        logs = _log_eigenvalues(n, k, instance.c2)
+        logs = instance.log_eigenvalues
         # lambda_0 is the largest: math.exp raises OverflowError exactly when
         # it is beyond the float range, and otherwise np.exp cannot overflow
         math.exp(logs[0])

@@ -6,10 +6,10 @@ computational-basis strings with at most k ones, where every state with
 k anomalies lives) and built on their 2^k-string support; measurements
 are literal square-root measurements; and the universal hypotheses come
 from the occupation-number (Dicke) basis of the symmetric subspaces.
-The square root of a Gram matrix is taken in the eigenbasis of the
-stack's own support pattern, read off the states and certified against
-each Gram, or else from a dense eigh of the Gram: no closed form, Hahn
-value or scheme object enters.  This keeps the oracle independent of the
+The square root of a Gram matrix comes from the singular values of the
+stack of states, read as row norms in the eigenbasis of the stack's own
+support pattern and certified for each stack, or else from a thin SVD:
+no Gram, closed form, Hahn value or scheme object enters.  This keeps the oracle independent of the
 spectral machinery it is used to check.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import NK_CACHE_SIZE, _LruCache, enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _finite_square, _real_array, direct_spectrum
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 from .universal import UniversalInstance
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
 STATE_QUBITS_CAP = 14
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
-# SRM oracle: relative size of negative Gram eigenvalues clamped to zero, and
-# how far a state's squared norm may be off 1
-PSD_CLAMP = 1e-10
+UNIT_NORM_TOL = 1e-10  # SRM oracle: how far a state's squared norm may be off 1
 UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
 HOLEVO_TOL = 1e-9
 
@@ -108,8 +106,8 @@ class SrmResult:
     """Square-root measurement on a stack of states V (one state per row)."""
 
     success: float
-    diagonal: np.ndarray  # diagonal of sqrt(Gram): per-hypothesis amplitudes
-    eigenvalues: np.ndarray  # Gram eigenvalues, ascending, before the clamp
+    diagonal: np.ndarray  # diagonal of sqrt(V V^T): per-hypothesis amplitudes
+    eigenvalues: np.ndarray  # squared singular values of V, ascending, N of them
 
 
 _bases = _LruCache()  # (shape, digest of the support pattern) -> eigenvectors of P P^T
@@ -121,8 +119,8 @@ def _support_basis(support: np.ndarray) -> np.ndarray:
     P P^T counts the strings two states share, so its entries are integers
     below 2^53 and the product is exact; the basis depends on the pattern
     only, never on which stack first had it.  Every basis is kept, also
-    one that failed to diagonalise a Gram, so no pattern is factored twice
-    while its entry lasts.
+    one that failed its certificate, so no pattern is factored twice while
+    its entry lasts.
     """
     key = (support.shape, hashlib.sha256(np.packbits(support)).digest())
     U = _bases.recall(key)
@@ -134,69 +132,49 @@ def _support_basis(support: np.ndarray) -> np.ndarray:
     return U
 
 
-def _gram_eigh(G: np.ndarray, support: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, U) with G = U diag(w) U^T up to eigh's backward error; w in U's order.
-
-    With a support pattern, U is its _support_basis and w = diag B, B =
-    U^T G U, accepted when ||offdiag B||_F <= 3 N u ||G|| (u = 2^-53, ||G||
-    <= ||G||_F <= N for unit-norm states): N u ||G|| bounds eigh's own
-    backward error (Demmel 1997, section 5.2), and the same again for the
-    rounding of each of the two products forming B.  Then U diagonalises a
-    G + E no farther from G than eigh's factors do.  For hypothesis states
-    with 0 < c < 1, P P^T = 2^(k-D) and G = (c^2)^D are functions of the
-    subset distance D, in the commutative Bose-Mesner algebra of the
-    Johnson scheme, so U passes wherever P P^T's eigenvalues tell the
-    scheme's eigenspaces apart (at c = 0 or 1, G = P P^T).  Otherwise, or
-    without a pattern, this is eigh(G).
-    """
-    if support is not None:
-        U = _support_basis(support)
-        B = U.T @ (G @ U)
-        w = B.diagonal().copy()
-        np.fill_diagonal(B, 0.0)
-        N = G.shape[0]
-        if np.linalg.norm(B) <= 3 * N * UNIT_ROUNDOFF * N:
-            return w, U
-    return np.linalg.eigh(G)
-
-
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
     """Square-root-measurement success probability from explicit
     unit-norm states, uniform prior.
 
-    Builds the Gram matrix G = U diag(w) U^T from inner products; its
-    square root S = U diag(sqrt w) U^T has diagonal (U o U) sqrt(w), and
-    (1/N) sum_r S_rr^2 is the success probability.  S_rr = <m_r|Psi_r>
-    for the POVM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Columns that
-    are zero in every state (in a sector stack, only at c = 0 or 1) are
-    dropped before G is formed: they would add only exact zeros, but a
-    longer inner dimension regroups BLAS's partial sums, moving G by an
-    ulp and the diagonal of its square root by far more.  So any embedding
-    of the states (the sector stack, the 2^n fold, extra padding) gives
-    the same bits.
+    The SRM vectors are the polar factor of the N x M stack V (Eldar &
+    Forney 2001): with V = U diag(sigma) Y^T, the Gram's square root is
+    S = U diag(sigma) U^T, its diagonal (U o U) sigma, and (1/N) sum_r S_rr^2
+    the success probability; S_rr = <m_r|Psi_r> for the POVM vectors
+    |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Each sigma_j comes from V, never as
+    the square root of a Gram eigenvalue, so it is accurate to about u ||V||
+    (u = 2^-53) also where sigma_j^2 lies below the rounding of V V^T, as
+    near c = 1.
 
-    U and w come from _gram_eigh: the eigenbasis of the stack's support
-    pattern P = (V != 0), factored once per pattern and certified for each
-    G, with w the Rayleigh quotients diag(U^T G U); or eigh(G) when that
-    basis fails its bound or would not fit the cache's byte bound alone.
-    The result depends on the stack only, not on what the cache holds.
+    U is the eigenbasis of the support pattern P = (V != 0), factored once
+    per pattern, and sigma^2 = diag B, B = W W^T, the squared row norms of
+    W = U^T V.  U is accepted when ||offdiag B||_F <= (4 N^(5/2) + N M) u,
+    which is all that rounding puts off the diagonal for an exact singular
+    basis: eigh leaves U orthogonal to N u and W = U^T V adds gamma_N |U|^T
+    |V| (Higham 2002, section 3.5), so W is within 2 N^2 u of a matrix with
+    orthogonal rows, moving offdiag B by 2 ||V||_2 2 N^2 u, and W W^T adds
+    gamma_M ||W||_F^2 = N M u (||V||_2^2 <= ||V||_F^2 = N).  For hypothesis
+    states with 0 < c < 1, P P^T = 2^(k-D) and V V^T = (c^2)^D are
+    functions of the subset distance D, in the commutative Bose-Mesner
+    algebra of the Johnson scheme, so U passes wherever P P^T's
+    eigenvalues tell the scheme's eigenspaces apart (at c = 0 or 1,
+    V V^T = P P^T).  Otherwise sigma and U come from one thin SVD: of W,
+    with U times its left factor, or of V when one basis alone would
+    exceed the cache's byte bound.  The result does not depend on what the
+    cache holds.  Columns that are zero in every state (in a sector stack,
+    only at c = 0 or 1) are dropped first, as a longer inner dimension
+    would regroup BLAS's partial sums in W W^T: any embedding of the states
+    (the sector stack, the 2^n fold, extra padding) gives the same bits.
 
-    Complex states raise ValueError instead of losing their imaginary
-    parts.  Eigenvalues of G in [-PSD_CLAMP, 0) are clamped to zero (rank
-    collapse near c = 1; |G_ab| <= 1 + PSD_CLAMP for unit-norm states, so
-    no scale enters); a Gram with NaN or infinite entries (overflow), a
-    diagonal entry (a squared norm) off 1 by more than PSD_CLAMP or a
-    materially negative eigenvalue raises ValueError.  The result also
-    carries w sorted ascending, before the clamp, so w[0] is the smallest
-    eigenvalue of G.
-
-    The function lets go of the stack once G and its support pattern are
-    formed, so a stack passed as a temporary
-    (srm_success_oracle(all_hypothesis_states(...))) is freed before any
-    eigensolve.
+    Complex states, NaN or infinite entries, a squared norm that overflows
+    and one off 1 by more than UNIT_NORM_TOL (the error names the row)
+    raise ValueError.  The result carries sigma^2 ascending, zero-padded to
+    N when the SVD gives fewer, so eigenvalues[0] >= 0 is the smallest
+    eigenvalue of V V^T.  The stack is let go once W is formed, or once
+    the SVD of V returns, so a stack passed as a temporary
+    (srm_success_oracle(all_hypothesis_states(...))) is not held while B is.
     """
     V = _real_array(states, "srm_success_oracle")
-    del states  # from here only V refers to the stack, so `del V` below can free it
+    del states  # from here only V refers to the stack, so rebinding V below can free it
     if V.ndim != 2:
         raise ValueError(
             f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"
@@ -211,20 +189,33 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     live = np.logical_or.reduce(V, axis=0)
     if not np.logical_and.reduce(live):
         V = V[:, live]
-    G = V @ V.T  # exactly symmetric (BLAS syrk on one operand), so eigh reads one triangle
-    support = V != 0 if _bases.admits(N * N * G.itemsize) else None
-    del V
-    _finite_square(G, "srm_success_oracle")
-    off = np.flatnonzero(np.abs(G.diagonal() - 1.0) > PSD_CLAMP)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        norms = np.add.reduce(V * V, axis=1)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN and inf too
     if off.size:
+        if not np.logical_and.reduce(np.isfinite(norms)):
+            raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
         r = off[0]
-        raise ValueError(f"srm_success_oracle: row {r} has squared norm {G[r, r]}, not 1")
-    w, U = _gram_eigh(G, support)
-    if w.min() < -PSD_CLAMP:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w.min()})")
-    diag = (U * U) @ np.sqrt(np.maximum(w, 0.0))  # eigenvalues of S are sqrt(w)
+        raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
+    U = sigma = None
+    if _bases.admits(N * N * V.itemsize):
+        U = _support_basis(V != 0)
+        V = U.T @ V  # W: the caller's stack is let go here
+        B = V @ V.T
+        sigma = np.sqrt(B.diagonal())
+        np.fill_diagonal(B, 0.0)
+        if not np.linalg.norm(B) <= (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF:
+            sigma = None
+    if sigma is None:
+        X, sigma, _ = np.linalg.svd(V, full_matrices=False)
+        U = X if U is None else U @ X
+    del V
+    diag = (U * U) @ sigma
+    eigenvalues = np.zeros(N)  # the SVD gives min(N, M) values
+    eigenvalues[N - sigma.size:] = sigma * sigma
+    eigenvalues.sort()
     return SrmResult(success=float(np.add.reduce(diag**2) / N), diagonal=diag,
-                     eigenvalues=np.sort(w))
+                     eigenvalues=eigenvalues)
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .gram import (
     ProblemInstance,
     _gram_powers,
     _log_binomial_ratios,
-    _log_eigenvalues,
     direct_spectrum,
 )
 from .johnson import _projector_coefficients, multiplicity
@@ -78,7 +77,7 @@ def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     6e-16 at (60000, 20000, 0.05)).
     """
     n, k = instance.n, min(instance.k, instance.n - instance.k)
-    log_values = _log_eigenvalues(n, k, float(instance.c2)).tolist()
+    log_values = instance.log_eigenvalues.tolist()
     log, exp = math.log, math.exp
     total = math.fsum(
         exp(log_ratio + log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)

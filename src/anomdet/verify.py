@@ -46,6 +46,7 @@ from .universal import UniversalInstance, average_known_success, universal_succe
 __all__ = ["Check", "CheckResult", "CHECKS", "SCOPES", "run_scope"]
 
 C_GRID = (0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9)
+HIGH_C_GRID = (0.999, 0.9999, 0.99999, 1.0)  # where the Gram's small eigenvalues reach rounding
 REFERENCE_OVERLAPS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
 
@@ -109,6 +110,15 @@ def _overlap_grid(max_n: int) -> Iterator[dict]:
     for inst in _scheme_grid(max_n):
         for c in C_GRID:
             yield {**inst, "c": c}
+
+
+def _srm_grid(max_n: int) -> Iterator[dict]:
+    """The overlap grid, then n <= min(max_n, 10), 1 <= k <= n-1 at each c of HIGH_C_GRID."""
+    yield from _overlap_grid(max_n)
+    for n in range(2, min(max_n, 10) + 1):
+        for k in range(1, n):
+            for c in HIGH_C_GRID:
+                yield {"n": n, "k": k, "c": c}
 
 
 def _explicit_grid(max_n: int) -> Iterator[dict]:
@@ -270,20 +280,36 @@ def _reference_spectrum(n: int, k: int, c: Fraction) -> float:
 
 # --- residuals: detection --------------------------------------------------
 
-@lru_cache(maxsize=sum(1 for _ in _overlap_grid(STATE_QUBITS_CAP)))
+@lru_cache(maxsize=sum(1 for _ in _srm_grid(STATE_QUBITS_CAP)))
 def _srm(n: int, k: int, c: float) -> SrmResult:
-    """srm_success_oracle on the explicit states, once per (n, k, c) for two rows.
+    """srm_success_oracle on the explicit states, once per (n, k, c) for three rows.
 
-    The cache holds the whole overlap grid at the qubit cap, so the second
-    detection row reads every result the first one computed.  The oracle
+    The cache holds the whole _srm_grid at the qubit cap, so the later
+    detection rows read every result the first one computed.  The oracle
     itself factors one support basis per (n, k) (one more each at c = 0
-    and 1, where whole columns vanish) and certifies it for each c.
+    and 1, where whole columns vanish), certifies it for each c, and reads
+    the singular values of the stack off it.
     """
     return srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
 
 
 def _min_error_vs_srm(n: int, k: int, c: float) -> float:
     return abs(min_error_success(ProblemInstance(n, k, c)).value - _srm(n, k, c).success)
+
+
+def _srm_optimality_gap(n: int, k: int, c: float) -> float:
+    """Duality gap of the SRM, |max(S) mean(S) - mean(S^2)| for S the diagonal of sqrt(G).
+
+    mean(S^2) is the SRM's success, as _srm holds it, and Y = (max(S)/N) Q G^(1/2) Q^T, with
+    Psi = Q G^(1/2) the states and Q an isometry, is feasible for the dual
+    (Y >= psi_r psi_r^T / N for every r) with value tr Y = max(S) mean(S).
+    The gap is zero exactly when S is constant, so that the SRM is optimal
+    (Holevo 1973; Yuen, Kennedy & Lax 1975; Eldar, Megretski & Verghese
+    2003).
+    """
+    result = _srm(n, k, c)
+    S = result.diagonal
+    return abs(float(S.max() * S.mean()) - result.success)
 
 
 def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
@@ -294,12 +320,12 @@ def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
 def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states.
 
-    The eigenvalue is the raw w[0] of the SRM oracle's factorisation of the
-    same Gram (before its clamp): the smallest Rayleigh quotient in the
-    certified basis of the stack's support pattern, or eigh's smallest
-    eigenvalue if that basis fails.  It is shared through _srm, so the
-    states are built and the Gram factored once per (n, k, c) for both
-    detection rows.
+    The eigenvalue is the SRM oracle's smallest squared singular value of
+    the stack V: the smallest squared row norm of W = U^T V in the
+    certified basis U of the stack's support pattern, or the SVD's smallest
+    (0 when V has fewer columns than rows) if that basis fails.  It is
+    shared through _srm, so the states are built and factored once per
+    (n, k, c) for every detection row that reads them.
     """
     value = unambiguous_success(ProblemInstance(n, k, c)).value
     return abs(value - float(_srm(n, k, c).eigenvalues[0]))
@@ -359,10 +385,11 @@ CHECKS: tuple[Check, ...] = (
           lambda max_n: ({**inst, "c": 0.5} for inst in _scheme_grid(max_n)),
           _spectral_reconstruction),
     Check("reference-spectrum", "gram", 0.0, _reference_grid, _reference_spectrum),
-    Check("min-error-vs-srm-oracle", "detection", 1e-10, _overlap_grid, _min_error_vs_srm),
+    Check("min-error-vs-srm-oracle", "detection", 1e-10, _srm_grid, _min_error_vs_srm),
+    Check("min-error-srm-optimality-gap", "detection", 1e-10, _srm_grid, _srm_optimality_gap),
     Check("explicit-k123-vs-spectral", "detection", 1e-12, _explicit_grid,
           _explicit_vs_spectral),
-    Check("unambiguous-vs-min-eigenvalue", "detection", 1e-10, _overlap_grid,
+    Check("unambiguous-vs-min-eigenvalue", "detection", 1e-10, _srm_grid,
           _unambiguous_vs_min_eigenvalue),
     Check("unambiguous-certificates", "detection", 1e-10, _overlap_grid,
           _unambiguous_certificates),

@@ -15,6 +15,7 @@ non-vacuity plants (a deliberately wrong input that a check must fail).
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -25,7 +26,7 @@ GATE_MAX_N = 9
 
 CRITERIA = {
     1: ("spectrum-equivalence", "spectral-reconstruction"),
-    2: ("min-error-vs-srm-oracle", "explicit-k123-vs-spectral"),
+    2: ("min-error-vs-srm-oracle", "min-error-srm-optimality-gap", "explicit-k123-vs-spectral"),
     3: ("reference-spectrum",),
     4: ("unambiguous-vs-min-eigenvalue", "unambiguous-certificates"),
     5: ("asymptotic-residual-ratio",),
@@ -127,6 +128,32 @@ def test_perturbed_projector_coefficient_fails_exact_row(monkeypatch):
     with pytest.raises(AssertionError,
                        match="criterion 8 failed.*'FAIL projector-algebra-exact n=6,k=2 "):
         run_criterion(8)
+
+
+def test_perturbed_state_fails_the_optimality_gap_row(monkeypatch):
+    """One state of (8, 2, 0.5) moved by 1e-3 on its support, then renormalised:
+    the diagonal of sqrt(G) is no longer constant, and the SRM's duality gap
+    fails min-error-srm-optimality-gap while (8, 2, 0.7) still passes."""
+    states = verify.all_hypothesis_states
+
+    def perturbed(inst):
+        V = states(inst)
+        if inst.c == 0.5:
+            V[0, V[0] != 0] += 1e-3
+            V[0] /= np.linalg.norm(V[0])
+        return V
+
+    check = next(check for check in verify.CHECKS if check.name == "min-error-srm-optimality-gap")
+    planted = dataclasses.replace(check, grid=verify._fixed({"n": 8, "k": 2, "c": 0.5},
+                                                            {"n": 8, "k": 2, "c": 0.7}))
+    monkeypatch.setattr(verify, "all_hypothesis_states", perturbed)
+    verify._srm.cache_clear()
+    try:
+        failed, passed = planted.run(8)
+    finally:
+        verify._srm.cache_clear()
+    assert not failed.passed and failed.residual > 1e4 * check.tolerance, failed.line()
+    assert passed.passed, passed.line()
 
 
 def test_criterion_9_figure_reproduction():

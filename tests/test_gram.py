@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from anomdet import gram
 from anomdet.gram import (
     GRAM_SIZE_CAP,
     ProblemInstance,
@@ -451,6 +452,31 @@ class TestLogDomainFloatPath:
         assert spec.multiplicities == exact.multiplicities
         for value, x in zip(spec.values, exact.values):
             assert value == pytest.approx(float(x), rel=1e-13)
+
+    def test_one_log_spectrum_per_instance(self, monkeypatch):
+        # the spectrum and the minimum-error value share one _log_eigenvalues call,
+        # kept on the instance (k > n/2 at min(k, n-k)); an equal instance computes
+        # its own, and an exact one calls it only for the minimum-error value
+        log_eigenvalues, calls = gram._log_eigenvalues, []
+
+        def counting(n, k, z):
+            calls.append((n, k, z))
+            return log_eigenvalues(n, k, z)
+
+        expected = [(closed_form_spectrum(inst).values, min_error_success(inst).value)
+                    for inst in (ProblemInstance(5000, 60, 0.5), ProblemInstance(9, 6, 0.3))]
+        monkeypatch.setattr(gram, "_log_eigenvalues", counting)
+        for inst, (values, value) in zip((ProblemInstance(5000, 60, 0.5),
+                                          ProblemInstance(9, 6, 0.3)), expected):
+            for _ in range(2):
+                assert closed_form_spectrum(inst).values.tobytes() == values.tobytes()
+                assert min_error_success(inst).value == value
+            assert not inst.log_eigenvalues.flags.writeable
+        assert calls == [(5000, 60, 0.25), (9, 3, 0.09)]
+        min_error_success(ProblemInstance(5000, 60, 0.5))
+        closed_form_spectrum(exact := ProblemInstance(9, 6, Fraction(3, 10)))
+        min_error_success(exact)
+        assert calls[2:] == [(5000, 60, 0.25), (9, 3, 0.09)]
 
 
 class TestDirectSpectrum:

@@ -144,11 +144,30 @@ def _generic_stack(seed, N, M):
     return W / np.linalg.norm(W, axis=1, keepdims=True)
 
 
-def _eigh_steps(V):
-    """success, diagonal and eigenvalues from a plain eigh of V V^T."""
-    w, U = np.linalg.eigh(V @ V.T)
-    d = (U * U) @ np.sqrt(np.maximum(w, 0.0))
-    return np.sum(d**2) / V.shape[0], d, w
+def _pattern_basis(V):
+    """V without its all-zero columns, and eigh's eigenvectors of P P^T, P its support."""
+    live = V[:, V.any(axis=0)]
+    P = (live != 0).astype(float)
+    return live, np.linalg.eigh(P @ P.T)[1]
+
+
+def _steps(U, sigma, N):
+    """success, diagonal (U o U) sigma and sigma^2 ascending, zero-padded to N."""
+    d = (U * U) @ sigma
+    return np.sum(d**2) / N, d, np.sort(np.pad(sigma * sigma, (N - sigma.size, 0)))
+
+
+def _basis_steps(V):
+    """The basis path: U from P P^T, sigma = sqrt(diag(W W^T)) for W = U^T V."""
+    live, U = _pattern_basis(V)
+    W = U.T @ live
+    return _steps(U, np.sqrt(np.diag(W @ W.T)), V.shape[0])
+
+
+def _svd_steps(V, U=None):
+    """One thin SVD: of V, or of W = U^T V with U times its left factor."""
+    X, sigma, _ = np.linalg.svd(V if U is None else U.T @ V, full_matrices=False)
+    return _steps(X if U is None else U @ X, sigma, V.shape[0])
 
 
 def _assert_same_bits(result, success, diagonal, eigenvalues):
@@ -271,49 +290,51 @@ class TestSrmOracle:
             srm_success_oracle(V)
 
     def test_rejects_nan_gram(self, monkeypatch):
-        # BLAS accumulates each entry with fused multiply-adds, so overflowing finite
-        # states give +-inf, not inf - inf; a NaN Gram is planted through V @ V^T
-        class NanGram(np.ndarray):
-            def __matmul__(self, other):
+        # squares of finite states overflow to +inf, never to NaN; a NaN squared
+        # norm, the diagonal of the Gram, is planted through V * V
+        class NanSquare(np.ndarray):
+            def __mul__(self, other):
                 return np.array([[1.0, math.nan], [math.nan, 1.0]])
 
-        monkeypatch.setattr(oracle, "_real_array", lambda states, caller: np.eye(2).view(NanGram))
+        monkeypatch.setattr(oracle, "_real_array", lambda states, caller: np.eye(2).view(NanSquare))
         with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
             srm_success_oracle(np.eye(2))
 
-    @pytest.mark.parametrize("planted, rejected", [(-2e-10, True), (-0.5e-10, False)])
-    def test_rejects_indefinite_gram(self, monkeypatch, planted, rejected):
-        # the largest eigenvalue lowered to `planted`, so that the smallest is
-        # not w[0], on the support-basis path and on the eigh path; the clamp
-        # threshold is -PSD_CLAMP = -1e-10
-        gram_eigh, writeable = oracle._gram_eigh, []
+    def test_nan_in_the_certificate_falls_back_to_the_svd(self, monkeypatch):
+        # a NaN planted off the diagonal of B = W W^T fails the certificate
+        fill_diagonal = np.fill_diagonal
 
-        def lowered(G, support):
-            w, U = gram_eigh(G, support)
-            w[np.argmax(w)] = planted
-            writeable.append(U.flags.writeable)  # eigh's own factors, not the cached basis
-            return w, U
+        def planting(B, value):
+            fill_diagonal(B, value)
+            B[0, 1] = B[1, 0] = math.nan
 
-        monkeypatch.setattr(oracle, "_gram_eigh", lowered)
-        message = r"^matrix is not PSD \(min eigenvalue -2e-10\)"
-        for V in all_hypothesis_states(ProblemInstance(4, 2, 0.5)), _generic_stack(0, 6, 11):
-            if rejected:
-                with pytest.raises(ValueError, match=message):
-                    srm_success_oracle(V)
-            else:
-                assert 0 < srm_success_oracle(V).success <= 1
-        assert writeable == [False, True]
+        V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+        _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
+        monkeypatch.setattr(oracle.np, "fill_diagonal", planting)
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(*_pattern_basis(V)))
+
+    @pytest.mark.parametrize("c", [0.999, 0.9999, 0.99999, 1.0])
+    def test_eigenvalues_are_non_negative(self, monkeypatch, c):
+        # squared singular values, on the basis path and on the SVD path; an
+        # eigh of the Gram gave eigenvalues down to -1.4e-13 at c >= 0.9999
+        for basis in (True, False):
+            if not basis:
+                monkeypatch.setattr(oracle._bases, "admits", lambda nbytes: False)
+            for n in range(2, 11):
+                for k in range(1, n):
+                    w = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c))).eigenvalues
+                    assert w.shape == (binomial(n, k),), (basis, n, k)
+                    assert w[0] >= 0 and (np.diff(w) >= 0).all(), (basis, n, k)
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
     def test_fortran_ordered_stack_gives_the_same_bits(self, n, k, c):
-        # G = V V^T is exactly symmetric in either layout, and eigh reads one triangle
+        # W = U^T V is the same in either layout
         V = all_hypothesis_states(ProblemInstance(n, k, c))
         F = np.asfortranarray(V)
         assert F.flags.f_contiguous and not F.flags.c_contiguous
-        for stack in (V, F):
-            G = stack @ stack.T
-            assert np.array_equal(G, G.T)
+        live, U = _pattern_basis(V)
+        assert np.array_equal(U.T @ live, U.T @ np.asfortranarray(live))
         a, b = srm_success_oracle(V), srm_success_oracle(F)
         assert a.success == b.success and a.diagonal.tobytes() == b.diagonal.tobytes()
 
@@ -355,20 +376,15 @@ class TestSrmOracle:
     @pytest.mark.parametrize("c", [0.0, 0.37, 0.9, 1.0])
     def test_bit_identical_to_plain_reference(self, c):
         # hypothesis states, the plain steps: drop the all-zero columns, U from
-        # eigh of P P^T (P the support pattern), w = diag(U^T G U), diagonal
-        # (U o U) sqrt(max(w, 0)), mean square, w sorted; a stack without the
-        # symmetry: eigh of V V^T
+        # eigh of P P^T (P the support pattern), W = U^T V, sigma the row norms
+        # sqrt(diag(W W^T)), diagonal (U o U) sigma, mean square, sigma^2
+        # sorted; a stack without the symmetry: a thin SVD of its W
         for n in range(2, 11):
             for k in range(1, min(4, n // 2) + 1):
                 V = all_hypothesis_states(ProblemInstance(n, k, c))
-                live = V[:, V.any(axis=0)]
-                P = (live != 0).astype(float)
-                U = np.linalg.eigh(P @ P.T)[1]
-                w = np.diag(U.T @ (live @ live.T @ U))
-                d = (U * U) @ np.sqrt(np.maximum(w, 0.0))
-                _assert_same_bits(srm_success_oracle(V), np.sum(d**2) / V.shape[0], d, np.sort(w))
+                _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
                 W = _generic_stack(n * k, V.shape[0] + 2, V.shape[1])
-                _assert_same_bits(srm_success_oracle(W), *_eigh_steps(W))
+                _assert_same_bits(srm_success_oracle(W), *_svd_steps(*_pattern_basis(W)))
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 3, 0.3), (8, 3, 0.9), (10, 4, 0.53),
                                          (9, 4, 0.999), (8, 3, 1.0), (6, 2, 0.0)])
@@ -380,62 +396,69 @@ class TestSrmOracle:
         assert np.abs(w - reference).max() <= 1e-12 * max(1.0, reference[-1])
 
     def test_eigenvalues_are_not_clamped(self, monkeypatch):
-        # an eigenvalue planted inside the clamp, [-PSD_CLAMP, 0), in the place
-        # of the largest is reported first as it is, while the square root uses
-        # 0 in its place; on the support-basis path and on the eigh path
-        gram_eigh = oracle._gram_eigh
-        planted = -0.5 * oracle.PSD_CLAMP
-        factors = []
+        # a singular value of 1e-9 planted in the place of the largest is
+        # reported first as its square, and the diagonal uses it as it is; on
+        # the basis path (through its square root) and on the SVD path
+        sqrt, svd, planted, factors = np.sqrt, np.linalg.svd, 1e-9, []
 
-        def lowered(G, support):
-            w, U = gram_eigh(G, support)
-            w[np.argmax(w)] = planted
-            factors.append((w.copy(), U.copy(), U.flags.writeable))
-            return w, U
+        def lowered(sigma):
+            sigma[np.argmax(sigma)] = planted
+            factors.append(sigma)
+            return sigma
 
-        monkeypatch.setattr(oracle, "_gram_eigh", lowered)
-        for V in all_hypothesis_states(ProblemInstance(6, 2, 0.5)), _generic_stack(1, 15, 20):
+        monkeypatch.setattr(oracle.np, "sqrt", lambda x: lowered(sqrt(x)))
+        monkeypatch.setattr(oracle.np.linalg, "svd", lambda V, full_matrices: (
+            lambda X, s, Y: (X, lowered(s), Y))(*svd(V, full_matrices=full_matrices)))
+        V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
+        U = _pattern_basis(V)[1]
+        for basis in (True, False):
+            if not basis:
+                monkeypatch.setattr(oracle._bases, "admits", lambda nbytes: False)
+                U = svd(V, full_matrices=False)[0]
             result = srm_success_oracle(V)
-            w, U, _ = factors[-1]
-            assert result.eigenvalues[0] == planted
-            assert result.eigenvalues.tobytes() == np.sort(w).tobytes()
-            diagonal = (U * U) @ np.sqrt(np.maximum(w, 0.0))
-            assert result.diagonal.tobytes() == diagonal.tobytes()
-            assert result.success == float(np.sum(diagonal**2) / V.shape[0])
-        assert [writeable for _, _, writeable in factors] == [False, True]
+            sigma = factors[-1]
+            assert result.eigenvalues[0] == planted**2
+            _assert_same_bits(result, *_steps(U, sigma, V.shape[0]))
+        assert len(factors) == 2
 
     @pytest.mark.usefixtures("empty_basis_cache")
-    def test_stack_passed_as_a_temporary_is_freed_before_eigh(self, monkeypatch):
-        # on the support-basis path, with the basis factored on a cold cache,
-        # and on the eigh path, which also factors its (dense) pattern first
-        eigh, gram_eigh = np.linalg.eigh, oracle._gram_eigh
-        stacks, alive, writeable = [], [], []
+    def test_stack_passed_as_a_temporary_is_freed_after_its_last_product(self, monkeypatch):
+        # alive while its pattern's basis is factored (cold cache) and W = U^T V
+        # formed, gone from the square roots of the basis path on; on the SVD
+        # path, read by one SVD of V and gone when the result is built
+        functions = {"eigh": np.linalg, "svd": np.linalg, "sqrt": np, "SrmResult": oracle}
+        stacks, events = [], []
 
-        def recording_eigh(M):
-            alive.append(stacks[-1]() is not None)
-            return eigh(M)
-
-        def recording(G, support):
-            alive.append(stacks[-1]() is not None)
-            w, U = gram_eigh(G, support)
-            writeable.append(U.flags.writeable)
-            return w, U
+        def recording(name, function):
+            def call(*args, **kwargs):
+                events.append((name, stacks[-1]() is not None))
+                return function(*args, **kwargs)
+            return call
 
         def temporary(build):
             V = build()
             stacks.append(weakref.ref(V))
             return V
 
-        monkeypatch.setattr(oracle.np.linalg, "eigh", recording_eigh)
-        monkeypatch.setattr(oracle, "_gram_eigh", recording)
-        builds = (lambda: all_hypothesis_states(ProblemInstance(8, 3, 0.5)),
-                  lambda: _generic_stack(2, 56, 93))
-        for build, calls in zip(builds, (2, 3)):  # _gram_eigh, eigh(P P^T)[, eigh(G)]
-            alive.clear()
+        for name, module in functions.items():
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        builds = {
+            "basis": lambda: all_hypothesis_states(ProblemInstance(8, 3, 0.5)),
+            "failed basis": lambda: _generic_stack(2, 56, 93),
+            "no basis": lambda: all_hypothesis_states(ProblemInstance(9, 3, 0.5)),
+        }
+        expected = {
+            "basis": [("eigh", True), ("sqrt", False), ("SrmResult", False)],
+            "failed basis": [("eigh", True), ("sqrt", False), ("svd", False), ("SrmResult", False)],
+            "no basis": [("svd", True), ("SrmResult", False)],
+        }
+        for path, build in builds.items():
+            if path == "no basis":  # a basis of 84 states alone exceeds a 400-byte bound
+                monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)
+            events.clear()
             result = srm_success_oracle(temporary(build))
-            assert alive == [False] * calls and stacks[-1]() is None
+            assert events == expected[path] and stacks[-1]() is None, path
             assert result.success == srm_success_oracle(temporary(build)).success
-        assert writeable == [False, False, True, True]
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
@@ -455,7 +478,8 @@ class TestSrmOracle:
     def test_rotated_basis_fails_the_bound(self, empty_basis_cache):
         # a cached basis turned by 1e-6 between the top eigenvector and one of
         # the bottom eigenspace: still orthogonal, but B's off-diagonal gains
-        # about 1e-6 * (w_top - w_bottom), far above 3 N^2 u = 7.5e-14
+        # about 1e-6 * (sigma_top^2 - sigma_bottom^2), far above the bound
+        # (4 N^(5/2) + N M) u = 4.2e-13
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
         srm_success_oracle(V)
         (key, U), = empty_basis_cache.items()
@@ -464,28 +488,35 @@ class TestSrmOracle:
         rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
         rotated[:, j] = math.sin(theta) * U[:, i] + math.cos(theta) * U[:, j]
         assert np.abs(rotated.T @ rotated - np.eye(len(U))).max() < 1e-14
-        G = V @ V.T
-        B = rotated.T @ G @ rotated
-        assert abs(B[i, j]) > 1e-7 > 1e6 * 3 * len(U) ** 2 * oracle.UNIT_ROUNDOFF
+        W = rotated.T @ V
+        B = W @ W.T
+        N, M = V.shape
+        assert abs(B[i, j]) > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
         rotated.flags.writeable = False
         empty_basis_cache[key] = rotated
-        _assert_same_bits(srm_success_oracle(V), *_eigh_steps(V))
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V, rotated))
         assert empty_basis_cache[key] is rotated  # kept, not factored again
 
     def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
-        eigh, factored = np.linalg.eigh, []
+        eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
 
         def recording(M):
             factored.append(M.copy())
             return eigh(M)
 
+        def recording_svd(W, full_matrices):
+            decomposed.append(W.shape)
+            return svd(W, full_matrices=full_matrices)
+
         stacks = [_generic_stack(seed, 12, 30) for seed in range(3)]  # one dense 12 x 30 pattern
-        expected = [_eigh_steps(W) for W in stacks]
+        expected = [_svd_steps(*_pattern_basis(W)) for W in stacks]
         monkeypatch.setattr(oracle.np.linalg, "eigh", recording)
+        monkeypatch.setattr(oracle.np.linalg, "svd", recording_svd)
         for W, steps in zip(stacks, expected):
             _assert_same_bits(srm_success_oracle(W), *steps)
-        # the first call factors P P^T = 30 J, and every call its own Gram
-        assert len(factored) == 4 and np.array_equal(factored[0], np.full((12, 12), 30.0))
+        # the first call factors P P^T = 30 J, and every call takes one SVD of its W
+        assert len(factored) == 1 and np.array_equal(factored[0], np.full((12, 12), 30.0))
+        assert decomposed == [(12, 30)] * 3
         assert len(empty_basis_cache) == 1
 
     def test_basis_cache_keeps_its_bounds(self, empty_basis_cache, monkeypatch):
@@ -508,8 +539,8 @@ class TestSrmOracle:
         assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
         srm_success_oracle(states[6])  # 288 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
-        # a basis over the bound on its own (512 bytes) is not built: plain eigh
-        _assert_same_bits(srm_success_oracle(states[8]), *_eigh_steps(states[8]))
+        # a basis over the bound on its own (512 bytes) is not built: a thin SVD of V
+        _assert_same_bits(srm_success_oracle(states[8]), *_svd_steps(states[8]))
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
 
 

@@ -53,31 +53,12 @@ def test_spectrum_matches_dense_oracle(inst):
     assert np.abs(closed - dense).max() <= 1e-9 * max(1.0, float(spec.values[0]))
 
 
-def _srm_oracle_error_bound(inst: ProblemInstance, value: float) -> float:
-    """Error the SRM oracle itself may make on value = (sum_j w_j sqrt(lambda_j))^2.
-
-    The oracle square-roots the eigenvalues of G found by a dense
-    eigensolver, each within delta = N eps lambda_0.  That moves
-    sqrt(lambda_j) by at most min(sqrt(delta), delta / (2 sqrt(lambda_j))):
-    negligible for well-separated eigenvalues, but ~sqrt(delta) for those
-    at the noise floor, which G has at and near c = 1.
-    """
-    spec = closed_form_spectrum(inst)
-    lams = spec.values.astype(float).tolist()
-    delta = inst.N * np.finfo(float).eps * lams[0]
-    shift = sum(
-        m / inst.N * min(math.sqrt(delta), delta / (2 * math.sqrt(lam)) if lam else math.inf)
-        for m, lam in zip(spec.multiplicities, lams)
-    )
-    return 2 * math.sqrt(value) * shift + shift * shift
-
-
 @settings(max_examples=80)
 @given(instances())
 def test_min_error_matches_srm_oracle(inst):
     value = min_error_success(inst).value
     oracle_value = srm_success_oracle(all_hypothesis_states(inst)).success
-    assert abs(value - oracle_value) <= 1e-10 + _srm_oracle_error_bound(inst, value)
+    assert abs(value - oracle_value) <= 1e-10
 
 
 any_overlap = st.one_of(

@@ -7,7 +7,8 @@ from anomdet import combin, oracle, verify
 from anomdet.combin import NK_CACHE_SIZE
 from anomdet.oracle import STATE_QUBITS_CAP
 
-DETECTION_ROWS = ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue")
+DETECTION_ROWS = ("min-error-vs-srm-oracle", "min-error-srm-optimality-gap",
+                  "unambiguous-vs-min-eigenvalue")
 
 
 def test_detection_rows_build_and_factor_once_per_instance(monkeypatch):
@@ -30,23 +31,28 @@ def test_detection_rows_build_and_factor_once_per_instance(monkeypatch):
         results = [r for check in rows for r in check.run(9)]
     finally:
         verify._srm.cache_clear()
-    grid = {(inst["n"], inst["k"], inst["c"]) for inst in verify._overlap_grid(9)}
-    assert len(rows) == 2 and len(results) == 2 * len(grid)
+    grid = {(inst["n"], inst["k"], inst["c"]) for inst in verify._srm_grid(9)}
+    assert len(rows) == 3 and len(results) == 3 * len(grid)
     assert all(r.passed for r in results)
     assert built == Counter(grid) and len(factored) == len(grid)
 
 
 def test_srm_cache_holds_the_overlap_grid_at_the_cap():
-    # every instance of `verify --max-n 14` keeps its entry until the second row reads it
-    grid = {tuple(inst.values()) for inst in verify._overlap_grid(STATE_QUBITS_CAP)}
+    # every instance of `verify --max-n 14`, the overlap grid and the high-overlap
+    # sub-grid, keeps its entry until the last detection row reads it
+    grid = {tuple(inst.values()) for inst in verify._srm_grid(STATE_QUBITS_CAP)}
+    assert {tuple(inst.values()) for inst in verify._overlap_grid(STATE_QUBITS_CAP)} < grid
     assert verify._srm.cache_info().maxsize == len(grid)
 
 
 def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
-    # every row of `verify --max-n 14` walks these cells; a second pass over
-    # them builds neither a distance matrix nor a sector layout again
-    cells = [(inst["n"], inst["k"]) for inst in verify._scheme_grid(STATE_QUBITS_CAP)]
-    assert len(set(cells)) == len(cells) <= NK_CACHE_SIZE
+    # every row of `verify --max-n 14` walks these cells, the detection rows
+    # also those of the high-overlap sub-grid (k > min(4, n//2) too); a second
+    # pass over them builds neither a distance matrix nor a sector layout again
+    cells = list(dict.fromkeys((inst["n"], inst["k"]) for grid in (verify._scheme_grid,
+                                                                   verify._srm_grid)
+                               for inst in grid(STATE_QUBITS_CAP)))
+    assert len(cells) == 40 + 21 <= NK_CACHE_SIZE
     calls = Counter()
     indicator = combin.pattern_indicator
 
