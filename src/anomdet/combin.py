@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
-NK_CACHE_SIZE = 64  # entries per (n, k) cache; verify --max-n 14 walks 40 (n, k) per row
+NK_CACHE_SIZE = 96  # entries per (n, k) cache; verify --max-n 14 walks 79 (n, k) per row
 
 
 def binomial(n: int, r: int) -> int:
@@ -72,13 +72,14 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
 
 
 class _LruCache(dict):
-    """Read-only arrays by key, least recently used first, bounded as every
-    cached N x N object of the package is: at most NK_CACHE_SIZE entries
-    holding at most GRAM_SIZE_CAP^2 bytes between them (one uint8 D at the
-    Gram size cap), fewer entries when they would hold more, but always the
-    one stored last.  Threads may share one: recall and keep snapshot the
-    entries and pop with a default, so they can neither raise nor return a
-    wrong array, at worst build one twice.
+    """Read-only values with nbytes (arrays, the oracle's sector layouts) by
+    key, least recently used first, bounded as every cached per-(n, k) array
+    of the package is: at most NK_CACHE_SIZE entries holding at most
+    GRAM_SIZE_CAP^2 bytes between them (one uint8 D at the Gram size cap),
+    fewer entries when they would hold more, but always the one stored
+    last.  Threads may share one: recall and keep snapshot the entries and
+    pop with a default, so they can neither raise nor return a wrong value,
+    at worst build one twice.
     """
 
     @staticmethod
@@ -87,13 +88,13 @@ class _LruCache(dict):
         return nbytes <= GRAM_SIZE_CAP**2
 
     def recall(self, key):
-        """The array stored under key, now the most recently used, or None."""
+        """The value stored under key, now the most recently used, or None."""
         value = self.pop(key, None)
         if value is not None:
             self[key] = value
         return value
 
-    def keep(self, key, value: np.ndarray) -> None:
+    def keep(self, key, value) -> None:
         """Store value as the most recently used, then evict the least
         recently used entries until the bounds hold or only value is left."""
         self[key] = value

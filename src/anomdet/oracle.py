@@ -7,22 +7,21 @@ k anomalies lives) and built on their 2^k-string support; measurements
 are literal square-root measurements; and the universal hypotheses come
 from the occupation-number (Dicke) basis of the symmetric subspaces.
 The square root of a Gram matrix comes from the singular values of the
-stack of states, read as row norms in the eigenbasis of the stack's own
-support pattern and certified for each stack, or else from a thin SVD:
-no Gram, closed form, Hahn value or scheme object enters.  This keeps the oracle independent of the
+stack of states: row norms in the certified eigenbasis of the stack's own
+support pattern, or else one thin SVD of the stack.  No Gram, closed form,
+Hahn value or scheme object enters, so the oracle stays independent of the
 spectral machinery it is used to check.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, _LruCache, enumerate_patterns, pattern_indicator
+from .combin import _LruCache, enumerate_patterns, pattern_indicator
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 from .universal import UniversalInstance
 
@@ -46,29 +45,38 @@ UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
 HOLEVO_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=NK_CACHE_SIZE)
-def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int, np.ndarray]:
+class _Layout(tuple):  # (index, M, bits) from _sector_layout; _LruCache bounds its nbytes
+    nbytes = property(lambda self: self[0].nbytes + self[2].nbytes)
+
+
+_layouts = _LruCache()  # (n, k) -> _Layout
+
+
+def _sector_layout(n: int, k: int) -> _Layout:
     """Where the 2^k support entries of the C(n, k) hypothesis states go.
 
-    Returns (index, M, bits), all read-only.  bits is the k x 2^k table whose
-    column b holds the bits b_1..b_k of b, b_1 most significant (the order of
-    the np.kron fold).  M = sum_{j<=k} C(n, j) strings of weight <= k, and
-    index is a C(n, k) x 2^k array of flat positions in the C(n, k) x M
-    sector stack.  Row a lists the strings that are 0 off the a-th pattern's
-    positions p_1 < ... < p_k, weights @ bits with weights[a, i] = 2^(n-1-p_i);
-    each string is replaced by its rank among all strings of weight <= k, in
-    ascending integer order.  Every such string lies under some pattern, so
-    the ranks run over 0..M-1.  The layout depends on (n, k) only, so it is
-    built once and shared.
+    Returns (index, M, bits), the arrays read-only.  bits is the k x 2^k
+    table whose column b holds the bits b_1..b_k of b, b_1 most significant
+    (the np.kron fold's order).  Row a of index lists, as flat positions in
+    the C(n, k) x M sector stack, the ranks among all M = sum_{j<=k} C(n, j)
+    strings of weight <= k (ascending integer order) of the strings that are
+    0 off the a-th pattern's positions p_1 < ... < p_k: weights @ bits with
+    weights[a, i] = 2^(n-1-p_i).  Every such string lies under some pattern,
+    so the ranks run over 0..M-1.  Built once per (n, k) and shared, in an
+    _LruCache: the index alone holds 8 C(n, k) 2^k bytes, 8.2 MB at (14, 9).
     """
-    X = pattern_indicator(n, k)
-    rows = X.shape[0]
-    weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
-    bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
-    sector, rank = np.unique(weights @ bits, return_inverse=True)
-    index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
-    index.flags.writeable = bits.flags.writeable = False
-    return index, sector.size, bits
+    layout = _layouts.recall((n, k))
+    if layout is None:
+        X = pattern_indicator(n, k)
+        rows = X.shape[0]
+        weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
+        bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+        sector, rank = np.unique(weights @ bits, return_inverse=True)
+        index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+        index.flags.writeable = bits.flags.writeable = False
+        layout = _Layout((index, sector.size, bits))
+        _layouts.keep((n, k), layout)
+    return layout
 
 
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
@@ -77,17 +85,15 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     Qubit embedding: reference |0>, anomaly c|0> + sqrt(1-c^2)|1>; only
     the overlap c matters for the known-states problem, so qubits suffice
     for any d.  Returns an N x M array, M = sum_{j<=k} C(n, j): column j
-    holds the amplitude of the j-th computational-basis string of weight
-    <= k in ascending integer order, position 1 the most significant bit.
-    No state has weight outside that sector: row a is nonzero only on the
-    2^k strings that are 0 off its anomaly positions.  There the entry of
-    b in {0, 1}^k is the product phi1[b_1] * ... * phi1[b_k], formed left
-    to right in increasing position order by one multiply reduction over
-    the rows of phi1.take(bits) (k = 0 reduces nothing and gives 1.0), and
-    scattered by index, both from _sector_layout.  The skipped factors
-    |0> = (1, 0) are exactly 1.0 or 0.0 and the products run in the fold's
-    order, so every column is bit-identical to the same column of the
-    np.kron left fold; at c = 0 or 1 some sector columns are all zero.
+    holds the amplitude of the j-th string of weight <= k in ascending
+    integer order, position 1 the most significant bit.  Row a is nonzero
+    only on the 2^k strings that are 0 off its anomaly positions; there the
+    entry of b in {0, 1}^k is phi1[b_1] * ... * phi1[b_k], formed left to
+    right by one multiply reduction over the rows of phi1.take(bits) (1.0
+    at k = 0) and scattered by index, both from _sector_layout.  The
+    skipped factors |0> = (1, 0) are exactly 1.0 or 0.0, so every column is
+    bit-identical to the same column of the np.kron left fold, whose other
+    columns are all zero; at c = 0 or 1 some sector columns are zero too.
     """
     n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
@@ -157,28 +163,24 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     functions of the subset distance D, in the commutative Bose-Mesner
     algebra of the Johnson scheme, so U passes wherever P P^T's
     eigenvalues tell the scheme's eigenspaces apart (at c = 0 or 1,
-    V V^T = P P^T).  Otherwise sigma and U come from one thin SVD: of W,
-    with U times its left factor, or of V when one basis alone would
-    exceed the cache's byte bound.  The result does not depend on what the
-    cache holds.  Columns that are zero in every state (in a sector stack,
-    only at c = 0 or 1) are dropped first, as a longer inner dimension
-    would regroup BLAS's partial sums in W W^T: any embedding of the states
-    (the sector stack, the 2^n fold, extra padding) gives the same bits.
+    V V^T = P P^T).  Where U fails the bound, or one basis alone would
+    exceed the cache's byte bound, one thin SVD of V gives sigma and U.
+    The result does not depend on what the cache holds.  Columns zero in
+    every state (in a sector stack, only at c = 0 or 1) are dropped first,
+    as a longer inner dimension would regroup BLAS's partial sums in W W^T:
+    any embedding of the states (sector stack, 2^n fold, padding) gives the
+    same bits.
 
     Complex states, NaN or infinite entries, a squared norm that overflows
     and one off 1 by more than UNIT_NORM_TOL (the error names the row)
-    raise ValueError.  The result carries sigma^2 ascending, zero-padded to
+    raise ValueError.  eigenvalues holds sigma^2 ascending, zero-padded to
     N when the SVD gives fewer, so eigenvalues[0] >= 0 is the smallest
-    eigenvalue of V V^T.  The stack is let go once W is formed, or once
-    the SVD of V returns, so a stack passed as a temporary
-    (srm_success_oracle(all_hypothesis_states(...))) is not held while B is.
+    eigenvalue of V V^T.
     """
     V = _real_array(states, "srm_success_oracle")
-    del states  # from here only V refers to the stack, so rebinding V below can free it
     if V.ndim != 2:
-        raise ValueError(
-            f"srm_success_oracle: expected a 2-D stack of states, got shape {V.shape}"
-        )
+        raise ValueError("srm_success_oracle: expected a 2-D stack of states, "
+                         f"got shape {V.shape}")
     N = V.shape[0]
     if N == 0:
         raise ValueError("srm_success_oracle: the stack holds no states")
@@ -197,19 +199,16 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
             raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
         r = off[0]
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
-    U = sigma = None
-    if _bases.admits(N * N * V.itemsize):
+    certified = _bases.admits(N * N * V.itemsize)
+    if certified:
         U = _support_basis(V != 0)
-        V = U.T @ V  # W: the caller's stack is let go here
-        B = V @ V.T
+        W = U.T @ V
+        B = W @ W.T
         sigma = np.sqrt(B.diagonal())
         np.fill_diagonal(B, 0.0)
-        if not np.linalg.norm(B) <= (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF:
-            sigma = None
-    if sigma is None:
-        X, sigma, _ = np.linalg.svd(V, full_matrices=False)
-        U = X if U is None else U @ X
-    del V
+        certified = np.linalg.norm(B) <= (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF
+    if not certified:  # also where the norm is NaN
+        U, sigma, _ = np.linalg.svd(V, full_matrices=False)
     diag = (U * U) @ sigma
     eigenvalues = np.zeros(N)  # the SVD gives min(N, M) values
     eigenvalues[N - sigma.size:] = sigma * sigma

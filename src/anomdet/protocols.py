@@ -12,7 +12,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -161,9 +160,8 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
 
 
-def _dual_witness_checks(
-    n: int, k: int, coeffs: tuple[Fraction, ...]
-) -> tuple[bool, float, tuple[float, ...]]:
+@functools.lru_cache(maxsize=NK_CACHE_SIZE)
+def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
     """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness
     Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance.
 
@@ -171,22 +169,17 @@ def _dual_witness_checks(
     The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
     y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
-    None of these depends on the overlap, so _dual_witness keeps the result
-    per (n, k): two scalars and k+1 weights, not Y.
+    None of these depends on the overlap, so they are kept per (n, k), for
+    the NK_CACHE_SIZE most recently used: two scalars and k+1 weights, not Y.
     """
-    N, m_m = binomial(n, k), multiplicity(n, min(k, n - k))
+    m = min(k, n - k)
+    coeffs = _projector_coefficients(n, k, m)
+    N, m_m = binomial(n, k), multiplicity(n, m)
     D = distance_matrix(n, k)
     counts = np.bincount(D.ravel(), minlength=k + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
     Y = np.array([float(x) for x in coeffs]).take(D) * (N / m_m)
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
-
-
-@functools.lru_cache(maxsize=NK_CACHE_SIZE)
-def _dual_witness(n: int, k: int) -> tuple[tuple[Fraction, ...], tuple]:
-    """(coeffs, _dual_witness_checks(n, k, coeffs)) for E_m, m = min(k, n-k)."""
-    coeffs = _projector_coefficients(n, k, min(k, n - k))
-    return coeffs, _dual_witness_checks(n, k, coeffs)
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -210,11 +203,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     the exact c^2.  For an exact overlap G is a float matrix too: its k+1
     exact powers rounded once.  Y does not depend on c: its diagonal test,
     its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
-    the powers (c^2)^d run once per (n, k): _dual_witness keeps them, with
-    the coefficient tuple they were built from, for the NK_CACHE_SIZE most
-    recently used (n, k).  They are used when that tuple is the one
-    _projector_coefficients returns now (the same object, so no Fraction is
-    hashed or compared); other coefficients are checked afresh, not stored.
+    the powers (c^2)^d run once per (n, k), in _dual_witness.
     """
     n, k = instance.n, instance.k
     m = min(k, n - k)
@@ -225,9 +214,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     D = distance_matrix(n, k)  # refuses N > GRAM_SIZE_CAP before any power is formed
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
-    coeffs = _projector_coefficients(n, k, m)  # exact E_m entry per subset distance
-    checked, checks = _dual_witness(n, k)
-    diag_ok, y_min, weights = checks if checked == coeffs else _dual_witness_checks(n, k, coeffs)
+    diag_ok, y_min, weights = _dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 

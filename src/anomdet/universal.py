@@ -3,12 +3,12 @@ anomalous states are unknown.
 
 The closed form is a sum over bipartitions (n-l, l), l = 0..k, of ratios
 of unitary-group and symmetric-group irrep dimensions, evaluated in
-exact integer arithmetic by Horner's rule.  The averages over the overlap distribution
-use QUADRATURE_POINTS-point Gauss-Legendre quadrature on u = c^2.  It is
-exact for the polynomial integrand of average_known_success, but not for
-that of average_min_error_curve, whose sqrt(1-u) factors are not smooth
-at u = 1: with 64 points that average is about 2e-7 off at
-(n, k, d) = (10, 1, 2).
+exact integer arithmetic by Horner's rule.  The averages over the overlap
+distribution use Gauss-Legendre quadrature: QUADRATURE_POINTS points on
+u = c^2, exact for the polynomial integrand of average_known_success, and
+for average_min_error_curve, whose integrand is not smooth in u, graded
+composite panels in t = sqrt(1 - u), within 3e-16 of 40-digit mpmath at
+k = 1.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 QUADRATURE_POINTS = 64
+PANEL_POINTS = 16  # Gauss-Legendre points per panel of average_min_error_curve
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,29 @@ def average_known_success(k: int, d: int) -> float:
 
 
 def average_min_error_curve(n: int, k: int, d: int) -> float:
-    """Known-states minimum-error success averaged over the overlap measure."""
+    """Known-states minimum-error success averaged over the overlap measure.
+
+    With u = c^2 = 1 - t^2 the average is the integral over 0 <= t <= 1 of
+    2(d-1) t^(2d-3) P(c), P the min_error_success value.  The substitution
+    removes the sqrt(1-u) factors at u = 1 (t = 0), where the smallest
+    eigenvalue is t^(2k).  What is left is analytic on [0, 1], but the
+    eigenvalues' square roots branch at u of order -1/n, so at t just
+    beyond 1, by about 1/(2n).  The panels of the composite PANEL_POINTS-point
+    Gauss-Legendre rule therefore halve toward t = 1, down to one of width
+    at most 1/(2n): each panel is no wider than its distance to the branch
+    point.  Nodes are placed in s = 1 - t, and c^2 = s(2 - s) is formed
+    without cancellation.  Against 40-digit mpmath on the exact k = 1 form
+    the result was within 3e-16 for n from 2 to 10^5 and d = 2, 3, 7; a
+    64-point rule on u was 2.2e-7 off at (10, 1, 2) and 7.6e-8 at (100, 1, 2).
+    """
     n, k, d = _count(n, "n"), _count(k, "k"), _count(d, "d")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    u, w = _overlap_quadrature()
-    density = (d - 1) * (1 - u) ** (d - 2)
-    vals = np.array(
-        [
-            min_error_success(ProblemInstance(n=n, k=k, c=math.sqrt(ui))).value
-            for ui in u
-        ]
-    )
-    return float(np.sum(w * density * vals))
+    x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
+    halvings = max(1, (2 * n - 1).bit_length())  # ceil(log2(2n)) for n >= 1
+    edges = np.array([0.0, *(2.0**-p for p in range(halvings, 0, -1)), 1.0])
+    half = np.diff(edges)[:, None] / 2  # one row per panel
+    s = (edges[:-1, None] + half * (x + 1)).ravel()
+    vals = np.array([min_error_success(ProblemInstance(n=n, k=k, c=math.sqrt(z))).value
+                     for z in (s * (2 - s)).tolist()])
+    return float(np.sum((half * w).ravel() * 2 * (d - 1) * (1 - s) ** (2 * d - 3) * vals))

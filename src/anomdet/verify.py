@@ -107,9 +107,19 @@ def _adjacency_grid(max_n: int) -> Iterator[dict]:
 
 
 def _overlap_grid(max_n: int) -> Iterator[dict]:
+    """The scheme grid, then the mirrored cells, at each c of C_GRID.
+
+    The mirrored cells are n <= min(max_n, 10), k in {0, n} and
+    max(n//2 + 1, n - 4) <= k <= n - 1: the complements n - k of the scheme
+    grid's k < n/2, which the closed forms reach by complement symmetry.
+    """
     for inst in _scheme_grid(max_n):
         for c in C_GRID:
             yield {**inst, "c": c}
+    for n in range(2, min(max_n, 10) + 1):
+        for k in (0, *range(max(n // 2 + 1, n - 4), n), n):
+            for c in C_GRID:
+                yield {"n": n, "k": k, "c": c}
 
 
 def _srm_grid(max_n: int) -> Iterator[dict]:

@@ -122,7 +122,7 @@ class TestDistanceMatrix:
     def test_indicator_is_a_fresh_array(self, empty_distance_cache):
         # a write into one result reaches neither the cached (n, k) structures
         # built from the indicator nor those built after the write
-        oracle._sector_layout.cache_clear()
+        oracle._layouts.clear()
         index, _, bits = oracle._sector_layout(5, 2)
         expected = [distance_matrix(5, 2).copy(), index.copy(), bits.copy()]
         X = pattern_indicator(5, 2)
@@ -131,7 +131,7 @@ class TestDistanceMatrix:
         assert pattern_indicator(5, 2).sum() == 10 * 2
         cached = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
         empty_distance_cache.clear()
-        oracle._sector_layout.cache_clear()
+        oracle._layouts.clear()
         rebuilt = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
         for arrays in (cached, rebuilt):
             assert all(np.array_equal(a, b) for a, b in zip(arrays, expected))
@@ -154,7 +154,7 @@ class TestDistanceMatrix:
 
     def test_least_recently_used_evicted_past_the_bound(self, empty_distance_cache):
         size = NK_CACHE_SIZE
-        cells = [(n, k) for n in range(1, 12) for k in range(n + 1)][:size + 1]
+        cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + 1]
         assert len(cells) == size + 1
         built = [distance_matrix(*nk) for nk in cells[:size]]
         assert distance_matrix(*cells[0]) is built[0]  # now the most recently used
@@ -214,7 +214,7 @@ class TestDistanceMatrix:
     def test_threads_sharing_the_cache(self, empty_distance_cache):
         # 5/4 as many cells as the cache holds, from 4 threads: constant eviction
         size = NK_CACHE_SIZE
-        cells = [(n, k) for n in range(1, 13) for k in range(n + 1)][:size + size // 4]
+        cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + size // 4]
         assert len(cells) == size + size // 4
         reference = {nk: distance_matrix(*nk).copy() for nk in cells}
         errors = []

@@ -1,5 +1,4 @@
 import math
-import weakref
 from functools import reduce
 
 import numpy as np
@@ -120,13 +119,16 @@ class TestHypothesisStates:
                 expected = c ** (k - len(ones)) * s ** len(ones) if ones <= set(pat) else 0.0
                 assert amplitude == pytest.approx(expected, rel=1e-15, abs=0.0), (pat, x)
 
-    def test_sector_layout_read_only_and_built_once(self):
-        oracle._sector_layout.cache_clear()
+    def test_sector_layout_read_only_and_built_once(self, empty_layout_cache, monkeypatch):
+        builds, indicator = [], oracle.pattern_indicator
+        monkeypatch.setattr(oracle, "pattern_indicator",
+                            lambda n, k: builds.append((n, k)) or indicator(n, k))
         first = all_hypothesis_states(ProblemInstance(7, 3, 0.3))
+        layout = empty_layout_cache[7, 3]
         second = all_hypothesis_states(ProblemInstance(7, 3, 0.6))
-        info = oracle._sector_layout.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        index, width, bits = oracle._sector_layout(7, 3)
+        assert builds == [(7, 3)] and list(empty_layout_cache) == [(7, 3)]
+        assert oracle._sector_layout(7, 3) is layout and builds == [(7, 3)]
+        index, width, bits = layout
         assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
         assert bits.shape == (3, 8)
         for table in (index, bits):
@@ -134,6 +136,28 @@ class TestHypothesisStates:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
         assert first.flags.writeable  # each call returns a fresh stack
+
+    def test_sector_layout_cache_keeps_its_bounds(self, empty_layout_cache, monkeypatch):
+        # the entry bound and LRU order: one (n, 1) layout per n
+        for n in range(1, NK_CACHE_SIZE + 1):
+            oracle._sector_layout(n, 1)
+        assert list(empty_layout_cache) == [(n, 1) for n in range(1, NK_CACHE_SIZE + 1)]
+        oracle._sector_layout(1, 1)  # now the most recently used
+        oracle._sector_layout(NK_CACHE_SIZE + 1, 1)
+        assert len(empty_layout_cache) == NK_CACHE_SIZE
+        assert (1, 1) in empty_layout_cache and (2, 1) not in empty_layout_cache
+        # the byte bound: the (n, 1) layout holds an n x 2 index and a 1 x 2
+        # bit table, 16 (n + 1) bytes
+        empty_layout_cache.clear()
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
+        assert oracle._sector_layout(3, 1).nbytes == 64
+        for n in (4, 5, 6, 3):  # 64 + 80 + 96 + 112 bytes fit; (3, 1) is used again
+            oracle._sector_layout(n, 1)
+        assert [key[0] for key in empty_layout_cache] == [4, 5, 6, 3]
+        oracle._sector_layout(8, 1)  # 144 more bytes: (4, 1) and (5, 1) go
+        assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
+        oracle._sector_layout(30, 1)  # 496 bytes on its own: kept, alone
+        assert list(empty_layout_cache) == [(30, 1)]
 
 
 def _generic_stack(seed, N, M):
@@ -164,16 +188,23 @@ def _basis_steps(V):
     return _steps(U, np.sqrt(np.diag(W @ W.T)), V.shape[0])
 
 
-def _svd_steps(V, U=None):
-    """One thin SVD: of V, or of W = U^T V with U times its left factor."""
-    X, sigma, _ = np.linalg.svd(V if U is None else U.T @ V, full_matrices=False)
-    return _steps(X if U is None else U @ X, sigma, V.shape[0])
+def _svd_steps(V):
+    """One thin SVD of the live stack: V without its all-zero columns."""
+    X, sigma, _ = np.linalg.svd(V[:, V.any(axis=0)], full_matrices=False)
+    return _steps(X, sigma, V.shape[0])
 
 
 def _assert_same_bits(result, success, diagonal, eigenvalues):
     assert result.success == success
     assert result.diagonal.tobytes() == diagonal.tobytes()
     assert result.eigenvalues.tobytes() == eigenvalues.tobytes()
+
+
+@pytest.fixture
+def empty_layout_cache():
+    oracle._layouts.clear()
+    yield oracle._layouts
+    oracle._layouts.clear()
 
 
 @pytest.fixture
@@ -311,7 +342,7 @@ class TestSrmOracle:
         V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
         _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
         monkeypatch.setattr(oracle.np, "fill_diagonal", planting)
-        _assert_same_bits(srm_success_oracle(V), *_svd_steps(*_pattern_basis(V)))
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
 
     @pytest.mark.parametrize("c", [0.999, 0.9999, 0.99999, 1.0])
     def test_eigenvalues_are_non_negative(self, monkeypatch, c):
@@ -378,13 +409,13 @@ class TestSrmOracle:
         # hypothesis states, the plain steps: drop the all-zero columns, U from
         # eigh of P P^T (P the support pattern), W = U^T V, sigma the row norms
         # sqrt(diag(W W^T)), diagonal (U o U) sigma, mean square, sigma^2
-        # sorted; a stack without the symmetry: a thin SVD of its W
+        # sorted; a stack without the symmetry: a thin SVD of the stack
         for n in range(2, 11):
             for k in range(1, min(4, n // 2) + 1):
                 V = all_hypothesis_states(ProblemInstance(n, k, c))
                 _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
                 W = _generic_stack(n * k, V.shape[0] + 2, V.shape[1])
-                _assert_same_bits(srm_success_oracle(W), *_svd_steps(*_pattern_basis(W)))
+                _assert_same_bits(srm_success_oracle(W), *_svd_steps(W))
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 3, 0.3), (8, 3, 0.9), (10, 4, 0.53),
                                          (9, 4, 0.999), (8, 3, 1.0), (6, 2, 0.0)])
@@ -421,45 +452,6 @@ class TestSrmOracle:
             _assert_same_bits(result, *_steps(U, sigma, V.shape[0]))
         assert len(factors) == 2
 
-    @pytest.mark.usefixtures("empty_basis_cache")
-    def test_stack_passed_as_a_temporary_is_freed_after_its_last_product(self, monkeypatch):
-        # alive while its pattern's basis is factored (cold cache) and W = U^T V
-        # formed, gone from the square roots of the basis path on; on the SVD
-        # path, read by one SVD of V and gone when the result is built
-        functions = {"eigh": np.linalg, "svd": np.linalg, "sqrt": np, "SrmResult": oracle}
-        stacks, events = [], []
-
-        def recording(name, function):
-            def call(*args, **kwargs):
-                events.append((name, stacks[-1]() is not None))
-                return function(*args, **kwargs)
-            return call
-
-        def temporary(build):
-            V = build()
-            stacks.append(weakref.ref(V))
-            return V
-
-        for name, module in functions.items():
-            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-        builds = {
-            "basis": lambda: all_hypothesis_states(ProblemInstance(8, 3, 0.5)),
-            "failed basis": lambda: _generic_stack(2, 56, 93),
-            "no basis": lambda: all_hypothesis_states(ProblemInstance(9, 3, 0.5)),
-        }
-        expected = {
-            "basis": [("eigh", True), ("sqrt", False), ("SrmResult", False)],
-            "failed basis": [("eigh", True), ("sqrt", False), ("svd", False), ("SrmResult", False)],
-            "no basis": [("svd", True), ("SrmResult", False)],
-        }
-        for path, build in builds.items():
-            if path == "no basis":  # a basis of 84 states alone exceeds a 400-byte bound
-                monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)
-            events.clear()
-            result = srm_success_oracle(temporary(build))
-            assert events == expected[path] and stacks[-1]() is None, path
-            assert result.success == srm_success_oracle(temporary(build)).success
-
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
     def test_cold_and_warm_cache_give_the_same_bits(self, empty_basis_cache, n, k, c):
@@ -494,7 +486,7 @@ class TestSrmOracle:
         assert abs(B[i, j]) > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
         rotated.flags.writeable = False
         empty_basis_cache[key] = rotated
-        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V, rotated))
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
         assert empty_basis_cache[key] is rotated  # kept, not factored again
 
     def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
@@ -509,12 +501,12 @@ class TestSrmOracle:
             return svd(W, full_matrices=full_matrices)
 
         stacks = [_generic_stack(seed, 12, 30) for seed in range(3)]  # one dense 12 x 30 pattern
-        expected = [_svd_steps(*_pattern_basis(W)) for W in stacks]
+        expected = [_svd_steps(W) for W in stacks]
         monkeypatch.setattr(oracle.np.linalg, "eigh", recording)
         monkeypatch.setattr(oracle.np.linalg, "svd", recording_svd)
         for W, steps in zip(stacks, expected):
             _assert_same_bits(srm_success_oracle(W), *steps)
-        # the first call factors P P^T = 30 J, and every call takes one SVD of its W
+        # the first call factors P P^T = 30 J, and every call takes one SVD of its stack
         assert len(factored) == 1 and np.array_equal(factored[0], np.full((12, 12), 30.0))
         assert decomposed == [(12, 30)] * 3
         assert len(empty_basis_cache) == 1

@@ -147,8 +147,7 @@ def _flat_diagonal_report(inst):
         primal = True
     except np.linalg.LinAlgError:
         primal = False
-    coeffs = protocols._projector_coefficients(n, k, m)
-    diag_ok, y_min, weights = protocols._dual_witness_checks(n, k, coeffs)
+    diag_ok, y_min, weights = protocols._dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     return protocols.CertificateReport(
         primal, bool(diag_ok and y_min >= -protocols.CERTIFICATE_TOL),
@@ -209,8 +208,12 @@ class TestCertificates:
             coeffs = true_coefficients(n, k, j)
             return (coeffs[0] + Fraction(1, 10**9),) + coeffs[1:]
 
+        protocols._dual_witness.cache_clear()
         monkeypatch.setattr(protocols, "_projector_coefficients", wrong_at_distance_zero)
-        report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
+        try:
+            report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
+        finally:
+            protocols._dual_witness.cache_clear()  # no planted witness outlives the test
         assert report.primal_feasible and not report.dual_feasible
 
     def test_primal_certificate_can_fail(self, monkeypatch):
@@ -250,20 +253,19 @@ class TestCertificates:
     def test_dual_witness_checked_once_per_nk(self, monkeypatch):
         # one build; the second overlap is served by the (n, k) entry
         builds = []
-        true_checks = protocols._dual_witness_checks
+        true_coefficients = protocols._projector_coefficients
 
-        def counted(n, k, coeffs):
-            builds.append((n, k))
-            return true_checks(n, k, coeffs)
+        def counted(n, k, j):
+            builds.append((n, k, j))
+            return true_coefficients(n, k, j)
 
         protocols._dual_witness.cache_clear()
-        monkeypatch.setattr(protocols, "_dual_witness_checks", counted)
+        monkeypatch.setattr(protocols, "_projector_coefficients", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
-        assert builds == [(9, 3)]
+        assert builds == [(9, 3, 3)]
         info = protocols._dual_witness.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert protocols._dual_witness(9, 3)[0] is protocols._projector_coefficients(9, 3, 3)
         assert first.optimal and second.optimal
         assert second.primal_value == pytest.approx(0.64**3, rel=1e-14)
         assert second.gap <= 1e-10
@@ -285,27 +287,22 @@ class TestCertificates:
         assert verify_unambiguous_certificates(ProblemInstance(9, 4, 0.7)).optimal
         assert hashes == []
 
-    def test_dual_witness_cache_is_bounded(self, monkeypatch):
+    def test_dual_witness_cache_is_bounded(self):
         size = NK_CACHE_SIZE
         assert protocols._dual_witness.cache_info().maxsize == size
-        monkeypatch.setattr(protocols, "_projector_coefficients", lambda n, k, j: (n, k, j))
-        monkeypatch.setattr(protocols, "_dual_witness_checks", lambda n, k, coeffs: (n, k))
         protocols._dual_witness.cache_clear()
-        try:
-            for n in range(2, size + 12):
-                assert protocols._dual_witness(n, 1) == ((n, 1, 1), (n, 1))
-            info = protocols._dual_witness.cache_info()
-            assert (info.misses, info.currsize) == (size + 10, size)
-            protocols._dual_witness(size + 11, 1)  # the most recently used is held
-            protocols._dual_witness(2, 1)  # the least recently used was evicted
-            info = protocols._dual_witness.cache_info()
-            assert (info.hits, info.misses) == (1, size + 11)
-        finally:
-            protocols._dual_witness.cache_clear()  # no stand-in entry outlives the test
+        for n in range(2, size + 12):
+            diag_ok, y_min, weights = protocols._dual_witness(n, 1)
+            assert diag_ok and abs(y_min) <= 1e-10 and len(weights) == 2, n
+        info = protocols._dual_witness.cache_info()
+        assert (info.misses, info.currsize) == (size + 10, size)
+        protocols._dual_witness(size + 11, 1)  # the most recently used is held
+        protocols._dual_witness(2, 1)  # the least recently used was evicted
+        info = protocols._dual_witness.cache_info()
+        assert (info.hits, info.misses) == (1, size + 11)
 
     def test_dual_witness_cache_entry_holds_scalars(self):
-        coeffs = protocols._projector_coefficients(8, 3, 3)
-        diag_ok, y_min, weights = protocols._dual_witness_checks(8, 3, coeffs)
+        diag_ok, y_min, weights = protocols._dual_witness(8, 3)
         assert type(diag_ok) is bool and type(y_min) is float
         assert diag_ok and abs(y_min) <= 1e-10
         assert type(weights) is tuple and len(weights) == 4
@@ -362,7 +359,11 @@ class TestCertificates:
             return tuple(coeffs)
 
         monkeypatch.setattr(protocols, "_projector_coefficients", perturbed)
-        report = verify_unambiguous_certificates(inst)
+        protocols._dual_witness.cache_clear()  # the warm entry holds the true witness
+        try:
+            report = verify_unambiguous_certificates(inst)
+        finally:
+            protocols._dual_witness.cache_clear()  # no planted witness outlives the test
         assert report.primal_feasible and not report.dual_feasible
 
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)])

@@ -172,3 +172,11 @@ class TestAverageMinErrorCurve:
 
     def test_approaches_half_for_single_anomaly(self):
         assert average_min_error_curve(400, 1, 2) == pytest.approx(0.5, abs=0.06)
+
+    @pytest.mark.parametrize("n, expected", [(10, 0.70817429539970907),
+                                             (100, 0.57390188311873874)])
+    def test_frozen_mpmath_values(self, n, expected):
+        # 40-digit mpmath quadrature of the exact k = 1 form, averaged over
+        # c^2 with d = 2: ((n-1) t + sqrt(1 + (n-1)(1-t^2)))^2 / n^2,
+        # t = sqrt(1-c^2); a 64-point rule on c^2 was 2.2e-7 and 7.6e-8 off
+        assert abs(average_min_error_curve(n, 1, 2) - expected) <= 1e-12

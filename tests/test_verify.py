@@ -46,13 +46,14 @@ def test_srm_cache_holds_the_overlap_grid_at_the_cap():
 
 
 def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
-    # every row of `verify --max-n 14` walks these cells, the detection rows
-    # also those of the high-overlap sub-grid (k > min(4, n//2) too); a second
+    # every row of `verify --max-n 14` walks these cells, the overlap rows also
+    # the mirrored cells and the detection rows those of the high-overlap
+    # sub-grid (k > min(4, n//2) too, k = 0 and k = n at n <= 10); a second
     # pass over them builds neither a distance matrix nor a sector layout again
     cells = list(dict.fromkeys((inst["n"], inst["k"]) for grid in (verify._scheme_grid,
                                                                    verify._srm_grid)
                                for inst in grid(STATE_QUBITS_CAP)))
-    assert len(cells) == 40 + 21 <= NK_CACHE_SIZE
+    assert len(cells) == 40 + 39 <= NK_CACHE_SIZE
     calls = Counter()
     indicator = combin.pattern_indicator
 
@@ -63,9 +64,25 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
     monkeypatch.setattr(combin, "pattern_indicator", counting)
     monkeypatch.setattr(oracle, "pattern_indicator", counting)
     combin._distances.clear()
-    oracle._sector_layout.cache_clear()
+    oracle._layouts.clear()
     for _ in range(2):
         for n, k in cells:
             combin.distance_matrix(n, k)
             oracle._sector_layout(n, k)
     assert calls == Counter({nk: 2 for nk in cells})  # one per cell per builder
+
+
+def test_no_row_walks_more_cells_than_the_nk_caches_hold():
+    # a row that walks more (n, k) than an (n, k) cache holds evicts each cell
+    # before the next row comes back to it.  The rows whose instances stop at
+    # --max-n build the explicit per-(n, k) objects; the closed-form rows
+    # (explicit forms, reference spectra, large-n fixed instances) run past it
+    walks = {}
+    for check in verify.CHECKS:
+        for max_n in (9, 12, STATE_QUBITS_CAP):
+            cells = {(inst["n"], inst["k"]) for inst in check.grid(max_n) if "n" in inst}
+            if cells and max(n for n, _ in cells) <= max_n:
+                walks[check.name, max_n] = len(cells)
+    assert walks["min-error-vs-srm-oracle", 12] == 71
+    assert walks["min-error-vs-srm-oracle", STATE_QUBITS_CAP] == 79
+    assert max(walks.values()) <= NK_CACHE_SIZE, max(walks, key=walks.get)
