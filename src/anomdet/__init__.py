@@ -45,7 +45,6 @@ from .universal import (
     universal_success,
 )
 from .oracle import (
-    holevo_check,
     srm_success_oracle,
     universal_success_oracle,
 )

@@ -5,12 +5,14 @@ literal tensor products, written in the weight-<=k sector (the
 computational-basis strings with at most k ones, where every state with
 k anomalies lives) and built on their 2^k-string support; measurements
 are literal square-root measurements; and the universal hypotheses come
-from the occupation-number (Dicke) basis of the symmetric subspaces.
-The square root of a Gram matrix comes from the singular values of the
-stack of states: row norms in the certified eigenbasis of the stack's own
-support pattern, or else one thin SVD of the stack.  No Gram, closed form,
-Hahn value or scheme object enters, so the oracle stays independent of the
-spectral machinery it is used to check.
+from the occupation-number (Dicke) basis of the symmetric subspaces,
+whose square-root measurement universal_holevo_violation certifies by
+Holevo's conditions.  The square root of a Gram matrix comes from the
+singular values of the stack of states: row norms in the certified
+eigenbasis of the stack's own support pattern, or else one thin SVD of
+the stack.  No Gram, closed form, Hahn value or scheme object enters, so
+the oracle stays independent of the spectral machinery it is used to
+check.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .universal import UniversalInstance
 
 __all__ = [
     "SrmResult",
-    "HolevoReport",
     "all_hypothesis_states",
     "srm_success_oracle",
+    "universal_holevo_violation",
     "universal_success_oracle",
-    "holevo_check",
 ]
 
 # Largest n for the explicit-state oracles.  The sector stack is narrow
@@ -42,7 +43,6 @@ DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
 UNIT_NORM_TOL = 1e-10  # SRM oracle: how far a state's squared norm may be off 1
 UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
-HOLEVO_TOL = 1e-9
 
 
 class _Layout(tuple):  # (index, M, bits) from _sector_layout; _LruCache bounds its nbytes
@@ -248,7 +248,7 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
     if ambiguous:
         raise ValueError(
             f"{ambiguous} eigenvalues of rho in the "
-            "support-detection dead zone [1e-12, 1e-10]"
+            f"support-detection dead zone [1e-12, {SUPPORT_THRESHOLD:.0e}]"
         )
     support = vals >= SUPPORT_THRESHOLD
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)
@@ -278,22 +278,19 @@ def universal_success_oracle(n: int, k: int, d: int) -> float:
     return sum(float(np.sum((B.T @ R @ B) ** 2)) for B in isometries) / (len(isometries) * r * r)
 
 
-@dataclass(frozen=True)
-class HolevoReport:
-    feasible: bool
-    worst_violation: float  # most negative eigenvalue of Y - rho_sigma
+def universal_holevo_violation(n: int, k: int, d: int) -> float:
+    """How far the universal SRM misses Holevo's optimality conditions.
 
-
-def holevo_check(Y: np.ndarray, hypotheses) -> HolevoReport:
-    """Check the optimality conditions Y - rho_sigma >= 0 for all hypotheses
-    (feasible when no eigenvalue of Y - rho_sigma is below -HOLEVO_TOL).
-
-    Each smallest eigenvalue comes from direct_spectrum, which rejects a
-    NaN or infinite entry instead of letting it compare as no violation.
+    The SRM's witness is Y = sym(sum_S R rho_S R rho_S), R = rho^(-1/2) on
+    the support; with RB_S = R B_S and C_S = B_S^T RB_S each term is
+    RB_S C_S B_S^T / r^2, so no d^n x d^n product is formed.  The SRM is
+    optimal when Y - rho_S >= 0 for every S (Holevo 1973; Eldar & Forney
+    2001); returns max(0, -min_S lambda_min(Y - rho_S)), each lambda_min
+    from direct_spectrum, which rejects NaN or infinite entries.
     """
-    worst = 0.0
-    for h in hypotheses:
-        if Y.shape != h.shape:
-            raise ValueError(f"dimension mismatch: {Y.shape} vs {h.shape}")
-        worst = min(worst, float(direct_spectrum(Y - h)[-1]))
-    return HolevoReport(feasible=worst >= -HOLEVO_TOL, worst_violation=worst)
+    isometries, R = _universal_srm(n, k, d)
+    r = isometries[0].shape[1]
+    Y = sum((RB := R @ B) @ (B.T @ RB) @ B.T for B in isometries)
+    Y = (Y + Y.T) / (2 * r * r)
+    worst = min(float(direct_spectrum(Y - B @ B.T / r)[-1]) for B in isometries)
+    return max(0.0, -worst)

@@ -25,13 +25,11 @@ from . import johnson
 from .combin import NK_CACHE_SIZE, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
-    HOLEVO_TOL,
     STATE_QUBITS_CAP,
     SrmResult,
-    _universal_srm,
     all_hypothesis_states,
-    holevo_check,
     srm_success_oracle,
+    universal_holevo_violation,
     universal_success_oracle,
 )
 from .protocols import (
@@ -215,7 +213,7 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
 def _projector_algebra(n: int, k: int) -> float:
     """Float E_j: E_j E_j = E_j and sum_j E_j = I."""
     projs = [johnson.scheme_projector(n, k, j) for j in range(k + 1)]
-    res = float(np.abs(np.sum(projs, axis=0) - np.eye(len(projs[0]))).max())
+    res = float(np.abs(sum(projs) - np.eye(len(projs[0]))).max())
     return max(res, *(float(np.abs(E @ E - E).max()) for E in projs))
 
 
@@ -237,7 +235,7 @@ def _projector_algebra_exact(n: int, k: int) -> float:
         raise ValueError(f"integer projectors exceed float64 exactness at n={n}, k={k}")
     D = distance_matrix(n, k)
     F = [np.array(row, dtype=np.float64).take(D) for row in scaled]
-    res = float(np.abs(np.sum(F, axis=0) - L * np.eye(N)).max())
+    res = float(np.abs(sum(F) - L * np.eye(N)).max())
     for j, Fj in enumerate(F):
         res = max(res, float(np.abs(Fj @ Fj - L * Fj).max()),
                   abs(int(np.trace(Fj)) - L * johnson.multiplicity(n, j)))
@@ -360,15 +358,6 @@ def _universal_vs_density(n: int, k: int, d: int) -> float:
     return abs(closed - universal_success_oracle(n, k, d))
 
 
-def _holevo_certificate(n: int, k: int, d: int) -> float:
-    """Most negative eigenvalue of Y - rho_sigma for the SRM-induced witness
-    Y = sym(sum_sigma R rho_sigma R rho_sigma), R = rho^(-1/2) on the support."""
-    isometries, R = _universal_srm(n, k, d)
-    hyps = [B @ B.T / B.shape[1] for B in isometries]
-    Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
-    return max(0.0, -holevo_check((Y + Y.T) / 2, hyps).worst_violation)
-
-
 def _universal_two_systems(n: int, k: int, d: int) -> float:
     """Two preparations, one anomalous: exactly 1/2 for every d."""
     return float(abs(universal_success(UniversalInstance(n, k, d)) - Fraction(1, 2)))
@@ -408,8 +397,8 @@ CHECKS: tuple[Check, ...] = (
           _asymptotic_ratio),
     Check("universal-vs-density-oracle", "universal", 1e-8, _universal_grid,
           _universal_vs_density),
-    Check("universal-holevo-certificate", "universal", HOLEVO_TOL, _universal_grid,
-          _holevo_certificate),
+    Check("universal-holevo-certificate", "universal", 1e-9, _universal_grid,
+          universal_holevo_violation),
     Check("universal-two-systems", "universal", 0.0,
           _fixed(*({"n": 2, "k": 1, "d": d} for d in (2, 3, 4))), _universal_two_systems),
     Check("universal-asymptote-gap", "universal", 0.01,

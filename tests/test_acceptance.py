@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from anomdet import johnson, verify
+from anomdet import johnson, oracle, verify
 from anomdet.cli import main as cli_main
 
 GATE_MAX_N = 9
@@ -154,6 +154,24 @@ def test_perturbed_state_fails_the_optimality_gap_row(monkeypatch):
         verify._srm.cache_clear()
     assert not failed.passed and failed.residual > 1e4 * check.tolerance, failed.line()
     assert passed.passed, passed.line()
+
+
+def test_halved_srm_fails_the_holevo_row(monkeypatch):
+    """R = rho^(-1/2) halved scales the SRM's witness Y by 1/4, so Y - rho_S has
+    the eigenvalue -3/(4r) on every instance: the Holevo row and criterion 6 fail."""
+    srm = oracle._universal_srm
+
+    def halved(n, k, d):
+        isometries, R = srm(n, k, d)
+        return isometries, R / 2
+
+    monkeypatch.setattr(oracle, "_universal_srm", halved)
+    check = next(check for check in verify.CHECKS if check.name == "universal-holevo-certificate")
+    results = check.run(GATE_MAX_N)
+    assert results and all(not r.passed and r.residual > 1e-3 for r in results)
+    with pytest.raises(AssertionError,
+                       match="criterion 6 failed.*'FAIL universal-holevo-certificate "):
+        run_criterion(6)
 
 
 def test_criterion_9_figure_reproduction():

@@ -1,18 +1,21 @@
+import dataclasses
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from anomdet import combin, oracle
+from anomdet import combin, oracle, verify
 from anomdet.combin import NK_CACHE_SIZE, binomial, enumerate_patterns
 from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
+    SUPPORT_THRESHOLD,
     _isometry,
+    _support_inverse_sqrt,
     _universal_srm,
     all_hypothesis_states,
-    holevo_check,
     srm_success_oracle,
+    universal_holevo_violation,
     universal_success_oracle,
 )
 
@@ -591,36 +594,81 @@ class TestUniversalOracle:
         assert universal_success_oracle(4, 1, 2) == pytest.approx(7 / 16, abs=1e-10)
 
 
+class TestSupportInverseSqrt:
+    @pytest.mark.parametrize("ambiguous", [2e-12, 5e-11, 9e-11])
+    def test_dead_zone_raises(self, ambiguous):
+        Q = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))[0]
+        rho = (Q * [0.5, 0.5 - ambiguous, ambiguous, 0.0]) @ Q.T
+        with pytest.raises(ValueError, match=r"^1 eigenvalues of rho in the "
+                           r"support-detection dead zone \[1e-12, 1e-10\]$"):
+            _support_inverse_sqrt(rho)
+
+    def test_threshold_edges(self):
+        # 1e-12 and below are dropped as numerical zeros; the threshold itself is inverted
+        R = _support_inverse_sqrt(np.diag([0.5, SUPPORT_THRESHOLD, 1e-12, 1e-13, 0.0]))
+        expected = np.diag([1 / np.sqrt(0.5), 1 / np.sqrt(SUPPORT_THRESHOLD), 0.0, 0.0, 0.0])
+        assert np.array_equal(np.abs(R), expected)
+
+
+def _dense_witness(isometries, R):
+    """Y = sym(sum_S R rho_S R rho_S) from the dense d^n x d^n products, and the rho_S."""
+    hyps = [B @ B.T / B.shape[1] for B in isometries]
+    Y = np.sum([R @ h @ R @ h for h in hyps], axis=0)
+    return (Y + Y.T) / 2, hyps
+
+
+def _dense_violation(isometries, R):
+    Y, hyps = _dense_witness(isometries, R)
+    return max(0.0, -min(np.linalg.eigvalsh(Y - h)[0] for h in hyps))
+
+
 class TestHolevoCheck:
-    def _setup(self, n=4, k=1, d=2):
-        isometries, R = _universal_srm(n, k, d)
-        hyps = [B @ B.T / B.shape[1] for B in isometries]
-        proj = R @ np.sum(hyps, axis=0) @ R  # projector onto the support of rho
-        c_k = 1 / (binomial(n - k + d - 1, d - 1) * binomial(k + d - 1, d - 1))
-        return hyps, proj, c_k
+    INSTANCES = [(4, 1, 2), (5, 2, 2), (6, 3, 2), (7, 2, 2), (4, 2, 3)]
 
     def test_uniform_witness_feasible(self):
-        hyps, proj, c_k = self._setup()
-        report = holevo_check(c_k * proj, hyps)
-        assert report.feasible
+        # the SRM's witness is the uniform one, Y = P / r with P the projector onto
+        # rho's support; the factored witness matches the dense one
+        for n, k, d in self.INSTANCES:
+            isometries, R = _universal_srm(n, k, d)
+            r = isometries[0].shape[1]
+            Y, hyps = _dense_witness(isometries, R)
+            assert np.abs(Y - R @ np.sum(hyps, axis=0) @ R / r).max() <= 1e-15
+            violation = universal_holevo_violation(n, k, d)
+            assert abs(violation - _dense_violation(isometries, R)) <= 1e-15
+            assert violation <= 1e-15
 
-    def test_zero_witness_infeasible(self):
-        hyps, _, _ = self._setup()
-        report = holevo_check(np.zeros_like(hyps[0]), hyps)
-        assert not report.feasible
-        assert report.worst_violation < -1e-3
+    def _assert_scaled_witness_infeasible(self, monkeypatch, scale):
+        # R -> scale R gives Y = scale^2 P / r: Y - rho_S has the eigenvalue (scale^2 - 1) / r
+        def scaled(n, k, d):
+            isometries, R = _universal_srm(n, k, d)
+            return isometries, scale * R
+
+        monkeypatch.setattr(oracle, "_universal_srm", scaled)
+        for n, k, d in self.INSTANCES:
+            isometries, R = scaled(n, k, d)
+            violation = universal_holevo_violation(n, k, d)
+            assert violation == pytest.approx((1 - scale**2) / isometries[0].shape[1], abs=1e-15)
+            assert abs(violation - _dense_violation(isometries, R)) <= 1e-15
+
+    def test_zero_witness_infeasible(self, monkeypatch):
+        self._assert_scaled_witness_infeasible(monkeypatch, 0.0)
+
+    def test_halved_witness_infeasible(self, monkeypatch):
+        self._assert_scaled_witness_infeasible(monkeypatch, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_witness(self, bad):
-        # a NaN eigenvalue compares as no violation; it must not pass as feasible
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            holevo_check(np.full((2, 2), bad), [np.eye(2) / 2])
+    def test_rejects_non_finite_witness(self, monkeypatch, bad):
+        # a NaN eigenvalue compares as no violation; it must not pass the row
+        def planted(n, k, d):
+            isometries, R = _universal_srm(n, k, d)
+            R[0, 0] = bad
+            return isometries, R
 
-    def test_rejects_complex_witness(self):
-        with pytest.raises(ValueError, match="complex entries"):
-            holevo_check(np.array([[1, 1j], [-1j, 1]]), [np.eye(2) / 2])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            holevo_check(np.eye(4), [np.eye(8) / 8])
-
+        monkeypatch.setattr(oracle, "_universal_srm", planted)
+        check = next(c for c in verify.CHECKS if c.name == "universal-holevo-certificate")
+        check = dataclasses.replace(check, grid=verify._fixed({"n": 4, "k": 1, "d": 2}))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the products; the row reports it
+            [result] = check.run(4)
+        assert not result.passed
+        assert result.line() == ("ERROR universal-holevo-certificate n=4,k=1,d=2 ValueError: "
+                                 "direct_spectrum: matrix has NaN or infinite entries")
