@@ -318,29 +318,18 @@ def _real_array(values, caller: str) -> np.ndarray:
     return A.astype(float, copy=False)
 
 
-def _finite_square(matrix, caller: str) -> tuple[np.ndarray, float]:
-    """The matrix as a float array (not copied when it already is one), and its
-    largest absolute entry.
-
-    Raises ValueError, naming `caller`, unless the matrix is real, square,
-    non-empty and finite.
-    """
-    M = _real_array(matrix, caller)
+def direct_spectrum(matrix) -> np.ndarray:
+    """Dense symmetric eigendecomposition oracle; eigenvalues descending."""
+    M = _real_array(matrix, "direct_spectrum")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{caller}: expected a square matrix, got shape {M.shape}")
+        raise ValueError(f"direct_spectrum: expected a square matrix, got shape {M.shape}")
     if M.size == 0:
-        raise ValueError(f"{caller}: matrix is empty, shape {M.shape}")
+        raise ValueError(f"direct_spectrum: matrix is empty, shape {M.shape}")
     # both reductions propagate NaN and carry +-inf, so size is non-finite
     # exactly when some entry is
     size = float(max(np.maximum.reduce(M, axis=None), -np.minimum.reduce(M, axis=None)))
     if not math.isfinite(size):
-        raise ValueError(f"{caller}: matrix has NaN or infinite entries")
-    return M, size
-
-
-def direct_spectrum(matrix) -> np.ndarray:
-    """Dense symmetric eigendecomposition oracle; eigenvalues descending."""
-    M, size = _finite_square(matrix, "direct_spectrum")
+        raise ValueError("direct_spectrum: matrix has NaN or infinite entries")
     # absolute tolerance only: max|M - M^T| <= 1e-12 max(1, max|M|); M - M^T is
     # antisymmetric (a - b = -(b - a) exactly), so its largest entry is its largest |entry|
     if np.maximum.reduce(M - M.T, axis=None) > 1e-12 * max(1.0, size):

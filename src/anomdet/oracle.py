@@ -9,15 +9,14 @@ from the occupation-number (Dicke) basis of the symmetric subspaces,
 whose square-root measurement universal_holevo_violation certifies by
 Holevo's conditions.  The square root of a Gram matrix comes from the
 singular values of the stack of states: row norms in the certified
-eigenbasis of the stack's own support pattern, or else one thin SVD of
-the stack.  No Gram, closed form, Hahn value or scheme object enters, so
-the oracle stays independent of the spectral machinery it is used to
-check.
+eigenbasis of the stack's own support pattern, kept under the pattern
+itself, or else one thin SVD of the stack.  No Gram, closed form, Hahn
+value or scheme object enters, so the oracle stays independent of the
+spectral machinery it is used to check.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -45,14 +44,14 @@ UNIT_NORM_TOL = 1e-10  # SRM oracle: how far a state's squared norm may be off 1
 UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
 
 
-class _Layout(tuple):  # (index, M, bits) from _sector_layout; _LruCache bounds its nbytes
-    nbytes = property(lambda self: self[0].nbytes + self[2].nbytes)
+class _Arrays(tuple):  # arrays and ints for an _LruCache, which bounds the arrays' nbytes
+    nbytes = property(lambda self: sum(a.nbytes for a in self if isinstance(a, np.ndarray)))
 
 
-_layouts = _LruCache()  # (n, k) -> _Layout
+_layouts = _LruCache()  # (n, k) -> (index, M, bits)
 
 
-def _sector_layout(n: int, k: int) -> _Layout:
+def _sector_layout(n: int, k: int) -> _Arrays:
     """Where the 2^k support entries of the C(n, k) hypothesis states go.
 
     Returns (index, M, bits), the arrays read-only.  bits is the k x 2^k
@@ -63,7 +62,8 @@ def _sector_layout(n: int, k: int) -> _Layout:
     0 off the a-th pattern's positions p_1 < ... < p_k: weights @ bits with
     weights[a, i] = 2^(n-1-p_i).  Every such string lies under some pattern,
     so the ranks run over 0..M-1.  Built once per (n, k) and shared, in an
-    _LruCache: the index alone holds 8 C(n, k) 2^k bytes, 8.2 MB at (14, 9).
+    _LruCache; the index is int32, as its largest entry up to the qubit cap
+    (38 759 077 at (14, 8)) is below 2^31, and holds 4 C(n, k) 2^k bytes.
     """
     layout = _layouts.recall((n, k))
     if layout is None:
@@ -72,9 +72,9 @@ def _sector_layout(n: int, k: int) -> _Layout:
         weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
         bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
         sector, rank = np.unique(weights @ bits, return_inverse=True)
-        index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+        index = (np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)).astype(np.int32)
         index.flags.writeable = bits.flags.writeable = False
-        layout = _Layout((index, sector.size, bits))
+        layout = _Arrays((index, sector.size, bits))
         _layouts.keep((n, k), layout)
     return layout
 
@@ -116,7 +116,7 @@ class SrmResult:
     eigenvalues: np.ndarray  # squared singular values of V, ascending, N of them
 
 
-_bases = _LruCache()  # (shape, digest of the support pattern) -> eigenvectors of P P^T
+_bases = _LruCache()  # (shape, packed support pattern) -> eigenvectors of P P^T
 
 
 def _support_basis(support: np.ndarray) -> np.ndarray:
@@ -124,11 +124,11 @@ def _support_basis(support: np.ndarray) -> np.ndarray:
 
     P P^T counts the strings two states share, so its entries are integers
     below 2^53 and the product is exact; the basis depends on the pattern
-    only, never on which stack first had it.  Every basis is kept, also
-    one that failed its certificate, so no pattern is factored twice while
-    its entry lasts.
+    only, never on which stack first had it, and is kept under the pattern
+    itself.  Every basis is kept, also one that failed its certificate, so
+    no pattern is factored twice while its entry lasts.
     """
-    key = (support.shape, hashlib.sha256(np.packbits(support)).digest())
+    key = (support.shape, np.packbits(support).tobytes())
     U = _bases.recall(key)
     if U is None:
         P = support.astype(np.float64)
@@ -186,19 +186,18 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError("srm_success_oracle: the stack holds no states")
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
-    if not np.logical_and.reduce(np.isfinite(V), axis=None):
-        raise ValueError("srm_success_oracle: states have NaN or infinite entries")
-    live = np.logical_or.reduce(V, axis=0)
+    live = np.logical_or.reduce(V, axis=0)  # NaN and inf are nonzero: their columns stay
     if not np.logical_and.reduce(live):
         V = V[:, live]
-    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
-        norms = np.add.reduce(V * V, axis=1)
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN and inf too
-    if off.size:
+    norms = np.einsum("ij,ij->i", V, V)  # NaN or inf in a row with a NaN or inf entry
+    if not np.maximum.reduce(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:  # NaN and inf too
+        if not np.logical_and.reduce(np.isfinite(V), axis=None):
+            raise ValueError("srm_success_oracle: states have NaN or infinite entries")
         if not np.logical_and.reduce(np.isfinite(norms)):
             raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
-        r = off[0]
-        raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
+        r = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))[0]
+        raise ValueError(f"srm_success_oracle: row {r} has squared norm "
+                         f"{np.add.reduce(V * V, axis=1)[r]}, not 1")
     certified = _bases.admits(N * N * V.itemsize)
     if certified:
         U = _support_basis(V != 0)
@@ -255,19 +254,31 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * inv_sqrt) @ vecs.T
 
 
-def _universal_srm(n: int, k: int, d: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Isometries B_S of all hypotheses (lexicographic pattern order) and
-    R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r.  The counts
-    are validated as UniversalInstance validates them."""
+_srms = _LruCache()  # (n, k, d) -> (isometries, R)
+
+
+def _universal_srm(n: int, k: int, d: int) -> _Arrays:
+    """Isometries B_S of all hypotheses (lexicographic pattern order), one
+    array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r.
+    The counts are validated as UniversalInstance validates them.  Built
+    once per (n, k, d) and kept, read-only, in an _LruCache when it fits
+    the byte bound alone, so both universal oracles share one build."""
     instance = UniversalInstance(n, k, d)
     n, k, d = instance.n, instance.k, instance.d
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
     if n < 2 * k:
         raise ValueError(f"universal_success_oracle: requires n >= 2k, got n={n}, k={k}")
-    isometries = [_isometry(p, n, d) for p in enumerate_patterns(n, k)]
-    stacked = np.hstack(isometries)
-    return isometries, _support_inverse_sqrt(stacked @ stacked.T / isometries[0].shape[1])
+    srm = _srms.recall((n, k, d))
+    if srm is None:
+        isometries = np.stack([_isometry(p, n, d) for p in enumerate_patterns(n, k)])
+        stacked = np.hstack(isometries)
+        R = _support_inverse_sqrt(stacked @ stacked.T / isometries.shape[2])
+        isometries.flags.writeable = R.flags.writeable = False
+        srm = _Arrays((isometries, R))
+        if _srms.admits(srm.nbytes):
+            _srms.keep((n, k, d), srm)
+    return srm
 
 
 def universal_success_oracle(n: int, k: int, d: int) -> float:

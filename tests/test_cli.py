@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -7,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anomdet
 from anomdet import verify
 from anomdet.cli import main
 from anomdet.verify import SCOPES, run_scope
@@ -338,3 +343,13 @@ def test_random_argv_exits_cleanly(command, odd, data):
     result = CliRunner().invoke(main, argv, catch_exceptions=False)
     assert result.exit_code in (0, 2, 3), (argv, result.output)
     assert "Traceback" not in result.output
+
+
+def test_import_loads_no_hash_module():
+    # the SRM oracle keys its support bases by the pattern itself, so the
+    # CLI's import path loads neither hashlib nor OpenSSL's _hashlib
+    code = "import sys, anomdet.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    path = os.pathsep.join([str(Path(anomdet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "[]\n"

@@ -11,7 +11,6 @@ from anomdet import gram
 from anomdet.gram import (
     GRAM_SIZE_CAP,
     ProblemInstance,
-    _finite_square,
     _gram_powers,
     _real_array,
     _eigenvalue,
@@ -526,23 +525,30 @@ class TestDirectSpectrum:
 
 
 class TestFiniteSquare:
+    # direct_spectrum's input checks: a real, square, non-empty, finite float array
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
     def test_rejects_non_finite(self, bad, where):
         # -inf among positive entries: caught by -min, not by max
         M = np.full((3, 3), 0.5)
         M[where] = bad
-        with pytest.raises(ValueError, match="caller: matrix has NaN or infinite entries"):
-            _finite_square(M, "caller")
+        message = "^direct_spectrum: matrix has NaN or infinite entries$"
+        with pytest.raises(ValueError, match=message):
+            direct_spectrum(M)
 
-    def test_no_copy_of_a_float_array(self):
-        M = np.array([[1.0, -3.0], [2.0, 0.5]])
-        same, size = _finite_square(M, "caller")
-        assert same is M and size == 3.0
+    def test_no_copy_of_a_float_array(self, monkeypatch):
+        # the symmetry tolerance is 1e-12 max|M| = 3e-12, max|M| read off -min:
+        # an asymmetry of 2.5e-12 passes
+        M = np.array([[1.0, -3.0], [-3.0 + 2.5e-12, 0.5]])
+        solved = []
+        monkeypatch.setattr(gram.np.linalg, "eigvalsh", lambda A: solved.append(A) or np.zeros(2))
+        direct_spectrum(M)
+        assert len(solved) == 1 and solved[0] is M
 
     def test_converts_other_input(self):
-        M, size = _finite_square([[Fraction(1, 2), 1], [1, Fraction(-5, 2)]], "caller")
-        assert M.dtype == np.float64 and size == 2.5
+        ev = direct_spectrum([[Fraction(1, 2), 1], [1, Fraction(-5, 2)]])
+        reference = np.linalg.eigvalsh(np.array([[0.5, 1.0], [1.0, -2.5]]))[::-1]
+        assert ev.dtype == np.float64 and ev.tobytes() == reference.tobytes()
 
     def test_rejects_complex(self):
         # a float conversion would drop the imaginary parts: spectrum {0, 2}, not {1, 1}

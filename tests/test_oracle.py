@@ -133,6 +133,7 @@ class TestHypothesisStates:
         assert oracle._sector_layout(7, 3) is layout and builds == [(7, 3)]
         index, width, bits = layout
         assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
+        assert index.dtype == np.int32
         assert bits.shape == (3, 8)
         for table in (index, bits):
             assert not table.flags.writeable
@@ -149,17 +150,17 @@ class TestHypothesisStates:
         oracle._sector_layout(NK_CACHE_SIZE + 1, 1)
         assert len(empty_layout_cache) == NK_CACHE_SIZE
         assert (1, 1) in empty_layout_cache and (2, 1) not in empty_layout_cache
-        # the byte bound: the (n, 1) layout holds an n x 2 index and a 1 x 2
-        # bit table, 16 (n + 1) bytes
+        # the byte bound: the (n, 1) layout holds an n x 2 int32 index and a
+        # 1 x 2 int64 bit table, 8 n + 16 bytes
         empty_layout_cache.clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
-        assert oracle._sector_layout(3, 1).nbytes == 64
-        for n in (4, 5, 6, 3):  # 64 + 80 + 96 + 112 bytes fit; (3, 1) is used again
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 15)  # a 225-byte bound
+        assert oracle._sector_layout(3, 1).nbytes == 40
+        for n in (4, 5, 6, 3):  # 48 + 56 + 64 + 40 bytes fit; (3, 1) is used again
             oracle._sector_layout(n, 1)
         assert [key[0] for key in empty_layout_cache] == [4, 5, 6, 3]
-        oracle._sector_layout(8, 1)  # 144 more bytes: (4, 1) and (5, 1) go
+        oracle._sector_layout(8, 1)  # 80 more bytes: (4, 1) and (5, 1) go
         assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
-        oracle._sector_layout(30, 1)  # 496 bytes on its own: kept, alone
+        oracle._sector_layout(30, 1)  # 256 bytes on its own: kept, alone
         assert list(empty_layout_cache) == [(30, 1)]
 
 
@@ -325,12 +326,8 @@ class TestSrmOracle:
 
     def test_rejects_nan_gram(self, monkeypatch):
         # squares of finite states overflow to +inf, never to NaN; a NaN squared
-        # norm, the diagonal of the Gram, is planted through V * V
-        class NanSquare(np.ndarray):
-            def __mul__(self, other):
-                return np.array([[1.0, math.nan], [math.nan, 1.0]])
-
-        monkeypatch.setattr(oracle, "_real_array", lambda states, caller: np.eye(2).view(NanSquare))
+        # norm, the diagonal of the Gram, is planted through the row norms' einsum
+        monkeypatch.setattr(oracle.np, "einsum", lambda *operands: np.array([1.0, math.nan]))
         with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
             srm_success_oracle(np.eye(2))
 
@@ -593,6 +590,23 @@ class TestUniversalOracle:
     def test_four_systems_one_anomaly(self):
         assert universal_success_oracle(4, 1, 2) == pytest.approx(7 / 16, abs=1e-10)
 
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_one_build_per_instance(self, monkeypatch, fits):
+        # the success value and the Holevo witness of (6, 3, 2) share one build
+        # of the C(6, 3) = 20 isometries, also when the counts are numpy ints;
+        # a build over the cache's byte bound is not kept
+        isometry, built = oracle._isometry, []
+        monkeypatch.setattr(oracle, "_isometry", lambda *args: built.append(args) or isometry(*args))
+        monkeypatch.setattr(oracle, "_srms", combin._LruCache())
+        if not fits:
+            monkeypatch.setattr(oracle._srms, "admits", lambda nbytes: False)
+        value = universal_success_oracle(6, 3, 2)
+        universal_holevo_violation(np.int64(6), 3, 2)
+        assert len(built) == (20 if fits else 40)
+        assert value == universal_success_oracle(6, 3, 2)
+        isometries, R = _universal_srm(6, 3, 2)
+        assert not any(M.flags.writeable for M in (*isometries, R))
+
 
 class TestSupportInverseSqrt:
     @pytest.mark.parametrize("ambiguous", [2e-12, 5e-11, 9e-11])
@@ -661,6 +675,7 @@ class TestHolevoCheck:
         # a NaN eigenvalue compares as no violation; it must not pass the row
         def planted(n, k, d):
             isometries, R = _universal_srm(n, k, d)
+            R = R.copy()  # the shared build is read-only
             R[0, 0] = bad
             return isometries, R
 

@@ -4,7 +4,8 @@ Overlaps are drawn from {0, 1} (ints, on the exact path), floats in
 [0, 1] (the log-domain float path, its c = 0 and c = 1 special cases
 included) and Fractions p/q with q <= 12 (the exact path).  The overlap
 domain test draws c of every numeric type, in range or not, and of
-types that are not numbers at all.
+types that are not numbers at all.  The universal entry points draw
+their counts n, k and d of every numeric type, in range or not.
 """
 
 import math
@@ -24,6 +25,13 @@ from anomdet.protocols import (
     min_error_success,
     unambiguous_success,
     verify_unambiguous_certificates,
+)
+from anomdet.universal import (
+    UniversalInstance,
+    average_known_success,
+    average_min_error_curve,
+    universal_asymptote,
+    universal_success,
 )
 
 overlaps = st.one_of(
@@ -106,3 +114,57 @@ def test_every_overlap_gets_a_value_or_a_clear_error(name, n, data, c):
         assert str(exc)
         return
     assert type(value) is float and 0 <= value <= 1, value
+
+
+def counts(top: int):
+    """A count up to `top`, or a little below 0: three times in four as an int
+    or numpy integer, else as a float, Fraction or Decimal, or a bool, a
+    non-integral or a non-finite number."""
+    value = st.integers(min_value=-2, max_value=top)
+    integers = st.one_of(
+        value,
+        st.sampled_from([np.int64, np.int32]).flatmap(value.map),
+        st.integers(min_value=0, max_value=top).map(np.uint32),
+    )
+    others = st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        value.map(float),
+        st.floats(allow_nan=True, allow_infinity=True),
+        value.map(Fraction),
+        st.fractions(min_value=-2, max_value=top, max_denominator=12),
+        value.map(Decimal),
+        st.decimals(allow_nan=True, allow_infinity=True, places=2),
+    )
+    return st.integers(min_value=0, max_value=3).flatmap(lambda i: integers if i else others)
+
+
+UNIVERSAL_FUNCTIONS = {
+    # name: (function, strategies of its counts); each example stays cheap:
+    # universal_success's Horner loop runs k steps on integers of about
+    # (k + d) log n digits, and the curve evaluates min_error_success at
+    # 16 (log2(2n) + 1) overlaps
+    "universal_success": (lambda n, k, d: universal_success(UniversalInstance(n, k, d)),
+                          (counts(10**6), counts(64), counts(64))),
+    "universal_asymptote": (universal_asymptote, (counts(10**6), counts(10**6))),
+    "average_known_success": (average_known_success, (counts(10**6), counts(10**6))),
+    "average_min_error_curve": (average_min_error_curve, (counts(200), counts(200), counts(64))),
+}
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_FUNCTIONS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_count_gets_a_value_or_a_clear_error(name, data):
+    # the count half of the domain contract for the universal entry points:
+    # a value in [0, 1] (an exact Fraction from the closed forms) or
+    # ValueError/ArithmeticError with a message
+    function, strategies = UNIVERSAL_FUNCTIONS[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    try:
+        value = function(*args)
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc)
+        return
+    expected = Fraction if name in ("universal_success", "universal_asymptote") else float
+    assert type(value) is expected and 0 <= value <= 1, value
