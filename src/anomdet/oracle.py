@@ -9,8 +9,8 @@ from the occupation-number (Dicke) basis of the symmetric subspaces,
 whose square-root measurement universal_holevo_violation certifies by
 Holevo's conditions.  The square root of a Gram matrix comes from the
 singular values of the stack of states: row norms in the certified
-eigenbasis of the stack's own support pattern, kept under the pattern
-itself, or else one thin SVD of the stack.  No Gram, closed form, Hahn
+eigenbasis of the stack's own support pattern, kept with the packed
+pattern itself, or else one thin SVD of the stack.  No Gram, closed form, Hahn
 value or scheme object enters, so the oracle stays independent of the
 spectral machinery it is used to check.
 """
@@ -49,6 +49,8 @@ class _Arrays(tuple):  # arrays and ints for an _LruCache, which bounds the arra
 
 
 _layouts = _LruCache()  # (n, k) -> (index, M, bits)
+_bases = _LruCache()  # (shape, hash of packed pattern) -> (eigenvectors of P P^T, pattern)
+_srms = _LruCache()  # (n, k, d) -> (isometries, R)
 
 
 def _sector_layout(n: int, k: int) -> _Arrays:
@@ -62,8 +64,8 @@ def _sector_layout(n: int, k: int) -> _Arrays:
     0 off the a-th pattern's positions p_1 < ... < p_k: weights @ bits with
     weights[a, i] = 2^(n-1-p_i).  Every such string lies under some pattern,
     so the ranks run over 0..M-1.  Built once per (n, k) and shared, in an
-    _LruCache; the index is int32, as its largest entry up to the qubit cap
-    (38 759 077 at (14, 8)) is below 2^31, and holds 4 C(n, k) 2^k bytes.
+    _LruCache; the index takes the smallest unsigned dtype of its largest
+    entry, up to the qubit cap uint32 at most (38 759 077 at (14, 8)).
     """
     layout = _layouts.recall((n, k))
     if layout is None:
@@ -72,7 +74,8 @@ def _sector_layout(n: int, k: int) -> _Arrays:
         weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
         bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
         sector, rank = np.unique(weights @ bits, return_inverse=True)
-        index = (np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)).astype(np.int32)
+        index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+        index = index.astype(np.min_scalar_type(index.max()))
         index.flags.writeable = bits.flags.writeable = False
         layout = _Arrays((index, sector.size, bits))
         _layouts.keep((n, k), layout)
@@ -116,26 +119,25 @@ class SrmResult:
     eigenvalues: np.ndarray  # squared singular values of V, ascending, N of them
 
 
-_bases = _LruCache()  # (shape, packed support pattern) -> eigenvectors of P P^T
-
-
 def _support_basis(support: np.ndarray) -> np.ndarray:
     """Eigenvectors of P P^T, P the 0/1 matrix of `support`, built once per pattern.
 
     P P^T counts the strings two states share, so its entries are integers
     below 2^53 and the product is exact; the basis depends on the pattern
-    only, never on which stack first had it, and is kept under the pattern
-    itself.  Every basis is kept, also one that failed its certificate, so
-    no pattern is factored twice while its entry lasts.
+    only.  It is kept with the packed pattern, both counted by the byte
+    bound, under the shape and the pattern's hash, and rebuilt where the kept
+    pattern differs; also a basis that failed its certificate is kept.
     """
-    key = (support.shape, np.packbits(support).tobytes())
-    U = _bases.recall(key)
-    if U is None:
+    pattern = np.packbits(support)
+    key = (support.shape, hash(pattern.tobytes()))
+    entry = _bases.recall(key)
+    if entry is None or not np.array_equal(entry[1], pattern):
         P = support.astype(np.float64)
         U = np.linalg.eigh(P @ P.T)[1]
-        U.flags.writeable = False
-        _bases.keep(key, U)
-    return U
+        U.flags.writeable = pattern.flags.writeable = False
+        entry = _Arrays((U, pattern))
+        _bases.keep(key, entry)
+    return entry[0]
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -163,8 +165,8 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     functions of the subset distance D, in the commutative Bose-Mesner
     algebra of the Johnson scheme, so U passes wherever P P^T's
     eigenvalues tell the scheme's eigenspaces apart (at c = 0 or 1,
-    V V^T = P P^T).  Where U fails the bound, or one basis alone would
-    exceed the cache's byte bound, one thin SVD of V gives sigma and U.
+    V V^T = P P^T).  Where U fails the bound, or U with its pattern alone
+    would exceed the cache's byte bound, one thin SVD of V gives sigma and U.
     The result does not depend on what the cache holds.  Columns zero in
     every state (in a sector stack, only at c = 0 or 1) are dropped first,
     as a longer inner dimension would regroup BLAS's partial sums in W W^T:
@@ -196,9 +198,8 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         if not np.logical_and.reduce(np.isfinite(norms)):
             raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
         r = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))[0]
-        raise ValueError(f"srm_success_oracle: row {r} has squared norm "
-                         f"{np.add.reduce(V * V, axis=1)[r]}, not 1")
-    certified = _bases.admits(N * N * V.itemsize)
+        raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
+    certified = _bases.admits(N * N * V.itemsize + -(-V.size // 8))  # basis and packed pattern
     if certified:
         U = _support_basis(V != 0)
         W = U.T @ V
@@ -254,15 +255,11 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * inv_sqrt) @ vecs.T
 
 
-_srms = _LruCache()  # (n, k, d) -> (isometries, R)
-
-
 def _universal_srm(n: int, k: int, d: int) -> _Arrays:
     """Isometries B_S of all hypotheses (lexicographic pattern order), one
-    array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r.
-    The counts are validated as UniversalInstance validates them.  Built
-    once per (n, k, d) and kept, read-only, in an _LruCache when it fits
-    the byte bound alone, so both universal oracles share one build."""
+    array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r,
+    the counts validated as by UniversalInstance; kept read-only in an
+    _LruCache when it fits alone, so both universal oracles share one build."""
     instance = UniversalInstance(n, k, d)
     n, k, d = instance.n, instance.k, instance.d
     if d**n > DENSITY_DIM_CAP:

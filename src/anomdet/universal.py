@@ -91,6 +91,12 @@ def universal_asymptote(k: int, d: int) -> Fraction:
     return Fraction(d - 1, d - 1 + k)
 
 
+def _overlap_quadrature():
+    """Gauss-Legendre nodes/weights for u = c^2 on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
+    return (x + 1) / 2, w / 2
+
+
 def average_known_success(k: int, d: int) -> float:
     """Average of (1-c^2)^k over the overlap measure (d-1)(1-c^2)^(d-2) dc^2.
 
@@ -101,8 +107,7 @@ def average_known_success(k: int, d: int) -> float:
     k, d = _count(k, "k"), _count(d, "d")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
-    u, w = (x + 1) / 2, w / 2  # Gauss-Legendre nodes and weights for u = c^2 on [0, 1]
+    u, w = _overlap_quadrature()
     return float(np.sum(w * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))
 
 
@@ -121,12 +126,12 @@ def average_min_error_curve(n: int, k: int, d: int) -> float:
     without cancellation.  Against 40-digit mpmath on the exact k = 1 form
     the result was within 3e-16 for n from 2 to 10^5 and d = 2, 3, 7; a
     64-point rule on u was 2.2e-7 off at (10, 1, 2) and 7.6e-8 at (100, 1, 2).
-    The result is capped at 1, which rounded weights can pass where P = 1
-    (by 7e-16 at (10, 0, 50)).
     """
     n, k, d = _count(n, "n"), _count(k, "k"), _count(d, "d")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
+    if k in (0, n) and n >= 1:  # P = 1, which the rule alone would pass (2e-14 at (50, 0, 1000))
+        return 1.0
     x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
     halvings = max(1, (2 * n - 1).bit_length())  # ceil(log2(2n)) for n >= 1
     edges = np.array([0.0, *(2.0**-p for p in range(halvings, 0, -1)), 1.0])
@@ -134,5 +139,4 @@ def average_min_error_curve(n: int, k: int, d: int) -> float:
     s = (edges[:-1, None] + half * (x + 1)).ravel()
     vals = np.array([min_error_success(ProblemInstance(n=n, k=k, c=math.sqrt(z))).value
                      for z in (s * (2 - s)).tolist()])
-    average = np.sum((half * w).ravel() * 2 * (d - 1) * (1 - s) ** (2 * d - 3) * vals)
-    return min(1.0, float(average))
+    return float(np.sum((half * w).ravel() * 2 * (d - 1) * (1 - s) ** (2 * d - 3) * vals))

@@ -133,7 +133,7 @@ class TestHypothesisStates:
         assert oracle._sector_layout(7, 3) is layout and builds == [(7, 3)]
         index, width, bits = layout
         assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
-        assert index.dtype == np.int32
+        assert index.dtype == np.uint16  # the smallest that holds its largest entry, 2183
         assert bits.shape == (3, 8)
         for table in (index, bits):
             assert not table.flags.writeable
@@ -150,17 +150,18 @@ class TestHypothesisStates:
         oracle._sector_layout(NK_CACHE_SIZE + 1, 1)
         assert len(empty_layout_cache) == NK_CACHE_SIZE
         assert (1, 1) in empty_layout_cache and (2, 1) not in empty_layout_cache
-        # the byte bound: the (n, 1) layout holds an n x 2 int32 index and a
-        # 1 x 2 int64 bit table, 8 n + 16 bytes
+        # the byte bound: the (n, 1) layout holds an n x 2 uint8 index (up to
+        # n = 15) and a 1 x 2 int64 bit table, 2 n + 16 bytes
         empty_layout_cache.clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 15)  # a 225-byte bound
-        assert oracle._sector_layout(3, 1).nbytes == 40
-        for n in (4, 5, 6, 3):  # 48 + 56 + 64 + 40 bytes fit; (3, 1) is used again
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
+        assert oracle._sector_layout(3, 1).nbytes == 22
+        for n in (4, 5, 6, 3):  # 24 + 26 + 28 + 22 bytes fit; (3, 1) is used again
             oracle._sector_layout(n, 1)
         assert [key[0] for key in empty_layout_cache] == [4, 5, 6, 3]
-        oracle._sector_layout(8, 1)  # 80 more bytes: (4, 1) and (5, 1) go
+        oracle._sector_layout(8, 1)  # 32 more bytes: (4, 1) and (5, 1) go
         assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
-        oracle._sector_layout(30, 1)  # 256 bytes on its own: kept, alone
+        assert oracle._sector_layout(30, 1)[0].dtype == np.uint16
+        oracle._sector_layout(30, 1)  # a uint16 index, 136 bytes on its own: kept, alone
         assert list(empty_layout_cache) == [(30, 1)]
 
 
@@ -474,7 +475,7 @@ class TestSrmOracle:
         # (4 N^(5/2) + N M) u = 4.2e-13
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
         srm_success_oracle(V)
-        (key, U), = empty_basis_cache.items()
+        (key, (U, pattern)), = empty_basis_cache.items()
         i, j, theta = 0, U.shape[1] - 1, 1e-6
         rotated = U.copy()
         rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
@@ -485,9 +486,9 @@ class TestSrmOracle:
         N, M = V.shape
         assert abs(B[i, j]) > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
         rotated.flags.writeable = False
-        empty_basis_cache[key] = rotated
+        empty_basis_cache[key] = oracle._Arrays((rotated, pattern))
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert empty_basis_cache[key] is rotated  # kept, not factored again
+        assert empty_basis_cache[key][0] is rotated  # kept, not factored again
 
     def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
         eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
@@ -522,18 +523,46 @@ class TestSrmOracle:
         srm_success_oracle(stacks[-1])
         assert len(empty_basis_cache) == NK_CACHE_SIZE
         assert keys[0] in empty_basis_cache and keys[1] not in empty_basis_cache
-        # the byte bound: a basis of N states holds 8 N^2 bytes; k = 1 gives N = n
+        # the byte bound: an entry of N states holds the 8 N^2-byte basis and
+        # the N x M pattern packed in ceil(N M / 8) bytes; k = 1 gives N = n
+        # and M = n + 1
         empty_basis_cache.clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 21)  # a 441-byte bound
         states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 8)}
-        for n in (3, 4, 5, 3):  # 72 + 128 + 200 bytes fit; (3, 1) is used again
+        for n in (3, 4, 5, 3):  # 74 + 131 + 204 bytes fit; (3, 1) is used again
             srm_success_oracle(states[n])
         assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
-        srm_success_oracle(states[6])  # 288 more bytes: (4, 1) and (5, 1) go
+        assert [entry.nbytes for entry in empty_basis_cache.values()] == [131, 204, 74]
+        srm_success_oracle(states[6])  # 294 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
-        # a basis over the bound on its own (512 bytes) is not built: a thin SVD of V
+        # an entry over the bound on its own (521 bytes) is not built: a thin SVD of V
         _assert_same_bits(srm_success_oracle(states[8]), *_svd_steps(states[8]))
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
+
+
+    def test_a_wide_pattern_counts_against_the_bound(self, empty_basis_cache, monkeypatch):
+        # two states over 4000 columns: a 32-byte basis, but a 1000-byte pattern
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
+        V = np.full((2, 4000), 1 / math.sqrt(4000))
+        V[1, ::2] *= -1
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
+        assert not empty_basis_cache
+
+    def test_a_hash_collision_rebuilds_the_basis(self, empty_basis_cache, monkeypatch):
+        # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]], under one key
+        s = 1 / math.sqrt(2)
+        stacks = [np.array([[1.0, 0.0], [s, s]]), np.array([[s, s], [0.0, 1.0]])]
+        expected = []
+        for V in stacks:
+            empty_basis_cache.clear()
+            expected.append(srm_success_oracle(V))
+        empty_basis_cache.clear()
+        monkeypatch.setattr(oracle, "hash", lambda data: 0, raising=False)
+        for V, result in zip(stacks * 2, expected * 2):
+            _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
+                              result.eigenvalues)
+            (_, (U, pattern)), = empty_basis_cache.items()
+            assert np.array_equal(pattern, np.packbits(V != 0))
 
 
 class TestUniversalHypothesis:

@@ -155,6 +155,16 @@ class TestAverageMinErrorCurve:
     def test_no_anomalies(self):
         assert average_min_error_curve(5, 0, 2) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n, k, d", [(10, 0, 50), (10, 10, 50), (50, 0, 1000), (1, 1, 2)])
+    def test_one_hypothesis_gives_exactly_one(self, n, k, d):
+        # the quadrature of P = 1 alone gave 1 + 3 ulp at (10, 0, 50), 1 + 84 at (50, 0, 1000)
+        assert average_min_error_curve(n, k, d) == 1.0
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (-1, 0), (3, 5)])
+    def test_rejects_counts_that_are_no_instance(self, n, k):
+        with pytest.raises(ValueError, match="^n must be >= 1|^k must be in"):
+            average_min_error_curve(n, k, 2)
+
     def test_dominates_universal(self):
         for n in range(2, 11):
             for k in range(1, min(3, n // 2) + 1):
