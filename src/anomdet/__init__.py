@@ -10,7 +10,6 @@ from .combin import (
     binomial,
     distance_matrix,
     enumerate_patterns,
-    pattern_distance,
 )
 from .gram import (
     ProblemInstance,

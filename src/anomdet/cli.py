@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from .gram import ProblemInstance, closed_form_spectrum
+from .gram import ProblemInstance, _counts, closed_form_spectrum
 from .oracle import STATE_QUBITS_CAP
 from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
 from .universal import (
@@ -105,8 +105,8 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     click.echo("j,eigenvalue,multiplicity")
     for j, (value, m) in enumerate(zip(spec.values.tolist(), spec.multiplicities)):
         click.echo(f"{j},{value if exact else _fmt(value)},{m}")
-    if 2 * k > n:
-        click.echo(f"# k > n/2: evaluated at n-k = {n - k} (complement symmetry)")
+    if inst.m < inst.k:
+        click.echo(f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)")
     click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}")
 
 
@@ -172,8 +172,9 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
     try:
         ns = _parse_range(n_range)
         cs = [_parse_overlap(v, exact=False) for v in c_grid.split(",") if v]
-        if k < 0 or d < 2 or not cs:
-            raise ValueError("need k >= 0, d >= 2 and a non-empty c grid")
+        _counts(k=k, d=d)
+        if not cs:
+            raise ValueError("need a non-empty c grid")
         for c in cs:
             if not 0 <= c <= 1:
                 raise ValueError(f"overlap {c} outside [0, 1]")

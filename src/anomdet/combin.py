@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "binomial",
     "enumerate_patterns",
-    "pattern_distance",
     "pattern_indicator",
     "distance_matrix",
 ]
@@ -48,13 +46,6 @@ def enumerate_patterns(n: int, k: int) -> list[tuple[int, ...]]:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"enumerate_patterns: need 0 <= k <= n, got n={n}, k={k}")
     return list(combinations(range(1, n + 1), k))
-
-
-def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:
-    """Subset distance k - |r ∩ s| (half the Hamming distance of indicators)."""
-    if len(r) != len(s):
-        raise ValueError(f"patterns have different cardinalities: {len(r)} vs {len(s)}")
-    return len(r) - len(set(r) & set(s))
 
 
 def pattern_indicator(n: int, k: int) -> np.ndarray:
@@ -111,9 +102,9 @@ _distances = _LruCache()  # (n, k) -> D
 def distance_matrix(n: int, k: int) -> np.ndarray:
     """All subset distances at once: D = k - X X^T in lexicographic pattern order.
 
-    D[a, b] equals pattern_distance of the a-th and b-th patterns.  The
-    overlap counts X X^T are at most n, so the float64 (BLAS) product is
-    exact; D is in the smallest unsigned integer type holding k.  Each
+    D[a, b] is the subset distance k - |r ∩ s| of the a-th and b-th patterns
+    r and s.  The overlap counts X X^T are at most n, so the float64 (BLAS)
+    product is exact; D is in the smallest unsigned type holding k.  Each
     (n, k) is built once and shared, read-only (copy it to modify it), in
     an _LruCache.  A miss with N = C(n, k) > GRAM_SIZE_CAP raises
     ValueError before any pattern is enumerated, so no N x N object is

@@ -43,16 +43,26 @@ __all__ = [
 Overlap = float | Fraction
 
 
-def _count(value, field: str) -> int:
-    """value as a Python int, for an int or numpy integer n, k or d.
+def _counts(n=None, k=None, d=None) -> tuple[int | None, int | None, int | None]:
+    """(n, k, d) as Python ints, None where not passed.
 
-    Raises ValueError naming `field` for anything else: a float such as
-    5.0, a Fraction, or a bool (True is an int to Python, but never a
-    count here).
+    Each must be an int or numpy integer, else ValueError names it: a float
+    such as 5.0, a Fraction, or a bool (True is an int to Python, but never a
+    count here).  Each is held to its range, one wording per rule: n >= 1;
+    0 <= k, and k <= n when n is passed; d >= 2.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r} ({type(value).__name__})")
+    if not (type(n) is type(k) is int and (d is None or type(d) is int)):  # skips the ABC checks
+        for x, field in zip((n, k, d), "nkd"):
+            if x is not None and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
+                raise ValueError(f"{field} must be an integer, got {x!r} ({type(x).__name__})")
+        n, k, d = (None if x is None else int(x) for x in (n, k, d))
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k is not None and (k < 0 or n is not None and k > n):
+        raise ValueError(f"k must be in [0, n], got k={k}" + ("" if n is None else f", n={n}"))
+    if d is not None and d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return n, k, d
 
 
 def _overlap(c) -> Overlap:
@@ -95,28 +105,26 @@ def _short_fraction(c: Fraction) -> str:
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
 
-    n and k must be integers (int or numpy integer, stored as int; not
-    bool).  c is a real number in [0, 1], stored as a Fraction (exact Gram
-    entries and spectrum; from an int or numpy integer too) or a float, as is
-    c2 = c * c: every consumer reads its arithmetic off the stored type.
-    An exact c outside [0, 1] is named in the error by _short_fraction.
-    The float log spectrum is computed once per instance, on first use.
+    n and k are integers, n >= 1 and 0 <= k <= n (see _counts); m = min(k, n-k),
+    stored once, is where every closed form is evaluated (complementing both
+    patterns keeps their distance).  c is a real number in [0, 1], stored as a
+    Fraction (exact Gram entries and spectrum; from an int or numpy integer too)
+    or a float, as is c2 = c * c: every consumer reads its arithmetic off the
+    stored type; an exact c outside [0, 1] is named by _short_fraction.  The
+    float log spectrum is computed once per instance, on first use.
     """
 
     n: int
     k: int
     c: Overlap
     c2: Overlap = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:  # the common case skips the slower ABC check
-            object.__setattr__(self, "n", _count(self.n, "n"))
-        if type(self.k) is not int:
-            object.__setattr__(self, "k", _count(self.k, "k"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k must be in [0, n], got k={self.k}, n={self.n}")
+        n, k, _ = _counts(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", min(k, n - k))
         c = self.c
         if type(c) is not float and type(c) is not Fraction:
             c = _overlap(c)
@@ -141,9 +149,9 @@ class ProblemInstance:
 
     @functools.cached_property
     def log_eigenvalues(self) -> np.ndarray:
-        """log lambda_j, j = 0..min(k, n-k), at the float c^2 (read-only); the
-        float path of closed_form_spectrum and min_error_success both read it."""
-        logs = _log_eigenvalues(self.n, min(self.k, self.n - self.k), float(self.c2))
+        """log lambda_j, j = 0..m, at the float c^2 (read-only); the float
+        path of closed_form_spectrum and min_error_success both read it."""
+        logs = _log_eigenvalues(self.n, self.m, float(self.c2))
         logs.flags.writeable = False
         return logs
 
@@ -292,9 +300,9 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
 
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
-    evaluated at min(k, n-k), where it holds, giving min(k, n-k)+1 entries.
+    evaluated at instance.m = min(k, n-k), where it holds, giving m+1 entries.
     """
-    n, k = instance.n, min(instance.k, instance.n - instance.k)
+    n, k = instance.n, instance.m
     if instance.exact:
         z = instance.c2
         values = np.array([_eigenvalue(j, n, k, z) for j in range(k + 1)], dtype=object)

@@ -65,7 +65,7 @@ class CertificateReport:
 def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     """Optimal minimum-error success probability (sum_j (m_j/N) sqrt(lambda_j))^2.
 
-    With K = min(k, n-k) (complement symmetry), N = C(n, K) and
+    With K = instance.m = min(k, n-k) (complement symmetry), N = C(n, K) and
     m_j = C(n, j) (n-2j+1)/(n-j+1), so each weight comes from ratios:
     log(m_j/N) = log(C(n, j)/C(n, K)) + log((n-2j+1)/(n-j+1)), the first
     a Kahan-compensated running sum of log(j/(n-j+1)) downward from j = K.
@@ -73,16 +73,16 @@ def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     while the value, which is at most 1, does not.  Against 50-digit mpmath
     at the same float c it was within 4e-14 relative in every case measured
     (3.5e-14 at n = 10^5, k = 500, c = 0.7; 1.0e-14 at (20000, 2000, 0.3);
-    6e-16 at (60000, 20000, 0.05)).
+    6e-16 at (60000, 20000, 0.05)).  Clamped to 1, which it passed by 2 ulp near c = 0.
     """
-    n, k = instance.n, min(instance.k, instance.n - instance.k)
+    n, k = instance.n, instance.m
     log_values = instance.log_eigenvalues.tolist()
     log, exp = math.log, math.exp
     total = math.fsum(
         exp(log_ratio + log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)
         for j, (log_ratio, log_value) in enumerate(zip(_log_binomial_ratios(n, k), log_values))
     )
-    return ProtocolResult(value=total * total, method="closed-form", instance=instance)
+    return ProtocolResult(value=min(total * total, 1.0), method="closed-form", instance=instance)
 
 
 def min_error_asymptotic(instance: ProblemInstance) -> ProtocolResult:
@@ -114,7 +114,7 @@ def explicit_success_k123(instance: ProblemInstance) -> ProtocolResult:
 
     Written out term by term (one term per distinct eigenvalue) with
     explicit binomial coefficients; agrees with min_error_success to
-    machine precision.
+    machine precision, and is clamped to 1 as it is.
     """
     n, k = instance.n, instance.k
     z = float(instance.c2)
@@ -146,24 +146,25 @@ def explicit_success_k123(instance: ProblemInstance) -> ProtocolResult:
         value = amp * amp
     else:
         raise ValueError(f"explicit_success_k123: k must be 1, 2 or 3, got {k}")
-    return ProtocolResult(value=value, method="closed-form", instance=instance)
+    return ProtocolResult(value=min(value, 1.0), method="closed-form", instance=instance)
 
 
 def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
-    """Optimal zero-error success probability (1-c^2)^min(k, n-k) = lambda_min(G).
+    """Optimal zero-error success probability (1-c^2)^m = lambda_min(G), m = min(k, n-k).
 
     The Gram matrices of k and n-k anomalies coincide (complement symmetry).
     With c^2 = p/q the value is the correctly rounded int quotient (q-p)^m / q^m.
     """
-    k = min(instance.k, instance.n - instance.k)
+    m = instance.m
     p, q = instance.c2.as_integer_ratio()
-    return ProtocolResult(value=(q - p) ** k / q**k, method="closed-form", instance=instance)
+    return ProtocolResult(value=(q - p) ** m / q**m, method="closed-form", instance=instance)
 
 
 @functools.lru_cache(maxsize=NK_CACHE_SIZE)
-def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
+def _dual_witness(n: int, k: int, m: int) -> tuple[bool, float, tuple[float, ...]]:
     """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness
-    Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance.
+    Y = (N/m_m) E_m, m = min(k, n-k) as the caller's instance stores it,
+    from E_m's exact entry per subset distance.
 
     D's diagonal is 0, so diag(Y) = 1 is the exact test N coeffs[0] = m_m.
     The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
@@ -172,7 +173,6 @@ def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
     None of these depends on the overlap, so they are kept per (n, k), for
     the NK_CACHE_SIZE most recently used: two scalars and k+1 weights, not Y.
     """
-    m = min(k, n - k)
     coeffs = _projector_coefficients(n, k, m)
     N, m_m = binomial(n, k), multiplicity(n, m)
     D = distance_matrix(n, k)
@@ -205,8 +205,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
     the powers (c^2)^d run once per (n, k), in _dual_witness.
     """
-    n, k = instance.n, instance.k
-    m = min(k, n - k)
+    n, k, m = instance.n, instance.k, instance.m
     lam_min = unambiguous_success(instance).value
     if m == 0 or instance.c2 in (0, 1):
         return CertificateReport(True, True, lam_min, lam_min, 0.0)
@@ -214,7 +213,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     D = distance_matrix(n, k)  # refuses N > GRAM_SIZE_CAP before any power is formed
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
-    diag_ok, y_min, weights = _dual_witness(n, k)
+    diag_ok, y_min, weights = _dual_witness(n, k, m)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 
@@ -227,10 +226,5 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     except np.linalg.LinAlgError:
         primal_feasible = False
 
-    return CertificateReport(
-        primal_feasible=primal_feasible,
-        dual_feasible=dual_feasible,
-        primal_value=lam_min,
-        dual_value=dual_value,
-        gap=abs(lam_min - dual_value),
-    )
+    return CertificateReport(primal_feasible, dual_feasible, lam_min, dual_value,
+                             abs(lam_min - dual_value))

@@ -5,7 +5,7 @@ The closed form is a sum over bipartitions (n-l, l), l = 0..k, of ratios
 of unitary-group and symmetric-group irrep dimensions, evaluated in
 exact integer arithmetic by Horner's rule.  The averages over the overlap
 distribution use Gauss-Legendre quadrature: QUADRATURE_POINTS points on
-u = c^2, exact for the polynomial integrand of average_known_success, and
+u = c^2, exact for average_known_success's integrand up to degree 127, and
 for average_min_error_curve, whose integrand is not smooth in u, graded
 composite panels in t = sqrt(1 - u), within 3e-16 of 40-digit mpmath at
 k = 1.
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combin import binomial
-from .gram import ProblemInstance, _count
+from .gram import ProblemInstance, _counts
 from .protocols import min_error_success
 
 __all__ = [
@@ -33,28 +33,29 @@ __all__ = [
 
 QUADRATURE_POINTS = 64
 PANEL_POINTS = 16  # Gauss-Legendre points per panel of average_min_error_curve
+UNIVERSAL_BITS_CAP = 150_000  # largest integer universal_success may form, in bits
 
 
 @dataclass(frozen=True)
 class UniversalInstance:
-    """An unknown-states detection task: n preparations, k anomalies,
-    local dimension d.  Each must be an integer (int or numpy integer,
-    stored as int; not bool)."""
+    """An unknown-states detection task: n preparations, k anomalies, local
+    dimension d; integers (int or numpy integer, stored as int; not bool)
+    with n >= 1, 0 <= k <= n and d >= 2, as gram._counts checks them."""
 
     n: int
     k: int
     d: int
 
     def __post_init__(self) -> None:
-        if not type(self.n) is type(self.k) is type(self.d) is int:  # skips the ABC checks
-            for field in ("n", "k", "d"):
-                object.__setattr__(self, field, _count(getattr(self, field), field))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k must be in [0, n], got k={self.k}")
-        if self.d < 2:
-            raise ValueError(f"local dimension d must be >= 2, got {self.d}")
+        for field, value in zip("nkd", _counts(self.n, self.k, self.d)):
+            object.__setattr__(self, field, value)
+
+
+def _log2_binomial(a: int, b: int) -> float:
+    """An upper estimate of log2 C(a, b), 2b <= a, b <= UNIVERSAL_BITS_CAP, a of
+    any size: log2 a(a-1)...(a-b+1) <= b log2(a - (b-1)/2), log being concave
+    (0.03 b bits over at a = 2b), and log2 b! from math.lgamma."""
+    return b * (math.log2(2 * a - b + 1) - 1) - math.lgamma(b + 1) / math.log(2)
 
 
 def universal_success(instance: UniversalInstance) -> Fraction:
@@ -68,10 +69,24 @@ def universal_success(instance: UniversalInstance) -> Fraction:
     H_k = c_k, H_l = c_l + (T_{l+1}/T_l) H_{l+1}, where T_{l+1}/T_l =
     (n-l)^2 (l+d-1) / ((n-l+d-1)(l+1)^2).  H is kept as U/V in integers, so
     every product is a big integer times a small one; one Fraction at the end.
+
+    ValueError is raised, before any big integer is built, when the
+    denominator, the largest (the value is at most 1), would exceed
+    UNIVERSAL_BITS_CAP bits.  The slowest instances accepted, near
+    (73925, 1, 73926) with two central binomials from math.comb, took
+    0.94-1.0 s on a 2-core x86-64 box (Python 3.11).
     """
     n, k, d = instance.n, instance.k, instance.d
     if n < 2 * k:
         raise ValueError(f"universal_success: requires n >= 2k, got n={n}, k={k}")
+    # bits of V = (n-k+1)^2 C(n+1,k)^2 C(n+d-1,k) k!^5 and three binomials; C(a, b) >= 2^b
+    lb, e = _log2_binomial, min(d - 1, n - k)
+    if max(k, e) > UNIVERSAL_BITS_CAP or UNIVERSAL_BITS_CAP < (
+            2 * math.log2(n - k + 1) + 2 * lb(n + 1, k) + lb(n + d - 1, k) + lb(n, k)
+            + 5 * math.lgamma(k + 1) / math.log(2) + lb(n - k + d - 1, e)
+            + lb(k + d - 1, min(d - 1, k))):
+        raise ValueError(f"universal_success: exact evaluation needs integers beyond "
+                         f"{UNIVERSAL_BITS_CAP} bits, got n={n}, k={k}, d={d}")
     U, V = (n - 2 * k + 1) ** 2, (n - k + 1) ** 2  # H_k = c_k
     for l in range(k - 1, -1, -1):
         a, b = (n - 2 * l + 1) ** 2, (n - l + 1) ** 2  # c_l = a/b
@@ -83,32 +98,25 @@ def universal_success(instance: UniversalInstance) -> Fraction:
 
 def universal_asymptote(k: int, d: int) -> Fraction:
     """Large-n limit (d-1)/(d-1+k) of the universal success probability."""
-    k, d = _count(k, "k"), _count(d, "d")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _, k, d = _counts(k=k, d=d)
     return Fraction(d - 1, d - 1 + k)
-
-
-def _overlap_quadrature():
-    """Gauss-Legendre nodes/weights for u = c^2 on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
-    return (x + 1) / 2, w / 2
 
 
 def average_known_success(k: int, d: int) -> float:
     """Average of (1-c^2)^k over the overlap measure (d-1)(1-c^2)^(d-2) dc^2.
 
-    Computed by quadrature; the Beta-integral closed form is
+    Computed by quadrature, exact up to degree k+d-2 = 2 QUADRATURE_POINTS - 1
+    and refused with ValueError above it; the Beta-integral closed form is
     universal_asymptote(k, d) = (d-1)/(d-1+k), and the
     average-overlap-quadrature check compares the two.
     """
-    k, d = _count(k, "k"), _count(d, "d")
-    if d < 2 or k < 0:
-        raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    u, w = _overlap_quadrature()
-    return float(np.sum(w * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))
+    _, k, d = _counts(k=k, d=d)
+    if k + d - 2 > 2 * QUADRATURE_POINTS - 1:
+        raise ValueError(f"average_known_success: degree k + d - 2 = {k + d - 2} exceeds "
+                         f"{2 * QUADRATURE_POINTS - 1}, the largest its rule integrates exactly")
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
+    u = (x + 1) / 2  # the nodes on u = c^2 in [0, 1], with weights w / 2
+    return float(np.sum(w / 2 * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))
 
 
 def average_min_error_curve(n: int, k: int, d: int) -> float:
@@ -127,10 +135,8 @@ def average_min_error_curve(n: int, k: int, d: int) -> float:
     the result was within 3e-16 for n from 2 to 10^5 and d = 2, 3, 7; a
     64-point rule on u was 2.2e-7 off at (10, 1, 2) and 7.6e-8 at (100, 1, 2).
     """
-    n, k, d = _count(n, "n"), _count(k, "k"), _count(d, "d")
-    if d < 2 or k < 0:
-        raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    if k in (0, n) and n >= 1:  # P = 1, which the rule alone would pass (2e-14 at (50, 0, 1000))
+    n, k, d = _counts(n, k, d)
+    if k in (0, n):  # P = 1, which the rule alone would pass (2e-14 at (50, 0, 1000))
         return 1.0
     x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
     halvings = max(1, (2 * n - 1).bit_length())  # ceil(log2(2n)) for n >= 1

@@ -245,7 +245,7 @@ def _projector_algebra_exact(n: int, k: int) -> float:
 def _adjacency_spectrum(n: int, k: int, i: int) -> float:
     """Dense spectrum of A_i against column i of P with multiplicities m_j."""
     P = johnson.eigenmatrices(n, k).P
-    dense = direct_spectrum(johnson.scheme_basis(n, k).adjacency[i].astype(float))
+    dense = direct_spectrum((distance_matrix(n, k) == i).astype(float))
     expected = np.repeat([float(P[j][i]) for j in range(k + 1)],
                          [johnson.multiplicity(n, j) for j in range(k + 1)])
     return float(np.abs(dense - np.sort(expected)[::-1]).max())

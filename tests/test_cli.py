@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -162,6 +163,21 @@ class TestSingleValueCommands:
 
     def test_universal_invalid(self, runner):
         assert runner.invoke(main, ["universal", "--n", "3", "--k", "2", "--d", "2"]).exit_code == 2
+
+    @pytest.mark.parametrize("n, k, d", [("1000000", "500000", "2"), ("1000000", "200", "1000000")])
+    def test_universal_beyond_the_bit_cap_exit_2_at_once(self, runner, monkeypatch, n, k, d):
+        # without the cap these ran for minutes: a Horner pair of about 5e7 bits,
+        # and two binomials of about 2e6 bits from math.comb
+        def unbuilt(*args):
+            raise AssertionError("a binomial was built past the cap")
+
+        monkeypatch.setattr(anomdet.universal, "binomial", unbuilt)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["universal", "--n", n, "--k", k, "--d", d])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output == ("error: universal_success: exact evaluation needs integers "
+                                 f"beyond 150000 bits, got n={n}, k={k}, d={d}\n")
 
 
 class TestSweepCommand:

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -12,9 +13,16 @@ from anomdet.combin import (
     binomial,
     distance_matrix,
     enumerate_patterns,
-    pattern_distance,
     pattern_indicator,
 )
+
+
+def pattern_distance(r: Sequence[int], s: Sequence[int]) -> int:
+    """Subset distance k - |r ∩ s| (half the Hamming distance of indicators):
+    the brute-force reference for distance_matrix, one pair at a time."""
+    if len(r) != len(s):
+        raise ValueError(f"patterns have different cardinalities: {len(r)} vs {len(s)}")
+    return len(r) - len(set(r) & set(s))
 
 
 class TestBinomial:

@@ -23,10 +23,10 @@ from anomdet.combin import (
     binomial,
     distance_matrix,
     enumerate_patterns,
-    pattern_distance,
 )
 from anomdet.johnson import scheme_projector
 from anomdet.protocols import min_error_success
+from test_combin import pattern_distance
 
 
 class TestProblemInstance:
@@ -115,6 +115,15 @@ class TestProblemInstance:
     def test_rejects_non_integral_counts(self, field, args):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             ProblemInstance(*args)
+
+    def test_stores_the_complement_count_once(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                inst = ProblemInstance(np.int64(n), np.int64(k), 0.5)
+                assert type(inst.m) is int and inst.m == min(k, n - k), (n, k)
+                assert "m=" not in repr(inst)
+        with pytest.raises(TypeError):
+            ProblemInstance(4, 1, 0.5, 3)  # m is not an argument
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, int])
     def test_accepts_numpy_integers_as_ints(self, integer):

@@ -4,8 +4,9 @@ Overlaps are drawn from {0, 1} (ints, on the exact path), floats in
 [0, 1] (the log-domain float path, its c = 0 and c = 1 special cases
 included) and Fractions p/q with q <= 12 (the exact path).  The overlap
 domain test draws c of every numeric type, in range or not, and of
-types that are not numbers at all.  The universal entry points draw
-their counts n, k and d of every numeric type, in range or not.
+types that are not numbers at all.  The known-states closed forms and
+the universal entry points draw their counts n, k and d of every numeric
+type, in range or not, with n up to 10^6.
 """
 
 import math
@@ -137,6 +138,32 @@ def counts(top: int):
         st.decimals(allow_nan=True, allow_infinity=True, places=2),
     )
     return st.integers(min_value=0, max_value=3).flatmap(lambda i: integers if i else others)
+
+
+KNOWN_STATE_FUNCTIONS = {
+    "closed_form_spectrum": _trace_holds,
+    **{name: VALUE_FUNCTIONS[name]
+       for name in ("min_error_success", "explicit_success_k123", "unambiguous_success")},
+}
+
+
+@pytest.mark.parametrize("name", KNOWN_STATE_FUNCTIONS)
+@settings(max_examples=150)
+@given(n=counts(10**6), k=counts(64), c=any_overlap)
+def test_every_count_gets_a_known_state_value_or_a_clear_error(name, n, k, c):
+    # the count half of the domain contract for the known-states closed forms,
+    # n up to 10^6; the certificate is left out, as it builds N x N matrices
+    # up to N = 5000.  Each returns a value in [0, 1], or a spectrum whose
+    # trace check holds, or raises ValueError/ArithmeticError with a message
+    try:
+        value = KNOWN_STATE_FUNCTIONS[name](ProblemInstance(n, k, c))
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc)
+        return
+    if name == "closed_form_spectrum":
+        assert value is True
+    else:
+        assert type(value) is float and 0 <= value <= 1, value
 
 
 UNIVERSAL_FUNCTIONS = {

@@ -51,6 +51,18 @@ class TestMinError:
                     )
 
 
+@pytest.mark.parametrize("protocol, n, k", [
+    (min_error_success, 22, 9),
+    (min_error_success, 99, 50),
+    (explicit_success_k123, 183, 3),
+    (explicit_success_k123, 1473, 3),
+])
+def test_value_is_exactly_one_at_orthogonal_states(protocol, n, k):
+    # the rounded terms summed to 1 + 2 ulp at these (n, k); the value is at most 1
+    for c in (0.0, 1e-153):
+        assert protocol(ProblemInstance(n, k, c)).value == 1.0, c
+
+
 class TestAsymptotic:
     def test_k0_value_is_one(self):
         # the second term vanishes, also at c = 1, where (1-c^2)^(-1/2) is undefined
@@ -147,7 +159,7 @@ def _flat_diagonal_report(inst):
         primal = True
     except np.linalg.LinAlgError:
         primal = False
-    diag_ok, y_min, weights = protocols._dual_witness(n, k)
+    diag_ok, y_min, weights = protocols._dual_witness(n, k, m)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     return protocols.CertificateReport(
         primal, bool(diag_ok and y_min >= -protocols.CERTIFICATE_TOL),
@@ -292,17 +304,17 @@ class TestCertificates:
         assert protocols._dual_witness.cache_info().maxsize == size
         protocols._dual_witness.cache_clear()
         for n in range(2, size + 12):
-            diag_ok, y_min, weights = protocols._dual_witness(n, 1)
+            diag_ok, y_min, weights = protocols._dual_witness(n, 1, 1)
             assert diag_ok and abs(y_min) <= 1e-10 and len(weights) == 2, n
         info = protocols._dual_witness.cache_info()
         assert (info.misses, info.currsize) == (size + 10, size)
-        protocols._dual_witness(size + 11, 1)  # the most recently used is held
-        protocols._dual_witness(2, 1)  # the least recently used was evicted
+        protocols._dual_witness(size + 11, 1, 1)  # the most recently used is held
+        protocols._dual_witness(2, 1, 1)  # the least recently used was evicted
         info = protocols._dual_witness.cache_info()
         assert (info.hits, info.misses) == (1, size + 11)
 
     def test_dual_witness_cache_entry_holds_scalars(self):
-        diag_ok, y_min, weights = protocols._dual_witness(8, 3)
+        diag_ok, y_min, weights = protocols._dual_witness(8, 3, 3)
         assert type(diag_ok) is bool and type(y_min) is float
         assert diag_ok and abs(y_min) <= 1e-10
         assert type(weights) is tuple and len(weights) == 4

@@ -4,8 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anomdet.gram import ProblemInstance
 from anomdet.universal import (
+    QUADRATURE_POINTS,
+    UNIVERSAL_BITS_CAP,
     UniversalInstance,
+    _log2_binomial,
     average_known_success,
     average_min_error_curve,
     universal_asymptote,
@@ -55,6 +59,24 @@ class TestUniversalInstance:
         (universal_asymptote, (1.5, 2), "^k must be an integer"),
     ])
     def test_entry_points_read_counts_as_the_instance_does(self, call, args, message):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+
+    @pytest.mark.parametrize("call, args, message", [
+        (ProblemInstance, (0, 0, 0.5), r"^n must be >= 1, got 0$"),
+        (UniversalInstance, (0, 0, 2), r"^n must be >= 1, got 0$"),
+        (average_min_error_curve, (-1, 0, 2), r"^n must be >= 1, got -1$"),
+        (ProblemInstance, (4, 5, 0.5), r"^k must be in \[0, n\], got k=5, n=4$"),
+        (UniversalInstance, (4, -1, 2), r"^k must be in \[0, n\], got k=-1, n=4$"),
+        (average_min_error_curve, (3, 5, 2), r"^k must be in \[0, n\], got k=5, n=3$"),
+        (universal_asymptote, (-1, 2), r"^k must be in \[0, n\], got k=-1$"),
+        (average_known_success, (-2, 2), r"^k must be in \[0, n\], got k=-2$"),
+        (UniversalInstance, (4, 1, 1), r"^d must be >= 2, got 1$"),
+        (universal_asymptote, (1, 0), r"^d must be >= 2, got 0$"),
+        (average_known_success, (1, 1), r"^d must be >= 2, got 1$"),
+        (average_min_error_curve, (4, 1, -3), r"^d must be >= 2, got -3$"),
+    ])
+    def test_one_wording_per_count_rule(self, call, args, message):
         with pytest.raises(ValueError, match=message):
             call(*args)
 
@@ -112,6 +134,41 @@ class TestUniversalSuccess:
                 assert val > prev
                 prev = val
 
+    @pytest.mark.parametrize("n, k, d", [
+        (10**6, 5 * 10**5, 2),    # a Horner pair of about 5e7 bits
+        (10**6, 200, 10**6),      # two binomials of about 2e6 bits
+        (10**5, 10**4, 2),        # 2.6 s without the cap
+        (10**6, 200, 10**5),      # 1.8 s without the cap, in math.comb
+        (73926, 1, 73927),        # just past the slowest accepted instance
+        (10**400, 10**399, 2),
+        (10**400, 1, 10**400),
+    ])
+    def test_refuses_integers_beyond_the_bit_cap(self, monkeypatch, n, k, d):
+        def unbuilt(*args):
+            raise AssertionError("a binomial was built past the cap")
+
+        monkeypatch.setattr("anomdet.universal.binomial", unbuilt)
+        with pytest.raises(ValueError, match=f"beyond {UNIVERSAL_BITS_CAP} bits, got n={n},"):
+            universal_success(UniversalInstance(n, k, d))
+
+    @pytest.mark.parametrize("n, k, d", [
+        (10_000, 200, 5),        # the largest closed_form benchmark instance
+        (10**6, 64, 64),         # the property test's corner
+        (10**400, 1, 2),         # a huge n with few anomalies stays cheap
+        (10**20, 3, 5),
+    ])
+    def test_accepts_large_but_cheap_instances(self, n, k, d):
+        assert universal_success(UniversalInstance(n, k, d)) == _term_by_term(n, k, d)
+
+    def test_binomial_estimate_is_a_close_upper_bound(self):
+        for a in (1, 2, 3, 10, 101, 1000, 10**6, 10**30):
+            for b in {0, 1, 2, 5, 50, 499, min(a // 2, 10_000)}:
+                if 2 * b > a:
+                    continue
+                exact = math.log2(math.comb(a, b)) if b else 0.0
+                estimate = _log2_binomial(a, b)
+                assert exact - 1e-9 * max(1.0, exact) <= estimate <= exact + 0.03 * b + 1e-9 * exact, (a, b)
+
     def test_approaches_asymptote(self):
         for k, d in [(1, 2), (2, 2), (3, 2), (2, 3)]:
             limit = universal_asymptote(k, d)
@@ -150,6 +207,19 @@ class TestAverageKnownSuccess:
     def test_beta_integral(self):
         assert average_known_success(3, 2) == pytest.approx(0.25, abs=1e-12)
 
+    def test_exact_at_the_rule_degree(self):
+        # k + d - 2 = 127 = 2 QUADRATURE_POINTS - 1, the rule's largest exact degree
+        assert 65 + 64 - 2 == 2 * QUADRATURE_POINTS - 1
+        assert abs(average_known_success(65, 64) - 63 / 128) <= 1e-13
+
+    @pytest.mark.parametrize("k, d", [(0, 10**6), (10**6, 3), (100, 1000), (66, 64)])
+    def test_refuses_degrees_the_rule_cannot_integrate(self, k, d):
+        # the rule returned 1.0e-148, 2.1e-154 and 0.9090050 for the first three,
+        # against (d-1)/(d-1+k) = 1, 2.0e-6 and 0.9090082
+        with pytest.raises(ValueError, match=f"^average_known_success: degree k \\+ d - 2 = "
+                                             f"{k + d - 2} exceeds 127"):
+            average_known_success(k, d)
+
 
 class TestAverageMinErrorCurve:
     def test_no_anomalies(self):
@@ -177,7 +247,7 @@ class TestAverageMinErrorCurve:
 
     @pytest.mark.parametrize("d", [1, 0])
     def test_rejects_dimension_below_two(self, d):
-        with pytest.raises(ValueError, match="need d >= 2"):
+        with pytest.raises(ValueError, match="^d must be >= 2"):
             average_min_error_curve(5, 1, d)
 
     def test_approaches_half_for_single_anomaly(self):
