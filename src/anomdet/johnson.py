@@ -7,7 +7,9 @@ projector basis E_j.
 
 Index conventions used throughout:
   * A_i connects patterns at subset distance i (so A_0 is the identity).
-  * Eigenvalue index j runs 0..k with multiplicity m_j = C(n,j) - C(n,j-1);
+  * J(n, k) and J(n, n-k) are one scheme (complementing both patterns
+    keeps their distance), so there are m + 1 classes, m = min(k, n-k).
+  * Eigenvalue index j runs 0..m with multiplicity m_j = C(n,j) - C(n,j-1);
     j = 0 is the Perron eigenvalue (all-ones eigenvector).
   * Hahn polynomials carry parameters (-n+k-1, -k-1, k): this is the
     parameter set that simultaneously reproduces the known degree-1
@@ -54,11 +56,11 @@ class SchemeClosureError(Exception):
 
 @dataclass(frozen=True)
 class SchemeBasis:
-    """The k+1 adjacency matrices of the scheme on k-subsets of {1..n}."""
+    """The m+1 adjacency matrices of the scheme on k-subsets of {1..n}, m = min(k, n-k)."""
 
     n: int
     k: int
-    adjacency: tuple[np.ndarray, ...]  # A_0..A_k, each N x N of 0/1
+    adjacency: tuple[np.ndarray, ...]  # A_0..A_m, each N x N of 0/1
 
 
 @dataclass(frozen=True)
@@ -82,36 +84,30 @@ def multiplicity(n: int, j: int) -> int:
 
 
 def scheme_basis(n: int, k: int) -> SchemeBasis:
-    """All adjacency matrices A_0..A_k, read off the distance matrix as D == i."""
+    """All adjacency matrices A_0..A_m, read off the distance matrix as D == i."""
     D = distance_matrix(n, k)
-    adjacency = tuple((D == i).astype(np.uint8) for i in range(k + 1))
+    adjacency = tuple((D == i).astype(np.uint8) for i in range(min(k, n - k) + 1))
     return SchemeBasis(n=n, k=k, adjacency=adjacency)
 
 
 def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     """Hahn polynomial value Q_j(x) for the scheme on k-subsets of {1..n}.
 
-    3F2(-j, j-n-1, -x; -n+k, -k; 1); degree 1 is 1 - n x / (k(n-k)).  The
-    series stops at m = min(j, x, n+1-j), and term m+1 is term m times
-    -(j-m)(x-m)(n+1-j-m) / ((n-k-m)(k-m)(m+1)).  Horner's rule from the top
-    term keeps the partial sum as U/V in integers; one Fraction at the end.
-    A series that reaches past m = n-k, where (-n+k)_m vanishes, has no
-    value (j > n-k when k > n/2) and raises ValueError.
+    3F2(-j, j-n-1, -x; -n+k, -k; 1), symmetric in k and n-k; degree 1 is
+    1 - n x / (k(n-k)).  The degree j runs 0..min(k, n-k), so j <= n+1-j and
+    the series stops at s = min(j, x), before (-n+k)_s or (-k)_s vanishes;
+    term s+1 is term s times -(j-s)(x-s)(n+1-j-s) / ((n-k-s)(k-s)(s+1)).
+    Horner's rule from the top term keeps the partial sum as U/V in
+    integers; one Fraction at the end.
     """
-    if not 0 <= j <= k:
-        raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {k}]")
+    if not 0 <= j <= k or j > n - k:  # j in [0, min(k, n-k)]
+        raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {min(k, n - k)}]")
     if not 0 <= x <= k:
         raise ValueError(f"hahn_polynomial: distance {x} out of range [0, {k}]")
-    cutoff = min(j, x, n + 1 - j)
-    if cutoff > n - k:
-        raise ValueError(
-            f"hahn_polynomial: Q_{j}({x}) undefined for (n, k) = ({n}, {k}): "
-            f"the series reaches m = {cutoff} > n - k"
-        )
-    U = V = 1  # H_cutoff = 1, H_m = 1 + (a/b) H_{m+1}, the sum is H_0
-    for m in range(cutoff - 1, -1, -1):
-        a = -(j - m) * (x - m) * (n + 1 - j - m)
-        b = (n - k - m) * (k - m) * (m + 1)
+    U = V = 1  # H_top = 1, H_s = 1 + (a/b) H_{s+1}, the sum is H_0
+    for s in range(min(j, x) - 1, -1, -1):
+        a = -(j - s) * (x - s) * (n + 1 - j - s)
+        b = (n - k - s) * (k - s) * (s + 1)
         U, V = b * V + a * U, b * V
     return Fraction(U, V)
 
@@ -119,39 +115,36 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
 def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     """Exact P and Q with p_i(j) = k_i Q_j(i) and q_j(i) = m_j Q_j(i).
 
-    P @ Q == C(n,k) * Identity by Hahn orthogonality.
+    P @ Q == C(n,k) * Identity by Hahn orthogonality; both are (m+1) x (m+1),
+    m = min(k, n-k), and the same for k and n-k.
     """
-    qvals = [[hahn_polynomial(j, i, n, k) for i in range(k + 1)] for j in range(k + 1)]
-    P = tuple(
-        tuple(valency(n, k, i) * qvals[j][i] for i in range(k + 1))
-        for j in range(k + 1)
-    )
-    Q = tuple(
-        tuple(multiplicity(n, j) * qvals[j][i] for j in range(k + 1))
-        for i in range(k + 1)
-    )
+    classes = range(min(k, n - k) + 1)
+    qvals = [[hahn_polynomial(j, i, n, k) for i in classes] for j in classes]
+    P = tuple(tuple(valency(n, k, i) * qvals[j][i] for i in classes) for j in classes)
+    Q = tuple(tuple(multiplicity(n, j) * qvals[j][i] for j in classes) for i in classes)
     return Eigenmatrices(n=n, k=k, P=P, Q=Q)
 
 
 @functools.lru_cache(maxsize=1024)
 def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
-    """The k+1 exact entries q_j(i) / N of E_j, one per subset distance i.
+    """The m+1 exact entries q_j(i) / N of E_j, one per subset distance i, m = min(k, n-k).
 
     They depend on (n, k, j) only, so each tuple is computed once and
-    shared.  Exceptions are not cached: an index with no Hahn series
-    (j > n-k when k > n/2) raises ValueError on every call.
+    shared.  Exceptions are not cached: an index outside [0, m] raises
+    ValueError on every call.
     """
-    if not 0 <= j <= k:
-        raise ValueError(f"scheme_projector: index {j} out of range [0, {k}]")
+    m = min(k, n - k)
+    if not 0 <= j <= m:
+        raise ValueError(f"scheme_projector: index {j} out of range [0, {m}]")
     N = binomial(n, k)
     m_j = multiplicity(n, j)
-    return tuple(Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(k + 1))
+    return tuple(Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(m + 1))
 
 
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
     """Float projector E_j = (1/N) sum_i q_j(i) A_i onto the j-th eigenspace.
 
-    Each of the k+1 exact coefficients is rounded once, so the result
+    Each of the m+1 exact coefficients is rounded once, so the result
     equals the exact projector converted to float.
     """
     coeffs = np.array([float(c) for c in _projector_coefficients(n, k, j)])
@@ -161,7 +154,7 @@ def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
 def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     """E_j as an object ndarray of Fractions (rank and trace both equal m_j).
 
-    The object-dtype form of scheme_projector: the k+1 exact coefficients
+    The object-dtype form of scheme_projector: the m+1 exact coefficients
     gathered by the distance matrix.
     """
     return np.array(_projector_coefficients(n, k, j), dtype=object).take(distance_matrix(n, k))
@@ -170,26 +163,24 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:
     """Intersection numbers p_ij^l with A_i A_j = sum_l p_ij^l A_l.
 
-    Returns {(i, j): [p_ij^0, ..., p_ij^k]} for every ordered pair.  Raises
-    SchemeClosureError if an A_l is not symmetric, if A_0 is not the
-    identity, if the A_l overlap or leave a pair uncovered, if an A_l has
-    unequal row sums, if any product leaves the span or if any coefficient
-    is not a non-negative integer (all signal a construction bug).
+    Returns {(i, j): [p_ij^0, ..., p_ij^m]} for every ordered pair, m + 1 =
+    len(basis.adjacency).  Raises SchemeClosureError if an A_l is not
+    symmetric, if A_0 is not the identity, if the A_l overlap or leave a
+    pair uncovered, if an A_l is empty or has unequal row sums, if any
+    product leaves the span or if any coefficient is not a non-negative
+    integer (all signal a construction bug).
 
-    Only the products A_i A_j with 1 <= i <= j <= k-1 are formed.  One in
+    Only the products A_i A_j with 1 <= i <= j <= m-1 are formed.  One in
     the span of the symmetric A_l is symmetric, so A_j A_i = (A_i A_j)^T =
     A_i A_j and the algebra commutes.  A_0 = I gives p_0j^l = [j == l].
     The classes partition J, and A_i J = v_i J with v_i the row sum of A_i,
-    so A_i A_k = v_i J - sum_{j<k} A_i A_j: p_ik^l = v_i - sum_{j<k} p_ij^l.
-    A class l that is empty (l > n-k when k > n/2) has p_ij^l = 0 for
-    every pair.  The products are float32: every partial sum is a count of
-    at most N, and N < 2^24 for any N x N matrix that fits in memory, so
-    they are exact.
+    so A_i A_m = v_i J - sum_{j<m} A_i A_j: p_im^l = v_i - sum_{j<m} p_ij^l.
+    The products are float32: every partial sum is a count of at most N,
+    and N < 2^24 for any N x N matrix that fits in memory, so they are exact.
     """
-    n, k = basis.n, basis.k
-    where = f"(n, k) = ({n}, {k})"
+    where = f"(n, k) = ({basis.n}, {basis.k})"
     adjacency = basis.adjacency
-    N = len(adjacency[0])
+    m, N = len(adjacency) - 1, len(adjacency[0])
     for l, A in enumerate(adjacency):
         if not np.array_equal(A, A.T):
             raise SchemeClosureError(f"A_{l} is not symmetric for {where}")
@@ -205,6 +196,8 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
         rows = A.sum(axis=1, dtype=np.int64)
         if (rows != rows[0]).any():
             raise SchemeClosureError(f"A_{l} has unequal row sums for {where}")
+        if rows[0] == 0:
+            raise SchemeClosureError(f"A_{l} is empty for {where}")
         valencies.append(int(rows[0]))
     # The A_l partition J, so sum_l p_ij^l A_l is the coefficient vector
     # indexed by each entry's class label, and p_ij^l can be read off one
@@ -212,26 +205,24 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
     labels = np.zeros((N, N), dtype=np.intp)
     for l, A in enumerate(adjacency[1:], start=1):
         labels[A != 0] = l
-    reps = [int(A.argmax()) if v else None for A, v in zip(adjacency, valencies)]
-    numbers = {(0, j): [int(l == j and rep is not None) for l, rep in enumerate(reps)]
-               for j in range(k + 1)}
-    mats = [A.astype(np.float32) for A in adjacency[1:k]]  # A_1..A_{k-1}
-    for i in range(1, k):
-        for j in range(i, k):
+    reps = [int(A.argmax()) for A in adjacency]
+    numbers = {(0, j): [int(l == j) for l in range(m + 1)] for j in range(m + 1)}
+    mats = [A.astype(np.float32) for A in adjacency[1:m]]  # A_1..A_{m-1}
+    for i in range(1, m):
+        for j in range(i, m):
             prod = mats[i - 1] @ mats[j - 1]
-            coeffs = [0 if rep is None else int(prod.flat[rep]) for rep in reps]
+            coeffs = [int(prod.flat[rep]) for rep in reps]
             if not np.array_equal(prod, np.array(coeffs, dtype=np.float32).take(labels)):
                 raise SchemeClosureError(
                     f"A_{i} A_{j} is not in the span of the scheme for {where}"
                 )
             numbers[(i, j)] = coeffs
-    for i in range(1, k + 1):  # A_i A_k = v_i J - sum_{j<k} A_i A_j, for i = k last
-        row = [numbers[min(i, j), max(i, j)] for j in range(k)]
-        numbers[(i, k)] = [0 if rep is None else valencies[i] - sum(p[l] for p in row)
-                           for l, rep in enumerate(reps)]
+    for i in range(1, m + 1):  # A_i A_m = v_i J - sum_{j<m} A_i A_j, for i = m last
+        row = [numbers[min(i, j), max(i, j)] for j in range(m)]
+        numbers[(i, m)] = [valencies[i] - sum(p[l] for p in row) for l in range(m + 1)]
     out: dict[tuple[int, int], list[int]] = {}
-    for i in range(k + 1):
-        for j in range(i, k + 1):
+    for i in range(m + 1):
+        for j in range(i, m + 1):
             coeffs = numbers[(i, j)]
             for l, val in enumerate(coeffs):
                 if val < 0:

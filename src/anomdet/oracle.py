@@ -264,8 +264,6 @@ def _universal_srm(n: int, k: int, d: int) -> _Arrays:
     n, k, d = instance.n, instance.k, instance.d
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
-    if n < 2 * k:
-        raise ValueError(f"universal_success_oracle: requires n >= 2k, got n={n}, k={k}")
     srm = _srms.recall((n, k, d))
     if srm is None:
         isometries = np.stack([_isometry(p, n, d) for p in enumerate_patterns(n, k)])

@@ -171,12 +171,12 @@ def _dual_witness(n: int, k: int, m: int) -> tuple[bool, float, tuple[float, ...
     y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
     None of these depends on the overlap, so they are kept per (n, k), for
-    the NK_CACHE_SIZE most recently used: two scalars and k+1 weights, not Y.
+    the NK_CACHE_SIZE most recently used: two scalars and m+1 weights, not Y.
     """
     coeffs = _projector_coefficients(n, k, m)
     N, m_m = binomial(n, k), multiplicity(n, m)
     D = distance_matrix(n, k)
-    counts = np.bincount(D.ravel(), minlength=k + 1).tolist()
+    counts = np.bincount(D.ravel(), minlength=m + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
     Y = np.array([float(x) for x in coeffs]).take(D) * (N / m_m)
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights

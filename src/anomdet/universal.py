@@ -1,9 +1,9 @@
 """The universal protocol: success probability when the reference and
 anomalous states are unknown.
 
-The closed form is a sum over bipartitions (n-l, l), l = 0..k, of ratios
-of unitary-group and symmetric-group irrep dimensions, evaluated in
-exact integer arithmetic by Horner's rule.  The averages over the overlap
+The closed form is a sum over bipartitions (n-l, l), l = 0..min(k, n-k),
+of ratios of unitary-group and symmetric-group irrep dimensions,
+evaluated in exact integer arithmetic by Horner's rule.  The averages over the overlap
 distribution use Gauss-Legendre quadrature: QUADRATURE_POINTS points on
 u = c^2, exact for average_known_success's integrand up to degree 127, and
 for average_min_error_curve, whose integrand is not smooth in u, graded
@@ -14,12 +14,11 @@ k = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial
 from .gram import ProblemInstance, _counts
 from .protocols import min_error_success
 
@@ -33,67 +32,55 @@ __all__ = [
 
 QUADRATURE_POINTS = 64
 PANEL_POINTS = 16  # Gauss-Legendre points per panel of average_min_error_curve
-UNIVERSAL_BITS_CAP = 150_000  # largest integer universal_success may form, in bits
+UNIVERSAL_BITS_CAP = 150_000  # largest denominator universal_success may form, in bits
 
 
 @dataclass(frozen=True)
 class UniversalInstance:
     """An unknown-states detection task: n preparations, k anomalies, local
     dimension d; integers (int or numpy integer, stored as int; not bool)
-    with n >= 1, 0 <= k <= n and d >= 2, as gram._counts checks them."""
+    with n >= 1, 0 <= k <= n and d >= 2, as gram._counts checks them.
+    m = min(k, n-k), stored once, is where the closed form is evaluated."""
 
     n: int
     k: int
     d: int
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for field, value in zip("nkd", _counts(self.n, self.k, self.d)):
-            object.__setattr__(self, field, value)
-
-
-def _log2_binomial(a: int, b: int) -> float:
-    """An upper estimate of log2 C(a, b), 2b <= a, b <= UNIVERSAL_BITS_CAP, a of
-    any size: log2 a(a-1)...(a-b+1) <= b log2(a - (b-1)/2), log being concave
-    (0.03 b bits over at a = 2b), and log2 b! from math.lgamma."""
-    return b * (math.log2(2 * a - b + 1) - 1) - math.lgamma(b + 1) / math.log(2)
+        for name, value in zip("nkd", _counts(self.n, self.k, self.d)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", min(self.k, self.n - self.k))
 
 
 def universal_success(instance: UniversalInstance) -> Fraction:
     """Exact optimal success probability of the universal protocol.
 
-    Sum over bipartitions (n-l, l), l = 0..k, of
-      (n-2l+1)^2/(n-l+1)^2 * C(n-l+d-1,d-1)/C(n-k+d-1,d-1)
-                           * C(n,l)/C(n,k) * C(l+d-2,d-2)/C(k+d-1,d-1).
-    With c_l = (n-2l+1)^2/(n-l+1)^2 and T_l = C(n-l+d-1,d-1) C(n,l) C(l+d-2,d-2),
-    the sum is T_0 H_0 / (C(n-k+d-1,d-1) C(n,k) C(k+d-1,d-1)) by Horner's rule:
-    H_k = c_k, H_l = c_l + (T_{l+1}/T_l) H_{l+1}, where T_{l+1}/T_l =
-    (n-l)^2 (l+d-1) / ((n-l+d-1)(l+1)^2).  H is kept as U/V in integers, so
+    With m = min(k, n-k) (the value is the same for k and n-k), the sum over
+    bipartitions (n-l, l), l = 0..m, of c_l R_l, where
+      c_l = (n-2l+1)^2/(n-l+1)^2 and
+      R_l = C(n-l+d-1,d-1)/C(n-m+d-1,d-1) * C(n,l)/C(n,m) * C(l+d-2,d-2)/C(m+d-1,d-1).
+    R_m = (d-1)/(m+d-1) and R_{l-1}/R_l = (n-l+d) l^2 / ((n-l+1)^2 (l+d-2)),
+    so by Horner's rule the sum is R_m H_m with H_0 = c_0 = 1 and
+    H_l = c_l + (R_{l-1}/R_l) H_{l-1}.  H is kept as U/V in integers, so
     every product is a big integer times a small one; one Fraction at the end.
 
-    ValueError is raised, before any big integer is built, when the
-    denominator, the largest (the value is at most 1), would exceed
-    UNIVERSAL_BITS_CAP bits.  The slowest instances accepted, near
-    (73925, 1, 73926) with two central binomials from math.comb, took
-    0.94-1.0 s on a 2-core x86-64 box (Python 3.11).
+    ValueError is raised, before the loop, when V, the loop's denominator
+    (and U <= (m+1) V, as H <= m + 1), could exceed UNIVERSAL_BITS_CAP bits:
+    each step multiplies it by (n-l+1)^4 (l+d-2).  The slowest instances
+    accepted took 0.12-0.14 s on a 2-core x86-64 box (Python 3.11), such as
+    (65536, 1376, 2^40) and, the slowest of a scan, (2172, 1079, d near 2^90).
     """
-    n, k, d = instance.n, instance.k, instance.d
-    if n < 2 * k:
-        raise ValueError(f"universal_success: requires n >= 2k, got n={n}, k={k}")
-    # bits of V = (n-k+1)^2 C(n+1,k)^2 C(n+d-1,k) k!^5 and three binomials; C(a, b) >= 2^b
-    lb, e = _log2_binomial, min(d - 1, n - k)
-    if max(k, e) > UNIVERSAL_BITS_CAP or UNIVERSAL_BITS_CAP < (
-            2 * math.log2(n - k + 1) + 2 * lb(n + 1, k) + lb(n + d - 1, k) + lb(n, k)
-            + 5 * math.lgamma(k + 1) / math.log(2) + lb(n - k + d - 1, e)
-            + lb(k + d - 1, min(d - 1, k))):
+    n, m, d = instance.n, instance.m, instance.d
+    if m * (4 * (n + 1).bit_length() + (n + d).bit_length()) > UNIVERSAL_BITS_CAP:
         raise ValueError(f"universal_success: exact evaluation needs integers beyond "
-                         f"{UNIVERSAL_BITS_CAP} bits, got n={n}, k={k}, d={d}")
-    U, V = (n - 2 * k + 1) ** 2, (n - k + 1) ** 2  # H_k = c_k
-    for l in range(k - 1, -1, -1):
+                         f"{UNIVERSAL_BITS_CAP} bits, got n={n}, k={instance.k}, d={d}")
+    U = V = 1  # H_0 = c_0
+    for l in range(1, m + 1):
         a, b = (n - 2 * l + 1) ** 2, (n - l + 1) ** 2  # c_l = a/b
-        up, down = (n - l) ** 2 * (l + d - 1), (n - l + d - 1) * (l + 1) ** 2  # T_{l+1}/T_l
+        up, down = (n - l + d) * l * l, b * (l + d - 2)  # R_{l-1}/R_l
         U, V = a * down * V + b * up * U, b * down * V
-    return Fraction(binomial(n + d - 1, d - 1) * U, V * binomial(n - k + d - 1, d - 1)
-                    * binomial(n, k) * binomial(k + d - 1, d - 1))
+    return Fraction((d - 1) * U, (m + d - 1) * V)
 
 
 def universal_asymptote(k: int, d: int) -> Fraction:

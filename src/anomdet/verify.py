@@ -91,33 +91,41 @@ class Check:
 
 # --- grids ---------------------------------------------------------------
 
-def _scheme_grid(max_n: int) -> Iterator[dict]:
-    """2 <= n <= max_n, 1 <= k <= min(4, n//2)."""
+def _classes(n: int, k: int) -> range:
+    """The class (and eigenvalue) indices 0..m of J(n, k), m = min(k, n - k)."""
+    return range(min(k, n - k) + 1)
+
+
+def _cells(max_n: int, ends: bool) -> Iterator[dict]:
+    """2 <= n <= max_n with 1 <= k <= min(4, n//2), then the mirrored cells
+    n <= min(max_n, 10) with max(n//2 + 1, n - 4) <= k <= n - 1, and k = 0
+    and k = n among them when `ends`.  The mirrored k are the complements
+    n - k of the first part's k < n/2: the same scheme and closed forms by
+    complement symmetry, reached through m = min(k, n - k)."""
     for n in range(2, max_n + 1):
         for k in range(1, min(4, n // 2) + 1):
             yield {"n": n, "k": k}
+    for n in range(2, min(max_n, 10) + 1):
+        mirrored = range(max(n // 2 + 1, n - 4), n)
+        for k in (0, *mirrored, n) if ends else mirrored:
+            yield {"n": n, "k": k}
+
+
+def _scheme_grid(max_n: int) -> Iterator[dict]:
+    return _cells(max_n, ends=False)
 
 
 def _adjacency_grid(max_n: int) -> Iterator[dict]:
     for inst in _scheme_grid(max_n):
-        for i in range(inst["k"] + 1):
+        for i in _classes(inst["n"], inst["k"]):
             yield {**inst, "i": i}
 
 
 def _overlap_grid(max_n: int) -> Iterator[dict]:
-    """The scheme grid, then the mirrored cells, at each c of C_GRID.
-
-    The mirrored cells are n <= min(max_n, 10), k in {0, n} and
-    max(n//2 + 1, n - 4) <= k <= n - 1: the complements n - k of the scheme
-    grid's k < n/2, which the closed forms reach by complement symmetry.
-    """
-    for inst in _scheme_grid(max_n):
+    """The scheme grid's cells and k in {0, n} among the mirrored ones, at each c of C_GRID."""
+    for inst in _cells(max_n, ends=True):
         for c in C_GRID:
             yield {**inst, "c": c}
-    for n in range(2, min(max_n, 10) + 1):
-        for k in (0, *range(max(n // 2 + 1, n - 4), n), n):
-            for c in C_GRID:
-                yield {"n": n, "k": k, "c": c}
 
 
 def _srm_grid(max_n: int) -> Iterator[dict]:
@@ -146,13 +154,12 @@ def _reference_grid(max_n: int) -> Iterator[dict]:
 
 
 def _universal_grid(max_n: int) -> Iterator[dict]:
-    """Qubits at n <= min(max_n, 7); qutrits at n <= min(max_n, 5), k <= 2 (d^n-wide matrices)."""
-    for n in range(2, min(max_n, 7) + 1):
-        for k in range(1, n // 2 + 1):
-            yield {"n": n, "k": k, "d": 2}
-    for n in range(2, min(max_n, 5) + 1):
-        for k in range(1, min(2, n // 2) + 1):
-            yield {"n": n, "k": k, "d": 3}
+    """1 <= k <= n - 1 for qubits at n <= min(max_n, 7) and qutrits at
+    n <= min(max_n, 5) (d^n-wide matrices); k > n/2 by complement symmetry."""
+    for d, top in ((2, 7), (3, 5)):
+        for n in range(2, min(max_n, top) + 1):
+            for k in range(1, n):
+                yield {"n": n, "k": k, "d": d}
 
 
 def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
@@ -179,19 +186,19 @@ def _bose_mesner_closure(n: int, k: int) -> float:
 
 def _pq_identity(n: int, k: int) -> float:
     """P Q = N I, exactly."""
-    em = johnson.eigenmatrices(n, k)
+    em, classes = johnson.eigenmatrices(n, k), _classes(n, k)
     N = binomial(n, k)
     return float(max(
-        abs(sum(em.P[j][i] * em.Q[i][jp] for i in range(k + 1)) - (N if j == jp else 0))
-        for j in range(k + 1)
-        for jp in range(k + 1)
+        abs(sum(em.P[j][i] * em.Q[i][jp] for i in classes) - (N if j == jp else 0))
+        for j in classes
+        for jp in classes
     ))
 
 
 def _johnson_eigenvalue(n: int, k: int) -> float:
     """P[j][1] against the Johnson-graph eigenvalue (k-j)(n-k-j) - j."""
     P = johnson.eigenmatrices(n, k).P
-    return float(max(abs(P[j][1] - ((k - j) * (n - k - j) - j)) for j in range(k + 1)))
+    return float(max(abs(P[j][1] - ((k - j) * (n - k - j) - j)) for j in _classes(n, k)))
 
 
 def _eigenvalue_recurrence(n: int, k: int) -> float:
@@ -201,18 +208,18 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
     this is independent of the Hahn values behind P, each its 3F2 summed in
     integers (Delsarte 1973).
     """
-    P = johnson.eigenmatrices(n, k).P
+    P, classes = johnson.eigenmatrices(n, k).P, _classes(n, k)
     p = _intersection_numbers(n, k)
     return float(max(
-        abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in range(k + 1)))
-        for j in range(k + 1)
-        for i in range(k + 1)
+        abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in classes))
+        for j in classes
+        for i in classes
     ))
 
 
 def _projector_algebra(n: int, k: int) -> float:
     """Float E_j: E_j E_j = E_j and sum_j E_j = I."""
-    projs = [johnson.scheme_projector(n, k, j) for j in range(k + 1)]
+    projs = [johnson.scheme_projector(n, k, j) for j in _classes(n, k)]
     res = float(np.abs(sum(projs) - np.eye(len(projs[0]))).max())
     return max(res, *(float(np.abs(E @ E - E).max()) for E in projs))
 
@@ -220,13 +227,13 @@ def _projector_algebra(n: int, k: int) -> float:
 def _projector_algebra_exact(n: int, k: int) -> float:
     """Exact E_j: idempotency, completeness and tr E_j = m_j.
 
-    F_j = L E_j, with L the lcm of the denominators of the k+1
+    F_j = L E_j, with L the lcm of the denominators of the m+1
     coefficients of every E_j, has integer entries: F_j F_j = L F_j,
     sum_j F_j = L I and tr F_j = L m_j.  The float64 arithmetic on F_j
     is exact while every partial sum, at most N max|F|^2 (and L max|F|
     for L F_j), stays below 2^53; beyond that ValueError is raised.
     """
-    coeffs = [johnson._projector_coefficients(n, k, j) for j in range(k + 1)]
+    coeffs = [johnson._projector_coefficients(n, k, j) for j in _classes(n, k)]
     L = math.lcm(*(x.denominator for row in coeffs for x in row))
     scaled = [[int(x * L) for x in row] for row in coeffs]
     N = binomial(n, k)
@@ -245,9 +252,9 @@ def _projector_algebra_exact(n: int, k: int) -> float:
 def _adjacency_spectrum(n: int, k: int, i: int) -> float:
     """Dense spectrum of A_i against column i of P with multiplicities m_j."""
     P = johnson.eigenmatrices(n, k).P
-    dense = direct_spectrum((distance_matrix(n, k) == i).astype(float))
-    expected = np.repeat([float(P[j][i]) for j in range(k + 1)],
-                         [johnson.multiplicity(n, j) for j in range(k + 1)])
+    dense, classes = direct_spectrum((distance_matrix(n, k) == i).astype(float)), _classes(n, k)
+    expected = np.repeat([float(P[j][i]) for j in classes],
+                         [johnson.multiplicity(n, j) for j in classes])
     return float(np.abs(dense - np.sort(expected)[::-1]).max())
 
 

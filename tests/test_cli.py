@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import anomdet
 from anomdet import verify
 from anomdet.cli import main
+from anomdet.universal import UniversalInstance, universal_success
 from anomdet.verify import SCOPES, run_scope
 
 
@@ -162,16 +163,27 @@ class TestSingleValueCommands:
         assert result.output.strip() == "7/16"
 
     def test_universal_invalid(self, runner):
-        assert runner.invoke(main, ["universal", "--n", "3", "--k", "2", "--d", "2"]).exit_code == 2
+        assert runner.invoke(main, ["universal", "--n", "3", "--k", "4", "--d", "2"]).exit_code == 2
 
-    @pytest.mark.parametrize("n, k, d", [("1000000", "500000", "2"), ("1000000", "200", "1000000")])
-    def test_universal_beyond_the_bit_cap_exit_2_at_once(self, runner, monkeypatch, n, k, d):
-        # without the cap these ran for minutes: a Horner pair of about 5e7 bits,
-        # and two binomials of about 2e6 bits from math.comb
-        def unbuilt(*args):
-            raise AssertionError("a binomial was built past the cap")
+    def test_universal_k_above_half(self, runner):
+        # two anomalies among three: the value of one, by complement symmetry
+        result = runner.invoke(main, ["universal", "--n", "3", "--k", "2", "--d", "2", "--exact"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "4/9"
 
-        monkeypatch.setattr(anomdet.universal, "binomial", unbuilt)
+    def test_universal_with_large_dimension(self, runner):
+        # a few milliseconds: 200 Horner steps on small factors, no binomial of 2e6 bits
+        start = time.perf_counter()
+        result = runner.invoke(main, ["universal", "--n", "1000000", "--k", "200", "--d", "1000000"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        expected = universal_success(UniversalInstance(10**6, 200, 10**6))
+        assert result.output == f"{float(expected):.12g}\n"
+
+    @pytest.mark.parametrize("n, k, d", [("1000000", "500000", "2"), ("100000", "10000", "2")])
+    def test_universal_beyond_the_bit_cap_exit_2_at_once(self, runner, n, k, d):
+        # without the cap these ran for seconds to minutes: Horner pairs of
+        # about 5e7 and 2e6 bits
         start = time.perf_counter()
         result = runner.invoke(main, ["universal", "--n", n, "--k", k, "--d", d])
         assert time.perf_counter() - start < 1.0
@@ -222,6 +234,15 @@ class TestSweepCommand:
         second = runner.invoke(main, args)
         assert first.exit_code == 0
         assert first.output == second.output
+
+    def test_universal_curve_from_k_above_half(self, runner):
+        # n = 2 < 2k: the value at k = n, then n - k = 0 anomalies read through the complement
+        args = ["sweep", "--protocol", "universal", "--n-range", "2:30:4", "--k", "2", "--d", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        rows = [r for r in _rows(result.output) if r[3] == "universal"]
+        assert [int(r[0]) for r in rows] == list(range(2, 31, 4))
+        assert float(rows[0][4]) == 1.0
 
     def test_universal_curve(self, runner):
         result = runner.invoke(
@@ -335,7 +356,7 @@ def _argv(draw, command, odd):
     c = draw(st.fractions(0, 1, max_denominator=40) if exact else st.floats(0, 1))
     options = {"--n": n, "--k": k, "--c": c, "--d": draw(st.integers(2, 5))}
     if command == "sweep":
-        a = draw(st.integers(max(2 * k, 1), 58))
+        a = draw(st.integers(max(k, 1), 58))
         options = {"--protocol": draw(st.sampled_from(["minerr", "unambiguous", "universal",
                                                        "average"])),
                    "--n-range": f"{a}:{a + draw(st.integers(0, 2))}", "--k": k,

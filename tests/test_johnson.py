@@ -58,7 +58,7 @@ class TestHahnPolynomials:
                 assert hahn_polynomial(j, 0, n, k) == 1
 
     def test_degree_out_of_range(self):
-        # (j, x, n, k): degree past k; a series past m = n-k (k > n/2); x outside [0, k]
+        # (j, x, n, k): degree outside [0, min(k, n-k)]; x outside [0, k]
         for args in [(3, 0, 5, 2), (-1, 0, 5, 2), (3, 3, 5, 3), (2, 2, 5, 4), (4, 4, 6, 4),
                      (1, -1, 5, 2), (1, 3, 5, 2), (0, 3, 5, 2)]:
             with pytest.raises(ValueError):
@@ -67,6 +67,14 @@ class TestHahnPolynomials:
 
 
 class TestEigenmatrices:
+    @pytest.mark.parametrize("n", range(11))
+    def test_complement_gives_the_same_matrices(self, n):
+        # J(n, k) and J(n, n-k) are one scheme, with m + 1 = min(k, n-k) + 1 classes
+        for k in range(n + 1):
+            em, mirror = eigenmatrices(n, k), eigenmatrices(n, n - k)
+            assert em.P == mirror.P and em.Q == mirror.Q, (n, k)
+            assert len(em.P) == len(scheme_basis(n, k).adjacency) == min(k, n - k) + 1
+
     @pytest.mark.parametrize("n,k", GRID)
     def test_first_row_is_valencies(self, n, k):
         em = eigenmatrices(n, k)
@@ -114,7 +122,7 @@ class TestSchemeProjectors:
             scheme_projector(5, 2, 3)
 
     def test_undefined_index_raises_on_every_call(self):
-        # k > n/2: no Hahn series for j > n-k; a failed call is not cached
+        # k > n/2: j runs 0..n-k, so j = 3 is out of range; a failed call is not cached
         for _ in range(2):
             with pytest.raises(ValueError):
                 scheme_projector_exact(5, 3, 3)
@@ -122,13 +130,8 @@ class TestSchemeProjectors:
     @pytest.mark.parametrize("n", range(9))
     def test_float_is_exact_converted(self, n):
         for k in range(n + 1):
-            for j in range(k + 1):
-                try:
-                    exact = scheme_projector_exact(n, k, j)
-                except ValueError:  # Hahn series undefined (k > n/2)
-                    with pytest.raises(ValueError):
-                        scheme_projector(n, k, j)
-                    continue
+            for j in range(min(k, n - k) + 1):
+                exact = scheme_projector_exact(n, k, j)
                 assert exact.dtype == object and all(type(x) is Fraction for x in exact.flat)
                 assert np.array_equal(scheme_projector(n, k, j), exact.astype(float))
 
@@ -222,26 +225,25 @@ class TestBoseMesnerClosure:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_intersection_numbers_match_a_count(self, n):
-        # p_ij^l = #{z : d(x, z) = i, d(z, y) = j} for any x, y at distance l; 0 for an empty class
+        # p_ij^l = #{z : d(x, z) = i, d(z, y) = j} for any x, y at distance l
         for k in range(n + 1):
             D = distance_matrix(n, k)
             numbers = verify_bose_mesner_closure(scheme_basis(n, k))
-            for l in range(k + 1):
-                pairs = np.argwhere(D == l)
-                for i in range(k + 1):
-                    for j in range(k + 1):
-                        if pairs.size:
-                            x, y = pairs[0]
-                            count = int(np.sum((D[x] == i) & (D[:, y] == j)))
-                        else:
-                            count = 0
+            m = min(k, n - k)
+            assert sorted(numbers) == [(i, j) for i in range(m + 1) for j in range(m + 1)]
+            for l in range(m + 1):
+                x, y = np.argwhere(D == l)[0]
+                for i in range(m + 1):
+                    for j in range(m + 1):
+                        count = int(np.sum((D[x] == i) & (D[:, y] == j)))
                         assert numbers[(i, j)][l] == count, (n, k, i, j, l)
 
     @pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (6, 5), (4, 4)])
     def test_empty_distance_classes(self, n, k):
-        # k > n/2: distance classes beyond n-k are empty
-        numbers = verify_bose_mesner_closure(scheme_basis(n, k))
-        for i in range(k + 1):
-            for j in range(k + 1):
-                if max(i, j) > n - k:
-                    assert numbers[(i, j)] == [0] * (k + 1)
+        # k > n/2: the distances stop at n-k; a basis padded with empty classes
+        # up to distance k is no scheme
+        basis = scheme_basis(n, k)
+        empty = np.zeros_like(basis.adjacency[0])
+        padded = type(basis)(n=n, k=k, adjacency=(*basis.adjacency, *[empty] * (2 * k - n)))
+        with pytest.raises(SchemeClosureError, match=f"A_{n - k + 1} is empty"):
+            verify_bose_mesner_closure(padded)

@@ -18,6 +18,7 @@ from anomdet.oracle import (
     universal_holevo_violation,
     universal_success_oracle,
 )
+from anomdet.universal import UniversalInstance, universal_success
 
 
 def _kron_folds(n, k, c):
@@ -584,10 +585,6 @@ class TestUniversalHypothesis:
         rank = int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
         assert rank == binomial(k + d - 1, d - 1) * binomial(n - k + d - 1, d - 1)
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError, match="universal_success_oracle: requires n >= 2k"):
-            universal_success_oracle(3, 2, 2)
-
     def test_rejects_dimension_below_two(self):
         # universal_success refuses d = 1 too, through UniversalInstance
         with pytest.raises(ValueError, match="d must be >= 2"):
@@ -618,6 +615,16 @@ class TestUniversalOracle:
 
     def test_four_systems_one_anomaly(self):
         assert universal_success_oracle(4, 1, 2) == pytest.approx(7 / 16, abs=1e-10)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (4, 3)])
+    def test_complement_gives_the_same_value(self, n, d):
+        # the hypotheses are built on the k-subsets themselves, so the k <-> n-k
+        # symmetry of the closed form is checked, not assumed: 4/9 at (3, 2, 2)
+        for k in range(n + 1):
+            value = universal_success_oracle(n, k, d)
+            assert value == pytest.approx(universal_success_oracle(n, n - k, d), abs=1e-12)
+            assert value == pytest.approx(float(universal_success(UniversalInstance(n, k, d))),
+                                          abs=1e-12)
 
     @pytest.mark.parametrize("fits", [True, False])
     def test_one_build_per_instance(self, monkeypatch, fits):

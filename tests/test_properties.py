@@ -168,11 +168,11 @@ def test_every_count_gets_a_known_state_value_or_a_clear_error(name, n, k, c):
 
 UNIVERSAL_FUNCTIONS = {
     # name: (function, strategies of its counts); each example stays cheap:
-    # universal_success's Horner loop runs k steps on integers of about
-    # (k + d) log n digits, and the curve evaluates min_error_success at
+    # universal_success's Horner loop runs min(k, n-k) steps on small factors,
+    # whatever d, and the curve evaluates min_error_success at
     # 16 (log2(2n) + 1) overlaps
     "universal_success": (lambda n, k, d: universal_success(UniversalInstance(n, k, d)),
-                          (counts(10**6), counts(64), counts(64))),
+                          (counts(10**6), counts(64), counts(10**6))),
     "universal_asymptote": (universal_asymptote, (counts(10**6), counts(10**6))),
     "average_known_success": (average_known_success, (counts(10**6), counts(10**6))),
     "average_min_error_curve": (average_min_error_curve, (counts(200), counts(200), counts(64))),

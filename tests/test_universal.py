@@ -1,6 +1,8 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from anomdet.universal import (
     QUADRATURE_POINTS,
     UNIVERSAL_BITS_CAP,
     UniversalInstance,
-    _log2_binomial,
     average_known_success,
     average_min_error_curve,
     universal_asymptote,
@@ -96,21 +97,23 @@ class TestUniversalSuccess:
         assert universal_success(UniversalInstance(4, 1, 2)) == Fraction(7, 16)
 
     def test_rejects_too_many_anomalies(self):
-        with pytest.raises(ValueError):
-            universal_success(UniversalInstance(3, 2, 2))
+        with pytest.raises(ValueError, match=r"^k must be in \[0, n\], got k=4, n=3$"):
+            universal_success(UniversalInstance(3, 4, 2))
+
+    def test_k_above_half_by_complement(self):
+        # three systems, two anomalous: the value of one anomaly among three
+        assert UniversalInstance(3, 2, 2).m == 1
+        assert universal_success(UniversalInstance(3, 2, 2)) == Fraction(4, 9)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_equals_term_by_term_sum(self, d):
+        # k > n/2 too: the value at k is the value at n - k
         for n in range(1, 31):
             for k in range(n + 1):
-                instance = UniversalInstance(n, k, d)
-                if n < 2 * k:
-                    with pytest.raises(ValueError, match="requires n >= 2k"):
-                        universal_success(instance)
-                    continue
-                value = universal_success(instance)
+                value = universal_success(UniversalInstance(n, k, d))
                 assert isinstance(value, Fraction)
-                assert value == _term_by_term(n, k, d), (n, k)
+                assert value == universal_success(UniversalInstance(n, n - k, d)), (n, k)
+                assert value == _term_by_term(n, min(k, n - k), d), (n, k)
 
     @pytest.mark.parametrize("n,k,d", [(10_000, 200, 5), (10_000, 110, 4)])
     def test_equals_term_by_term_sum_large(self, n, k, d):
@@ -136,20 +139,34 @@ class TestUniversalSuccess:
 
     @pytest.mark.parametrize("n, k, d", [
         (10**6, 5 * 10**5, 2),    # a Horner pair of about 5e7 bits
-        (10**6, 200, 10**6),      # two binomials of about 2e6 bits
-        (10**5, 10**4, 2),        # 2.6 s without the cap
-        (10**6, 200, 10**5),      # 1.8 s without the cap, in math.comb
-        (73926, 1, 73927),        # just past the slowest accepted instance
+        (10**5, 10**4, 2),        # 2.5 s without the cap
         (10**400, 10**399, 2),
-        (10**400, 1, 10**400),
     ])
-    def test_refuses_integers_beyond_the_bit_cap(self, monkeypatch, n, k, d):
-        def unbuilt(*args):
-            raise AssertionError("a binomial was built past the cap")
-
-        monkeypatch.setattr("anomdet.universal.binomial", unbuilt)
+    def test_refuses_integers_beyond_the_bit_cap(self, n, k, d):
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=f"beyond {UNIVERSAL_BITS_CAP} bits, got n={n},"):
             universal_success(UniversalInstance(n, k, d))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, k, d", [
+        # refused while the value was formed from binomials of up to 2e6 bits
+        (10**6, 200, 10**6),
+        (10**6, 200, 10**5),
+        (73926, 1, 73927),
+        (10**400, 1, 10**400),
+    ])
+    def test_accepts_huge_binomials(self, n, k, d):
+        # the docstring's sum over l = 0..k by mpmath's binomials, at 50 digits
+        # beyond the digits of n + d, which the binomials' exponents take
+        value = universal_success(UniversalInstance(n, k, d))
+        with mpmath.workdps(50 + len(str(n + d))):
+            C = mpmath.binomial
+            reference = mpmath.fsum(
+                mpmath.mpf(n - 2 * l + 1) ** 2 / mpmath.mpf(n - l + 1) ** 2
+                * C(n - l + d - 1, d - 1) / C(n - k + d - 1, d - 1) * C(n, l) / C(n, k)
+                * C(l + d - 2, d - 2) / C(k + d - 1, d - 1)
+                for l in range(k + 1))
+            assert abs(mpmath.mpf(value.numerator) / value.denominator - reference) < 1e-45
 
     @pytest.mark.parametrize("n, k, d", [
         (10_000, 200, 5),        # the largest closed_form benchmark instance
@@ -160,14 +177,19 @@ class TestUniversalSuccess:
     def test_accepts_large_but_cheap_instances(self, n, k, d):
         assert universal_success(UniversalInstance(n, k, d)) == _term_by_term(n, k, d)
 
-    def test_binomial_estimate_is_a_close_upper_bound(self):
-        for a in (1, 2, 3, 10, 101, 1000, 10**6, 10**30):
-            for b in {0, 1, 2, 5, 50, 499, min(a // 2, 10_000)}:
-                if 2 * b > a:
-                    continue
-                exact = math.log2(math.comb(a, b)) if b else 0.0
-                estimate = _log2_binomial(a, b)
-                assert exact - 1e-9 * max(1.0, exact) <= estimate <= exact + 0.03 * b + 1e-9 * exact, (a, b)
+    @pytest.mark.parametrize("d", [2, 10**6])
+    def test_bit_bound_covers_the_denominator(self, monkeypatch, d):
+        # the loop's denominator is the product of its per-step factors
+        # (n-l+1)^4 (l+d-2); a cap one bit below its length must refuse, and
+        # the bound stays within 2.5 times that length (2.2 at m = 1, d = 2)
+        for m in (1, 2, 3, 10, 50, 300):
+            n = 2 * m
+            V = math.prod((n - l + 1) ** 4 * (l + d - 2) for l in range(1, m + 1))
+            monkeypatch.setattr("anomdet.universal.UNIVERSAL_BITS_CAP", V.bit_length() - 1)
+            with pytest.raises(ValueError, match="beyond"):
+                universal_success(UniversalInstance(n, m, d))
+            monkeypatch.setattr("anomdet.universal.UNIVERSAL_BITS_CAP", 5 * V.bit_length() // 2)
+            assert universal_success(UniversalInstance(n, m, d)) == _term_by_term(n, m, d)
 
     def test_approaches_asymptote(self):
         for k, d in [(1, 2), (2, 2), (3, 2), (2, 3)]:
