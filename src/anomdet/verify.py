@@ -96,7 +96,7 @@ def _classes(n: int, k: int) -> range:
     return range(min(k, n - k) + 1)
 
 
-def _cells(max_n: int, ends: bool) -> Iterator[dict]:
+def _scheme_grid(max_n: int, ends: bool = False) -> Iterator[dict]:
     """2 <= n <= max_n with 1 <= k <= min(4, n//2), then the mirrored cells
     n <= min(max_n, 10) with max(n//2 + 1, n - 4) <= k <= n - 1, and k = 0
     and k = n among them when `ends`.  The mirrored k are the complements
@@ -111,10 +111,6 @@ def _cells(max_n: int, ends: bool) -> Iterator[dict]:
             yield {"n": n, "k": k}
 
 
-def _scheme_grid(max_n: int) -> Iterator[dict]:
-    return _cells(max_n, ends=False)
-
-
 def _adjacency_grid(max_n: int) -> Iterator[dict]:
     for inst in _scheme_grid(max_n):
         for i in _classes(inst["n"], inst["k"]):
@@ -122,8 +118,8 @@ def _adjacency_grid(max_n: int) -> Iterator[dict]:
 
 
 def _overlap_grid(max_n: int) -> Iterator[dict]:
-    """The scheme grid's cells and k in {0, n} among the mirrored ones, at each c of C_GRID."""
-    for inst in _cells(max_n, ends=True):
+    """The scheme grid with k in {0, n} among its mirrored cells, at each c of C_GRID."""
+    for inst in _scheme_grid(max_n, ends=True):
         for c in C_GRID:
             yield {**inst, "c": c}
 
@@ -252,7 +248,8 @@ def _projector_algebra_exact(n: int, k: int) -> float:
 def _adjacency_spectrum(n: int, k: int, i: int) -> float:
     """Dense spectrum of A_i against column i of P with multiplicities m_j."""
     P = johnson.eigenmatrices(n, k).P
-    dense, classes = direct_spectrum((distance_matrix(n, k) == i).astype(float)), _classes(n, k)
+    dense = direct_spectrum((distance_matrix(n, k) == i).astype(float))
+    classes = _classes(n, k)
     expected = np.repeat([float(P[j][i]) for j in classes],
                          [johnson.multiplicity(n, j) for j in classes])
     return float(np.abs(dense - np.sort(expected)[::-1]).max())

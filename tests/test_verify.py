@@ -46,8 +46,8 @@ def test_srm_cache_holds_the_overlap_grid_at_the_cap():
 
 
 def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
-    # every row of `verify --max-n 14` walks these cells, the overlap rows also
-    # the mirrored cells and the detection rows those of the high-overlap
+    # every row of `verify --max-n 14` walks these cells, the mirrored ones of
+    # the scheme grid included, and the detection rows those of the high-overlap
     # sub-grid (k > min(4, n//2) too, k = 0 and k = n at n <= 10); a second
     # pass over them builds neither a distance matrix nor a sector layout again
     cells = list(dict.fromkeys((inst["n"], inst["k"]) for grid in (verify._scheme_grid,
