@@ -103,7 +103,7 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
     click.echo("j,eigenvalue,multiplicity")
-    for j, (value, m) in enumerate(zip(spec.values.tolist(), spec.multiplicities)):
+    for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
         click.echo(f"{j},{value if exact else _fmt(value)},{m}")
     if inst.m < inst.k:
         click.echo(f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)")
@@ -113,7 +113,7 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
 def _trace_status(spec, exact: bool) -> str:
     """'ok' or 'MISMATCH ...' for tr G = N: exact equality on Fractions,
     a relative residual |sum (m_j/N) lambda_j - 1| within TRACE_RTOL on floats."""
-    N, pairs = spec.instance.N, zip(spec.values.tolist(), spec.multiplicities)
+    N, pairs = spec.instance.N, zip(spec.values, spec.multiplicities)
     if exact:
         trace = sum(value * m for value, m in pairs)
         return "ok" if trace == N else f"MISMATCH {float(trace)}"

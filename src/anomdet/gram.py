@@ -14,8 +14,9 @@ type.  The eigenvalues are evaluated on one of two paths:
   three-term Jacobi recurrence.  Every term in it is positive, so it is
   stable, and no big rational is built.
 
-A Spectrum holds the k+1 eigenvalues as one array and their exact
-multiplicities as one tuple; no object is built per eigenvalue.
+A Spectrum holds the k+1 eigenvalues and their exact multiplicities as
+two tuples of Python scalars: numpy enters only where an N x N object is
+gathered from the distance matrix.
 """
 
 from __future__ import annotations
@@ -148,12 +149,10 @@ class ProblemInstance:
         return type(self.c) is Fraction
 
     @functools.cached_property
-    def log_eigenvalues(self) -> np.ndarray:
-        """log lambda_j, j = 0..m, at the float c^2 (read-only); the float
-        path of closed_form_spectrum and min_error_success both read it."""
-        logs = _log_eigenvalues(self.n, self.m, float(self.c2))
-        logs.flags.writeable = False
-        return logs
+    def log_eigenvalues(self) -> tuple[float, ...]:
+        """log lambda_j, j = 0..m, at the float c^2; the float path of
+        closed_form_spectrum and min_error_success both read it."""
+        return _log_eigenvalues(self.n, self.m, float(self.c2))
 
 
 @dataclass(frozen=True)
@@ -163,25 +162,24 @@ class SpectrumEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Spectrum:
     """The min(k, n-k)+1 distinct Gram eigenvalues, largest (j=0) first.
 
-    values[j] is lambda_j: a float64 ndarray, or an object ndarray of
-    Fractions when the instance overlap is exact (as gram_matrix returns).
-    multiplicities[j] is m_j as an exact int.  Spectra compare by identity
-    (eq=False): an ndarray field has no truth value.
+    values[j] is lambda_j, of the instance overlap's type: a float, or a
+    Fraction when the overlap is exact.  multiplicities[j] is m_j as an
+    exact int.
     """
 
     instance: ProblemInstance
-    values: np.ndarray
+    values: tuple[Overlap, ...]
     multiplicities: tuple[int, ...]
 
     @property
     def entries(self) -> tuple[SpectrumEntry, ...]:
-        """(j, lambda_j, m_j) per eigenvalue, built from the arrays on each access."""
+        """(j, lambda_j, m_j) per eigenvalue, built from the tuples on each access."""
         return tuple(SpectrumEntry(j, value, m) for j, (value, m)
-                     in enumerate(zip(self.values.tolist(), self.multiplicities)))
+                     in enumerate(zip(self.values, self.multiplicities)))
 
     def as_multiset(self) -> np.ndarray:
         """All N eigenvalues with repetition, descending.
@@ -192,7 +190,7 @@ class Spectrum:
         N = sum(self.multiplicities)
         if N > GRAM_SIZE_CAP:
             raise ValueError(f"as_multiset: N = {N} eigenvalues exceed cap {GRAM_SIZE_CAP}")
-        return np.sort(np.repeat(self.values.astype(float), self.multiplicities))[::-1]
+        return np.sort(np.repeat(np.array(self.values, dtype=float), self.multiplicities))[::-1]
 
 
 def gram_matrix(instance: ProblemInstance) -> np.ndarray:
@@ -251,7 +249,7 @@ def _log_binomial_ratios(n: int, k: int) -> list[float]:
     return ratios
 
 
-def _log_eigenvalues(n: int, k: int, z: float) -> np.ndarray:
+def _log_eigenvalues(n: int, k: int, z: float) -> tuple[float, ...]:
     """log lambda_j for j = 0..k, for a float z = c^2, k <= n/2.
 
     lambda_j = (1-z)^k P_{k-j}(x), P_d the Jacobi P_d^(0, b), b = n - 2k, x = (1+z)/(1-z)
@@ -261,19 +259,21 @@ def _log_eigenvalues(n: int, k: int, z: float) -> np.ndarray:
     log lambda_j = k log(1-z) + sum_{d<=k-j} log(1+q_d).  Int quotients keep any n finite.
     """
     if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0; log N without N
-        return np.array([0.0 - _log_binomial_ratios(n, k)[0]] + [-math.inf] * k)  # +0.0 at k = 0
+        return (0.0 - _log_binomial_ratios(n, k)[0],) + (-math.inf,) * k  # +0.0 at k = 0
     log1p = math.log1p
     b, half_w = n - 2 * k, z / (1 - z)  # half_w = (x-1)/2
-    logs = [0.0] * (k + 1)  # logs[k-d] = log P_d(x)
+    shift = 0.0 + k * log1p(-z)  # +0.0 at k = 0
+    logs = [shift] * (k + 1)  # logs[k-d] = log P_d(x) + shift
     q, total, comp = (b + 2) * half_w, 0.0, 0.0
     for d in range(1, k + 1):
         y = log1p(q) - comp  # Kahan-compensated running sum
         t = total + y
         comp = (t - total) - y
-        total = logs[k - d] = t
+        total = t
+        logs[k - d] = t + shift
         s, e = 2 * d + b, (d + 1) * (d + b + 1)
         q = (s + 1) * (s + 2) / e * half_w + d * (d + b) * (s + 2) / (s * e) * (q / (1 + q))
-    return np.array(logs) + k * log1p(-z)
+    return tuple(logs)
 
 
 def _multiplicities(n: int, k: int) -> tuple[int, ...]:
@@ -296,7 +296,9 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     from one O(k) recurrence in log space (instance.log_eigenvalues), within 1e-11
     relative of the exact values (7e-12 at n = 2000, k = 500, c = 0.999,
     from the rounding of c^2; at most 5e-13 elsewhere up to n = 10^5).
-    On the float path OverflowError is raised exactly when lambda_0 does.
+    Either way values is a tuple of the overlap's type.  On the float path
+    math.exp raises OverflowError exactly when lambda_0, the largest, is
+    beyond the float range.
 
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
@@ -305,13 +307,9 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     n, k = instance.n, instance.m
     if instance.exact:
         z = instance.c2
-        values = np.array([_eigenvalue(j, n, k, z) for j in range(k + 1)], dtype=object)
+        values = tuple(_eigenvalue(j, n, k, z) for j in range(k + 1))
     else:
-        logs = instance.log_eigenvalues
-        # lambda_0 is the largest: math.exp raises OverflowError exactly when
-        # it is beyond the float range, and otherwise np.exp cannot overflow
-        math.exp(logs[0])
-        values = np.exp(logs)
+        values = tuple(map(math.exp, instance.log_eigenvalues))
     return Spectrum(instance=instance, values=values, multiplicities=_multiplicities(n, k))
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import _LruCache, enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
-from .universal import UniversalInstance
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _counts, _real_array, direct_spectrum
 
 __all__ = [
     "SrmResult",
@@ -258,10 +257,9 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
 def _universal_srm(n: int, k: int, d: int) -> _Arrays:
     """Isometries B_S of all hypotheses (lexicographic pattern order), one
     array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r,
-    the counts validated as by UniversalInstance; kept read-only in an
-    _LruCache when it fits alone, so both universal oracles share one build."""
-    instance = UniversalInstance(n, k, d)
-    n, k, d = instance.n, instance.k, instance.d
+    the counts validated by _counts, as UniversalInstance does; kept read-only
+    in an _LruCache when it fits alone, so both universal oracles share one build."""
+    n, k, d = _counts(n, k, d)
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
     srm = _srms.recall((n, k, d))

@@ -76,7 +76,7 @@ def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     6e-16 at (60000, 20000, 0.05)).  Clamped to 1, which it passed by 2 ulp near c = 0.
     """
     n, k = instance.n, instance.m
-    log_values = instance.log_eigenvalues.tolist()
+    log_values = instance.log_eigenvalues
     log, exp = math.log, math.exp
     total = math.fsum(
         exp(log_ratio + log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)

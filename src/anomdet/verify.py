@@ -268,7 +268,7 @@ def _spectral_reconstruction(n: int, k: int, c: float) -> float:
     inst = ProblemInstance(n, k, c)
     G = gram_matrix(inst)
     recon = sum(value * johnson.scheme_projector(n, k, j)
-                for j, value in enumerate(closed_form_spectrum(inst).values.tolist()))
+                for j, value in enumerate(closed_form_spectrum(inst).values))
     return float(np.abs(G - recon).max())
 
 

@@ -155,7 +155,7 @@ class TestSingleValueCommands:
                 for j in range(k + 1)
             ) / math.comb(n, k)
             reference = float(amplitude**2)
-        assert float(result.output) == pytest.approx(reference, rel=1e-10)
+        assert float(result.output) == pytest.approx(reference, rel=1e-10, abs=0)
 
     def test_universal(self, runner):
         result = runner.invoke(main, ["universal", "--n", "4", "--k", "1", "--d", "2", "--exact"])

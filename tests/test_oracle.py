@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 from functools import reduce
 
 import numpy as np
@@ -723,3 +725,12 @@ class TestHolevoCheck:
         assert not result.passed
         assert result.line() == ("ERROR universal-holevo-certificate n=4,k=1,d=2 ValueError: "
                                  "direct_spectrum: matrix has NaN or infinite entries")
+
+
+def test_imports_no_closed_form():
+    # the oracle checks the closed forms, so it imports none of their modules:
+    # only combin and gram, for patterns, instances, count checks and eigvalsh
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules == {"combin", "gram"}

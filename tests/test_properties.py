@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anomdet.combin import binomial
@@ -94,7 +94,7 @@ VALUE_FUNCTIONS = {
 def _trace_holds(inst: ProblemInstance) -> bool:
     """tr G = N from the closed-form spectrum: exact on Fractions, relative 1e-12 on floats."""
     spec = closed_form_spectrum(inst)
-    pairs = list(zip(spec.values.tolist(), spec.multiplicities))
+    pairs = list(zip(spec.values, spec.multiplicities))
     if inst.exact:
         return sum(value * m for value, m in pairs) == inst.N
     return abs(math.fsum(m / inst.N * value for value, m in pairs) - 1) <= 1e-12
@@ -152,8 +152,8 @@ KNOWN_STATE_FUNCTIONS = {
 @given(n=counts(10**6), k=counts(64), c=any_overlap)
 def test_every_count_gets_a_known_state_value_or_a_clear_error(name, n, k, c):
     # the count half of the domain contract for the known-states closed forms,
-    # n up to 10^6; the certificate is left out, as it builds N x N matrices
-    # up to N = 5000.  Each returns a value in [0, 1], or a spectrum whose
+    # n up to 10^6 (the certificate, which builds N x N matrices, has its own
+    # test below).  Each returns a value in [0, 1], or a spectrum whose
     # trace check holds, or raises ValueError/ArithmeticError with a message
     try:
         value = KNOWN_STATE_FUNCTIONS[name](ProblemInstance(n, k, c))
@@ -164,6 +164,23 @@ def test_every_count_gets_a_known_state_value_or_a_clear_error(name, n, k, c):
         assert value is True
     else:
         assert type(value) is float and 0 <= value <= 1, value
+
+
+@settings(max_examples=150)
+@given(n=counts(12), k=counts(12), c=any_overlap)
+def test_every_count_gets_a_certificate_or_a_clear_error(n, k, c):
+    # the certificate's domain contract: an optimal report whose primal value
+    # is the zero-error value, or ValueError/ArithmeticError with a message;
+    # N = C(n, k) is held to 500, as every example builds N x N matrices
+    try:
+        inst = ProblemInstance(n, k, c)
+        assume(inst.N <= 500)
+        report = verify_unambiguous_certificates(inst)
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc)
+        return
+    assert report.optimal and report.gap <= 1e-10, report
+    assert report.primal_value == unambiguous_success(inst).value
 
 
 UNIVERSAL_FUNCTIONS = {

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anomdet import protocols
+from anomdet import gram, protocols, universal
 from anomdet.combin import NK_CACHE_SIZE, distance_matrix
-from anomdet.gram import ProblemInstance, direct_spectrum, gram_matrix
+from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from anomdet.johnson import multiplicity
 from anomdet.protocols import (
     AsymptoticRegimeWarning,
@@ -16,6 +16,7 @@ from anomdet.protocols import (
     unambiguous_success,
     verify_unambiguous_certificates,
 )
+from anomdet.universal import UniversalInstance, universal_asymptote, universal_success
 
 
 class TestMinError:
@@ -406,3 +407,28 @@ class TestCertificates:
                 assert report.optimal, (n, k)
                 assert report.gap <= 1e-10, (n, k)
                 assert report.primal_value == unambiguous_success(inst).value, (n, k)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called by a closed form")
+
+
+def test_closed_forms_call_no_numpy(monkeypatch):
+    # from an instance to its value every closed form runs on Python scalars:
+    # numpy enters only where an N x N object is gathered
+    for module in (gram, protocols, universal):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    for c in (0.45, Fraction(2, 3), 0.0, 1.0, Fraction(0), Fraction(1)):
+        for n, k in ((9, 0), (9, 3), (9, 7), (9, 9), (5000, 60)):
+            inst = ProblemInstance(n, k, c)
+            values = closed_form_spectrum(inst).values
+            assert len(values) == inst.m + 1 and all(type(v) is type(c) for v in values)
+            assert 0 <= min_error_success(inst).value <= 1
+            assert 0 <= unambiguous_success(inst).value <= 1
+        for k in (1, 2, 3):
+            assert 0 <= explicit_success_k123(ProblemInstance(9, k, c)).value <= 1
+        assert min_error_asymptotic(ProblemInstance(100, 3, c)).value >= 0
+    for n, k, d in ((9, 3, 2), (9, 7, 3), (10**5, 40, 2)):
+        assert 0 < universal_success(UniversalInstance(n, k, d)) <= 1
+    assert universal_asymptote(3, 2) == Fraction(1, 4)
