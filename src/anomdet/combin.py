@@ -12,7 +12,9 @@ one place that refuses a pattern-indexed N x N object with N > GRAM_SIZE_CAP.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -62,41 +64,52 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
     return X
 
 
-class _LruCache(dict):
-    """Read-only values with nbytes (arrays, the oracle's sector layouts) by
-    key, least recently used first, bounded as every cached per-(n, k) array
-    of the package is: at most NK_CACHE_SIZE entries holding at most
-    GRAM_SIZE_CAP^2 bytes between them (one uint8 D at the Gram size cap),
-    fewer entries when they would hold more, but always the one stored
-    last.  Threads may share one: recall and keep snapshot the entries and
-    pop with a default, so they can neither raise nor return a wrong value,
-    at worst build one twice.
+def _nbytes(item) -> int:
+    """Bytes of the arrays and byte strings in item, the members of tuples included."""
+    if isinstance(item, tuple):
+        return sum(map(_nbytes, item))
+    return len(item) if isinstance(item, bytes) else getattr(item, "nbytes", 0)
+
+
+def _fits(nbytes: int) -> bool:
+    """Whether nbytes fit the byte bound of a _bounded_cache: one uint8 D at the Gram size cap."""
+    return nbytes <= GRAM_SIZE_CAP**2
+
+
+def _bounded_cache(build):
+    """build, its results kept read-only per argument tuple, least recently used first.
+
+    A miss makes every array of the value read-only, tuple members included,
+    and keeps the entry if its bytes, those of the arrays and byte strings of
+    key and value, fit the byte bound alone; it then evicts the least recently
+    used until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
+    remain.  A hit moves its entry to the most recently used end.  The dict is
+    the wrapper's `cache`.  Threads may share it: a miss snapshots the entries
+    and every pop has a default, so at worst a value is built twice.
     """
+    entries = {}
 
-    @staticmethod
-    def admits(nbytes: int) -> bool:
-        """Whether a value of nbytes fits the byte bound on its own."""
-        return nbytes <= GRAM_SIZE_CAP**2
-
-    def recall(self, key):
-        """The value stored under key, now the most recently used, or None."""
-        value = self.pop(key, None)
-        if value is not None:
-            self[key] = value
+    @functools.wraps(build)
+    def cached(*key):
+        if (value := entries.pop(key, None)) is not None:
+            entries[key] = value
+            return value
+        value = build(*key)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        if _fits(_nbytes((key, value))):
+            entries[key] = value
+            held = list(entries.items())  # least recently used first
+            total = sum(map(_nbytes, held))
+            while len(held) > NK_CACHE_SIZE or not _fits(total):
+                old = held.pop(0)
+                entries.pop(old[0], None)
+                total -= _nbytes(old)
         return value
 
-    def keep(self, key, value) -> None:
-        """Store value as the most recently used, then evict the least
-        recently used entries until the bounds hold or only value is left."""
-        self[key] = value
-        for old in list(self)[:-1]:
-            held = sum(M.nbytes for M in list(self.values()))
-            if len(self) <= NK_CACHE_SIZE and self.admits(held):
-                break
-            self.pop(old, None)
-
-
-_distances = _LruCache()  # (n, k) -> D
+    cached.cache = entries
+    return cached
 
 
 def distance_matrix(n: int, k: int) -> np.ndarray:
@@ -104,20 +117,25 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
 
     D[a, b] is the subset distance k - |r ∩ s| of the a-th and b-th patterns
     r and s.  The overlap counts X X^T are at most n, so the float64 (BLAS)
-    product is exact; D is in the smallest unsigned type holding k.  Each
-    (n, k) is built once and shared, read-only (copy it to modify it), in
-    an _LruCache.  A miss with N = C(n, k) > GRAM_SIZE_CAP raises
-    ValueError before any pattern is enumerated, so no N x N object is
-    built beyond the cap.
+    product is exact; D is in the smallest unsigned type holding its largest
+    entry m = min(k, n - k), uint8 under the Gram size cap.  A non-integer or
+    bool n or k raises ValueError, cached or not.  Each (n, k) is built once and
+    shared read-only (copy D to modify it) by a _bounded_cache.  A miss with
+    N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern is
+    enumerated, so no N x N object is built beyond the cap.
     """
-    D = _distances.recall((n, k))
-    if D is not None:
-        return D
+    if not (type(n) is type(k) is int):  # skips the ABC checks
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (n, k)):
+            raise ValueError(f"distance_matrix: n and k must be integers, got n={n!r}, k={k!r}")
+        n, k = int(n), int(k)
+    return _distances(n, k)
+
+
+@_bounded_cache
+def _distances(n: int, k: int) -> np.ndarray:
+    """D for integer n and k, built on a miss of distance_matrix."""
     N = binomial(n, k)
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
     X = pattern_indicator(n, k).astype(np.float64)
-    D = (k - X @ X.T).astype(np.min_scalar_type(k))
-    D.flags.writeable = False
-    _distances.keep((n, k), D)
-    return D
+    return (k - X @ X.T).astype(np.min_scalar_type(min(k, n - k)))

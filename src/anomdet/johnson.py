@@ -79,7 +79,9 @@ def valency(n: int, k: int, i: int) -> int:
 
 
 def multiplicity(n: int, j: int) -> int:
-    """Multiplicity m_j = C(n, j) - C(n, j-1) of the j-th eigenvalue."""
+    """Multiplicity m_j = C(n, j) - C(n, j-1) of the j-th eigenvalue, 0 <= j <= n // 2."""
+    if not 0 <= j <= n // 2:
+        raise ValueError(f"multiplicity: index {j} out of range [0, {n // 2}]")
     return binomial(n, j) - binomial(n, j - 1)
 
 

@@ -9,7 +9,7 @@ from the occupation-number (Dicke) basis of the symmetric subspaces,
 whose square-root measurement universal_holevo_violation certifies by
 Holevo's conditions.  The square root of a Gram matrix comes from the
 singular values of the stack of states: row norms in the certified
-eigenbasis of the stack's own support pattern, kept with the packed
+eigenbasis of the stack's own support pattern, kept under the packed
 pattern itself, or else one thin SVD of the stack.  No Gram, closed form, Hahn
 value or scheme object enters, so the oracle stays independent of the
 spectral machinery it is used to check.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import _LruCache, enumerate_patterns, pattern_indicator
+from .combin import _bounded_cache, _fits, enumerate_patterns, pattern_indicator
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _counts, _real_array, direct_spectrum
 
 __all__ = [
@@ -43,16 +43,8 @@ UNIT_NORM_TOL = 1e-10  # SRM oracle: how far a state's squared norm may be off 1
 UNIT_ROUNDOFF = 2.0**-53  # float64; scales the support basis's certificate
 
 
-class _Arrays(tuple):  # arrays and ints for an _LruCache, which bounds the arrays' nbytes
-    nbytes = property(lambda self: sum(a.nbytes for a in self if isinstance(a, np.ndarray)))
-
-
-_layouts = _LruCache()  # (n, k) -> (index, M, bits)
-_bases = _LruCache()  # (shape, hash of packed pattern) -> (eigenvectors of P P^T, pattern)
-_srms = _LruCache()  # (n, k, d) -> (isometries, R)
-
-
-def _sector_layout(n: int, k: int) -> _Arrays:
+@_bounded_cache
+def _sector_layout(n: int, k: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Where the 2^k support entries of the C(n, k) hypothesis states go.
 
     Returns (index, M, bits), the arrays read-only.  bits is the k x 2^k
@@ -62,23 +54,17 @@ def _sector_layout(n: int, k: int) -> _Arrays:
     strings of weight <= k (ascending integer order) of the strings that are
     0 off the a-th pattern's positions p_1 < ... < p_k: weights @ bits with
     weights[a, i] = 2^(n-1-p_i).  Every such string lies under some pattern,
-    so the ranks run over 0..M-1.  Built once per (n, k) and shared, in an
-    _LruCache; the index takes the smallest unsigned dtype of its largest
+    so the ranks run over 0..M-1.  Built once per (n, k) and shared by a
+    _bounded_cache; the index takes the smallest unsigned dtype of its largest
     entry, up to the qubit cap uint32 at most (38 759 077 at (14, 8)).
     """
-    layout = _layouts.recall((n, k))
-    if layout is None:
-        X = pattern_indicator(n, k)
-        rows = X.shape[0]
-        weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
-        bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
-        sector, rank = np.unique(weights @ bits, return_inverse=True)
-        index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
-        index = index.astype(np.min_scalar_type(index.max()))
-        index.flags.writeable = bits.flags.writeable = False
-        layout = _Arrays((index, sector.size, bits))
-        _layouts.keep((n, k), layout)
-    return layout
+    X = pattern_indicator(n, k)
+    rows = X.shape[0]
+    weights = 2 ** (n - 1 - np.nonzero(X)[1].reshape(rows, k))  # 2^(n-1-p_i)
+    bits = (np.arange(2**k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    sector, rank = np.unique(weights @ bits, return_inverse=True)
+    index = np.arange(rows)[:, None] * sector.size + rank.reshape(rows, -1)
+    return index.astype(np.min_scalar_type(index.max())), sector.size, bits
 
 
 def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
@@ -118,25 +104,18 @@ class SrmResult:
     eigenvalues: np.ndarray  # squared singular values of V, ascending, N of them
 
 
-def _support_basis(support: np.ndarray) -> np.ndarray:
-    """Eigenvectors of P P^T, P the 0/1 matrix of `support`, built once per pattern.
+@_bounded_cache
+def _support_basis(shape: tuple[int, int], pattern: bytes) -> np.ndarray:
+    """Eigenvectors of P P^T for the 0/1 matrix P of `shape` that np.packbits packed into `pattern`.
 
     P P^T counts the strings two states share, so its entries are integers
     below 2^53 and the product is exact; the basis depends on the pattern
-    only.  It is kept with the packed pattern, both counted by the byte
-    bound, under the shape and the pattern's hash, and rebuilt where the kept
-    pattern differs; also a basis that failed its certificate is kept.
+    only.  A _bounded_cache keeps it under its own key, whose pattern bytes
+    count against the byte bound; a basis that failed its certificate too.
     """
-    pattern = np.packbits(support)
-    key = (support.shape, hash(pattern.tobytes()))
-    entry = _bases.recall(key)
-    if entry is None or not np.array_equal(entry[1], pattern):
-        P = support.astype(np.float64)
-        U = np.linalg.eigh(P @ P.T)[1]
-        U.flags.writeable = pattern.flags.writeable = False
-        entry = _Arrays((U, pattern))
-        _bases.keep(key, entry)
-    return entry[0]
+    P = np.unpackbits(np.frombuffer(pattern, np.uint8), count=math.prod(shape))
+    P = P.reshape(shape).astype(np.float64)
+    return np.linalg.eigh(P @ P.T)[1]
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -164,8 +143,8 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     functions of the subset distance D, in the commutative Bose-Mesner
     algebra of the Johnson scheme, so U passes wherever P P^T's
     eigenvalues tell the scheme's eigenspaces apart (at c = 0 or 1,
-    V V^T = P P^T).  Where U fails the bound, or U with its pattern alone
-    would exceed the cache's byte bound, one thin SVD of V gives sigma and U.
+    V V^T = P P^T).  Where U fails the bound, or U and its pattern alone
+    are over the cache's byte bound, one thin SVD of V gives sigma and U.
     The result does not depend on what the cache holds.  Columns zero in
     every state (in a sector stack, only at c = 0 or 1) are dropped first,
     as a longer inner dimension would regroup BLAS's partial sums in W W^T:
@@ -198,9 +177,9 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
             raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
         r = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))[0]
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
-    certified = _bases.admits(N * N * V.itemsize + -(-V.size // 8))  # basis and packed pattern
+    certified = _fits(N * N * V.itemsize + -(-V.size // 8))  # basis and packed pattern
     if certified:
-        U = _support_basis(V != 0)
+        U = _support_basis(V.shape, np.packbits(V != 0).tobytes())
         W = U.T @ V
         B = W @ W.T
         sigma = np.sqrt(B.diagonal())
@@ -254,24 +233,23 @@ def _support_inverse_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * inv_sqrt) @ vecs.T
 
 
-def _universal_srm(n: int, k: int, d: int) -> _Arrays:
+def _universal_srm(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Isometries B_S of all hypotheses (lexicographic pattern order), one
     array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r,
-    the counts validated by _counts, as UniversalInstance does; kept read-only
-    in an _LruCache when it fits alone, so both universal oracles share one build."""
+    the counts validated by _counts, as UniversalInstance does, before the
+    lookup in _universal_build's cache, through which both oracles share one build."""
     n, k, d = _counts(n, k, d)
     if d**n > DENSITY_DIM_CAP:
         raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
-    srm = _srms.recall((n, k, d))
-    if srm is None:
-        isometries = np.stack([_isometry(p, n, d) for p in enumerate_patterns(n, k)])
-        stacked = np.hstack(isometries)
-        R = _support_inverse_sqrt(stacked @ stacked.T / isometries.shape[2])
-        isometries.flags.writeable = R.flags.writeable = False
-        srm = _Arrays((isometries, R))
-        if _srms.admits(srm.nbytes):
-            _srms.keep((n, k, d), srm)
-    return srm
+    return _universal_build(n, k, d)
+
+
+@_bounded_cache
+def _universal_build(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The isometries and R of _universal_srm for validated counts."""
+    isometries = np.stack([_isometry(p, n, d) for p in enumerate_patterns(n, k)])
+    stacked = np.hstack(isometries)
+    return isometries, _support_inverse_sqrt(stacked @ stacked.T / isometries.shape[2])
 
 
 def universal_success_oracle(n: int, k: int, d: int) -> float:

@@ -106,9 +106,42 @@ VERIFY_GRID_10 = [(n, k) for n in range(2, 11) for k in range(1, min(4, n // 2) 
 
 @pytest.fixture
 def empty_distance_cache():
-    combin._distances.clear()
-    yield combin._distances
-    combin._distances.clear()
+    combin._distances.cache.clear()
+    yield combin._distances.cache
+    combin._distances.cache.clear()
+
+
+def test_bounded_cache_on_a_toy_builder(monkeypatch):
+    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 3)
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
+    builds = []
+
+    @combin._bounded_cache
+    def toy(tag, size):  # an entry of len(tag) + size bytes
+        builds.append(tag)
+        return np.zeros(size, np.uint8), size
+
+    a = toy(b"a", 9)
+    assert not a[0].flags.writeable and builds == [b"a"]
+    for tag in (b"b", b"c"):
+        toy(tag, 9)
+    # a hit builds nothing and moves its entry to the most recently used end
+    assert toy(b"a", 9) is a and builds == [b"a", b"b", b"c"]
+    assert list(toy.cache) == [(b"b", 9), (b"c", 9), (b"a", 9)]
+    toy(b"d", 9)  # the entry bound: the least recently used goes
+    assert list(toy.cache) == [(b"c", 9), (b"a", 9), (b"d", 9)]
+    toy(b"c", 9)
+    # the byte bound, key bytes counted: 30 + 75 + 10 bytes, so (a, 9) goes
+    # for the entry bound and (d, 9) for the byte bound
+    toy(b"e" * 75, 10)
+    assert list(toy.cache) == [(b"c", 9), (b"e" * 75, 10)]
+    # an entry over the bound on its own, by its key or by its value, is
+    # returned read-only, not kept, and evicts nothing
+    for key in [(b"g" * 101, 0), (b"h", 100)]:
+        value = toy(*key)
+        assert not value[0].flags.writeable and builds[-1] == key[0]
+        assert list(toy.cache) == [(b"c", 9), (b"e" * 75, 10)]
+        assert toy(*key) is not value and builds[-2:] == [key[0]] * 2
 
 
 class TestDistanceMatrix:
@@ -130,7 +163,7 @@ class TestDistanceMatrix:
     def test_indicator_is_a_fresh_array(self, empty_distance_cache):
         # a write into one result reaches neither the cached (n, k) structures
         # built from the indicator nor those built after the write
-        oracle._layouts.clear()
+        oracle._sector_layout.cache.clear()
         index, _, bits = oracle._sector_layout(5, 2)
         expected = [distance_matrix(5, 2).copy(), index.copy(), bits.copy()]
         X = pattern_indicator(5, 2)
@@ -139,7 +172,7 @@ class TestDistanceMatrix:
         assert pattern_indicator(5, 2).sum() == 10 * 2
         cached = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
         empty_distance_cache.clear()
-        oracle._layouts.clear()
+        oracle._sector_layout.cache.clear()
         rebuilt = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
         for arrays in (cached, rebuilt):
             assert all(np.array_equal(a, b) for a, b in zip(arrays, expected))
@@ -185,10 +218,11 @@ class TestDistanceMatrix:
         assert list(empty_distance_cache) == [(5, 2), (4, 2)]
 
     def test_newest_entry_always_kept(self, empty_distance_cache, monkeypatch):
-        # a 90 000-byte bound; each uint16 D below is about twice that
+        # a 90 000-byte bound; D holds m = min(k, n - k) = 1 in uint8, so a D
+        # at the Gram size cap fills the bound alone and two do not fit
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 300)
         D = distance_matrix(300, 299)
-        assert D.nbytes == 180_000
+        assert D.dtype == np.uint8 and D.nbytes == 90_000
         assert list(empty_distance_cache) == [(300, 299)]
         assert distance_matrix(300, 299) is D
         E = distance_matrix(299, 298)
@@ -197,6 +231,17 @@ class TestDistanceMatrix:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             distance_matrix(3, 4)
+
+    @pytest.mark.parametrize("n, k", [(6.0, 2), (6, 2.0), (np.float64(6), 2), (6, Fraction(2)),
+                                      (True, 1), (1, True)])
+    def test_rejects_non_integer_counts_cold_and_warm(self, empty_distance_cache, n, k):
+        # 6.0 == 6 as a dict key: a cached (6, 2) answered distance_matrix(6.0, 2),
+        # which raised TypeError on a cold cache
+        for _ in range(2):  # cold, then warm
+            with pytest.raises(ValueError, match="^distance_matrix: n and k must be integers"):
+                distance_matrix(n, k)
+            D = distance_matrix(int(n), int(k))
+        assert distance_matrix(np.int64(int(n)), np.uint8(int(k))) is D  # numpy integers pass
 
     @pytest.mark.parametrize("build", [
         lambda: johnson.scheme_basis(30, 15),

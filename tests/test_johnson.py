@@ -85,6 +85,15 @@ class TestEigenmatrices:
         em = eigenmatrices(n, k)
         assert list(em.Q[0]) == [multiplicity(n, j) for j in range(k + 1)]
 
+    def test_multiplicity_only_for_eigenvalue_indices(self):
+        # C(n, j) - C(n, j - 1) is a multiplicity for 0 <= j <= n // 2 only:
+        # it gave -2 at (4, 3) and -1 at (4, 5)
+        assert [multiplicity(4, j) for j in range(3)] == [1, 3, 2]
+        for j in (-1, 3, 5):
+            message = rf"^multiplicity: index {j} out of range \[0, 2\]$"
+            with pytest.raises(ValueError, match=message):
+                multiplicity(4, j)
+
     def test_dimension_sums(self):
         for n, k in GRID:
             N = binomial(n, k)

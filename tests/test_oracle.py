@@ -157,15 +157,19 @@ class TestHypothesisStates:
         # n = 15) and a 1 x 2 int64 bit table, 2 n + 16 bytes
         empty_layout_cache.clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
-        assert oracle._sector_layout(3, 1).nbytes == 22
+        assert combin._nbytes(oracle._sector_layout(3, 1)) == 22
         for n in (4, 5, 6, 3):  # 24 + 26 + 28 + 22 bytes fit; (3, 1) is used again
             oracle._sector_layout(n, 1)
         assert [key[0] for key in empty_layout_cache] == [4, 5, 6, 3]
         oracle._sector_layout(8, 1)  # 32 more bytes: (4, 1) and (5, 1) go
         assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
-        assert oracle._sector_layout(30, 1)[0].dtype == np.uint16
-        oracle._sector_layout(30, 1)  # a uint16 index, 136 bytes on its own: kept, alone
-        assert list(empty_layout_cache) == [(30, 1)]
+        # a uint16 index, 136 bytes on its own: returned read-only, not kept,
+        # and nothing evicted
+        index, _, bits = layout = oracle._sector_layout(30, 1)
+        assert index.dtype == np.uint16 and combin._nbytes(layout) == 136
+        assert not index.flags.writeable and not bits.flags.writeable
+        assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
+        assert oracle._sector_layout(30, 1)[0] is not index
 
 
 def _generic_stack(seed, N, M):
@@ -210,16 +214,16 @@ def _assert_same_bits(result, success, diagonal, eigenvalues):
 
 @pytest.fixture
 def empty_layout_cache():
-    oracle._layouts.clear()
-    yield oracle._layouts
-    oracle._layouts.clear()
+    oracle._sector_layout.cache.clear()
+    yield oracle._sector_layout.cache
+    oracle._sector_layout.cache.clear()
 
 
 @pytest.fixture
 def empty_basis_cache():
-    oracle._bases.clear()
-    yield oracle._bases
-    oracle._bases.clear()
+    oracle._support_basis.cache.clear()
+    yield oracle._support_basis.cache
+    oracle._support_basis.cache.clear()
 
 
 def _measurement_vectors(V):
@@ -353,8 +357,8 @@ class TestSrmOracle:
         # squared singular values, on the basis path and on the SVD path; an
         # eigh of the Gram gave eigenvalues down to -1.4e-13 at c >= 0.9999
         for basis in (True, False):
-            if not basis:
-                monkeypatch.setattr(oracle._bases, "admits", lambda nbytes: False)
+            if not basis:  # no basis could be kept: a thin SVD for every stack
+                monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
             for n in range(2, 11):
                 for k in range(1, n):
                     w = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c))).eigenvalues
@@ -448,7 +452,7 @@ class TestSrmOracle:
         U = _pattern_basis(V)[1]
         for basis in (True, False):
             if not basis:
-                monkeypatch.setattr(oracle._bases, "admits", lambda nbytes: False)
+                monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
                 U = svd(V, full_matrices=False)[0]
             result = srm_success_oracle(V)
             sigma = factors[-1]
@@ -478,7 +482,7 @@ class TestSrmOracle:
         # (4 N^(5/2) + N M) u = 4.2e-13
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
         srm_success_oracle(V)
-        (key, (U, pattern)), = empty_basis_cache.items()
+        (key, U), = empty_basis_cache.items()
         i, j, theta = 0, U.shape[1] - 1, 1e-6
         rotated = U.copy()
         rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
@@ -489,9 +493,9 @@ class TestSrmOracle:
         N, M = V.shape
         assert abs(B[i, j]) > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
         rotated.flags.writeable = False
-        empty_basis_cache[key] = oracle._Arrays((rotated, pattern))
+        empty_basis_cache[key] = rotated
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert empty_basis_cache[key][0] is rotated  # kept, not factored again
+        assert empty_basis_cache[key] is rotated  # kept, not factored again
 
     def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
         eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
@@ -526,16 +530,16 @@ class TestSrmOracle:
         srm_success_oracle(stacks[-1])
         assert len(empty_basis_cache) == NK_CACHE_SIZE
         assert keys[0] in empty_basis_cache and keys[1] not in empty_basis_cache
-        # the byte bound: an entry of N states holds the 8 N^2-byte basis and
-        # the N x M pattern packed in ceil(N M / 8) bytes; k = 1 gives N = n
-        # and M = n + 1
+        # the byte bound: an entry of N states holds the 8 N^2-byte basis under
+        # the N x M pattern packed in ceil(N M / 8) bytes, its key; k = 1 gives
+        # N = n and M = n + 1
         empty_basis_cache.clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 21)  # a 441-byte bound
         states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 8)}
         for n in (3, 4, 5, 3):  # 74 + 131 + 204 bytes fit; (3, 1) is used again
             srm_success_oracle(states[n])
         assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
-        assert [entry.nbytes for entry in empty_basis_cache.values()] == [131, 204, 74]
+        assert [combin._nbytes(entry) for entry in empty_basis_cache.items()] == [131, 204, 74]
         srm_success_oracle(states[6])  # 294 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
         # an entry over the bound on its own (521 bytes) is not built: a thin SVD of V
@@ -551,8 +555,8 @@ class TestSrmOracle:
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
         assert not empty_basis_cache
 
-    def test_a_hash_collision_rebuilds_the_basis(self, empty_basis_cache, monkeypatch):
-        # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]], under one key
+    def test_same_shape_other_pattern_gets_its_own_basis(self, empty_basis_cache):
+        # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]]: one entry each
         s = 1 / math.sqrt(2)
         stacks = [np.array([[1.0, 0.0], [s, s]]), np.array([[s, s], [0.0, 1.0]])]
         expected = []
@@ -560,12 +564,12 @@ class TestSrmOracle:
             empty_basis_cache.clear()
             expected.append(srm_success_oracle(V))
         empty_basis_cache.clear()
-        monkeypatch.setattr(oracle, "hash", lambda data: 0, raising=False)
         for V, result in zip(stacks * 2, expected * 2):
             _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
                               result.eigenvalues)
-            (_, (U, pattern)), = empty_basis_cache.items()
-            assert np.array_equal(pattern, np.packbits(V != 0))
+        assert list(empty_basis_cache) == [((2, 2), np.packbits(V != 0).tobytes()) for V in stacks]
+        for V, U in zip(stacks, empty_basis_cache.values()):
+            assert U.tobytes() == _pattern_basis(V)[1].tobytes()
 
 
 class TestUniversalHypothesis:
@@ -632,12 +636,12 @@ class TestUniversalOracle:
     def test_one_build_per_instance(self, monkeypatch, fits):
         # the success value and the Holevo witness of (6, 3, 2) share one build
         # of the C(6, 3) = 20 isometries, also when the counts are numpy ints;
-        # a build over the cache's byte bound is not kept
+        # a build over the cache's byte bound is returned, not kept
         isometry, built = oracle._isometry, []
         monkeypatch.setattr(oracle, "_isometry", lambda *args: built.append(args) or isometry(*args))
-        monkeypatch.setattr(oracle, "_srms", combin._LruCache())
-        if not fits:
-            monkeypatch.setattr(oracle._srms, "admits", lambda nbytes: False)
+        oracle._universal_build.cache.clear()
+        if not fits:  # a 10 000-byte bound; the isometries and R take 196 608 bytes
+            monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 100)
         value = universal_success_oracle(6, 3, 2)
         universal_holevo_violation(np.int64(6), 3, 2)
         assert len(built) == (20 if fits else 40)

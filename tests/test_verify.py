@@ -63,8 +63,8 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(combin, "pattern_indicator", counting)
     monkeypatch.setattr(oracle, "pattern_indicator", counting)
-    combin._distances.clear()
-    oracle._layouts.clear()
+    combin._distances.cache.clear()
+    oracle._sector_layout.cache.clear()
     for _ in range(2):
         for n, k in cells:
             combin.distance_matrix(n, k)
