@@ -85,6 +85,16 @@ def _fail_params(message: str) -> None:
     sys.exit(EXIT_BAD_PARAMS)
 
 
+def _echo_lines(lines, exact: bool) -> None:
+    """Format every line, then print them; str() of an int over Python's digit limit exits 2."""
+    try:
+        text = "\n".join(lines)
+    except ValueError:
+        _fail_params(f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit int-to-str "
+                     "limit" + ("; drop --exact to print the float value" if exact else ""))
+    click.echo(text)
+
+
 @click.group()
 def main() -> None:
     """Optimal detection of anomalous preparations in a state series."""
@@ -102,12 +112,16 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
         spec = closed_form_spectrum(inst)
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
-    click.echo("j,eigenvalue,multiplicity")
-    for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
-        click.echo(f"{j},{value if exact else _fmt(value)},{m}")
-    if inst.m < inst.k:
-        click.echo(f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)")
-    click.echo(f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}")
+
+    def lines():
+        yield "j,eigenvalue,multiplicity"
+        for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
+            yield f"{j},{value if exact else _fmt(value)},{m}"
+        if inst.m < inst.k:
+            yield f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)"
+        yield f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}"
+
+    _echo_lines(lines(), exact)
 
 
 def _trace_status(spec, exact: bool) -> str:
@@ -156,7 +170,7 @@ def universal(n: int, k: int, d: int, exact: bool) -> None:
         value = universal_success(UniversalInstance(n=n, k=k, d=d))
     except ValueError as exc:
         _fail_params(str(exc))
-    click.echo(str(value) if exact else _fmt(value))
+    _echo_lines(map(str if exact else _fmt, [value]), exact)
 
 
 @main.command()
@@ -188,27 +202,20 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
                 for c in cs:
                     inst = ProblemInstance(n=n, k=k, c=c)
                     if protocol == "minerr":
-                        rows.append(f"{n},{k},{_fmt(c)},minerr,"
-                                    f"{_fmt(min_error_success(inst).value)}")
+                        value = min_error_success(inst).value
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")
                             asym = min_error_asymptotic(inst).value
-                        rows.append(f"{n},{k},{_fmt(c)},minerr_asymptote,{_fmt(asym)}")
-                        rows.append(f"{n},{k},{_fmt(c)},minerr_limit,"
-                                    f"{_fmt((1 - c * c) ** k)}")
+                        values = {"minerr": value, "minerr_asymptote": asym,
+                                  "minerr_limit": (1 - c * c) ** k}
                     else:
-                        rows.append(f"{n},{k},{_fmt(c)},unambiguous,"
-                                    f"{_fmt(unambiguous_success(inst).value)}")
-            elif protocol == "universal":
-                value = universal_success(UniversalInstance(n=n, k=k, d=d))
-                rows.append(f"{n},{k},{d},universal,{_fmt(value)}")
-                rows.append(f"{n},{k},{d},universal_asymptote,"
-                            f"{_fmt(universal_asymptote(k, d))}")
-            else:  # average of the known-states curve over the overlap measure
-                value = average_min_error_curve(n, k, d)
-                rows.append(f"{n},{k},{d},average,{_fmt(value)}")
-                rows.append(f"{n},{k},{d},average_asymptote,"
-                            f"{_fmt(universal_asymptote(k, d))}")
+                        values = {"unambiguous": unambiguous_success(inst).value}
+                    rows += (f"{n},{k},{_fmt(c)},{name},{_fmt(v)}" for name, v in values.items())
+            else:  # universal, or average: the known-states curve averaged over the overlap
+                value = (universal_success(UniversalInstance(n=n, k=k, d=d))
+                         if protocol == "universal" else average_min_error_curve(n, k, d))
+                rows.append(f"{n},{k},{d},{protocol},{_fmt(value)}")
+                rows.append(f"{n},{k},{d},{protocol}_asymptote,{_fmt(universal_asymptote(k, d))}")
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
 

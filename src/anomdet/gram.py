@@ -1,22 +1,14 @@
 """Gram matrix of the anomaly hypotheses and its spectrum.
 
 The Gram matrix has entries (c^2)^d with d the subset distance between
-the two anomaly patterns.  Its min(k, n-k)+1 distinct eigenvalues come in
-closed form as terminating 2F1 sums; a dense eigendecomposition of the
-explicit matrix serves as the independent oracle.  ProblemInstance stores
-c and c^2 once, as Fractions or as floats, and every consumer reads that
-type.  The eigenvalues are evaluated on one of two paths:
-
-* exact: a Fraction overlap z = p/q (an int is stored as one) gives exact
-  rational eigenvalues, summed in Python ints (each term stepped from the
-  last by small-integer factors) with one Fraction per eigenvalue;
-* log-domain float: a float overlap gives float eigenvalues from one O(k)
-  three-term Jacobi recurrence.  Every term in it is positive, so it is
-  stable, and no big rational is built.
-
-A Spectrum holds the k+1 eigenvalues and their exact multiplicities as
-two tuples of Python scalars: numpy enters only where an N x N object is
-gathered from the distance matrix.
+the two anomaly patterns.  Its min(k, n-k)+1 distinct eigenvalues are
+Jacobi polynomials (DLMF 18.5.8), all given by one O(k) three-term
+recurrence (DLMF 18.9.2) in the arithmetic of the overlap that
+ProblemInstance stores: Python ints for a Fraction z = p/q (an int is stored
+as one), with one Fraction per eigenvalue; logs of positive ratios for a
+float, stable and with no big rational.  A dense eigendecomposition of the
+explicit matrix is the independent oracle.  A Spectrum holds tuples of Python
+scalars: numpy enters only where an N x N object is gathered from the distance matrix.
 """
 
 from __future__ import annotations
@@ -213,24 +205,6 @@ def _gram_powers(instance: ProblemInstance) -> np.ndarray:
     return np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
 
 
-def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
-    """Exact lambda_j for k <= n/2, summed in integers from z = p/q.
-
-    lambda_j = (1-z)^j sum_m C(k-j, m) C(n-k-j, m) z^m
-             = (q-p)^j sum_m C(k-j, m) C(n-k-j, m) p^m q^(k-j-m) / q^k,
-    which equals (1-z)^j 2F1(j-k, k+j-n; 1; z) with one Fraction at the end.
-    Each integer term is the last one times (a-m)(b-m) p / ((m+1)^2 q),
-    a division that is exact because both terms are integers.
-    """
-    p, q = z.numerator, z.denominator
-    a, b = k - j, n - k - j
-    total, term = 0, q**a
-    for m in range(min(a, b) + 1):
-        total += term
-        term = term * ((a - m) * (b - m) * p) // ((m + 1) ** 2 * q)
-    return Fraction((q - p) ** j * total, q**k)
-
-
 def _log_binomial_ratios(n: int, k: int) -> list[float]:
     """log(C(n, j) / C(n, k)) for j = 0..k, k <= n/2, without a big int.
 
@@ -276,6 +250,27 @@ def _log_eigenvalues(n: int, k: int, z: float) -> tuple[float, ...]:
     return tuple(logs)
 
 
+def _exact_eigenvalues(n: int, k: int, z: Fraction) -> tuple[Fraction, ...]:
+    """lambda_j for j = 0..k, for an exact z = p/q, k <= n/2: _log_eigenvalues's
+    recurrence in ints, O(k) big-int steps.  With w = q - p, b = n - 2k, the int
+    I_d = w^d P_d(x) = sum_i C(d, i) C(d+b+i, i) p^i w^(d-i) gives lambda_j = w^j I_{k-j} / q^k.
+    From I_0 = 1, I_1 = w + (b+2)p, DLMF 18.9.2 times w^(d+1) steps, s = 2d + b >= 2,
+    2(d+1)(d+b+1)s I_{d+1} = (s+1)((s+2)s(q+p) - b^2 w) I_d - 2d(d+b)(s+2)w^2 I_{d-1}.
+    """
+    p, q = z.numerator, z.denominator
+    b, w = n - 2 * k, q - p
+    I = [1, w + (b + 2) * p]
+    for d in range(1, k):  # each division is exact: I_{d+1} is an int
+        s, e = 2 * d + b, (d + 1) * (d + b + 1)
+        I.append(((s + 1) * ((s + 2) * s * (q + p) - b * b * w) * I[d]
+                  - 2 * d * (d + b) * (s + 2) * w * w * I[d - 1]) // (2 * e * s))
+    qk, wj, values = q**k, 1, []
+    for d in range(k, -1, -1):  # j = k - d
+        values.append(Fraction(wj * I[d], qk))
+        wj *= w
+    return tuple(values)
+
+
 def _multiplicities(n: int, k: int) -> tuple[int, ...]:
     """m_j = C(n, j) - C(n, j-1) for j = 0..k, from one running binomial."""
     mults, below, binom = [], 0, 1
@@ -288,17 +283,15 @@ def _multiplicities(n: int, k: int) -> tuple[int, ...]:
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     """The distinct eigenvalues lambda_j with multiplicities m_j.
 
-    lambda_j = (1-c^2)^j 2F1(j-k, -n+k+j; 1; c^2),
-    m_j = C(n, j) - C(n, j-1).
+    lambda_j = (1-z)^k P_{k-j}(x), P_d the Jacobi P_d^(0, n-2k), z = c^2,
+    x = (1+z)/(1-z), and m_j = C(n, j) - C(n, j-1).
 
-    Two paths: an exact (Fraction) overlap gives exact Fraction eigenvalues
-    (integer sums, _eigenvalue); a float overlap gives float eigenvalues
-    from one O(k) recurrence in log space (instance.log_eigenvalues), within 1e-11
+    One recurrence, two arithmetics: an exact (Fraction) overlap gives exact
+    Fraction eigenvalues from it in ints (_exact_eigenvalues); a float overlap
+    gives float eigenvalues from it in log space (instance.log_eigenvalues), within 1e-11
     relative of the exact values (7e-12 at n = 2000, k = 500, c = 0.999,
-    from the rounding of c^2; at most 5e-13 elsewhere up to n = 10^5).
-    Either way values is a tuple of the overlap's type.  On the float path
-    math.exp raises OverflowError exactly when lambda_0, the largest, is
-    beyond the float range.
+    from the rounding of c^2; at most 5e-13 elsewhere up to n = 10^5).  There
+    math.exp raises OverflowError exactly when lambda_0 exceeds the float range.
 
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
@@ -306,8 +299,7 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     """
     n, k = instance.n, instance.m
     if instance.exact:
-        z = instance.c2
-        values = tuple(_eigenvalue(j, n, k, z) for j in range(k + 1))
+        values = _exact_eigenvalues(n, k, instance.c2)
     else:
         values = tuple(map(math.exp, instance.log_eigenvalues))
     return Spectrum(instance=instance, values=values, multiplicities=_multiplicities(n, k))

@@ -24,6 +24,12 @@ def runner():
     return CliRunner()
 
 
+# CliRunner's output holds stderr and stdout together: an output of this line alone
+# leaves stdout empty
+_DIGIT_LIMIT_ERROR = (f"error: a value exceeds Python's {sys.get_int_max_str_digits()}-digit "
+                      "int-to-str limit")
+
+
 def _rows(output: str) -> list[list[str]]:
     lines = [l for l in output.strip().splitlines() if l and not l.startswith("#")]
     return [l.split(",") for l in lines[1:]]  # skip header
@@ -67,6 +73,27 @@ class TestSpectrumCommand:
         trace = result.output.strip().splitlines()[-1]
         assert trace.startswith("# trace check: sum m_j*lambda_j = N = 120: ok (relative residual ")
         assert "tolerance 1e-12" in trace and "MISMATCH" not in result.output
+
+    def test_exact_value_beyond_the_digit_limit_exit_2(self, runner):
+        # lambda_0, just above 1, has a numerator and a denominator of 4320 digits:
+        # every line is formatted before the first is printed, so only the error is output
+        args = ["spectrum", "--n", "150", "--k", "72", "--c", f"1/{10**30}", "--exact"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert result.output == _DIGIT_LIMIT_ERROR + "; drop --exact to print the float value\n"
+
+    def test_float_value_at_the_same_instance(self, runner):
+        result = runner.invoke(main, ["spectrum", "--n", "150", "--k", "72", "--c", "1e-30"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1].startswith(
+            f"# trace check: sum m_j*lambda_j = N = {math.comb(150, 72)}: ok (relative residual ")
+
+    def test_multiplicity_beyond_the_digit_limit_exit_2(self, runner):
+        # the float path prints the exact multiplicities, which pass 4300 digits here
+        args = ["spectrum", "--n", "1000000", "--k", "1400", "--c", "0.001"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert result.output == _DIGIT_LIMIT_ERROR + "\n"
 
     def test_invalid_parameters_exit_2(self, runner):
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
@@ -161,6 +188,12 @@ class TestSingleValueCommands:
         result = runner.invoke(main, ["universal", "--n", "4", "--k", "1", "--d", "2", "--exact"])
         assert result.exit_code == 0
         assert result.output.strip() == "7/16"
+
+    def test_universal_exact_beyond_the_digit_limit_exit_2(self, runner):
+        args = ["universal", "--n", "1000", "--k", "500", "--d", str(2**40), "--exact"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert result.output == _DIGIT_LIMIT_ERROR + "; drop --exact to print the float value\n"
 
     def test_universal_invalid(self, runner):
         assert runner.invoke(main, ["universal", "--n", "3", "--k", "4", "--d", "2"]).exit_code == 2

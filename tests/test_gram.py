@@ -12,8 +12,8 @@ from anomdet.gram import (
     GRAM_SIZE_CAP,
     ProblemInstance,
     _gram_powers,
+    _exact_eigenvalues,
     _real_array,
-    _eigenvalue,
     _log_eigenvalues,
     closed_form_spectrum,
     direct_spectrum,
@@ -290,8 +290,27 @@ def _defining_sum(j: int, n: int, k: int, z: Fraction) -> Fraction:
     )
 
 
+def _eigenvalue(j: int, n: int, k: int, z: Fraction) -> Fraction:
+    """Exact lambda_j for k <= n/2, summed in integers from z = p/q: the fast
+    reference for the exact spectrum, itself checked against _defining_sum.
+
+    lambda_j = (1-z)^j sum_m C(k-j, m) C(n-k-j, m) z^m
+             = (q-p)^j sum_m C(k-j, m) C(n-k-j, m) p^m q^(k-j-m) / q^k,
+    which equals (1-z)^j 2F1(j-k, k+j-n; 1; z) with one Fraction at the end.
+    Each integer term is the last one times (a-m)(b-m) p / ((m+1)^2 q),
+    a division that is exact because both terms are integers.
+    """
+    p, q = z.numerator, z.denominator
+    a, b = k - j, n - k - j
+    total, term = 0, q**a
+    for m in range(min(a, b) + 1):
+        total += term
+        term = term * ((a - m) * (b - m) * p) // ((m + 1) ** 2 * q)
+    return Fraction((q - p) ** j * total, q**k)
+
+
 class TestExactEigenvalue:
-    """The integer-stepped exact eigenvalue against its defining 2F1 sum."""
+    """The integer-stepped reference eigenvalue against its defining 2F1 sum."""
 
     @pytest.mark.parametrize(
         "z", [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 49),
@@ -305,6 +324,38 @@ class TestExactEigenvalue:
                 value = _eigenvalue(j, n, k, z)
                 assert isinstance(value, Fraction)
                 assert value == reference, (n, k, j, z)
+
+
+class TestExactSpectrum:
+    """The exact spectrum's integer Jacobi recurrence against the reference _eigenvalue."""
+
+    @pytest.mark.parametrize(
+        "z", [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 49),
+              Fraction(121, 144)],
+    )
+    def test_equals_reference_on_every_small_instance(self, z):
+        for n in range(1, 26):
+            for k in range(n // 2 + 1):
+                reference = tuple(_eigenvalue(j, n, k, z) for j in range(k + 1))
+                assert _exact_eigenvalues(n, k, z) == reference, (n, k, z)
+
+    @pytest.mark.parametrize(
+        "c", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 7), Fraction(11, 12)]
+    )
+    def test_closed_form_reads_the_complement_count(self, c):
+        # every k, k > n/2 and k = n included, reaches the recurrence at m = min(k, n - k)
+        for n in range(1, 26):
+            for k in range(n + 1):
+                m = min(k, n - k)
+                values = closed_form_spectrum(ProblemInstance(n, k, c)).values
+                assert values == tuple(_eigenvalue(j, n, m, c * c) for j in range(m + 1))
+
+    @pytest.mark.parametrize("n,k", [(500, 250), (2000, 1000)])
+    def test_equals_reference_at_large_m(self, n, k):
+        # O(m) integer steps, against the reference's O(m^2)
+        values = closed_form_spectrum(ProblemInstance(n, k, Fraction(1, 2))).values
+        z = Fraction(1, 4)
+        assert values == tuple(_eigenvalue(j, n, k, z) for j in range(k + 1))
 
 
 def _mp_log_eigenvalue(j: int, n: int, k: int, c: float):

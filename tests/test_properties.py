@@ -1,4 +1,5 @@
-"""Property tests over the whole small domain 0 <= k <= n <= 10.
+"""Property tests over the whole small domain 0 <= k <= n <= 10, and of the
+exact spectrum's trace identities at n <= 300.
 
 Overlaps are drawn from {0, 1} (ints, on the exact path), floats in
 [0, 1] (the log-domain float path, its c = 0 and c = 1 special cases
@@ -60,6 +61,27 @@ def test_spectrum_matches_dense_oracle(inst):
     dense = direct_spectrum(gram_matrix(inst))
     closed = spec.as_multiset()
     assert np.abs(closed - dense).max() <= 1e-9 * max(1.0, float(spec.values[0]))
+
+
+exact_overlaps = st.integers(min_value=1, max_value=12).flatmap(
+    lambda q: st.integers(min_value=0, max_value=q).map(lambda p: Fraction(p, q))
+)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(min_value=1, max_value=300), data=st.data(), c=exact_overlaps)
+def test_exact_spectrum_holds_both_trace_identities(n, data, c):
+    # tr G = N and tr G^2 = N sum_i C(k, i) C(n-k, i) z^(2i): each row of G holds
+    # C(k, i) C(n-k, i) entries z^i; neither identity reads the recurrence
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    spec = closed_form_spectrum(ProblemInstance(n, k, c))
+    z, N = c * c, math.comb(n, k)
+    pairs = list(zip(spec.values, spec.multiplicities))
+    assert all(type(value) is Fraction for value, _ in pairs)
+    assert sum(m * value for value, m in pairs) == N
+    assert sum(m * value * value for value, m in pairs) == N * sum(
+        math.comb(k, i) * math.comb(n - k, i) * z ** (2 * i) for i in range(min(k, n - k) + 1)
+    )
 
 
 @settings(max_examples=80)
