@@ -12,6 +12,7 @@ import math
 import re
 import sys
 import warnings
+from decimal import Context
 from fractions import Fraction
 
 import click
@@ -37,6 +38,14 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)  # an exact overla
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _fmt_count(m: int) -> str:
+    """m in full, or as _fmt prints a float where str() refuses it (the int-to-str digit limit)."""
+    try:
+        return str(m)
+    except ValueError:  # a Decimal reads an int of any size
+        return format(Context(prec=12).create_decimal(m).normalize(), "g")
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -85,13 +94,13 @@ def _fail_params(message: str) -> None:
     sys.exit(EXIT_BAD_PARAMS)
 
 
-def _echo_lines(lines, exact: bool) -> None:
+def _echo_lines(lines) -> None:
     """Format every line, then print them; str() of an int over Python's digit limit exits 2."""
     try:
         text = "\n".join(lines)
     except ValueError:
         _fail_params(f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit int-to-str "
-                     "limit" + ("; drop --exact to print the float value" if exact else ""))
+                     "limit; drop --exact to print the float value")
     click.echo(text)
 
 
@@ -113,24 +122,27 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     except (ValueError, ArithmeticError) as exc:
         _fail_params(_describe(exc))
 
+    count = str if exact else _fmt_count
+
     def lines():
         yield "j,eigenvalue,multiplicity"
         for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
-            yield f"{j},{value if exact else _fmt(value)},{m}"
+            yield f"{j},{value if exact else _fmt(value)},{count(m)}"
         if inst.m < inst.k:
             yield f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)"
-        yield f"# trace check: sum m_j*lambda_j = N = {inst.N}: {_trace_status(spec, exact)}"
+        yield f"# trace check: sum m_j*lambda_j = N = {count(inst.N)}: {_trace_status(spec, exact)}"
 
-    _echo_lines(lines(), exact)
+    _echo_lines(lines())
 
 
 def _trace_status(spec, exact: bool) -> str:
     """'ok' or 'MISMATCH ...' for tr G = N: exact equality on Fractions,
     a relative residual |sum (m_j/N) lambda_j - 1| within TRACE_RTOL on floats."""
-    N, pairs = spec.instance.N, zip(spec.values, spec.multiplicities)
-    if exact:
-        trace = sum(value * m for value, m in pairs)
-        return "ok" if trace == N else f"MISMATCH {float(trace)}"
+    N, pairs = spec.instance.N, list(zip(spec.values, spec.multiplicities))
+    if exact:  # one sum of ints over the denominators' lcm (q^m for c^2 = p/q), no Fraction sum
+        L = math.lcm(*(value.denominator for value, _ in pairs))
+        trace = sum(value.numerator * (L // value.denominator) * m for value, m in pairs)
+        return "ok" if trace == N * L else f"MISMATCH {trace / L}"
     # m_j/N first: N and m_j may exceed the float range while the eigenvalues do not
     residual = abs(math.fsum(m / N * value for value, m in pairs) - 1)
     status = "ok" if residual <= TRACE_RTOL else "MISMATCH"
@@ -147,11 +159,13 @@ def _single_value_command(name: str, compute):
         try:
             inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
             value = compute(inst)
+            # 0.0 from a positive value: min-error always is, (1-c^2)^m is short of c = 1
+            if value == 0 and (name == "minerr" or inst.c2 < 1):
+                raise FloatingPointError("positive value below the float range rounds to 0")
         except (ValueError, ArithmeticError) as exc:
             _fail_params(_describe(exc))
         click.echo(_fmt(value))
 
-    cmd.__doc__ = compute.__doc__
     return cmd
 
 
@@ -170,7 +184,7 @@ def universal(n: int, k: int, d: int, exact: bool) -> None:
         value = universal_success(UniversalInstance(n=n, k=k, d=d))
     except ValueError as exc:
         _fail_params(str(exc))
-    _echo_lines(map(str if exact else _fmt, [value]), exact)
+    _echo_lines(map(str if exact else _fmt, [value]))
 
 
 @main.command()

@@ -205,22 +205,25 @@ def _gram_powers(instance: ProblemInstance) -> np.ndarray:
     return np.array([z**d for d in range(instance.k + 1)], dtype=dtype)
 
 
-def _log_binomial_ratios(n: int, k: int) -> list[float]:
-    """log(C(n, j) / C(n, k)) for j = 0..k, k <= n/2, without a big int.
+def _log_weights(n: int, k: int) -> tuple[float, ...]:
+    """log(m_j / N) for j = 0..k, N = C(n, k), k <= n/2, without a big int.
 
-    A Kahan-compensated running sum of log(C(n, j-1) / C(n, j)) =
-    log(j / (n-j+1)) downward from j = k; every term has the same sign, so
-    the sum keeps the terms' relative accuracy.  Entry 0 is -log C(n, k).
+    m_j / N = C(n, j) / C(n, k) * (n-2j+1) / (n-j+1).  The first factor's log is a
+    Kahan-compensated running sum of log(C(n, j-1) / C(n, j)) = log(j / (n-j+1))
+    downward from j = k; every term has the same sign, so the sum keeps the
+    terms' relative accuracy.  m_0 = 1, so entry 0 is -log N.
     """
     log = math.log
-    ratios = [0.0] * (k + 1)
+    weights = [0.0] * (k + 1)
     total = comp = 0.0
     for j in range(k, 0, -1):
+        weights[j] = total + log((n - 2 * j + 1) / (n - j + 1))
         y = log(j / (n - j + 1)) - comp
         t = total + y
         comp = (t - total) - y
-        total = ratios[j - 1] = t
-    return ratios
+        total = t
+    weights[0] = total
+    return tuple(weights)
 
 
 def _log_eigenvalues(n: int, k: int, z: float) -> tuple[float, ...]:
@@ -232,8 +235,8 @@ def _log_eigenvalues(n: int, k: int, z: float) -> tuple[float, ...]:
     s = 2d + b.  P_d(1) = 1 makes every term positive, so nothing cancels, and
     log lambda_j = k log(1-z) + sum_{d<=k-j} log(1+q_d).  Int quotients keep any n finite.
     """
-    if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0; log N without N
-        return (0.0 - _log_binomial_ratios(n, k)[0],) + (-math.inf,) * k  # +0.0 at k = 0
+    if z == 1.0:  # identical hypotheses: G = all-ones, lambda_0 = N, rest 0; log N = -w_0 (m_0 = 1)
+        return (0.0 - _log_weights(n, k)[0],) + (-math.inf,) * k  # +0.0 at k = 0
     log1p = math.log1p
     b, half_w = n - 2 * k, z / (1 - z)  # half_w = (x-1)/2
     shift = 0.0 + k * log1p(-z)  # +0.0 at k = 0

@@ -201,12 +201,10 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
         if rows[0] == 0:
             raise SchemeClosureError(f"A_{l} is empty for {where}")
         valencies.append(int(rows[0]))
-    # The A_l partition J, so sum_l p_ij^l A_l is the coefficient vector
-    # indexed by each entry's class label, and p_ij^l can be read off one
-    # entry where A_l is 1 and then checked globally.
-    labels = np.zeros((N, N), dtype=np.intp)
-    for l, A in enumerate(adjacency[1:], start=1):
-        labels[A != 0] = l
+    # The A_l partition J, so sum_l l A_l is each entry's class label,
+    # sum_l p_ij^l A_l is the coefficient vector indexed by it, and p_ij^l
+    # can be read off one entry where A_l is 1 and then checked globally.
+    labels = sum(l * A for l, A in enumerate(adjacency))
     reps = [int(A.argmax()) for A in adjacency]
     numbers = {(0, j): [int(l == j) for l in range(m + 1)] for j in range(m + 1)}
     mats = [A.astype(np.float32) for A in adjacency[1:m]]  # A_1..A_{m-1}
@@ -222,13 +220,9 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
     for i in range(1, m + 1):  # A_i A_m = v_i J - sum_{j<m} A_i A_j, for i = m last
         row = [numbers[min(i, j), max(i, j)] for j in range(m)]
         numbers[(i, m)] = [valencies[i] - sum(p[l] for p in row) for l in range(m + 1)]
-    out: dict[tuple[int, int], list[int]] = {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            coeffs = numbers[(i, j)]
-            for l, val in enumerate(coeffs):
-                if val < 0:
-                    raise SchemeClosureError(f"negative intersection number p_{i}{j}^{l} = {val}")
-            out[(i, j)] = coeffs
-            out[(j, i)] = list(coeffs)  # a copy: a caller may edit one entry
-    return out
+        for l, val in enumerate(numbers[(i, m)]):  # the others are counts
+            if val < 0:
+                raise SchemeClosureError(f"negative intersection number p_{i}{m}^{l} = {val}")
+    # every key gets its own list, so that a caller may edit one entry
+    return {key: list(coeffs) for (i, j), coeffs in sorted(numbers.items())
+            for key in ((i, j), (j, i))}

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import NK_CACHE_SIZE, binomial, distance_matrix
-from .gram import (
-    ProblemInstance,
-    _gram_powers,
-    _log_binomial_ratios,
-    direct_spectrum,
-)
+from .gram import ProblemInstance, _gram_powers, _log_weights, direct_spectrum
 from .johnson import _projector_coefficients, multiplicity
 
 __all__ = [
@@ -65,23 +60,17 @@ class CertificateReport:
 def min_error_success(instance: ProblemInstance) -> ProtocolResult:
     """Optimal minimum-error success probability (sum_j (m_j/N) sqrt(lambda_j))^2.
 
-    With K = instance.m = min(k, n-k) (complement symmetry), N = C(n, K) and
-    m_j = C(n, j) (n-2j+1)/(n-j+1), so each weight comes from ratios:
-    log(m_j/N) = log(C(n, j)/C(n, K)) + log((n-2j+1)/(n-j+1)), the first
-    a Kahan-compensated running sum of log(j/(n-j+1)) downward from j = K.
-    No big int is built, and N and lambda_j may lie beyond the float range
+    With K = instance.m = min(k, n-k) (complement symmetry), each weight comes
+    as its log, log(m_j/N) from gram._log_weights, a running sum of log ratios:
+    no big int is built, and N and lambda_j may lie beyond the float range
     while the value, which is at most 1, does not.  Against 50-digit mpmath
     at the same float c it was within 4e-14 relative in every case measured
     (3.5e-14 at n = 10^5, k = 500, c = 0.7; 1.0e-14 at (20000, 2000, 0.3);
     6e-16 at (60000, 20000, 0.05)).  Clamped to 1, which it passed by 2 ulp near c = 0.
     """
-    n, k = instance.n, instance.m
-    log_values = instance.log_eigenvalues
-    log, exp = math.log, math.exp
-    total = math.fsum(
-        exp(log_ratio + log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)
-        for j, (log_ratio, log_value) in enumerate(zip(_log_binomial_ratios(n, k), log_values))
-    )
+    exp = math.exp
+    total = math.fsum(exp(log_weight + log_value / 2) for log_weight, log_value
+                      in zip(_log_weights(instance.n, instance.m), instance.log_eigenvalues))
     return ProtocolResult(value=min(total * total, 1.0), method="closed-form", instance=instance)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import anomdet
 from anomdet import verify
 from anomdet.cli import main
+from anomdet.gram import closed_form_spectrum
 from anomdet.universal import UniversalInstance, universal_success
 from anomdet.verify import SCOPES, run_scope
 
@@ -88,12 +90,48 @@ class TestSpectrumCommand:
         assert result.output.splitlines()[-1].startswith(
             f"# trace check: sum m_j*lambda_j = N = {math.comb(150, 72)}: ok (relative residual ")
 
-    def test_multiplicity_beyond_the_digit_limit_exit_2(self, runner):
-        # the float path prints the exact multiplicities, which pass 4300 digits here
-        args = ["spectrum", "--n", "1000000", "--k", "1400", "--c", "0.001"]
+    def test_multiplicity_beyond_the_digit_limit_in_scientific_notation(self, runner):
+        # the float path prints each multiplicity and N in full where str() can, and
+        # past the digit limit rounded to 12 significant digits, as it prints a float
+        n, k = 1000000, 1400
+        args = ["spectrum", "--n", str(n), "--k", str(k), "--c", "0.001"]
         result = runner.invoke(main, args, catch_exceptions=False)
-        assert result.exit_code == 2
-        assert result.output == _DIGIT_LIMIT_ERROR + "\n"
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        rows, trace = _rows(result.output), lines[-1]
+        printed = [row[2] for row in rows] + [trace.split(" = ")[2].split(":")[0]]
+        counts = [math.comb(n, j) - (math.comb(n, j - 1) if j else 0) for j in range(k + 1)]
+        limit = 10 ** sys.get_int_max_str_digits()  # str() refuses an int from here on
+        for text, count in zip(printed, counts + [math.comb(n, k)], strict=True):
+            assert ("e+" in text) == (count >= limit), (text[:20], count.bit_length())
+            if count < limit:
+                assert int(text) == count
+                continue
+            mantissa, exponent = text.split("e+")
+            digits = mantissa.replace(".", "")
+            assert 1 <= len(digits) <= 12 and not digits.endswith("0") and digits[0] != "0"
+            # correctly rounded: |count - digits * 10^(e - len + 1)| <= 10^(e - 11) / 2
+            scale = int(exponent) - len(digits) + 1
+            assert 2 * abs(count - int(digits) * 10**scale) <= 10 ** (int(exponent) - 11)
+        assert "e+" in printed[-1] and printed[0] == "1"  # N, and m_0 in full
+        assert trace.startswith("# trace check: sum m_j*lambda_j = N = ")
+        assert ": ok (relative residual " in trace
+
+    @pytest.mark.parametrize("planted, trace", [
+        (Fraction(5, 8), "6.125"),
+        (Fraction(9, 16) + Fraction(1, 34), "6.0588235294117645"),
+    ])
+    def test_exact_trace_mismatch(self, runner, monkeypatch, planted, trace):
+        # one wrong exact lambda_2 (multiplicity 2; the true value is 9/16), its denominator
+        # among the others' or not: the trace check prints the exact trace, rounded once
+        def planted_spectrum(inst):
+            spec = closed_form_spectrum(inst)
+            return dataclasses.replace(spec, values=spec.values[:2] + (planted,))
+
+        monkeypatch.setattr("anomdet.cli.closed_form_spectrum", planted_spectrum)
+        result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1/2", "--exact"])
+        assert result.output.splitlines()[-2:] == [
+            f"2,{planted},2", f"# trace check: sum m_j*lambda_j = N = 6: MISMATCH {trace}"]
 
     def test_invalid_parameters_exit_2(self, runner):
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
@@ -183,6 +221,26 @@ class TestSingleValueCommands:
             ) / math.comb(n, k)
             reference = float(amplitude**2)
         assert float(result.output) == pytest.approx(reference, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("args", [
+        ["minerr", "--n", "100000", "--k", "500", "--c", "0.9"],  # 1.24878e-355
+        ["minerr", "--n", "100000", "--k", "50000", "--c", "1"],  # 1/C(100000, 50000)
+        ["unambiguous", "--n", "100000", "--k", "50000", "--c", "0.999"],  # (1 - 0.999^2)^50000
+    ])
+    def test_positive_value_below_the_float_range_exit_2(self, runner, args):
+        # the value is positive and rounds to 0.0: one error line, nothing on stdout
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert result.output == ("error: value not representable (FloatingPointError: "
+                                 "positive value below the float range rounds to 0)\n")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unambiguous_zero_at_identical_states(self, runner, exact):
+        # (1 - c^2)^m is exactly 0 at c = 1 with m > 0, and exactly 1 at m = 0
+        for k, value in ((50000, "0"), (100000, "1")):
+            args = ["unambiguous", "--n", "100000", "--k", str(k), "--c", "1"] + ["--exact"] * exact
+            result = runner.invoke(main, args, catch_exceptions=False)
+            assert (result.exit_code, result.output) == (0, value + "\n")
 
     def test_universal(self, runner):
         result = runner.invoke(main, ["universal", "--n", "4", "--k", "1", "--d", "2", "--exact"])

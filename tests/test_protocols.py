@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,65 @@ def test_value_is_exactly_one_at_orthogonal_states(protocol, n, k):
     # the rounded terms summed to 1 + 2 ulp at these (n, k); the value is at most 1
     for c in (0.0, 1e-153):
         assert protocol(ProblemInstance(n, k, c)).value == 1.0, c
+
+
+def _two_pass_log_ratios(n, k):
+    """log(C(n, j) / C(n, k)), j = 0..k <= n/2: the downward Kahan sum of log(j / (n-j+1))."""
+    ratios = [0.0] * (k + 1)
+    total = comp = 0.0
+    for j in range(k, 0, -1):
+        y = math.log(j / (n - j + 1)) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = ratios[j - 1] = t
+    return ratios
+
+
+def _two_pass_min_error(inst):
+    """The minimum-error value with its weights in two passes, the binomial ratios first,
+    then log((n-2j+1)/(n-j+1)) added per term; log N at c = 1 from the ratios."""
+    n, k, z = inst.n, inst.m, float(inst.c2)
+    ratios = _two_pass_log_ratios(n, k)
+    logs = (0.0 - ratios[0],) + (-math.inf,) * k if z == 1.0 else gram._log_eigenvalues(n, k, z)
+    total = math.fsum(math.exp(ratio + math.log((n - 2 * j + 1) / (n - j + 1)) + log_value / 2)
+                      for j, (ratio, log_value) in enumerate(zip(ratios, logs)))
+    return min(total * total, 1.0)
+
+
+def _seeded_cells(count, seed=13020):
+    rng = random.Random(seed)
+    return [(n, rng.randint(0, min(n, 600))) for n in (rng.randint(1, 10**5) for _ in range(count))]
+
+
+_WEIGHT_CELLS = [(n, k) for n in range(1, 31) for k in range(n + 1)] + _seeded_cells(50)
+
+
+class TestOnePassWeights:
+    """gram._log_weights gives log(m_j/N) in one pass, bit for bit what the two passes gave."""
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 0.001, 0.5, 0.9, 0.999,
+                                   Fraction(1, 2), Fraction(3, 7)])
+    def test_min_error_bits_equal_two_pass(self, c):
+        for n, k in _WEIGHT_CELLS:
+            inst = ProblemInstance(n, k, c)
+            assert min_error_success(inst).value.hex() == _two_pass_min_error(inst).hex(), (n, k)
+
+    def test_log_eigenvalues_at_one_bits_equal_two_pass(self):
+        for n, k in _WEIGHT_CELLS:
+            m = min(k, n - k)
+            expected = (0.0 - _two_pass_log_ratios(n, m)[0],) + (-math.inf,) * m
+            actual = gram._log_eigenvalues(n, m, 1.0)
+            assert [x.hex() for x in actual] == [x.hex() for x in expected], (n, k)
+
+    def test_weights_are_log_multiplicity_over_count(self):
+        for n in range(1, 80):
+            for k in range(n // 2 + 1):
+                N, weights = math.comb(n, k), gram._log_weights(n, k)
+                assert len(weights) == k + 1
+                for j, weight in enumerate(weights):
+                    m_j = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
+                    expected = math.log(m_j / N)
+                    assert weight == pytest.approx(expected, rel=1e-14, abs=1e-14), (n, k, j)
 
 
 class TestAsymptotic:
