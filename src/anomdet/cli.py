@@ -18,7 +18,6 @@ from fractions import Fraction
 import click
 
 from .gram import ProblemInstance, _counts, closed_form_spectrum
-from .oracle import STATE_QUBITS_CAP
 from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
 from .universal import (
     UniversalInstance,
@@ -82,26 +81,57 @@ def _parse_overlap(text: str, exact: bool) -> Fraction | float:
         raise ValueError(f"invalid overlap c {text!r}") from None
 
 
-def _describe(exc: Exception) -> str:
-    """Error text; arithmetic failures (e.g. float overflow at large k) are named as such."""
-    if isinstance(exc, ArithmeticError):
-        return f"value not representable ({type(exc).__name__}: {exc})"
-    return str(exc)
-
-
 def _fail_params(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_BAD_PARAMS)
 
 
-def _echo_lines(lines) -> None:
-    """Format every line, then print them; str() of an int over Python's digit limit exits 2."""
+def _run(compute, out_path: str = "-") -> None:
+    """The one path from a command's parameters to its output: `compute()` returns
+    the lines, which may format lazily, and the exit code.  Every line is formed
+    before any is printed, so a bad parameter, a value outside the float range or
+    an int over the int-to-str digit limit exits 2 with one `error:` line and an
+    empty stdout; an unwritable `out_path` exits 3."""
     try:
-        text = "\n".join(lines)
+        lines, code = compute()
+    except (ValueError, ArithmeticError) as exc:  # the latter e.g. float overflow at large k
+        _fail_params(f"value not representable ({type(exc).__name__}: {exc})"
+                     if isinstance(exc, ArithmeticError) else str(exc))
+    try:
+        text = "".join(f"{line}\n" for line in lines)
     except ValueError:
         _fail_params(f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit int-to-str "
                      "limit; drop --exact to print the float value")
-    click.echo(text)
+    if out_path == "-":
+        click.echo(text, nl=False)
+    else:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"error: cannot write {out_path}: {exc}", err=True)
+            sys.exit(EXIT_IO)
+    sys.exit(code)
+
+
+def _known_value(row: str, inst: ProblemInstance) -> float:
+    """The value of one known-states row: `minerr`, `unambiguous`, or the min-error
+    curve's `minerr_asymptote` (k < n) or `minerr_limit`, (1-c^2)^k.  Raises
+    FloatingPointError on a 0.0 that stands for a positive value: min-error
+    always, the others (powers of 1 - c^2) short of c = 1."""
+    if row == "minerr":
+        value = min_error_success(inst).value
+    elif row == "unambiguous":
+        value = unambiguous_success(inst).value
+    elif row == "minerr_limit":
+        value = (1 - inst.c2) ** inst.k
+    else:
+        with warnings.catch_warnings():  # a curve runs the asymptote at every k/n
+            warnings.simplefilter("ignore")
+            value = min_error_asymptotic(inst).value
+    if value == 0 and (row == "minerr" or inst.c2 < 1):
+        raise FloatingPointError("positive value below the float range rounds to 0")
+    return value
 
 
 @click.group()
@@ -116,23 +146,24 @@ def main() -> None:
 @click.option("--exact", is_flag=True, help="exact rational arithmetic (c parsed as a fraction)")
 def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     """Distinct Gram eigenvalues with multiplicities, plus the trace check."""
-    try:
-        inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
-        spec = closed_form_spectrum(inst)
-    except (ValueError, ArithmeticError) as exc:
-        _fail_params(_describe(exc))
-
     count = str if exact else _fmt_count
 
-    def lines():
-        yield "j,eigenvalue,multiplicity"
-        for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
-            yield f"{j},{value if exact else _fmt(value)},{count(m)}"
-        if inst.m < inst.k:
-            yield f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)"
-        yield f"# trace check: sum m_j*lambda_j = N = {count(inst.N)}: {_trace_status(spec, exact)}"
+    def compute():
+        inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
+        spec = closed_form_spectrum(inst)
+        status = _trace_status(spec, exact)
 
-    _echo_lines(lines())
+        def lines():
+            yield "j,eigenvalue,multiplicity"
+            for j, (value, m) in enumerate(zip(spec.values, spec.multiplicities)):
+                yield f"{j},{value if exact else _fmt(value)},{count(m)}"
+            if inst.m < inst.k:
+                yield f"# k > n/2: evaluated at n-k = {inst.m} (complement symmetry)"
+            yield f"# trace check: sum m_j*lambda_j = N = {count(inst.N)}: {status}"
+
+        return lines(), 0 if status.startswith("ok") else EXIT_VERIFY_FAIL
+
+    _run(compute)
 
 
 def _trace_status(spec, exact: bool) -> str:
@@ -149,28 +180,18 @@ def _trace_status(spec, exact: bool) -> str:
     return f"{status} (relative residual {residual:.3g}, tolerance {TRACE_RTOL:g})"
 
 
-def _single_value_command(name: str, compute):
-    @main.command(name=name)
+for _row in ("minerr", "unambiguous"):
+    @main.command(name=_row)
     @click.option("--n", type=int, required=True)
     @click.option("--k", type=int, required=True)
     @click.option("--c", type=str, required=True)
     @click.option("--exact", is_flag=True)
-    def cmd(n: int, k: int, c: str, exact: bool) -> None:
-        try:
+    def _single_value(n: int, k: int, c: str, exact: bool, row: str = _row) -> None:
+        def compute():
             inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
-            value = compute(inst)
-            # 0.0 from a positive value: min-error always is, (1-c^2)^m is short of c = 1
-            if value == 0 and (name == "minerr" or inst.c2 < 1):
-                raise FloatingPointError("positive value below the float range rounds to 0")
-        except (ValueError, ArithmeticError) as exc:
-            _fail_params(_describe(exc))
-        click.echo(_fmt(value))
+            return [_fmt(_known_value(row, inst))], 0
 
-    return cmd
-
-
-_single_value_command("minerr", lambda inst: min_error_success(inst).value)
-_single_value_command("unambiguous", lambda inst: unambiguous_success(inst).value)
+        _run(compute)
 
 
 @main.command()
@@ -180,11 +201,7 @@ _single_value_command("unambiguous", lambda inst: unambiguous_success(inst).valu
 @click.option("--exact", is_flag=True, help="print the exact rational value")
 def universal(n: int, k: int, d: int, exact: bool) -> None:
     """Success probability of the states-unknown universal protocol."""
-    try:
-        value = universal_success(UniversalInstance(n=n, k=k, d=d))
-    except ValueError as exc:
-        _fail_params(str(exc))
-    _echo_lines(map(str if exact else _fmt, [value]))
+    _run(lambda: (map(str if exact else _fmt, [universal_success(UniversalInstance(n, k, d))]), 0))
 
 
 @main.command()
@@ -197,7 +214,8 @@ def universal(n: int, k: int, d: int, exact: bool) -> None:
 @click.option("--out", "out_path", type=str, default="-", help="output CSV path, - for stdout")
 def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: str) -> None:
     """Emit success-probability curves (plus asymptote rows) as CSV."""
-    try:
+
+    def compute():
         ns = _parse_range(n_range)
         cs = [_parse_overlap(v, exact=False) for v in c_grid.split(",") if v]
         _counts(k=k, d=d)
@@ -206,43 +224,22 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
         for c in cs:
             if not 0 <= c <= 1:
                 raise ValueError(f"overlap {c} outside [0, 1]")
-    except ValueError as exc:
-        _fail_params(str(exc))
-
-    rows: list[str] = ["n,k,c_or_d,protocol,value"]
-    try:
+        known = ("minerr", "minerr_asymptote", "minerr_limit") if protocol == "minerr" else (protocol,)
+        rows = ["n,k,c_or_d,protocol,value"]
         for n in ns:
             if protocol in ("minerr", "unambiguous"):
-                for c in cs:
+                for c in cs:  # the asymptote is left out at k = n, where it is undefined
                     inst = ProblemInstance(n=n, k=k, c=c)
-                    if protocol == "minerr":
-                        value = min_error_success(inst).value
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore")
-                            asym = min_error_asymptotic(inst).value
-                        values = {"minerr": value, "minerr_asymptote": asym,
-                                  "minerr_limit": (1 - c * c) ** k}
-                    else:
-                        values = {"unambiguous": unambiguous_success(inst).value}
-                    rows += (f"{n},{k},{_fmt(c)},{name},{_fmt(v)}" for name, v in values.items())
+                    rows += (f"{n},{k},{_fmt(c)},{row},{_fmt(_known_value(row, inst))}"
+                             for row in known if row != "minerr_asymptote" or k < n)
             else:  # universal, or average: the known-states curve averaged over the overlap
                 value = (universal_success(UniversalInstance(n=n, k=k, d=d))
                          if protocol == "universal" else average_min_error_curve(n, k, d))
                 rows.append(f"{n},{k},{d},{protocol},{_fmt(value)}")
                 rows.append(f"{n},{k},{d},{protocol}_asymptote,{_fmt(universal_asymptote(k, d))}")
-    except (ValueError, ArithmeticError) as exc:
-        _fail_params(_describe(exc))
+        return rows, 0
 
-    text = "\n".join(rows) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    _run(compute, out_path)
 
 
 @main.command()
@@ -250,17 +247,15 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
 @click.option("--max-n", type=int, default=8)
 def verify(scope: str, max_n: int) -> None:
     """Run the check registry; one PASS/FAIL/ERROR line per check instance."""
-    if not 2 <= max_n <= STATE_QUBITS_CAP:
-        _fail_params(f"--max-n must be in [2, {STATE_QUBITS_CAP}] "
-                     f"(the explicit-state oracles' qubit cap), got {max_n}")
-    results = run_scope(scope, max_n)
-    failures = 0
-    for r in results:
-        click.echo(r.line())
-        failures += not r.passed
-    click.echo(f"# {len(results) - failures}/{len(results)} checks passed")
-    if failures:
-        sys.exit(EXIT_VERIFY_FAIL)
+
+    def compute():
+        results = run_scope(scope, max_n)
+        failures = sum(not r.passed for r in results)
+        lines = [r.line() for r in results]
+        lines.append(f"# {len(results) - failures}/{len(results)} checks passed")
+        return lines, EXIT_VERIFY_FAIL if failures else 0
+
+    _run(compute)
 
 
 if __name__ == "__main__":

@@ -416,7 +416,14 @@ SCOPES = tuple(dict.fromkeys(check.scope for check in CHECKS))
 
 
 def run_scope(scope: str, max_n: int) -> list[CheckResult]:
-    """Every instance of every check in `scope` ("all" for the whole registry)."""
+    """Every instance of every check in `scope` ("all" for the whole registry).
+
+    Raises ValueError for an unknown scope, and for a max_n outside
+    [2, STATE_QUBITS_CAP], the explicit-state oracles' qubit cap.
+    """
     if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected all|{'|'.join(SCOPES)}")
+    if not 2 <= max_n <= STATE_QUBITS_CAP:
+        raise ValueError(f"--max-n must be in [2, {STATE_QUBITS_CAP}] "
+                         f"(the explicit-state oracles' qubit cap), got {max_n}")
     return [r for check in CHECKS if scope in ("all", check.scope) for r in check.run(max_n)]

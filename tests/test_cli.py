@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -130,8 +131,23 @@ class TestSpectrumCommand:
 
         monkeypatch.setattr("anomdet.cli.closed_form_spectrum", planted_spectrum)
         result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1/2", "--exact"])
+        assert result.exit_code == 1  # a verification failure
         assert result.output.splitlines()[-2:] == [
             f"2,{planted},2", f"# trace check: sum m_j*lambda_j = N = 6: MISMATCH {trace}"]
+
+    def test_float_trace_mismatch_exit_1(self, runner, monkeypatch):
+        # one wrong float lambda_2 (the true value is 0.5625): the whole table is
+        # printed, and the failed trace check sets the exit code
+        def planted_spectrum(inst):
+            spec = closed_form_spectrum(inst)
+            return dataclasses.replace(spec, values=spec.values[:2] + (0.625,))
+
+        monkeypatch.setattr("anomdet.cli.closed_form_spectrum", planted_spectrum)
+        result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "0.5"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-2] == "2,0.625,2"
+        assert result.output.splitlines()[-1].startswith(
+            "# trace check: sum m_j*lambda_j = N = 6: MISMATCH (relative residual ")
 
     def test_invalid_parameters_exit_2(self, runner):
         assert runner.invoke(main, ["spectrum", "--n", "4", "--k", "9", "--c", "0.5"]).exit_code == 2
@@ -226,6 +242,13 @@ class TestSingleValueCommands:
         ["minerr", "--n", "100000", "--k", "500", "--c", "0.9"],  # 1.24878e-355
         ["minerr", "--n", "100000", "--k", "50000", "--c", "1"],  # 1/C(100000, 50000)
         ["unambiguous", "--n", "100000", "--k", "50000", "--c", "0.999"],  # (1 - 0.999^2)^50000
+        # sweep's rows go through the same guard, the asymptote and the limit
+        # 0.19^500 (about 1e-361) included, also where the min-error value does not underflow
+        ["sweep", "--protocol", "minerr", "--n-range", "100000:100000", "--k", "500",
+         "--c-grid", "0.9"],
+        ["sweep", "--protocol", "minerr", "--n-range", "1000:1000", "--k", "500", "--c-grid", "0.9"],
+        ["sweep", "--protocol", "unambiguous", "--n-range", "100000:100000", "--k", "50000",
+         "--c-grid", "0.999"],
     ])
     def test_positive_value_below_the_float_range_exit_2(self, runner, args):
         # the value is positive and rounds to 0.0: one error line, nothing on stdout
@@ -307,6 +330,25 @@ class TestSweepCommand:
         assert len(rows) == 4 * 2 * 3  # n, c, (minerr, asymptote, limit)
         assert all(float(r[4]) == 1.0 for r in rows)
 
+    def test_minerr_zero_rows_at_identical_states(self, runner):
+        # at c = 1 with k >= 1 the asymptote and the limit are exactly 0, and printed
+        args = ["sweep", "--protocol", "minerr", "--n-range", "4:6", "--k", "2", "--c-grid", "1"]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0
+        assert [r[4] == "0" for r in _rows(result.output)] == [False, True, True] * 3
+
+    def test_minerr_curve_through_n_equal_k(self, runner):
+        # at n = k the asymptote is undefined: only its row is left out
+        def sweep(n_range):
+            args = ["sweep", "--protocol", "minerr", "--n-range", n_range, "--k", "3"]
+            result = runner.invoke(main, args, catch_exceptions=False)
+            assert result.exit_code == 0
+            return result.output.splitlines()
+
+        lines = sweep("3:6")
+        assert lines[1:3] == ["3,3,0.5,minerr,1", "3,3,0.5,minerr_limit,0.421875"]
+        assert [lines[0]] + lines[3:] == sweep("4:6")
+
     def test_arithmetic_error_exit_2(self, runner, monkeypatch):
         import anomdet.cli as cli_mod
 
@@ -376,13 +418,12 @@ class TestVerifyCommand:
         assert set(SCOPES) == {"scheme", "gram", "detection", "universal"}
 
     def test_bad_max_n_exit_2(self, runner, monkeypatch):
-        import anomdet.cli as cli_mod
+        def unreachable(check, max_n):
+            raise AssertionError("registry row run for a rejected --max-n")
 
-        def unreachable(scope, max_n):
-            raise AssertionError("registry run for a rejected --max-n")
-
-        monkeypatch.setattr(cli_mod, "run_scope", unreachable)
-        # 15 exceeds the explicit-state oracles' qubit cap (oracle.STATE_QUBITS_CAP)
+        monkeypatch.setattr(verify.Check, "run", unreachable)
+        # run_scope refuses 15, above the explicit-state oracles' qubit cap
+        # (oracle.STATE_QUBITS_CAP), before it runs any row
         for max_n in ("1", "15"):
             result = runner.invoke(main, ["verify", "--max-n", max_n])
             assert result.exit_code == 2
@@ -409,6 +450,37 @@ class TestVerifyCommand:
         )
         assert all(l.startswith("PASS") for l in lines if l not in errors)
         assert f"# {len(lines) - len(errors)}/{len(lines)} checks passed" in result.output
+
+
+# stdout sha256 and exit code of each argv, taken before the CLI's print paths were
+# merged into one: a change to any printed byte fails here
+_FROZEN = [
+    ("sweep --protocol minerr --n-range 5:400:5 --k 2 --c-grid 0.5",
+     "bb2e47398ec5b576814f067f0ea9079ee1daea5cebabe2e29054420f07e6078d"),
+    ("sweep --protocol universal --n-range 2:60:1 --k 1 --d 2",
+     "2e1bd892260dfa46b3d6102495af89b6108cfe993a0c48fdf6f302a4e657507b"),
+    ("sweep --protocol unambiguous --n-range 4:40:3 --k 2 --c-grid 0.1,0.5,1",
+     "7c44aad4e4c05ad5c25bc6793c2163f7fe0a12d41d88030583a7feac68648557"),
+    ("sweep --protocol average --n-range 2:30:7 --k 2 --d 3",
+     "0e68722b1a3f8483656c1031879d59b3c39101bc932e1e1cdfa904d5748ae743"),
+    ("sweep --protocol minerr --n-range 2:9 --k 0 --c-grid 0.5,1",
+     "b73a7842a50504eb46f45fe064c860725a9aaa4168cc7b8dbe7a041d72df9205"),
+    ("spectrum --n 12 --k 5 --c 0.3", "4b547065ac374f3024b900efdbda8740158c4bc40117525009d98fe48c5b95bf"),
+    ("spectrum --n 12 --k 7 --c 3/7 --exact",
+     "1458ad3cef8c0f766b156fb9229c759019ff65fe1dfa4f0fb761ffa89a85cf1a"),
+    ("minerr --n 10 --k 2 --c 0.5", "fa1974f5da53663d422cdf7f3d5ed177758c441fe8e86013882261ae348d2da4"),
+    ("unambiguous --n 10 --k 2 --c 0.5",
+     "fba4918d1bf7fbdebfdff9d452ceed2d663a61f9f77d52f2df1700d036ff5439"),
+    ("universal --n 10 --k 2 --d 2 --exact",
+     "eb0cf62eb0894f2ae7df853c28c651c8b67053c54b2b67aa02f05963667d33e0"),
+    ("universal --n 10 --k 2 --d 2", "cfddb6ccc3576e40ffe5a57c15159aad62a1355e3b29c1bbd75f7c6d72a48f0c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _FROZEN)
+def test_frozen_stdout(argv, digest):
+    result = CliRunner().invoke(main, argv.split(), catch_exceptions=False)
+    assert (result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest()) == (0, digest)
 
 
 # argv fuzzing: every outcome is a result (0), a parameter error (2) or an I/O
