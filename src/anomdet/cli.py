@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import click
 
-from .gram import ProblemInstance, _counts, closed_form_spectrum
+from .combin import _counts
+from .gram import ProblemInstance, closed_form_spectrum
 from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
 from .universal import (
     UniversalInstance,

@@ -1,5 +1,5 @@
-"""Exact integer primitives: binomials, k-subset patterns and their
-distance matrix.
+"""Exact integer primitives: the one check of the counts, binomials, the
+multiplicities m_j, k-subset patterns and their distance matrix.
 
 Everything here is pure and exact: results are ints or integer arrays.
 Anomaly patterns are sorted tuples of 1-based positions, kept in
@@ -43,10 +43,40 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _counts(n=None, k=None, d=None) -> tuple[int | None, int | None, int | None]:
+    """(n, k, d) as Python ints, None where not passed: every entry point's count check.
+
+    Each must be an int or numpy integer, else ValueError names it: a float
+    such as 5.0, a Fraction, or a bool (True is an int to Python, but never a
+    count here).  Each is held to its range, one wording per rule: n >= 1;
+    0 <= k, and k <= n when n is passed; d >= 2.
+    """
+    if not (type(n) is type(k) is int and (d is None or type(d) is int)):  # skips the ABC checks
+        for x, field in zip((n, k, d), "nkd"):
+            if x is not None and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
+                raise ValueError(f"{field} must be an integer, got {x!r} ({type(x).__name__})")
+        n, k, d = (None if x is None else int(x) for x in (n, k, d))
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k is not None and (k < 0 or n is not None and k > n):
+        raise ValueError(f"k must be in [0, n], got k={k}" + ("" if n is None else f", n={n}"))
+    if d is not None and d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return n, k, d
+
+
+def _multiplicities(n: int, k: int) -> tuple[int, ...]:
+    """m_j = C(n, j) - C(n, j-1) for j = 0..k, k <= n/2, from one running binomial."""
+    mults, below, binom = [], 0, 1
+    for j in range(k + 1):
+        mults.append(binom - below)
+        below, binom = binom, binom * (n - j) // (j + 1)
+    return tuple(mults)
+
+
 def enumerate_patterns(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {1..n} in lexicographic order (C(n, k) of them)."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"enumerate_patterns: need 0 <= k <= n, got n={n}, k={k}")
+    n, k, _ = _counts(n, k)
     return list(combinations(range(1, n + 1), k))
 
 
@@ -118,22 +148,21 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     D[a, b] is the subset distance k - |r ∩ s| of the a-th and b-th patterns
     r and s.  The overlap counts X X^T are at most n, so the float64 (BLAS)
     product is exact; D is in the smallest unsigned type holding its largest
-    entry m = min(k, n - k), uint8 under the Gram size cap.  A non-integer or
-    bool n or k raises ValueError, cached or not.  Each (n, k) is built once and
-    shared read-only (copy D to modify it) by a _bounded_cache.  A miss with
-    N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern is
-    enumerated, so no N x N object is built beyond the cap.
+    entry m = min(k, n - k), uint8 under the Gram size cap.  Two ints skip
+    _counts, which the cache runs on a miss, keeping no refused key.  Each (n, k)
+    is built once and shared read-only (copy D to modify it) by a _bounded_cache.
+    A miss with N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern
+    is enumerated, so no N x N object is built beyond the cap.
     """
-    if not (type(n) is type(k) is int):  # skips the ABC checks
-        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (n, k)):
-            raise ValueError(f"distance_matrix: n and k must be integers, got n={n!r}, k={k!r}")
-        n, k = int(n), int(k)
+    if not (type(n) is type(k) is int):
+        n, k, _ = _counts(n, k)
     return _distances(n, k)
 
 
 @_bounded_cache
 def _distances(n: int, k: int) -> np.ndarray:
-    """D for integer n and k, built on a miss of distance_matrix."""
+    """D for int n and k, built on a miss of distance_matrix."""
+    _counts(n, k)
     N = binomial(n, k)
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import GRAM_SIZE_CAP, distance_matrix
+from .combin import GRAM_SIZE_CAP, _counts, _multiplicities, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -34,28 +34,6 @@ __all__ = [
 ]
 
 Overlap = float | Fraction
-
-
-def _counts(n=None, k=None, d=None) -> tuple[int | None, int | None, int | None]:
-    """(n, k, d) as Python ints, None where not passed.
-
-    Each must be an int or numpy integer, else ValueError names it: a float
-    such as 5.0, a Fraction, or a bool (True is an int to Python, but never a
-    count here).  Each is held to its range, one wording per rule: n >= 1;
-    0 <= k, and k <= n when n is passed; d >= 2.
-    """
-    if not (type(n) is type(k) is int and (d is None or type(d) is int)):  # skips the ABC checks
-        for x, field in zip((n, k, d), "nkd"):
-            if x is not None and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
-                raise ValueError(f"{field} must be an integer, got {x!r} ({type(x).__name__})")
-        n, k, d = (None if x is None else int(x) for x in (n, k, d))
-    if n is not None and n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k is not None and (k < 0 or n is not None and k > n):
-        raise ValueError(f"k must be in [0, n], got k={k}" + ("" if n is None else f", n={n}"))
-    if d is not None and d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return n, k, d
 
 
 def _overlap(c) -> Overlap:
@@ -98,7 +76,7 @@ def _short_fraction(c: Fraction) -> str:
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
 
-    n and k are integers, n >= 1 and 0 <= k <= n (see _counts); m = min(k, n-k),
+    n and k are integers, n >= 1 and 0 <= k <= n (see combin._counts); m = min(k, n-k),
     stored once, is where every closed form is evaluated (complementing both
     patterns keeps their distance).  c is a real number in [0, 1], stored as a
     Fraction (exact Gram entries and spectrum; from an int or numpy integer too)
@@ -272,15 +250,6 @@ def _exact_eigenvalues(n: int, k: int, z: Fraction) -> tuple[Fraction, ...]:
         values.append(Fraction(wj * I[d], qk))
         wj *= w
     return tuple(values)
-
-
-def _multiplicities(n: int, k: int) -> tuple[int, ...]:
-    """m_j = C(n, j) - C(n, j-1) for j = 0..k, from one running binomial."""
-    mults, below, binom = [], 0, 1
-    for j in range(k + 1):
-        mults.append(binom - below)
-        below, binom = binom, binom * (n - j) // (j + 1)
-    return tuple(mults)
 
 
 def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:

@@ -20,9 +20,9 @@ Index conventions used throughout:
   * The closure check forms A_i A_j for i <= j only: the A_i are
     symmetric, so a product in their span is symmetric too and the
     algebra is commutative (Delsarte 1973).
-  * The coefficients of E_j depend on (n, k, j) only, never on an
-    overlap; they are computed once and shared by the float and exact
-    projectors and by the unambiguous certificates.
+  * Every entry point checks n and k with combin._counts.  P, Q and the
+    coefficients of every E_j depend on (n, k) only: one table per (n, k),
+    built from (m+1)^2 Hahn values on a miss, serves every reader of them.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, _counts, _multiplicities, binomial, distance_matrix
 
 __all__ = [
     "SchemeBasis",
     "Eigenmatrices",
     "SchemeClosureError",
     "valency",
-    "multiplicity",
     "scheme_basis",
     "hahn_polynomial",
     "eigenmatrices",
@@ -75,14 +74,8 @@ class Eigenmatrices:
 
 def valency(n: int, k: int, i: int) -> int:
     """Number of patterns at distance i from a fixed pattern."""
+    n, k, _ = _counts(n, k)
     return binomial(k, i) * binomial(n - k, i)
-
-
-def multiplicity(n: int, j: int) -> int:
-    """Multiplicity m_j = C(n, j) - C(n, j-1) of the j-th eigenvalue, 0 <= j <= n // 2."""
-    if not 0 <= j <= n // 2:
-        raise ValueError(f"multiplicity: index {j} out of range [0, {n // 2}]")
-    return binomial(n, j) - binomial(n, j - 1)
 
 
 def scheme_basis(n: int, k: int) -> SchemeBasis:
@@ -102,6 +95,7 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     Horner's rule from the top term keeps the partial sum as U/V in
     integers; one Fraction at the end.
     """
+    n, k, _ = _counts(n, k)
     if not 0 <= j <= k or j > n - k:  # j in [0, min(k, n-k)]
         raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {min(k, n - k)}]")
     if not 0 <= x <= k:
@@ -114,33 +108,40 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     return Fraction(U, V)
 
 
+@functools.lru_cache(maxsize=NK_CACHE_SIZE)
+def _scheme(n: int, k: int) -> tuple[Eigenmatrices, tuple[tuple[Fraction, ...], ...]]:
+    """P, Q and each E_j's m+1 entries q_j(i) / N for int n and k, the (n, k) table.
+
+    Its readers pass only ints; _counts checks them here, so no refused key is kept.
+    """
+    _counts(n, k)
+    classes = range(min(k, n - k) + 1)
+    N, mults = binomial(n, k), _multiplicities(n, classes[-1])
+    qvals = [[hahn_polynomial(j, i, n, k) for i in classes] for j in classes]
+    P = tuple(tuple(valency(n, k, i) * qvals[j][i] for i in classes) for j in classes)
+    Q = tuple(tuple(mults[j] * qvals[j][i] for j in classes) for i in classes)
+    return Eigenmatrices(n=n, k=k, P=P, Q=Q), tuple(tuple(q / N for q in col) for col in zip(*Q))
+
+
 def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     """Exact P and Q with p_i(j) = k_i Q_j(i) and q_j(i) = m_j Q_j(i).
 
     P @ Q == C(n,k) * Identity by Hahn orthogonality; both are (m+1) x (m+1),
-    m = min(k, n-k), and the same for k and n-k.
+    m = min(k, n-k), and the same for k and n-k.  Read off the (n, k) table.
     """
-    classes = range(min(k, n - k) + 1)
-    qvals = [[hahn_polynomial(j, i, n, k) for i in classes] for j in classes]
-    P = tuple(tuple(valency(n, k, i) * qvals[j][i] for i in classes) for j in classes)
-    Q = tuple(tuple(multiplicity(n, j) * qvals[j][i] for j in classes) for i in classes)
-    return Eigenmatrices(n=n, k=k, P=P, Q=Q)
+    if not (type(n) is type(k) is int):
+        n, k, _ = _counts(n, k)
+    return _scheme(n, k)[0]
 
 
-@functools.lru_cache(maxsize=1024)
 def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
-    """The m+1 exact entries q_j(i) / N of E_j, one per subset distance i, m = min(k, n-k).
-
-    They depend on (n, k, j) only, so each tuple is computed once and
-    shared.  Exceptions are not cached: an index outside [0, m] raises
-    ValueError on every call.
-    """
-    m = min(k, n - k)
-    if not 0 <= j <= m:
-        raise ValueError(f"scheme_projector: index {j} out of range [0, {m}]")
-    N = binomial(n, k)
-    m_j = multiplicity(n, j)
-    return tuple(Fraction(m_j * hahn_polynomial(j, i, n, k), N) for i in range(m + 1))
+    """E_j's m+1 exact entries q_j(i) / N, one per subset distance i, off the (n, k) table."""
+    if not (type(n) is type(k) is int):
+        n, k, _ = _counts(n, k)
+    coeffs = _scheme(n, k)[1]
+    if 0 <= j < len(coeffs):
+        return coeffs[j]
+    raise ValueError(f"scheme_projector: index {j} out of range [0, {len(coeffs) - 1}]")
 
 
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
@@ -157,9 +158,9 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     """E_j as an object ndarray of Fractions (rank and trace both equal m_j).
 
     The object-dtype form of scheme_projector: the m+1 exact coefficients
-    gathered by the distance matrix.
+    gathered by the distance matrix (np.fromiter skips np.array's probing).
     """
-    return np.array(_projector_coefficients(n, k, j), dtype=object).take(distance_matrix(n, k))
+    return np.fromiter(_projector_coefficients(n, k, j), object).take(distance_matrix(n, k))
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:

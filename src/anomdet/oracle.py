@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import _bounded_cache, _fits, enumerate_patterns, pattern_indicator
-from .gram import GRAM_SIZE_CAP, ProblemInstance, _counts, _real_array, direct_spectrum
+from .combin import _bounded_cache, _counts, _fits, enumerate_patterns, pattern_indicator
+from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 
 __all__ = [
     "SrmResult",

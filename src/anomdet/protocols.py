@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, _gram_powers, _log_weights, direct_spectrum
-from .johnson import _projector_coefficients, multiplicity
+from .johnson import _projector_coefficients
 
 __all__ = [
     "ProtocolResult",
@@ -90,8 +90,7 @@ def min_error_asymptotic(instance: ProblemInstance) -> ProtocolResult:
             AsymptoticRegimeWarning,
             stacklevel=2,
         )
-    c = float(instance.c)
-    q = 1 - c * c
+    c, q = float(instance.c), 1 - float(instance.c2)
     value = q**k
     if k:
         value += 2 * k * c * q ** (k - 0.5) / math.sqrt(n)
@@ -163,7 +162,7 @@ def _dual_witness(n: int, k: int, m: int) -> tuple[bool, float, tuple[float, ...
     the NK_CACHE_SIZE most recently used: two scalars and m+1 weights, not Y.
     """
     coeffs = _projector_coefficients(n, k, m)
-    N, m_m = binomial(n, k), multiplicity(n, m)
+    N, m_m = binomial(n, k), _multiplicities(n, m)[m]
     D = distance_matrix(n, k)
     counts = np.bincount(D.ravel(), minlength=m + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))

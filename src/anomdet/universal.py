@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gram import ProblemInstance, _counts
+from .combin import _counts
+from .gram import ProblemInstance
 from .protocols import min_error_success
 
 __all__ = [
@@ -39,7 +40,7 @@ UNIVERSAL_BITS_CAP = 150_000  # largest denominator universal_success may form, 
 class UniversalInstance:
     """An unknown-states detection task: n preparations, k anomalies, local
     dimension d; integers (int or numpy integer, stored as int; not bool)
-    with n >= 1, 0 <= k <= n and d >= 2, as gram._counts checks them.
+    with n >= 1, 0 <= k <= n and d >= 2, as combin._counts checks them.
     m = min(k, n-k), stored once, is where the closed form is evaluated."""
 
     n: int

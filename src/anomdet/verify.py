@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import NK_CACHE_SIZE, binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -239,9 +239,8 @@ def _projector_algebra_exact(n: int, k: int) -> float:
     D = distance_matrix(n, k)
     F = [np.array(row, dtype=np.float64).take(D) for row in scaled]
     res = float(np.abs(sum(F) - L * np.eye(N)).max())
-    for j, Fj in enumerate(F):
-        res = max(res, float(np.abs(Fj @ Fj - L * Fj).max()),
-                  abs(int(np.trace(Fj)) - L * johnson.multiplicity(n, j)))
+    for Fj, m_j in zip(F, _multiplicities(n, min(k, n - k))):
+        res = max(res, float(np.abs(Fj @ Fj - L * Fj).max()), abs(int(np.trace(Fj)) - L * m_j))
     return float(res)
 
 
@@ -250,8 +249,7 @@ def _adjacency_spectrum(n: int, k: int, i: int) -> float:
     P = johnson.eigenmatrices(n, k).P
     dense = direct_spectrum((distance_matrix(n, k) == i).astype(float))
     classes = _classes(n, k)
-    expected = np.repeat([float(P[j][i]) for j in classes],
-                         [johnson.multiplicity(n, j) for j in classes])
+    expected = np.repeat([float(P[j][i]) for j in classes], _multiplicities(n, classes[-1]))
     return float(np.abs(dense - np.sort(expected)[::-1]).max())
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,6 +105,11 @@ ALL_NK = [(n, k) for n in range(9) for k in range(n + 1)]
 VERIFY_GRID_10 = [(n, k) for n in range(2, 11) for k in range(1, min(4, n // 2) + 1)]
 
 
+def refused_at_n_zero(n: int):
+    """Expects the instance rule's ValueError at n = 0, which is no instance, else nothing."""
+    return pytest.raises(ValueError, match="^n must be >= 1, got 0$") if n == 0 else nullcontext()
+
+
 @pytest.fixture
 def empty_distance_cache():
     combin._distances.cache.clear()
@@ -147,18 +153,20 @@ def test_bounded_cache_on_a_toy_builder(monkeypatch):
 class TestDistanceMatrix:
     @pytest.mark.parametrize("n,k", ALL_NK)
     def test_matches_pattern_distance(self, n, k):
-        pats = enumerate_patterns(n, k)
-        D = distance_matrix(n, k)
-        reference = [[pattern_distance(r, s) for s in pats] for r in pats]
-        assert D.shape == (len(pats), len(pats))
-        assert np.issubdtype(D.dtype, np.integer)
-        assert D.tolist() == reference
+        with refused_at_n_zero(n):
+            pats = enumerate_patterns(n, k)
+            D = distance_matrix(n, k)
+            reference = [[pattern_distance(r, s) for s in pats] for r in pats]
+            assert D.shape == (len(pats), len(pats))
+            assert np.issubdtype(D.dtype, np.integer)
+            assert D.tolist() == reference
 
     @pytest.mark.parametrize("n,k", ALL_NK)
     def test_indicator_rows_mark_patterns(self, n, k):
-        X = pattern_indicator(n, k)
-        rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
-        assert rows == enumerate_patterns(n, k)
+        with refused_at_n_zero(n):
+            X = pattern_indicator(n, k)
+            rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
+            assert rows == enumerate_patterns(n, k)
 
     def test_indicator_is_a_fresh_array(self, empty_distance_cache):
         # a write into one result reaches neither the cached (n, k) structures
@@ -237,8 +245,9 @@ class TestDistanceMatrix:
     def test_rejects_non_integer_counts_cold_and_warm(self, empty_distance_cache, n, k):
         # 6.0 == 6 as a dict key: a cached (6, 2) answered distance_matrix(6.0, 2),
         # which raised TypeError on a cold cache
+        field = "k" if type(n) is int else "n"
         for _ in range(2):  # cold, then warm
-            with pytest.raises(ValueError, match="^distance_matrix: n and k must be integers"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
                 distance_matrix(n, k)
             D = distance_matrix(int(n), int(k))
         assert distance_matrix(np.int64(int(n)), np.uint8(int(k))) is D  # numpy integers pass

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import anomdet
@@ -18,3 +19,18 @@ def test_reexports_are_public_and_all_entries_exist():
         module = importlib.import_module(f"anomdet.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"{alias.name} is not in {module.__name__}.__all__"
+
+
+def test_package_imports_only_stdlib_numpy_and_click():
+    # mpmath and sympy are for the tests only: the package needs numpy and click
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "anomdet"}
+    for path in Path(anomdet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside = {name for name in names if name.split(".")[0] not in allowed}
+            assert not outside, f"{path.name} imports {sorted(outside)}"

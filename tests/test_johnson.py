@@ -8,16 +8,52 @@ from anomdet.johnson import (
     _projector_coefficients,
     eigenmatrices,
     hahn_polynomial,
-    multiplicity,
     scheme_basis,
     scheme_projector,
     scheme_projector_exact,
     valency,
     verify_bose_mesner_closure,
 )
-from anomdet.combin import binomial, distance_matrix
+from anomdet.combin import (
+    _multiplicities,
+    binomial,
+    distance_matrix,
+    enumerate_patterns,
+    pattern_indicator,
+)
+from test_combin import refused_at_n_zero
 
 GRID = [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+
+
+REFUSED = [  # (call, args, message)
+    (eigenmatrices, (3, 5), r"^k must be in \[0, n\], got k=5, n=3$"),
+    (eigenmatrices, (-2, -1), r"^n must be >= 1, got -2$"),
+    (eigenmatrices, (True, 0), r"^n must be an integer, got True \(bool\)$"),
+    (eigenmatrices, (5.0, 2), r"^n must be an integer, got 5.0 \(float\)$"),
+    (hahn_polynomial, (1, 1, 4.0, 2), r"^n must be an integer, got 4.0 \(float\)$"),
+    (valency, (3, 5, 1), r"^k must be in \[0, n\], got k=5, n=3$"),
+    (scheme_basis, (0, 0), r"^n must be >= 1, got 0$"),
+    (scheme_projector, (3, 5, 0), r"^k must be in \[0, n\], got k=5, n=3$"),
+    (scheme_projector_exact, (5, np.float64(2), 0), r"^k must be an integer, got "),
+    (_projector_coefficients, (5, True, 0), r"^k must be an integer, got True \(bool\)$"),
+    (enumerate_patterns, (3, 4), r"^k must be in \[0, n\], got k=4, n=3$"),
+    (pattern_indicator, (2.0, 1), r"^n must be an integer, got 2.0 \(float\)$"),
+    (distance_matrix, (-2, -1), r"^n must be >= 1, got -2$"),
+]
+
+
+@pytest.mark.parametrize("call, args, message", REFUSED,
+                         ids=[f"{call.__name__}{args}" for call, args, _ in REFUSED])
+def test_entry_points_refuse_bad_counts(call, args, message):
+    # combin._counts' wording on a cold and on a warm cache: (True, 0) and
+    # (5.0, 2) are equal dict keys to the cached (1, 0) and (5, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+        for n, k in [(1, 0), (5, 1), (5, 2)]:
+            eigenmatrices(n, k)
+            scheme_projector_exact(n, k, 0)
 
 
 class TestAdjacency:
@@ -70,10 +106,11 @@ class TestEigenmatrices:
     @pytest.mark.parametrize("n", range(11))
     def test_complement_gives_the_same_matrices(self, n):
         # J(n, k) and J(n, n-k) are one scheme, with m + 1 = min(k, n-k) + 1 classes
-        for k in range(n + 1):
-            em, mirror = eigenmatrices(n, k), eigenmatrices(n, n - k)
-            assert em.P == mirror.P and em.Q == mirror.Q, (n, k)
-            assert len(em.P) == len(scheme_basis(n, k).adjacency) == min(k, n - k) + 1
+        with refused_at_n_zero(n):
+            for k in range(n + 1):
+                em, mirror = eigenmatrices(n, k), eigenmatrices(n, n - k)
+                assert em.P == mirror.P and em.Q == mirror.Q, (n, k)
+                assert len(em.P) == len(scheme_basis(n, k).adjacency) == min(k, n - k) + 1
 
     @pytest.mark.parametrize("n,k", GRID)
     def test_first_row_is_valencies(self, n, k):
@@ -83,21 +120,18 @@ class TestEigenmatrices:
     @pytest.mark.parametrize("n,k", GRID)
     def test_multiplicities_column(self, n, k):
         em = eigenmatrices(n, k)
-        assert list(em.Q[0]) == [multiplicity(n, j) for j in range(k + 1)]
+        assert em.Q[0] == _multiplicities(n, k)
 
     def test_multiplicity_only_for_eigenvalue_indices(self):
-        # C(n, j) - C(n, j - 1) is a multiplicity for 0 <= j <= n // 2 only:
-        # it gave -2 at (4, 3) and -1 at (4, 5)
-        assert [multiplicity(4, j) for j in range(3)] == [1, 3, 2]
-        for j in (-1, 3, 5):
-            message = rf"^multiplicity: index {j} out of range \[0, 2\]$"
-            with pytest.raises(ValueError, match=message):
-                multiplicity(4, j)
+        # C(n, j) - C(n, j - 1) is a multiplicity for 0 <= j <= n // 2 only (it
+        # gives -2 at (4, 3)): the scheme J(4, 3) is J(4, 1), with indices 0 and 1
+        assert _multiplicities(4, 2) == (1, 3, 2)
+        assert eigenmatrices(4, 3).Q[0] == _multiplicities(4, 1) == (1, 3)
 
     def test_dimension_sums(self):
         for n, k in GRID:
             N = binomial(n, k)
-            assert sum(multiplicity(n, j) for j in range(k + 1)) == N
+            assert sum(_multiplicities(n, k)) == N
             assert sum(valency(n, k, i) for i in range(k + 1)) == N
 
 
@@ -119,12 +153,12 @@ class TestSchemeProjectors:
 
     @pytest.mark.parametrize("n,k", [(5, 2), (7, 3)])
     def test_trace_and_rank(self, n, k):
-        for j in range(k + 1):
+        for j, m_j in enumerate(_multiplicities(n, k)):
             exact = scheme_projector_exact(n, k, j)
             trace = sum(exact[a][a] for a in range(len(exact)))
-            assert trace == multiplicity(n, j)
+            assert trace == m_j
             evals = np.linalg.eigvalsh(np.array(exact, dtype=float))
-            assert int(np.sum(evals > 1e-8)) == multiplicity(n, j)
+            assert int(np.sum(evals > 1e-8)) == m_j
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -138,11 +172,12 @@ class TestSchemeProjectors:
 
     @pytest.mark.parametrize("n", range(9))
     def test_float_is_exact_converted(self, n):
-        for k in range(n + 1):
-            for j in range(min(k, n - k) + 1):
-                exact = scheme_projector_exact(n, k, j)
-                assert exact.dtype == object and all(type(x) is Fraction for x in exact.flat)
-                assert np.array_equal(scheme_projector(n, k, j), exact.astype(float))
+        with refused_at_n_zero(n):
+            for k in range(n + 1):
+                for j in range(min(k, n - k) + 1):
+                    exact = scheme_projector_exact(n, k, j)
+                    assert exact.dtype == object and all(type(x) is Fraction for x in exact.flat)
+                    assert np.array_equal(scheme_projector(n, k, j), exact.astype(float))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_gather_equals_fancy_index(self, n):
@@ -230,6 +265,29 @@ class TestBoseMesnerClosure:
         A2[0, b] = A2[b, 0] = 1
         tampered = type(basis)(n=5, k=2, adjacency=(basis.adjacency[0], A1, A2))
         with pytest.raises(SchemeClosureError, match="A_1 has unequal row sums"):
+            verify_bose_mesner_closure(tampered)
+
+    def test_product_outside_the_span_fails(self):
+        # a 6-cycle as A_1 on the 6 patterns of (4, 2), the other pairs as A_2:
+        # a symmetric partition of J with constant row sums, but A_1 A_1 has 1
+        # at the pairs two steps apart on the cycle and 0 at those three apart
+        A0 = np.eye(6, dtype=np.uint8)
+        A1 = np.roll(A0, 1, axis=1) | np.roll(A0, -1, axis=1)
+        basis = scheme_basis(4, 2)
+        tampered = type(basis)(n=4, k=2, adjacency=(A0, A1, 1 - A0 - A1))
+        with pytest.raises(SchemeClosureError,
+                           match=r"^A_1 A_1 is not in the span of the scheme for \(n, k\) = \(4, 2\)$"):
+            verify_bose_mesner_closure(tampered)
+
+    def test_negative_intersection_number_fails(self):
+        # (I, J, -I): signed classes that cover every pair once with row sums
+        # 1, 3 and -1, and A_1 A_1 = 3 J is in their span; p_12^l = v_1 -
+        # p_10^l - p_11^l is then -1 at l = 1.  For 0/1 classes that pass the
+        # other checks, p_12^l counts walks and cannot be negative
+        basis = scheme_basis(3, 1)
+        I = np.eye(3, dtype=np.int8)
+        tampered = type(basis)(n=3, k=1, adjacency=(I, np.ones_like(I), -I))
+        with pytest.raises(SchemeClosureError, match=r"^negative intersection number p_12\^1 = -1$"):
             verify_bose_mesner_closure(tampered)
 
     @pytest.mark.parametrize("n", range(1, 11))

@@ -632,6 +632,18 @@ class TestUniversalOracle:
             assert value == pytest.approx(float(universal_success(UniversalInstance(n, k, d))),
                                           abs=1e-12)
 
+    @pytest.mark.parametrize("n,d", [(13, 2), (8, 3)])
+    def test_refuses_a_dimension_past_the_cap(self, monkeypatch, n, d):
+        # d^n = 8192 and 6561 exceed DENSITY_DIM_CAP = 4096: refused before any isometry
+        def unreachable(*args):
+            raise AssertionError("built past the dimension cap")
+
+        monkeypatch.setattr(oracle, "_isometry", unreachable)
+        message = rf"^universal_success_oracle: d\^n = {d**n} exceeds cap {oracle.DENSITY_DIM_CAP}$"
+        for call in (universal_success_oracle, universal_holevo_violation):
+            with pytest.raises(ValueError, match=message):
+                call(n, 1, d)
+
     @pytest.mark.parametrize("fits", [True, False])
     def test_one_build_per_instance(self, monkeypatch, fits):
         # the success value and the Holevo witness of (6, 3, 2) share one build

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from anomdet import gram, protocols, universal
-from anomdet.combin import NK_CACHE_SIZE, distance_matrix
+from anomdet.combin import NK_CACHE_SIZE, _multiplicities, distance_matrix
 from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
-from anomdet.johnson import multiplicity
 from anomdet.protocols import (
     AsymptoticRegimeWarning,
     explicit_success_k123,
@@ -396,7 +395,7 @@ class TestCertificates:
                 G = np.asarray(gram_matrix(inst), dtype=float)
                 coeffs = protocols._projector_coefficients(n, k, m)
                 Y = np.array([float(x) for x in coeffs])[distance_matrix(n, k)]
-                Y *= inst.N / multiplicity(n, m)
+                Y *= inst.N / _multiplicities(n, m)[m]
                 reference = float(np.tensordot(G, Y) / inst.N)
                 report = verify_unambiguous_certificates(inst)
                 assert abs(report.dual_value - reference) <= 1e-14, (n, k)

@@ -1,9 +1,13 @@
-"""The detection rows share one SRM oracle call per (n, k, c), and the (n, k)
-caches hold the grid that verify walks."""
+"""The detection rows share one SRM oracle call per (n, k, c), the (n, k)
+caches hold the grid that verify walks, and each failure branch of a row fails it."""
 
+import dataclasses
 from collections import Counter
+from fractions import Fraction
 
-from anomdet import combin, oracle, verify
+import pytest
+
+from anomdet import combin, johnson, oracle, verify
 from anomdet.combin import NK_CACHE_SIZE
 from anomdet.oracle import STATE_QUBITS_CAP
 
@@ -86,3 +90,62 @@ def test_no_row_walks_more_cells_than_the_nk_caches_hold():
     assert walks["min-error-vs-srm-oracle", 12] == 71
     assert walks["min-error-vs-srm-oracle", STATE_QUBITS_CAP] == 79
     assert max(walks.values()) <= NK_CACHE_SIZE, max(walks, key=walks.get)
+
+
+def test_scheme_rows_sum_each_hahn_value_once(monkeypatch):
+    # the (n, k) table of P, Q and the projector coefficients: (m+1)^2 Hahn
+    # values per cell of the scheme grid, none on a second pass
+    hahn, calls = johnson.hahn_polynomial, []
+    monkeypatch.setattr(johnson, "hahn_polynomial", lambda *args: calls.append(args) or hahn(*args))
+    johnson._scheme.cache_clear()
+    try:
+        passes = [[r.line() for r in verify.run_scope("scheme", 9)] for _ in range(2)]
+    finally:
+        johnson._scheme.cache_clear()
+    cells = {(inst["n"], inst["k"]) for inst in verify._scheme_grid(9)}
+    assert len(calls) == sum((min(k, n - k) + 1) ** 2 for n, k in cells)
+    assert len(set(calls)) == len(calls) and passes[0] == passes[1]
+    assert all(line.startswith("PASS ") for line in passes[0])
+
+
+def test_unknown_scope_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown scope 'bogus'; expected all\|scheme\|"):
+        verify.run_scope("bogus", 9)
+
+
+def test_closure_error_fails_the_closure_row(monkeypatch):
+    def not_closed(n, k):
+        raise johnson.SchemeClosureError("planted")
+
+    assert verify._bose_mesner_closure(4, 2) == 0.0
+    monkeypatch.setattr(verify, "_intersection_numbers", not_closed)
+    assert verify._bose_mesner_closure(4, 2) == 1.0
+
+
+def test_short_spectrum_fails_the_reference_row(monkeypatch):
+    spectrum = verify.closed_form_spectrum
+
+    def short(instance):  # lambda_k and m_k dropped
+        spec = spectrum(instance)
+        return dataclasses.replace(spec, values=spec.values[:-1],
+                                   multiplicities=spec.multiplicities[:-1])
+
+    assert verify._reference_spectrum(6, 2, Fraction(1, 2)) == 0.0
+    monkeypatch.setattr(verify, "closed_form_spectrum", short)
+    assert verify._reference_spectrum(6, 2, Fraction(1, 2)) == 1.0
+
+
+def test_exact_projector_row_refuses_past_float_exactness(monkeypatch):
+    # a planted denominator 2^53 in E_0 makes the lcm L at least 2^53, so the
+    # integer projectors L E_j would no longer be exact in float64
+    true_coefficients = johnson._projector_coefficients
+
+    def planted(n, k, j):
+        coeffs = true_coefficients(n, k, j)
+        return (coeffs[0] + Fraction(1, 2**53), *coeffs[1:]) if j == 0 else coeffs
+
+    assert verify._projector_algebra_exact(4, 2) == 0.0
+    monkeypatch.setattr(johnson, "_projector_coefficients", planted)
+    with pytest.raises(ValueError,
+                       match="^integer projectors exceed float64 exactness at n=4, k=2$"):
+        verify._projector_algebra_exact(4, 2)
