@@ -43,19 +43,25 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _integer(x, field: str) -> int:
+    """x as a Python int: every count and index check.  x must be an int or
+    numpy integer, else ValueError names `field`: a float such as 5.0, a
+    Fraction, or a bool (True is an int to Python, but never a count or index)."""
+    if type(x) is int:  # skips the ABC checks
+        return x
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError(f"{field} must be an integer, got {x!r} ({type(x).__name__})")
+    return int(x)
+
+
 def _counts(n=None, k=None, d=None) -> tuple[int | None, int | None, int | None]:
     """(n, k, d) as Python ints, None where not passed: every entry point's count check.
 
-    Each must be an int or numpy integer, else ValueError names it: a float
-    such as 5.0, a Fraction, or a bool (True is an int to Python, but never a
-    count here).  Each is held to its range, one wording per rule: n >= 1;
-    0 <= k, and k <= n when n is passed; d >= 2.
+    Each goes through _integer, then is held to its range, one wording per
+    rule: n >= 1; 0 <= k, and k <= n when n is passed; d >= 2.
     """
     if not (type(n) is type(k) is int and (d is None or type(d) is int)):  # skips the ABC checks
-        for x, field in zip((n, k, d), "nkd"):
-            if x is not None and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
-                raise ValueError(f"{field} must be an integer, got {x!r} ({type(x).__name__})")
-        n, k, d = (None if x is None else int(x) for x in (n, k, d))
+        n, k, d = (None if x is None else _integer(x, f) for x, f in zip((n, k, d), "nkd"))
     if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k is not None and (k < 0 or n is not None and k > n):

@@ -17,10 +17,13 @@ Index conventions used throughout:
     validated against a dense eigensolver in the tests.  Each value is
     its terminating 3F2 summed by Horner's rule in integers, with one
     Fraction at the end.
-  * The closure check forms A_i A_j for i <= j only: the A_i are
-    symmetric, so a product in their span is symmetric too and the
-    algebra is commutative (Delsarte 1973).
-  * Every entry point checks n and k with combin._counts.  P, Q and the
+  * The closure check takes 0/1 classes that partition J, symmetric, with
+    A_0 = I and constant row sums, and forms A_i A_j for i <= j < m only:
+    a product in the span of symmetric classes is symmetric, so the algebra
+    commutes (Delsarte 1973), and each p_im^l is an entry of A_i A_m, a
+    count of walks, so no sign check is needed.
+  * Every entry point checks n and k with combin._counts, and an index
+    argument with combin._integer, in the same wording.  P, Q and the
     coefficients of every E_j depend on (n, k) only: one table per (n, k),
     built from (m+1)^2 Hahn values on a miss, serves every reader of them.
 """
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, _counts, _multiplicities, binomial, distance_matrix
+from .combin import NK_CACHE_SIZE, _counts, _integer, _multiplicities, binomial, distance_matrix
 
 __all__ = [
     "SchemeBasis",
@@ -55,11 +58,13 @@ class SchemeClosureError(Exception):
 
 @dataclass(frozen=True)
 class SchemeBasis:
-    """The m+1 adjacency matrices of the scheme on k-subsets of {1..n}, m = min(k, n-k)."""
+    """The m+1 adjacency matrices of the scheme on k-subsets of {1..n}, m = min(k, n-k):
+    N x N classes of 0s and 1s that partition J, symmetric, with A_0 = I and constant
+    row sums, so every p_ij^l is an entry of A_i A_j, a count of walks, never negative."""
 
     n: int
     k: int
-    adjacency: tuple[np.ndarray, ...]  # A_0..A_m, each N x N of 0/1
+    adjacency: tuple[np.ndarray, ...]  # A_0..A_m
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,7 @@ class Eigenmatrices:
 def valency(n: int, k: int, i: int) -> int:
     """Number of patterns at distance i from a fixed pattern."""
     n, k, _ = _counts(n, k)
+    i = _integer(i, "i")
     return binomial(k, i) * binomial(n - k, i)
 
 
@@ -96,6 +102,7 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     integers; one Fraction at the end.
     """
     n, k, _ = _counts(n, k)
+    j, x = _integer(j, "j"), _integer(x, "x")
     if not 0 <= j <= k or j > n - k:  # j in [0, min(k, n-k)]
         raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {min(k, n - k)}]")
     if not 0 <= x <= k:
@@ -138,7 +145,7 @@ def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
     """E_j's m+1 exact entries q_j(i) / N, one per subset distance i, off the (n, k) table."""
     if not (type(n) is type(k) is int):
         n, k, _ = _counts(n, k)
-    coeffs = _scheme(n, k)[1]
+    coeffs, j = _scheme(n, k)[1], _integer(j, "j")
     if 0 <= j < len(coeffs):
         return coeffs[j]
     raise ValueError(f"scheme_projector: index {j} out of range [0, {len(coeffs) - 1}]")
@@ -167,63 +174,58 @@ def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list
     """Intersection numbers p_ij^l with A_i A_j = sum_l p_ij^l A_l.
 
     Returns {(i, j): [p_ij^0, ..., p_ij^m]} for every ordered pair, m + 1 =
-    len(basis.adjacency).  Raises SchemeClosureError if an A_l is not
-    symmetric, if A_0 is not the identity, if the A_l overlap or leave a
-    pair uncovered, if an A_l is empty or has unequal row sums, if any
-    product leaves the span or if any coefficient is not a non-negative
-    integer (all signal a construction bug).
+    len(basis.adjacency).  Raises SchemeClosureError, a construction bug, if
+    the basis breaks the SchemeBasis contract (the 0/1 rule first, in any
+    dtype; an empty class too) or a product leaves the span of the classes.
 
-    Only the products A_i A_j with 1 <= i <= j <= m-1 are formed.  One in
-    the span of the symmetric A_l is symmetric, so A_j A_i = (A_i A_j)^T =
-    A_i A_j and the algebra commutes.  A_0 = I gives p_0j^l = [j == l].
-    The classes partition J, and A_i J = v_i J with v_i the row sum of A_i,
-    so A_i A_m = v_i J - sum_{j<m} A_i A_j: p_im^l = v_i - sum_{j<m} p_ij^l.
-    The products are float32: every partial sum is a count of at most N,
-    and N < 2^24 for any N x N matrix that fits in memory, so they are exact.
+    The classes partition J, so labels = sum_l l A_l is each entry's class:
+    symmetry and A_0 = I are read off it once.  Only A_i A_j with
+    1 <= i <= j <= m-1 are formed: one in the span of the symmetric A_l is
+    symmetric, so A_j A_i = (A_i A_j)^T = A_i A_j.  A_0 = I gives p_0j^l =
+    [j == l], and A_i J = v_i J gives p_im^l = v_i - sum_{j<m} p_ij^l, an
+    entry of A_i A_m, so never negative.  The float32 products are exact:
+    every partial sum is a count of at most N < 2^24 (N^2 fits in memory).
     """
     where = f"(n, k) = ({basis.n}, {basis.k})"
-    adjacency = basis.adjacency
-    m, N = len(adjacency) - 1, len(adjacency[0])
-    for l, A in enumerate(adjacency):
-        if not np.array_equal(A, A.T):
-            raise SchemeClosureError(f"A_{l} is not symmetric for {where}")
-    if not np.array_equal(adjacency[0], np.eye(N, dtype=np.uint8)):
-        raise SchemeClosureError(f"A_0 is not the identity for {where}")
-    cover = np.sum(adjacency, axis=0, dtype=np.int16)  # how many classes hold each entry
+    same = len({np.shape(A) for A in basis.adjacency}) == 1  # one or more classes, one shape
+    classes = np.array(basis.adjacency if same else [])
+    adjacency, N = classes.astype(bool), classes.shape[-1]  # A_0..A_m stacked
+    if not N or classes.shape[1:] != (N, N) or not np.array_equal(classes, adjacency):
+        raise SchemeClosureError(f"adjacency matrices must be one or more N x N arrays"
+                                 f" of 0s and 1s for {where}")
+    m, dtype = len(adjacency) - 1, np.min_scalar_type(len(adjacency))  # holds a count or label
+    cover = adjacency.sum(axis=0, dtype=dtype)  # how many classes hold each entry
     if (cover > 1).any():
         raise SchemeClosureError(f"adjacency matrices overlap for {where}")
     if (cover < 1).any():
         raise SchemeClosureError(f"adjacency matrices leave a pair uncovered for {where}")
+    labels = np.einsum("l,lab->ab", np.arange(m + 1, dtype=dtype), adjacency.view(np.uint8))
+    if (asymmetric := labels != labels.T).any():
+        raise SchemeClosureError(f"A_{labels[asymmetric].min()} is not symmetric for {where}")
+    if labels.diagonal().any() or np.count_nonzero(labels) != N * N - N:
+        raise SchemeClosureError(f"A_0 is not the identity for {where}")
     valencies = []
-    for l, A in enumerate(adjacency):
-        rows = A.sum(axis=1, dtype=np.int64)
+    for l, rows in enumerate(adjacency.sum(axis=2, dtype=np.int64)):
         if (rows != rows[0]).any():
             raise SchemeClosureError(f"A_{l} has unequal row sums for {where}")
         if rows[0] == 0:
             raise SchemeClosureError(f"A_{l} is empty for {where}")
         valencies.append(int(rows[0]))
-    # The A_l partition J, so sum_l l A_l is each entry's class label,
-    # sum_l p_ij^l A_l is the coefficient vector indexed by it, and p_ij^l
-    # can be read off one entry where A_l is 1 and then checked globally.
-    labels = sum(l * A for l, A in enumerate(adjacency))
+    # p_ij^l is read off one entry where A_l is 1, then checked through labels
     reps = [int(A.argmax()) for A in adjacency]
     numbers = {(0, j): [int(l == j) for l in range(m + 1)] for j in range(m + 1)}
-    mats = [A.astype(np.float32) for A in adjacency[1:m]]  # A_1..A_{m-1}
+    mats = [A.astype(np.float32) for A in adjacency[1:m]]  # own arrays: slices multiply slower
     for i in range(1, m):
         for j in range(i, m):
             prod = mats[i - 1] @ mats[j - 1]
             coeffs = [int(prod.flat[rep]) for rep in reps]
             if not np.array_equal(prod, np.array(coeffs, dtype=np.float32).take(labels)):
-                raise SchemeClosureError(
-                    f"A_{i} A_{j} is not in the span of the scheme for {where}"
-                )
+                raise SchemeClosureError(f"A_{i} A_{j} is not in the span of the scheme"
+                                         f" for {where}")
             numbers[(i, j)] = coeffs
     for i in range(1, m + 1):  # A_i A_m = v_i J - sum_{j<m} A_i A_j, for i = m last
         row = [numbers[min(i, j), max(i, j)] for j in range(m)]
         numbers[(i, m)] = [valencies[i] - sum(p[l] for p in row) for l in range(m + 1)]
-        for l, val in enumerate(numbers[(i, m)]):  # the others are counts
-            if val < 0:
-                raise SchemeClosureError(f"negative intersection number p_{i}{m}^{l} = {val}")
     # every key gets its own list, so that a caller may edit one entry
     return {key: list(coeffs) for (i, j), coeffs in sorted(numbers.items())
             for key in ((i, j), (j, i))}

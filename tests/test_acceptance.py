@@ -174,6 +174,33 @@ def test_halved_srm_fails_the_holevo_row(monkeypatch):
         run_criterion(6)
 
 
+def test_scaled_adjacency_fails_the_closure_row(monkeypatch):
+    """A_1 scaled by 65537 wraps to A_1 in an int16 cover sum: every
+    bose-mesner-closure cell fails at the 0/1 rule, and eigenvalue-recurrence,
+    which reads the same intersection numbers, prints that refusal as ERROR."""
+    basis_of = johnson.scheme_basis
+
+    def scaled(n, k):
+        A0, A1, *rest = (basis := basis_of(n, k)).adjacency  # m >= 1 on the scheme grid
+        return dataclasses.replace(basis, adjacency=(A0, A1.astype(np.int64) * 65537, *rest))
+
+    monkeypatch.setattr(johnson, "scheme_basis", scaled)
+    verify._intersection_numbers.cache_clear()
+    try:
+        lines = {check.name: [r.line() for r in check.run(GATE_MAX_N)] for check in verify.CHECKS
+                 if check.name in ("bose-mesner-closure", "eigenvalue-recurrence")}
+        with pytest.raises(AssertionError, match="criterion 8 failed.*'FAIL bose-mesner-closure "):
+            run_criterion(8)
+    finally:
+        verify._intersection_numbers.cache_clear()
+    refusal = "SchemeClosureError: adjacency matrices must be one or more N x N arrays of 0s and 1s"
+    closure, recurrence = lines["bose-mesner-closure"], lines["eigenvalue-recurrence"]
+    assert closure and all(line.startswith("FAIL bose-mesner-closure ") for line in closure)
+    assert len(recurrence) == len(closure)
+    assert all(line.startswith("ERROR eigenvalue-recurrence ") and refusal in line
+               for line in recurrence)
+
+
 def test_criterion_9_figure_reproduction():
     runner = CliRunner()
     ok = True

@@ -24,6 +24,7 @@ from anomdet.combin import (
 from test_combin import refused_at_n_zero
 
 GRID = [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+ZERO_ONE_RULE = r"^adjacency matrices must be one or more N x N arrays of 0s and 1s for \(n, k\) = "
 
 
 REFUSED = [  # (call, args, message)
@@ -40,6 +41,12 @@ REFUSED = [  # (call, args, message)
     (enumerate_patterns, (3, 4), r"^k must be in \[0, n\], got k=4, n=3$"),
     (pattern_indicator, (2.0, 1), r"^n must be an integer, got 2.0 \(float\)$"),
     (distance_matrix, (-2, -1), r"^n must be >= 1, got -2$"),
+    # the index arguments go through the same check, combin._integer
+    (hahn_polynomial, (True, 1, 4, 2), r"^j must be an integer, got True \(bool\)$"),
+    (hahn_polynomial, (1, 1.0, 4, 2), r"^x must be an integer, got 1.0 \(float\)$"),
+    (valency, (4, 2, 1.5), r"^i must be an integer, got 1.5 \(float\)$"),
+    (scheme_projector, (4, 2, True), r"^j must be an integer, got True \(bool\)$"),
+    (scheme_projector_exact, (4, 2, Fraction(1)), r"^j must be an integer, got Fraction\(1, 1\) "),
 ]
 
 
@@ -54,6 +61,12 @@ def test_entry_points_refuse_bad_counts(call, args, message):
         for n, k in [(1, 0), (5, 1), (5, 2)]:
             eigenmatrices(n, k)
             scheme_projector_exact(n, k, 0)
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert hahn_polynomial(np.int64(1), np.uint8(1), 4, 2) == hahn_polynomial(1, 1, 4, 2)
+    assert valency(4, 2, np.int32(1)) == valency(4, 2, 1) == 4
+    assert np.array_equal(scheme_projector(4, 2, np.int64(1)), scheme_projector(4, 2, 1))
 
 
 class TestAdjacency:
@@ -279,16 +292,35 @@ class TestBoseMesnerClosure:
                            match=r"^A_1 A_1 is not in the span of the scheme for \(n, k\) = \(4, 2\)$"):
             verify_bose_mesner_closure(tampered)
 
-    def test_negative_intersection_number_fails(self):
+    def test_signed_basis_fails_the_0_1_rule(self):
         # (I, J, -I): signed classes that cover every pair once with row sums
-        # 1, 3 and -1, and A_1 A_1 = 3 J is in their span; p_12^l = v_1 -
-        # p_10^l - p_11^l is then -1 at l = 1.  For 0/1 classes that pass the
-        # other checks, p_12^l counts walks and cannot be negative
+        # 1, 3 and -1, and A_1 A_1 = 3 J is in their span; the derived p_12^1 =
+        # v_1 - p_10^1 - p_11^1 would be -1.  The 0/1 rule refuses the basis first
         basis = scheme_basis(3, 1)
         I = np.eye(3, dtype=np.int8)
         tampered = type(basis)(n=3, k=1, adjacency=(I, np.ones_like(I), -I))
-        with pytest.raises(SchemeClosureError, match=r"^negative intersection number p_12\^1 = -1$"):
+        with pytest.raises(SchemeClosureError, match=ZERO_ONE_RULE):
             verify_bose_mesner_closure(tampered)
+
+    @pytest.mark.parametrize("n,k,classes", [
+        (4, 2, lambda A0, A1, A2: ()),  # no class at all
+        (4, 2, lambda A0, A1, A2: (A0, A1[:5, :5], A2)),  # two shapes
+        (4, 2, lambda A0, A1, A2: (A0, A1 / 2, A1 / 2, A2)),  # 0.5 entries that sum to A_1
+        (3, 1, lambda A0, A1: (A0, 2 * A1)),  # 2 (J - I)
+        (3, 1, lambda A0, A1: (A0, A1.astype(np.int64) * 65537)),  # wraps to A_1 in int16
+    ], ids=["empty", "two-shapes", "halves", "doubled", "scaled-65537"])
+    def test_malformed_classes_fail_the_0_1_rule(self, n, k, classes):
+        basis = scheme_basis(n, k)
+        tampered = type(basis)(n=n, k=k, adjacency=classes(*basis.adjacency))
+        with pytest.raises(SchemeClosureError, match=ZERO_ONE_RULE):
+            verify_bose_mesner_closure(tampered)
+
+    def test_bool_and_float_classes_pass(self):
+        basis = scheme_basis(6, 3)
+        numbers = verify_bose_mesner_closure(basis)
+        for dtype in (bool, np.float32, np.float64):
+            copy = type(basis)(n=6, k=3, adjacency=tuple(A.astype(dtype) for A in basis.adjacency))
+            assert verify_bose_mesner_closure(copy) == numbers
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_intersection_numbers_match_a_count(self, n):
