@@ -121,7 +121,11 @@ def _bounded_cache(build):
     used until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
     remain.  A hit moves its entry to the most recently used end.  The dict is
     the wrapper's `cache`.  Threads may share it: a miss snapshots the entries
-    and every pop has a default, so at worst a value is built twice.
+    and every pop has a default, so at worst a value is built twice.  Its
+    users: D, the oracle's sector layouts, support bases and universal SRM
+    builds, and the exact projectors E_j.  An object array's nbytes counts
+    its pointers only: E_j's m+1 Fractions, taken from johnson's (n, k)
+    table, are not counted.
     """
     entries = {}
 

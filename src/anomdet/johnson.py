@@ -25,7 +25,9 @@ Index conventions used throughout:
   * Every entry point checks n and k with combin._counts, and an index
     argument with combin._integer, in the same wording.  P, Q and the
     coefficients of every E_j depend on (n, k) only: one table per (n, k),
-    built from (m+1)^2 Hahn values on a miss, serves every reader of them.
+    built from (m+1)^2 Hahn values on a miss, serves every reader of them,
+    and each exact E_j, one gather of its coefficients by D, is built once
+    per (n, k, j) and shared read-only, never per overlap.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, _counts, _integer, _multiplicities, binomial, distance_matrix
+from .combin import (NK_CACHE_SIZE, _bounded_cache, _counts, _integer, _multiplicities, binomial,
+                     distance_matrix)
 
 __all__ = [
     "SchemeBasis",
@@ -165,8 +168,20 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     """E_j as an object ndarray of Fractions (rank and trace both equal m_j).
 
     The object-dtype form of scheme_projector: the m+1 exact coefficients
-    gathered by the distance matrix (np.fromiter skips np.array's probing).
+    gathered by the distance matrix.  E_j depends on (n, k, j) only, so each
+    is built once and shared read-only, like D (copy it to modify it).  Two
+    ints n and k skip _counts, which the table runs on a miss; j is checked
+    before the cache is read, so no refused key is kept.
     """
+    if not (type(n) is type(k) is int):
+        n, k, _ = _counts(n, k)
+    return _exact_projector(n, k, _integer(j, "j"))
+
+
+@_bounded_cache
+def _exact_projector(n: int, k: int, j: int) -> np.ndarray:
+    """E_j for int n, k and j, built on a miss of scheme_projector_exact
+    (np.fromiter skips np.array's probing)."""
     return np.fromiter(_projector_coefficients(n, k, j), object).take(distance_matrix(n, k))
 
 

@@ -202,10 +202,14 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
 
     The intersection numbers are counted from the adjacency matrices, so
     this is independent of the Hahn values behind P, each its 3F2 summed in
-    integers (Delsarte 1973).
+    integers (Delsarte 1973).  1 if the basis has no intersection numbers
+    (verify_bose_mesner_closure raises SchemeClosureError).
     """
     P, classes = johnson.eigenmatrices(n, k).P, _classes(n, k)
-    p = _intersection_numbers(n, k)
+    try:
+        p = _intersection_numbers(n, k)
+    except johnson.SchemeClosureError:
+        return 1.0
     return float(max(
         abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in classes))
         for j in classes

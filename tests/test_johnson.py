@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anomdet import combin, johnson
 from anomdet.johnson import (
     SchemeClosureError,
     _projector_coefficients,
@@ -15,6 +16,7 @@ from anomdet.johnson import (
     verify_bose_mesner_closure,
 )
 from anomdet.combin import (
+    NK_CACHE_SIZE,
     _multiplicities,
     binomial,
     distance_matrix,
@@ -205,7 +207,91 @@ class TestSchemeProjectors:
                 exact = scheme_projector_exact(n, k, j)
                 reference = np.array(coeffs, dtype=object)[D]
                 assert exact.dtype == object and exact.shape == reference.shape
-                assert all(a is b for a, b in zip(exact.flat, reference.flat)), (n, k, j)
+                assert all(type(a) is Fraction and a == b
+                           for a, b in zip(exact.flat, reference.flat)), (n, k, j)
+                # a gather of the m+1 coefficients, not a copy per entry; it may
+                # outlive the (n, k) table, so its Fractions need not be the table's
+                assert len({id(a) for a in exact.flat}) <= len(coeffs), (n, k, j)
+                assert scheme_projector_exact(n, k, j) is exact
+
+
+@pytest.fixture
+def empty_projector_cache():
+    johnson._exact_projector.cache.clear()
+    yield johnson._exact_projector.cache
+    johnson._exact_projector.cache.clear()
+
+
+def _scheme_keys(max_n: int) -> list[tuple[int, int, int]]:
+    """Every (n, k, j) with 1 <= n <= max_n, 0 <= k <= n and 0 <= j <= min(k, n - k)."""
+    return [(n, k, j) for n in range(1, max_n + 1) for k in range(n + 1)
+            for j in range(min(k, n - k) + 1)]
+
+
+class TestExactProjectorCache:
+    def test_shared_copy_is_read_only(self, empty_projector_cache):
+        E = scheme_projector_exact(6, 3, 1)
+        assert not E.flags.writeable and scheme_projector_exact(6, 3, 1) is E
+        with pytest.raises(ValueError):
+            E[0, 0] = 0
+        copy = E.copy()  # a copy is the caller's to modify
+        copy[0, 0] = 0
+        assert scheme_projector_exact(6, 3, 1)[0, 0] == _projector_coefficients(6, 3, 1)[0]
+
+    def test_numpy_integers_share_the_int_entry(self, empty_projector_cache):
+        E = scheme_projector_exact(np.int64(5), 2, np.uint8(1))
+        assert [tuple(map(type, key)) for key in empty_projector_cache] == [(int, int, int)]
+        assert scheme_projector_exact(5, 2, 1) is E
+        assert list(empty_projector_cache) == [(5, 2, 1)]
+
+    @pytest.mark.parametrize("args, message", [
+        ((6.0, 2, 0), r"^n must be an integer, got 6.0 \(float\)$"),
+        ((6, 2, False), r"^j must be an integer, got False \(bool\)$"),
+        ((5, 3, 3), r"^scheme_projector: index 3 out of range \[0, 2\]$"),
+        ((30, 15, 3), r"^Gram size 155117520 exceeds cap 5000$"),
+    ], ids=["float-count", "bool-index", "index-out-of-range", "over-the-size-cap"])
+    def test_refused_keys_are_not_kept(self, empty_projector_cache, monkeypatch, args, message):
+        def unreachable(*args):
+            raise AssertionError("built past the size cap")
+
+        for _ in range(2):  # cold, then warm: (6, 2, 0) == (6.0, 2, 0) as a dict key
+            held = list(empty_projector_cache)
+            with monkeypatch.context() as patch, pytest.raises(ValueError, match=message):
+                patch.setattr(combin, "enumerate_patterns", unreachable)
+                scheme_projector_exact(*args)
+            assert list(empty_projector_cache) == held
+            scheme_projector_exact(6, 2, 0)
+            scheme_projector_exact(5, 3, 2)
+        assert list(empty_projector_cache) == [(6, 2, 0), (5, 3, 2)]
+
+    def test_least_recently_used_evicted_past_the_bound(self, empty_projector_cache):
+        keys = _scheme_keys(12)[:NK_CACHE_SIZE + 5]
+        assert len(keys) == NK_CACHE_SIZE + 5
+        first = scheme_projector_exact(*keys[0])
+        for key in keys[1:]:
+            scheme_projector_exact(*key)
+            assert len(empty_projector_cache) <= NK_CACHE_SIZE
+        assert list(empty_projector_cache) == keys[5:]
+        rebuilt = scheme_projector_exact(*keys[0])
+        assert rebuilt is not first and np.array_equal(rebuilt, first)
+
+    def test_cold_and_warm_values_are_equal(self, empty_projector_cache):
+        # each key once on an empty cache, then again on a cache warmed by the
+        # walk, after the (n, k) tables the cached arrays were gathered from are gone
+        keys = _scheme_keys(9)
+        cold = {}
+        for key in keys:
+            empty_projector_cache.clear()
+            cold[key] = scheme_projector_exact(*key)
+        for key in keys:
+            scheme_projector_exact(*key)
+        johnson._scheme.cache_clear()
+        for key in keys:
+            n, k, j = key
+            warm = scheme_projector_exact(*key)
+            reference = np.array(_projector_coefficients(n, k, j), dtype=object)[distance_matrix(n, k)]
+            assert warm.shape == cold[key].shape == reference.shape, key
+            assert np.array_equal(warm, cold[key]) and np.array_equal(warm, reference), key
 
 
 class TestBoseMesnerClosure:
