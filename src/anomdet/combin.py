@@ -115,19 +115,21 @@ def _fits(nbytes: int) -> bool:
 def _bounded_cache(build):
     """build, its results kept read-only per argument tuple, least recently used first.
 
-    A miss makes every array of the value read-only, tuple members included,
-    and keeps the entry if its bytes, those of the arrays and byte strings of
-    key and value, fit the byte bound alone; it then evicts the least recently
-    used until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
-    remain.  A hit moves its entry to the most recently used end.  The dict is
-    the wrapper's `cache`.  Threads may share it: a miss snapshots the entries
-    and every pop has a default, so at worst a value is built twice.  Its
-    users: D, the oracle's sector layouts, support bases and universal SRM
-    builds, and the exact projectors E_j.  An object array's nbytes counts
-    its pointers only: E_j's m+1 Fractions, taken from johnson's (n, k)
-    table, are not counted.
+    The one memo of every per-(n, k) table: D, johnson's table of P, Q and
+    the projector coefficients, the exact E_j, the dual witness, verify's
+    intersection numbers, and the oracle's sector layouts, support bases and
+    universal SRM builds.  Callers check the key; the builder trusts it, and
+    a build that raises keeps nothing.  A miss makes every array of the value
+    read-only, tuple members included, and counts once the bytes of the
+    arrays and byte strings of key and value (Fractions, dicts and the
+    objects an object array points to count 0); the entry is kept if they
+    fit the byte bound alone, then the least recently used go until at most
+    NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes remain.  A hit
+    moves its entry to the most recently used end.  The dict is the wrapper's
+    `cache`.  Threads may share it: a miss snapshots the keys and every pop
+    has a default, so at worst a value is built twice.
     """
-    entries = {}
+    entries, sizes = {}, {}
 
     @functools.wraps(build)
     def cached(*key):
@@ -138,14 +140,14 @@ def _bounded_cache(build):
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        if _fits(_nbytes((key, value))):
-            entries[key] = value
-            held = list(entries.items())  # least recently used first
-            total = sum(map(_nbytes, held))
+        if _fits(size := _nbytes((key, value))):
+            entries[key], sizes[key] = value, size
+            held = list(entries)  # least recently used first
+            total = sum(sizes.get(old, 0) for old in held)
             while len(held) > NK_CACHE_SIZE or not _fits(total):
                 old = held.pop(0)
-                entries.pop(old[0], None)
-                total -= _nbytes(old)
+                entries.pop(old, None)
+                total -= sizes.pop(old, 0)
         return value
 
     cached.cache = entries
@@ -158,21 +160,18 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     D[a, b] is the subset distance k - |r ∩ s| of the a-th and b-th patterns
     r and s.  The overlap counts X X^T are at most n, so the float64 (BLAS)
     product is exact; D is in the smallest unsigned type holding its largest
-    entry m = min(k, n - k), uint8 under the Gram size cap.  Two ints skip
-    _counts, which the cache runs on a miss, keeping no refused key.  Each (n, k)
-    is built once and shared read-only (copy D to modify it) by a _bounded_cache.
+    entry m = min(k, n - k), uint8 under the Gram size cap.  Each (n, k) is
+    built once and shared read-only (copy D to modify it) by a _bounded_cache.
     A miss with N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern
     is enumerated, so no N x N object is built beyond the cap.
     """
-    if not (type(n) is type(k) is int):
-        n, k, _ = _counts(n, k)
+    n, k, _ = _counts(n, k)
     return _distances(n, k)
 
 
 @_bounded_cache
 def _distances(n: int, k: int) -> np.ndarray:
-    """D for int n and k, built on a miss of distance_matrix."""
-    _counts(n, k)
+    """D for checked n and k, built on a miss of distance_matrix."""
     N = binomial(n, k)
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")

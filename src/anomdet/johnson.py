@@ -22,24 +22,23 @@ Index conventions used throughout:
     a product in the span of symmetric classes is symmetric, so the algebra
     commutes (Delsarte 1973), and each p_im^l is an entry of A_i A_m, a
     count of walks, so no sign check is needed.
-  * Every entry point checks n and k with combin._counts, and an index
+  * Every entry point checks n and k with combin._counts, then an index
     argument with combin._integer, in the same wording.  P, Q and the
     coefficients of every E_j depend on (n, k) only: one table per (n, k),
     built from (m+1)^2 Hahn values on a miss, serves every reader of them,
     and each exact E_j, one gather of its coefficients by D, is built once
-    per (n, k, j) and shared read-only, never per overlap.
+    per (n, k, j) and shared read-only, never per overlap.  Both are held
+    by combin._bounded_cache, whose builders trust their checked keys.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combin import (NK_CACHE_SIZE, _bounded_cache, _counts, _integer, _multiplicities, binomial,
-                     distance_matrix)
+from .combin import _bounded_cache, _counts, _integer, _multiplicities, binomial, distance_matrix
 
 __all__ = [
     "SchemeBasis",
@@ -118,13 +117,9 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     return Fraction(U, V)
 
 
-@functools.lru_cache(maxsize=NK_CACHE_SIZE)
+@_bounded_cache
 def _scheme(n: int, k: int) -> tuple[Eigenmatrices, tuple[tuple[Fraction, ...], ...]]:
-    """P, Q and each E_j's m+1 entries q_j(i) / N for int n and k, the (n, k) table.
-
-    Its readers pass only ints; _counts checks them here, so no refused key is kept.
-    """
-    _counts(n, k)
+    """P, Q and each E_j's m+1 entries q_j(i) / N for checked n and k, the (n, k) table."""
     classes = range(min(k, n - k) + 1)
     N, mults = binomial(n, k), _multiplicities(n, classes[-1])
     qvals = [[hahn_polynomial(j, i, n, k) for i in classes] for j in classes]
@@ -139,16 +134,14 @@ def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     P @ Q == C(n,k) * Identity by Hahn orthogonality; both are (m+1) x (m+1),
     m = min(k, n-k), and the same for k and n-k.  Read off the (n, k) table.
     """
-    if not (type(n) is type(k) is int):
-        n, k, _ = _counts(n, k)
+    n, k, _ = _counts(n, k)
     return _scheme(n, k)[0]
 
 
 def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
     """E_j's m+1 exact entries q_j(i) / N, one per subset distance i, off the (n, k) table."""
-    if not (type(n) is type(k) is int):
-        n, k, _ = _counts(n, k)
-    coeffs, j = _scheme(n, k)[1], _integer(j, "j")
+    n, k, _ = _counts(n, k)
+    j, coeffs = _integer(j, "j"), _scheme(n, k)[1]
     if 0 <= j < len(coeffs):
         return coeffs[j]
     raise ValueError(f"scheme_projector: index {j} out of range [0, {len(coeffs) - 1}]")
@@ -169,18 +162,15 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
 
     The object-dtype form of scheme_projector: the m+1 exact coefficients
     gathered by the distance matrix.  E_j depends on (n, k, j) only, so each
-    is built once and shared read-only, like D (copy it to modify it).  Two
-    ints n and k skip _counts, which the table runs on a miss; j is checked
-    before the cache is read, so no refused key is kept.
+    is built once and shared read-only, like D (copy it to modify it).
     """
-    if not (type(n) is type(k) is int):
-        n, k, _ = _counts(n, k)
+    n, k, _ = _counts(n, k)
     return _exact_projector(n, k, _integer(j, "j"))
 
 
 @_bounded_cache
 def _exact_projector(n: int, k: int, j: int) -> np.ndarray:
-    """E_j for int n, k and j, built on a miss of scheme_projector_exact
+    """E_j for checked n, k and j, built on a miss of scheme_projector_exact
     (np.fromiter skips np.array's probing)."""
     return np.fromiter(_projector_coefficients(n, k, j), object).take(distance_matrix(n, k))
 

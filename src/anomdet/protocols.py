@@ -8,16 +8,15 @@ optimality certificates for the latter.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import NK_CACHE_SIZE, _multiplicities, binomial, distance_matrix
+from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, _gram_powers, _log_weights, direct_spectrum
-from .johnson import _projector_coefficients
+from .johnson import _projector_coefficients, scheme_projector
 
 __all__ = [
     "ProtocolResult",
@@ -148,25 +147,24 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     return ProtocolResult(value=(q - p) ** m / q**m, method="closed-form", instance=instance)
 
 
-@functools.lru_cache(maxsize=NK_CACHE_SIZE)
-def _dual_witness(n: int, k: int, m: int) -> tuple[bool, float, tuple[float, ...]]:
+@_bounded_cache
+def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
     """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness
-    Y = (N/m_m) E_m, m = min(k, n-k) as the caller's instance stores it,
-    from E_m's exact entry per subset distance.
+    Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance.
 
     D's diagonal is 0, so diag(Y) = 1 is the exact test N coeffs[0] = m_m.
     The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
     y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
     the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
-    None of these depends on the overlap, so they are kept per (n, k), for
-    the NK_CACHE_SIZE most recently used: two scalars and m+1 weights, not Y.
+    None of these depends on the overlap, so a _bounded_cache keeps them per
+    (n, k): two scalars and m+1 weights, not Y.
     """
+    m = min(k, n - k)
     coeffs = _projector_coefficients(n, k, m)
     N, m_m = binomial(n, k), _multiplicities(n, m)[m]
-    D = distance_matrix(n, k)
-    counts = np.bincount(D.ravel(), minlength=m + 1).tolist()
+    counts = np.bincount(distance_matrix(n, k).ravel(), minlength=m + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
-    Y = np.array([float(x) for x in coeffs]).take(D) * (N / m_m)
+    Y = scheme_projector(n, k, m) * (N / m_m)
     return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
 
 
@@ -201,7 +199,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     D = distance_matrix(n, k)  # refuses N > GRAM_SIZE_CAP before any power is formed
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
 
-    diag_ok, y_min, weights = _dual_witness(n, k, m)
+    diag_ok, y_min, weights = _dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import NK_CACHE_SIZE, _multiplicities, binomial, distance_matrix
+from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -164,7 +164,7 @@ def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
 
 # --- residuals: Johnson scheme -------------------------------------------
 
-@lru_cache(maxsize=NK_CACHE_SIZE)
+@_bounded_cache
 def _intersection_numbers(n: int, k: int) -> dict[tuple[int, int], list[int]]:
     """verify_bose_mesner_closure(scheme_basis(n, k)), once per (n, k) for two rows."""
     return johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
@@ -299,7 +299,10 @@ def _srm(n: int, k: int, c: float) -> SrmResult:
     """srm_success_oracle on the explicit states, once per (n, k, c) for three rows.
 
     The cache holds the whole _srm_grid at the qubit cap, so the later
-    detection rows read every result the first one computed.  The oracle
+    detection rows read every result the first one computed.  It is the
+    run memo of those rows, sized to their grid, not an (n, k) table: under
+    the entry bound of a _bounded_cache each row would evict what the next
+    reads, and each (n, k, c) would be factored three times.  The oracle
     itself factors one support basis per (n, k) (one more each at c = 0
     and 1, where whole columns vanish), certifies it for each c, and reads
     the singular values of the stack off it.

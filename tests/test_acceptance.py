@@ -185,14 +185,14 @@ def test_scaled_adjacency_fails_the_closure_row(monkeypatch):
         return dataclasses.replace(basis, adjacency=(A0, A1.astype(np.int64) * 65537, *rest))
 
     monkeypatch.setattr(johnson, "scheme_basis", scaled)
-    verify._intersection_numbers.cache_clear()
+    verify._intersection_numbers.cache.clear()
     try:
         lines = {check.name: [r.line() for r in check.run(GATE_MAX_N)] for check in verify.CHECKS
                  if check.name in ("bose-mesner-closure", "eigenvalue-recurrence")}
         with pytest.raises(AssertionError, match="criterion 8 failed.*'FAIL bose-mesner-closure "):
             run_criterion(8)
     finally:
-        verify._intersection_numbers.cache_clear()
+        verify._intersection_numbers.cache.clear()
     closure, recurrence = lines["bose-mesner-closure"], lines["eigenvalue-recurrence"]
     assert closure and all(line.startswith("FAIL bose-mesner-closure ") for line in closure)
     assert len(recurrence) == len(closure)

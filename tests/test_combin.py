@@ -150,6 +150,29 @@ def test_bounded_cache_on_a_toy_builder(monkeypatch):
         assert toy(*key) is not value and builds[-2:] == [key[0]] * 2
 
 
+def test_bounded_cache_counts_each_entry_once(monkeypatch):
+    # a miss counts the bytes of its own key and value, never those of the
+    # entries already held, and a hit counts nothing
+    @combin._bounded_cache
+    def toy(tag, size):
+        return np.zeros(size, np.uint8), (np.ones(size, np.uint8), size)
+
+    def walk(item):  # what _nbytes visits: item, then its tuple members in order
+        yield item
+        for member in item if isinstance(item, tuple) else ():
+            yield from walk(member)
+
+    held = [toy(b"a", 3), toy(b"b", 4)]
+    nbytes, counted = combin._nbytes, []
+    monkeypatch.setattr(combin, "_nbytes", lambda item: counted.append(item) or nbytes(item))
+    assert toy(b"a", 3) is held[0] and counted == []
+    value = toy(b"c", 5)
+    (key, top), *_ = counted
+    assert key == (b"c", 5) and top is value
+    assert [id(item) for item in counted] == [id(item) for item in walk(counted[0])]
+    assert list(toy.cache) == [(b"b", 4), (b"a", 3), (b"c", 5)]
+
+
 class TestDistanceMatrix:
     @pytest.mark.parametrize("n,k", ALL_NK)
     def test_matches_pattern_distance(self, n, k):

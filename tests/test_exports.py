@@ -34,3 +34,27 @@ def test_package_imports_only_stdlib_numpy_and_click():
                 continue
             outside = {name for name in names if name.split(".")[0] not in allowed}
             assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _functools_memo(node) -> bool:
+    """Whether node names functools.lru_cache or functools.cache, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "functools" \
+            and node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def test_only_the_srm_run_memo_is_a_functools_cache():
+    # every per-(n, k) table sits behind combin._bounded_cache; verify._srm, the
+    # run memo of the detection rows, is the one functools cache, as a decorator
+    decorated, named = [], 0
+    for path in sorted(Path(anomdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorated += [f"{path.stem}.{node.name}" for d in node.decorator_list
+                              if _functools_memo(d)]
+            named += isinstance(node, (ast.Name, ast.Attribute)) and _functools_memo(node)
+    assert decorated == ["verify._srm"]
+    assert named == len(decorated), "a functools cache is applied outside a decorator"

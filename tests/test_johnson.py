@@ -49,6 +49,10 @@ REFUSED = [  # (call, args, message)
     (valency, (4, 2, 1.5), r"^i must be an integer, got 1.5 \(float\)$"),
     (scheme_projector, (4, 2, True), r"^j must be an integer, got True \(bool\)$"),
     (scheme_projector_exact, (4, 2, Fraction(1)), r"^j must be an integer, got Fraction\(1, 1\) "),
+    # two faults at once: every projector entry point checks the counts before the index
+    (scheme_projector, (3, 5, True), r"^k must be in \[0, n\], got k=5, n=3$"),
+    (scheme_projector_exact, (3, 5, True), r"^k must be in \[0, n\], got k=5, n=3$"),
+    (_projector_coefficients, (3, 5, True), r"^k must be in \[0, n\], got k=5, n=3$"),
 ]
 
 
@@ -285,7 +289,7 @@ class TestExactProjectorCache:
             cold[key] = scheme_projector_exact(*key)
         for key in keys:
             scheme_projector_exact(*key)
-        johnson._scheme.cache_clear()
+        johnson._scheme.cache.clear()
         for key in keys:
             n, k, j = key
             warm = scheme_projector_exact(*key)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anomdet import gram, protocols, universal
+from anomdet import gram, johnson, protocols, universal
 from anomdet.combin import NK_CACHE_SIZE, _multiplicities, distance_matrix
 from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from anomdet.protocols import (
@@ -219,7 +219,7 @@ def _flat_diagonal_report(inst):
         primal = True
     except np.linalg.LinAlgError:
         primal = False
-    diag_ok, y_min, weights = protocols._dual_witness(n, k, m)
+    diag_ok, y_min, weights = protocols._dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
     return protocols.CertificateReport(
         primal, bool(diag_ok and y_min >= -protocols.CERTIFICATE_TOL),
@@ -280,12 +280,12 @@ class TestCertificates:
             coeffs = true_coefficients(n, k, j)
             return (coeffs[0] + Fraction(1, 10**9),) + coeffs[1:]
 
-        protocols._dual_witness.cache_clear()
+        protocols._dual_witness.cache.clear()
         monkeypatch.setattr(protocols, "_projector_coefficients", wrong_at_distance_zero)
         try:
             report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         finally:
-            protocols._dual_witness.cache_clear()  # no planted witness outlives the test
+            protocols._dual_witness.cache.clear()  # no planted witness outlives the test
         assert report.primal_feasible and not report.dual_feasible
 
     def test_primal_certificate_can_fail(self, monkeypatch):
@@ -331,13 +331,12 @@ class TestCertificates:
             builds.append((n, k, j))
             return true_coefficients(n, k, j)
 
-        protocols._dual_witness.cache_clear()
+        protocols._dual_witness.cache.clear()
         monkeypatch.setattr(protocols, "_projector_coefficients", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
-        assert builds == [(9, 3, 3)]
-        info = protocols._dual_witness.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert builds == [(9, 3, 3)]  # one miss; the second overlap was a hit
+        assert list(protocols._dual_witness.cache) == [(9, 3)]
         assert first.optimal and second.optimal
         assert second.primal_value == pytest.approx(0.64**3, rel=1e-14)
         assert second.gap <= 1e-10
@@ -360,21 +359,21 @@ class TestCertificates:
         assert hashes == []
 
     def test_dual_witness_cache_is_bounded(self):
-        size = NK_CACHE_SIZE
-        assert protocols._dual_witness.cache_info().maxsize == size
-        protocols._dual_witness.cache_clear()
+        size, cache = NK_CACHE_SIZE, protocols._dual_witness.cache
+        cache.clear()
+        witnesses = {}
         for n in range(2, size + 12):
-            diag_ok, y_min, weights = protocols._dual_witness(n, 1, 1)
+            witnesses[n] = protocols._dual_witness(n, 1)
+            diag_ok, y_min, weights = witnesses[n]
             assert diag_ok and abs(y_min) <= 1e-10 and len(weights) == 2, n
-        info = protocols._dual_witness.cache_info()
-        assert (info.misses, info.currsize) == (size + 10, size)
-        protocols._dual_witness(size + 11, 1, 1)  # the most recently used is held
-        protocols._dual_witness(2, 1, 1)  # the least recently used was evicted
-        info = protocols._dual_witness.cache_info()
-        assert (info.hits, info.misses) == (1, size + 11)
+        assert list(cache) == [(n, 1) for n in range(12, size + 12)]
+        # the most recently used is held; the least recently used was evicted
+        assert protocols._dual_witness(size + 11, 1) is witnesses[size + 11]
+        assert protocols._dual_witness(2, 1) is not witnesses[2]
+        assert list(cache) == [(n, 1) for n in range(13, size + 12)] + [(2, 1)]
 
     def test_dual_witness_cache_entry_holds_scalars(self):
-        diag_ok, y_min, weights = protocols._dual_witness(8, 3, 3)
+        diag_ok, y_min, weights = protocols._dual_witness(8, 3)
         assert type(diag_ok) is bool and type(y_min) is float
         assert diag_ok and abs(y_min) <= 1e-10
         assert type(weights) is tuple and len(weights) == 4
@@ -404,8 +403,8 @@ class TestCertificates:
         # with (5, 2) warm, the endpoints must still neither read the witness
         # nor build the Gram powers
         verify_unambiguous_certificates(ProblemInstance(5, 2, 0.5))
-        cache = protocols._dual_witness
-        before = cache.cache_info()
+        cache = protocols._dual_witness.cache
+        before = list(cache)
 
         def numeric(*args):
             raise AssertionError("endpoint left the analytic branch")
@@ -416,7 +415,7 @@ class TestCertificates:
         one = verify_unambiguous_certificates(ProblemInstance(5, 2, 1.0))
         assert zero == protocols.CertificateReport(True, True, 1.0, 1.0, 0.0)
         assert one == protocols.CertificateReport(True, True, 0.0, 0.0, 0.0)
-        assert cache.cache_info() == before
+        assert list(cache) == before
 
     @pytest.mark.parametrize("distance", [0, 3])
     def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, distance):
@@ -430,12 +429,14 @@ class TestCertificates:
             coeffs[distance] += Fraction(1, 1000)
             return tuple(coeffs)
 
+        # Y is gathered by johnson.scheme_projector, which reads johnson's name
         monkeypatch.setattr(protocols, "_projector_coefficients", perturbed)
-        protocols._dual_witness.cache_clear()  # the warm entry holds the true witness
+        monkeypatch.setattr(johnson, "_projector_coefficients", perturbed)
+        protocols._dual_witness.cache.clear()  # the warm entry holds the true witness
         try:
             report = verify_unambiguous_certificates(inst)
         finally:
-            protocols._dual_witness.cache_clear()  # no planted witness outlives the test
+            protocols._dual_witness.cache.clear()  # no planted witness outlives the test
         assert report.primal_feasible and not report.dual_feasible
 
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)])

@@ -97,11 +97,11 @@ def test_scheme_rows_sum_each_hahn_value_once(monkeypatch):
     # values per cell of the scheme grid, none on a second pass
     hahn, calls = johnson.hahn_polynomial, []
     monkeypatch.setattr(johnson, "hahn_polynomial", lambda *args: calls.append(args) or hahn(*args))
-    johnson._scheme.cache_clear()
+    johnson._scheme.cache.clear()
     try:
         passes = [[r.line() for r in verify.run_scope("scheme", 9)] for _ in range(2)]
     finally:
-        johnson._scheme.cache_clear()
+        johnson._scheme.cache.clear()
     cells = {(inst["n"], inst["k"]) for inst in verify._scheme_grid(9)}
     assert len(calls) == sum((min(k, n - k) + 1) ** 2 for n, k in cells)
     assert len(set(calls)) == len(calls) and passes[0] == passes[1]
