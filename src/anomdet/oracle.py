@@ -8,11 +8,13 @@ are literal square-root measurements; and the universal hypotheses come
 from the occupation-number (Dicke) basis of the symmetric subspaces,
 whose square-root measurement universal_holevo_violation certifies by
 Holevo's conditions.  The square root of a Gram matrix comes from the
-singular values of the stack of states: row norms in the certified
-eigenbasis of the stack's own support pattern, kept under the packed
-pattern itself, or else one thin SVD of the stack.  No Gram, closed form, Hahn
-value or scheme object enters, so the oracle stays independent of the
-spectral machinery it is used to check.
+singular values of the stack of states: either row norms in the
+eigenbasis of the stack's own support pattern, whose columns fall into
+classes by support size, so that the pattern's part is factored once and
+kept under the packed pattern itself, and each call weighs the classes by
+one amplitude each and certifies the result; or one thin SVD of the
+stack.  No Gram, closed form, Hahn value or scheme object enters, so the
+oracle stays independent of the spectral machinery it is used to check.
 """
 
 from __future__ import annotations
@@ -105,17 +107,49 @@ class SrmResult:
 
 
 @_bounded_cache
-def _support_basis(shape: tuple[int, int], pattern: bytes) -> np.ndarray:
-    """Eigenvectors of P P^T for the 0/1 matrix P of `shape` that np.packbits packed into `pattern`.
+def _support_basis(shape: tuple[int, int], pattern: bytes) -> tuple[np.ndarray, ...]:
+    """What srm_success_oracle needs of a support pattern, computed once per pattern.
 
-    P P^T counts the strings two states share, so its entries are integers
-    below 2^53 and the product is exact; the basis depends on the pattern
-    only.  A _bounded_cache keeps it under its own key, whose pattern bytes
-    count against the byte bound; a basis that failed its certificate too.
+    P is the 0/1 matrix of `shape` that np.packbits packed into `pattern`,
+    with no all-zero column.  U is eigh's eigenbasis of P P^T, whose entries
+    count the strings two states share: integers below 2^53, so the product
+    is exact and does not depend on the column order.  The columns of P fall
+    into C classes by their support size, ascending; with P_c the columns of
+    class c and T_c = U^T P_c, returns (U o U, positions, label, first, D, off):
+    the flat positions of P's nonzeros in row-major order, the class of
+    each, the index among them of each class's first, the C x N rows
+    d_c = diag(T_c T_c^T) and the C norms o_c = ||offdiag(T_c T_c^T)||_F.
+    Neither U nor T is kept.  One product gives every T_c, with P's columns
+    sorted by class, and one product of each column block with its
+    transpose gives d_c and o_c.
+
+    A _bounded_cache keeps the entry under its own key, the pattern's bytes
+    counted against the byte bound, also when the basis fails the
+    certificate.  The entry's size is known from N, C and the number of
+    nonzeros (8 bytes per float and index); when it would exceed that bound
+    alone, so that the cache could never keep it, the build returns ()
+    before any array of that size is formed, and callers take the SVD.
     """
-    P = np.unpackbits(np.frombuffer(pattern, np.uint8), count=math.prod(shape))
-    P = P.reshape(shape).astype(np.float64)
-    return np.linalg.eigh(P @ P.T)[1]
+    N, M = shape
+    P = np.unpackbits(np.frombuffer(pattern, np.uint8), count=N * M).reshape(shape).view(bool)
+    support = np.add.reduce(P, axis=0, dtype=np.intp)
+    sizes, column_class = np.unique(support, return_inverse=True)
+    C, nonzeros = sizes.size, int(support.sum())
+    if not _fits(len(pattern) + 8 * (N * N + C * N + 2 * C + 2 * nonzeros)):
+        return ()
+    positions = np.flatnonzero(P)
+    label = column_class.take(positions % M)
+    first = np.unique(label, return_index=True)[1]
+    P = P[:, np.argsort(column_class, kind="stable")].astype(np.float64)  # classes in blocks
+    U = np.linalg.eigh(P @ P.T)[1]
+    T = U.T @ P
+    D, off = np.empty((C, N)), np.empty(C)
+    for c, Tc in enumerate(np.split(T, np.cumsum(np.bincount(column_class))[:-1], axis=1)):
+        G = Tc @ Tc.T
+        D[c] = G.diagonal()
+        np.fill_diagonal(G, 0.0)
+        off[c] = np.linalg.norm(G)
+    return U * U, positions, label, first, D, off
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -126,30 +160,55 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     Forney 2001): with V = U diag(sigma) Y^T, the Gram's square root is
     S = U diag(sigma) U^T, its diagonal (U o U) sigma, and (1/N) sum_r S_rr^2
     the success probability; S_rr = <m_r|Psi_r> for the POVM vectors
-    |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Each sigma_j comes from V, never as
-    the square root of a Gram eigenvalue, so it is accurate to about u ||V||
+    |m_r> = sum_s (S^+)_{sr} |Psi_s>.  Each sigma_j is a row norm of a
+    matrix of the same singular values or comes from an SVD of V, never the
+    square root of a Gram eigenvalue, so it is accurate to about u ||V||
     (u = 2^-53) also where sigma_j^2 lies below the rounding of V V^T, as
     near c = 1.
 
     U is the eigenbasis of the support pattern P = (V != 0), factored once
-    per pattern, and sigma^2 = diag B, B = W W^T, the squared row norms of
-    W = U^T V.  U is accepted when ||offdiag B||_F <= (4 N^(5/2) + N M) u,
-    which is all that rounding puts off the diagonal for an exact singular
-    basis: eigh leaves U orthogonal to N u and W = U^T V adds gamma_N |U|^T
-    |V| (Higham 2002, section 3.5), so W is within 2 N^2 u of a matrix with
-    orthogonal rows, moving offdiag B by 2 ||V||_2 2 N^2 u, and W W^T adds
-    gamma_M ||W||_F^2 = N M u (||V||_2^2 <= ||V||_F^2 = N).  For hypothesis
-    states with 0 < c < 1, P P^T = 2^(k-D) and V V^T = (c^2)^D are
-    functions of the subset distance D, in the commutative Bose-Mesner
-    algebra of the Johnson scheme, so U passes wherever P P^T's
-    eigenvalues tell the scheme's eigenspaces apart (at c = 0 or 1,
-    V V^T = P P^T).  Where U fails the bound, or U and its pattern alone
-    are over the cache's byte bound, one thin SVD of V gives sigma and U.
-    The result does not depend on what the cache holds.  Columns zero in
-    every state (in a sector stack, only at c = 0 or 1) are dropped first,
-    as a longer inner dimension would regroup BLAS's partial sums in W W^T:
-    any embedding of the states (sector stack, 2^n fold, padding) gives the
-    same bits.
+    per pattern with all else that depends on P alone (_support_basis).
+    With the columns of P in classes by support size, V' = P diag(f), where
+    f_c is the first nonzero of class c (row-major), is V up to
+    delta = ||V - V'||_F, summed over P's nonzeros.  W' = U^T V' has the
+    column blocks f_c T_c, T_c = U^T P_c, so its squared row norms are
+    sigma^2 = sum_c f_c^2 d_c, d_c = diag(T_c T_c^T), a sum of non-negative
+    terms, and ||offdiag(W' W'^T)||_F <= sum_c f_c^2 o_c, o_c the norm of
+    offdiag(T_c T_c^T).  d_c and o_c are the certificate's per-pattern part;
+    f, delta (a pass over P's nonzeros) and the two sums, O(C N), are its
+    per-call part, besides the input checks and the N^2 of (U o U) sigma.
+    U is accepted when
+
+        sum_c f_c^2 o_c + 2 sqrt(N) delta <= (4 N^(5/2) + N M) u.
+
+    The bound is all that rounding puts off the diagonal of W' W'^T for an
+    exact singular basis: eigh leaves U orthogonal to N u and T_c = U^T P_c
+    adds gamma_N |U|^T P_c (Higham 2002, section 3.5), so W' is within
+    2 N^2 u of a matrix with orthogonal rows, moving the off-diagonal by
+    2 ||V'||_2 2 N^2 u, and the products T_c T_c^T add
+    sum_c f_c^2 gamma_{M_c} ||T_c||_F^2 <= gamma_M ||W'||_F^2 = N M u
+    (||V'||_2^2 <= ||V'||_F^2 = N up to delta).  The eigenvalues of V' V'^T
+    then lie within sum_c f_c^2 o_c of sigma^2 (Weyl), and
+    |sigma_i(V) - sigma_i(V')| <= ||V - V'||_2 <= delta (Weyl), which with
+    sigma_i(V), sigma_i(V') <= sqrt(N) moves the squares by at most
+    2 sqrt(N) delta to first order: an accepted sigma^2 lies within the
+    bound of the eigenvalues of V V^T.  For hypothesis states the class of
+    column x is its weight |x|, of support C(n - |x|, k - |x|), strictly
+    decreasing in |x| for k < n; the entries of one class are the same k
+    factors multiplied in different orders, so delta <= 2 gamma_k sqrt(N)
+    and 2 sqrt(N) delta is about 4 k N u, below 4 N^(5/2) u.  There
+    P_c P_c^T = C(k - D, |x|) and P P^T = 2^(k-D) are functions of the
+    subset distance D, in the commutative Bose-Mesner algebra of the
+    Johnson scheme (Bannai & Ito 1984), so U passes wherever P P^T's
+    eigenvalues tell the scheme's eigenspaces apart.  At c = 0 or 1 one
+    class is left; at k = n (N = 1) every column has support 1 but the
+    entries differ, so delta fails the bound.  Where U fails it, or the
+    pattern's entry alone would exceed the cache's byte bound, one thin SVD
+    of V gives sigma and U.  The result does not depend on what the cache
+    holds.  Columns zero in every state (in a sector stack, only at c = 0
+    or 1) are dropped first, so that every class holds nonzeros and any
+    embedding of the states (sector stack, 2^n fold, padding) has one
+    pattern, one SVD inner dimension and the same bits.
 
     Complex states, NaN or infinite entries, a squared norm that overflows
     and one off 1 by more than UNIT_NORM_TOL (the error names the row)
@@ -177,17 +236,20 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
             raise ValueError("srm_success_oracle: matrix has NaN or infinite entries")
         r = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))[0]
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
-    certified = _fits(N * N * V.itemsize + -(-V.size // 8))  # basis and packed pattern
+    certified = bool(basis := _support_basis(V.shape, np.packbits(V != 0).tobytes()))
     if certified:
-        U = _support_basis(V.shape, np.packbits(V != 0).tobytes())
-        W = U.T @ V
-        B = W @ W.T
-        sigma = np.sqrt(B.diagonal())
-        np.fill_diagonal(B, 0.0)
-        certified = np.linalg.norm(B) <= (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF
-    if not certified:  # also where the norm is NaN
+        UU, positions, label, first, D, off = basis
+        values = V.take(positions)
+        f = values.take(first)
+        deviation = values - f.take(label)
+        f2 = f * f
+        sigma = np.sqrt(f2 @ D)
+        tol = (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF
+        certified = f2 @ off + 2 * math.sqrt(N * (deviation @ deviation)) <= tol
+    if not certified:
         U, sigma, _ = np.linalg.svd(V, full_matrices=False)
-    diag = (U * U) @ sigma
+        UU = U * U
+    diag = UU @ sigma
     eigenvalues = np.zeros(N)  # the SVD gives min(N, M) values
     eigenvalues[N - sigma.size:] = sigma * sigma
     eigenvalues.sort()

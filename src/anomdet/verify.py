@@ -303,8 +303,9 @@ def _srm(n: int, k: int, c: float) -> SrmResult:
     run memo of those rows, sized to their grid, not an (n, k) table: under
     the entry bound of a _bounded_cache each row would evict what the next
     reads, and each (n, k, c) would be factored three times.  The oracle
-    itself factors one support basis per (n, k) (one more each at c = 0
-    and 1, where whole columns vanish), certifies it for each c, and reads
+    itself factors one support pattern per (n, k) (one more each at c = 0
+    and 1, where whole columns vanish); for each c it weighs the pattern's
+    column classes by one amplitude each, certifies the result and reads
     the singular values of the stack off it.
     """
     return srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
@@ -338,11 +339,11 @@ def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     """Zero-error value against the smallest eigenvalue of V V^T from explicit states.
 
     The eigenvalue is the SRM oracle's smallest squared singular value of
-    the stack V: the smallest squared row norm of W = U^T V in the
-    certified basis U of the stack's support pattern, or the SVD's smallest
-    (0 when V has fewer columns than rows) if that basis fails.  It is
-    shared through _srm, so the states are built and factored once per
-    (n, k, c) for every detection row that reads them.
+    the stack V: the smallest of sum_c f_c^2 d_c, the class-weighted squared
+    row norms in the certified basis of the stack's support pattern, or the
+    SVD's smallest (0 when V has fewer columns than rows) if that basis
+    fails.  It is shared through _srm, so the states are built and factored
+    once per (n, k, c) for every detection row that reads them.
     """
     value = unambiguous_success(ProblemInstance(n, k, c)).value
     return abs(value - float(_srm(n, k, c).eigenvalues[0]))

@@ -21,6 +21,7 @@ from click.testing import CliRunner
 
 from anomdet import johnson, oracle, verify
 from anomdet.cli import main as cli_main
+from anomdet.gram import ProblemInstance
 
 GATE_MAX_N = 9
 
@@ -197,6 +198,35 @@ def test_scaled_adjacency_fails_the_closure_row(monkeypatch):
     assert closure and all(line.startswith("FAIL bose-mesner-closure ") for line in closure)
     assert len(recurrence) == len(closure)
     assert all(line.startswith("FAIL eigenvalue-recurrence ") for line in recurrence)
+
+
+def test_scaled_class_weight_fails_the_srm_rows(capsys):
+    """d_c of the (4, 2) support pattern's first class (the weight-2 strings,
+    of support 1, which alone carry the smallest singular value) scaled by
+    1 + 1e-6 in the SRM oracle's cache: every (4, 2) cell of C_GRID prints
+    FAIL, not ERROR, in min-error-vs-srm-oracle and
+    unambiguous-vs-min-eigenvalue, and criteria 2 and 4 fail."""
+    V = oracle.all_hypothesis_states(ProblemInstance(4, 2, 0.5))
+    oracle.srm_success_oracle(V)
+    key = (V.shape, np.packbits(V != 0).tobytes())
+    *entry, D, off = oracle._support_basis.cache[key]
+    D = D.copy()
+    D[0] *= 1 + 1e-6
+    D.flags.writeable = False
+    oracle._support_basis.cache[key] = (*entry, D, off)
+    verify._srm.cache_clear()
+    try:
+        for number, row in ((2, "min-error-vs-srm-oracle"), (4, "unambiguous-vs-min-eigenvalue")):
+            with pytest.raises(AssertionError, match=f"criterion {number} failed.*'FAIL {row} "):
+                run_criterion(number)
+        printed = capsys.readouterr().out.splitlines()
+    finally:
+        verify._srm.cache_clear()
+        oracle._support_basis.cache.pop(key, None)
+    assert not [line for line in printed if line.startswith("ERROR")]
+    for row in ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue"):
+        for c in verify.C_GRID:
+            assert f"FAIL {row} n=4,k=2,c={c} " in "\n".join(printed), (row, c)
 
 
 def test_criterion_9_figure_reproduction():

@@ -193,11 +193,25 @@ def _steps(U, sigma, N):
     return np.sum(d**2) / N, d, np.sort(np.pad(sigma * sigma, (N - sigma.size, 0)))
 
 
-def _basis_steps(V):
-    """The basis path: U from P P^T, sigma = sqrt(diag(W W^T)) for W = U^T V."""
-    live, U = _pattern_basis(V)
-    W = U.T @ live
-    return _steps(U, np.sqrt(np.diag(W @ W.T)), V.shape[0])
+def _class_blocks(V, U):
+    """The live stack's column classes by support size, ascending: f_c, the
+    class's first nonzero in row-major order, and T_c = U^T P_c, the blocks of
+    one product T = U^T P with P's columns sorted by class."""
+    live = V[:, V.any(axis=0)]
+    P = live != 0
+    column_class = np.unique(P.sum(axis=0), return_inverse=True)[1]
+    T = U.T @ P[:, np.argsort(column_class, kind="stable")].astype(float)
+    f = [live.ravel()[np.flatnonzero(P & (column_class == c))[0]]
+         for c in range(column_class.max() + 1)]
+    return np.array(f), np.split(T, np.cumsum(np.bincount(column_class))[:-1], axis=1)
+
+
+def _class_steps(V):
+    """The basis path: U from P P^T, sigma = sqrt(sum_c f_c^2 d_c), d_c = diag(T_c T_c^T)."""
+    U = _pattern_basis(V)[1]
+    f, blocks = _class_blocks(V, U)
+    sigma = np.sqrt((f * f) @ np.array([np.diag(T @ T.T) for T in blocks]))
+    return _steps(U, sigma, V.shape[0])
 
 
 def _svd_steps(V):
@@ -339,26 +353,25 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
             srm_success_oracle(np.eye(2))
 
-    def test_nan_in_the_certificate_falls_back_to_the_svd(self, monkeypatch):
-        # a NaN planted off the diagonal of B = W W^T fails the certificate
-        fill_diagonal = np.fill_diagonal
-
-        def planting(B, value):
-            fill_diagonal(B, value)
-            B[0, 1] = B[1, 0] = math.nan
-
+    def test_nan_in_the_certificate_falls_back_to_the_svd(self, empty_basis_cache):
+        # a NaN planted in a cached o_c, the norm of offdiag(T_c T_c^T), fails the certificate
         V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
-        _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
-        monkeypatch.setattr(oracle.np, "fill_diagonal", planting)
+        _assert_same_bits(srm_success_oracle(V), *_class_steps(V))
+        (key, entry), = empty_basis_cache.items()
+        off = entry[-1].copy()
+        off[0] = math.nan
+        off.flags.writeable = False
+        empty_basis_cache[key] = (*entry[:-1], off)
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
 
     @pytest.mark.parametrize("c", [0.999, 0.9999, 0.99999, 1.0])
-    def test_eigenvalues_are_non_negative(self, monkeypatch, c):
+    def test_eigenvalues_are_non_negative(self, empty_basis_cache, monkeypatch, c):
         # squared singular values, on the basis path and on the SVD path; an
         # eigh of the Gram gave eigenvalues down to -1.4e-13 at c >= 0.9999
         for basis in (True, False):
             if not basis:  # no basis could be kept: a thin SVD for every stack
                 monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
+                empty_basis_cache.clear()
             for n in range(2, 11):
                 for k in range(1, n):
                     w = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c))).eigenvalues
@@ -368,12 +381,10 @@ class TestSrmOracle:
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
     def test_fortran_ordered_stack_gives_the_same_bits(self, n, k, c):
-        # W = U^T V is the same in either layout
+        # the oracle reads the entries by their row-major flat positions in either layout
         V = all_hypothesis_states(ProblemInstance(n, k, c))
         F = np.asfortranarray(V)
         assert F.flags.f_contiguous and not F.flags.c_contiguous
-        live, U = _pattern_basis(V)
-        assert np.array_equal(U.T @ live, U.T @ np.asfortranarray(live))
         a, b = srm_success_oracle(V), srm_success_oracle(F)
         assert a.success == b.success and a.diagonal.tobytes() == b.diagonal.tobytes()
 
@@ -415,13 +426,15 @@ class TestSrmOracle:
     @pytest.mark.parametrize("c", [0.0, 0.37, 0.9, 1.0])
     def test_bit_identical_to_plain_reference(self, c):
         # hypothesis states, the plain steps: drop the all-zero columns, U from
-        # eigh of P P^T (P the support pattern), W = U^T V, sigma the row norms
-        # sqrt(diag(W W^T)), diagonal (U o U) sigma, mean square, sigma^2
-        # sorted; a stack without the symmetry: a thin SVD of the stack
+        # eigh of P P^T (P the support pattern), the columns in classes by
+        # support size, T_c = U^T P_c, d_c = diag(T_c T_c^T), f_c the class's
+        # first nonzero, sigma = sqrt(sum_c f_c^2 d_c), diagonal (U o U) sigma,
+        # mean square, sigma^2 sorted; a stack without the symmetry: a thin
+        # SVD of the stack
         for n in range(2, 11):
             for k in range(1, min(4, n // 2) + 1):
                 V = all_hypothesis_states(ProblemInstance(n, k, c))
-                _assert_same_bits(srm_success_oracle(V), *_basis_steps(V))
+                _assert_same_bits(srm_success_oracle(V), *_class_steps(V))
                 W = _generic_stack(n * k, V.shape[0] + 2, V.shape[1])
                 _assert_same_bits(srm_success_oracle(W), *_svd_steps(W))
 
@@ -434,7 +447,7 @@ class TestSrmOracle:
         assert w.shape == (V.shape[0],) and (np.diff(w) >= 0).all()
         assert np.abs(w - reference).max() <= 1e-12 * max(1.0, reference[-1])
 
-    def test_eigenvalues_are_not_clamped(self, monkeypatch):
+    def test_eigenvalues_are_not_clamped(self, empty_basis_cache, monkeypatch):
         # a singular value of 1e-9 planted in the place of the largest is
         # reported first as its square, and the diagonal uses it as it is; on
         # the basis path (through its square root) and on the SVD path
@@ -453,6 +466,7 @@ class TestSrmOracle:
         for basis in (True, False):
             if not basis:
                 monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
+                empty_basis_cache.clear()
                 U = svd(V, full_matrices=False)[0]
             result = srm_success_oracle(V)
             sigma = factors[-1]
@@ -476,26 +490,75 @@ class TestSrmOracle:
             _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
 
     def test_rotated_basis_fails_the_bound(self, empty_basis_cache):
-        # a cached basis turned by 1e-6 between the top eigenvector and one of
-        # the bottom eigenspace: still orthogonal, but B's off-diagonal gains
-        # about 1e-6 * (sigma_top^2 - sigma_bottom^2), far above the bound
-        # (4 N^(5/2) + N M) u = 4.2e-13
+        # the cached entry rebuilt from a basis turned by 1e-6 between the top
+        # eigenvector and one of the bottom eigenspace: still orthogonal, but
+        # each class's off-diagonal gains about 1e-6 times the spread of its
+        # eigenvalues, far above the bound (4 N^(5/2) + N M) u = 4.2e-13
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
         srm_success_oracle(V)
-        (key, U), = empty_basis_cache.items()
+        (key, entry), = empty_basis_cache.items()
+        U = _pattern_basis(V)[1]
         i, j, theta = 0, U.shape[1] - 1, 1e-6
         rotated = U.copy()
         rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
         rotated[:, j] = math.sin(theta) * U[:, i] + math.cos(theta) * U[:, j]
         assert np.abs(rotated.T @ rotated - np.eye(len(U))).max() < 1e-14
-        W = rotated.T @ V
-        B = W @ W.T
+        f, blocks = _class_blocks(V, rotated)
+        grams = [T @ T.T for T in blocks]
+        off = np.array([np.linalg.norm(G - np.diag(np.diag(G))) for G in grams])
         N, M = V.shape
-        assert abs(B[i, j]) > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
-        rotated.flags.writeable = False
-        empty_basis_cache[key] = rotated
+        assert (f * f) @ off > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
+        planted = (rotated * rotated, *entry[1:4], np.array([np.diag(G) for G in grams]), off)
+        for a in planted:
+            a.flags.writeable = False
+        empty_basis_cache[key] = planted
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert empty_basis_cache[key] is rotated  # kept, not factored again
+        assert empty_basis_cache[key] is planted  # kept, not factored again
+
+    def test_factored_eigenvalues_are_within_the_bound_of_an_svd(self):
+        # every instance of the detection rows' grid to n = 10, HIGH_C_GRID
+        # included: sigma^2 = sum_c f_c^2 d_c within (4 N^(5/2) + N M) u of
+        # the squares of a thin SVD's singular values
+        for inst in verify._srm_grid(10):
+            V = all_hypothesis_states(ProblemInstance(**inst))
+            live = V[:, V.any(axis=0)]
+            N, M = live.shape
+            sigma = np.linalg.svd(live, compute_uv=False)
+            reference = np.sort(np.pad(sigma * sigma, (N - sigma.size, 0)))
+            bound = (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
+            assert np.abs(srm_success_oracle(V).eigenvalues - reference).max() <= bound, inst
+
+    def test_one_scaled_entry_fails_the_class_check(self, empty_basis_cache):
+        # one nonzero of a (6, 2) stack scaled by 1 + 1e-9, its row then
+        # renormalised: the same pattern, so the same cached entry, but the
+        # class no longer holds one value, and delta fails the bound
+        V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
+        _assert_same_bits(srm_success_oracle(V), *_class_steps(V))
+        x = np.flatnonzero(V[3])[1]
+        V[3, x] *= 1 + 1e-9
+        V[3] /= np.linalg.norm(V[3])
+        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
+        assert len(empty_basis_cache) == 1
+
+    def test_only_the_k_equals_n_cells_take_the_svd(self, monkeypatch):
+        # over the detection rows' grid at the qubit cap every hypothesis
+        # stack takes the factored path but the 63 with k = n: there N = 1 and
+        # every column has support 1, so one class holds all the distinct
+        # entries, and delta fails the bound
+        svd, decomposed = np.linalg.svd, []
+
+        def recording(V, full_matrices):
+            decomposed.append(V.shape)
+            return svd(V, full_matrices=full_matrices)
+
+        monkeypatch.setattr(oracle.np.linalg, "svd", recording)
+        took = []
+        for inst in verify._srm_grid(oracle.STATE_QUBITS_CAP):
+            calls = len(decomposed)
+            srm_success_oracle(all_hypothesis_states(ProblemInstance(**inst)))
+            if len(decomposed) > calls:
+                took.append(inst)
+        assert len(took) == 63 and all(inst["k"] == inst["n"] for inst in took)
 
     def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
         eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
@@ -530,21 +593,28 @@ class TestSrmOracle:
         srm_success_oracle(stacks[-1])
         assert len(empty_basis_cache) == NK_CACHE_SIZE
         assert keys[0] in empty_basis_cache and keys[1] not in empty_basis_cache
-        # the byte bound: an entry of N states holds the 8 N^2-byte basis under
-        # the N x M pattern packed in ceil(N M / 8) bytes, its key; k = 1 gives
-        # N = n and M = n + 1
+        # the byte bound: an entry of N states, under the N x M pattern packed
+        # in ceil(N M / 8) bytes (its key), holds the 8 N^2-byte U o U, 16
+        # bytes per nonzero (its position and class) and 8 + 8 N + 8 bytes per
+        # class (its first, d_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
+        # nonzeros and two classes: 8 n^2 + 48 n + 32 + ceil(n (n + 1) / 8) bytes
         empty_basis_cache.clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 21)  # a 441-byte bound
-        states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 8)}
-        for n in (3, 4, 5, 3):  # 74 + 131 + 204 bytes fit; (3, 1) is used again
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 33)  # a 1089-byte bound
+        states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 9)}
+        for n in (3, 4, 5, 3):  # 250 + 355 + 476 bytes fit; (3, 1) is used again
             srm_success_oracle(states[n])
         assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
-        assert [combin._nbytes(entry) for entry in empty_basis_cache.items()] == [131, 204, 74]
-        srm_success_oracle(states[6])  # 294 more bytes: (4, 1) and (5, 1) go
+        assert [combin._nbytes(entry) for entry in empty_basis_cache.items()] == [355, 476, 250]
+        srm_success_oracle(states[6])  # 614 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in empty_basis_cache] == [3, 6]
-        # an entry over the bound on its own (521 bytes) is not built: a thin SVD of V
-        _assert_same_bits(srm_success_oracle(states[8]), *_svd_steps(states[8]))
-        assert [key[0][0] for key in empty_basis_cache] == [3, 6]
+        # an entry over the bound on its own (1124 bytes) is not built: its
+        # pattern keeps (), and V takes a thin SVD
+        eigh, factored = np.linalg.eigh, []
+        monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
+        _assert_same_bits(srm_success_oracle(states[9]), *_svd_steps(states[9]))
+        assert not factored
+        assert [key[0][0] for key in empty_basis_cache] == [3, 6, 9]
+        assert list(empty_basis_cache.values())[-1] == ()
 
 
     def test_a_wide_pattern_counts_against_the_bound(self, empty_basis_cache, monkeypatch):
@@ -568,8 +638,9 @@ class TestSrmOracle:
             _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
                               result.eigenvalues)
         assert list(empty_basis_cache) == [((2, 2), np.packbits(V != 0).tobytes()) for V in stacks]
-        for V, U in zip(stacks, empty_basis_cache.values()):
-            assert U.tobytes() == _pattern_basis(V)[1].tobytes()
+        for V, (UU, *_) in zip(stacks, empty_basis_cache.values()):
+            U = _pattern_basis(V)[1]
+            assert UU.tobytes() == (U * U).tobytes()
 
 
 class TestUniversalHypothesis:
