@@ -4,6 +4,11 @@ Subcommands: spectrum, minerr, unambiguous, universal, sweep, verify.
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 3 I/O failure.  All floats are printed with 12 significant digits so
 that sweep output is byte-stable.
+
+Import rule: at module level only the stdlib, click and .combin.  Each
+command imports what it runs, once and never per row: spectrum gram;
+minerr and unambiguous also protocols; universal and sweep also universal;
+verify verify.
 """
 
 from __future__ import annotations
@@ -17,16 +22,7 @@ from fractions import Fraction
 
 import click
 
-from .combin import _counts
-from .gram import ProblemInstance, closed_form_spectrum
-from .protocols import min_error_success, min_error_asymptotic, unambiguous_success
-from .universal import (
-    UniversalInstance,
-    average_min_error_curve,
-    universal_asymptote,
-    universal_success,
-)
-from .verify import SCOPES, run_scope
+from .combin import SCOPES, _counts
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_PARAMS = 2
@@ -34,6 +30,8 @@ EXIT_IO = 3
 TRACE_RTOL = 1e-12
 EXACT_EXPONENT_CAP = 4300  # Python's default digit limit for an int parsed from text
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)  # an exact overlap's exponent
+_DIGIT_LIMIT = ("a value exceeds Python's {}-digit int-to-str limit; "
+                "drop --exact to print the float value")
 
 
 def _fmt(x: float) -> str:
@@ -101,8 +99,7 @@ def _run(compute, out_path: str = "-") -> None:
     try:
         text = "".join(f"{line}\n" for line in lines)
     except ValueError:
-        _fail_params(f"a value exceeds Python's {sys.get_int_max_str_digits()}-digit int-to-str "
-                     "limit; drop --exact to print the float value")
+        _fail_params(_DIGIT_LIMIT.format(sys.get_int_max_str_digits()))
     if out_path == "-":
         click.echo(text, nl=False)
     else:
@@ -115,21 +112,22 @@ def _run(compute, out_path: str = "-") -> None:
     sys.exit(code)
 
 
-def _known_value(row: str, inst: ProblemInstance) -> float:
-    """The value of one known-states row: `minerr`, `unambiguous`, or the min-error
-    curve's `minerr_asymptote` (k < n) or `minerr_limit`, (1-c^2)^k.  Raises
-    FloatingPointError on a 0.0 that stands for a positive value: min-error
-    always, the others (powers of 1 - c^2) short of c = 1."""
+def _known_value(protocols, row: str, inst) -> float:
+    """The value of one known-states row of the ProblemInstance inst, from the
+    protocols module the command imported: `minerr`, `unambiguous`, or the
+    min-error curve's `minerr_asymptote` (k < n) or `minerr_limit`, (1-c^2)^k.
+    Raises FloatingPointError on a 0.0 that stands for a positive value:
+    min-error always, the others (powers of 1 - c^2) short of c = 1."""
     if row == "minerr":
-        value = min_error_success(inst).value
+        value = protocols.min_error_success(inst).value
     elif row == "unambiguous":
-        value = unambiguous_success(inst).value
+        value = protocols.unambiguous_success(inst).value
     elif row == "minerr_limit":
         value = (1 - inst.c2) ** inst.k
     else:
         with warnings.catch_warnings():  # a curve runs the asymptote at every k/n
             warnings.simplefilter("ignore")
-            value = min_error_asymptotic(inst).value
+            value = protocols.min_error_asymptotic(inst).value
     if value == 0 and (row == "minerr" or inst.c2 < 1):
         raise FloatingPointError("positive value below the float range rounds to 0")
     return value
@@ -147,10 +145,14 @@ def main() -> None:
 @click.option("--exact", is_flag=True, help="exact rational arithmetic (c parsed as a fraction)")
 def spectrum(n: int, k: int, c: str, exact: bool) -> None:
     """Distinct Gram eigenvalues with multiplicities, plus the trace check."""
+    from .gram import ProblemInstance, closed_form_spectrum
+
     count = str if exact else _fmt_count
 
     def compute():
         inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
+        if exact and not _prints_exactly(inst):
+            raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits()))
         spec = closed_form_spectrum(inst)
         status = _trace_status(spec, exact)
 
@@ -165,6 +167,14 @@ def spectrum(n: int, k: int, c: str, exact: bool) -> None:
         return lines(), 0 if status.startswith("ok") else EXIT_VERIFY_FAIL
 
     _run(compute)
+
+
+def _prints_exactly(inst) -> bool:
+    """False when lambda_m = (q-p)^m / q^m (c^2 = p/q, in lowest terms) has a
+    denominator str() refuses, so the O(m)-step recurrence need not run.  True
+    does not promise that every line prints.  q^m stays below 2^(8 limit)."""
+    limit, q, m = sys.get_int_max_str_digits(), inst.c2.denominator, inst.m
+    return not limit or m * (q.bit_length() - 1) <= 4 * limit and q**m < 10**limit
 
 
 def _trace_status(spec, exact: bool) -> str:
@@ -188,9 +198,12 @@ for _row in ("minerr", "unambiguous"):
     @click.option("--c", type=str, required=True)
     @click.option("--exact", is_flag=True)
     def _single_value(n: int, k: int, c: str, exact: bool, row: str = _row) -> None:
+        from . import protocols
+        from .gram import ProblemInstance
+
         def compute():
             inst = ProblemInstance(n=n, k=k, c=_parse_overlap(c, exact))
-            return [_fmt(_known_value(row, inst))], 0
+            return [_fmt(_known_value(protocols, row, inst))], 0
 
         _run(compute)
 
@@ -202,6 +215,8 @@ for _row in ("minerr", "unambiguous"):
 @click.option("--exact", is_flag=True, help="print the exact rational value")
 def universal(n: int, k: int, d: int, exact: bool) -> None:
     """Success probability of the states-unknown universal protocol."""
+    from .universal import UniversalInstance, universal_success
+
     _run(lambda: (map(str if exact else _fmt, [universal_success(UniversalInstance(n, k, d))]), 0))
 
 
@@ -215,6 +230,10 @@ def universal(n: int, k: int, d: int, exact: bool) -> None:
 @click.option("--out", "out_path", type=str, default="-", help="output CSV path, - for stdout")
 def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: str) -> None:
     """Emit success-probability curves (plus asymptote rows) as CSV."""
+    from . import protocols
+    from .gram import ProblemInstance
+    from .universal import (UniversalInstance, average_min_error_curve, universal_asymptote,
+                            universal_success)
 
     def compute():
         ns = _parse_range(n_range)
@@ -231,7 +250,7 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
             if protocol in ("minerr", "unambiguous"):
                 for c in cs:  # the asymptote is left out at k = n, where it is undefined
                     inst = ProblemInstance(n=n, k=k, c=c)
-                    rows += (f"{n},{k},{_fmt(c)},{row},{_fmt(_known_value(row, inst))}"
+                    rows += (f"{n},{k},{_fmt(c)},{row},{_fmt(_known_value(protocols, row, inst))}"
                              for row in known if row != "minerr_asymptote" or k < n)
             else:  # universal, or average: the known-states curve averaged over the overlap
                 value = (universal_success(UniversalInstance(n=n, k=k, d=d))
@@ -248,6 +267,7 @@ def sweep(protocol: str, n_range: str, k: int, c_grid: str, d: int, out_path: st
 @click.option("--max-n", type=int, default=8)
 def verify(scope: str, max_n: int) -> None:
     """Run the check registry; one PASS/FAIL/ERROR line per check instance."""
+    from .verify import run_scope
 
     def compute():
         results = run_scope(scope, max_n)

@@ -28,6 +28,8 @@ __all__ = [
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
 NK_CACHE_SIZE = 96  # entries per (n, k) cache; verify --max-n 14 walks 79 (n, k) per row
+# verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
+SCOPES = ("scheme", "gram", "detection", "universal")
 
 
 def binomial(n: int, r: int) -> int:

@@ -4,6 +4,9 @@ Minimum-error value from the Gram spectrum, its two-term large-n
 expansion, hand-expanded closed forms for one to three anomalies, the
 unambiguous (zero-error) value, and verification of the semidefinite
 optimality certificates for the latter.
+
+Import rule: only the certificates' dual witness reads johnson, so
+_dual_witness imports it, once per (n, k) on a cache miss.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, _gram_powers, _log_weights, direct_spectrum
-from .johnson import _projector_coefficients, scheme_projector
 
 __all__ = [
     "ProtocolResult",
@@ -159,6 +161,8 @@ def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
     None of these depends on the overlap, so a _bounded_cache keeps them per
     (n, k): two scalars and m+1 weights, not Y.
     """
+    from .johnson import _projector_coefficients, scheme_projector
+
     m = min(k, n - k)
     coeffs = _projector_coefficients(n, k, m)
     N, m_m = binomial(n, k), _multiplicities(n, m)[m]

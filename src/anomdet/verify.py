@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
+from .combin import SCOPES, _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -417,8 +417,6 @@ CHECKS: tuple[Check, ...] = (
           _fixed(*({"k": k, "d": d} for d in (2, 3, 4) for k in range(5))),
           _average_quadrature),
 )
-
-SCOPES = tuple(dict.fromkeys(check.scope for check in CHECKS))
 
 
 def run_scope(scope: str, max_n: int) -> list[CheckResult]:

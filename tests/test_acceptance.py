@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from anomdet import johnson, oracle, verify
+from anomdet import combin, johnson, oracle, protocols, verify
 from anomdet.cli import main as cli_main
 from anomdet.gram import ProblemInstance
 
@@ -227,6 +227,46 @@ def test_scaled_class_weight_fails_the_srm_rows(capsys):
     for row in ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue"):
         for c in verify.C_GRID:
             assert f"FAIL {row} n=4,k=2,c={c} " in "\n".join(printed), (row, c)
+
+
+def _cold(*modules) -> bool:
+    """Whether every per-(n, k) table of the modules, and verify's run memo, is empty."""
+    tables = [f.cache for module in modules for f in vars(module).values()
+              if isinstance(getattr(f, "cache", None), dict)]
+    return not any(tables) and verify._srm.cache_info().currsize == 0
+
+
+def _clear(*modules) -> None:
+    for module in modules:
+        for f in vars(module).values():
+            if isinstance(getattr(f, "cache", None), dict):
+                f.cache.clear()
+    verify._srm.cache_clear()
+
+
+def test_planted_binomial_fails_the_explicit_row(monkeypatch):
+    """C(n, 2) + 1 for the one binomial of the k = 2 form, C(n - 2, 2), read
+    through protocols' name: every k = 2 cell of explicit-k123-vs-spectral
+    prints FAIL, not ERROR, and so does every k = 3 cell, whose form reads
+    C(n - 4, 2) and C(n - 3, 2); every k = 1 cell, whose form reads no
+    binomial, passes.  The row reaches no cached builder: every cache is cold
+    before the plant and after it."""
+    modules = (combin, johnson, oracle, protocols, verify)
+    binomial = protocols.binomial
+    monkeypatch.setattr(protocols, "binomial", lambda n, r: binomial(n, r) + (r == 2))
+    check = next(check for check in verify.CHECKS if check.name == "explicit-k123-vs-spectral")
+    _clear(*modules)
+    try:
+        results = check.run(GATE_MAX_N)
+        assert _cold(*modules)
+    finally:
+        _clear(*modules)
+    lines = {k: [r.line() for r in results if f",k={k}," in r.instance] for k in (1, 2, 3)}
+    assert sum(map(len, lines.values())) == len(results)
+    assert lines[1] and all(line.startswith("PASS ") for line in lines[1])
+    for k in (2, 3):
+        assert lines[k] and all(line.startswith("FAIL explicit-k123-vs-spectral ")
+                                for line in lines[k]), k
 
 
 def test_criterion_9_figure_reproduction():

@@ -1,10 +1,10 @@
+import ast
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import anomdet
+import anomdet.cli as cli_mod
 from anomdet import verify
 from anomdet.cli import main
-from anomdet.gram import closed_form_spectrum
+from anomdet.gram import ProblemInstance, closed_form_spectrum
 from anomdet.universal import UniversalInstance, universal_success
 from anomdet.verify import SCOPES, run_scope
 
@@ -129,7 +129,7 @@ class TestSpectrumCommand:
             spec = closed_form_spectrum(inst)
             return dataclasses.replace(spec, values=spec.values[:2] + (planted,))
 
-        monkeypatch.setattr("anomdet.cli.closed_form_spectrum", planted_spectrum)
+        monkeypatch.setattr("anomdet.gram.closed_form_spectrum", planted_spectrum)
         result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "1/2", "--exact"])
         assert result.exit_code == 1  # a verification failure
         assert result.output.splitlines()[-2:] == [
@@ -142,7 +142,7 @@ class TestSpectrumCommand:
             spec = closed_form_spectrum(inst)
             return dataclasses.replace(spec, values=spec.values[:2] + (0.625,))
 
-        monkeypatch.setattr("anomdet.cli.closed_form_spectrum", planted_spectrum)
+        monkeypatch.setattr("anomdet.gram.closed_form_spectrum", planted_spectrum)
         result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2", "--c", "0.5"])
         assert result.exit_code == 1
         assert result.output.splitlines()[-2] == "2,0.625,2"
@@ -350,12 +350,10 @@ class TestSweepCommand:
         assert [lines[0]] + lines[3:] == sweep("4:6")
 
     def test_arithmetic_error_exit_2(self, runner, monkeypatch):
-        import anomdet.cli as cli_mod
-
         def overflows(inst):
             raise OverflowError("planted")
 
-        monkeypatch.setattr(cli_mod, "min_error_success", overflows)
+        monkeypatch.setattr("anomdet.protocols.min_error_success", overflows)
         args = ["sweep", "--protocol", "minerr", "--n-range", "4:6", "--k", "1"]
         result = runner.invoke(main, args, catch_exceptions=False)
         assert result.exit_code == 2
@@ -545,11 +543,110 @@ def test_random_argv_exits_cleanly(command, odd, data):
     assert "Traceback" not in result.output
 
 
-def test_import_loads_no_hash_module():
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('anomdet.')), 'numpy' in sys.modules)"
+
+
+def test_import_loads_no_hash_module(fresh):
     # the SRM oracle keys its support bases by the pattern itself, so the
     # CLI's import path loads neither hashlib nor OpenSSL's _hashlib
     code = "import sys, anomdet.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
-    path = os.pathsep.join([str(Path(anomdet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout == "[]\n"
+    assert fresh(code) == "[]\n"
+
+
+def test_package_import_loads_no_submodule(fresh):
+    assert fresh(f"import sys, anomdet; {_LOADED}") == "[] False\n"
+
+
+def test_cli_import_loads_combin_and_numpy_only(fresh):
+    # numpy comes with combin; gram, johnson, protocols, universal, oracle and
+    # verify wait for the command that runs them
+    assert fresh(f"import sys, anomdet.cli; {_LOADED}") == "['anomdet.cli', 'anomdet.combin'] True\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("spectrum --n 12 --k 5 --c 0.3", ["gram"]),
+    ("spectrum --n 12 --k 7 --c 3/7 --exact", ["gram"]),
+    ("minerr --n 10 --k 2 --c 0.5", ["gram", "protocols"]),
+    ("unambiguous --n 10 --k 2 --c 0.5", ["gram", "protocols"]),
+    ("universal --n 10 --k 2 --d 2", ["gram", "protocols", "universal"]),
+    ("sweep --protocol minerr --n-range 5:20:5 --k 2", ["gram", "protocols", "universal"]),
+])
+def test_command_loads_only_what_it_runs(fresh, argv, loaded):
+    # no closed-form command compiles johnson, oracle or verify
+    code = ("import sys\nfrom anomdet.cli import main\ntry:\n    main(sys.argv[1:])\n"
+            f"except SystemExit as exit:\n    assert exit.code == 0\n{_LOADED}")
+    expected = sorted(["anomdet.cli", "anomdet.combin", *(f"anomdet.{m}" for m in loaded)])
+    assert fresh(code, *argv.split()).splitlines()[-1] == f"{expected} True"
+
+
+def test_cli_imports_by_layer():
+    # module level: the stdlib, click and .combin; each command imports what it runs
+    tree = ast.parse(Path(cli_mod.__file__).read_text(encoding="utf-8"))
+    top = {alias.name.split(".")[0] for node in tree.body if isinstance(node, ast.Import)
+           for alias in node.names}
+    top |= {node.module.split(".")[0] for node in tree.body
+            if isinstance(node, ast.ImportFrom) and not node.level}
+    assert top - set(sys.stdlib_module_names) == {"click"}
+    relative = [(node.module, [alias.name for alias in node.names]) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == [("combin", ["SCOPES", "_counts"])]
+    inner = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in function.body:
+                if isinstance(node, ast.ImportFrom):
+                    inner.setdefault(function.name, set()).update(
+                        [node.module] if node.module else [alias.name for alias in node.names])
+    assert inner == {"spectrum": {"gram"}, "_single_value": {"gram", "protocols"},
+                     "universal": {"universal"}, "sweep": {"gram", "protocols", "universal"},
+                     "verify": {"verify"}}
+
+
+def test_scope_choices_are_the_registry_scopes():
+    # the CLI lists them from combin without importing verify; they are the
+    # registry's scopes in run order
+    assert SCOPES == tuple(dict.fromkeys(check.scope for check in verify.CHECKS))
+
+
+@pytest.mark.parametrize("n, k", [(16000, 8000), (40000, 20000)])
+def test_unprintable_exact_spectrum_refused_before_the_recurrence(runner, monkeypatch, n, k):
+    # lambda_m's denominator 4^m has 4817 and 12042 digits: the refusal needs no recurrence
+    def unreachable(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr("anomdet.gram._exact_eigenvalues", unreachable)
+    argv = ["spectrum", "--exact", "--n", str(n), "--k", str(k), "--c", "1/2"]
+    result = runner.invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.output == f"{_DIGIT_LIMIT_ERROR}; drop --exact to print the float value\n"
+
+
+def test_early_digit_limit_refusal_is_a_late_one(runner, monkeypatch):
+    # at the smallest digit limit, over exact overlaps whose q^m (c^2 = p/q) straddles
+    # it: an instance refused before the recurrence is one the printer refuses after
+    # it, and output and exit code are the same with the early check and without it
+    overlaps = {
+        "1/100000000000000000000": range(14, 18),  # q = 10^40: q^16 = 10^640 has 641 digits
+        "7/205891132094649": range(21, 25),  # q = 3^60: q^22 has 630 digits, q^23 658
+        "1/2": range(1062, 1065),  # q = 4: 4^1063 has 640 digits, 4^1064 641
+    }
+    limit, outcomes = sys.get_int_max_str_digits(), []
+    sys.set_int_max_str_digits(640)
+    try:
+        for c, ms in overlaps.items():
+            for m in ms:
+                for n, k in ((2 * m, m), (2 * m + 3, m), (2 * m + 3, m + 3)):
+                    argv = ["spectrum", "--n", str(n), "--k", str(k), "--c", c, "--exact"]
+                    early = runner.invoke(main, argv, catch_exceptions=False)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cli_mod, "_prints_exactly", lambda inst: True)
+                        late = runner.invoke(main, argv, catch_exceptions=False)
+                    assert (early.exit_code, early.output) == (late.exit_code, late.output), argv
+                    refused = not cli_mod._prints_exactly(ProblemInstance(n, k, Fraction(c)))
+                    assert early.exit_code == 2 or not refused, argv
+                    outcomes.append((refused, early.exit_code))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # refused early; refused late only, at c = 1/2, m <= 1063, where a numerator
+    # trips first; printed
+    assert Counter(outcomes) == {(True, 2): 15, (False, 2): 6, (False, 0): 12}

@@ -4,6 +4,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
 import anomdet
 
 
@@ -12,13 +14,39 @@ def test_reexports_are_public_and_all_entries_exist():
         module = importlib.import_module(f"anomdet.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
-    tree = ast.parse(Path(anomdet.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"anomdet.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, f"{alias.name} is not in {module.__name__}.__all__"
+    # the package serves its re-exports lazily, from one name -> module table
+    assert anomdet._EXPORTS
+    for module_name, names in anomdet._EXPORTS.items():
+        module = importlib.import_module(f"anomdet.{module_name}")
+        for name in names:
+            assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
+            assert getattr(anomdet, name) is getattr(module, name)
+
+
+# the package's public names, as they were when __init__ imported its six modules eagerly
+_PUBLIC = [
+    "CertificateReport", "Eigenmatrices", "ProblemInstance", "ProtocolResult", "SchemeBasis",
+    "Spectrum", "UniversalInstance", "average_known_success", "average_min_error_curve",
+    "binomial", "closed_form_spectrum", "combin", "direct_spectrum", "distance_matrix",
+    "eigenmatrices", "enumerate_patterns", "explicit_success_k123", "gram", "gram_matrix",
+    "hahn_polynomial", "johnson", "min_error_asymptotic", "min_error_success", "oracle",
+    "protocols", "scheme_basis", "scheme_projector", "srm_success_oracle", "unambiguous_success",
+    "universal", "universal_asymptote", "universal_success", "universal_success_oracle",
+    "verify_bose_mesner_closure", "verify_unambiguous_certificates",
+]
+
+
+def test_dir_and_star_import_give_the_public_names(fresh):
+    # in a fresh interpreter, where no other test has imported cli or verify
+    code = ("import anomdet; print([n for n in dir(anomdet) if not n.startswith('_')]); "
+            "ns = {}; exec('from anomdet import *', ns); print(sorted(set(ns) - {'__builtins__'}))")
+    assert fresh(code).splitlines() == [repr(_PUBLIC)] * 2
+
+
+def test_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="^module 'anomdet' has no attribute 'no_such_name'$"):
+        anomdet.no_such_name
+    assert not hasattr(anomdet, "_no_such_private_name")
 
 
 def test_package_imports_only_stdlib_numpy_and_click():

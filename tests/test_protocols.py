@@ -274,14 +274,16 @@ class TestCertificates:
             verify_unambiguous_certificates(ProblemInstance(30, 15, 0.5))
 
     def test_diagonal_check_is_not_vacuous(self, monkeypatch):
-        true_coefficients = protocols._projector_coefficients
+        # _dual_witness reads johnson's name; E_m + 1e-9 I stays PSD, so only
+        # the exact diagonal test can fail the dual
+        true_coefficients = johnson._projector_coefficients
 
         def wrong_at_distance_zero(n, k, j):
             coeffs = true_coefficients(n, k, j)
             return (coeffs[0] + Fraction(1, 10**9),) + coeffs[1:]
 
         protocols._dual_witness.cache.clear()
-        monkeypatch.setattr(protocols, "_projector_coefficients", wrong_at_distance_zero)
+        monkeypatch.setattr(johnson, "_projector_coefficients", wrong_at_distance_zero)
         try:
             report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         finally:
@@ -323,16 +325,17 @@ class TestCertificates:
         assert verdicts == [False, False, True, True, True, True]
 
     def test_dual_witness_checked_once_per_nk(self, monkeypatch):
-        # one build; the second overlap is served by the (n, k) entry
+        # one build, counted by its one projector; the second overlap is served
+        # by the (n, k) entry
         builds = []
-        true_coefficients = protocols._projector_coefficients
+        true_projector = johnson.scheme_projector
 
         def counted(n, k, j):
             builds.append((n, k, j))
-            return true_coefficients(n, k, j)
+            return true_projector(n, k, j)
 
         protocols._dual_witness.cache.clear()
-        monkeypatch.setattr(protocols, "_projector_coefficients", counted)
+        monkeypatch.setattr(johnson, "scheme_projector", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
         assert builds == [(9, 3, 3)]  # one miss; the second overlap was a hit
@@ -392,7 +395,7 @@ class TestCertificates:
                     continue  # analytic branch: no witness is built
                 inst = ProblemInstance(n, k, c)
                 G = np.asarray(gram_matrix(inst), dtype=float)
-                coeffs = protocols._projector_coefficients(n, k, m)
+                coeffs = johnson._projector_coefficients(n, k, m)
                 Y = np.array([float(x) for x in coeffs])[distance_matrix(n, k)]
                 Y *= inst.N / _multiplicities(n, m)[m]
                 reference = float(np.tensordot(G, Y) / inst.N)
@@ -422,15 +425,14 @@ class TestCertificates:
         # distance 0 breaks diag(Y) = 1, distance 3 makes Y indefinite
         inst = ProblemInstance(7, 3, 0.5)
         assert verify_unambiguous_certificates(inst).dual_feasible
-        true_coefficients = protocols._projector_coefficients
+        true_coefficients = johnson._projector_coefficients
 
         def perturbed(n, k, j):
             coeffs = list(true_coefficients(n, k, j))
             coeffs[distance] += Fraction(1, 1000)
             return tuple(coeffs)
 
-        # Y is gathered by johnson.scheme_projector, which reads johnson's name
-        monkeypatch.setattr(protocols, "_projector_coefficients", perturbed)
+        # _dual_witness and johnson.scheme_projector, which gathers Y, read johnson's name
         monkeypatch.setattr(johnson, "_projector_coefficients", perturbed)
         protocols._dual_witness.cache.clear()  # the warm entry holds the true witness
         try:
