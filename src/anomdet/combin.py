@@ -30,6 +30,7 @@ GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
 NK_CACHE_SIZE = 96  # entries per (n, k) cache; verify --max-n 14 walks 79 (n, k) per row
 # verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
 SCOPES = ("scheme", "gram", "detection", "universal")
+_CACHES = []  # every memo of the package: each _bounded_cache as it is made, and verify._srm
 
 
 def binomial(n: int, r: int) -> int:
@@ -128,8 +129,9 @@ def _bounded_cache(build):
     fit the byte bound alone, then the least recently used go until at most
     NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes remain.  A hit
     moves its entry to the most recently used end.  The dict is the wrapper's
-    `cache`.  Threads may share it: a miss snapshots the keys and every pop
-    has a default, so at worst a value is built twice.
+    `cache`, emptied by its `cache_clear`; each wrapper joins _CACHES.  Threads
+    may share the dict: a miss snapshots the keys and every pop has a default,
+    so at worst a value is built twice.
     """
     entries, sizes = {}, {}
 
@@ -153,7 +155,15 @@ def _bounded_cache(build):
         return value
 
     cached.cache = entries
+    cached.cache_clear = lambda: entries.clear() or sizes.clear()
+    _CACHES.append(cached)
     return cached
+
+
+def _clear_caches() -> None:
+    """Empty every cache of _CACHES; a module not imported yet has none registered or filled."""
+    for memo in _CACHES:
+        memo.cache_clear()
 
 
 def distance_matrix(n: int, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import johnson
-from .combin import SCOPES, _bounded_cache, _multiplicities, binomial, distance_matrix
+from .combin import SCOPES, _CACHES, _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -309,6 +309,9 @@ def _srm(n: int, k: int, c: float) -> SrmResult:
     the singular values of the stack off it.
     """
     return srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
+
+
+_CACHES.append(_srm)  # combin._clear_caches empties the run memo with the (n, k) tables
 
 
 def _min_error_vs_srm(n: int, k: int, c: float) -> float:

@@ -1,5 +1,7 @@
-"""Test-suite settings (hypothesis runs derandomized, so the suite is deterministic) and
-the `fresh` fixture, which runs code in a new interpreter."""
+"""Test-suite settings (hypothesis runs derandomized) and fixtures.  Every test module
+starts on cold caches (`cold_module`); `cold` empties every cache before and after one test,
+as a plant that reaches a cached builder must.  A test clears one cache by hand only to assert
+its bound, order or contents.  `fresh` runs code in a new interpreter."""
 
 import os
 import subprocess
@@ -10,9 +12,22 @@ import pytest
 from hypothesis import settings
 
 import anomdet
+from anomdet import combin
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def cold_module():
+    combin._clear_caches()
+
+
+@pytest.fixture
+def cold():
+    combin._clear_caches()
+    yield
+    combin._clear_caches()
 
 
 @pytest.fixture

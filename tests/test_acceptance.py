@@ -131,7 +131,7 @@ def test_perturbed_projector_coefficient_fails_exact_row(monkeypatch):
         run_criterion(8)
 
 
-def test_perturbed_state_fails_the_optimality_gap_row(monkeypatch):
+def test_perturbed_state_fails_the_optimality_gap_row(monkeypatch, cold):
     """One state of (8, 2, 0.5) moved by 1e-3 on its support, then renormalised:
     the diagonal of sqrt(G) is no longer constant, and the SRM's duality gap
     fails min-error-srm-optimality-gap while (8, 2, 0.7) still passes."""
@@ -148,11 +148,7 @@ def test_perturbed_state_fails_the_optimality_gap_row(monkeypatch):
     planted = dataclasses.replace(check, grid=verify._fixed({"n": 8, "k": 2, "c": 0.5},
                                                             {"n": 8, "k": 2, "c": 0.7}))
     monkeypatch.setattr(verify, "all_hypothesis_states", perturbed)
-    verify._srm.cache_clear()
-    try:
-        failed, passed = planted.run(8)
-    finally:
-        verify._srm.cache_clear()
+    failed, passed = planted.run(8)
     assert not failed.passed and failed.residual > 1e4 * check.tolerance, failed.line()
     assert passed.passed, passed.line()
 
@@ -175,7 +171,7 @@ def test_halved_srm_fails_the_holevo_row(monkeypatch):
         run_criterion(6)
 
 
-def test_scaled_adjacency_fails_the_closure_row(monkeypatch):
+def test_scaled_adjacency_fails_the_closure_row(monkeypatch, cold):
     """A_1 scaled by 65537 wraps to A_1 in an int16 cover sum: every
     bose-mesner-closure cell fails at the 0/1 rule, and so does every cell of
     eigenvalue-recurrence, which reads the same intersection numbers."""
@@ -186,21 +182,17 @@ def test_scaled_adjacency_fails_the_closure_row(monkeypatch):
         return dataclasses.replace(basis, adjacency=(A0, A1.astype(np.int64) * 65537, *rest))
 
     monkeypatch.setattr(johnson, "scheme_basis", scaled)
-    verify._intersection_numbers.cache.clear()
-    try:
-        lines = {check.name: [r.line() for r in check.run(GATE_MAX_N)] for check in verify.CHECKS
-                 if check.name in ("bose-mesner-closure", "eigenvalue-recurrence")}
-        with pytest.raises(AssertionError, match="criterion 8 failed.*'FAIL bose-mesner-closure "):
-            run_criterion(8)
-    finally:
-        verify._intersection_numbers.cache.clear()
+    lines = {check.name: [r.line() for r in check.run(GATE_MAX_N)] for check in verify.CHECKS
+             if check.name in ("bose-mesner-closure", "eigenvalue-recurrence")}
+    with pytest.raises(AssertionError, match="criterion 8 failed.*'FAIL bose-mesner-closure "):
+        run_criterion(8)
     closure, recurrence = lines["bose-mesner-closure"], lines["eigenvalue-recurrence"]
     assert closure and all(line.startswith("FAIL bose-mesner-closure ") for line in closure)
     assert len(recurrence) == len(closure)
     assert all(line.startswith("FAIL eigenvalue-recurrence ") for line in recurrence)
 
 
-def test_scaled_class_weight_fails_the_srm_rows(capsys):
+def test_scaled_class_weight_fails_the_srm_rows(capsys, cold):
     """d_c of the (4, 2) support pattern's first class (the weight-2 strings,
     of support 1, which alone carry the smallest singular value) scaled by
     1 + 1e-6 in the SRM oracle's cache: every (4, 2) cell of C_GRID prints
@@ -208,65 +200,68 @@ def test_scaled_class_weight_fails_the_srm_rows(capsys):
     unambiguous-vs-min-eigenvalue, and criteria 2 and 4 fail."""
     V = oracle.all_hypothesis_states(ProblemInstance(4, 2, 0.5))
     oracle.srm_success_oracle(V)
-    key = (V.shape, np.packbits(V != 0).tobytes())
-    *entry, D, off = oracle._support_basis.cache[key]
+    (key, (*entry, D, off)), = oracle._support_basis.cache.items()
     D = D.copy()
     D[0] *= 1 + 1e-6
     D.flags.writeable = False
     oracle._support_basis.cache[key] = (*entry, D, off)
-    verify._srm.cache_clear()
-    try:
-        for number, row in ((2, "min-error-vs-srm-oracle"), (4, "unambiguous-vs-min-eigenvalue")):
-            with pytest.raises(AssertionError, match=f"criterion {number} failed.*'FAIL {row} "):
-                run_criterion(number)
-        printed = capsys.readouterr().out.splitlines()
-    finally:
-        verify._srm.cache_clear()
-        oracle._support_basis.cache.pop(key, None)
+    for number, row in ((2, "min-error-vs-srm-oracle"), (4, "unambiguous-vs-min-eigenvalue")):
+        with pytest.raises(AssertionError, match=f"criterion {number} failed.*'FAIL {row} "):
+            run_criterion(number)
+    printed = capsys.readouterr().out.splitlines()
     assert not [line for line in printed if line.startswith("ERROR")]
     for row in ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue"):
         for c in verify.C_GRID:
             assert f"FAIL {row} n=4,k=2,c={c} " in "\n".join(printed), (row, c)
 
 
-def _cold(*modules) -> bool:
-    """Whether every per-(n, k) table of the modules, and verify's run memo, is empty."""
-    tables = [f.cache for module in modules for f in vars(module).values()
-              if isinstance(getattr(f, "cache", None), dict)]
-    return not any(tables) and verify._srm.cache_info().currsize == 0
-
-
-def _clear(*modules) -> None:
-    for module in modules:
-        for f in vars(module).values():
-            if isinstance(getattr(f, "cache", None), dict):
-                f.cache.clear()
-    verify._srm.cache_clear()
-
-
-def test_planted_binomial_fails_the_explicit_row(monkeypatch):
+def test_planted_binomial_fails_the_explicit_row(monkeypatch, cold):
     """C(n, 2) + 1 for the one binomial of the k = 2 form, C(n - 2, 2), read
     through protocols' name: every k = 2 cell of explicit-k123-vs-spectral
     prints FAIL, not ERROR, and so does every k = 3 cell, whose form reads
     C(n - 4, 2) and C(n - 3, 2); every k = 1 cell, whose form reads no
-    binomial, passes.  The row reaches no cached builder: every cache is cold
-    before the plant and after it."""
-    modules = (combin, johnson, oracle, protocols, verify)
+    binomial, passes.  The row reaches no cached builder: every cache of
+    combin's registry is still empty after it."""
     binomial = protocols.binomial
     monkeypatch.setattr(protocols, "binomial", lambda n, r: binomial(n, r) + (r == 2))
     check = next(check for check in verify.CHECKS if check.name == "explicit-k123-vs-spectral")
-    _clear(*modules)
-    try:
-        results = check.run(GATE_MAX_N)
-        assert _cold(*modules)
-    finally:
-        _clear(*modules)
+    results = check.run(GATE_MAX_N)
+    assert not any(memo.cache_info().currsize if memo is verify._srm else memo.cache
+                   for memo in combin._CACHES)
     lines = {k: [r.line() for r in results if f",k={k}," in r.instance] for k in (1, 2, 3)}
     assert sum(map(len, lines.values())) == len(results)
     assert lines[1] and all(line.startswith("PASS ") for line in lines[1])
     for k in (2, 3):
         assert lines[k] and all(line.startswith("FAIL explicit-k123-vs-spectral ")
                                 for line in lines[k]), k
+
+
+def test_planted_hahn_value_fails_the_scheme_rows(monkeypatch, cold):
+    """Q_1(1) + 1/1000 through johnson's hahn_polynomial reaches P, Q and E_1 off the
+    cached (n, k) table: exactly the cells marked below FAIL, none ERRORs (E_m is the
+    dual witness of unambiguous-certificates), and the rows that read no Hahn value pass."""
+    hahn = johnson.hahn_polynomial
+    monkeypatch.setattr(johnson, "hahn_polynomial", lambda j, x, n, k:
+                        hahn(j, x, n, k) + Fraction(1, 1000) * ((j, x) == (1, 1)))
+    fails = {  # row -> whether a cell fails, and (cells that fail, cells)
+        "eigenmatrix-PQ-identity": (lambda inst: True, (36, 36)),
+        "johnson-eigenvalue": (lambda inst: True, (36, 36)),
+        "projector-algebra": (lambda inst: True, (36, 36)),
+        "spectral-reconstruction": (lambda inst: True, (36, 36)),
+        "adjacency-spectrum": (lambda inst: inst["i"] == 1, (36, 106)),
+        "unambiguous-certificates": (lambda inst: min(inst["k"], inst["n"] - inst["k"]) == 1,
+                                     (105, 364)),
+        "bose-mesner-closure": (lambda inst: False, (0, 36)),
+        "spectrum-equivalence": (lambda inst: False, (0, 364)),
+        "reference-spectrum": (lambda inst: False, (0, 225)),
+    }
+    for check in verify.CHECKS:
+        if check.name in fails:
+            fail, counts = fails[check.name]
+            cells = list(zip(check.grid(GATE_MAX_N), check.run(GATE_MAX_N)))
+            assert [r.line().split()[0] for _, r in cells] == [
+                "FAIL" if fail(inst) else "PASS" for inst, _ in cells], check.name
+            assert (sum(fail(inst) for inst, _ in cells), len(cells)) == counts, check.name
 
 
 def test_criterion_9_figure_reproduction():

@@ -110,14 +110,8 @@ def refused_at_n_zero(n: int):
     return pytest.raises(ValueError, match="^n must be >= 1, got 0$") if n == 0 else nullcontext()
 
 
-@pytest.fixture
-def empty_distance_cache():
-    combin._distances.cache.clear()
-    yield combin._distances.cache
-    combin._distances.cache.clear()
-
-
 def test_bounded_cache_on_a_toy_builder(monkeypatch):
+    monkeypatch.setattr(combin, "_CACHES", [])  # the toy joins a registry of its own
     monkeypatch.setattr(combin, "NK_CACHE_SIZE", 3)
     monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
     builds = []
@@ -153,6 +147,8 @@ def test_bounded_cache_on_a_toy_builder(monkeypatch):
 def test_bounded_cache_counts_each_entry_once(monkeypatch):
     # a miss counts the bytes of its own key and value, never those of the
     # entries already held, and a hit counts nothing
+    monkeypatch.setattr(combin, "_CACHES", [])
+
     @combin._bounded_cache
     def toy(tag, size):
         return np.zeros(size, np.uint8), (np.ones(size, np.uint8), size)
@@ -191,10 +187,9 @@ class TestDistanceMatrix:
             rows = [tuple(int(p) + 1 for p in np.flatnonzero(x)) for x in X]
             assert rows == enumerate_patterns(n, k)
 
-    def test_indicator_is_a_fresh_array(self, empty_distance_cache):
+    def test_indicator_is_a_fresh_array(self, cold):
         # a write into one result reaches neither the cached (n, k) structures
         # built from the indicator nor those built after the write
-        oracle._sector_layout.cache.clear()
         index, _, bits = oracle._sector_layout(5, 2)
         expected = [distance_matrix(5, 2).copy(), index.copy(), bits.copy()]
         X = pattern_indicator(5, 2)
@@ -202,13 +197,12 @@ class TestDistanceMatrix:
         X[:] = 1 - X
         assert pattern_indicator(5, 2).sum() == 10 * 2
         cached = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
-        empty_distance_cache.clear()
-        oracle._sector_layout.cache.clear()
+        combin._clear_caches()
         rebuilt = [distance_matrix(5, 2), *oracle._sector_layout(5, 2)[::2]]
         for arrays in (cached, rebuilt):
             assert all(np.array_equal(a, b) for a, b in zip(arrays, expected))
 
-    def test_shared_copy_is_read_only(self, empty_distance_cache):
+    def test_shared_copy_is_read_only(self, cold):
         assert len(VERIFY_GRID_10) == 24
         built = {nk: distance_matrix(*nk) for nk in VERIFY_GRID_10}
         rng = random.Random(0)
@@ -224,40 +218,43 @@ class TestDistanceMatrix:
         copy[0, 0] = 1
         assert distance_matrix(6, 3)[0, 0] == 0
 
-    def test_least_recently_used_evicted_past_the_bound(self, empty_distance_cache):
+    def test_least_recently_used_evicted_past_the_bound(self, cold):
+        cache = combin._distances.cache
         size = NK_CACHE_SIZE
         cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + 1]
         assert len(cells) == size + 1
         built = [distance_matrix(*nk) for nk in cells[:size]]
         assert distance_matrix(*cells[0]) is built[0]  # now the most recently used
         distance_matrix(*cells[size])
-        assert len(empty_distance_cache) == size and cells[1] not in empty_distance_cache
+        assert len(cache) == size and cells[1] not in cache
         assert distance_matrix(*cells[0]) is built[0]
         rebuilt = distance_matrix(*cells[1])
         assert rebuilt is not built[1] and np.array_equal(rebuilt, built[1])
-        assert cells[2] not in empty_distance_cache  # the next least recently used
+        assert cells[2] not in cache  # the next least recently used
 
-    def test_least_recently_used_evicted_past_byte_bound(self, empty_distance_cache, monkeypatch):
+    def test_least_recently_used_evicted_past_byte_bound(self, cold, monkeypatch):
         # C(6, 3)^2 = 400 bytes, C(5, 2)^2 = 100 bytes, C(4, 2)^2 = 36 bytes
+        cache = combin._distances.cache
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 23)  # a 529-byte bound
         large, small = distance_matrix(6, 3), distance_matrix(4, 2)
-        assert list(empty_distance_cache) == [(6, 3), (4, 2)]
+        assert list(cache) == [(6, 3), (4, 2)]
         assert distance_matrix(6, 3) is large  # 436 bytes; (4, 2) is now the least recently used
         distance_matrix(5, 2)  # 536 bytes: (4, 2) goes
-        assert list(empty_distance_cache) == [(6, 3), (5, 2)]
+        assert list(cache) == [(6, 3), (5, 2)]
         assert distance_matrix(4, 2) is not small  # 536 bytes again: (6, 3) goes
-        assert list(empty_distance_cache) == [(5, 2), (4, 2)]
+        assert list(cache) == [(5, 2), (4, 2)]
 
-    def test_newest_entry_always_kept(self, empty_distance_cache, monkeypatch):
+    def test_newest_entry_always_kept(self, cold, monkeypatch):
         # a 90 000-byte bound; D holds m = min(k, n - k) = 1 in uint8, so a D
         # at the Gram size cap fills the bound alone and two do not fit
+        cache = combin._distances.cache
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 300)
         D = distance_matrix(300, 299)
         assert D.dtype == np.uint8 and D.nbytes == 90_000
-        assert list(empty_distance_cache) == [(300, 299)]
+        assert list(cache) == [(300, 299)]
         assert distance_matrix(300, 299) is D
         E = distance_matrix(299, 298)
-        assert list(empty_distance_cache) == [(299, 298)] and distance_matrix(299, 298) is E
+        assert list(cache) == [(299, 298)] and distance_matrix(299, 298) is E
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -265,7 +262,7 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("n, k", [(6.0, 2), (6, 2.0), (np.float64(6), 2), (6, Fraction(2)),
                                       (True, 1), (1, True)])
-    def test_rejects_non_integer_counts_cold_and_warm(self, empty_distance_cache, n, k):
+    def test_rejects_non_integer_counts_cold_and_warm(self, cold, n, k):
         # 6.0 == 6 as a dict key: a cached (6, 2) answered distance_matrix(6.0, 2),
         # which raised TypeError on a cold cache
         field = "k" if type(n) is int else "n"
@@ -296,7 +293,7 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=message):
             build()
 
-    def test_threads_sharing_the_cache(self, empty_distance_cache):
+    def test_threads_sharing_the_cache(self, cold):
         # 5/4 as many cells as the cache holds, from 4 threads: constant eviction
         size = NK_CACHE_SIZE
         cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + size // 4]
@@ -325,5 +322,5 @@ class TestDistanceMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(empty_distance_cache) <= size
+        assert errors == [] and len(combin._distances.cache) <= size
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import anomdet
+from anomdet import combin, protocols, verify
 
 
 def test_reexports_are_public_and_all_entries_exist():
@@ -86,3 +87,25 @@ def test_only_the_srm_run_memo_is_a_functools_cache():
             named += isinstance(node, (ast.Name, ast.Attribute)) and _functools_memo(node)
     assert decorated == ["verify._srm"]
     assert named == len(decorated), "a functools cache is applied outside a decorator"
+
+
+def test_registry_holds_every_cache_once(cold):
+    # one entry per @_bounded_cache of the package, and verify's run memo, so that
+    # no cache escapes combin._clear_caches, which empties every one
+    for info in pkgutil.iter_modules(anomdet.__path__):
+        importlib.import_module(f"anomdet.{info.name}")
+    decorated = [f"anomdet.{path.stem}.{node.name}"
+                 for path in Path(anomdet.__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and "_bounded_cache" in map(ast.unparse, node.decorator_list)]
+    registered = sorted(f"{memo.__module__}.{memo.__name__}" for memo in combin._CACHES)
+    assert len(decorated) == 8 and registered == sorted([*decorated, "anomdet.verify._srm"])
+    combin.distance_matrix(5, 2)
+    protocols._dual_witness(5, 2)
+    verify._srm(4, 2, 0.5)
+    assert combin._distances.cache and protocols._dual_witness.cache
+    assert verify._srm.cache_info().currsize == 1
+    combin._clear_caches()
+    assert not any(memo.cache_info().currsize if memo is verify._srm else memo.cache
+                   for memo in combin._CACHES)

@@ -219,13 +219,6 @@ class TestSchemeProjectors:
                 assert scheme_projector_exact(n, k, j) is exact
 
 
-@pytest.fixture
-def empty_projector_cache():
-    johnson._exact_projector.cache.clear()
-    yield johnson._exact_projector.cache
-    johnson._exact_projector.cache.clear()
-
-
 def _scheme_keys(max_n: int) -> list[tuple[int, int, int]]:
     """Every (n, k, j) with 1 <= n <= max_n, 0 <= k <= n and 0 <= j <= min(k, n - k)."""
     return [(n, k, j) for n in range(1, max_n + 1) for k in range(n + 1)
@@ -233,7 +226,7 @@ def _scheme_keys(max_n: int) -> list[tuple[int, int, int]]:
 
 
 class TestExactProjectorCache:
-    def test_shared_copy_is_read_only(self, empty_projector_cache):
+    def test_shared_copy_is_read_only(self, cold):
         E = scheme_projector_exact(6, 3, 1)
         assert not E.flags.writeable and scheme_projector_exact(6, 3, 1) is E
         with pytest.raises(ValueError):
@@ -242,11 +235,12 @@ class TestExactProjectorCache:
         copy[0, 0] = 0
         assert scheme_projector_exact(6, 3, 1)[0, 0] == _projector_coefficients(6, 3, 1)[0]
 
-    def test_numpy_integers_share_the_int_entry(self, empty_projector_cache):
+    def test_numpy_integers_share_the_int_entry(self, cold):
+        cache = johnson._exact_projector.cache
         E = scheme_projector_exact(np.int64(5), 2, np.uint8(1))
-        assert [tuple(map(type, key)) for key in empty_projector_cache] == [(int, int, int)]
+        assert [tuple(map(type, key)) for key in cache] == [(int, int, int)]
         assert scheme_projector_exact(5, 2, 1) is E
-        assert list(empty_projector_cache) == [(5, 2, 1)]
+        assert list(cache) == [(5, 2, 1)]
 
     @pytest.mark.parametrize("args, message", [
         ((6.0, 2, 0), r"^n must be an integer, got 6.0 \(float\)$"),
@@ -254,39 +248,41 @@ class TestExactProjectorCache:
         ((5, 3, 3), r"^scheme_projector: index 3 out of range \[0, 2\]$"),
         ((30, 15, 3), r"^Gram size 155117520 exceeds cap 5000$"),
     ], ids=["float-count", "bool-index", "index-out-of-range", "over-the-size-cap"])
-    def test_refused_keys_are_not_kept(self, empty_projector_cache, monkeypatch, args, message):
+    def test_refused_keys_are_not_kept(self, cold, monkeypatch, args, message):
+        cache = johnson._exact_projector.cache
         def unreachable(*args):
             raise AssertionError("built past the size cap")
 
         for _ in range(2):  # cold, then warm: (6, 2, 0) == (6.0, 2, 0) as a dict key
-            held = list(empty_projector_cache)
+            held = list(cache)
             with monkeypatch.context() as patch, pytest.raises(ValueError, match=message):
                 patch.setattr(combin, "enumerate_patterns", unreachable)
                 scheme_projector_exact(*args)
-            assert list(empty_projector_cache) == held
+            assert list(cache) == held
             scheme_projector_exact(6, 2, 0)
             scheme_projector_exact(5, 3, 2)
-        assert list(empty_projector_cache) == [(6, 2, 0), (5, 3, 2)]
+        assert list(cache) == [(6, 2, 0), (5, 3, 2)]
 
-    def test_least_recently_used_evicted_past_the_bound(self, empty_projector_cache):
+    def test_least_recently_used_evicted_past_the_bound(self, cold):
+        cache = johnson._exact_projector.cache
         keys = _scheme_keys(12)[:NK_CACHE_SIZE + 5]
         assert len(keys) == NK_CACHE_SIZE + 5
         first = scheme_projector_exact(*keys[0])
         for key in keys[1:]:
             scheme_projector_exact(*key)
-            assert len(empty_projector_cache) <= NK_CACHE_SIZE
-        assert list(empty_projector_cache) == keys[5:]
+            assert len(cache) <= NK_CACHE_SIZE
+        assert list(cache) == keys[5:]
         rebuilt = scheme_projector_exact(*keys[0])
         assert rebuilt is not first and np.array_equal(rebuilt, first)
 
-    def test_cold_and_warm_values_are_equal(self, empty_projector_cache):
+    def test_cold_and_warm_values_are_equal(self, cold):
         # each key once on an empty cache, then again on a cache warmed by the
         # walk, after the (n, k) tables the cached arrays were gathered from are gone
         keys = _scheme_keys(9)
-        cold = {}
+        cold_values = {}
         for key in keys:
-            empty_projector_cache.clear()
-            cold[key] = scheme_projector_exact(*key)
+            johnson._exact_projector.cache.clear()
+            cold_values[key] = scheme_projector_exact(*key)
         for key in keys:
             scheme_projector_exact(*key)
         johnson._scheme.cache.clear()
@@ -294,8 +290,8 @@ class TestExactProjectorCache:
             n, k, j = key
             warm = scheme_projector_exact(*key)
             reference = np.array(_projector_coefficients(n, k, j), dtype=object)[distance_matrix(n, k)]
-            assert warm.shape == cold[key].shape == reference.shape, key
-            assert np.array_equal(warm, cold[key]) and np.array_equal(warm, reference), key
+            assert warm.shape == cold_values[key].shape == reference.shape, key
+            assert np.array_equal(warm, cold_values[key]) and np.array_equal(warm, reference), key
 
 
 class TestBoseMesnerClosure:

@@ -125,14 +125,15 @@ class TestHypothesisStates:
                 expected = c ** (k - len(ones)) * s ** len(ones) if ones <= set(pat) else 0.0
                 assert amplitude == pytest.approx(expected, rel=1e-15, abs=0.0), (pat, x)
 
-    def test_sector_layout_read_only_and_built_once(self, empty_layout_cache, monkeypatch):
+    def test_sector_layout_read_only_and_built_once(self, cold, monkeypatch):
+        cache = oracle._sector_layout.cache
         builds, indicator = [], oracle.pattern_indicator
         monkeypatch.setattr(oracle, "pattern_indicator",
                             lambda n, k: builds.append((n, k)) or indicator(n, k))
         first = all_hypothesis_states(ProblemInstance(7, 3, 0.3))
-        layout = empty_layout_cache[7, 3]
+        layout = cache[7, 3]
         second = all_hypothesis_states(ProblemInstance(7, 3, 0.6))
-        assert builds == [(7, 3)] and list(empty_layout_cache) == [(7, 3)]
+        assert builds == [(7, 3)] and list(cache) == [(7, 3)]
         assert oracle._sector_layout(7, 3) is layout and builds == [(7, 3)]
         index, width, bits = layout
         assert first.shape == second.shape == (35, width) and index.shape == (35, 8)
@@ -144,31 +145,32 @@ class TestHypothesisStates:
                 table[0, 0] = 0
         assert first.flags.writeable  # each call returns a fresh stack
 
-    def test_sector_layout_cache_keeps_its_bounds(self, empty_layout_cache, monkeypatch):
+    def test_sector_layout_cache_keeps_its_bounds(self, cold, monkeypatch):
         # the entry bound and LRU order: one (n, 1) layout per n
+        cache = oracle._sector_layout.cache
         for n in range(1, NK_CACHE_SIZE + 1):
             oracle._sector_layout(n, 1)
-        assert list(empty_layout_cache) == [(n, 1) for n in range(1, NK_CACHE_SIZE + 1)]
+        assert list(cache) == [(n, 1) for n in range(1, NK_CACHE_SIZE + 1)]
         oracle._sector_layout(1, 1)  # now the most recently used
         oracle._sector_layout(NK_CACHE_SIZE + 1, 1)
-        assert len(empty_layout_cache) == NK_CACHE_SIZE
-        assert (1, 1) in empty_layout_cache and (2, 1) not in empty_layout_cache
+        assert len(cache) == NK_CACHE_SIZE
+        assert (1, 1) in cache and (2, 1) not in cache
         # the byte bound: the (n, 1) layout holds an n x 2 uint8 index (up to
         # n = 15) and a 1 x 2 int64 bit table, 2 n + 16 bytes
-        empty_layout_cache.clear()
+        cache.clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
         assert combin._nbytes(oracle._sector_layout(3, 1)) == 22
         for n in (4, 5, 6, 3):  # 24 + 26 + 28 + 22 bytes fit; (3, 1) is used again
             oracle._sector_layout(n, 1)
-        assert [key[0] for key in empty_layout_cache] == [4, 5, 6, 3]
+        assert [key[0] for key in cache] == [4, 5, 6, 3]
         oracle._sector_layout(8, 1)  # 32 more bytes: (4, 1) and (5, 1) go
-        assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
+        assert [key[0] for key in cache] == [6, 3, 8]
         # a uint16 index, 136 bytes on its own: returned read-only, not kept,
         # and nothing evicted
         index, _, bits = layout = oracle._sector_layout(30, 1)
         assert index.dtype == np.uint16 and combin._nbytes(layout) == 136
         assert not index.flags.writeable and not bits.flags.writeable
-        assert [key[0] for key in empty_layout_cache] == [6, 3, 8]
+        assert [key[0] for key in cache] == [6, 3, 8]
         assert oracle._sector_layout(30, 1)[0] is not index
 
 
@@ -224,20 +226,6 @@ def _assert_same_bits(result, success, diagonal, eigenvalues):
     assert result.success == success
     assert result.diagonal.tobytes() == diagonal.tobytes()
     assert result.eigenvalues.tobytes() == eigenvalues.tobytes()
-
-
-@pytest.fixture
-def empty_layout_cache():
-    oracle._sector_layout.cache.clear()
-    yield oracle._sector_layout.cache
-    oracle._sector_layout.cache.clear()
-
-
-@pytest.fixture
-def empty_basis_cache():
-    oracle._support_basis.cache.clear()
-    yield oracle._support_basis.cache
-    oracle._support_basis.cache.clear()
 
 
 def _measurement_vectors(V):
@@ -353,25 +341,26 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
             srm_success_oracle(np.eye(2))
 
-    def test_nan_in_the_certificate_falls_back_to_the_svd(self, empty_basis_cache):
+    def test_nan_in_the_certificate_falls_back_to_the_svd(self, cold):
         # a NaN planted in a cached o_c, the norm of offdiag(T_c T_c^T), fails the certificate
+        cache = oracle._support_basis.cache
         V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
         _assert_same_bits(srm_success_oracle(V), *_class_steps(V))
-        (key, entry), = empty_basis_cache.items()
+        (key, entry), = cache.items()
         off = entry[-1].copy()
         off[0] = math.nan
         off.flags.writeable = False
-        empty_basis_cache[key] = (*entry[:-1], off)
+        cache[key] = (*entry[:-1], off)
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
 
     @pytest.mark.parametrize("c", [0.999, 0.9999, 0.99999, 1.0])
-    def test_eigenvalues_are_non_negative(self, empty_basis_cache, monkeypatch, c):
+    def test_eigenvalues_are_non_negative(self, cold, monkeypatch, c):
         # squared singular values, on the basis path and on the SVD path; an
         # eigh of the Gram gave eigenvalues down to -1.4e-13 at c >= 0.9999
         for basis in (True, False):
             if not basis:  # no basis could be kept: a thin SVD for every stack
                 monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
-                empty_basis_cache.clear()
+                combin._clear_caches()
             for n in range(2, 11):
                 for k in range(1, n):
                     w = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c))).eigenvalues
@@ -447,7 +436,7 @@ class TestSrmOracle:
         assert w.shape == (V.shape[0],) and (np.diff(w) >= 0).all()
         assert np.abs(w - reference).max() <= 1e-12 * max(1.0, reference[-1])
 
-    def test_eigenvalues_are_not_clamped(self, empty_basis_cache, monkeypatch):
+    def test_eigenvalues_are_not_clamped(self, cold, monkeypatch):
         # a singular value of 1e-9 planted in the place of the largest is
         # reported first as its square, and the diagonal uses it as it is; on
         # the basis path (through its square root) and on the SVD path
@@ -466,7 +455,7 @@ class TestSrmOracle:
         for basis in (True, False):
             if not basis:
                 monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
-                empty_basis_cache.clear()
+                combin._clear_caches()
                 U = svd(V, full_matrices=False)[0]
             result = srm_success_oracle(V)
             sigma = factors[-1]
@@ -476,27 +465,29 @@ class TestSrmOracle:
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
                                          (10, 4, 0.0), (10, 5, 0.8)])
-    def test_cold_and_warm_cache_give_the_same_bits(self, empty_basis_cache, n, k, c):
+    def test_cold_and_warm_cache_give_the_same_bits(self, cold, n, k, c):
+        cache = oracle._support_basis.cache
         V = all_hypothesis_states(ProblemInstance(n, k, c))
         stacks = (V, np.asfortranarray(V), _pad_with_zero_columns(V))
         results = []
         for stack in stacks:
-            empty_basis_cache.clear()
+            cache.clear()
             results += [srm_success_oracle(stack), srm_success_oracle(stack)]  # cold, warm
         results += [srm_success_oracle(stack) for stack in stacks]  # warmed by the last layout
-        assert len(empty_basis_cache) == 1  # one pattern for all three layouts
+        assert len(cache) == 1  # one pattern for all three layouts
         first = results[0]
         for result in results:
             _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
 
-    def test_rotated_basis_fails_the_bound(self, empty_basis_cache):
+    def test_rotated_basis_fails_the_bound(self, cold):
         # the cached entry rebuilt from a basis turned by 1e-6 between the top
         # eigenvector and one of the bottom eigenspace: still orthogonal, but
         # each class's off-diagonal gains about 1e-6 times the spread of its
         # eigenvalues, far above the bound (4 N^(5/2) + N M) u = 4.2e-13
+        cache = oracle._support_basis.cache
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
         srm_success_oracle(V)
-        (key, entry), = empty_basis_cache.items()
+        (key, entry), = cache.items()
         U = _pattern_basis(V)[1]
         i, j, theta = 0, U.shape[1] - 1, 1e-6
         rotated = U.copy()
@@ -511,9 +502,9 @@ class TestSrmOracle:
         planted = (rotated * rotated, *entry[1:4], np.array([np.diag(G) for G in grams]), off)
         for a in planted:
             a.flags.writeable = False
-        empty_basis_cache[key] = planted
+        cache[key] = planted
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert empty_basis_cache[key] is planted  # kept, not factored again
+        assert cache[key] is planted  # kept, not factored again
 
     def test_factored_eigenvalues_are_within_the_bound_of_an_svd(self):
         # every instance of the detection rows' grid to n = 10, HIGH_C_GRID
@@ -528,7 +519,7 @@ class TestSrmOracle:
             bound = (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
             assert np.abs(srm_success_oracle(V).eigenvalues - reference).max() <= bound, inst
 
-    def test_one_scaled_entry_fails_the_class_check(self, empty_basis_cache):
+    def test_one_scaled_entry_fails_the_class_check(self, cold):
         # one nonzero of a (6, 2) stack scaled by 1 + 1e-9, its row then
         # renormalised: the same pattern, so the same cached entry, but the
         # class no longer holds one value, and delta fails the bound
@@ -538,7 +529,7 @@ class TestSrmOracle:
         V[3, x] *= 1 + 1e-9
         V[3] /= np.linalg.norm(V[3])
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert len(empty_basis_cache) == 1
+        assert len(oracle._support_basis.cache) == 1
 
     def test_only_the_k_equals_n_cells_take_the_svd(self, monkeypatch):
         # over the detection rows' grid at the qubit cap every hypothesis
@@ -560,7 +551,7 @@ class TestSrmOracle:
                 took.append(inst)
         assert len(took) == 63 and all(inst["k"] == inst["n"] for inst in took)
 
-    def test_generic_pattern_factored_once(self, empty_basis_cache, monkeypatch):
+    def test_generic_pattern_factored_once(self, cold, monkeypatch):
         eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
 
         def recording(M):
@@ -580,65 +571,67 @@ class TestSrmOracle:
         # the first call factors P P^T = 30 J, and every call takes one SVD of its stack
         assert len(factored) == 1 and np.array_equal(factored[0], np.full((12, 12), 30.0))
         assert decomposed == [(12, 30)] * 3
-        assert len(empty_basis_cache) == 1
+        assert len(oracle._support_basis.cache) == 1
 
-    def test_basis_cache_keeps_its_bounds(self, empty_basis_cache, monkeypatch):
+    def test_basis_cache_keeps_its_bounds(self, cold, monkeypatch):
         # the entry bound and LRU order: one 1 x m pattern per stack
+        cache = oracle._support_basis.cache
         stacks = [np.full((1, m), 1 / math.sqrt(m)) for m in range(1, NK_CACHE_SIZE + 2)]
         for V in stacks[:-1]:
             srm_success_oracle(V)
-        keys = list(empty_basis_cache)
+        keys = list(cache)
         assert len(keys) == NK_CACHE_SIZE
         srm_success_oracle(stacks[0])  # now the most recently used
         srm_success_oracle(stacks[-1])
-        assert len(empty_basis_cache) == NK_CACHE_SIZE
-        assert keys[0] in empty_basis_cache and keys[1] not in empty_basis_cache
+        assert len(cache) == NK_CACHE_SIZE
+        assert keys[0] in cache and keys[1] not in cache
         # the byte bound: an entry of N states, under the N x M pattern packed
         # in ceil(N M / 8) bytes (its key), holds the 8 N^2-byte U o U, 16
         # bytes per nonzero (its position and class) and 8 + 8 N + 8 bytes per
         # class (its first, d_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
         # nonzeros and two classes: 8 n^2 + 48 n + 32 + ceil(n (n + 1) / 8) bytes
-        empty_basis_cache.clear()
+        cache.clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 33)  # a 1089-byte bound
         states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 9)}
         for n in (3, 4, 5, 3):  # 250 + 355 + 476 bytes fit; (3, 1) is used again
             srm_success_oracle(states[n])
-        assert [key[0][0] for key in empty_basis_cache] == [4, 5, 3]
-        assert [combin._nbytes(entry) for entry in empty_basis_cache.items()] == [355, 476, 250]
+        assert [key[0][0] for key in cache] == [4, 5, 3]
+        assert [combin._nbytes(entry) for entry in cache.items()] == [355, 476, 250]
         srm_success_oracle(states[6])  # 614 more bytes: (4, 1) and (5, 1) go
-        assert [key[0][0] for key in empty_basis_cache] == [3, 6]
+        assert [key[0][0] for key in cache] == [3, 6]
         # an entry over the bound on its own (1124 bytes) is not built: its
         # pattern keeps (), and V takes a thin SVD
         eigh, factored = np.linalg.eigh, []
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
         _assert_same_bits(srm_success_oracle(states[9]), *_svd_steps(states[9]))
         assert not factored
-        assert [key[0][0] for key in empty_basis_cache] == [3, 6, 9]
-        assert list(empty_basis_cache.values())[-1] == ()
+        assert [key[0][0] for key in cache] == [3, 6, 9]
+        assert list(cache.values())[-1] == ()
 
 
-    def test_a_wide_pattern_counts_against_the_bound(self, empty_basis_cache, monkeypatch):
+    def test_a_wide_pattern_counts_against_the_bound(self, cold, monkeypatch):
         # two states over 4000 columns: a 32-byte basis, but a 1000-byte pattern
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
         V = np.full((2, 4000), 1 / math.sqrt(4000))
         V[1, ::2] *= -1
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert not empty_basis_cache
+        assert not oracle._support_basis.cache
 
-    def test_same_shape_other_pattern_gets_its_own_basis(self, empty_basis_cache):
+    def test_same_shape_other_pattern_gets_its_own_basis(self, cold):
         # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]]: one entry each
+        cache = oracle._support_basis.cache
         s = 1 / math.sqrt(2)
         stacks = [np.array([[1.0, 0.0], [s, s]]), np.array([[s, s], [0.0, 1.0]])]
         expected = []
         for V in stacks:
-            empty_basis_cache.clear()
+            cache.clear()
             expected.append(srm_success_oracle(V))
-        empty_basis_cache.clear()
+        cache.clear()
         for V, result in zip(stacks * 2, expected * 2):
             _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
                               result.eigenvalues)
-        assert list(empty_basis_cache) == [((2, 2), np.packbits(V != 0).tobytes()) for V in stacks]
-        for V, (UU, *_) in zip(stacks, empty_basis_cache.values()):
+        assert list(cache) == [((2, 2), np.packbits(V != 0).tobytes()) for V in stacks]
+        for V, (UU, *_) in zip(stacks, cache.values()):
             U = _pattern_basis(V)[1]
             assert UU.tobytes() == (U * U).tobytes()
 
@@ -716,13 +709,12 @@ class TestUniversalOracle:
                 call(n, 1, d)
 
     @pytest.mark.parametrize("fits", [True, False])
-    def test_one_build_per_instance(self, monkeypatch, fits):
+    def test_one_build_per_instance(self, monkeypatch, cold, fits):
         # the success value and the Holevo witness of (6, 3, 2) share one build
         # of the C(6, 3) = 20 isometries, also when the counts are numpy ints;
         # a build over the cache's byte bound is returned, not kept
         isometry, built = oracle._isometry, []
         monkeypatch.setattr(oracle, "_isometry", lambda *args: built.append(args) or isometry(*args))
-        oracle._universal_build.cache.clear()
         if not fits:  # a 10 000-byte bound; the isometries and R take 196 608 bytes
             monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 100)
         value = universal_success_oracle(6, 3, 2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anomdet import gram, johnson, protocols, universal
+from anomdet import combin, gram, johnson, protocols, universal
 from anomdet.combin import NK_CACHE_SIZE, _multiplicities, distance_matrix
 from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from anomdet.protocols import (
@@ -273,7 +273,7 @@ class TestCertificates:
         with pytest.raises(ValueError, match=r"^Gram size 155117520 exceeds cap"):
             verify_unambiguous_certificates(ProblemInstance(30, 15, 0.5))
 
-    def test_diagonal_check_is_not_vacuous(self, monkeypatch):
+    def test_diagonal_check_is_not_vacuous(self, monkeypatch, cold):
         # _dual_witness reads johnson's name; E_m + 1e-9 I stays PSD, so only
         # the exact diagonal test can fail the dual
         true_coefficients = johnson._projector_coefficients
@@ -282,12 +282,8 @@ class TestCertificates:
             coeffs = true_coefficients(n, k, j)
             return (coeffs[0] + Fraction(1, 10**9),) + coeffs[1:]
 
-        protocols._dual_witness.cache.clear()
         monkeypatch.setattr(johnson, "_projector_coefficients", wrong_at_distance_zero)
-        try:
-            report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
-        finally:
-            protocols._dual_witness.cache.clear()  # no planted witness outlives the test
+        report = verify_unambiguous_certificates(ProblemInstance(7, 3, Fraction(1, 3)))
         assert report.primal_feasible and not report.dual_feasible
 
     def test_primal_certificate_can_fail(self, monkeypatch):
@@ -324,7 +320,7 @@ class TestCertificates:
             verdicts.append(report.primal_feasible)
         assert verdicts == [False, False, True, True, True, True]
 
-    def test_dual_witness_checked_once_per_nk(self, monkeypatch):
+    def test_dual_witness_checked_once_per_nk(self, monkeypatch, cold):
         # one build, counted by its one projector; the second overlap is served
         # by the (n, k) entry
         builds = []
@@ -334,7 +330,6 @@ class TestCertificates:
             builds.append((n, k, j))
             return true_projector(n, k, j)
 
-        protocols._dual_witness.cache.clear()
         monkeypatch.setattr(johnson, "scheme_projector", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
@@ -361,9 +356,8 @@ class TestCertificates:
         assert verify_unambiguous_certificates(ProblemInstance(9, 4, 0.7)).optimal
         assert hashes == []
 
-    def test_dual_witness_cache_is_bounded(self):
+    def test_dual_witness_cache_is_bounded(self, cold):
         size, cache = NK_CACHE_SIZE, protocols._dual_witness.cache
-        cache.clear()
         witnesses = {}
         for n in range(2, size + 12):
             witnesses[n] = protocols._dual_witness(n, 1)
@@ -421,7 +415,7 @@ class TestCertificates:
         assert list(cache) == before
 
     @pytest.mark.parametrize("distance", [0, 3])
-    def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, distance):
+    def test_wrong_witness_coefficient_after_warm_cache(self, monkeypatch, cold, distance):
         # distance 0 breaks diag(Y) = 1, distance 3 makes Y indefinite
         inst = ProblemInstance(7, 3, 0.5)
         assert verify_unambiguous_certificates(inst).dual_feasible
@@ -434,11 +428,8 @@ class TestCertificates:
 
         # _dual_witness and johnson.scheme_projector, which gathers Y, read johnson's name
         monkeypatch.setattr(johnson, "_projector_coefficients", perturbed)
-        protocols._dual_witness.cache.clear()  # the warm entry holds the true witness
-        try:
-            report = verify_unambiguous_certificates(inst)
-        finally:
-            protocols._dual_witness.cache.clear()  # no planted witness outlives the test
+        combin._clear_caches()  # the warm entry holds the true witness
+        report = verify_unambiguous_certificates(inst)
         assert report.primal_feasible and not report.dual_feasible
 
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)])

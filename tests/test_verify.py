@@ -15,7 +15,7 @@ DETECTION_ROWS = ("min-error-vs-srm-oracle", "min-error-srm-optimality-gap",
                   "unambiguous-vs-min-eigenvalue")
 
 
-def test_detection_rows_build_and_factor_once_per_instance(monkeypatch):
+def test_detection_rows_build_and_factor_once_per_instance(monkeypatch, cold):
     built, factored = Counter(), []
     states, srm = verify.all_hypothesis_states, verify.srm_success_oracle
 
@@ -29,12 +29,8 @@ def test_detection_rows_build_and_factor_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(verify, "all_hypothesis_states", counting_states)
     monkeypatch.setattr(verify, "srm_success_oracle", counting_srm)
-    verify._srm.cache_clear()
-    try:
-        rows = [check for check in verify.CHECKS if check.name in DETECTION_ROWS]
-        results = [r for check in rows for r in check.run(9)]
-    finally:
-        verify._srm.cache_clear()
+    rows = [check for check in verify.CHECKS if check.name in DETECTION_ROWS]
+    results = [r for check in rows for r in check.run(9)]
     grid = {(inst["n"], inst["k"], inst["c"]) for inst in verify._srm_grid(9)}
     assert len(rows) == 3 and len(results) == 3 * len(grid)
     assert all(r.passed for r in results)
@@ -49,7 +45,7 @@ def test_srm_cache_holds_the_overlap_grid_at_the_cap():
     assert verify._srm.cache_info().maxsize == len(grid)
 
 
-def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
+def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch, cold):
     # every row of `verify --max-n 14` walks these cells, the mirrored ones of
     # the scheme grid included, and the detection rows those of the high-overlap
     # sub-grid (k > min(4, n//2) too, k = 0 and k = n at n <= 10); a second
@@ -67,8 +63,6 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(combin, "pattern_indicator", counting)
     monkeypatch.setattr(oracle, "pattern_indicator", counting)
-    combin._distances.cache.clear()
-    oracle._sector_layout.cache.clear()
     for _ in range(2):
         for n, k in cells:
             combin.distance_matrix(n, k)
@@ -92,16 +86,12 @@ def test_no_row_walks_more_cells_than_the_nk_caches_hold():
     assert max(walks.values()) <= NK_CACHE_SIZE, max(walks, key=walks.get)
 
 
-def test_scheme_rows_sum_each_hahn_value_once(monkeypatch):
+def test_scheme_rows_sum_each_hahn_value_once(monkeypatch, cold):
     # the (n, k) table of P, Q and the projector coefficients: (m+1)^2 Hahn
     # values per cell of the scheme grid, none on a second pass
     hahn, calls = johnson.hahn_polynomial, []
     monkeypatch.setattr(johnson, "hahn_polynomial", lambda *args: calls.append(args) or hahn(*args))
-    johnson._scheme.cache.clear()
-    try:
-        passes = [[r.line() for r in verify.run_scope("scheme", 9)] for _ in range(2)]
-    finally:
-        johnson._scheme.cache.clear()
+    passes = [[r.line() for r in verify.run_scope("scheme", 9)] for _ in range(2)]
     cells = {(inst["n"], inst["k"]) for inst in verify._scheme_grid(9)}
     assert len(calls) == sum((min(k, n - k) + 1) ** 2 for n, k in cells)
     assert len(set(calls)) == len(calls) and passes[0] == passes[1]
