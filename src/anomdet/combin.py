@@ -15,6 +15,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
+import threading
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -27,10 +30,12 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
-NK_CACHE_SIZE = 96  # entries per (n, k) cache; verify --max-n 14 walks 79 (n, k) per row
+# entries per cache, above the longest walk of any memo at the qubit cap: the 726 (n, k, c)
+# instances that verify --max-n 14's three SRM rows read in turn through verify._srm
+NK_CACHE_SIZE = 768
 # verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
 SCOPES = ("scheme", "gram", "detection", "universal")
-_CACHES = []  # every memo of the package: each _bounded_cache as it is made, and verify._srm
+_CACHES = []  # every memo of the package, each _bounded_cache as it is made
 
 
 def binomial(n: int, r: int) -> int:
@@ -104,9 +109,12 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
 
 
 def _nbytes(item) -> int:
-    """Bytes of the arrays and byte strings in item, the members of tuples included."""
-    if isinstance(item, tuple):
-        return sum(map(_nbytes, item))
+    """Bytes of the arrays, byte strings and Fractions (as their two ints; a plain int or
+    float counts 0) in item, the members of tuples, NamedTuples, lists and dicts included."""
+    if type(item) is Fraction:  # first: the tables hold many
+        return sys.getsizeof(item.numerator) + sys.getsizeof(item.denominator)
+    if isinstance(item, (tuple, list, dict)):
+        return sum(map(_nbytes, item.items() if isinstance(item, dict) else item))
     return len(item) if isinstance(item, bytes) else getattr(item, "nbytes", 0)
 
 
@@ -118,25 +126,23 @@ def _fits(nbytes: int) -> bool:
 def _bounded_cache(build):
     """build, its results kept read-only per argument tuple, least recently used first.
 
-    The one memo of every per-(n, k) table: D, johnson's table of P, Q and
-    the projector coefficients, the exact E_j, the dual witness, verify's
-    intersection numbers, and the oracle's sector layouts, support bases and
-    universal SRM builds.  Callers check the key; the builder trusts it, and
-    a build that raises keeps nothing.  A miss makes every array of the value
-    read-only, tuple members included, and counts once the bytes of the
-    arrays and byte strings of key and value (Fractions, dicts and the
-    objects an object array points to count 0); the entry is kept if they
-    fit the byte bound alone, then the least recently used go until at most
-    NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes remain.  A hit
-    moves its entry to the most recently used end.  The dict is the wrapper's
-    `cache`, emptied by its `cache_clear`; each wrapper joins _CACHES.  Threads
-    may share the dict: a miss snapshots the keys and every pop has a default,
-    so at worst a value is built twice.
+    The one memo of the package; each wrapper joins _CACHES.  Callers check
+    the key; the builder trusts it, and a build that raises keeps nothing.
+    A miss makes every array of the value read-only, tuple members included,
+    and adds the _nbytes of key and value to a running total; the entry is
+    kept if they fit the byte bound alone, then the least recently used go
+    until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
+    remain.  A hit moves its entry to the most recently used end.  The dict
+    is the wrapper's `cache`, to read; its `cache_clear` empties it and the
+    total.  Threads may share a cache: a miss keeps its books under a lock
+    that a hit does not take, so at worst a value is built twice.
     """
-    entries, sizes = {}, {}
+    entries, sizes, lock = {}, {}, threading.Lock()
+    held = 0  # bytes of the entries in sizes
 
     @functools.wraps(build)
     def cached(*key):
+        nonlocal held
         if (value := entries.pop(key, None)) is not None:
             entries[key] = value
             return value
@@ -145,17 +151,24 @@ def _bounded_cache(build):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         if _fits(size := _nbytes((key, value))):
-            entries[key], sizes[key] = value, size
-            held = list(entries)  # least recently used first
-            total = sum(sizes.get(old, 0) for old in held)
-            while len(held) > NK_CACHE_SIZE or not _fits(total):
-                old = held.pop(0)
-                entries.pop(old, None)
-                total -= sizes.pop(old, 0)
+            with lock:
+                held += size - sizes.get(key, 0)
+                entries[key], sizes[key] = value, size
+                for old in list(entries):  # least recently used first
+                    if len(entries) <= NK_CACHE_SIZE and _fits(held):
+                        break
+                    if entries.pop(old, None) is not None:  # else a hit holds it
+                        held -= sizes.pop(old, 0)
         return value
 
-    cached.cache = entries
-    cached.cache_clear = lambda: entries.clear() or sizes.clear()
+    def cache_clear():
+        nonlocal held
+        with lock:
+            entries.clear()
+            sizes.clear()
+            held = 0
+
+    cached.cache, cached.cache_clear = entries, cache_clear
     _CACHES.append(cached)
     return cached
 

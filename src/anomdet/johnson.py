@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class SchemeBasis:
     adjacency: tuple[np.ndarray, ...]  # A_0..A_m
 
 
-@dataclass(frozen=True)
-class Eigenmatrices:
+class Eigenmatrices(NamedTuple):
     """Exact eigenmatrices: P[j][i] = p_i(j), Q[i][j] = q_j(i)."""
 
     n: int
@@ -88,6 +88,7 @@ def valency(n: int, k: int, i: int) -> int:
 
 def scheme_basis(n: int, k: int) -> SchemeBasis:
     """All adjacency matrices A_0..A_m, read off the distance matrix as D == i."""
+    n, k, _ = _counts(n, k)
     D = distance_matrix(n, k)
     adjacency = tuple((D == i).astype(np.uint8) for i in range(min(k, n - k) + 1))
     return SchemeBasis(n=n, k=k, adjacency=adjacency)

@@ -20,7 +20,7 @@ oracle stays independent of the spectral machinery it is used to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     return states
 
 
-@dataclass(frozen=True)
-class SrmResult:
+class SrmResult(NamedTuple):
     """Square-root measurement on a stack of states V (one state per row)."""
 
     success: float
@@ -253,8 +252,7 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     eigenvalues = np.zeros(N)  # the SVD gives min(N, M) values
     eigenvalues[N - sigma.size:] = sigma * sigma
     eigenvalues.sort()
-    return SrmResult(success=float(np.add.reduce(diag**2) / N), diagonal=diag,
-                     eigenvalues=eigenvalues)
+    return SrmResult(float(np.add.reduce(diag**2) / N), diag, eigenvalues)
 
 
 def _isometry(pattern, n: int, d: int) -> np.ndarray:

@@ -17,12 +17,11 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import johnson
-from .combin import SCOPES, _CACHES, _bounded_cache, _multiplicities, binomial, distance_matrix
+from .combin import SCOPES, _bounded_cache, _multiplicities, binomial, distance_matrix
 from .gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -294,24 +293,13 @@ def _reference_spectrum(n: int, k: int, c: Fraction) -> float:
 
 # --- residuals: detection --------------------------------------------------
 
-@lru_cache(maxsize=sum(1 for _ in _srm_grid(STATE_QUBITS_CAP)))
+@_bounded_cache
 def _srm(n: int, k: int, c: float) -> SrmResult:
-    """srm_success_oracle on the explicit states, once per (n, k, c) for three rows.
-
-    The cache holds the whole _srm_grid at the qubit cap, so the later
-    detection rows read every result the first one computed.  It is the
-    run memo of those rows, sized to their grid, not an (n, k) table: under
-    the entry bound of a _bounded_cache each row would evict what the next
-    reads, and each (n, k, c) would be factored three times.  The oracle
-    itself factors one support pattern per (n, k) (one more each at c = 0
-    and 1, where whole columns vanish); for each c it weighs the pattern's
-    column classes by one amplitude each, certifies the result and reads
-    the singular values of the stack off it.
-    """
+    """srm_success_oracle on the explicit states, once per (n, k, c) for the three
+    detection rows, which read each of the 726 instances of _srm_grid at the qubit
+    cap in turn.  The oracle factors one support pattern per (n, k) (one more each
+    at c = 0 and 1, where whole columns vanish) and weighs its classes per c."""
     return srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c)))
-
-
-_CACHES.append(_srm)  # combin._clear_caches empties the run memo with the (n, k) tables
 
 
 def _min_error_vs_srm(n: int, k: int, c: float) -> float:
@@ -328,9 +316,8 @@ def _srm_optimality_gap(n: int, k: int, c: float) -> float:
     (Holevo 1973; Yuen, Kennedy & Lax 1975; Eldar, Megretski & Verghese
     2003).
     """
-    result = _srm(n, k, c)
-    S = result.diagonal
-    return abs(float(S.max() * S.mean()) - result.success)
+    success, S, _ = _srm(n, k, c)
+    return abs(float(S.max() * S.mean()) - success)
 
 
 def _explicit_vs_spectral(n: int, k: int, c: float) -> float:
@@ -345,8 +332,7 @@ def _unambiguous_vs_min_eigenvalue(n: int, k: int, c: float) -> float:
     the stack V: the smallest of sum_c f_c^2 d_c, the class-weighted squared
     row norms in the certified basis of the stack's support pattern, or the
     SVD's smallest (0 when V has fewer columns than rows) if that basis
-    fails.  It is shared through _srm, so the states are built and factored
-    once per (n, k, c) for every detection row that reads them.
+    fails, as _srm holds it for every detection row.
     """
     value = unambiguous_success(ProblemInstance(n, k, c)).value
     return abs(value - float(_srm(n, k, c).eigenvalues[0]))

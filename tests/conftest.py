@@ -1,7 +1,8 @@
 """Test-suite settings (hypothesis runs derandomized) and fixtures.  Every test module
 starts on cold caches (`cold_module`); `cold` empties every cache before and after one test,
 as a plant that reaches a cached builder must.  A test clears one cache by hand only to assert
-its bound, order or contents.  `fresh` runs code in a new interpreter."""
+its bound, order or contents, and `small_caches` makes the entry bound 12 for such a test.
+`fresh` runs code in a new interpreter."""
 
 import os
 import subprocess
@@ -28,6 +29,13 @@ def cold():
     combin._clear_caches()
     yield
     combin._clear_caches()
+
+
+@pytest.fixture
+def small_caches(monkeypatch):
+    """A 12-entry bound for every cache, returned: a test of the bound builds few entries."""
+    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 12)
+    return 12
 
 
 @pytest.fixture

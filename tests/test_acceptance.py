@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from anomdet import combin, johnson, oracle, protocols, verify
+from anomdet import combin, gram, johnson, oracle, protocols, verify
 from anomdet.cli import main as cli_main
 from anomdet.gram import ProblemInstance
 
@@ -226,8 +226,7 @@ def test_planted_binomial_fails_the_explicit_row(monkeypatch, cold):
     monkeypatch.setattr(protocols, "binomial", lambda n, r: binomial(n, r) + (r == 2))
     check = next(check for check in verify.CHECKS if check.name == "explicit-k123-vs-spectral")
     results = check.run(GATE_MAX_N)
-    assert not any(memo.cache_info().currsize if memo is verify._srm else memo.cache
-                   for memo in combin._CACHES)
+    assert not any(memo.cache for memo in combin._CACHES)
     lines = {k: [r.line() for r in results if f",k={k}," in r.instance] for k in (1, 2, 3)}
     assert sum(map(len, lines.values())) == len(results)
     assert lines[1] and all(line.startswith("PASS ") for line in lines[1])
@@ -262,6 +261,70 @@ def test_planted_hahn_value_fails_the_scheme_rows(monkeypatch, cold):
             assert [r.line().split()[0] for _, r in cells] == [
                 "FAIL" if fail(inst) else "PASS" for inst, _ in cells], check.name
             assert (sum(fail(inst) for inst, _ in cells), len(cells)) == counts, check.name
+
+
+def _verdicts(name: str) -> list[str]:
+    """PASS, FAIL or ERROR for each cell of the named registry row at GATE_MAX_N."""
+    check = next(check for check in verify.CHECKS if check.name == name)
+    return [r.line().split()[0] for r in check.run(GATE_MAX_N)]
+
+
+def test_universal_numerator_read_as_d_fails_the_universal_rows(monkeypatch, cold):
+    """R_m = d/(m+d-1) in place of (d-1)/(m+d-1), so the closed form times d/(d-1):
+    every cell of universal-vs-density-oracle, universal-two-systems and
+    universal-asymptote-gap prints FAIL, and criterion 7 fails."""
+    closed = verify.universal_success
+    monkeypatch.setattr(verify, "universal_success",
+                        lambda inst: closed(inst) * Fraction(inst.d, inst.d - 1))
+    assert _verdicts("universal-vs-density-oracle") == ["FAIL"] * 31
+    assert _verdicts("universal-two-systems") == ["FAIL"] * 3
+    assert _verdicts("universal-asymptote-gap") == ["FAIL"] * 3
+    with pytest.raises(AssertionError, match="criterion 7 failed.*'FAIL universal-asymptote-gap "):
+        run_criterion(7)
+
+
+def test_dropped_quadrature_node_fails_the_quadrature_row(monkeypatch, cold):
+    """The last Gauss-Legendre node and weight dropped: that node lies by u = 1,
+    where the integrand vanishes to order k + d - 2, so exactly the three cells
+    with k + d - 2 <= 1 of average-overlap-quadrature print FAIL."""
+    rule = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda points: tuple(a[:-1] for a in rule(points)))
+    cells = [(k, d) for d in (2, 3, 4) for k in range(5)]
+    assert _verdicts("average-overlap-quadrature") == [
+        "FAIL" if k + d - 2 <= 1 else "PASS" for k, d in cells]
+
+
+def test_overlap_cubed_fails_the_reference_row(monkeypatch, cold):
+    """c2 = c^3 in place of c^2 on every ProblemInstance: the textbook forms square
+    c themselves, so every cell of reference-spectrum prints FAIL, and criterion 3 fails."""
+    setup = gram.ProblemInstance.__post_init__
+
+    def cubed(instance):
+        setup(instance)
+        object.__setattr__(instance, "c2", instance.c ** 3)
+
+    monkeypatch.setattr(gram.ProblemInstance, "__post_init__", cubed)
+    assert _verdicts("reference-spectrum") == ["FAIL"] * 225
+    with pytest.raises(AssertionError, match="criterion 3 failed.*'FAIL reference-spectrum "):
+        run_criterion(3)
+
+
+def test_scaled_asymptotic_coefficient_fails_the_ratio_row(monkeypatch, cold):
+    """The coefficient 2k of the expansion's second term times 1.1: both cells of
+    asymptotic-residual-ratio print FAIL, and criterion 5 fails.  The row's
+    tolerance of 1 lets a smaller plant through: at 1.03 the n = 100 cell passes."""
+    expansion = verify.min_error_asymptotic
+
+    def scaled(instance):
+        result = expansion(instance)
+        lead = (1 - float(instance.c2)) ** instance.k
+        return dataclasses.replace(result, value=lead + 1.1 * (result.value - lead))
+
+    monkeypatch.setattr(verify, "min_error_asymptotic", scaled)
+    assert _verdicts("asymptotic-residual-ratio") == ["FAIL"] * 2
+    with pytest.raises(AssertionError, match="criterion 5 failed"):
+        run_criterion(5)
 
 
 def test_criterion_9_figure_reproduction():

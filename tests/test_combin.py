@@ -8,9 +8,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from anomdet import combin, gram, johnson, oracle, protocols
+from anomdet import combin, gram, johnson, oracle, protocols, verify
 from anomdet.combin import (
-    NK_CACHE_SIZE,
     binomial,
     distance_matrix,
     enumerate_patterns,
@@ -169,6 +168,77 @@ def test_bounded_cache_counts_each_entry_once(monkeypatch):
     assert list(toy.cache) == [(b"b", 4), (b"a", 3), (b"c", 5)]
 
 
+def test_bounded_cache_keeps_what_a_reference_lru_keeps(monkeypatch):
+    # random traffic over entries of 0 to 475 bytes (int keys count 0): the
+    # running byte total keeps what an LRU that re-sums its bytes keeps
+    monkeypatch.setattr(combin, "_CACHES", [])
+    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 6)
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
+
+    @combin._bounded_cache
+    def toy(size):
+        return np.zeros(size, np.uint8)
+
+    rng, model = random.Random(0), {}
+    for _ in range(2000):
+        size = 25 * rng.randrange(20)
+        toy(size)
+        if size in model:
+            model[size] = model.pop(size)
+        elif size <= 400:
+            model[size] = size
+            while len(model) > 6 or sum(model.values()) > 400:
+                del model[next(iter(model))]
+        assert [key for key, in toy.cache] == list(model)
+    # cache_clear empties the byte total too: a 300-byte entry fits again
+    toy.cache_clear()
+    toy(300)
+    assert list(toy.cache) == [(300,)]
+
+
+def test_bounded_cache_counts_a_key_built_twice_once(monkeypatch):
+    # the first build of (40,) asks for (40,) again, as a second thread would:
+    # the key is stored twice, and its 40 bytes are held once
+    monkeypatch.setattr(combin, "_CACHES", [])
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
+    again = [True]
+
+    @combin._bounded_cache
+    def toy(size):
+        if again and size == 40:
+            again.pop()
+            toy(size)
+        return np.zeros(size, np.uint8)
+
+    toy(40)
+    toy(50)
+    assert list(toy.cache) == [(40,), (50,)]
+
+
+def test_nbytes_counts_fractions_and_walks_containers():
+    # a Fraction counts as its two ints; a plain int, float or bool counts 0;
+    # tuples, NamedTuples, lists and dicts are walked, dict keys included
+    half = Fraction(1, 2)
+    assert combin._nbytes(half) == sys.getsizeof(1) + sys.getsizeof(2)
+    assert combin._nbytes(Fraction(2**100, 3)) == sys.getsizeof(2**100) + sys.getsizeof(3)
+    assert combin._nbytes((1, 2.0, True, [3], {4: 5.0})) == 0
+    nested = [half, {b"ab": (np.zeros(5, np.uint8), half)}]
+    assert combin._nbytes(nested) == 2 * combin._nbytes(half) + 2 + 5
+    em = johnson.eigenmatrices(5, 2)
+    assert combin._nbytes(em) == sum(map(combin._nbytes, [*em.P, *em.Q])) > 0
+
+
+def test_cached_records_are_read_only_and_counted(cold):
+    # the SRM result and the (n, k) table are tuples, so a miss sees their members
+    result = verify._srm(4, 2, 0.5)
+    assert verify._srm(4, 2, 0.5) is result and isinstance(result, tuple)
+    assert not result.diagonal.flags.writeable and not result.eigenvalues.flags.writeable
+    assert combin._nbytes(result) == result.diagonal.nbytes + result.eigenvalues.nbytes == 96
+    johnson.eigenmatrices(4, 2)
+    (key, table), = johnson._scheme.cache.items()
+    assert key == (4, 2) and combin._nbytes(table) > combin._nbytes(table[0]) > 0
+
+
 class TestDistanceMatrix:
     @pytest.mark.parametrize("n,k", ALL_NK)
     def test_matches_pattern_distance(self, n, k):
@@ -218,9 +288,9 @@ class TestDistanceMatrix:
         copy[0, 0] = 1
         assert distance_matrix(6, 3)[0, 0] == 0
 
-    def test_least_recently_used_evicted_past_the_bound(self, cold):
+    def test_least_recently_used_evicted_past_the_bound(self, cold, small_caches):
         cache = combin._distances.cache
-        size = NK_CACHE_SIZE
+        size = small_caches
         cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + 1]
         assert len(cells) == size + 1
         built = [distance_matrix(*nk) for nk in cells[:size]]
@@ -293,9 +363,11 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=message):
             build()
 
-    def test_threads_sharing_the_cache(self, cold):
-        # 5/4 as many cells as the cache holds, from 4 threads: constant eviction
-        size = NK_CACHE_SIZE
+    def test_threads_sharing_the_cache(self, cold, small_caches, monkeypatch):
+        # 5/4 as many cells as the cache holds, from 4 threads: constant eviction,
+        # by the entry bound and by a 144-byte bound that their 207 bytes exceed
+        size = small_caches
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 12)
         cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + size // 4]
         assert len(cells) == size + size // 4
         reference = {nk: distance_matrix(*nk).copy() for nk in cells}
@@ -322,5 +394,7 @@ class TestDistanceMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(combin._distances.cache) <= size
+        cache = combin._distances.cache
+        assert errors == [] and len(cache) <= size
+        assert sum(map(combin._nbytes, cache.items())) <= 144
 

@@ -66,32 +66,26 @@ def test_package_imports_only_stdlib_numpy_and_click():
 
 
 def _functools_memo(node) -> bool:
-    """Whether node names functools.lru_cache or functools.cache, called or not."""
-    node = node.func if isinstance(node, ast.Call) else node
+    """Whether node names functools.lru_cache or functools.cache."""
     if isinstance(node, ast.Attribute):
         return isinstance(node.value, ast.Name) and node.value.id == "functools" \
             and node.attr in ("lru_cache", "cache")
     return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
 
 
-def test_only_the_srm_run_memo_is_a_functools_cache():
-    # every per-(n, k) table sits behind combin._bounded_cache; verify._srm, the
-    # run memo of the detection rows, is the one functools cache, as a decorator
-    decorated, named = [], 0
+def test_no_functools_cache():
+    # every memo of the package sits behind combin._bounded_cache: no module
+    # applies functools.lru_cache or functools.cache, as a decorator or otherwise
     for path in sorted(Path(anomdet.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                decorated += [f"{path.stem}.{node.name}" for d in node.decorator_list
-                              if _functools_memo(d)]
-            named += isinstance(node, (ast.Name, ast.Attribute)) and _functools_memo(node)
-    assert decorated == ["verify._srm"]
-    assert named == len(decorated), "a functools cache is applied outside a decorator"
+        named = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and _functools_memo(node)]
+        assert named == [], f"{path.name} applies {named}"
 
 
 def test_registry_holds_every_cache_once(cold):
-    # one entry per @_bounded_cache of the package, and verify's run memo, so that
-    # no cache escapes combin._clear_caches, which empties every one
+    # one entry per @_bounded_cache of the package, and no other, so that no
+    # cache escapes combin._clear_caches, which empties every one
     for info in pkgutil.iter_modules(anomdet.__path__):
         importlib.import_module(f"anomdet.{info.name}")
     decorated = [f"anomdet.{path.stem}.{node.name}"
@@ -100,12 +94,10 @@ def test_registry_holds_every_cache_once(cold):
                  if isinstance(node, ast.FunctionDef)
                  and "_bounded_cache" in map(ast.unparse, node.decorator_list)]
     registered = sorted(f"{memo.__module__}.{memo.__name__}" for memo in combin._CACHES)
-    assert len(decorated) == 8 and registered == sorted([*decorated, "anomdet.verify._srm"])
+    assert len(decorated) == 9 and registered == sorted(decorated)
     combin.distance_matrix(5, 2)
     protocols._dual_witness(5, 2)
     verify._srm(4, 2, 0.5)
-    assert combin._distances.cache and protocols._dual_witness.cache
-    assert verify._srm.cache_info().currsize == 1
+    assert combin._distances.cache and protocols._dual_witness.cache and verify._srm.cache
     combin._clear_caches()
-    assert not any(memo.cache_info().currsize if memo is verify._srm else memo.cache
-                   for memo in combin._CACHES)
+    assert not any(memo.cache for memo in combin._CACHES)

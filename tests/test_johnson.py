@@ -16,7 +16,6 @@ from anomdet.johnson import (
     verify_bose_mesner_closure,
 )
 from anomdet.combin import (
-    NK_CACHE_SIZE,
     _multiplicities,
     binomial,
     distance_matrix,
@@ -73,6 +72,13 @@ def test_numpy_integer_indices_are_accepted():
     assert hahn_polynomial(np.int64(1), np.uint8(1), 4, 2) == hahn_polynomial(1, 1, 4, 2)
     assert valency(4, 2, np.int32(1)) == valency(4, 2, 1) == 4
     assert np.array_equal(scheme_projector(4, 2, np.int64(1)), scheme_projector(4, 2, 1))
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    # every record of the counts holds them as combin._counts returns them
+    basis, em = scheme_basis(np.int64(5), np.uint8(2)), eigenmatrices(np.int64(5), np.uint8(2))
+    assert (type(basis.n), type(basis.k), type(em.n), type(em.k)) == (int,) * 4
+    assert (basis.n, basis.k) == (em.n, em.k) == (5, 2)
 
 
 class TestAdjacency:
@@ -263,14 +269,14 @@ class TestExactProjectorCache:
             scheme_projector_exact(5, 3, 2)
         assert list(cache) == [(6, 2, 0), (5, 3, 2)]
 
-    def test_least_recently_used_evicted_past_the_bound(self, cold):
+    def test_least_recently_used_evicted_past_the_bound(self, cold, small_caches):
         cache = johnson._exact_projector.cache
-        keys = _scheme_keys(12)[:NK_CACHE_SIZE + 5]
-        assert len(keys) == NK_CACHE_SIZE + 5
+        keys = _scheme_keys(12)[:small_caches + 5]
+        assert len(keys) == small_caches + 5
         first = scheme_projector_exact(*keys[0])
         for key in keys[1:]:
             scheme_projector_exact(*key)
-            assert len(cache) <= NK_CACHE_SIZE
+            assert len(cache) <= small_caches
         assert list(cache) == keys[5:]
         rebuilt = scheme_projector_exact(*keys[0])
         assert rebuilt is not first and np.array_equal(rebuilt, first)
@@ -281,11 +287,11 @@ class TestExactProjectorCache:
         keys = _scheme_keys(9)
         cold_values = {}
         for key in keys:
-            johnson._exact_projector.cache.clear()
+            johnson._exact_projector.cache_clear()
             cold_values[key] = scheme_projector_exact(*key)
         for key in keys:
             scheme_projector_exact(*key)
-        johnson._scheme.cache.clear()
+        johnson._scheme.cache_clear()
         for key in keys:
             n, k, j = key
             warm = scheme_projector_exact(*key)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from anomdet import combin, oracle, verify
-from anomdet.combin import NK_CACHE_SIZE, binomial, enumerate_patterns
+from anomdet.combin import binomial, enumerate_patterns
 from anomdet.gram import GRAM_SIZE_CAP, ProblemInstance, gram_matrix
 from anomdet.oracle import (
     SUPPORT_THRESHOLD,
@@ -145,19 +145,19 @@ class TestHypothesisStates:
                 table[0, 0] = 0
         assert first.flags.writeable  # each call returns a fresh stack
 
-    def test_sector_layout_cache_keeps_its_bounds(self, cold, monkeypatch):
+    def test_sector_layout_cache_keeps_its_bounds(self, cold, monkeypatch, small_caches):
         # the entry bound and LRU order: one (n, 1) layout per n
         cache = oracle._sector_layout.cache
-        for n in range(1, NK_CACHE_SIZE + 1):
+        for n in range(1, small_caches + 1):
             oracle._sector_layout(n, 1)
-        assert list(cache) == [(n, 1) for n in range(1, NK_CACHE_SIZE + 1)]
+        assert list(cache) == [(n, 1) for n in range(1, small_caches + 1)]
         oracle._sector_layout(1, 1)  # now the most recently used
-        oracle._sector_layout(NK_CACHE_SIZE + 1, 1)
-        assert len(cache) == NK_CACHE_SIZE
+        oracle._sector_layout(small_caches + 1, 1)
+        assert len(cache) == small_caches
         assert (1, 1) in cache and (2, 1) not in cache
         # the byte bound: the (n, 1) layout holds an n x 2 uint8 index (up to
         # n = 15) and a 1 x 2 int64 bit table, 2 n + 16 bytes
-        cache.clear()
+        oracle._sector_layout.cache_clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
         assert combin._nbytes(oracle._sector_layout(3, 1)) == 22
         for n in (4, 5, 6, 3):  # 24 + 26 + 28 + 22 bytes fit; (3, 1) is used again
@@ -471,7 +471,7 @@ class TestSrmOracle:
         stacks = (V, np.asfortranarray(V), _pad_with_zero_columns(V))
         results = []
         for stack in stacks:
-            cache.clear()
+            oracle._support_basis.cache_clear()
             results += [srm_success_oracle(stack), srm_success_oracle(stack)]  # cold, warm
         results += [srm_success_oracle(stack) for stack in stacks]  # warmed by the last layout
         assert len(cache) == 1  # one pattern for all three layouts
@@ -573,24 +573,24 @@ class TestSrmOracle:
         assert decomposed == [(12, 30)] * 3
         assert len(oracle._support_basis.cache) == 1
 
-    def test_basis_cache_keeps_its_bounds(self, cold, monkeypatch):
+    def test_basis_cache_keeps_its_bounds(self, cold, monkeypatch, small_caches):
         # the entry bound and LRU order: one 1 x m pattern per stack
         cache = oracle._support_basis.cache
-        stacks = [np.full((1, m), 1 / math.sqrt(m)) for m in range(1, NK_CACHE_SIZE + 2)]
+        stacks = [np.full((1, m), 1 / math.sqrt(m)) for m in range(1, small_caches + 2)]
         for V in stacks[:-1]:
             srm_success_oracle(V)
         keys = list(cache)
-        assert len(keys) == NK_CACHE_SIZE
+        assert len(keys) == small_caches
         srm_success_oracle(stacks[0])  # now the most recently used
         srm_success_oracle(stacks[-1])
-        assert len(cache) == NK_CACHE_SIZE
+        assert len(cache) == small_caches
         assert keys[0] in cache and keys[1] not in cache
         # the byte bound: an entry of N states, under the N x M pattern packed
         # in ceil(N M / 8) bytes (its key), holds the 8 N^2-byte U o U, 16
         # bytes per nonzero (its position and class) and 8 + 8 N + 8 bytes per
         # class (its first, d_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
         # nonzeros and two classes: 8 n^2 + 48 n + 32 + ceil(n (n + 1) / 8) bytes
-        cache.clear()
+        oracle._support_basis.cache_clear()
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 33)  # a 1089-byte bound
         states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 9)}
         for n in (3, 4, 5, 3):  # 250 + 355 + 476 bytes fit; (3, 1) is used again
@@ -624,9 +624,9 @@ class TestSrmOracle:
         stacks = [np.array([[1.0, 0.0], [s, s]]), np.array([[s, s], [0.0, 1.0]])]
         expected = []
         for V in stacks:
-            cache.clear()
+            oracle._support_basis.cache_clear()
             expected.append(srm_success_oracle(V))
-        cache.clear()
+        oracle._support_basis.cache_clear()
         for V, result in zip(stacks * 2, expected * 2):
             _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
                               result.eigenvalues)

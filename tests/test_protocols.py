@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anomdet import combin, gram, johnson, protocols, universal
-from anomdet.combin import NK_CACHE_SIZE, _multiplicities, distance_matrix
+from anomdet.combin import _multiplicities, distance_matrix
 from anomdet.gram import ProblemInstance, closed_form_spectrum, direct_spectrum, gram_matrix
 from anomdet.protocols import (
     AsymptoticRegimeWarning,
@@ -356,8 +356,8 @@ class TestCertificates:
         assert verify_unambiguous_certificates(ProblemInstance(9, 4, 0.7)).optimal
         assert hashes == []
 
-    def test_dual_witness_cache_is_bounded(self, cold):
-        size, cache = NK_CACHE_SIZE, protocols._dual_witness.cache
+    def test_dual_witness_cache_is_bounded(self, cold, small_caches):
+        size, cache = small_caches, protocols._dual_witness.cache
         witnesses = {}
         for n in range(2, size + 12):
             witnesses[n] = protocols._dual_witness(n, 1)
