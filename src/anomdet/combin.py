@@ -17,6 +17,7 @@ import math
 import numbers
 import sys
 import threading
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -132,10 +133,12 @@ def _bounded_cache(build):
     and adds the _nbytes of key and value to a running total; the entry is
     kept if they fit the byte bound alone, then the least recently used go
     until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
-    remain.  A hit moves its entry to the most recently used end.  The dict
-    is the wrapper's `cache`, to read; its `cache_clear` empties it and the
-    total.  Threads may share a cache: a miss keeps its books under a lock
-    that a hit does not take, so at worst a value is built twice.
+    remain.  A hit moves its entry to the most recently used end.  The
+    wrapper's `cache` is a read-only view of the dict (a MappingProxyType),
+    so that no caller can empty it behind the running total; its
+    `cache_clear` empties both.  Threads may share a cache: a miss keeps its
+    books under a lock that a hit does not take, so at worst a value is
+    built twice.
     """
     entries, sizes, lock = {}, {}, threading.Lock()
     held = 0  # bytes of the entries in sizes
@@ -168,7 +171,7 @@ def _bounded_cache(build):
             sizes.clear()
             held = 0
 
-    cached.cache, cached.cache_clear = entries, cache_clear
+    cached.cache, cached.cache_clear = types.MappingProxyType(entries), cache_clear
     _CACHES.append(cached)
     return cached
 

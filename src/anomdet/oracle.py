@@ -10,11 +10,14 @@ whose square-root measurement universal_holevo_violation certifies by
 Holevo's conditions.  The square root of a Gram matrix comes from the
 singular values of the stack of states: either row norms in the
 eigenbasis of the stack's own support pattern, whose columns fall into
-classes by support size, so that the pattern's part is factored once and
-kept under the packed pattern itself, and each call weighs the classes by
-one amplitude each and certifies the result; or one thin SVD of the
-stack.  No Gram, closed form, Hahn value or scheme object enters, so the
-oracle stays independent of the spectral machinery it is used to check.
+classes by support size and whose eigenvectors fall into groups by their
+integer class values, so that the pattern's part is factored once and
+kept under the packed pattern itself as N x G group columns (G = m + 1
+for hypothesis stacks), and each call weighs the classes by one amplitude
+each, forms one singular value per group and certifies the result; or one
+thin SVD of the stack.  No Gram, closed form, Hahn value or scheme object
+enters, so the oracle stays independent of the spectral machinery it is
+used to check.
 """
 
 from __future__ import annotations
@@ -114,41 +117,61 @@ def _support_basis(shape: tuple[int, int], pattern: bytes) -> tuple[np.ndarray, 
     count the strings two states share: integers below 2^53, so the product
     is exact and does not depend on the column order.  The columns of P fall
     into C classes by their support size, ascending; with P_c the columns of
-    class c and T_c = U^T P_c, returns (U o U, positions, label, first, D, off):
-    the flat positions of P's nonzeros in row-major order, the class of
-    each, the index among them of each class's first, the C x N rows
-    d_c = diag(T_c T_c^T) and the C norms o_c = ||offdiag(T_c T_c^T)||_F.
-    Neither U nor T is kept.  One product gives every T_c, with P's columns
-    sorted by class, and one product of each column block with its
-    transpose gives d_c and o_c.
+    class c and T_c = U^T P_c, the C x N rows d_c = diag(T_c T_c^T) give each
+    eigenvector r its class vector (d_c[r])_c.  P_c P_c^T is an integer
+    matrix, so an exact eigenbasis has integer class vectors; the
+    eigenvectors fall into G groups by the rounded vector, in its
+    lexicographic order, and the group's value theta_g is that rounded
+    vector.  Returns (W, positions, label, first, theta, sizes, spread, off):
+    the N x G sums W[:, g] = sum_{r in g} U[:, r]^2 (the diagonal of the
+    group's projector U_g U_g^T), the flat positions of P's nonzeros in
+    row-major order, the class of each, the index among them of each class's
+    first, the C x G values theta, the G group sizes, the C spreads
+    s_c = max_r |d_c[r] - theta_c,g(r)| and the C norms
+    o_c = ||offdiag(T_c T_c^T)||_F.  Neither U, T nor D is kept, and no
+    N x N array: for hypothesis stacks the groups are the m + 1 eigenspaces
+    of the Johnson scheme, of sizes _multiplicities(n, m) (see
+    srm_success_oracle), so W is N x (m + 1).  One product gives every T_c,
+    with P's columns sorted by class, and each T_c T_c^T is formed in the
+    one N x N buffer that held P P^T.
 
     A _bounded_cache keeps the entry under its own key, the pattern's bytes
     counted against the byte bound, also when the basis fails the
-    certificate.  The entry's size is known from N, C and the number of
-    nonzeros (8 bytes per float and index); when it would exceed that bound
-    alone, so that the cache could never keep it, the build returns ()
-    before any array of that size is formed, and callers take the SVD.
+    certificate.  The entry's size is known from N, C, G and the number of
+    nonzeros (8 bytes per float and index).  When the smallest entry, with
+    G = 1, would exceed that bound alone, so that the cache could never keep
+    it, the build returns () before any N x N array is formed; when the
+    grouped entry would, it returns () after the factoring.  Either way the
+    () is kept, and callers take the SVD.
     """
     N, M = shape
     P = np.unpackbits(np.frombuffer(pattern, np.uint8), count=N * M).reshape(shape).view(bool)
     support = np.add.reduce(P, axis=0, dtype=np.intp)
     sizes, column_class = np.unique(support, return_inverse=True)
     C, nonzeros = sizes.size, int(support.sum())
-    if not _fits(len(pattern) + 8 * (N * N + C * N + 2 * C + 2 * nonzeros)):
+    fixed, per_group = len(pattern) + 8 * (3 * C + 2 * nonzeros), 8 * (N + C + 1)
+    if not _fits(fixed + per_group):  # the smallest entry: one group
         return ()
     positions = np.flatnonzero(P)
     label = column_class.take(positions % M)
     first = np.unique(label, return_index=True)[1]
     P = P[:, np.argsort(column_class, kind="stable")].astype(np.float64)  # classes in blocks
-    U = np.linalg.eigh(P @ P.T)[1]
+    buffer = P @ P.T
+    U = np.linalg.eigh(buffer)[1]
     T = U.T @ P
     D, off = np.empty((C, N)), np.empty(C)
     for c, Tc in enumerate(np.split(T, np.cumsum(np.bincount(column_class))[:-1], axis=1)):
-        G = Tc @ Tc.T
-        D[c] = G.diagonal()
-        np.fill_diagonal(G, 0.0)
-        off[c] = np.linalg.norm(G)
-    return U * U, positions, label, first, D, off
+        np.matmul(Tc, Tc.T, out=buffer)
+        D[c] = buffer.diagonal()
+        np.fill_diagonal(buffer, 0.0)
+        off[c] = np.linalg.norm(buffer)
+    theta, group, counts = np.unique(np.rint(D), axis=1, return_inverse=True, return_counts=True)
+    if not _fits(fixed + per_group * counts.size):
+        return ()
+    spread = np.maximum.reduce(np.abs(D - theta.take(group, axis=1)), axis=1)
+    U *= U
+    W = U @ (group[:, None] == np.arange(counts.size))
+    return W, positions, label, first, theta, counts, spread, off
 
 
 def srm_success_oracle(states: np.ndarray) -> SrmResult:
@@ -169,51 +192,63 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
     per pattern with all else that depends on P alone (_support_basis).
     With the columns of P in classes by support size, V' = P diag(f), where
     f_c is the first nonzero of class c (row-major), is V up to
-    delta = ||V - V'||_F, summed over P's nonzeros.  W' = U^T V' has the
+    delta = ||V - V'||_F, summed over P's nonzeros.  Z' = U^T V' has the
     column blocks f_c T_c, T_c = U^T P_c, so its squared row norms are
-    sigma^2 = sum_c f_c^2 d_c, d_c = diag(T_c T_c^T), a sum of non-negative
-    terms, and ||offdiag(W' W'^T)||_F <= sum_c f_c^2 o_c, o_c the norm of
-    offdiag(T_c T_c^T).  d_c and o_c are the certificate's per-pattern part;
-    f, delta (a pass over P's nonzeros) and the two sums, O(C N), are its
-    per-call part, besides the input checks and the N^2 of (U o U) sigma.
-    U is accepted when
+    sum_c f_c^2 d_c, d_c = diag(T_c T_c^T), a sum of non-negative terms, and
+    ||offdiag(Z' Z'^T)||_F <= sum_c f_c^2 o_c, o_c the norm of
+    offdiag(T_c T_c^T).  The eigenvectors fall into G groups by their
+    rounded class vectors theta_g (integers: the d_c of an exact eigenbasis
+    are eigenvalues of the integer matrices P_c P_c^T), with s_c the largest
+    |d_c - theta_c| over the eigenvectors; each group takes one singular
+    value, sigma_g^2 = sum_c f_c^2 theta_c,g, and the diagonal of S is
+    W sigma for the N x G columns W[:, g] = sum_{r in g} U[:, r]^2.  theta,
+    W, s_c and o_c are the certificate's per-pattern part; f, delta (a pass
+    over P's nonzeros) and the sums, O(C G), are its per-call part, besides
+    the input checks and the N G of W sigma.  U is accepted when
 
-        sum_c f_c^2 o_c + 2 sqrt(N) delta <= (4 N^(5/2) + N M) u.
+        sum_c f_c^2 (o_c + s_c) + 2 sqrt(N) delta <= (4 N^(5/2) + N M) u.
 
-    The bound is all that rounding puts off the diagonal of W' W'^T for an
+    The bound is all that rounding puts off the diagonal of Z' Z'^T for an
     exact singular basis: eigh leaves U orthogonal to N u and T_c = U^T P_c
-    adds gamma_N |U|^T P_c (Higham 2002, section 3.5), so W' is within
+    adds gamma_N |U|^T P_c (Higham 2002, section 3.5), so Z' is within
     2 N^2 u of a matrix with orthogonal rows, moving the off-diagonal by
     2 ||V'||_2 2 N^2 u, and the products T_c T_c^T add
-    sum_c f_c^2 gamma_{M_c} ||T_c||_F^2 <= gamma_M ||W'||_F^2 = N M u
+    sum_c f_c^2 gamma_{M_c} ||T_c||_F^2 <= gamma_M ||Z'||_F^2 = N M u
     (||V'||_2^2 <= ||V'||_F^2 = N up to delta).  The eigenvalues of V' V'^T
-    then lie within sum_c f_c^2 o_c of sigma^2 (Weyl), and
-    |sigma_i(V) - sigma_i(V')| <= ||V - V'||_2 <= delta (Weyl), which with
-    sigma_i(V), sigma_i(V') <= sqrt(N) moves the squares by at most
-    2 sqrt(N) delta to first order: an accepted sigma^2 lies within the
-    bound of the eigenvalues of V V^T.  For hypothesis states the class of
-    column x is its weight |x|, of support C(n - |x|, k - |x|), strictly
-    decreasing in |x| for k < n; the entries of one class are the same k
-    factors multiplied in different orders, so delta <= 2 gamma_k sqrt(N)
-    and 2 sqrt(N) delta is about 4 k N u, below 4 N^(5/2) u.  There
-    P_c P_c^T = C(k - D, |x|) and P P^T = 2^(k-D) are functions of the
-    subset distance D, in the commutative Bose-Mesner algebra of the
-    Johnson scheme (Bannai & Ito 1984), so U passes wherever P P^T's
-    eigenvalues tell the scheme's eigenspaces apart.  At c = 0 or 1 one
-    class is left; at k = n (N = 1) every column has support 1 but the
-    entries differ, so delta fails the bound.  Where U fails it, or the
-    pattern's entry alone would exceed the cache's byte bound, one thin SVD
-    of V gives sigma and U.  The result does not depend on what the cache
-    holds.  Columns zero in every state (in a sector stack, only at c = 0
-    or 1) are dropped first, so that every class holds nonzeros and any
-    embedding of the states (sector stack, 2^n fold, padding) has one
-    pattern, one SVD inner dimension and the same bits.
+    then lie within sum_c f_c^2 o_c of the squared row norms (Weyl), which
+    lie within sum_c f_c^2 s_c of the sigma_g^2 (Weyl again, for the
+    diagonal difference), and |sigma_i(V) - sigma_i(V')| <= ||V - V'||_2
+    <= delta (Weyl), which with sigma_i(V), sigma_i(V') <= sqrt(N) moves the
+    squares by at most 2 sqrt(N) delta to first order: an accepted sigma^2
+    lies within the bound of the eigenvalues of V V^T.  A basis whose
+    eigenvectors do not group, as where P P^T has irrational eigenvalues,
+    fails the s_c term.  For hypothesis states the class of column x is its
+    weight |x|, of support C(n - |x|, k - |x|), strictly decreasing in |x|
+    for k < n; the entries of one class are the same k factors multiplied
+    in different orders, so delta <= 2 gamma_k sqrt(N) and 2 sqrt(N) delta
+    is about 4 k N u, below 4 N^(5/2) u.  There P_c P_c^T = C(k - D, |x|)
+    and P P^T = 2^(k-D) are functions of the subset distance D, in the
+    commutative Bose-Mesner algebra of the Johnson scheme (Bannai & Ito
+    1984), whose m + 1 eigenspaces, of multiplicities m_j (m = min(k, n-k)),
+    each give every P_c P_c^T one integer eigenvalue.  So U passes wherever
+    P P^T's eigenvalues tell the eigenspaces apart, and the groups are the
+    eigenspaces (no two share a class vector on the scheme grid to n = 12):
+    G = m + 1, with W[:, g] the diagonal m_j / N of the eigenspace's
+    projector.  At c = 0 or 1 one class is left; at k = n (N = 1) every
+    column has support 1 but the entries differ, so delta fails the bound.
+    Where U fails it, or the pattern's entry would exceed the cache's byte
+    bound, one thin SVD of V gives sigma and U, and W = U o U with groups of
+    one.  The result does not depend on what the cache holds.  Columns zero
+    in every state (in a sector stack, only at c = 0 or 1) are dropped
+    first, so that every class holds nonzeros and any embedding of the
+    states (sector stack, 2^n fold, padding) has one pattern, one SVD inner
+    dimension and the same bits.
 
     Complex states, NaN or infinite entries, a squared norm that overflows
     and one off 1 by more than UNIT_NORM_TOL (the error names the row)
-    raise ValueError.  eigenvalues holds sigma^2 ascending, zero-padded to
-    N when the SVD gives fewer, so eigenvalues[0] >= 0 is the smallest
-    eigenvalue of V V^T.
+    raise ValueError.  eigenvalues holds sigma^2 ascending, each sigma_g^2
+    repeated by its group's size, zero-padded to N when the SVD gives fewer,
+    so eigenvalues[0] >= 0 is the smallest eigenvalue of V V^T.
     """
     V = _real_array(states, "srm_success_oracle")
     if V.ndim != 2:
@@ -237,20 +272,22 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
     certified = bool(basis := _support_basis(V.shape, np.packbits(V != 0).tobytes()))
     if certified:
-        UU, positions, label, first, D, off = basis
+        W, positions, label, first, theta, sizes, spread, off = basis
         values = V.take(positions)
         f = values.take(first)
         deviation = values - f.take(label)
         f2 = f * f
-        sigma = np.sqrt(f2 @ D)
+        sigma = np.sqrt(f2 @ theta)
         tol = (4 * N**2.5 + N * V.shape[1]) * UNIT_ROUNDOFF
-        certified = f2 @ off + 2 * math.sqrt(N * (deviation @ deviation)) <= tol
+        certified = f2 @ (off + spread) + 2 * math.sqrt(N * (deviation @ deviation)) <= tol
     if not certified:
-        U, sigma, _ = np.linalg.svd(V, full_matrices=False)
-        UU = U * U
-    diag = UU @ sigma
+        W, sigma, _ = np.linalg.svd(V, full_matrices=False)
+        W *= W
+        sizes = 1
+    diag = W @ sigma
+    squares = np.repeat(sigma * sigma, sizes)
     eigenvalues = np.zeros(N)  # the SVD gives min(N, M) values
-    eigenvalues[N - sigma.size:] = sigma * sigma
+    eigenvalues[N - squares.size:] = squares
     eigenvalues.sort()
     return SrmResult(float(np.add.reduce(diag**2) / N), diag, eigenvalues)
 

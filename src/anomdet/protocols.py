@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 CERTIFICATE_TOL = 1e-10
+# largest m * q.bit_length() for which unambiguous_success forms (q-p)^m and q^m as ints;
+# the closed-form benchmark's largest is 220 * 56 = 12320 (k <= 220, q <= 2^55)
+UNAMBIGUOUS_BITS_CAP = 1 << 15
 
 
 class AsymptoticRegimeWarning(UserWarning):
@@ -142,11 +145,64 @@ def unambiguous_success(instance: ProblemInstance) -> ProtocolResult:
     """Optimal zero-error success probability (1-c^2)^m = lambda_min(G), m = min(k, n-k).
 
     The Gram matrices of k and n-k anomalies coincide (complement symmetry).
-    With c^2 = p/q the value is the correctly rounded int quotient (q-p)^m / q^m.
+    With c^2 = p/q the value is the correctly rounded double of (q-p)^m / q^m:
+    the int quotient itself while m * q.bit_length() <= UNAMBIGUOUS_BITS_CAP
+    (q^m then has at most that many bits), else _fixed_point_power's.
     """
     m = instance.m
     p, q = instance.c2.as_integer_ratio()
-    return ProtocolResult(value=(q - p) ** m / q**m, method="closed-form", instance=instance)
+    if m * q.bit_length() <= UNAMBIGUOUS_BITS_CAP:
+        value = (q - p) ** m / q**m
+    else:
+        value = _fixed_point_power(q - p, q, m)
+    return ProtocolResult(value=value, method="closed-form", instance=instance)
+
+
+def _fixed_point_power(a: int, q: int, m: int) -> float:
+    """The correctly rounded double of (a/q)^m, 0 <= a <= q, from fixed-point bounds.
+
+    At P fractional bits, lo <= (a/q)^m 2^P <= hi: lo starts at
+    floor(a 2^P / q) and hi at its ceiling, and binary powering rounds every
+    product down for lo and up for hi, so both bounds hold exactly.  Rounding
+    is monotone, so when lo / 2^P and hi / 2^P (int true division, correctly
+    rounded, subnormals and 0.0 included) round to the same double, that
+    double is the value's; else P doubles.  Every bound is at most 2^P, so
+    the product of two pairs of widths w and w' has a width below
+    w + w' + 2, and by induction on the exponent hi - lo < 3m: the bounds
+    close in on the value as P grows.  The loop ends because the value is
+    never a rounding boundary, the midpoint of two adjacent doubles.  In
+    lowest terms it is a^m / q^m (a = q - p is prime to q), which is dyadic
+    only when q is a power of 2.  Then it is an odd numerator over 2^E with
+    E = m log2 q >= m q.bit_length() / 2 > UNAMBIGUOUS_BITS_CAP / 2, and such
+    a value is a midpoint only if E = 1075 or if the numerator has exactly
+    54 bits and the value is at least 2^-1022, so that E <= 1076.  A value
+    below 2^-1075 rounds to 0.0 from both bounds once P passes about
+    1075 + log2(3m).  The integers hold at most 2P bits: P stays near
+    64 + 2 log2(m) for a value near 1 and reaches about 1100 + log2(m) near
+    the bottom of the float range; it grows past m q.bit_length(), the int
+    quotient's size, only for a value within about 3m 2^-P of a boundary.
+    """
+    P = 64 + 2 * m.bit_length()
+    while True:
+        lo, hi = _power_bounds(a, q, m, P)
+        value = lo / (1 << P)
+        if value == hi / (1 << P):
+            return value
+        P *= 2
+
+
+def _power_bounds(a: int, q: int, m: int, P: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= (a/q)^m 2^P <= hi, by binary powering at P bits."""
+    base_lo = (a << P) // q
+    base_hi = -(-(a << P) // q)
+    lo = hi = 1 << P
+    while True:
+        if m & 1:
+            lo, hi = (lo * base_lo) >> P, -(-(hi * base_hi) >> P)
+        m >>= 1
+        if not m:
+            return lo, hi
+        base_lo, base_hi = (base_lo * base_lo) >> P, -(-(base_hi * base_hi) >> P)
 
 
 @_bounded_cache

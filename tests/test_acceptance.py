@@ -192,19 +192,27 @@ def test_scaled_adjacency_fails_the_closure_row(monkeypatch, cold):
     assert all(line.startswith("FAIL eigenvalue-recurrence ") for line in recurrence)
 
 
-def test_scaled_class_weight_fails_the_srm_rows(capsys, cold):
-    """d_c of the (4, 2) support pattern's first class (the weight-2 strings,
-    of support 1, which alone carry the smallest singular value) scaled by
-    1 + 1e-6 in the SRM oracle's cache: every (4, 2) cell of C_GRID prints
-    FAIL, not ERROR, in min-error-vs-srm-oracle and
-    unambiguous-vs-min-eigenvalue, and criteria 2 and 4 fail."""
+def test_scaled_class_weight_fails_the_srm_rows(monkeypatch, capsys, cold):
+    """The class values theta_c of the (4, 2) support pattern's first class
+    (the weight-2 strings, of support 1, which alone carry the smallest
+    singular value) scaled by 1 + 1e-6 in the SRM oracle's entry for that
+    pattern: every (4, 2) cell of C_GRID prints FAIL, not ERROR, in
+    min-error-vs-srm-oracle and unambiguous-vs-min-eigenvalue, and criteria
+    2 and 4 fail."""
     V = oracle.all_hypothesis_states(ProblemInstance(4, 2, 0.5))
-    oracle.srm_success_oracle(V)
-    (key, (*entry, D, off)), = oracle._support_basis.cache.items()
-    D = D.copy()
-    D[0] *= 1 + 1e-6
-    D.flags.writeable = False
-    oracle._support_basis.cache[key] = (*entry, D, off)
+    planted_key = (V.shape, np.packbits(V != 0).tobytes())
+    build = oracle._support_basis
+
+    def planted(*key):
+        entry = build(*key)
+        if key != planted_key:
+            return entry
+        *head, theta, sizes, spread, off = entry
+        theta = theta.copy()
+        theta[0] *= 1 + 1e-6
+        return (*head, theta, sizes, spread, off)
+
+    monkeypatch.setattr(oracle, "_support_basis", planted)
     for number, row in ((2, "min-error-vs-srm-oracle"), (4, "unambiguous-vs-min-eigenvalue")):
         with pytest.raises(AssertionError, match=f"criterion {number} failed.*'FAIL {row} "):
             run_criterion(number)

@@ -143,6 +143,27 @@ def test_bounded_cache_on_a_toy_builder(monkeypatch):
         assert toy(*key) is not value and builds[-2:] == [key[0]] * 2
 
 
+def test_bounded_cache_view_is_read_only(monkeypatch):
+    # the wrapper's cache reads the entries but cannot change them behind the
+    # running byte total: clear, assignment and deletion raise
+    monkeypatch.setattr(combin, "_CACHES", [])
+
+    @combin._bounded_cache
+    def toy(tag):
+        return np.zeros(3, np.uint8)
+
+    value = toy(b"a")
+    assert dict(toy.cache) == {(b"a",): value}
+    with pytest.raises(AttributeError):
+        toy.cache.clear()
+    with pytest.raises(TypeError):
+        toy.cache[(b"b",)] = value
+    with pytest.raises(TypeError):
+        del toy.cache[(b"a",)]
+    toy.cache_clear()
+    assert not toy.cache  # the view follows the entries
+
+
 def test_bounded_cache_counts_each_entry_once(monkeypatch):
     # a miss counts the bytes of its own key and value, never those of the
     # entries already held, and a hit counts nothing

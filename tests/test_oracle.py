@@ -189,10 +189,12 @@ def _pattern_basis(V):
     return live, np.linalg.eigh(P @ P.T)[1]
 
 
-def _steps(U, sigma, N):
-    """success, diagonal (U o U) sigma and sigma^2 ascending, zero-padded to N."""
-    d = (U * U) @ sigma
-    return np.sum(d**2) / N, d, np.sort(np.pad(sigma * sigma, (N - sigma.size, 0)))
+def _steps(W, sigma, N, sizes=1):
+    """success, diagonal W sigma and sigma^2 repeated by group size, ascending,
+    zero-padded to N; W = U o U and sizes 1 for one singular value per column of U."""
+    d = W @ sigma
+    squares = np.repeat(sigma * sigma, sizes)
+    return np.sum(d**2) / N, d, np.sort(np.pad(squares, (N - squares.size, 0)))
 
 
 def _class_blocks(V, U):
@@ -208,18 +210,28 @@ def _class_blocks(V, U):
     return np.array(f), np.split(T, np.cumsum(np.bincount(column_class))[:-1], axis=1)
 
 
-def _class_steps(V):
-    """The basis path: U from P P^T, sigma = sqrt(sum_c f_c^2 d_c), d_c = diag(T_c T_c^T)."""
-    U = _pattern_basis(V)[1]
+def _grouped_basis(V, U):
+    """(W, theta, sizes, f) for the basis U of V's pattern: d_c = diag(T_c T_c^T),
+    the eigenvectors grouped by their rounded class vectors, the columns theta
+    of rint(d_c) in lexicographic order, and W[:, g] the sum of U[:, r]^2 over
+    the group's r."""
     f, blocks = _class_blocks(V, U)
-    sigma = np.sqrt((f * f) @ np.array([np.diag(T @ T.T) for T in blocks]))
-    return _steps(U, sigma, V.shape[0])
+    D = np.array([np.diag(T @ T.T) for T in blocks])
+    theta, group, sizes = np.unique(np.rint(D), axis=1, return_inverse=True, return_counts=True)
+    return (U * U) @ (group[:, None] == np.arange(sizes.size)), theta, sizes, f
+
+
+def _class_steps(V):
+    """The basis path: U from P P^T, eigenvectors grouped by rint(d_c), one
+    sigma_g = sqrt(sum_c f_c^2 theta_c,g) per group and the diagonal W sigma."""
+    W, theta, sizes, f = _grouped_basis(V, _pattern_basis(V)[1])
+    return _steps(W, np.sqrt((f * f) @ theta), V.shape[0], sizes)
 
 
 def _svd_steps(V):
     """One thin SVD of the live stack: V without its all-zero columns."""
     X, sigma, _ = np.linalg.svd(V[:, V.any(axis=0)], full_matrices=False)
-    return _steps(X, sigma, V.shape[0])
+    return _steps(X * X, sigma, V.shape[0])
 
 
 def _assert_same_bits(result, success, diagonal, eigenvalues):
@@ -341,17 +353,21 @@ class TestSrmOracle:
         with pytest.raises(ValueError, match="^srm_success_oracle: matrix has NaN or infinite"):
             srm_success_oracle(np.eye(2))
 
-    def test_nan_in_the_certificate_falls_back_to_the_svd(self, cold):
-        # a NaN planted in a cached o_c, the norm of offdiag(T_c T_c^T), fails the certificate
-        cache = oracle._support_basis.cache
+    def test_nan_in_the_certificate_falls_back_to_the_svd(self, cold, monkeypatch):
+        # a NaN planted in the entry's o_c, the norm of offdiag(T_c T_c^T), or in
+        # its s_c, the spread of d_c about its group's value, fails the certificate
         V = all_hypothesis_states(ProblemInstance(4, 2, 0.5))
         _assert_same_bits(srm_success_oracle(V), *_class_steps(V))
-        (key, entry), = cache.items()
-        off = entry[-1].copy()
-        off[0] = math.nan
-        off.flags.writeable = False
-        cache[key] = (*entry[:-1], off)
-        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
+        build = oracle._support_basis
+        for term in (-1, -2):  # o_c, s_c
+
+            def planted(shape, pattern):
+                entry = list(build(shape, pattern))
+                entry[term] = np.where(np.arange(entry[term].size) == 0, math.nan, entry[term])
+                return tuple(entry)
+
+            monkeypatch.setattr(oracle, "_support_basis", planted)
+            _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
 
     @pytest.mark.parametrize("c", [0.999, 0.9999, 0.99999, 1.0])
     def test_eigenvalues_are_non_negative(self, cold, monkeypatch, c):
@@ -451,16 +467,17 @@ class TestSrmOracle:
         monkeypatch.setattr(oracle.np.linalg, "svd", lambda V, full_matrices: (
             lambda X, s, Y: (X, lowered(s), Y))(*svd(V, full_matrices=full_matrices)))
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.5))
-        U = _pattern_basis(V)[1]
+        W, _, sizes, _ = _grouped_basis(V, _pattern_basis(V)[1])
+        assert sizes.tolist() == [9, 5, 1]  # the top sigma has one eigenvector
         for basis in (True, False):
             if not basis:
                 monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
                 combin._clear_caches()
-                U = svd(V, full_matrices=False)[0]
+                W, sizes = svd(V, full_matrices=False)[0] ** 2, 1
             result = srm_success_oracle(V)
             sigma = factors[-1]
             assert result.eigenvalues[0] == planted**2
-            _assert_same_bits(result, *_steps(U, sigma, V.shape[0]))
+            _assert_same_bits(result, *_steps(W, sigma, V.shape[0], sizes))
         assert len(factors) == 2
 
     @pytest.mark.parametrize("n, k, c", [(2, 1, 0.5), (6, 2, 0.6), (8, 3, 1.0), (9, 4, 0.3),
@@ -479,32 +496,41 @@ class TestSrmOracle:
         for result in results:
             _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
 
-    def test_rotated_basis_fails_the_bound(self, cold):
-        # the cached entry rebuilt from a basis turned by 1e-6 between the top
-        # eigenvector and one of the bottom eigenspace: still orthogonal, but
-        # each class's off-diagonal gains about 1e-6 times the spread of its
-        # eigenvalues, far above the bound (4 N^(5/2) + N M) u = 4.2e-13
-        cache = oracle._support_basis.cache
+    def test_rotated_basis_fails_the_bound(self, cold, monkeypatch):
+        # the entry built from eigh's basis turned by theta in the plane of two
+        # eigenvectors of different eigenspaces: still orthogonal, but each
+        # class's off-diagonal gains about theta times the spread of its
+        # eigenvalues and each d_c about theta^2 times it, so that the turned
+        # vectors' d_c leave their groups' integers.  Between the top
+        # eigenvector and one of the bottom eigenspace by 1e-6, o_c fails the
+        # bound (4 N^(5/2) + N M) u = 4.2e-13; between the last eigenvector of
+        # one eigenspace and the first of the next by 0.05, s_c fails it alone
         V = all_hypothesis_states(ProblemInstance(6, 2, 0.6))
-        srm_success_oracle(V)
-        (key, entry), = cache.items()
-        U = _pattern_basis(V)[1]
-        i, j, theta = 0, U.shape[1] - 1, 1e-6
-        rotated = U.copy()
-        rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
-        rotated[:, j] = math.sin(theta) * U[:, i] + math.cos(theta) * U[:, j]
-        assert np.abs(rotated.T @ rotated - np.eye(len(U))).max() < 1e-14
-        f, blocks = _class_blocks(V, rotated)
-        grams = [T @ T.T for T in blocks]
-        off = np.array([np.linalg.norm(G - np.diag(np.diag(G))) for G in grams])
-        N, M = V.shape
-        assert (f * f) @ off > 1e-7 > 1e5 * (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
-        planted = (rotated * rotated, *entry[1:4], np.array([np.diag(G) for G in grams]), off)
-        for a in planted:
-            a.flags.writeable = False
-        cache[key] = planted
-        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert cache[key] is planted  # kept, not factored again
+        live = V[:, V.any(axis=0)]
+        N, M = live.shape
+        tol = (4 * N**2.5 + N * M) * oracle.UNIT_ROUNDOFF
+        P = (live != 0).astype(float)
+        values, U = np.linalg.eigh(P @ P.T)
+        gap = int(np.argmax(np.diff(values)))  # the widest
+        for i, j, theta in [(0, N - 1, 1e-6), (gap, gap + 1, 0.05)]:
+            assert values[j] - values[i] > 1
+            rotated = U.copy()
+            rotated[:, i] = math.cos(theta) * U[:, i] - math.sin(theta) * U[:, j]
+            rotated[:, j] = math.sin(theta) * U[:, i] + math.cos(theta) * U[:, j]
+            assert np.abs(rotated.T @ rotated - np.eye(N)).max() < 1e-14
+            combin._clear_caches()
+            factored = []
+            monkeypatch.setattr(oracle.np.linalg, "eigh",
+                                lambda A, basis=rotated: factored.append(A) or (values, basis))
+            _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
+            _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
+            assert len(factored) == 1  # the entry is kept, not factored again
+            (entry,) = oracle._support_basis.cache.values()
+            spread, off = entry[-2:]
+            f = _class_blocks(V, rotated)[0]
+            assert (f * f) @ off > 1e-7 > 1e5 * tol
+            if theta > 1e-3:
+                assert (f * f) @ spread > 1e-3 > 1e9 * tol
 
     def test_factored_eigenvalues_are_within_the_bound_of_an_svd(self):
         # every instance of the detection rows' grid to n = 10, HIGH_C_GRID
@@ -551,6 +577,20 @@ class TestSrmOracle:
                 took.append(inst)
         assert len(took) == 63 and all(inst["k"] == inst["n"] for inst in took)
 
+    def test_hypothesis_entries_hold_one_group_per_eigenspace(self, cold):
+        # on the scheme grid to n = 12, mirrored k included, the eigenvectors
+        # of a hypothesis stack's pattern fall into the m + 1 eigenspaces of
+        # the Johnson scheme, of sizes m_j, and W is N x (m + 1)
+        for cell in verify._scheme_grid(12):
+            n, k = cell["n"], cell["k"]
+            m, N = min(k, n - k), binomial(n, k)
+            V = all_hypothesis_states(ProblemInstance(n, k, 0.6))
+            entry = oracle._support_basis(V.shape, np.packbits(V != 0).tobytes())
+            W, _, _, _, theta, sizes, spread, off = entry
+            assert W.shape == (N, m + 1) and theta.shape == (k + 1, m + 1), cell
+            assert sorted(sizes.tolist()) == sorted(combin._multiplicities(n, m)), cell
+            assert spread.max() < 1e-9 and off.max() < 1e-9, cell
+
     def test_generic_pattern_factored_once(self, cold, monkeypatch):
         eigh, svd, factored, decomposed = np.linalg.eigh, np.linalg.svd, [], []
 
@@ -585,37 +625,48 @@ class TestSrmOracle:
         srm_success_oracle(stacks[-1])
         assert len(cache) == small_caches
         assert keys[0] in cache and keys[1] not in cache
-        # the byte bound: an entry of N states, under the N x M pattern packed
-        # in ceil(N M / 8) bytes (its key), holds the 8 N^2-byte U o U, 16
-        # bytes per nonzero (its position and class) and 8 + 8 N + 8 bytes per
-        # class (its first, d_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
-        # nonzeros and two classes: 8 n^2 + 48 n + 32 + ceil(n (n + 1) / 8) bytes
+        # the byte bound: an entry of N states in G groups and C classes, under
+        # the N x M pattern packed in ceil(N M / 8) bytes (its key), holds the
+        # 8 N G-byte W, 8 (C + 1) bytes per group (theta and its size), 16
+        # bytes per nonzero (its position and class) and 24 bytes per class
+        # (its first, s_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
+        # nonzeros, two classes and two groups: 48 n + 96 + ceil(n (n + 1) / 8)
         oracle._support_basis.cache_clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 33)  # a 1089-byte bound
-        states = {n: all_hypothesis_states(ProblemInstance(n, 1, 0.5)) for n in (3, 4, 5, 6, 9)}
-        for n in (3, 4, 5, 3):  # 250 + 355 + 476 bytes fit; (3, 1) is used again
-            srm_success_oracle(states[n])
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
+        states = {(n, k): all_hypothesis_states(ProblemInstance(n, k, 0.5))
+                  for n, k in ((3, 1), (4, 1), (5, 1), (6, 1), (6, 2), (5, 2))}
+        for n in (3, 4, 5, 3):  # 242 + 291 + 340 bytes fit; (3, 1) is used again
+            srm_success_oracle(states[n, 1])
         assert [key[0][0] for key in cache] == [4, 5, 3]
-        assert [combin._nbytes(entry) for entry in cache.items()] == [355, 476, 250]
-        srm_success_oracle(states[6])  # 614 more bytes: (4, 1) and (5, 1) go
+        assert [combin._nbytes(entry) for entry in cache.items()] == [291, 340, 242]
+        srm_success_oracle(states[6, 1])  # 390 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in cache] == [3, 6]
-        # an entry over the bound on its own (1124 bytes) is not built: its
-        # pattern keeps (), and V takes a thin SVD
+        # (6, 2): N = 15, M = 22, 60 nonzeros and three classes; even with one
+        # group its entry (1226 bytes) is over the bound on its own, so it is
+        # not built: its pattern keeps (), and V takes a thin SVD
         eigh, factored = np.linalg.eigh, []
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
-        _assert_same_bits(srm_success_oracle(states[9]), *_svd_steps(states[9]))
+        _assert_same_bits(srm_success_oracle(states[6, 2]), *_svd_steps(states[6, 2]))
         assert not factored
-        assert [key[0][0] for key in cache] == [3, 6, 9]
-        assert list(cache.values())[-1] == ()
-
+        # (5, 2): N = 10, M = 16, 40 nonzeros and three classes; one group
+        # would fit (844 bytes), its three (1068 bytes) do not: factored once,
+        # then () is kept, and V takes a thin SVD
+        for _ in range(2):
+            _assert_same_bits(srm_success_oracle(states[5, 2]), *_svd_steps(states[5, 2]))
+        assert len(factored) == 1
+        assert [key[0][0] for key in cache] == [3, 6, 15, 10]
+        assert list(cache.values())[-2:] == [(), ()]
 
     def test_a_wide_pattern_counts_against_the_bound(self, cold, monkeypatch):
-        # two states over 4000 columns: a 32-byte basis, but a 1000-byte pattern
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
-        V = np.full((2, 4000), 1 / math.sqrt(4000))
-        V[1, ::2] *= -1
+        # 256 basis states: a 6184-byte entry (one group, one class, 256
+        # nonzeros) fits the bound alone, but not with its 8192-byte pattern,
+        # so the pattern is not factored and keeps ()
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 100)  # a 10000-byte bound
+        eigh, factored = np.linalg.eigh, []
+        monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
+        V = np.eye(256)
         _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert not oracle._support_basis.cache
+        assert not factored and list(oracle._support_basis.cache.values()) == [()]
 
     def test_same_shape_other_pattern_gets_its_own_basis(self, cold):
         # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]]: one entry each
@@ -631,9 +682,8 @@ class TestSrmOracle:
             _assert_same_bits(srm_success_oracle(V), result.success, result.diagonal,
                               result.eigenvalues)
         assert list(cache) == [((2, 2), np.packbits(V != 0).tobytes()) for V in stacks]
-        for V, (UU, *_) in zip(stacks, cache.values()):
-            U = _pattern_basis(V)[1]
-            assert UU.tobytes() == (U * U).tobytes()
+        for V, (W, *_) in zip(stacks, cache.values()):
+            assert W.tobytes() == _grouped_basis(V, _pattern_basis(V)[1])[0].tobytes()
 
 
 class TestUniversalHypothesis:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,55 @@ class TestUnambiguous:
             assert unambiguous_success(inst).value == expected, (n, k)
             if n <= 9:
                 assert verify_unambiguous_certificates(inst).primal_value == expected, (n, k)
+
+
+    @staticmethod
+    def _straddling_grid():
+        """(m, c) with m q.bit_length() on both sides of the int path's cap, c^2 = p/q:
+        for each target log2 value e, a float c with (1 - c^2)^m near 2^e and its
+        Fraction to a 2^28 denominator, at the largest m under the cap, the
+        smallest over it and 4 times that; plus c = 0 and 1 far over it."""
+        cap = protocols.UNAMBIGUOUS_BITS_CAP
+        for e in (-1e-8, -0.5, -60.0, -1000.0, -1030.0, -1074.5, -1076.0, -1300.0):
+            for m0 in (600, 3000):
+                f = math.sqrt(-math.expm1(e / m0 * math.log(2)))
+                for c in (f, Fraction(f).limit_denominator(2**28)):
+                    p, q = ProblemInstance(2, 1, c).c2.as_integer_ratio()
+                    below = cap // q.bit_length()
+                    for m in (below, below + 1, 4 * (below + 1)):
+                        yield m, c
+        for c in (0.0, 1.0, Fraction(0), Fraction(1)):
+            yield cap + 1, c
+
+    def test_fixed_point_path_bit_identical_to_int_quotient(self):
+        # over a grid that straddles UNAMBIGUOUS_BITS_CAP, from values near 1
+        # through normal and subnormal ones to underflow, float and Fraction c:
+        # the fixed-point bounds give the int quotient's correctly rounded double
+        cap, kinds = protocols.UNAMBIGUOUS_BITS_CAP, set()
+        for m, c in self._straddling_grid():
+            inst = ProblemInstance(2 * m, m, c)
+            p, q = inst.c2.as_integer_ratio()
+            expected = (q - p) ** m / q**m
+            assert unambiguous_success(inst).value == expected, (m, c)
+            beyond = m * q.bit_length() > cap
+            kinds.add((beyond, type(c), 0 < expected < 2**-1022, expected == 0, expected > 0.99))
+        for beyond in (False, True):  # each kind of value on each side of the cap
+            for flag in range(2, 5):
+                for kind in (float, Fraction):
+                    assert any(k[:2] == (beyond, kind) and k[flag] for k in kinds), (beyond, flag)
+
+    def test_far_beyond_the_cap_in_bounded_memory(self):
+        # (2e6, 1e6, 0.001): m q.bit_length() = 7.3e7 bits; the int quotient's
+        # (q-p)^m alone took 9 MB (and 28 s)
+        inst = ProblemInstance(2 * 10**6, 10**6, 0.001)
+        tracemalloc.start()
+        try:
+            value = unambiguous_success(inst).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert f"{value:.12g}" == "0.367879257232"  # about 1/e
 
 
 def _flat_diagonal_report(inst):
