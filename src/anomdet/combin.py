@@ -119,11 +119,6 @@ def _nbytes(item) -> int:
     return len(item) if isinstance(item, bytes) else getattr(item, "nbytes", 0)
 
 
-def _fits(nbytes: int) -> bool:
-    """Whether nbytes fit the byte bound of a _bounded_cache: one uint8 D at the Gram size cap."""
-    return nbytes <= GRAM_SIZE_CAP**2
-
-
 def _bounded_cache(build):
     """build, its results kept read-only per argument tuple, least recently used first.
 
@@ -131,12 +126,14 @@ def _bounded_cache(build):
     the key; the builder trusts it, and a build that raises keeps nothing.
     A miss makes every array of the value read-only, tuple members included,
     and adds the _nbytes of key and value to a running total; the entry is
-    kept if they fit the byte bound alone, then the least recently used go
-    until at most NK_CACHE_SIZE entries of at most GRAM_SIZE_CAP^2 bytes
-    remain.  A hit moves its entry to the most recently used end.  The
-    wrapper's `cache` is a read-only view of the dict (a MappingProxyType),
-    so that no caller can empty it behind the running total; its
-    `cache_clear` empties both.  Threads may share a cache: a miss keeps its
+    kept if they fit the byte bound, GRAM_SIZE_CAP^2 (one uint8 D at the Gram
+    size cap), alone, then the least recently used go until at most
+    NK_CACHE_SIZE entries of at most that many bytes remain.  A value over
+    the bound is returned and used, not kept, and evicts nothing: the bound
+    is decided here alone, and no builder sizes its own value.  A hit moves
+    its entry to the most recently used end.  The wrapper's `cache` is a
+    read-only view of the dict (a MappingProxyType), so that no caller can
+    empty it behind the running total; its `cache_clear` empties both.  Threads may share a cache: a miss keeps its
     books under a lock that a hit does not take, so at worst a value is
     built twice.
     """
@@ -153,12 +150,13 @@ def _bounded_cache(build):
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        if _fits(size := _nbytes((key, value))):
+        bound = GRAM_SIZE_CAP**2
+        if (size := _nbytes((key, value))) <= bound:
             with lock:
                 held += size - sizes.get(key, 0)
                 entries[key], sizes[key] = value, size
                 for old in list(entries):  # least recently used first
-                    if len(entries) <= NK_CACHE_SIZE and _fits(held):
+                    if len(entries) <= NK_CACHE_SIZE and held <= bound:
                         break
                     if entries.pop(old, None) is not None:  # else a hit holds it
                         held -= sizes.pop(old, 0)

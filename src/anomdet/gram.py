@@ -265,6 +265,12 @@ def closed_form_spectrum(instance: ProblemInstance) -> Spectrum:
     from the rounding of c^2; at most 5e-13 elsewhere up to n = 10^5).  There
     math.exp raises OverflowError exactly when lambda_0 exceeds the float range.
 
+    The exact path has no size cap.  For c^2 = p/q it costs O(m) recurrence
+    steps on integers of about m log2 q bits (q^m, the common denominator),
+    then m + 1 Fraction reductions of that size: 0.66-0.75 s at
+    (n, k, c) = (8000, 4000, 1/2), where q^m has 8001 bits (2-core x86-64,
+    Python 3.11.7).  The float path costs O(m) float steps.
+
     Complementing both patterns preserves their subset distance, so the
     Gram matrices of k and n-k anomalies coincide; the formula is
     evaluated at instance.m = min(k, n-k), where it holds, giving m+1 entries.

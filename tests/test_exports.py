@@ -101,3 +101,22 @@ def test_registry_holds_every_cache_once(cold):
     assert combin._distances.cache and protocols._dual_witness.cache and verify._srm.cache
     combin._clear_caches()
     assert not any(memo.cache for memo in combin._CACHES)
+
+
+def test_only_combin_sizes_a_cache_entry():
+    # the byte bound is decided in one place: no module but combin names the
+    # size helpers, and no cached builder returns a () stand-in for a value
+    # too large to keep (the cache returns such a value, and does not keep it)
+    for path in sorted(Path(anomdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "combin":
+            named = {getattr(node, field) for node in ast.walk(tree)
+                     for field in ("id", "attr", "name") if hasattr(node, field)}
+            sizing = sorted(named & {"_fits", "_nbytes"})
+            assert not sizing, f"{path.name} names {sizing}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) \
+                    and "_bounded_cache" in map(ast.unparse, node.decorator_list):
+                empty = [ret.lineno for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                         and isinstance(ret.value, ast.Tuple) and not ret.value.elts]
+                assert not empty, f"{path.name}:{empty} {node.name} returns ()"

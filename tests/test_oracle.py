@@ -240,6 +240,18 @@ def _assert_same_bits(result, success, diagonal, eigenvalues):
     assert result.eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
+def _fail_the_certificate(monkeypatch):
+    """Every stack takes the thin SVD: each support basis entry is read with an
+    infinite spread s_c, so that no certificate passes."""
+    build = oracle._support_basis
+
+    def planted(shape, pattern):
+        *entry, spread, off = build(shape, pattern)
+        return (*entry, np.full_like(spread, math.inf), off)
+
+    monkeypatch.setattr(oracle, "_support_basis", planted)
+
+
 def _measurement_vectors(V):
     """Rows are the SRM vectors |m_r> = sum_s (S^+)_{sr} |Psi_s>, S = sqrt(V V^T),
     from an eigendecomposition of V V^T independent of the oracle's."""
@@ -374,9 +386,8 @@ class TestSrmOracle:
         # squared singular values, on the basis path and on the SVD path; an
         # eigh of the Gram gave eigenvalues down to -1.4e-13 at c >= 0.9999
         for basis in (True, False):
-            if not basis:  # no basis could be kept: a thin SVD for every stack
-                monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
-                combin._clear_caches()
+            if not basis:  # no certificate passes: a thin SVD for every stack
+                _fail_the_certificate(monkeypatch)
             for n in range(2, 11):
                 for k in range(1, n):
                     w = srm_success_oracle(all_hypothesis_states(ProblemInstance(n, k, c))).eigenvalues
@@ -471,8 +482,7 @@ class TestSrmOracle:
         assert sizes.tolist() == [9, 5, 1]  # the top sigma has one eigenvector
         for basis in (True, False):
             if not basis:
-                monkeypatch.setattr(oracle, "_fits", lambda nbytes: False)
-                combin._clear_caches()
+                _fail_the_certificate(monkeypatch)
                 W, sizes = svd(V, full_matrices=False)[0] ** 2, 1
             result = srm_success_oracle(V)
             sigma = factors[-1]
@@ -641,32 +651,42 @@ class TestSrmOracle:
         assert [combin._nbytes(entry) for entry in cache.items()] == [291, 340, 242]
         srm_success_oracle(states[6, 1])  # 390 more bytes: (4, 1) and (5, 1) go
         assert [key[0][0] for key in cache] == [3, 6]
-        # (6, 2): N = 15, M = 22, 60 nonzeros and three classes; even with one
-        # group its entry (1226 bytes) is over the bound on its own, so it is
-        # not built: its pattern keeps (), and V takes a thin SVD
+        # (6, 2): N = 15, M = 22, 60 nonzeros, three classes and three groups,
+        # 1530 bytes; (5, 2): N = 10, M = 16, 40 nonzeros, three classes and
+        # three groups, 1068 bytes.  Each entry is over the bound on its own:
+        # built and used, not kept, so the next call factors its pattern again
         eigh, factored = np.linalg.eigh, []
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
-        _assert_same_bits(srm_success_oracle(states[6, 2]), *_svd_steps(states[6, 2]))
-        assert not factored
-        # (5, 2): N = 10, M = 16, 40 nonzeros and three classes; one group
-        # would fit (844 bytes), its three (1068 bytes) do not: factored once,
-        # then () is kept, and V takes a thin SVD
-        for _ in range(2):
-            _assert_same_bits(srm_success_oracle(states[5, 2]), *_svd_steps(states[5, 2]))
-        assert len(factored) == 1
+        big = ((6, 2), (5, 2))
+        results = {nk: [srm_success_oracle(states[nk]) for _ in range(2)] for nk in big}
+        assert len(factored) == 4
+        assert [key[0][0] for key in cache] == [3, 6]
+        # under a bound that keeps them: each factored once, kept, and the same bits
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", GRAM_SIZE_CAP)
+        for nk in big:
+            results[nk] += [srm_success_oracle(states[nk]) for _ in range(2)]
+        assert len(factored) == 6
         assert [key[0][0] for key in cache] == [3, 6, 15, 10]
-        assert list(cache.values())[-2:] == [(), ()]
+        assert [combin._nbytes(entry) for entry in cache.items()][-2:] == [1530, 1068]
+        for first, *rest in results.values():
+            for result in rest:
+                _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
 
     def test_a_wide_pattern_counts_against_the_bound(self, cold, monkeypatch):
         # 256 basis states: a 6184-byte entry (one group, one class, 256
         # nonzeros) fits the bound alone, but not with its 8192-byte pattern,
-        # so the pattern is not factored and keeps ()
+        # so the entry is built and used, not kept
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 100)  # a 10000-byte bound
+        V = np.eye(256)
+        expected = _class_steps(V)
         eigh, factored = np.linalg.eigh, []
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
-        V = np.eye(256)
-        _assert_same_bits(srm_success_oracle(V), *_svd_steps(V))
-        assert not factored and list(oracle._support_basis.cache.values()) == [()]
+        _assert_same_bits(srm_success_oracle(V), *expected)
+        assert len(factored) == 1 and not oracle._support_basis.cache
+        key = (V.shape, np.packbits(V != 0).tobytes())
+        entry = oracle._support_basis(*key)
+        assert combin._nbytes(entry) == 6184 and combin._nbytes(key) == 8192
+        assert len(factored) == 2 and not oracle._support_basis.cache
 
     def test_same_shape_other_pattern_gets_its_own_basis(self, cold):
         # two 2 x 2 patterns, [[1, 0], [1, 1]] and [[1, 1], [0, 1]]: one entry each
