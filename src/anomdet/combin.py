@@ -32,7 +32,7 @@ __all__ = [
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
 # entries per cache, above the longest walk of any memo at the qubit cap: the 726 (n, k, c)
-# instances that verify --max-n 14's three SRM rows read in turn through verify._srm
+# instances that verify --max-n 14's four SRM rows read in turn through verify._srm
 NK_CACHE_SIZE = 768
 # verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
 SCOPES = ("scheme", "gram", "detection", "universal")

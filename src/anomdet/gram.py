@@ -6,9 +6,11 @@ Jacobi polynomials (DLMF 18.5.8), all given by one O(k) three-term
 recurrence (DLMF 18.9.2) in the arithmetic of the overlap that
 ProblemInstance stores: Python ints for a Fraction z = p/q (an int is stored
 as one), with one Fraction per eigenvalue; logs of positive ratios for a
-float, stable and with no big rational.  A dense eigendecomposition of the
-explicit matrix is the independent oracle.  A Spectrum holds tuples of Python
-scalars: numpy enters only where an N x N object is gathered from the distance matrix.
+float, stable and with no big rational.  A dense eigendecomposition of an
+explicit matrix, direct_spectrum, is an independent oracle; verify reads the
+Gram spectrum off the explicit states' squared singular values instead.  A
+Spectrum holds tuples of Python scalars: numpy enters only where an N x N object
+is gathered from the distance matrix.
 """
 
 from __future__ import annotations

@@ -197,8 +197,9 @@ def test_scaled_class_weight_fails_the_srm_rows(monkeypatch, capsys, cold):
     (the weight-2 strings, of support 1, which alone carry the smallest
     singular value) scaled by 1 + 1e-6 in the SRM oracle's entry for that
     pattern: every (4, 2) cell of C_GRID prints FAIL, not ERROR, in
-    min-error-vs-srm-oracle and unambiguous-vs-min-eigenvalue, and criteria
-    2 and 4 fail."""
+    min-error-vs-srm-oracle, unambiguous-vs-min-eigenvalue and
+    spectrum-equivalence, every other cell of spectrum-equivalence passes, and
+    criteria 1, 2 and 4 fail."""
     V = oracle.all_hypothesis_states(ProblemInstance(4, 2, 0.5))
     planted_key = (V.shape, np.packbits(V != 0).tobytes())
     build = oracle._support_basis
@@ -213,14 +214,20 @@ def test_scaled_class_weight_fails_the_srm_rows(monkeypatch, capsys, cold):
         return (*head, theta, sizes, spread, off)
 
     monkeypatch.setattr(oracle, "_support_basis", planted)
-    for number, row in ((2, "min-error-vs-srm-oracle"), (4, "unambiguous-vs-min-eigenvalue")):
+    rows = ((1, "spectrum-equivalence"), (2, "min-error-vs-srm-oracle"),
+            (4, "unambiguous-vs-min-eigenvalue"))
+    for number, row in rows:
         with pytest.raises(AssertionError, match=f"criterion {number} failed.*'FAIL {row} "):
             run_criterion(number)
     printed = capsys.readouterr().out.splitlines()
     assert not [line for line in printed if line.startswith("ERROR")]
-    for row in ("min-error-vs-srm-oracle", "unambiguous-vs-min-eigenvalue"):
+    for _, row in rows:
         for c in verify.C_GRID:
             assert f"FAIL {row} n=4,k=2,c={c} " in "\n".join(printed), (row, c)
+    cells = [(inst["n"], inst["k"]) for inst in verify._overlap_grid(GATE_MAX_N)]
+    assert _verdicts("spectrum-equivalence") == [
+        "FAIL" if cell == (4, 2) else "PASS" for cell in cells]
+    assert cells.count((4, 2)) == 7 and len(cells) == 364
 
 
 def test_planted_binomial_fails_the_explicit_row(monkeypatch, cold):
@@ -305,7 +312,10 @@ def test_dropped_quadrature_node_fails_the_quadrature_row(monkeypatch, cold):
 
 def test_overlap_cubed_fails_the_reference_row(monkeypatch, cold):
     """c2 = c^3 in place of c^2 on every ProblemInstance: the textbook forms square
-    c themselves, so every cell of reference-spectrum prints FAIL, and criterion 3 fails."""
+    c themselves, so every cell of reference-spectrum prints FAIL, and criterion 3 fails.
+    The explicit states read c, not c2, so spectrum-equivalence prints FAIL at every cell
+    with m >= 1 and PASS at k = 0 and k = n (N = 1, G = [1] at every c), and criterion 1
+    fails."""
     setup = gram.ProblemInstance.__post_init__
 
     def cubed(instance):
@@ -316,6 +326,29 @@ def test_overlap_cubed_fails_the_reference_row(monkeypatch, cold):
     assert _verdicts("reference-spectrum") == ["FAIL"] * 225
     with pytest.raises(AssertionError, match="criterion 3 failed.*'FAIL reference-spectrum "):
         run_criterion(3)
+    ends = [inst["k"] in (0, inst["n"]) for inst in verify._overlap_grid(GATE_MAX_N)]
+    assert _verdicts("spectrum-equivalence") == ["PASS" if end else "FAIL" for end in ends]
+    assert (ends.count(False), ends.count(True)) == (252, 112)
+    with pytest.raises(AssertionError, match="criterion 1 failed.*'FAIL spectrum-equivalence "):
+        run_criterion(1)
+
+
+def test_multiplicity_off_by_one_fails_both_spectrum_rows(monkeypatch, cold):
+    """m_m + 1 for the last multiplicity, read through the name of each row's module:
+    through gram's, the closed-form multiset holds N + 1 values, and every cell of
+    spectrum-equivalence prints FAIL, not ERROR; through verify's, the zeroth moment
+    is N + 1 against tr A_0 = N, and every cell of adjacency-spectrum prints FAIL."""
+    multiplicities = combin._multiplicities
+
+    def one_more(n, k):
+        *head, last = multiplicities(n, k)
+        return (*head, last + 1)
+
+    for module, row in ((gram, "spectrum-equivalence"), (verify, "adjacency-spectrum")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_multiplicities", one_more)
+            verdicts = _verdicts(row)
+        assert verdicts and verdicts == ["FAIL"] * len(verdicts), row
 
 
 def test_scaled_asymptotic_coefficient_fails_the_ratio_row(monkeypatch, cold):

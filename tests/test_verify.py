@@ -1,18 +1,19 @@
-"""The detection rows share one SRM oracle call per (n, k, c), the (n, k)
+"""The SRM rows share one SRM oracle call per (n, k, c), the (n, k)
 caches hold the grid that verify walks, and each failure branch of a row fails it."""
 
 import dataclasses
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from anomdet import combin, johnson, oracle, verify
 from anomdet.combin import NK_CACHE_SIZE
 from anomdet.oracle import STATE_QUBITS_CAP
 
-DETECTION_ROWS = ("min-error-vs-srm-oracle", "min-error-srm-optimality-gap",
-                  "unambiguous-vs-min-eigenvalue")
+SRM_ROWS = ("spectrum-equivalence", "min-error-vs-srm-oracle", "min-error-srm-optimality-gap",
+            "unambiguous-vs-min-eigenvalue")
 
 
 def test_detection_rows_build_and_factor_once_per_instance(monkeypatch, cold):
@@ -29,12 +30,22 @@ def test_detection_rows_build_and_factor_once_per_instance(monkeypatch, cold):
 
     monkeypatch.setattr(verify, "all_hypothesis_states", counting_states)
     monkeypatch.setattr(verify, "srm_success_oracle", counting_srm)
-    rows = [check for check in verify.CHECKS if check.name in DETECTION_ROWS]
+    rows = [check for check in verify.CHECKS if check.name in SRM_ROWS]
     results = [r for check in rows for r in check.run(9)]
     grid = {(inst["n"], inst["k"], inst["c"]) for inst in verify._srm_grid(9)}
-    assert len(rows) == 3 and len(results) == 3 * len(grid)
+    assert len(rows) == 4 and len(results) == 3 * len(grid) + len(list(verify._overlap_grid(9)))
     assert all(r.passed for r in results)
     assert built == Counter(grid) and len(factored) == len(grid)
+
+
+def test_scheme_and_gram_scopes_take_no_eigvalsh(monkeypatch, cold):
+    # adjacency-spectrum reads the moments of A_i off the intersection numbers, and
+    # spectrum-equivalence the SRM oracle's singular values: no dense eigensolve
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args) or eigvalsh(*args))
+    for scope in ("scheme", "gram"):
+        assert all(r.passed for r in verify.run_scope(scope, 9)), scope
+    assert not calls
 
 
 def test_srm_cache_holds_the_overlap_grid_at_the_cap():
