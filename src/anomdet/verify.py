@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import johnson
-from .combin import SCOPES, _bounded_cache, _multiplicities, binomial, distance_matrix
+from .combin import SCOPES, _bounded_cache, _multiplicities, binomial
 from .gram import ProblemInstance, closed_form_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -165,18 +165,23 @@ def _fixed(*instances: dict) -> Callable[[int], Iterator[dict]]:
 
 @_bounded_cache
 def _intersection_numbers(n: int, k: int) -> dict[tuple[int, int], list[int]]:
-    """verify_bose_mesner_closure(scheme_basis(n, k)), once per (n, k) for two rows."""
+    """verify_bose_mesner_closure(scheme_basis(n, k)), once per (n, k) for four rows."""
     return johnson.verify_bose_mesner_closure(johnson.scheme_basis(n, k))
 
 
-def _bose_mesner_closure(n: int, k: int) -> float:
-    """0 if A_i A_j stays in the span with non-negative integer coefficients
-    (verify_bose_mesner_closure raises SchemeClosureError otherwise)."""
+def _closure(n: int, k: int) -> dict[tuple[int, int], list[int]] | None:
+    """_intersection_numbers(n, k), or None where the basis leaves the scheme
+    (verify_bose_mesner_closure raises SchemeClosureError): each of the four
+    rows that reads the numbers fails such a cell with residual 1."""
     try:
-        _intersection_numbers(n, k)
+        return _intersection_numbers(n, k)
     except johnson.SchemeClosureError:
-        return 1.0
-    return 0.0
+        return None
+
+
+def _bose_mesner_closure(n: int, k: int) -> float:
+    """0 if A_i A_j stays in the span with non-negative integer coefficients."""
+    return float(_closure(n, k) is None)
 
 
 def _pq_identity(n: int, k: int) -> float:
@@ -201,13 +206,10 @@ def _eigenvalue_recurrence(n: int, k: int) -> float:
 
     The intersection numbers are counted from the adjacency matrices, so
     this is independent of the Hahn values behind P, each its 3F2 summed in
-    integers (Delsarte 1973).  1 if the basis has no intersection numbers
-    (verify_bose_mesner_closure raises SchemeClosureError).
+    integers (Delsarte 1973).  1 if the basis has no intersection numbers.
     """
-    P, classes = johnson.eigenmatrices(n, k).P, _classes(n, k)
-    try:
-        p = _intersection_numbers(n, k)
-    except johnson.SchemeClosureError:
+    P, classes, p = johnson.eigenmatrices(n, k).P, _classes(n, k), _closure(n, k)
+    if p is None:
         return 1.0
     return float(max(
         abs(P[j][1] * P[j][i] - sum(p[(1, i)][l] * P[j][l] for l in classes))
@@ -224,26 +226,31 @@ def _projector_algebra(n: int, k: int) -> float:
 
 
 def _projector_algebra_exact(n: int, k: int) -> float:
-    """Exact E_j: idempotency, completeness and tr E_j = m_j.
+    """Exact E_j: idempotency, completeness and tr E_j = m_j, on coefficients.
 
-    F_j = L E_j, with L the lcm of the denominators of the m+1
-    coefficients of every E_j, has integer entries: F_j F_j = L F_j,
-    sum_j F_j = L I and tr F_j = L m_j.  The float64 arithmetic on F_j
-    is exact while every partial sum, at most N max|F|^2 (and L max|F|
-    for L F_j), stays below 2^53; beyond that ValueError is raised.
+    F_j = L E_j = sum_i f_j(i) A_i, with L the lcm of the denominators of the
+    m+1 coefficients of every E_j, has integer coefficients f_j, and
+    A_i A_l = sum_r p_il^r A_r.  So F_j F_j = L F_j is
+    sum_{i,l} f_j(i) f_j(l) p_il^r = L f_j(r) for every r, sum_j F_j = L I
+    is sum_j f_j(r) = L [r = 0], and tr F_j = L m_j is N f_j(0) = L m_j,
+    since tr sum_i a_i A_i = N a_0 (A_0 = I, and A_i has a zero diagonal for
+    i > 0).  The numbers exist only where the closure check finds A_0..A_m
+    with disjoint non-empty supports, so these are linearly independent and
+    each coefficient identity is the matrix identity; the largest
+    coefficient miss is the largest entry miss of the N x N matrices, an
+    exact Python int.  1 if the basis has no intersection numbers.
     """
-    coeffs = [johnson._projector_coefficients(n, k, j) for j in _classes(n, k)]
+    classes, p = _classes(n, k), _closure(n, k)
+    if p is None:
+        return 1.0
+    coeffs = [johnson._projector_coefficients(n, k, j) for j in classes]
     L = math.lcm(*(x.denominator for row in coeffs for x in row))
     scaled = [[int(x * L) for x in row] for row in coeffs]
-    N = binomial(n, k)
-    top = max(abs(v) for row in scaled for v in row)
-    if max(N * top * top, L * top) >= 2**53:
-        raise ValueError(f"integer projectors exceed float64 exactness at n={n}, k={k}")
-    D = distance_matrix(n, k)
-    F = [np.array(row, dtype=np.float64).take(D) for row in scaled]
-    res = float(np.abs(sum(F) - L * np.eye(N)).max())
-    for Fj, m_j in zip(F, _multiplicities(n, min(k, n - k))):
-        res = max(res, float(np.abs(Fj @ Fj - L * Fj).max()), abs(int(np.trace(Fj)) - L * m_j))
+    res = max(abs(sum(col) - L * (r == 0)) for r, col in enumerate(zip(*scaled)))
+    for f, m_j in zip(scaled, _multiplicities(n, classes[-1])):
+        square = [sum(f[i] * f[l] * p[i, l][r] for i in classes for l in classes) for r in classes]
+        res = max(res, *(abs(s - L * x) for s, x in zip(square, f)),
+                  abs(binomial(n, k) * f[0] - L * m_j))
     return float(res)
 
 
@@ -260,12 +267,10 @@ def _adjacency_spectrum(n: int, k: int, i: int) -> float:
     2m + 2 moments vanish is zero (a Vandermonde system), so 0 means the two
     spectra agree with multiplicity (Brouwer, Cohen & Neumaier,
     Distance-Regular Graphs, 1989).  1 if the basis has no intersection
-    numbers (verify_bose_mesner_closure raises SchemeClosureError).
+    numbers.
     """
-    P, classes = johnson.eigenmatrices(n, k).P, _classes(n, k)
-    try:
-        p = _intersection_numbers(n, k)
-    except johnson.SchemeClosureError:
+    P, classes, p = johnson.eigenmatrices(n, k).P, _classes(n, k), _closure(n, k)
+    if p is None:
         return 1.0
     coeffs, mults, misses = [int(l == 0) for l in classes], _multiplicities(n, classes[-1]), 0
     for s in range(2 * len(classes)):

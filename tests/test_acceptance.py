@@ -250,6 +250,17 @@ def test_planted_binomial_fails_the_explicit_row(monkeypatch, cold):
                                 for line in lines[k]), k
 
 
+def _assert_fails(fails: dict) -> None:
+    """Each named row at GATE_MAX_N: FAIL exactly where fails[name][0] holds, PASS
+    elsewhere (no ERROR), with fails[name][1] = (cells that fail, cells)."""
+    for name, (fail, counts) in fails.items():
+        check = next(check for check in verify.CHECKS if check.name == name)
+        cells = list(zip(check.grid(GATE_MAX_N), check.run(GATE_MAX_N)))
+        assert [r.line().split()[0] for _, r in cells] == [
+            "FAIL" if fail(inst) else "PASS" for inst, _ in cells], name
+        assert (sum(fail(inst) for inst, _ in cells), len(cells)) == counts, name
+
+
 def test_planted_hahn_value_fails_the_scheme_rows(monkeypatch, cold):
     """Q_1(1) + 1/1000 through johnson's hahn_polynomial reaches P, Q and E_1 off the
     cached (n, k) table: exactly the cells marked below FAIL, none ERRORs (E_m is the
@@ -261,6 +272,7 @@ def test_planted_hahn_value_fails_the_scheme_rows(monkeypatch, cold):
         "eigenmatrix-PQ-identity": (lambda inst: True, (36, 36)),
         "johnson-eigenvalue": (lambda inst: True, (36, 36)),
         "projector-algebra": (lambda inst: True, (36, 36)),
+        "projector-algebra-exact": (lambda inst: True, (36, 36)),
         "spectral-reconstruction": (lambda inst: True, (36, 36)),
         "adjacency-spectrum": (lambda inst: inst["i"] == 1, (36, 106)),
         "unambiguous-certificates": (lambda inst: min(inst["k"], inst["n"] - inst["k"]) == 1,
@@ -269,13 +281,28 @@ def test_planted_hahn_value_fails_the_scheme_rows(monkeypatch, cold):
         "spectrum-equivalence": (lambda inst: False, (0, 364)),
         "reference-spectrum": (lambda inst: False, (0, 225)),
     }
-    for check in verify.CHECKS:
-        if check.name in fails:
-            fail, counts = fails[check.name]
-            cells = list(zip(check.grid(GATE_MAX_N), check.run(GATE_MAX_N)))
-            assert [r.line().split()[0] for _, r in cells] == [
-                "FAIL" if fail(inst) else "PASS" for inst, _ in cells], check.name
-            assert (sum(fail(inst) for inst, _ in cells), len(cells)) == counts, check.name
+    _assert_fails(fails)
+
+
+def test_planted_intersection_number_fails_the_rows_that_read_it(monkeypatch, cold):
+    """p_11^0 + 1 through verify's _intersection_numbers: eigenvalue-recurrence,
+    projector-algebra-exact and the i = 1 cells of adjacency-spectrum read the numbers,
+    so one wrong count fails them together, none ERRORs, and bose-mesner-closure,
+    which only asks whether they exist, passes."""
+    counted = verify._intersection_numbers
+
+    def planted(n, k):
+        p = counted(n, k)  # cached and shared: plant in a copy
+        return {**p, (1, 1): [p[1, 1][0] + 1, *p[1, 1][1:]]}
+
+    monkeypatch.setattr(verify, "_intersection_numbers", planted)
+    fails = {  # row -> whether a cell fails, and (cells that fail, cells)
+        "eigenvalue-recurrence": (lambda inst: True, (36, 36)),
+        "adjacency-spectrum": (lambda inst: inst["i"] == 1, (36, 106)),
+        "projector-algebra-exact": (lambda inst: True, (36, 36)),
+        "bose-mesner-closure": (lambda inst: False, (0, 36)),
+    }
+    _assert_fails(fails)
 
 
 def _verdicts(name: str) -> list[str]:

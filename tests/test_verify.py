@@ -136,9 +136,9 @@ def test_short_spectrum_fails_the_reference_row(monkeypatch):
     assert verify._reference_spectrum(6, 2, Fraction(1, 2)) == 1.0
 
 
-def test_exact_projector_row_refuses_past_float_exactness(monkeypatch):
-    # a planted denominator 2^53 in E_0 makes the lcm L at least 2^53, so the
-    # integer projectors L E_j would no longer be exact in float64
+def test_exact_projector_row_fails_a_2_53_denominator(monkeypatch):
+    # a planted denominator 2^53 in E_0 makes the lcm L at least 2^53, past float64's
+    # exact integers; the row sums the coefficients in Python ints, so it still sees the miss
     true_coefficients = johnson._projector_coefficients
 
     def planted(n, k, j):
@@ -147,6 +147,19 @@ def test_exact_projector_row_refuses_past_float_exactness(monkeypatch):
 
     assert verify._projector_algebra_exact(4, 2) == 0.0
     monkeypatch.setattr(johnson, "_projector_coefficients", planted)
-    with pytest.raises(ValueError,
-                       match="^integer projectors exceed float64 exactness at n=4, k=2$"):
-        verify._projector_algebra_exact(4, 2)
+    assert verify._projector_algebra_exact(4, 2) > 0
+
+
+def test_exact_projector_row_builds_no_n_by_n_object(monkeypatch, cold):
+    # with the intersection numbers and the (n, k) tables warm, the row reads
+    # m + 1 coefficients per projector: a distance matrix it asked for would raise
+    cells = [(inst["n"], inst["k"]) for inst in verify._scheme_grid(9)]
+    for n, k in cells:
+        verify._intersection_numbers(n, k)
+        johnson._scheme(n, k)
+
+    def refused(n, k):
+        raise AssertionError(f"distance matrix built at n={n}, k={k}")
+
+    monkeypatch.setattr(combin, "_distances", refused)
+    assert [verify._projector_algebra_exact(n, k) for n, k in cells] == [0.0] * len(cells)
