@@ -12,6 +12,7 @@ one place that refuses a pattern-indexed N x N object with N > GRAM_SIZE_CAP.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -31,9 +32,6 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
-# entries per cache, above the longest walk of any memo at the qubit cap: the 726 (n, k, c)
-# instances that verify --max-n 14's four SRM rows read in turn through verify._srm
-NK_CACHE_SIZE = 768
 # verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
 SCOPES = ("scheme", "gram", "detection", "universal")
 _CACHES = []  # every memo of the package, each _bounded_cache as it is made
@@ -110,13 +108,15 @@ def pattern_indicator(n: int, k: int) -> np.ndarray:
 
 
 def _nbytes(item) -> int:
-    """Bytes of the arrays, byte strings and Fractions (as their two ints; a plain int or
-    float counts 0) in item, the members of tuples, NamedTuples, lists and dicts included."""
+    """Bytes that item holds: an array's data (an object array's pointers), a Fraction
+    as itself and its two ints, a tuple, NamedTuple, list or dict as itself and its
+    members (dict keys included), anything else (int, float, bool, bytes) by sys.getsizeof."""
     if type(item) is Fraction:  # first: the tables hold many
-        return sys.getsizeof(item.numerator) + sys.getsizeof(item.denominator)
+        return sys.getsizeof(item) + sys.getsizeof(item.numerator) + sys.getsizeof(item.denominator)
     if isinstance(item, (tuple, list, dict)):
-        return sum(map(_nbytes, item.items() if isinstance(item, dict) else item))
-    return len(item) if isinstance(item, bytes) else getattr(item, "nbytes", 0)
+        members = [*item.keys(), *item.values()] if isinstance(item, dict) else item
+        return sys.getsizeof(item) + sum(map(_nbytes, members))
+    return item.nbytes if isinstance(item, np.ndarray) else sys.getsizeof(item)
 
 
 def _bounded_cache(build):
@@ -125,19 +125,18 @@ def _bounded_cache(build):
     The one memo of the package; each wrapper joins _CACHES.  Callers check
     the key; the builder trusts it, and a build that raises keeps nothing.
     A miss makes every array of the value read-only, tuple members included,
-    and adds the _nbytes of key and value to a running total; the entry is
-    kept if they fit the byte bound, GRAM_SIZE_CAP^2 (one uint8 D at the Gram
-    size cap), alone, then the least recently used go until at most
-    NK_CACHE_SIZE entries of at most that many bytes remain.  A value over
-    the bound is returned and used, not kept, and evicts nothing: the bound
-    is decided here alone, and no builder sizes its own value.  A hit moves
-    its entry to the most recently used end.  The wrapper's `cache` is a
-    read-only view of the dict (a MappingProxyType), so that no caller can
-    empty it behind the running total; its `cache_clear` empties both.  Threads may share a cache: a miss keeps its
-    books under a lock that a hit does not take, so at worst a value is
-    built twice.
+    and adds the _nbytes of key and value, every object they hold, to a
+    running total.  The one bound is GRAM_SIZE_CAP^2 bytes, the data of one
+    uint8 D at the Gram size cap: an entry that fits it alone is kept, then
+    the least recently used go while the total is over it.  A value over the bound is returned and used, not kept, and
+    evicts nothing: the bound is decided here alone, and no builder sizes its
+    own value.  A hit moves its entry to the most recently used end.  The
+    wrapper's `cache` is a read-only view of the entries (a MappingProxyType),
+    so that no caller can empty it behind the running total; its `cache_clear`
+    empties both.  Threads may share a cache: a miss keeps its books under a
+    lock that a hit does not take, so at worst a value is built twice.
     """
-    entries, sizes, lock = {}, {}, threading.Lock()
+    entries, sizes, lock = collections.OrderedDict(), {}, threading.Lock()
     held = 0  # bytes of the entries in sizes
 
     @functools.wraps(build)
@@ -150,16 +149,14 @@ def _bounded_cache(build):
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        bound = GRAM_SIZE_CAP**2
-        if (size := _nbytes((key, value))) <= bound:
+        if (size := _nbytes((key, value))) <= (bound := GRAM_SIZE_CAP**2):
             with lock:
                 held += size - sizes.get(key, 0)
                 entries[key], sizes[key] = value, size
-                for old in list(entries):  # least recently used first
-                    if len(entries) <= NK_CACHE_SIZE and held <= bound:
-                        break
-                    if entries.pop(old, None) is not None:  # else a hit holds it
-                        held -= sizes.pop(old, 0)
+                # least recently used first; an entry that a hit has popped is out of reach
+                while held > bound and entries:
+                    old, _ = entries.popitem(last=False)
+                    held -= sizes.pop(old, 0)
         return value
 
     def cache_clear():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
-from .gram import ProblemInstance, _gram_powers, _log_weights, direct_spectrum
+from .gram import ProblemInstance, _gram_powers, _log_weights
 
 __all__ = [
     "ProtocolResult",
@@ -205,27 +205,41 @@ def _power_bounds(a: int, q: int, m: int, P: int) -> tuple[int, int]:
         base_lo, base_hi = (base_lo * base_lo) >> P, -(-(base_hi * base_hi) >> P)
 
 
-@_bounded_cache
-def _dual_witness(n: int, k: int) -> tuple[bool, float, tuple[float, ...]]:
-    """(diag(Y) = 1 exactly, lambda_min(Y), dual weights) for the witness
-    Y = (N/m_m) E_m, m = min(k, n-k), from E_m's exact entry per subset distance.
+def _factors(values: np.ndarray, D: np.ndarray, shift: float) -> bool:
+    """Whether Cholesky factorises the matrix with entry values[d] at distance d, its
+    diagonal moved by shift: the PSD test of both certificates.  Distance 0 lies on
+    the diagonal of D only, so values[0] takes the shift, in place."""
+    values[0] += shift
+    try:
+        np.linalg.cholesky(values.take(D))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    D's diagonal is 0, so diag(Y) = 1 is the exact test N coeffs[0] = m_m.
-    The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, with
-    y_d = N coeffs[d] / m_m the witness entry there, formed exactly from
-    the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
+
+@_bounded_cache
+def _dual_witness(n: int, k: int) -> tuple[bool, tuple[float, ...]]:
+    """(whether the witness Y = (N/m_m) E_m is feasible, dual weights), m = min(k, n-k),
+    from E_m's exact entry per subset distance.
+
+    D's diagonal is 0, so diag(Y) = 1 is the exact test N coeffs[0] = m_m, and
+    Y >= -CERTIFICATE_TOL is _factors on the witness entries y_d = N coeffs[d] / m_m,
+    shifted by CERTIFICATE_TOL.
+    The dual weight of distance d is |{(a, b): D_ab = d}| y_d / N, formed exactly
+    from the class counts of D and rounded once; tr(G Y)/N = sum_d weight_d (c^2)^d.
     None of these depends on the overlap, so a _bounded_cache keeps them per
-    (n, k): two scalars and m+1 weights, not Y.
+    (n, k): the verdict and m+1 weights, not Y.
     """
-    from .johnson import _projector_coefficients, scheme_projector
+    from .johnson import _projector_coefficients
 
     m = min(k, n - k)
     coeffs = _projector_coefficients(n, k, m)
     N, m_m = binomial(n, k), _multiplicities(n, m)[m]
-    counts = np.bincount(distance_matrix(n, k).ravel(), minlength=m + 1).tolist()
+    D = distance_matrix(n, k)
+    counts = np.bincount(D.ravel(), minlength=m + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
-    Y = scheme_projector(n, k, m) * (N / m_m)
-    return coeffs[0] * N == m_m, float(direct_spectrum(Y)[-1]), weights
+    y = np.array([float(N * coeff / m_m) for coeff in coeffs])
+    return coeffs[0] * N == m_m and _factors(y, D, CERTIFICATE_TOL), weights
 
 
 def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateReport:
@@ -237,19 +251,19 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
     Dual: the witness Y = (N/m_m) E_m built from the minimal-eigenspace
     projector has unit diagonal (checked exactly on the projector's
     rational coefficients), is PSD, and gives tr(G Y)/N = lambda_min.
-    Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL (scaled by
-    max |G| for the primal, which is exactly 1: every entry is a power
-    (c^2)^d <= 1, and the diagonal is (c^2)^0 = 1), so the primal test is
-    whether Cholesky factorises G - (lambda_min - CERTIFICATE_TOL) I.  Its
-    rounding error, like that of an eigenvalue test, is about
+    Both PSD tests allow eigenvalues down to -CERTIFICATE_TOL, unscaled:
+    every entry of G is a power (c^2)^d <= 1 and every entry of Y is at most
+    1 in magnitude, with 1 on both diagonals.  Each is one Cholesky, _factors,
+    so the primal test is whether G - (lambda_min - CERTIFICATE_TOL) I
+    factorises.  Its rounding error, like that of an eigenvalue test, is about
     eps * ||G||_2 <= eps * N (a row sum bounds ||G||_2), far below that
     margin; the worst-case bound is N times larger.  Where G is the
     identity (c^2 = 0), all ones (c^2 = 1) or 1 x 1 (m = 0), lambda_min is
     attained exactly and both certificates are analytic; the branch reads
     the exact c^2.  For an exact overlap G is a float matrix too: its k+1
-    exact powers rounded once.  Y does not depend on c: its diagonal test,
-    its minimum eigenvalue and the k+1 weights that give tr(G Y)/N from
-    the powers (c^2)^d run once per (n, k), in _dual_witness.
+    exact powers rounded once.  Y does not depend on c: its verdict and the
+    k+1 weights that give tr(G Y)/N from the powers (c^2)^d run once per
+    (n, k), in _dual_witness.
     """
     n, k, m = instance.n, instance.k, instance.m
     lam_min = unambiguous_success(instance).value
@@ -258,19 +272,7 @@ def verify_unambiguous_certificates(instance: ProblemInstance) -> CertificateRep
 
     D = distance_matrix(n, k)  # refuses N > GRAM_SIZE_CAP before any power is formed
     powers = _gram_powers(instance).astype(float)  # a copy: each exact power rounded once
-
-    diag_ok, y_min, weights = _dual_witness(n, k)
+    dual_feasible, weights = _dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
-    dual_feasible = bool(diag_ok and y_min >= -CERTIFICATE_TOL)
-
-    # distance 0 occurs on the diagonal of D only, so lowering (c^2)^0 gathers
-    # G - (lambda_min - CERTIFICATE_TOL) I directly
-    powers[0] -= lam_min - CERTIFICATE_TOL
-    try:
-        np.linalg.cholesky(powers.take(D))
-        primal_feasible = True
-    except np.linalg.LinAlgError:
-        primal_feasible = False
-
-    return CertificateReport(primal_feasible, dual_feasible, lam_min, dual_value,
-                             abs(lam_min - dual_value))
+    return CertificateReport(_factors(powers, D, CERTIFICATE_TOL - lam_min), dual_feasible,
+                             lam_min, dual_value, abs(lam_min - dual_value))

@@ -1,7 +1,8 @@
 """Test-suite settings (hypothesis runs derandomized) and fixtures.  Every test module
 starts on cold caches (`cold_module`); `cold` empties every cache before and after one test,
 as a plant that reaches a cached builder must.  A test clears one cache by hand only to assert
-its bound, order or contents, and `small_caches` makes the entry bound 12 for such a test.
+its bound, order or contents, and `small_caches` makes the one bound of every cache, in the
+bytes that `combin._nbytes` counts, 4096 for such a test.
 `fresh` runs code in a new interpreter."""
 
 import os
@@ -33,9 +34,10 @@ def cold():
 
 @pytest.fixture
 def small_caches(monkeypatch):
-    """A 12-entry bound for every cache, returned: a test of the bound builds few entries."""
-    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 12)
-    return 12
+    """A 4096-byte bound for every cache, returned: a test of the bound builds few entries.
+    It is GRAM_SIZE_CAP^2, so distance_matrix refuses N > 64 meanwhile."""
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 64)
+    return 64**2
 
 
 @pytest.fixture

@@ -111,32 +111,34 @@ def refused_at_n_zero(n: int):
 
 def test_bounded_cache_on_a_toy_builder(monkeypatch):
     monkeypatch.setattr(combin, "_CACHES", [])  # the toy joins a registry of its own
-    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 3)
-    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 29)  # an 841-byte bound
     builds = []
 
     @combin._bounded_cache
-    def toy(tag, size):  # an entry of len(tag) + size bytes
+    def toy(tag, size):  # an entry of 257 + len(tag) + size bytes (size > 0)
         builds.append(tag)
         return np.zeros(size, np.uint8), size
 
     a = toy(b"a", 9)
     assert not a[0].flags.writeable and builds == [b"a"]
+    # the (key, value) pair, key and value tuples, the bytes object, two ints and the data
+    assert combin._nbytes(((b"a", 9), a)) == 3 * sys.getsizeof((1, 2)) + sys.getsizeof(b"a") \
+        + 2 * sys.getsizeof(9) + 9 == 267
     for tag in (b"b", b"c"):
         toy(tag, 9)
     # a hit builds nothing and moves its entry to the most recently used end
     assert toy(b"a", 9) is a and builds == [b"a", b"b", b"c"]
     assert list(toy.cache) == [(b"b", 9), (b"c", 9), (b"a", 9)]
-    toy(b"d", 9)  # the entry bound: the least recently used goes
+    toy(b"d", 9)  # 4 x 267 bytes: the least recently used goes
     assert list(toy.cache) == [(b"c", 9), (b"a", 9), (b"d", 9)]
     toy(b"c", 9)
-    # the byte bound, key bytes counted: 30 + 75 + 10 bytes, so (a, 9) goes
-    # for the entry bound and (d, 9) for the byte bound
+    # key bytes counted: 3 x 267 + 342 bytes, so the least recently used go
+    # until the total fits, (a, 9) and then (d, 9)
     toy(b"e" * 75, 10)
     assert list(toy.cache) == [(b"c", 9), (b"e" * 75, 10)]
-    # an entry over the bound on its own, by its key or by its value, is
-    # returned read-only, not kept, and evicts nothing
-    for key in [(b"g" * 101, 0), (b"h", 100)]:
+    # an entry over the bound on its own, 858 bytes by its key or by its
+    # value, is returned read-only, not kept, and evicts nothing
+    for key in [(b"g" * 600, 1), (b"h", 600)]:
         value = toy(*key)
         assert not value[0].flags.writeable and builds[-1] == key[0]
         assert list(toy.cache) == [(b"c", 9), (b"e" * 75, 10)]
@@ -190,11 +192,11 @@ def test_bounded_cache_counts_each_entry_once(monkeypatch):
 
 
 def test_bounded_cache_keeps_what_a_reference_lru_keeps(monkeypatch):
-    # random traffic over entries of 0 to 475 bytes (int keys count 0): the
-    # running byte total keeps what an LRU that re-sums its bytes keeps
+    # random traffic over arrays of 0 to 475 bytes, each entry counted by _nbytes
+    # with its int key: the running byte total keeps what an LRU that re-sums
+    # its bytes keeps
     monkeypatch.setattr(combin, "_CACHES", [])
-    monkeypatch.setattr(combin, "NK_CACHE_SIZE", 6)
-    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 40)  # a 1600-byte bound
 
     @combin._bounded_cache
     def toy(size):
@@ -206,22 +208,22 @@ def test_bounded_cache_keeps_what_a_reference_lru_keeps(monkeypatch):
         toy(size)
         if size in model:
             model[size] = model.pop(size)
-        elif size <= 400:
-            model[size] = size
-            while len(model) > 6 or sum(model.values()) > 400:
+        else:
+            model[size] = combin._nbytes(((size,), np.zeros(size, np.uint8)))
+            while sum(model.values()) > 1600:
                 del model[next(iter(model))]
         assert [key for key, in toy.cache] == list(model)
-    # cache_clear empties the byte total too: a 300-byte entry fits again
+    # cache_clear empties the byte total too: a 1532-byte entry fits again
     toy.cache_clear()
-    toy(300)
-    assert list(toy.cache) == [(300,)]
+    toy(1400)
+    assert list(toy.cache) == [(1400,)]
 
 
 def test_bounded_cache_counts_a_key_built_twice_once(monkeypatch):
     # the first build of (40,) asks for (40,) again, as a second thread would:
-    # the key is stored twice, and its 40 bytes are held once
+    # the key is stored twice, and its 172 bytes are held once (50,) adds 182
     monkeypatch.setattr(combin, "_CACHES", [])
-    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 20)  # a 400-byte bound
     again = [True]
 
     @combin._bounded_cache
@@ -237,16 +239,51 @@ def test_bounded_cache_counts_a_key_built_twice_once(monkeypatch):
 
 
 def test_nbytes_counts_fractions_and_walks_containers():
-    # a Fraction counts as its two ints; a plain int, float or bool counts 0;
-    # tuples, NamedTuples, lists and dicts are walked, dict keys included
-    half = Fraction(1, 2)
-    assert combin._nbytes(half) == sys.getsizeof(1) + sys.getsizeof(2)
-    assert combin._nbytes(Fraction(2**100, 3)) == sys.getsizeof(2**100) + sys.getsizeof(3)
-    assert combin._nbytes((1, 2.0, True, [3], {4: 5.0})) == 0
-    nested = [half, {b"ab": (np.zeros(5, np.uint8), half)}]
-    assert combin._nbytes(nested) == 2 * combin._nbytes(half) + 2 + 5
+    # an array counts its data; a Fraction itself and its two ints; a tuple,
+    # NamedTuple, list or dict itself and its members, dict keys included;
+    # anything else, an int, float, bool or bytes, its sys.getsizeof
+    size, half = sys.getsizeof, Fraction(1, 2)
+    assert combin._nbytes(half) == size(half) + size(1) + size(2)
+    assert combin._nbytes(Fraction(2**100, 3)) == size(half) + size(2**100) + size(3)
+    for scalar in (1, 2.0, True, 2**100, b"ab"):
+        assert combin._nbytes(scalar) == size(scalar) > 0
+    items = [1, 2.0, True, [3], {4: 5.0}]
+    assert combin._nbytes(tuple(items)) == size(tuple(items)) + sum(map(size, items)) \
+        + size(3) + size(4) + size(5.0)
+    inner = (np.zeros(5, np.uint8), half)
+    nested = [half, {b"ab": inner}]
+    assert combin._nbytes(inner) == size(inner) + 5 + combin._nbytes(half)
+    assert combin._nbytes(nested) == size(nested) + combin._nbytes(half) + size(nested[1]) \
+        + size(b"ab") + combin._nbytes(inner)
     em = johnson.eigenmatrices(5, 2)
-    assert combin._nbytes(em) == sum(map(combin._nbytes, [*em.P, *em.Q])) > 0
+    assert combin._nbytes(em) == size(em) + size(5) + size(2) + combin._nbytes(em.P) \
+        + combin._nbytes(em.Q)
+    assert combin._nbytes(em.P) == size(em.P) + sum(map(combin._nbytes, em.P)) > 0
+
+
+def test_entries_of_python_scalars_are_bounded_by_bytes(monkeypatch, cold):
+    # ints and floats count their bytes, so plain tuples fill the bound like
+    # arrays do, and no entry count bounds a cache: 2000 small entries stay
+    monkeypatch.setattr(combin, "_CACHES", [])
+
+    @combin._bounded_cache
+    def toy(i):  # (i,) -> (i, float(i)): 240 bytes with the key and the pair, i > 0
+        return i, float(i)
+
+    for i in range(1, 2001):
+        toy(i)
+    assert combin._nbytes(((1,), toy(1))) == 240 and len(toy.cache) == 2000
+    # the package's entries of plain scalars weigh what they hold
+    feasible, weights = entry = protocols._dual_witness(8, 3)
+    assert combin._nbytes(entry) == sys.getsizeof(entry) + sys.getsizeof(feasible) \
+        + sys.getsizeof(weights) + 4 * sys.getsizeof(1.0)
+    numbers = verify._intersection_numbers(8, 3)
+    assert combin._nbytes(numbers) > sys.getsizeof(numbers) > 0
+    monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 40)  # a 1600-byte bound: 6 entries fit
+    toy.cache_clear()
+    for i in range(1, 101):
+        toy(i)
+    assert list(toy.cache) == [(i,) for i in range(95, 101)]
 
 
 def test_cached_records_are_read_only_and_counted(cold):
@@ -254,7 +291,8 @@ def test_cached_records_are_read_only_and_counted(cold):
     result = verify._srm(4, 2, 0.5)
     assert verify._srm(4, 2, 0.5) is result and isinstance(result, tuple)
     assert not result.diagonal.flags.writeable and not result.eigenvalues.flags.writeable
-    assert combin._nbytes(result) == result.diagonal.nbytes + result.eigenvalues.nbytes == 96
+    assert combin._nbytes(result) == sys.getsizeof(result) + sys.getsizeof(result.success) \
+        + result.diagonal.nbytes + result.eigenvalues.nbytes == 184
     johnson.eigenmatrices(4, 2)
     (key, table), = johnson._scheme.cache.items()
     assert key == (4, 2) and combin._nbytes(table) > combin._nbytes(table[0]) > 0
@@ -310,42 +348,52 @@ class TestDistanceMatrix:
         assert distance_matrix(6, 3)[0, 0] == 0
 
     def test_least_recently_used_evicted_past_the_bound(self, cold, small_caches):
+        # the first `size` cells fit the bound; then the least recently used go,
+        # the first cell, used again, not among them, until the total fits
         cache = combin._distances.cache
-        size = small_caches
-        cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + 1]
-        assert len(cells) == size + 1
+        cells = [(n, k) for n in range(1, 12) for k in range(min(n, 2) + 1)]
+        nbytes = {nk: combin._nbytes((nk, combin._distances.__wrapped__(*nk))) for nk in cells}
+        size = max(i for i in range(len(cells)) if sum(map(nbytes.get, cells[:i])) <= small_caches)
         built = [distance_matrix(*nk) for nk in cells[:size]]
+        assert list(cache) == cells[:size]
         assert distance_matrix(*cells[0]) is built[0]  # now the most recently used
         distance_matrix(*cells[size])
-        assert len(cache) == size and cells[1] not in cache
+        kept = [*cells[1:size], cells[0], cells[size]]
+        while sum(map(nbytes.get, kept)) > small_caches:
+            kept.pop(0)
+        assert list(cache) == kept and cells[1] not in cache
         assert distance_matrix(*cells[0]) is built[0]
         rebuilt = distance_matrix(*cells[1])
         assert rebuilt is not built[1] and np.array_equal(rebuilt, built[1])
         assert cells[2] not in cache  # the next least recently used
 
     def test_least_recently_used_evicted_past_byte_bound(self, cold, monkeypatch):
-        # C(6, 3)^2 = 400 bytes, C(5, 2)^2 = 100 bytes, C(4, 2)^2 = 36 bytes
+        # D's C(n, k)^2 bytes and 168 for its key and tuples: 568 bytes for
+        # (6, 3), 268 for (5, 2), 204 for (4, 2)
         cache = combin._distances.cache
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 23)  # a 529-byte bound
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
         large, small = distance_matrix(6, 3), distance_matrix(4, 2)
-        assert list(cache) == [(6, 3), (4, 2)]
-        assert distance_matrix(6, 3) is large  # 436 bytes; (4, 2) is now the least recently used
-        distance_matrix(5, 2)  # 536 bytes: (4, 2) goes
+        assert [combin._nbytes(entry) for entry in cache.items()] == [568, 204]
+        assert distance_matrix(6, 3) is large  # 772 bytes; (4, 2) is now the least recently used
+        distance_matrix(5, 2)  # 1040 bytes: (4, 2) goes
         assert list(cache) == [(6, 3), (5, 2)]
-        assert distance_matrix(4, 2) is not small  # 536 bytes again: (6, 3) goes
+        assert distance_matrix(4, 2) is not small  # 1040 bytes again: (6, 3) goes
         assert list(cache) == [(5, 2), (4, 2)]
 
     def test_newest_entry_always_kept(self, cold, monkeypatch):
         # a 90 000-byte bound; D holds m = min(k, n - k) = 1 in uint8, so a D
-        # at the Gram size cap fills the bound alone and two do not fit
+        # one pattern below the Gram size cap, 89 401 bytes and 168 for its key
+        # and tuples, fills the bound alone and two do not fit; a D at the cap,
+        # 90 168 bytes with its key, is built and used, not kept
         cache = combin._distances.cache
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 300)
-        D = distance_matrix(300, 299)
-        assert D.dtype == np.uint8 and D.nbytes == 90_000
-        assert list(cache) == [(300, 299)]
-        assert distance_matrix(300, 299) is D
-        E = distance_matrix(299, 298)
-        assert list(cache) == [(299, 298)] and distance_matrix(299, 298) is E
+        D = distance_matrix(299, 298)
+        assert D.dtype == np.uint8 and D.nbytes == 89_401
+        assert list(cache) == [(299, 298)]
+        assert distance_matrix(299, 298) is D
+        E = distance_matrix(298, 297)
+        assert list(cache) == [(298, 297)] and distance_matrix(298, 297) is E
+        assert distance_matrix(300, 299).nbytes == 90_000 and list(cache) == [(298, 297)]
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -384,13 +432,13 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=message):
             build()
 
-    def test_threads_sharing_the_cache(self, cold, small_caches, monkeypatch):
-        # 5/4 as many cells as the cache holds, from 4 threads: constant eviction,
-        # by the entry bound and by a 144-byte bound that their 207 bytes exceed
-        size = small_caches
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 12)
-        cells = [(n, k) for n in range(1, 60) for k in range(min(n, 2) + 1)][:size + size // 4]
-        assert len(cells) == size + size // 4
+    def test_threads_sharing_the_cache(self, cold, small_caches):
+        # cells of 5/4 as many bytes as the cache holds, from 4 threads: constant eviction
+        cells = [(n, k) for n in range(1, 12) for k in range(min(n, 2) + 1)]
+        nbytes = [combin._nbytes((nk, combin._distances.__wrapped__(*nk))) for nk in cells]
+        cells = cells[:max(i for i in range(len(cells))
+                           if sum(nbytes[:i]) <= small_caches * 5 // 4)]
+        assert sum(nbytes[:len(cells)]) > small_caches
         reference = {nk: distance_matrix(*nk).copy() for nk in cells}
         errors = []
 
@@ -416,6 +464,5 @@ class TestDistanceMatrix:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         cache = combin._distances.cache
-        assert errors == [] and len(cache) <= size
-        assert sum(map(combin._nbytes, cache.items())) <= 144
+        assert errors == [] and 0 < sum(map(combin._nbytes, cache.items())) <= small_caches
 

@@ -270,14 +270,19 @@ class TestExactProjectorCache:
         assert list(cache) == [(6, 2, 0), (5, 3, 2)]
 
     def test_least_recently_used_evicted_past_the_bound(self, cold, small_caches):
+        # after each key the cache holds the most recent keys whose bytes fit
         cache = johnson._exact_projector.cache
-        keys = _scheme_keys(12)[:small_caches + 5]
-        assert len(keys) == small_caches + 5
+        keys = _scheme_keys(6)  # entries of 212 to 3404 bytes
+        nbytes = {key: combin._nbytes((key, johnson._exact_projector.__wrapped__(*key)))
+                  for key in keys}
         first = scheme_projector_exact(*keys[0])
-        for key in keys[1:]:
+        for i, key in enumerate(keys[1:], 2):
             scheme_projector_exact(*key)
-            assert len(cache) <= small_caches
-        assert list(cache) == keys[5:]
+            kept = keys[:i]
+            while sum(map(nbytes.get, kept)) > small_caches:
+                kept.pop(0)
+            assert list(cache) == kept, key
+        assert keys[0] not in cache
         rebuilt = scheme_projector_exact(*keys[0])
         assert rebuilt is not first and np.array_equal(rebuilt, first)
 

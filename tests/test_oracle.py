@@ -145,33 +145,25 @@ class TestHypothesisStates:
                 table[0, 0] = 0
         assert first.flags.writeable  # each call returns a fresh stack
 
-    def test_sector_layout_cache_keeps_its_bounds(self, cold, monkeypatch, small_caches):
-        # the entry bound and LRU order: one (n, 1) layout per n
+    def test_sector_layout_cache_keeps_its_bounds(self, cold, small_caches):
+        # the (n, 1) layout holds an n x 2 uint8 index (up to n = 15), a 1 x 2
+        # int64 bit table and M: 276 + 2 n bytes with its key and tuples
         cache = oracle._sector_layout.cache
-        for n in range(1, small_caches + 1):
+        for n in range(1, 15):  # 4074 bytes fit the 4096-byte bound
             oracle._sector_layout(n, 1)
-        assert list(cache) == [(n, 1) for n in range(1, small_caches + 1)]
+        assert list(cache) == [(n, 1) for n in range(1, 15)]
+        assert [combin._nbytes(entry) for entry in cache.items()] == [
+            276 + 2 * n for n in range(1, 15)]
         oracle._sector_layout(1, 1)  # now the most recently used
-        oracle._sector_layout(small_caches + 1, 1)
-        assert len(cache) == small_caches
-        assert (1, 1) in cache and (2, 1) not in cache
-        # the byte bound: the (n, 1) layout holds an n x 2 uint8 index (up to
-        # n = 15) and a 1 x 2 int64 bit table, 2 n + 16 bytes
-        oracle._sector_layout.cache_clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 10)  # a 100-byte bound
-        assert combin._nbytes(oracle._sector_layout(3, 1)) == 22
-        for n in (4, 5, 6, 3):  # 24 + 26 + 28 + 22 bytes fit; (3, 1) is used again
-            oracle._sector_layout(n, 1)
-        assert [key[0] for key in cache] == [4, 5, 6, 3]
-        oracle._sector_layout(8, 1)  # 32 more bytes: (4, 1) and (5, 1) go
-        assert [key[0] for key in cache] == [6, 3, 8]
-        # a uint16 index, 136 bytes on its own: returned read-only, not kept,
+        oracle._sector_layout(15, 1)  # 306 more bytes: (2, 1) and (3, 1) go
+        assert [key[0] for key in cache] == [*range(4, 15), 1, 15]
+        # a uint32 index, 12 636 bytes on its own: returned read-only, not kept,
         # and nothing evicted
-        index, _, bits = layout = oracle._sector_layout(30, 1)
-        assert index.dtype == np.uint16 and combin._nbytes(layout) == 136
+        index, _, bits = layout = oracle._sector_layout(40, 2)
+        assert index.dtype == np.uint32 and combin._nbytes(layout) == 12636
         assert not index.flags.writeable and not bits.flags.writeable
-        assert [key[0] for key in cache] == [6, 3, 8]
-        assert oracle._sector_layout(30, 1)[0] is not index
+        assert [key[0] for key in cache] == [*range(4, 15), 1, 15]
+        assert oracle._sector_layout(40, 2)[0] is not index
 
 
 def _generic_stack(seed, N, M):
@@ -624,58 +616,49 @@ class TestSrmOracle:
         assert len(oracle._support_basis.cache) == 1
 
     def test_basis_cache_keeps_its_bounds(self, cold, monkeypatch, small_caches):
-        # the entry bound and LRU order: one 1 x m pattern per stack
+        # an entry of N states in G groups and C classes, under the N x M
+        # pattern packed in ceil(N M / 8) bytes (its key), holds the 8 N
+        # G-byte W, 8 (C + 1) bytes per group (theta and its size), 16 bytes
+        # per nonzero (its position and class) and 24 bytes per class (its
+        # first, s_c and o_c), and 361 bytes of tuples, ints and the bytes
+        # object; k = 1 gives N = n, M = n + 1, 2 n nonzeros, two classes and
+        # two groups: 48 n + 457 + ceil(n (n + 1) / 8)
         cache = oracle._support_basis.cache
-        stacks = [np.full((1, m), 1 / math.sqrt(m)) for m in range(1, small_caches + 2)]
-        for V in stacks[:-1]:
-            srm_success_oracle(V)
-        keys = list(cache)
-        assert len(keys) == small_caches
-        srm_success_oracle(stacks[0])  # now the most recently used
-        srm_success_oracle(stacks[-1])
-        assert len(cache) == small_caches
-        assert keys[0] in cache and keys[1] not in cache
-        # the byte bound: an entry of N states in G groups and C classes, under
-        # the N x M pattern packed in ceil(N M / 8) bytes (its key), holds the
-        # 8 N G-byte W, 8 (C + 1) bytes per group (theta and its size), 16
-        # bytes per nonzero (its position and class) and 24 bytes per class
-        # (its first, s_c and o_c); k = 1 gives N = n, M = n + 1, 2 n
-        # nonzeros, two classes and two groups: 48 n + 96 + ceil(n (n + 1) / 8)
-        oracle._support_basis.cache_clear()
-        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)  # a 900-byte bound
         states = {(n, k): all_hypothesis_states(ProblemInstance(n, k, 0.5))
-                  for n, k in ((3, 1), (4, 1), (5, 1), (6, 1), (6, 2), (5, 2))}
-        for n in (3, 4, 5, 3):  # 242 + 291 + 340 bytes fit; (3, 1) is used again
+                  for n, k in ((3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (5, 2))}
+        for n in (3, 4, 5, 6, 7, 3):  # 3507 bytes fit the 4096-byte bound; (3, 1) is used again
             srm_success_oracle(states[n, 1])
-        assert [key[0][0] for key in cache] == [4, 5, 3]
-        assert [combin._nbytes(entry) for entry in cache.items()] == [291, 340, 242]
-        srm_success_oracle(states[6, 1])  # 390 more bytes: (4, 1) and (5, 1) go
-        assert [key[0][0] for key in cache] == [3, 6]
+        assert [key[0][0] for key in cache] == [4, 5, 6, 7, 3]
+        assert [combin._nbytes(entry) for entry in cache.items()] == [652, 701, 751, 800, 603]
+        srm_success_oracle(states[8, 1])  # 850 more bytes: (4, 1) goes
+        assert [key[0][0] for key in cache] == [5, 6, 7, 3, 8]
         # (6, 2): N = 15, M = 22, 60 nonzeros, three classes and three groups,
-        # 1530 bytes; (5, 2): N = 10, M = 16, 40 nonzeros, three classes and
-        # three groups, 1068 bytes.  Each entry is over the bound on its own:
-        # built and used, not kept, so the next call factors its pattern again
+        # 1891 bytes; (5, 2): N = 10, M = 16, 40 nonzeros, three classes and
+        # three groups, 1429 bytes.  Each entry is over a 900-byte bound on
+        # its own: built and used, not kept, so the next call factors its
+        # pattern again
+        monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 30)
         eigh, factored = np.linalg.eigh, []
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda M: factored.append(M) or eigh(M))
         big = ((6, 2), (5, 2))
         results = {nk: [srm_success_oracle(states[nk]) for _ in range(2)] for nk in big}
         assert len(factored) == 4
-        assert [key[0][0] for key in cache] == [3, 6]
+        assert [key[0][0] for key in cache] == [5, 6, 7, 3, 8]
         # under a bound that keeps them: each factored once, kept, and the same bits
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", GRAM_SIZE_CAP)
         for nk in big:
             results[nk] += [srm_success_oracle(states[nk]) for _ in range(2)]
         assert len(factored) == 6
-        assert [key[0][0] for key in cache] == [3, 6, 15, 10]
-        assert [combin._nbytes(entry) for entry in cache.items()][-2:] == [1530, 1068]
+        assert [key[0][0] for key in cache] == [5, 6, 7, 3, 8, 15, 10]
+        assert [combin._nbytes(entry) for entry in cache.items()][-2:] == [1891, 1429]
         for first, *rest in results.values():
             for result in rest:
                 _assert_same_bits(result, first.success, first.diagonal, first.eigenvalues)
 
     def test_a_wide_pattern_counts_against_the_bound(self, cold, monkeypatch):
-        # 256 basis states: a 6184-byte entry (one group, one class, 256
-        # nonzeros) fits the bound alone, but not with its 8192-byte pattern,
-        # so the entry is built and used, not kept
+        # 256 basis states: a 6288-byte entry (one group, one class, 256
+        # nonzeros) fits the bound alone, but not with its 8393-byte key, the
+        # 8192-byte pattern and its shape, so the entry is built and used, not kept
         monkeypatch.setattr(combin, "GRAM_SIZE_CAP", 100)  # a 10000-byte bound
         V = np.eye(256)
         expected = _class_steps(V)
@@ -685,7 +668,7 @@ class TestSrmOracle:
         assert len(factored) == 1 and not oracle._support_basis.cache
         key = (V.shape, np.packbits(V != 0).tobytes())
         entry = oracle._support_basis(*key)
-        assert combin._nbytes(entry) == 6184 and combin._nbytes(key) == 8192
+        assert combin._nbytes(entry) == 6288 and combin._nbytes(key) == 8393
         assert len(factored) == 2 and not oracle._support_basis.cache
 
     def test_same_shape_other_pattern_gets_its_own_basis(self, cold):

@@ -269,11 +269,10 @@ def _flat_diagonal_report(inst):
         primal = True
     except np.linalg.LinAlgError:
         primal = False
-    diag_ok, y_min, weights = protocols._dual_witness(n, k)
+    dual_feasible, weights = protocols._dual_witness(n, k)
     dual_value = math.fsum(w * p for w, p in zip(weights, powers.tolist()))
-    return protocols.CertificateReport(
-        primal, bool(diag_ok and y_min >= -protocols.CERTIFICATE_TOL),
-        lam_min, dual_value, abs(lam_min - dual_value))
+    return protocols.CertificateReport(primal, dual_feasible, lam_min, dual_value,
+                                       abs(lam_min - dual_value))
 
 
 class TestCertificates:
@@ -370,17 +369,42 @@ class TestCertificates:
             verdicts.append(report.primal_feasible)
         assert verdicts == [False, False, True, True, True, True]
 
+    def test_cholesky_verdict_equals_eigenvalue_verdict_for_the_witness(self, monkeypatch, cold):
+        # Y + delta (J - I), planted as y_d + delta at every distance d >= 1, keeps
+        # the unit diagonal and has lambda_min = -delta for delta > 0 and
+        # (N - 1) delta for delta < 0; the eigenvalue test is the reference
+        n, k, m = 7, 3, 3
+        inst = ProblemInstance(n, k, 0.5)
+        N, m_m, D = inst.N, _multiplicities(n, m)[m], distance_matrix(n, k)
+        true_coefficients, tol = johnson._projector_coefficients, protocols.CERTIFICATE_TOL
+        verdicts = []
+        for shift in (-0.1, -0.01, 0, 0.5, 2, 10):
+            delta = Fraction(shift * tol)
+
+            def planted(n, k, j, delta=delta):
+                head, *tail = true_coefficients(n, k, j)
+                return head, *(coeff + delta * m_m / N for coeff in tail)
+
+            Y = np.array([float(N * coeff / m_m) for coeff in planted(n, k, m)]).take(D)
+            by_eigenvalue = bool(direct_spectrum(Y)[-1] >= -tol)
+            monkeypatch.setattr(johnson, "_projector_coefficients", planted)
+            combin._clear_caches()  # the witness is kept per (n, k)
+            report = verify_unambiguous_certificates(inst)
+            assert report.dual_feasible == by_eigenvalue and report.primal_feasible, shift
+            verdicts.append(report.dual_feasible)
+        assert verdicts == [False, True, True, True, False, False]
+
     def test_dual_witness_checked_once_per_nk(self, monkeypatch, cold):
-        # one build, counted by its one projector; the second overlap is served
-        # by the (n, k) entry
+        # one build, counted by its one read of the projector coefficients; the
+        # second overlap is served by the (n, k) entry
         builds = []
-        true_projector = johnson.scheme_projector
+        true_coefficients = johnson._projector_coefficients
 
         def counted(n, k, j):
             builds.append((n, k, j))
-            return true_projector(n, k, j)
+            return true_coefficients(n, k, j)
 
-        monkeypatch.setattr(johnson, "scheme_projector", counted)
+        monkeypatch.setattr(johnson, "_projector_coefficients", counted)
         first = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.3))
         second = verify_unambiguous_certificates(ProblemInstance(9, 3, 0.6))
         assert builds == [(9, 3, 3)]  # one miss; the second overlap was a hit
@@ -407,22 +431,25 @@ class TestCertificates:
         assert hashes == []
 
     def test_dual_witness_cache_is_bounded(self, cold, small_caches):
-        size, cache = small_caches, protocols._dual_witness.cache
+        # every (n, 1) entry counts the same bytes, so `size` of them fit the bound
+        cache, last = protocols._dual_witness.cache, 30
         witnesses = {}
-        for n in range(2, size + 12):
+        for n in range(2, last + 1):
             witnesses[n] = protocols._dual_witness(n, 1)
-            diag_ok, y_min, weights = witnesses[n]
-            assert diag_ok and abs(y_min) <= 1e-10 and len(weights) == 2, n
-        assert list(cache) == [(n, 1) for n in range(12, size + 12)]
+            feasible, weights = witnesses[n]
+            assert feasible and len(weights) == 2, n
+        nbytes = {combin._nbytes(entry) for entry in cache.items()}
+        size = small_caches // nbytes.pop()
+        assert not nbytes and 1 < size < last - 1
+        assert list(cache) == [(n, 1) for n in range(last + 1 - size, last + 1)]
         # the most recently used is held; the least recently used was evicted
-        assert protocols._dual_witness(size + 11, 1) is witnesses[size + 11]
+        assert protocols._dual_witness(last, 1) is witnesses[last]
         assert protocols._dual_witness(2, 1) is not witnesses[2]
-        assert list(cache) == [(n, 1) for n in range(13, size + 12)] + [(2, 1)]
+        assert list(cache) == [(n, 1) for n in range(last + 2 - size, last + 1)] + [(2, 1)]
 
     def test_dual_witness_cache_entry_holds_scalars(self):
-        diag_ok, y_min, weights = protocols._dual_witness(8, 3)
-        assert type(diag_ok) is bool and type(y_min) is float
-        assert diag_ok and abs(y_min) <= 1e-10
+        feasible, weights = protocols._dual_witness(8, 3)
+        assert feasible is True
         assert type(weights) is tuple and len(weights) == 4
         assert all(type(w) is float for w in weights)
         # tr(G Y)/N at c^2 = 0 (G = I) is the unit diagonal of Y; at c^2 = 1
@@ -476,7 +503,7 @@ class TestCertificates:
             coeffs[distance] += Fraction(1, 1000)
             return tuple(coeffs)
 
-        # _dual_witness and johnson.scheme_projector, which gathers Y, read johnson's name
+        # _dual_witness reads johnson's name
         monkeypatch.setattr(johnson, "_projector_coefficients", perturbed)
         combin._clear_caches()  # the warm entry holds the true witness
         report = verify_unambiguous_certificates(inst)

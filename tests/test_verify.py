@@ -1,5 +1,5 @@
-"""The SRM rows share one SRM oracle call per (n, k, c), the (n, k)
-caches hold the grid that verify walks, and each failure branch of a row fails it."""
+"""The SRM rows share one SRM oracle call per (n, k, c), the caches hold
+the grids that verify walks, and each failure branch of a row fails it."""
 
 import dataclasses
 from collections import Counter
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from anomdet import combin, johnson, oracle, verify
-from anomdet.combin import NK_CACHE_SIZE
 from anomdet.oracle import STATE_QUBITS_CAP
 
 SRM_ROWS = ("spectrum-equivalence", "min-error-vs-srm-oracle", "min-error-srm-optimality-gap",
@@ -48,12 +47,15 @@ def test_scheme_and_gram_scopes_take_no_eigvalsh(monkeypatch, cold):
     assert not calls
 
 
-def test_srm_cache_holds_the_overlap_grid_at_the_cap():
+def test_srm_cache_holds_the_overlap_grid_at_the_cap(cold):
     # every instance of `verify --max-n 14`, the overlap grid and the high-overlap
-    # sub-grid, keeps its entry until the last detection row reads it
+    # sub-grid, keeps its entry until the last detection row reads it: a second
+    # pass over them builds nothing
     grid = {tuple(inst.values()) for inst in verify._srm_grid(STATE_QUBITS_CAP)}
     assert {tuple(inst.values()) for inst in verify._overlap_grid(STATE_QUBITS_CAP)} < grid
-    assert len(grid) == 726 <= NK_CACHE_SIZE
+    assert len(grid) == 726
+    first = {key: verify._srm(*key) for key in grid}
+    assert all(verify._srm(*key) is first[key] for key in grid)
 
 
 def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch, cold):
@@ -64,7 +66,7 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch, cold):
     cells = list(dict.fromkeys((inst["n"], inst["k"]) for grid in (verify._scheme_grid,
                                                                    verify._srm_grid)
                                for inst in grid(STATE_QUBITS_CAP)))
-    assert len(cells) == 40 + 39 <= NK_CACHE_SIZE
+    assert len(cells) == 40 + 39
     calls = Counter()
     indicator = combin.pattern_indicator
 
@@ -81,11 +83,13 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch, cold):
     assert calls == Counter({nk: 2 for nk in cells})  # one per cell per builder
 
 
-def test_no_row_walks_more_cells_than_the_nk_caches_hold():
-    # a row that walks more (n, k) than an (n, k) cache holds evicts each cell
-    # before the next row comes back to it.  The rows whose instances stop at
-    # --max-n build the explicit per-(n, k) objects; the closed-form rows
-    # (explicit forms, reference spectra, large-n fixed instances) run past it
+def test_no_row_walks_more_cells_than_the_nk_caches_hold(cold):
+    # a row that walks more than a cache holds evicts each entry before the
+    # next row comes back to it.  The rows whose instances stop at --max-n
+    # build the explicit per-(n, k) objects; the closed-form rows (explicit
+    # forms, reference spectra, large-n fixed instances) run past it.  After
+    # one pass of every row at the qubit cap, a second pass builds nothing:
+    # every cache holds the same entries, the same objects
     walks = {}
     for check in verify.CHECKS:
         for max_n in (9, 12, STATE_QUBITS_CAP):
@@ -94,7 +98,14 @@ def test_no_row_walks_more_cells_than_the_nk_caches_hold():
                 walks[check.name, max_n] = len(cells)
     assert walks["min-error-vs-srm-oracle", 12] == 71
     assert walks["min-error-vs-srm-oracle", STATE_QUBITS_CAP] == 79
-    assert max(walks.values()) <= NK_CACHE_SIZE, max(walks, key=walks.get)
+    passes = []
+    for _ in range(2):
+        assert all(r.passed for r in verify.run_scope("all", STATE_QUBITS_CAP))
+        passes.append({memo.__name__: dict(memo.cache) for memo in combin._CACHES})
+    assert passes[0].keys() == passes[1].keys()
+    for name, held in passes[0].items():
+        assert list(held) == list(passes[1][name]), name
+        assert all(passes[1][name][key] is value for key, value in held.items()), name
 
 
 def test_scheme_rows_sum_each_hahn_value_once(monkeypatch, cold):
