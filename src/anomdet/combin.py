@@ -50,6 +50,33 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _capped_binomial(n: int, k: int, cap: int) -> int:
+    """C(n, k), 0 <= k <= n, where it is at most cap, else a C(n, j) past cap with
+    j <= min(k, n - k), a lower bound on C(n, k): the running binomial stops once it
+    passes cap, as C(n, j) grows with j up to n/2.  So telling C(n, k) > cap costs
+    the steps up to cap, never the whole binomial (C(10^7, 5 10^6) takes minutes)."""
+    N = 1
+    for j in range(min(k, n - k)):
+        N = N * (n - j) // (j + 1)
+        if N > cap:
+            break
+    return N
+
+
+def _digit_limit() -> int:
+    """Python's int-to-str digit limit, or its default where the limit is off: the
+    most digits a refusal message prints of a count, so that it never builds a huge one."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _binomial_text(n: int, k: int) -> str:
+    """C(n, k) in decimal for a refusal message where it has at most _digit_limit()
+    digits, decided by _capped_binomial, else 'C(n, k)' with n and k."""
+    top = 10 ** _digit_limit()
+    N = _capped_binomial(n, k, top - 1)
+    return str(N) if N < top else f"C({n}, {k})"
+
+
 def _integer(x, field: str) -> int:
     """x as a Python int: every count and index check.  x must be an int or
     numpy integer, else ValueError names `field`: a float such as 5.0, a
@@ -186,7 +213,10 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
     entry m = min(k, n - k), uint8 under the Gram size cap.  Each (n, k) is
     built once and shared read-only (copy D to modify it) by a _bounded_cache.
     A miss with N = C(n, k) > GRAM_SIZE_CAP raises ValueError before any pattern
-    is enumerated, so no N x N object is built beyond the cap.
+    is enumerated, so no N x N object is built beyond the cap.  The refusal is
+    decided by _capped_binomial, in at most the steps of a running binomial up
+    to the cap, and names N as _binomial_text prints it: (10^7, 5 10^6) is
+    refused within milliseconds, as 'Gram size C(10000000, 5000000) exceeds cap 5000'.
     """
     n, k, _ = _counts(n, k)
     return _distances(n, k)
@@ -195,8 +225,7 @@ def distance_matrix(n: int, k: int) -> np.ndarray:
 @_bounded_cache
 def _distances(n: int, k: int) -> np.ndarray:
     """D for checked n and k, built on a miss of distance_matrix."""
-    N = binomial(n, k)
-    if N > GRAM_SIZE_CAP:
-        raise ValueError(f"Gram size {N} exceeds cap {GRAM_SIZE_CAP}")
+    if _capped_binomial(n, k, GRAM_SIZE_CAP) > GRAM_SIZE_CAP:
+        raise ValueError(f"Gram size {_binomial_text(n, k)} exceeds cap {GRAM_SIZE_CAP}")
     X = pattern_indicator(n, k).astype(np.float64)
     return (k - X @ X.T).astype(np.min_scalar_type(min(k, n - k)))

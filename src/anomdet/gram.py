@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import GRAM_SIZE_CAP, _counts, _multiplicities, distance_matrix
+from .combin import GRAM_SIZE_CAP, _binomial_text, _counts, _multiplicities, distance_matrix
 
 __all__ = [
     "ProblemInstance",
@@ -157,11 +157,14 @@ class Spectrum:
         """All N eigenvalues with repetition, descending.
 
         Raises ValueError, before allocating, when N exceeds GRAM_SIZE_CAP,
-        the largest N of an explicit Gram matrix to compare it with.
+        the largest N of an explicit Gram matrix to compare it with; the message
+        names N as combin._binomial_text prints it, also past the digit limit.
         """
         N = sum(self.multiplicities)
         if N > GRAM_SIZE_CAP:
-            raise ValueError(f"as_multiset: N = {N} eigenvalues exceed cap {GRAM_SIZE_CAP}")
+            inst = self.instance
+            raise ValueError(f"as_multiset: N = {_binomial_text(inst.n, inst.k)} eigenvalues "
+                             f"exceed cap {GRAM_SIZE_CAP}")
         return np.sort(np.repeat(np.array(self.values, dtype=float), self.multiplicities))[::-1]
 
 

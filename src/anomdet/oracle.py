@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combin import _bounded_cache, _counts, enumerate_patterns, pattern_indicator
+from .combin import _bounded_cache, _counts, _digit_limit, enumerate_patterns, pattern_indicator
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 
 __all__ = [
@@ -325,10 +325,17 @@ def _universal_srm(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Isometries B_S of all hypotheses (lexicographic pattern order), one
     array, and R = rho^(-1/2) on the support of rho = sum_S B_S B_S^T / r,
     the counts validated by _counts, as UniversalInstance does, before the
-    lookup in _universal_build's cache, through which both oracles share one build."""
+    lookup in _universal_build's cache, through which both oracles share one build.
+
+    d^n > DENSITY_DIM_CAP raises ValueError.  A d of b >= 2 bits has
+    d^n >= 2^(n (b-1)), so n (b-1) >= DENSITY_DIM_CAP.bit_length() is refused
+    without forming d^n (2^(10^7) takes 5 s to form); below it d^n < 2^24.  The
+    message prints d^n where n log10(d) leaves it under combin._digit_limit(),
+    else names it as d^n with d and n."""
     n, k, d = _counts(n, k, d)
-    if d**n > DENSITY_DIM_CAP:
-        raise ValueError(f"universal_success_oracle: d^n = {d**n} exceeds cap {DENSITY_DIM_CAP}")
+    if n * (d.bit_length() - 1) >= DENSITY_DIM_CAP.bit_length() or d**n > DENSITY_DIM_CAP:
+        size = d**n if n * math.log10(d) < _digit_limit() - 1 else f"{d}^{n}"
+        raise ValueError(f"universal_success_oracle: d^n = {size} exceeds cap {DENSITY_DIM_CAP}")
     return _universal_build(n, k, d)
 
 

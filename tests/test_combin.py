@@ -432,6 +432,55 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=message):
             build()
 
+    def test_refuses_without_the_whole_binomial(self, monkeypatch):
+        # C(10^7, 5 10^6) had not finished after 100 s: the running binomial stops
+        # past the cap, and neither binomial nor math.comb is called
+        def unreachable(*args):
+            raise AssertionError("the whole binomial was formed")
+
+        monkeypatch.setattr(combin, "binomial", unreachable)
+        monkeypatch.setattr(combin.math, "comb", unreachable)
+        message = rf"^Gram size C\(10000000, 5000000\) exceeds cap {combin.GRAM_SIZE_CAP}$"
+        with pytest.raises(ValueError, match=message):
+            distance_matrix(10**7, 5 * 10**6)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: distance_matrix(10**5, 5 * 10**4), r"Gram size C\(100000, 50000\) exceeds cap 5000"),
+        (lambda: protocols.verify_unambiguous_certificates(gram.ProblemInstance(10**5, 5 * 10**4, 0.5)),
+         r"Gram size C\(100000, 50000\) exceeds cap 5000"),
+        (lambda: gram.closed_form_spectrum(gram.ProblemInstance(10**5, 3000, 0.001)).as_multiset(),
+         r"as_multiset: N = C\(100000, 3000\) eigenvalues exceed cap 5000"),
+        (lambda: oracle.universal_success_oracle(10**5, 1, 2),
+         r"universal_success_oracle: d\^n = 2\^100000 exceeds cap 4096"),
+        (lambda: oracle.universal_holevo_violation(10**6, 1, 2),
+         r"universal_success_oracle: d\^n = 2\^1000000 exceeds cap 4096"),
+    ], ids=["distance_matrix", "verify_unambiguous_certificates", "as_multiset",
+            "universal_success_oracle", "universal_holevo_violation"])
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_refusal_past_the_digit_limit_names_its_cap(self, build, message, limit):
+        # each count has more digits than Python's default int-to-str limit of 4300,
+        # where the message raised 'Exceeds the limit (4300 digits) for integer string
+        # conversion'; with the limit off (0) the message still prints no more digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits if limit is None else limit)
+        try:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_refusal_prints_a_count_up_to_the_digit_limit(self):
+        # C(14291, 7145) has 4300 digits and prints in full; C(14292, 7146) has 4301
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            with pytest.raises(ValueError, match=f"^Gram size {binomial(14291, 7145)} exceeds "):
+                distance_matrix(14291, 7145)
+            with pytest.raises(ValueError, match=r"^Gram size C\(14292, 7146\) exceeds "):
+                distance_matrix(14292, 7146)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_threads_sharing_the_cache(self, cold, small_caches):
         # cells of 5/4 as many bytes as the cache holds, from 4 threads: constant eviction
         cells = [(n, k) for n in range(1, 12) for k in range(min(n, 2) + 1)]

@@ -170,6 +170,9 @@ class TestExplicitK123:
             explicit_success_k123(ProblemInstance(9, 4, 0.5))
 
 
+_QUOTIENT_BITS = 1 << 15  # bits of q^m up to which unambiguous_success once took the int quotient
+
+
 class TestUnambiguous:
     def test_orthogonal(self):
         assert unambiguous_success(ProblemInstance(5, 2, 0.0)).value == 1.0
@@ -191,8 +194,8 @@ class TestUnambiguous:
               Fraction(99, 100), Fraction(2**60 - 1, 2**60)],
     )
     def test_bit_identical_to_fraction_power(self, c):
-        # (q-p)^m / q^m for c^2 = p/q is one correctly rounded int quotient,
-        # as is the float of the Fraction power it replaces
+        # (q-p)^m / q^m for c^2 = p/q, correctly rounded by the fixed-point bounds,
+        # is the float of the Fraction power, itself one correctly rounded quotient
         # (2, 0), (2, 2) and (4, 2) take the certificate's analytic branch at
         # c = 1 and, for (4, 2), its dense one at c = 1 - 2^-60 (float(c) == 1.0)
         for n, k in [(1, 0), (2, 0), (2, 1), (2, 2), (4, 2), (9, 4), (9, 7), (100, 37),
@@ -206,38 +209,54 @@ class TestUnambiguous:
 
     @staticmethod
     def _straddling_grid():
-        """(m, c) with m q.bit_length() on both sides of the int path's cap, c^2 = p/q:
-        for each target log2 value e, a float c with (1 - c^2)^m near 2^e and its
-        Fraction to a 2^28 denominator, at the largest m under the cap, the
-        smallest over it and 4 times that; plus c = 0 and 1 far over it."""
-        cap = protocols.UNAMBIGUOUS_BITS_CAP
+        """(m, c) with m q.bit_length() on both sides of 2^15 bits, c^2 = p/q, the size
+        up to which an int quotient route once ran: for each target log2 value e, a
+        float c with (1 - c^2)^m near 2^e and its Fraction to a 2^28 denominator, at
+        the largest m under that size, the smallest over it and 4 times that; plus
+        c = 0 and 1 far over it."""
         for e in (-1e-8, -0.5, -60.0, -1000.0, -1030.0, -1074.5, -1076.0, -1300.0):
             for m0 in (600, 3000):
                 f = math.sqrt(-math.expm1(e / m0 * math.log(2)))
                 for c in (f, Fraction(f).limit_denominator(2**28)):
                     p, q = ProblemInstance(2, 1, c).c2.as_integer_ratio()
-                    below = cap // q.bit_length()
+                    below = _QUOTIENT_BITS // q.bit_length()
                     for m in (below, below + 1, 4 * (below + 1)):
                         yield m, c
         for c in (0.0, 1.0, Fraction(0), Fraction(1)):
-            yield cap + 1, c
+            yield _QUOTIENT_BITS + 1, c
 
     def test_fixed_point_path_bit_identical_to_int_quotient(self):
-        # over a grid that straddles UNAMBIGUOUS_BITS_CAP, from values near 1
-        # through normal and subnormal ones to underflow, float and Fraction c:
-        # the fixed-point bounds give the int quotient's correctly rounded double
-        cap, kinds = protocols.UNAMBIGUOUS_BITS_CAP, set()
+        # over a grid that straddles 2^15 bits of q^m, from values near 1 through
+        # normal and subnormal ones to underflow, float and Fraction c: the
+        # fixed-point bounds give the int quotient's correctly rounded double
+        kinds = set()
         for m, c in self._straddling_grid():
             inst = ProblemInstance(2 * m, m, c)
             p, q = inst.c2.as_integer_ratio()
             expected = (q - p) ** m / q**m
             assert unambiguous_success(inst).value == expected, (m, c)
-            beyond = m * q.bit_length() > cap
+            beyond = m * q.bit_length() > _QUOTIENT_BITS
             kinds.add((beyond, type(c), 0 < expected < 2**-1022, expected == 0, expected > 0.99))
-        for beyond in (False, True):  # each kind of value on each side of the cap
+        for beyond in (False, True):  # each kind of value on each side of 2^15 bits
             for flag in range(2, 5):
                 for kind in (float, Fraction):
                     assert any(k[:2] == (beyond, kind) and k[flag] for k in kinds), (beyond, flag)
+
+    @pytest.mark.parametrize("n, k, c", [
+        # (3/4)^34 = 3^34 / 2^68: the odd numerator has 54 bits, so the value is the
+        # midpoint of two doubles and rounds half to even; float and exact c
+        (68, 34, 0.5), (68, 34, Fraction(1, 2)),
+        # 1 - 2^-54 (c^2 = 2^-54, m = 1): the midpoint of 1 - 2^-53 and 1, to 1.0
+        (2, 1, 2.0**-27), (2, 1, Fraction(1, 2**27)),
+        # m = 0: 1.0, also 0^0 at c = 1
+        *((5, k, c) for k in (0, 5) for c in (0.0, 1.0, Fraction(1, 3), 1 / 3)),
+        # c = 1 at m >= 1: 0.0
+        *((n, k, c) for n, k in ((2, 1), (9, 4), (9, 7), (4000, 2000)) for c in (1.0, Fraction(1))),
+    ])
+    def test_boundary_cases_equal_the_int_quotient(self, n, k, c):
+        inst = ProblemInstance(n, k, c)
+        p, q = inst.c2.as_integer_ratio()
+        assert unambiguous_success(inst).value == (q - p) ** inst.m / q**inst.m
 
     def test_far_beyond_the_cap_in_bounded_memory(self):
         # (2e6, 1e6, 0.001): m q.bit_length() = 7.3e7 bits; the int quotient's
