@@ -28,7 +28,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 TRACE_RTOL = 1e-12
-EXACT_EXPONENT_CAP = 4300  # Python's default digit limit for an int parsed from text
+EXACT_EXPONENT_CAP = sys.int_info.default_max_str_digits  # Python's default digit limit, 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)  # an exact overlap's exponent
 _DIGIT_LIMIT = ("a value exceeds Python's {}-digit int-to-str limit; "
                 "drop --exact to print the float value")
@@ -70,8 +70,7 @@ def _parse_overlap(text: str, exact: bool) -> Fraction | float:
     try:
         if not exact:
             return float(text)
-        exponent = _EXPONENT.search(text)
-        if exponent:
+        if exponent := _EXPONENT.search(text):
             digits = exponent[1].replace("_", "").lstrip("0")
             if len(digits) > len(str(EXACT_EXPONENT_CAP)) or int(digits or 0) > EXACT_EXPONENT_CAP:
                 raise ValueError

@@ -1,5 +1,6 @@
-"""Exact integer primitives: the one check of the counts, binomials, the
-multiplicities m_j, k-subset patterns and their distance matrix.
+"""Exact integer primitives: the one check of the counts, the one rule by
+which a message prints a number, binomials, the multiplicities m_j, k-subset
+patterns and their distance matrix.
 
 Everything here is pure and exact: results are ints or integer arrays.
 Anomaly patterns are sorted tuples of 1-based positions, kept in
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 5000  # largest N = C(n, k) for which an N x N matrix is built
+EXACT_TEXT_BITS = 192  # a message prints an int of up to this many bits (58 digits) in full
 # verify.CHECKS' scopes in run order, here so that the CLI lists them without importing verify
 SCOPES = ("scheme", "gram", "detection", "universal")
 _CACHES = []  # every memo of the package, each _bounded_cache as it is made
@@ -44,7 +46,7 @@ def binomial(n: int, r: int) -> int:
     differences C(n, j) - C(n, j-1) and must give 1 at j = 0.
     """
     if n < 0:
-        raise ValueError(f"binomial: n must be non-negative, got {n}")
+        raise ValueError(f"binomial: n must be non-negative, got {_number_text(n)}")
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
@@ -63,18 +65,39 @@ def _capped_binomial(n: int, k: int, cap: int) -> int:
     return N
 
 
-def _digit_limit() -> int:
-    """Python's int-to-str digit limit, or its default where the limit is off: the
-    most digits a refusal message prints of a count, so that it never builds a huge one."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+def _number_text(x: int | Fraction) -> str:
+    """x for a message: the one rule by which the package prints a number it names.
+
+    x, an int or a Fraction, prints in full when every integer in it has at most
+    EXACT_TEXT_BITS bits, else as its sign and decimal order, 'about -10^4299'.
+    The order is round((bits(p) - bits(q)) log10 2) for x = p/q (q = 1 for an
+    int), within one of log10|x|, read off the bit lengths: no big int is
+    converted to str, which raises ValueError past Python's int-to-str digit
+    limit, and 192 bits is below that limit's least setting, 640 digits.
+    """
+    bits = abs(x.numerator).bit_length(), x.denominator.bit_length()
+    if max(bits) <= EXACT_TEXT_BITS:
+        return str(x)
+    return f"about {'-' if x < 0 else ''}10^{round((bits[0] - bits[1]) * math.log10(2))}"
 
 
 def _binomial_text(n: int, k: int) -> str:
-    """C(n, k) in decimal for a refusal message where it has at most _digit_limit()
-    digits, decided by _capped_binomial, else 'C(n, k)' with n and k."""
-    top = 10 ** _digit_limit()
-    N = _capped_binomial(n, k, top - 1)
-    return str(N) if N < top else f"C({n}, {k})"
+    """C(n, k) for a message: in full where it has at most EXACT_TEXT_BITS bits,
+    decided by _capped_binomial, else 'C(n, k)' with n and k by _number_text."""
+    N = _capped_binomial(n, k, 1 << EXACT_TEXT_BITS)
+    return str(N) if N < 1 << EXACT_TEXT_BITS else f"C({_number_text(n)}, {_number_text(k)})"
+
+
+def _power_text(d: int, n: int) -> str:
+    """d^n for a message, d >= 2, n >= 1: in full where n d.bit_length() <= EXACT_TEXT_BITS,
+    a bound on its bits, so that d^n is formed only then, else 'd^n' by _number_text."""
+    return (str(d**n) if n * d.bit_length() <= EXACT_TEXT_BITS
+            else f"{_number_text(d)}^{_number_text(n)}")
+
+
+def _out_of_range(what: str, x: int, top: int) -> ValueError:
+    """The error '<what> x out of range [0, top]', x and top as _number_text prints them."""
+    return ValueError(f"{what} {_number_text(x)} out of range [0, {_number_text(top)}]")
 
 
 def _integer(x, field: str) -> int:
@@ -97,11 +120,12 @@ def _counts(n=None, k=None, d=None) -> tuple[int | None, int | None, int | None]
     if not (type(n) is type(k) is int and (d is None or type(d) is int)):  # skips the ABC checks
         n, k, d = (None if x is None else _integer(x, f) for x, f in zip((n, k, d), "nkd"))
     if n is not None and n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_number_text(n)}")
     if k is not None and (k < 0 or n is not None and k > n):
-        raise ValueError(f"k must be in [0, n], got k={k}" + ("" if n is None else f", n={n}"))
+        raise ValueError(f"k must be in [0, n], got k={_number_text(k)}"
+                         + ("" if n is None else f", n={_number_text(n)}"))
     if d is not None and d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+        raise ValueError(f"d must be >= 2, got {_number_text(d)}")
     return n, k, d
 
 

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import GRAM_SIZE_CAP, _binomial_text, _counts, _multiplicities, distance_matrix
+from .combin import (GRAM_SIZE_CAP, _binomial_text, _counts, _multiplicities, _number_text,
+                     distance_matrix)
 
 __all__ = [
     "ProblemInstance",
@@ -56,24 +57,6 @@ def _overlap(c) -> Overlap:
     raise ValueError(f"overlap c must be a real number, got {c!r} ({type(c).__name__})")
 
 
-EXACT_TEXT_BITS = 192  # numerator and denominator up to 58 digits print in full
-
-
-def _short_fraction(c: Fraction) -> str:
-    """c in full when its numerator and denominator have at most
-    EXACT_TEXT_BITS bits, else its sign and decimal order, 'about -10^4299'.
-
-    The order is round((bits(p) - bits(q)) log10 2), within one of log10|c|,
-    read off the int bit lengths: no big int is converted to str, which
-    beyond 4300 digits raises ValueError.
-    """
-    p, q = c.numerator, c.denominator
-    if max(abs(p).bit_length(), q.bit_length()) <= EXACT_TEXT_BITS:
-        return str(c)
-    order = round((abs(p).bit_length() - q.bit_length()) * math.log10(2))
-    return f"about {'-' if p < 0 else ''}10^{order}"
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """A known-states detection task: n preparations, k anomalies, overlap c.
@@ -83,7 +66,7 @@ class ProblemInstance:
     patterns keeps their distance).  c is a real number in [0, 1], stored as a
     Fraction (exact Gram entries and spectrum; from an int or numpy integer too)
     or a float, as is c2 = c * c: every consumer reads its arithmetic off the
-    stored type; an exact c outside [0, 1] is named by _short_fraction.  The
+    stored type; an exact c outside [0, 1] is named by combin._number_text.  The
     float log spectrum is computed once per instance, on first use.
     """
 
@@ -105,7 +88,7 @@ class ProblemInstance:
         if type(c) is Fraction:  # range and square on the int numerator and denominator q > 0
             p, q = c.numerator, c.denominator
             if not 0 <= p <= q:
-                raise ValueError(f"overlap c must be in [0, 1], got {_short_fraction(c)}")
+                raise ValueError(f"overlap c must be in [0, 1], got {_number_text(c)}")
             object.__setattr__(self, "c2", Fraction(p * p, q * q))
         else:
             if not 0 <= c <= 1:
@@ -158,13 +141,11 @@ class Spectrum:
 
         Raises ValueError, before allocating, when N exceeds GRAM_SIZE_CAP,
         the largest N of an explicit Gram matrix to compare it with; the message
-        names N as combin._binomial_text prints it, also past the digit limit.
+        names N as combin._binomial_text prints it: in full up to 192 bits, else C(n, k).
         """
-        N = sum(self.multiplicities)
-        if N > GRAM_SIZE_CAP:
-            inst = self.instance
-            raise ValueError(f"as_multiset: N = {_binomial_text(inst.n, inst.k)} eigenvalues "
-                             f"exceed cap {GRAM_SIZE_CAP}")
+        if sum(self.multiplicities) > GRAM_SIZE_CAP:
+            raise ValueError(f"as_multiset: N = {_binomial_text(self.instance.n, self.instance.k)}"
+                             f" eigenvalues exceed cap {GRAM_SIZE_CAP}")
         return np.sort(np.repeat(np.array(self.values, dtype=float), self.multiplicities))[::-1]
 
 

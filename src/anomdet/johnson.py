@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combin import _bounded_cache, _counts, _integer, _multiplicities, binomial, distance_matrix
+from .combin import (_bounded_cache, _counts, _integer, _multiplicities, _out_of_range, binomial,
+                     distance_matrix)
 
 __all__ = [
     "SchemeBasis",
@@ -107,9 +108,9 @@ def hahn_polynomial(j: int, x: int, n: int, k: int) -> Fraction:
     n, k, _ = _counts(n, k)
     j, x = _integer(j, "j"), _integer(x, "x")
     if not 0 <= j <= k or j > n - k:  # j in [0, min(k, n-k)]
-        raise ValueError(f"hahn_polynomial: degree {j} out of range [0, {min(k, n - k)}]")
+        raise _out_of_range("hahn_polynomial: degree", j, min(k, n - k))
     if not 0 <= x <= k:
-        raise ValueError(f"hahn_polynomial: distance {x} out of range [0, {k}]")
+        raise _out_of_range("hahn_polynomial: distance", x, k)
     U = V = 1  # H_top = 1, H_s = 1 + (a/b) H_{s+1}, the sum is H_0
     for s in range(min(j, x) - 1, -1, -1):
         a = -(j - s) * (x - s) * (n + 1 - j - s)
@@ -145,7 +146,7 @@ def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
     j, coeffs = _integer(j, "j"), _scheme(n, k)[1]
     if 0 <= j < len(coeffs):
         return coeffs[j]
-    raise ValueError(f"scheme_projector: index {j} out of range [0, {len(coeffs) - 1}]")
+    raise _out_of_range("scheme_projector: index", j, len(coeffs) - 1)
 
 
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:

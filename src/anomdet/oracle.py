@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combin import _bounded_cache, _counts, _digit_limit, enumerate_patterns, pattern_indicator
+from .combin import (_bounded_cache, _counts, _number_text, _power_text, enumerate_patterns,
+                     pattern_indicator)
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 
 __all__ = [
@@ -90,7 +91,7 @@ def all_hypothesis_states(instance: ProblemInstance) -> np.ndarray:
     """
     n, k = instance.n, instance.k
     if n > STATE_QUBITS_CAP:
-        raise ValueError(f"all_hypothesis_states: n={n} exceeds cap {STATE_QUBITS_CAP}")
+        raise ValueError(f"all_hypothesis_states: n={_number_text(n)} exceeds cap {STATE_QUBITS_CAP}")
     index, width, bits = _sector_layout(n, k)
     c = float(instance.c)
     phi1 = np.array([c, math.sqrt(max(0.0, 1 - c * c))])
@@ -330,12 +331,12 @@ def _universal_srm(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     d^n > DENSITY_DIM_CAP raises ValueError.  A d of b >= 2 bits has
     d^n >= 2^(n (b-1)), so n (b-1) >= DENSITY_DIM_CAP.bit_length() is refused
     without forming d^n (2^(10^7) takes 5 s to form); below it d^n < 2^24.  The
-    message prints d^n where n log10(d) leaves it under combin._digit_limit(),
-    else names it as d^n with d and n."""
+    message names d^n as combin._power_text prints it: in full up to 192 bits,
+    else as d^n with d and n."""
     n, k, d = _counts(n, k, d)
     if n * (d.bit_length() - 1) >= DENSITY_DIM_CAP.bit_length() or d**n > DENSITY_DIM_CAP:
-        size = d**n if n * math.log10(d) < _digit_limit() - 1 else f"{d}^{n}"
-        raise ValueError(f"universal_success_oracle: d^n = {size} exceeds cap {DENSITY_DIM_CAP}")
+        raise ValueError(f"universal_success_oracle: d^n = {_power_text(d, n)} "
+                         f"exceeds cap {DENSITY_DIM_CAP}")
     return _universal_build(n, k, d)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combin import _bounded_cache, _multiplicities, binomial, distance_matrix
+from .combin import _bounded_cache, _multiplicities, _number_text, binomial, distance_matrix
 from .gram import ProblemInstance, _gram_powers, _log_weights
 
 __all__ = [
@@ -86,11 +86,8 @@ def min_error_asymptotic(instance: ProblemInstance) -> ProtocolResult:
     if k >= n:
         raise ValueError("min_error_asymptotic: requires k < n")
     if k / n > 0.1:
-        warnings.warn(
-            f"k/n = {k}/{n} is outside the k/n << 1 validity regime",
-            AsymptoticRegimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"k/n = {_number_text(k)}/{_number_text(n)} is outside the k/n << 1 "
+                      "validity regime", AsymptoticRegimeWarning, stacklevel=2)
     c, q = float(instance.c), 1 - float(instance.c2)
     value = q**k
     if k:
@@ -134,7 +131,7 @@ def explicit_success_k123(instance: ProblemInstance) -> ProtocolResult:
         )
         value = amp * amp
     else:
-        raise ValueError(f"explicit_success_k123: k must be 1, 2 or 3, got {k}")
+        raise ValueError(f"explicit_success_k123: k must be 1, 2 or 3, got {_number_text(k)}")
     return ProtocolResult(value=min(value, 1.0), method="closed-form", instance=instance)
 
 

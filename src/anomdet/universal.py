@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combin import _counts
+from .combin import _counts, _number_text
 from .gram import ProblemInstance
 from .protocols import min_error_success
 
@@ -75,7 +75,8 @@ def universal_success(instance: UniversalInstance) -> Fraction:
     n, m, d = instance.n, instance.m, instance.d
     if m * (4 * (n + 1).bit_length() + (n + d).bit_length()) > UNIVERSAL_BITS_CAP:
         raise ValueError(f"universal_success: exact evaluation needs integers beyond "
-                         f"{UNIVERSAL_BITS_CAP} bits, got n={n}, k={instance.k}, d={d}")
+                         f"{UNIVERSAL_BITS_CAP} bits, got n={_number_text(n)}, "
+                         f"k={_number_text(instance.k)}, d={_number_text(d)}")
     U = V = 1  # H_0 = c_0
     for l in range(1, m + 1):
         a, b = (n - 2 * l + 1) ** 2, (n - l + 1) ** 2  # c_l = a/b
@@ -99,9 +100,9 @@ def average_known_success(k: int, d: int) -> float:
     average-overlap-quadrature check compares the two.
     """
     _, k, d = _counts(k=k, d=d)
-    if k + d - 2 > 2 * QUADRATURE_POINTS - 1:
-        raise ValueError(f"average_known_success: degree k + d - 2 = {k + d - 2} exceeds "
-                         f"{2 * QUADRATURE_POINTS - 1}, the largest its rule integrates exactly")
+    if k + d - 2 > (top := 2 * QUADRATURE_POINTS - 1):
+        raise ValueError(f"average_known_success: degree k + d - 2 = {_number_text(k + d - 2)} "
+                         f"exceeds {top}, the largest its rule integrates exactly")
     x, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
     u = (x + 1) / 2  # the nodes on u = c^2 in [0, 1], with weights w / 2
     return float(np.sum(w / 2 * (1 - u) ** k * (d - 1) * (1 - u) ** (d - 2)))

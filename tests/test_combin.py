@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence
@@ -8,7 +9,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from anomdet import combin, gram, johnson, oracle, protocols, verify
+from anomdet import combin, gram, johnson, oracle, protocols, universal, verify
 from anomdet.combin import (
     binomial,
     distance_matrix,
@@ -470,14 +471,16 @@ class TestDistanceMatrix:
             sys.set_int_max_str_digits(old)
 
     def test_refusal_prints_a_count_up_to_the_digit_limit(self):
-        # C(14291, 7145) has 4300 digits and prints in full; C(14292, 7146) has 4301
+        # a count prints in full up to combin.EXACT_TEXT_BITS = 192 bits, whatever the
+        # digit limit: C(196, 98) has 192 bits and prints in full; C(197, 98) has 193
+        assert binomial(196, 98).bit_length() == 192 and binomial(197, 98).bit_length() == 193
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         try:
-            with pytest.raises(ValueError, match=f"^Gram size {binomial(14291, 7145)} exceeds "):
-                distance_matrix(14291, 7145)
-            with pytest.raises(ValueError, match=r"^Gram size C\(14292, 7146\) exceeds "):
-                distance_matrix(14292, 7146)
+            with pytest.raises(ValueError, match=f"^Gram size {binomial(196, 98)} exceeds "):
+                distance_matrix(196, 98)
+            with pytest.raises(ValueError, match=r"^Gram size C\(197, 98\) exceeds "):
+                distance_matrix(197, 98)
         finally:
             sys.set_int_max_str_digits(old)
 
@@ -515,3 +518,71 @@ class TestDistanceMatrix:
         cache = combin._distances.cache
         assert errors == [] and 0 < sum(map(combin._nbytes, cache.items())) <= small_caches
 
+
+
+_HUGE = 10**5000  # 16610 bits: its decimal digits exceed Python's default int-to-str limit
+
+
+class TestNumberText:
+    @pytest.mark.parametrize("x, shown", [
+        (0, "0"), (-7, "-7"), (2**192 - 1, str(2**192 - 1)), (-(2**192 - 1), str(1 - 2**192)),
+        (2**192, "about 10^58"), (-(2**192), "about -10^58"), (_HUGE, "about 10^5000"),
+        (Fraction(-2**191, 2**192 - 1), f"-{2**191}/{2**192 - 1}"),
+        (Fraction(1, 2**192), "about 10^-58"), (Fraction(-_HUGE, 3), "about -10^5000"),
+    ], ids=["0", "-7", "2^192-1", "1-2^192", "2^192", "-2^192", "10^5000", "-2^191/(2^192-1)",
+            "2^-192", "-10^5000/3"])
+    def test_in_full_up_to_the_bit_cap_else_by_order(self, x, shown):
+        # every integer of x at most EXACT_TEXT_BITS = 192 bits, or its sign and decimal order
+        assert combin._number_text(x) == shown
+
+    @pytest.mark.parametrize("d, n, shown", [
+        (2, 13, "8192"), (2, 96, str(2**96)), (2**64 - 1, 3, str((2**64 - 1) ** 3)),
+        (2, 97, "2^97"), (3, 100000, "3^100000"), (_HUGE, 2, "about 10^5000^2"),
+    ], ids=["2^13", "2^96", "(2^64-1)^3", "2^97", "3^100000", "(10^5000)^2"])
+    def test_power_in_full_while_its_bits_are_bounded_by_the_cap(self, d, n, shown):
+        # d^n prints in full where n * d.bit_length() <= 192, else as d^n
+        assert combin._power_text(d, n) == shown
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: distance_matrix(_HUGE, 1), ValueError,
+         "Gram size C(about 10^5000, 1) exceeds cap 5000"),
+        (lambda: universal.UniversalInstance(10, _HUGE, 2), ValueError,
+         "k must be in [0, n], got k=about 10^5000, n=10"),
+        (lambda: universal.universal_success(universal.UniversalInstance(10**5, 10**4, _HUGE)),
+         ValueError, "universal_success: exact evaluation needs integers beyond 150000 bits, "
+                     "got n=100000, k=10000, d=about 10^5000"),
+        (lambda: oracle.universal_success_oracle(2, 1, _HUGE), ValueError,
+         "universal_success_oracle: d^n = about 10^5000^2 exceeds cap 4096"),
+        (lambda: oracle.all_hypothesis_states(gram.ProblemInstance(_HUGE, 1, 0.5)), ValueError,
+         "all_hypothesis_states: n=about 10^5000 exceeds cap 14"),
+        (lambda: johnson.hahn_polynomial(_HUGE, 0, 5, 2), ValueError,
+         "hahn_polynomial: degree about 10^5000 out of range [0, 2]"),
+        (lambda: johnson.scheme_projector(5, 2, _HUGE), ValueError,
+         "scheme_projector: index about 10^5000 out of range [0, 2]"),
+        (lambda: universal.average_known_success(_HUGE, 2), ValueError,
+         "average_known_success: degree k + d - 2 = about 10^5000 exceeds 127, the largest "
+         "its rule integrates exactly"),
+        (lambda: protocols.explicit_success_k123(gram.ProblemInstance(2 * _HUGE, _HUGE, 0.5)),
+         ValueError, "explicit_success_k123: k must be 1, 2 or 3, got about 10^5000"),
+        (lambda: protocols.min_error_asymptotic(gram.ProblemInstance(2 * _HUGE, _HUGE, 0.5)),
+         protocols.AsymptoticRegimeWarning,
+         "k/n = about 10^5000/about 10^5000 is outside the k/n << 1 validity regime"),
+    ], ids=["distance_matrix", "UniversalInstance", "universal_success",
+            "universal_success_oracle", "all_hypothesis_states", "hahn_polynomial",
+            "scheme_projector", "average_known_success", "explicit_success_k123",
+            "min_error_asymptotic"])
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_a_message_names_a_huge_count_by_its_order(self, call, error, message, limit):
+        # each call raised 'Exceeds the limit (4300 digits) for integer string conversion'
+        # instead of its own message, and with the limit off (0) printed 5000 digits;
+        # the warning is raised as an error, before min_error_asymptotic goes on
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", protocols.AsymptoticRegimeWarning)
+                with pytest.raises(error) as info:
+                    call()
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert str(info.value) == message and len(message) < 200

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -120,3 +121,26 @@ def test_only_combin_sizes_a_cache_entry():
                 empty = [ret.lineno for ret in ast.walk(node) if isinstance(ret, ast.Return)
                          and isinstance(ret.value, ast.Tuple) and not ret.value.elts]
                 assert not empty, f"{path.name}:{empty} {node.name} returns ()"
+
+
+def test_only_combin_decides_how_a_message_prints_a_number():
+    # one rule for every number a message names: no module but cli (whose printed
+    # values follow Python's int-to-str limit) reads that limit, and no module but
+    # combin names the renderer's size or formats a decimal order 'about 10^N'
+    for path in sorted(Path(anomdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {getattr(node, field) for node in ast.walk(tree)
+                 for field in ("id", "attr", "name") if hasattr(node, field)}
+        if path.stem != "cli":
+            limit = sorted(named & {"get_int_max_str_digits", "int_info"})
+            assert not limit, f"{path.name} names {limit}"
+        if path.stem != "combin":
+            assert "EXACT_TEXT_BITS" not in named, f"{path.name} names EXACT_TEXT_BITS"
+            docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                          if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                          and node.body and isinstance(node.body[0], ast.Expr)}
+            orders = [node.lineno for node in ast.walk(tree)
+                      if isinstance(node, (ast.Constant, ast.JoinedStr))
+                      and id(node) not in docstrings
+                      and re.search(r"about .*10\^", ast.unparse(node))]
+            assert not orders, f"{path.name}:{orders} formats 'about 10^'"
