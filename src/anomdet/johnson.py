@@ -25,7 +25,9 @@ Index conventions used throughout:
   * Every entry point checks n and k with combin._counts, then an index
     argument with combin._integer, in the same wording.  P, Q and the
     coefficients of every E_j depend on (n, k) only: one table per (n, k),
-    built from (m+1)^2 Hahn values on a miss, serves every reader of them,
+    built from (m+1)^2 Hahn values on a miss, serves every reader of them
+    (each N x N builder asks distance_matrix first, so an N past the Gram
+    size cap is refused before its table is built),
     and each exact E_j, one gather of its coefficients by D, is built once
     per (n, k, j) and shared read-only, never per overlap.  Both are held
     by combin._bounded_cache, whose builders trust their checked keys.
@@ -140,23 +142,32 @@ def eigenmatrices(n: int, k: int) -> Eigenmatrices:
     return _scheme(n, k)[0]
 
 
+def _projector_key(n: int, k: int, j: int) -> tuple[int, int, int]:
+    """(n, k, j) checked for E_j: n and k by _counts, then j in [0, min(k, n - k)],
+    so that a bad index is refused before D or the (n, k) table is read."""
+    n, k, _ = _counts(n, k)
+    if 0 <= (j := _integer(j, "j")) <= (m := min(k, n - k)):
+        return n, k, j
+    raise _out_of_range("scheme_projector: index", j, m)
+
+
 def _projector_coefficients(n: int, k: int, j: int) -> tuple[Fraction, ...]:
     """E_j's m+1 exact entries q_j(i) / N, one per subset distance i, off the (n, k) table."""
-    n, k, _ = _counts(n, k)
-    j, coeffs = _integer(j, "j"), _scheme(n, k)[1]
-    if 0 <= j < len(coeffs):
-        return coeffs[j]
-    raise _out_of_range("scheme_projector: index", j, len(coeffs) - 1)
+    n, k, j = _projector_key(n, k, j)
+    return _scheme(n, k)[1][j]
 
 
 def scheme_projector(n: int, k: int, j: int) -> np.ndarray:
     """Float projector E_j = (1/N) sum_i q_j(i) A_i onto the j-th eigenspace.
 
     Each of the m+1 exact coefficients is rounded once, so the result
-    equals the exact projector converted to float.
+    equals the exact projector converted to float.  The key is checked
+    first, then D, so that an N past the Gram size cap is refused before
+    the (n, k) table is built.
     """
-    coeffs = np.array([float(c) for c in _projector_coefficients(n, k, j)])
-    return coeffs.take(distance_matrix(n, k))
+    n, k, j = _projector_key(n, k, j)
+    D = distance_matrix(n, k)
+    return np.array([float(c) for c in _projector_coefficients(n, k, j)]).take(D)
 
 
 def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
@@ -166,15 +177,15 @@ def scheme_projector_exact(n: int, k: int, j: int) -> np.ndarray:
     gathered by the distance matrix.  E_j depends on (n, k, j) only, so each
     is built once and shared read-only, like D (copy it to modify it).
     """
-    n, k, _ = _counts(n, k)
-    return _exact_projector(n, k, _integer(j, "j"))
+    return _exact_projector(*_projector_key(n, k, j))
 
 
 @_bounded_cache
 def _exact_projector(n: int, k: int, j: int) -> np.ndarray:
-    """E_j for checked n, k and j, built on a miss of scheme_projector_exact
-    (np.fromiter skips np.array's probing)."""
-    return np.fromiter(_projector_coefficients(n, k, j), object).take(distance_matrix(n, k))
+    """E_j for checked n, k and j, built on a miss of scheme_projector_exact, D first
+    as in scheme_projector (np.fromiter skips np.array's probing)."""
+    D = distance_matrix(n, k)
+    return np.fromiter(_projector_coefficients(n, k, j), object).take(D)
 
 
 def verify_bose_mesner_closure(basis: SchemeBasis) -> dict[tuple[int, int], list[int]]:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combin import (_bounded_cache, _counts, _number_text, _power_text, enumerate_patterns,
-                     pattern_indicator)
+from .combin import (_bounded_cache, _counts, _number_text, _power_text, binomial,
+                     enumerate_patterns, pattern_indicator)
 from .gram import GRAM_SIZE_CAP, ProblemInstance, _real_array, direct_spectrum
 
 __all__ = [
@@ -39,10 +39,14 @@ __all__ = [
     "universal_success_oracle",
 ]
 
-# Largest n for the explicit-state oracles.  The sector stack is narrow
-# (1001 x 1471 at (14, 4)), so the cap no longer guards a 2^n row width; it
-# bounds the run time of `anomdet verify`, whose --max-n stops here.
-STATE_QUBITS_CAP = 14
+# Largest n for the explicit-state oracles: the largest n at which
+# srm_success_oracle accepts the stack of every k, C(n, n // 2) <= GRAM_SIZE_CAP
+# (14 at 5000).  The search stops at n = 2b, b the cap's bit length:
+# C(2b, b) >= 4^b / (2b + 1) > cap.  The sector stack is narrow (1001 x 1471
+# at (14, 4)), so the cap guards no 2^n row width; `anomdet verify`'s --max-n
+# stops here.
+STATE_QUBITS_CAP = max(n for n in range(2 * GRAM_SIZE_CAP.bit_length() + 1)
+                       if binomial(n, n // 2) <= GRAM_SIZE_CAP)
 DENSITY_DIM_CAP = 4096
 SUPPORT_THRESHOLD = 1e-10
 UNIT_NORM_TOL = 1e-10  # SRM oracle: how far a state's squared norm may be off 1
@@ -122,8 +126,9 @@ def _support_basis(shape: tuple[int, int], pattern: bytes) -> tuple[np.ndarray, 
     eigenvector r its class vector (d_c[r])_c.  P_c P_c^T is an integer
     matrix, so an exact eigenbasis has integer class vectors; the
     eigenvectors fall into G groups by the rounded vector, in its
-    lexicographic order, and the group's value theta_g is that rounded
-    vector.  Returns (W, positions, label, first, theta, sizes, spread, off):
+    lexicographic order (one stable np.lexsort, then one comparison of
+    neighbours), and the group's value theta_g is that rounded vector.
+    Returns (W, positions, label, first, theta, sizes, spread, off):
     the N x G sums W[:, g] = sum_{r in g} U[:, r]^2 (the diagonal of the
     group's projector U_g U_g^T), the flat positions of P's nonzeros in
     row-major order, the class of each, the index among them of each class's
@@ -157,8 +162,14 @@ def _support_basis(shape: tuple[int, int], pattern: bytes) -> tuple[np.ndarray, 
         D[c] = buffer.diagonal()
         np.fill_diagonal(buffer, 0.0)
         off[c] = np.linalg.norm(buffer)
-    theta, group, counts = np.unique(np.rint(D), axis=1, return_inverse=True, return_counts=True)
-    spread = np.maximum.reduce(np.abs(D - theta.take(group, axis=1)), axis=1)
+    rounded = np.rint(D)
+    order = np.lexsort(rounded[::-1])  # row 0 first, the order of np.unique(axis=1)
+    ranked = rounded.take(order, axis=1)
+    starts = np.r_[True, np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)]
+    theta, group = ranked[:, starts], np.empty(N, np.intp)
+    group[order] = np.cumsum(starts) - 1
+    counts = np.bincount(group)
+    spread = np.maximum.reduce(np.abs(D - rounded), axis=1)
     U *= U
     W = U @ (group[:, None] == np.arange(counts.size))
     return W, positions, label, first, theta, counts, spread, off
@@ -252,9 +263,10 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         raise ValueError("srm_success_oracle: the stack holds no states")
     if N > GRAM_SIZE_CAP:
         raise ValueError(f"srm_success_oracle: {N} states exceed cap {GRAM_SIZE_CAP}")
-    live = np.logical_or.reduce(V, axis=0)  # NaN and inf are nonzero: their columns stay
+    pattern = V != 0  # NaN and inf are nonzero: their columns stay
+    live = np.logical_or.reduce(pattern, axis=0)
     if not np.logical_and.reduce(live):
-        V = V[:, live]
+        V, pattern = V[:, live], pattern[:, live]
     norms = np.einsum("ij,ij->i", V, V)  # NaN or inf in a row with a NaN or inf entry
     if not np.maximum.reduce(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:  # NaN and inf too
         if not np.logical_and.reduce(np.isfinite(V), axis=None):
@@ -264,7 +276,7 @@ def srm_success_oracle(states: np.ndarray) -> SrmResult:
         r = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))[0]
         raise ValueError(f"srm_success_oracle: row {r} has squared norm {norms[r]}, not 1")
     W, positions, label, first, theta, sizes, spread, off = _support_basis(
-        V.shape, np.packbits(V != 0).tobytes())
+        V.shape, np.packbits(pattern).tobytes())
     values = V.take(positions)
     f = values.take(first)
     deviation = values - f.take(label)

@@ -221,10 +221,8 @@ def _dual_witness(n: int, k: int) -> tuple[bool, tuple[float, ...]]:
     """
     from .johnson import _projector_coefficients
 
-    m = min(k, n - k)
-    coeffs = _projector_coefficients(n, k, m)
-    N, m_m = binomial(n, k), _multiplicities(n, m)[m]
-    D = distance_matrix(n, k)
+    D, m = distance_matrix(n, k), min(k, n - k)  # D first: a refused N builds no (n, k) table
+    coeffs, N, m_m = _projector_coefficients(n, k, m), len(D), _multiplicities(n, m)[m]
     counts = np.bincount(D.ravel(), minlength=m + 1).tolist()
     weights = tuple(float(count * coeff / m_m) for count, coeff in zip(counts, coeffs))
     y = np.array([float(N * coeff / m_m) for coeff in coeffs])

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import johnson
-from .combin import SCOPES, _bounded_cache, _multiplicities, binomial
+from .combin import SCOPES, _bounded_cache, _integer, _multiplicities, _number_text, binomial
 from .gram import ProblemInstance, closed_form_spectrum, gram_matrix
 from .oracle import (
     STATE_QUBITS_CAP,
@@ -438,12 +438,14 @@ CHECKS: tuple[Check, ...] = (
 def run_scope(scope: str, max_n: int) -> list[CheckResult]:
     """Every instance of every check in `scope` ("all" for the whole registry).
 
-    Raises ValueError for an unknown scope, and for a max_n outside
-    [2, STATE_QUBITS_CAP], the explicit-state oracles' qubit cap.
+    Raises ValueError for an unknown scope, for a max_n that is not an
+    integer (combin._integer), and for one outside [2, STATE_QUBITS_CAP], the
+    explicit-state oracles' qubit cap, named as combin._number_text prints it.
     """
     if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected all|{'|'.join(SCOPES)}")
+    max_n = _integer(max_n, "max_n")
     if not 2 <= max_n <= STATE_QUBITS_CAP:
         raise ValueError(f"--max-n must be in [2, {STATE_QUBITS_CAP}] "
-                         f"(the explicit-state oracles' qubit cap), got {max_n}")
+                         f"(the explicit-state oracles' qubit cap), got {_number_text(max_n)}")
     return [r for check in CHECKS if scope in ("all", check.scope) for r in check.run(max_n)]

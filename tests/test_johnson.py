@@ -22,6 +22,8 @@ from anomdet.combin import (
     enumerate_patterns,
     pattern_indicator,
 )
+from anomdet.gram import ProblemInstance, gram_matrix
+from anomdet.protocols import verify_unambiguous_certificates
 from test_combin import refused_at_n_zero
 
 GRID = [(4, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
@@ -223,6 +225,33 @@ class TestSchemeProjectors:
                 # outlive the (n, k) table, so its Fractions need not be the table's
                 assert len({id(a) for a in exact.flat}) <= len(coeffs), (n, k, j)
                 assert scheme_projector_exact(n, k, j) is exact
+
+
+N_BY_N_BUILDERS = {
+    "distance_matrix": distance_matrix,
+    "gram_matrix": lambda n, k: gram_matrix(ProblemInstance(n, k, 0.5)),
+    "scheme_basis": scheme_basis,
+    "scheme_projector": lambda n, k: scheme_projector(n, k, 0),
+    "scheme_projector_exact": lambda n, k: scheme_projector_exact(n, k, 0),
+    "verify_unambiguous_certificates":
+        lambda n, k: verify_unambiguous_certificates(ProblemInstance(n, k, 0.5)),
+}
+
+
+@pytest.mark.parametrize("n, k, size", [(30, 15, "155117520"),
+                                        (10**6, 10**5, r"C\(1000000, 100000\)")],
+                         ids=["(30, 15)", "(10^6, 10^5)"])
+@pytest.mark.parametrize("builder", N_BY_N_BUILDERS)
+def test_n_by_n_builders_refuse_past_the_cap_before_the_table(cold, monkeypatch, builder,
+                                                              n, k, size):
+    # each asks distance_matrix first, so a refused N builds no (n, k) table:
+    # at (10^6, 10^5) that table would start ~10^10 Hahn values
+    def unreachable(*args):
+        raise AssertionError("(n, k) table built past the Gram size cap")
+
+    monkeypatch.setattr(johnson, "_scheme", unreachable)
+    with pytest.raises(ValueError, match=rf"^Gram size {size} exceeds cap {combin.GRAM_SIZE_CAP}$"):
+        N_BY_N_BUILDERS[builder](n, k)
 
 
 def _scheme_keys(max_n: int) -> list[tuple[int, int, int]]:

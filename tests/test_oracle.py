@@ -49,6 +49,20 @@ def _rho(pattern, n, d):
     return B @ B.T / B.shape[1]
 
 
+def test_qubit_cap_is_the_largest_n_whose_every_stack_fits_the_gram_cap(fresh):
+    # C(n, k) is largest at k = n // 2, so STATE_QUBITS_CAP is the largest n at which
+    # srm_success_oracle accepts the stack of every k: 14 at the Gram size cap 5000,
+    # and it follows the cap, read when the oracle is imported
+    n = oracle.STATE_QUBITS_CAP
+    assert n == 14 and max(binomial(n, k) for k in range(n + 1)) <= GRAM_SIZE_CAP
+    assert binomial(n + 1, (n + 1) // 2) > GRAM_SIZE_CAP
+    caps = (1, 2, 3, 6, 100, 924, 3431, 3432, 5000, 12870, 10**6)
+    code = ("import sys\nfrom anomdet import combin\ncombin.GRAM_SIZE_CAP = int(sys.argv[1])\n"
+            "from anomdet import oracle\nprint(oracle.STATE_QUBITS_CAP)")
+    got = [int(fresh(code, str(cap))) for cap in caps]
+    assert got == [max(n for n in range(64) if binomial(n, n // 2) <= cap) for cap in caps]
+
+
 class TestHypothesisStates:
     def test_single_system(self):
         states = all_hypothesis_states(ProblemInstance(1, 1, 0.6))
@@ -306,6 +320,18 @@ class TestSrmOracle:
         full, sector = srm_success_oracle(padded), srm_success_oracle(V)
         assert abs(full.success - sector.success) <= 1e-14
         assert np.abs(full.diagonal - sector.diagonal).max() <= 1e-14
+
+    @pytest.mark.parametrize("n, k, c", [(5, 1, 0.5), (8, 3, 0.6), (9, 4, 0.3), (10, 5, 0.8),
+                                         (7, 3, 0.9), (12, 6, 0.5)])
+    def test_support_basis_groups_as_np_unique_does(self, cold, n, k, c):
+        # the basis sorts the rounded class vectors itself: the same theta, group sizes
+        # and group columns W, to the bit, as np.unique(axis=1) in _grouped_basis.  Row 0
+        # of theta (the weight-0 class, support N) ties every group but the trivial one
+        V = all_hypothesis_states(ProblemInstance(n, k, c))
+        W, *_, theta, sizes, _, _ = oracle._support_basis(V.shape, np.packbits(V != 0).tobytes())
+        W_ref, theta_ref, sizes_ref, _ = _grouped_basis(V, _pattern_basis(V)[1])
+        assert theta.shape == theta_ref.shape and theta.tobytes() == theta_ref.tobytes()
+        assert sizes.tolist() == sizes_ref.tolist() and W.tobytes() == W_ref.tobytes()
 
     @pytest.mark.parametrize("n, k, c", [(1, 1, 0.6), (6, 2, 0.6), (8, 3, 0.3), (8, 4, 0.75),
                                          (10, 4, 0.9), (12, 3, 0.5), (6, 2, 0.0), (8, 3, 1.0)])

@@ -83,7 +83,7 @@ def test_nk_caches_hold_the_scheme_grid_at_the_cap(monkeypatch, cold):
     assert calls == Counter({nk: 2 for nk in cells})  # one per cell per builder
 
 
-def test_no_row_walks_more_cells_than_the_nk_caches_hold(cold):
+def test_a_second_pass_at_the_qubit_cap_builds_nothing(cold):
     # a row that walks more than a cache holds evicts each entry before the
     # next row comes back to it.  The rows whose instances stop at --max-n
     # build the explicit per-(n, k) objects; the closed-form rows (explicit
@@ -123,6 +123,26 @@ def test_scheme_rows_sum_each_hahn_value_once(monkeypatch, cold):
 def test_unknown_scope_is_refused():
     with pytest.raises(ValueError, match=r"^unknown scope 'bogus'; expected all\|scheme\|"):
         verify.run_scope("bogus", 9)
+
+
+@pytest.mark.parametrize("max_n, message", [
+    (10**5000, r"^--max-n must be in \[2, 14\] \(the explicit-state oracles' qubit cap\), "
+               r"got about 10\^5000$"),
+    (15, r"^--max-n must be in \[2, 14\] \(the explicit-state oracles' qubit cap\), got 15$"),
+    (-(10**300), r"^--max-n must be in \[2, 14\] .*, got about -10\^300$"),
+    (2.5, r"^max_n must be an integer, got 2.5 \(float\)$"),
+    (True, r"^max_n must be an integer, got True \(bool\)$"),
+], ids=["10^5000", "15", "-10^300", "float", "bool"])
+def test_max_n_is_checked_and_named_through_combin(monkeypatch, max_n, message):
+    # combin._integer checks it and combin._number_text names it, before any row runs
+    monkeypatch.setattr(verify, "CHECKS", ())
+    with pytest.raises(ValueError, match=message):
+        verify.run_scope("all", max_n)
+
+
+def test_numpy_integer_max_n_is_accepted(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", ())
+    assert verify.run_scope("all", np.int64(STATE_QUBITS_CAP)) == []
 
 
 def test_closure_error_fails_the_closure_row(monkeypatch):
